@@ -19,13 +19,10 @@ scheduler tenant and driven by a seeded Poisson-ish invocation storm.
 The public surface follows the libsls keyword-only convention
 (ANALYSIS.md, rule ``kwonly-api``): every knob is keyword-only, and
 :class:`DeployOptions`/:class:`InvokeOptions` carry them as one value.
-The historical positional forms still work behind a
-``DeprecationWarning`` shim.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -144,7 +141,7 @@ class ServerlessManager:
     def deploy(
         self,
         name: str,
-        *legacy_args,
+        *,
         customize: Optional[bytes] = None,
         backend=None,
         tenant: Optional[str] = None,
@@ -156,24 +153,8 @@ class ServerlessManager:
         deduplicated in the store); ``customize`` is the function's own
         code/config delta.  All parameters after ``name`` are
         keyword-only; pass a :class:`DeployOptions` instead to carry
-        them as one value.  The historical positional form
-        ``deploy(name, customize, backend)`` still works but emits a
-        :class:`DeprecationWarning`.
+        them as one value.
         """
-        if legacy_args:
-            if len(legacy_args) > 2:
-                raise TypeError(
-                    "deploy() takes at most (name, customize, backend) "
-                    "positionally"
-                )
-            warnings.warn(
-                "positional deploy(name, customize, backend) is deprecated; "
-                "use keyword arguments or DeployOptions",
-                DeprecationWarning, stacklevel=2,
-            )
-            customize = legacy_args[0]
-            if len(legacy_args) == 2:
-                backend = legacy_args[1]
         if options is not None:
             if (customize, backend, tenant) != (None, None, None):
                 raise SlsError(
@@ -233,7 +214,7 @@ class ServerlessManager:
     def invoke(
         self,
         name: str,
-        *legacy_args,
+        *,
         payload: bytes = b"world",
         lazy: bool = True,
         keep_instance: bool = False,
@@ -242,27 +223,8 @@ class ServerlessManager:
         """Warm-start the function: restore a fresh instance and run it.
 
         All parameters after ``name`` are keyword-only; pass an
-        :class:`InvokeOptions` instead to carry them as one value.  The
-        historical positional form ``invoke(name, payload, lazy,
-        keep_instance)`` still works but emits a
-        :class:`DeprecationWarning`.
+        :class:`InvokeOptions` instead to carry them as one value.
         """
-        if legacy_args:
-            if len(legacy_args) > 3:
-                raise TypeError(
-                    "invoke() takes at most (name, payload, lazy, "
-                    "keep_instance) positionally"
-                )
-            warnings.warn(
-                "positional invoke(name, payload, lazy, keep_instance) is "
-                "deprecated; use keyword arguments or InvokeOptions",
-                DeprecationWarning, stacklevel=2,
-            )
-            payload = legacy_args[0]
-            if len(legacy_args) >= 2:
-                lazy = legacy_args[1]
-            if len(legacy_args) == 3:
-                keep_instance = legacy_args[2]
         if options is not None:
             if (payload, lazy, keep_instance) != (b"world", True, False):
                 raise SlsError(

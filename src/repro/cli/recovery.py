@@ -105,33 +105,16 @@ def inject(device: NvmeDevice, store: ObjectStore, kind: str) -> str:
         store.flush_barrier()
         return ("committed snapshot 'dangle' referencing an extent past the "
                 "end of the volume")
-    if kind == "delta-base":
-        content = b"broken-base-delta" + b"\xee" * (1 * KIB)
-        stored = encode({
-            "base": b"\x11" * 20,  # hashes to no record anywhere
-            "depth": 1, "len": len(content), "ext": [[0, content[:16]]],
-        })
-        extent = store._write_record(
-            KIND_PAGE, 0, 0, stored, sync=True, flags=ENC_DELTA
-        )
-        content_hash = ObjectStore.page_hash(content)
-        store.dedup.insert(content_hash, extent,
-                           length=len(content), media_bytes=extent.length)
-        store.commit_snapshot(
-            "delta-evil", meta={"injected": True}, records=[],
-            pages=[PageRef(content_hash=content_hash, extent=extent,
-                           length=len(content))],
-        )
-        store.flush_barrier()
-        return ("committed snapshot 'delta-evil' holding a delta record "
-                "whose base hash resolves to nothing")
-    if kind == "delta-deep":
-        content = b"self-referential-delta" + b"\xf5" * (1 * KIB)
+    if kind in ("delta-base", "delta-deep"):
+        broken = kind == "delta-base"
+        name = "delta-evil" if broken else "delta-loop"
+        content = name.encode() + b"\xee" * (1 * KIB)
         content_hash = ObjectStore.page_hash(content)
         stored = encode({
-            # the record names *itself* as its base: reconstruction
-            # recurses until the chain-depth bound trips
-            "base": content_hash,
+            # delta-base: a hash no record anywhere has.  delta-deep: the
+            # record names *itself* as its base, so reconstruction
+            # recurses until the chain-depth bound trips.
+            "base": b"\x11" * 20 if broken else content_hash,
             "depth": 1, "len": len(content), "ext": [[0, content[:16]]],
         })
         extent = store._write_record(
@@ -140,11 +123,12 @@ def inject(device: NvmeDevice, store: ObjectStore, kind: str) -> str:
         store.dedup.insert(content_hash, extent,
                            length=len(content), media_bytes=extent.length)
         store.commit_snapshot(
-            "delta-loop", meta={"injected": True}, records=[],
+            name, meta={"injected": True}, records=[],
             pages=[PageRef(content_hash=content_hash, extent=extent,
                            length=len(content))],
         )
         store.flush_barrier()
-        return ("committed snapshot 'delta-loop' holding a delta record "
-                "that names itself as its own base")
+        what = ("whose base hash resolves to nothing" if broken
+                else "that names itself as its own base")
+        return f"committed snapshot {name!r} holding a delta record {what}"
     raise ValueError(f"unknown injection {kind!r} (choose from {INJECTIONS})")

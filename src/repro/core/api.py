@@ -17,7 +17,6 @@ ports in :mod:`repro.apps` are written entirely against this API.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from repro.core.checkpoint import CheckpointImage
@@ -51,7 +50,7 @@ class AuroraApi:
 
     def sls_checkpoint(
         self,
-        *legacy_args,
+        *,
         name: Optional[str] = None,
         full: Optional[bool] = None,
         sync: bool = False,
@@ -61,23 +60,8 @@ class AuroraApi:
 
         All parameters are keyword-only; pass a
         :class:`~repro.core.options.CheckpointOptions` instead to
-        carry them as one value.  The historical positional form
-        ``sls_checkpoint(name, full)`` still works but emits a
-        :class:`DeprecationWarning`.
+        carry them as one value.
         """
-        if legacy_args:
-            if len(legacy_args) > 2:
-                raise TypeError(
-                    "sls_checkpoint() takes at most (name, full) positionally"
-                )
-            warnings.warn(
-                "positional sls_checkpoint(name, full) is deprecated; use "
-                "keyword arguments or CheckpointOptions",
-                DeprecationWarning, stacklevel=2,
-            )
-            name = legacy_args[0]
-            if len(legacy_args) == 2:
-                full = legacy_args[1]
         if options is not None:
             if (name, full, sync) != (None, None, False):
                 raise SlsError(
@@ -90,7 +74,7 @@ class AuroraApi:
     def sls_restore(
         self,
         name: Optional[str] = None,
-        *legacy_args,
+        *,
         backend: Optional[str] = None,
         lazy: bool = False,
         new_instance: bool = False,
@@ -100,7 +84,6 @@ class AuroraApi:
         record_faults: bool = False,
         fault_log=None,
         options: Optional[RestoreOptions] = None,
-        **legacy,
     ) -> tuple[list[Process], RestoreMetrics]:
         """Restore the caller's group to a named (or latest) image.
 
@@ -108,33 +91,7 @@ class AuroraApi:
         :class:`~repro.core.options.RestoreOptions`, which can carry
         them as one value) — nothing is forwarded blindly anymore, so
         a misspelled option fails loudly instead of being ignored.
-        The historical shapes ``sls_restore(name, lazy)`` (positional)
-        and ``sls_restore(backend_name=...)`` still work but emit a
-        :class:`DeprecationWarning`.
         """
-        if legacy_args:
-            if len(legacy_args) > 1:
-                raise TypeError(
-                    "sls_restore() takes at most (name, lazy) positionally"
-                )
-            warnings.warn(
-                "positional sls_restore(name, lazy) is deprecated; use "
-                "keyword arguments or RestoreOptions",
-                DeprecationWarning, stacklevel=2,
-            )
-            lazy = legacy_args[0]
-        if legacy:
-            unknown = sorted(set(legacy) - {"backend_name"})
-            if unknown:
-                raise TypeError(
-                    f"sls_restore() got unexpected keyword arguments: {unknown}"
-                )
-            warnings.warn(
-                "sls_restore(backend_name=...) is deprecated; use backend=...",
-                DeprecationWarning, stacklevel=2,
-            )
-            if backend is None:
-                backend = legacy["backend_name"]
         if options is not None:
             if (
                 backend, lazy, new_instance, name_suffix, prefetch_hot,

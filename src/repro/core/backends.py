@@ -149,8 +149,12 @@ class StoreBackend(Backend):
         # plus this checkpoint's pagemap *delta*: which (object, page
         # index) slots the captured hashes belong to.  A post-reboot
         # restore rebuilds the full page map by overlaying the deltas
-        # along the snapshot lineage (see restore.load_image_from_store).
-        base = parent.page_refs.get(self.name, {}) if parent else {}
+        # along the snapshot lineage (see restore.load_image_from_store),
+        # and stops at the first full checkpoint — so an image recorded
+        # non-incremental (a consolidating full checkpoint still has a
+        # parent) must carry the *complete* map, diffed against nothing.
+        base = (parent.page_refs.get(self.name, {})
+                if parent and image.incremental else {})
         delta: dict[int, list] = {}
         for oid, pages in page_map.items():
             base_pages = base.get(oid, {})

@@ -65,6 +65,16 @@ class DeltaChainTooDeep(ObjectStoreError):
     from a future format)."""
 
 
+class BrokenDeltaBase(ObjectStoreError):
+    """A delta's base could not be resolved: its hash names no usable
+    record, or the base itself fails to decode or verify.  Raised on the
+    *delta*; the base's own damage is reported against its own ref."""
+
+    def __init__(self, base_hash: bytes):
+        self.base_hash = base_hash
+        super().__init__(f"unresolvable delta base {base_hash.hex()[:12]}")
+
+
 @dataclass(frozen=True)
 class EncodedPage:
     """One classify/encode decision for one page record."""

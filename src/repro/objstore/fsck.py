@@ -4,19 +4,19 @@ The crash sweep (FAULTS.md) proves that a *well-behaved* power cut
 tears at most the not-yet-named checkpoint.  Fsck covers everything
 else: latent media corruption, reference-counting bugs, allocator
 drift — damage the recovery path's happy case would silently carry
-forward.  The checker walks the store the way recovery does —
-superblock → snapshot directory → manifests → records → extents —
-but instead of discarding what fails, it classifies every fault and
+forward.  The checker walks the store exactly the way recovery does —
+both consume the media walker's verdicts (:mod:`repro.objstore.walk`:
+superblock → snapshot directory → manifests → records → page content)
+— but instead of discarding what fails, it classifies every fault and
 (in repair mode) rebuilds the store to a consistent state, salvaging
 what still verifies into a ``lost+found/`` snapshot.
 
 Corruption classes (RECOVERY.md documents each with its on-media
-shape and the repair decision):
+shape and the repair decision).  The media-level four —
+``checksum-corrupt``, ``dangling-ref``, ``delta-broken-base``,
+``delta-chain-too-deep`` — are the walker's verdict vocabulary; fsck's
+own phases add:
 
-- ``checksum-corrupt`` — a referenced record fails its Fletcher-64
-  checksum, or page content no longer matches its content hash.
-- ``dangling-ref`` — a manifest references an extent outside the data
-  area, or the record found there has the wrong kind or oid.
 - ``double-alloc`` — two references with different identities claim
   overlapping byte ranges (the allocator handed out space twice).
 - ``refcount-drift`` — the in-memory dedup index or metadata refcounts
@@ -30,9 +30,11 @@ Two entry points:
 
 - :func:`check_store` — read-only; never writes to the device.
 - :func:`repair_store` — rebuilds the store's in-memory state from the
-  repaired truth and persists the repairs (quarantine manifests plus a
-  new superblock, ordered behind them by ``release_ns`` exactly like a
-  commit).  Repair is idempotent: a second fsck reports zero findings.
+  repaired truth (the construction :meth:`ObjectStore.recover
+  <repro.objstore.store.ObjectStore.recover>` uses) and persists the
+  repairs (quarantine manifests plus a new superblock, ordered behind
+  them by ``release_ns`` exactly like a commit).  Repair is
+  idempotent: a second fsck reports zero findings.
 
 The online counterpart (continuous verification on idle queues) is
 :mod:`repro.objstore.scrub`.
@@ -41,53 +43,40 @@ The online counterpart (continuous verification on idle queues) is
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from repro.errors import ChecksumError, ObjectStoreError, PowerCut
+from repro.errors import ObjectStoreError, PowerCut
 from repro.fault import names as fault_names
 from repro.obs import names as obs_names
-from repro.objstore.alloc import Extent, ExtentAllocator
-from repro.objstore.codec import DeltaChainTooDeep, delta_info
-from repro.objstore.dedup import DedupIndex
-from repro.objstore.record import (
-    ENC_DELTA,
-    ENC_RAW,
-    HEADER_SIZE,
-    KIND_MANIFEST,
-    KIND_META,
-    KIND_PAGE,
-    decode,
-    encode,
-    unpack_record,
+from repro.objstore.record import KIND_MANIFEST
+from repro.objstore.snapshot import (
+    MetaRef,
+    PageRef,
+    Snapshot,
+    SnapshotDirectory,
+    encode_manifest,
 )
-from repro.objstore.snapshot import Snapshot, SnapshotDirectory
-from repro.objstore.store import DIR_SPILL_KEY, MetaRef, ObjectStore, PageRef
-from repro.units import PAGE_SIZE
+from repro.objstore.store import ObjectStore
+from repro.objstore.walk import (
+    CHECKSUM_CORRUPT,
+    DANGLING_REF,
+    DELTA_BROKEN_BASE,
+    DELTA_CHAIN_TOO_DEEP,
+    MANIFEST,
+    RECORD,
+    MediaWalk,
+    Verdict,
+    in_bounds,
+)
 
+# --- corruption classes (the media-level four come from the walker) ----------
 
-class _BrokenBase(ObjectStoreError):
-    """Internal: a delta's base content could not be resolved."""
-
-    def __init__(self, base_hash: bytes):
-        self.base_hash = base_hash
-        super().__init__(f"unresolvable delta base {base_hash.hex()[:12]}")
-
-# --- corruption classes -------------------------------------------------------
-
-CHECKSUM_CORRUPT = "checksum-corrupt"
-DANGLING_REF = "dangling-ref"
 DOUBLE_ALLOC = "double-alloc"
 REFCOUNT_DRIFT = "refcount-drift"
 ORPHAN_EXTENT = "orphan-extent"
 UNTRACKED_EXTENT = "untracked-extent"
-#: a delta-encoded page whose base content hash resolves nowhere — not
-#: in its own manifest (commit expansion lists the whole chain) and not
-#: in any earlier-walked snapshot
-DELTA_BROKEN_BASE = "delta-broken-base"
-#: reconstruction needed more than the codec's MAX_DELTA_CHAIN hops —
-#: the writer's re-anchor bound was violated on media
-DELTA_CHAIN_TOO_DEEP = "delta-chain-too-deep"
 
 FINDING_KINDS = (
     CHECKSUM_CORRUPT,
@@ -119,16 +108,18 @@ class FsckFinding:
     #: rebuild-refcounts, drop-snapshot, report-only
     action: str = "report-only"
 
+    @classmethod
+    def of(cls, verdict: Verdict, action: str = "report-only") -> "FsckFinding":
+        """The finding for a bad media-walk verdict."""
+        reference = verdict.reference
+        return cls(
+            kind=verdict.kind, detail=verdict.detail,
+            snapshot=reference.snapshot, offset=reference.extent.offset,
+            length=reference.extent.length, action=action,
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "detail": self.detail,
-            "snapshot": self.snapshot,
-            "offset": self.offset,
-            "length": self.length,
-            "repaired": self.repaired,
-            "action": self.action,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -162,19 +153,8 @@ class FsckReport:
         return {kind: n for kind, n in out.items() if n}
 
     def to_dict(self) -> dict:
-        return {
-            "repair": self.repair,
-            "generation": self.generation,
-            "snapshots_checked": self.snapshots_checked,
-            "records_verified": self.records_verified,
-            "pages_verified": self.pages_verified,
-            "bytes_verified": self.bytes_verified,
-            "findings": [f.to_dict() for f in self.findings],
-            "quarantined": self.quarantined,
-            "bytes_reclaimed": self.bytes_reclaimed,
-            "clean": self.clean,
-            "repaired_all": self.repaired_all,
-        }
+        return {**asdict(self), "clean": self.clean,
+                "repaired_all": self.repaired_all}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -212,7 +192,6 @@ class _SnapshotWalk:
 
     snapshot: Snapshot
     manifest_ok: bool = False
-    meta: object = None
     #: refs that verified end-to-end (salvageable)
     records: list[MetaRef] = field(default_factory=list)
     pages: list[PageRef] = field(default_factory=list)
@@ -249,276 +228,59 @@ class Fsck:
         self.store = store
         self.repair = repair
         self.report = FsckReport(repair=repair)
+        #: the media walk whose verdicts this pass classifies
+        self.media = MediaWalk(store)
         self.directory = SnapshotDirectory()
         self.walks: list[_SnapshotWalk] = []
-        #: (offset, length) -> verification outcome, so records shared
-        #: across snapshots are read once
-        self._verified: dict[tuple[int, int], tuple] = {}
-        #: content hash -> decoded, hash-verified page content (delta
-        #: bases resolve here across walks)
-        self._content: dict[bytes, bytes] = {}
-        #: content hash -> (flags, stored payload) for every verified
-        #: page, so repair can rebuild dedup sizes and delta chains
-        self._page_info: dict[bytes, tuple[int, bytes]] = {}
-        self._superblock_lost = False
-        #: spilled-directory record named by the media superblock
-        self._dir_spill: Optional[Extent] = None
 
-    # -- phase 0: directory ----------------------------------------------------
+    # -- phases 0-1: the media walk's verdicts become findings ------------------
 
-    def _read_directory(self) -> None:
-        super_read = self.store.volume.read_superblock()
-        if super_read is None:
-            if self.store.directory.snapshots:
-                self._superblock_lost = True
-                self.report.findings.append(FsckFinding(
-                    kind=CHECKSUM_CORRUPT,
-                    detail="no valid superblock in either slot but the live "
-                           "directory is non-empty: directory unrecoverable "
-                           "from media",
-                    action="report-only",
-                ))
-            return
-        generation, payload = super_read
-        self.report.generation = generation
+    def _adopt_directory(self) -> bool:
+        """Take the media directory as the root set; False when it is
+        lost (one report-only finding: nothing downstream is meaningful
+        without a directory)."""
         try:
-            value = decode(payload)
-            if isinstance(value, dict) and DIR_SPILL_KEY in value:
-                offset, length = value[DIR_SPILL_KEY]
-                self._dir_spill = Extent(int(offset), int(length))
-                raw = self.store.volume.read_data(
-                    self._dir_spill.offset, self._dir_spill.length
+            directory = self.media.directory()
+            if directory is None and self.store.directory.snapshots:
+                raise ObjectStoreError(
+                    "no valid superblock in either slot but the live "
+                    "directory is non-empty: directory unrecoverable "
+                    "from media"
                 )
-                header, dir_payload = unpack_record(raw)
-                if header.kind != KIND_META:
-                    raise ObjectStoreError(
-                        f"directory spill extent holds a kind-{header.kind} "
-                        f"record"
-                    )
-                self.report.bytes_verified += self._dir_spill.length
-                value = decode(dir_payload)
-            self.directory = SnapshotDirectory.decode(value)
-        except (ChecksumError, ObjectStoreError, ValueError, KeyError,
-                TypeError) as exc:
-            self._superblock_lost = True
+        except ObjectStoreError as exc:
             self.report.findings.append(FsckFinding(
-                kind=CHECKSUM_CORRUPT,
-                detail=f"superblock generation {generation} payload does not "
-                       f"decode as a directory: {exc}",
-                action="report-only",
+                kind=CHECKSUM_CORRUPT, detail=str(exc), action="report-only",
             ))
+            return False
+        finally:
+            self.report.generation = self.media.generation
+        self.directory = directory or SnapshotDirectory()
+        return True
 
-    # -- phase 1: walk every snapshot ------------------------------------------
-
-    def _in_bounds(self, extent: Extent) -> bool:
-        volume = self.store.volume
-        return (extent.offset >= volume.data_base
-                and extent.end <= volume.data_base + volume.data_size
-                and extent.length > 0)
-
-    def _verify_extent(self, extent: Extent) -> tuple:
-        """Read + verify one record extent; memoized by (offset, length).
-
-        Returns ``("meta", kind, oid, payload, flags)`` on success or
-        ``("bad", finding_kind, detail)`` on failure.  The record
-        checksum covers the *stored* payload (raw or encoded); whether
-        encoded page content reconstructs is the walk's second pass.
-        """
-        key = (extent.offset, extent.length)
-        cached = self._verified.get(key)
-        if cached is not None:
-            return cached
-        if not self._in_bounds(extent):
-            result = ("bad", DANGLING_REF,
-                      f"extent [{extent.offset}, {extent.end}) outside the "
-                      f"data area")
-        else:
-            try:
-                raw = self.store.volume.read_data(extent.offset, extent.length)
-                header, payload = unpack_record(raw)
-            except ChecksumError as exc:
-                result = ("bad", CHECKSUM_CORRUPT,
-                          f"record at {extent.offset} fails verification: {exc}")
-            except ObjectStoreError as exc:
-                result = ("bad", DANGLING_REF,
-                          f"no parseable record at {extent.offset}: {exc}")
-            else:
-                result = ("meta", header.kind, header.oid, payload, header.flags)
-                self.report.bytes_verified += extent.length
-        self._verified[key] = result
-        return result
-
-    def _resolve_content(self, content_hash: bytes,
-                         pending: dict[bytes, tuple[int, bytes]],
-                         depth: int = 0) -> bytes:
-        """Reconstruct and hash-verify page content during a walk.
-
-        Bases resolve against content already verified in this or an
-        earlier walk (``self._content``) or against records pending in
-        the current walk (commit expansion lists a delta's whole chain
-        in the same manifest).  A base that is missing or itself fails
-        verification surfaces as :class:`_BrokenBase` on the *delta*;
-        the base's own finding is reported when its own ref is walked.
-        """
-        cached = self._content.get(content_hash)
-        if cached is not None:
-            return cached
-        info = pending.get(content_hash)
-        if info is None:
-            raise _BrokenBase(content_hash)
-        flags, stored = info
-
-        def resolve_base(base_hash: bytes) -> bytes:
-            try:
-                return self._resolve_content(base_hash, pending, depth + 1)
-            except (DeltaChainTooDeep, _BrokenBase):
-                raise
-            except ObjectStoreError:
-                raise _BrokenBase(base_hash) from None
-
-        content = self.store.codec.decode_page(
-            flags, stored, resolve_base, _depth=depth
-        )
-        if ObjectStore.page_hash(content) != content_hash:
-            raise ChecksumError("page content hash mismatch")
-        self._content[content_hash] = content
-        self._page_info[content_hash] = (flags, stored)
-        return content
-
-    def _walk_snapshot(self, snapshot: Snapshot) -> _SnapshotWalk:
-        walk = _SnapshotWalk(snapshot=snapshot)
-        outcome = self._verify_extent(snapshot.manifest_extent)
-        if outcome[0] == "bad":
-            walk.damaged = True
-            self.report.findings.append(FsckFinding(
-                kind=outcome[1], snapshot=snapshot.name,
-                offset=snapshot.manifest_extent.offset,
-                length=snapshot.manifest_extent.length,
-                detail=f"manifest unreadable: {outcome[2]}",
-                action="drop-snapshot",
-            ))
-            return walk
-        _tag, kind, _oid, payload, _flags = outcome
-        if kind != KIND_MANIFEST:
-            walk.damaged = True
-            self.report.findings.append(FsckFinding(
-                kind=DANGLING_REF, snapshot=snapshot.name,
-                offset=snapshot.manifest_extent.offset,
-                length=snapshot.manifest_extent.length,
-                detail=f"manifest extent holds a kind-{kind} record",
-                action="drop-snapshot",
-            ))
-            return walk
-        try:
-            value = decode(payload)
-            records = [MetaRef(oid=oid, extent=Extent(off, length))
-                       for oid, off, length in value["records"]]
-            pages = [PageRef(content_hash=h, extent=Extent(off, elen), length=plen)
-                     for h, off, elen, plen in value["pages"]]
-            walk.meta = value["meta"]
-        except (ObjectStoreError, ValueError, KeyError, TypeError) as exc:
-            walk.damaged = True
-            self.report.findings.append(FsckFinding(
-                kind=CHECKSUM_CORRUPT, snapshot=snapshot.name,
-                offset=snapshot.manifest_extent.offset,
-                length=snapshot.manifest_extent.length,
-                detail=f"manifest payload does not decode: {exc}",
-                action="drop-snapshot",
-            ))
-            return walk
-        walk.manifest_ok = True
-
-        for ref in records:
-            outcome = self._verify_extent(ref.extent)
-            problem: Optional[tuple[str, str]] = None
-            if outcome[0] == "bad":
-                problem = (outcome[1], outcome[2])
-            elif outcome[1] != KIND_META:
-                problem = (DANGLING_REF,
-                           f"record ref at {ref.extent.offset} resolves to a "
-                           f"kind-{outcome[1]} record, expected metadata")
-            elif outcome[2] != ref.oid:
-                problem = (DANGLING_REF,
-                           f"record at {ref.extent.offset} belongs to oid "
-                           f"{outcome[2]}, manifest claims {ref.oid}")
-            if problem is not None:
-                walk.damaged = True
-                walk.bad_records.append(ref)
-                self.report.findings.append(FsckFinding(
-                    kind=problem[0], snapshot=snapshot.name,
-                    offset=ref.extent.offset, length=ref.extent.length,
-                    detail=problem[1], action="quarantine",
-                ))
-            else:
-                walk.records.append(ref)
-                self.report.records_verified += 1
-
-        # Page pass 1: record-level verification.  Encoded page content
-        # cannot be hash-checked yet — a delta's base may appear later
-        # in the manifest — so parseable records go to ``pending``.
-        pending: dict[bytes, tuple[int, bytes]] = {}
-        candidates: list[PageRef] = []
-        for ref in pages:
-            outcome = self._verify_extent(ref.extent)
-            problem = None
-            if outcome[0] == "bad":
-                problem = (outcome[1], outcome[2])
-            elif outcome[1] != KIND_PAGE:
-                problem = (DANGLING_REF,
-                           f"page ref at {ref.extent.offset} resolves to a "
-                           f"kind-{outcome[1]} record, expected page data")
-            if problem is not None:
-                walk.damaged = True
-                walk.bad_pages.append(ref)
-                self.report.findings.append(FsckFinding(
-                    kind=problem[0], snapshot=snapshot.name,
-                    offset=ref.extent.offset, length=ref.extent.length,
-                    detail=problem[1], action="quarantine",
-                ))
-            else:
-                pending.setdefault(ref.content_hash, (outcome[4], outcome[3]))
-                candidates.append(ref)
-        # Page pass 2: reconstruct content (decoding through the delta
-        # chain) and verify it hashes to what the manifest claims.
-        for ref in candidates:
-            problem = None
-            try:
-                self._resolve_content(ref.content_hash, pending)
-            except DeltaChainTooDeep:
-                problem = (DELTA_CHAIN_TOO_DEEP,
-                           f"delta page at {ref.extent.offset} reconstructs "
-                           f"through too many hops")
-            except _BrokenBase as exc:
-                problem = (DELTA_BROKEN_BASE,
-                           f"delta page at {ref.extent.offset} references "
-                           f"base {exc.base_hash.hex()[:12]} which does not "
-                           f"resolve")
-            except ChecksumError:
-                problem = (CHECKSUM_CORRUPT,
-                           f"page at {ref.extent.offset} no longer matches "
-                           f"its content hash")
-            except ObjectStoreError as exc:
-                problem = (CHECKSUM_CORRUPT,
-                           f"page at {ref.extent.offset} does not decode: "
-                           f"{exc}")
-            if problem is not None:
-                walk.damaged = True
-                walk.bad_pages.append(ref)
-                self.report.findings.append(FsckFinding(
-                    kind=problem[0], snapshot=snapshot.name,
-                    offset=ref.extent.offset, length=ref.extent.length,
-                    detail=problem[1], action="quarantine",
-                ))
-            else:
-                walk.pages.append(ref)
-                self.report.pages_verified += 1
-        return walk
-
-    def _walk_snapshots(self) -> None:
+    def _classify_verdicts(self) -> None:
         for snap_id in sorted(self.directory.snapshots):
             snapshot = self.directory.snapshots[snap_id]
             self.report.snapshots_checked += 1
-            self.walks.append(self._walk_snapshot(snapshot))
+            walk = _SnapshotWalk(snapshot=snapshot)
+            self.walks.append(walk)
+            for verdict in self.media.snapshot(snapshot):
+                role, ref = verdict.reference.role, verdict.reference.ref
+                if role == MANIFEST:
+                    walk.manifest_ok = verdict.ok
+                elif role == RECORD:
+                    (walk.records if verdict.ok
+                     else walk.bad_records).append(ref)
+                    self.report.records_verified += verdict.ok
+                else:
+                    (walk.pages if verdict.ok else walk.bad_pages).append(ref)
+                    self.report.pages_verified += verdict.ok
+                if not verdict.ok:
+                    walk.damaged = True
+                    self.report.findings.append(FsckFinding.of(
+                        verdict, action=("drop-snapshot" if role == MANIFEST
+                                         else "quarantine"),
+                    ))
+        self.report.bytes_verified = self.media.bytes_verified
 
     # -- phase 2: cross-snapshot claims (double allocation) --------------------
 
@@ -548,21 +310,19 @@ class Fsck:
                 ext = snapshot.manifest_extent
                 add(ext.offset, ext.length, ("manifest", snapshot.snap_id),
                     snapshot.snap_id, walk)
-            for ref in walk.records + walk.bad_records:
-                if self._in_bounds(ref.extent):
+            for ref in (walk.records + walk.bad_records
+                        + walk.pages + walk.bad_pages):
+                if in_bounds(self.store.volume, ref.extent):
                     add(ref.extent.offset, ref.extent.length,
-                        ("rec", ref.extent.offset, ref.extent.length),
-                        snapshot.snap_id, walk)
-            for ref in walk.pages + walk.bad_pages:
-                if self._in_bounds(ref.extent):
-                    add(ref.extent.offset, ref.extent.length,
-                        ("page", ref.content_hash),
+                        (("page", ref.content_hash)
+                         if isinstance(ref, PageRef) else
+                         ("rec", ref.extent.offset, ref.extent.length)),
                         snapshot.snap_id, walk)
         for oid, log in self.store._logs.items():
             add(log.region.offset, log.region.length, ("log", oid), -1, None)
-        if self._dir_spill is not None:
-            add(self._dir_spill.offset, self._dir_spill.length,
-                ("dir-spill", self._dir_spill.offset), -1, None)
+        spill = self.media.dir_spill
+        if spill is not None:
+            add(spill.offset, spill.length, ("dir-spill", spill.offset), -1, None)
         return sorted(unique.values(), key=lambda c: (c.offset, c.snap_id))
 
     def _check_double_alloc(self, claims: list[_Claim]) -> None:
@@ -606,22 +366,14 @@ class Fsck:
             claim.owner.manifest_ok = False
             return
         for walk in self.walks:
-            if claim.identity[0] == "rec":
-                dropped = [r for r in walk.records
-                           if r.extent.offset == claim.offset]
-                if dropped:
-                    walk.damaged = True
-                    walk.records = [r for r in walk.records
-                                    if r.extent.offset != claim.offset]
-                    walk.bad_records.extend(dropped)
-            else:
-                dropped = [p for p in walk.pages
-                           if p.extent.offset == claim.offset]
-                if dropped:
-                    walk.damaged = True
-                    walk.pages = [p for p in walk.pages
-                                  if p.extent.offset != claim.offset]
-                    walk.bad_pages.extend(dropped)
+            good, bad = ((walk.records, walk.bad_records)
+                         if claim.identity[0] == "rec"
+                         else (walk.pages, walk.bad_pages))
+            dropped = [r for r in good if r.extent.offset == claim.offset]
+            if dropped:
+                walk.damaged = True
+                good[:] = [r for r in good if r.extent.offset != claim.offset]
+                bad.extend(dropped)
 
     # -- phase 3: in-memory cross-checks (refcounts, allocator) ----------------
 
@@ -635,59 +387,43 @@ class Fsck:
         """Refcounts implied by every parseable manifest (good and bad
         refs alike — commits counted both, so drift means a counting
         bug, not corruption of the referenced bytes)."""
-        pages: dict[bytes, int] = {}
-        metas: dict[int, int] = {}
-        for walk in self.walks:
-            if walk.manifest_ok:
-                off = walk.snapshot.manifest_extent.offset
-                metas[off] = metas.get(off, 0) + 1
-            for ref in walk.records + walk.bad_records:
-                off = ref.extent.offset
-                metas[off] = metas.get(off, 0) + 1
-            for ref in walk.pages + walk.bad_pages:
-                h = ref.content_hash
-                pages[h] = pages.get(h, 0) + 1
+        pages = Counter(ref.content_hash for walk in self.walks
+                        for ref in walk.pages + walk.bad_pages)
+        metas = Counter(ref.extent.offset for walk in self.walks
+                        for ref in walk.records + walk.bad_records)
+        metas.update(walk.snapshot.manifest_extent.offset
+                     for walk in self.walks if walk.manifest_ok)
         return pages, metas
 
     def _check_refcounts(self) -> None:
+        def drift(detail: str, offset: int = 0, length: int = 0) -> None:
+            self.report.findings.append(FsckFinding(
+                kind=REFCOUNT_DRIFT, detail=detail, offset=offset,
+                length=length, action="rebuild-refcounts",
+            ))
+
         expected_pages, expected_metas = self._expected_refcounts()
         dedup = self.store.dedup
         for h, expected in sorted(expected_pages.items()):
             actual = dedup.refcount(h)
             if actual != expected:
-                self.report.findings.append(FsckFinding(
-                    kind=REFCOUNT_DRIFT,
-                    detail=f"dedup refcount for page {h.hex()[:12]} is "
-                           f"{actual}, manifests imply {expected}",
-                    action="rebuild-refcounts",
-                ))
+                drift(f"dedup refcount for page {h.hex()[:12]} is "
+                      f"{actual}, manifests imply {expected}")
         for h, entry in sorted(dedup.entries().items()):
             if h not in expected_pages and entry.refcount > 0:
-                self.report.findings.append(FsckFinding(
-                    kind=REFCOUNT_DRIFT,
-                    offset=entry.extent.offset, length=entry.extent.length,
-                    detail=f"dedup entry {h.hex()[:12]} holds refcount "
-                           f"{entry.refcount} but no manifest references it",
-                    action="rebuild-refcounts",
-                ))
+                drift(f"dedup entry {h.hex()[:12]} holds refcount "
+                      f"{entry.refcount} but no manifest references it",
+                      entry.extent.offset, entry.extent.length)
         meta_refs = self.store._meta_refs
         for off, expected in sorted(expected_metas.items()):
             _, actual = meta_refs.get(off, (None, 0))
             if actual != expected:
-                self.report.findings.append(FsckFinding(
-                    kind=REFCOUNT_DRIFT, offset=off,
-                    detail=f"metadata refcount at {off} is {actual}, "
-                           f"manifests imply {expected}",
-                    action="rebuild-refcounts",
-                ))
+                drift(f"metadata refcount at {off} is {actual}, "
+                      f"manifests imply {expected}", off)
         for off, (extent, count) in sorted(meta_refs.items()):
             if off not in expected_metas and count > 0:
-                self.report.findings.append(FsckFinding(
-                    kind=REFCOUNT_DRIFT, offset=off, length=extent.length,
-                    detail=f"metadata refcount at {off} is {count} but no "
-                           f"manifest references it",
-                    action="rebuild-refcounts",
-                ))
+                drift(f"metadata refcount at {off} is {count} but no "
+                      f"manifest references it", off, extent.length)
 
     @staticmethod
     def _union(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -769,96 +505,17 @@ class Fsck:
 
     # -- phase 4: repair --------------------------------------------------------
 
-    def _quarantine_plans(self) -> list[_SnapshotWalk]:
-        """Damaged snapshots with anything left to salvage."""
-        return [
-            walk for walk in self.walks
-            if walk.damaged and walk.manifest_ok
-            and (walk.records or walk.pages)
-        ]
-
-    def _rebuild_in_memory(self, intact: list[_SnapshotWalk],
-                           plans: list[_SnapshotWalk]) -> None:
-        """Rebuild allocator/dedup/refcounts/directory from the
-        repaired truth: the union of every surviving reference.
-        Orphans and deferred garbage are simply not reserved — that is
-        the leak reclaim.  Touches only in-memory state."""
-        store = self.store
-        allocator = ExtentAllocator(
-            base=store.volume.data_base, size=store.volume.data_size,
-            num_shards=store.num_shards,
+    def _rebuild(self, intact: list[_SnapshotWalk],
+                 plans: list[_SnapshotWalk]) -> None:
+        """Rebuild in-memory state to the repaired truth through the
+        construction recovery uses: ``intact`` snapshots adopted whole,
+        ``plans``' still-verifying refs kept for quarantine."""
+        self.store._rebuild(
+            self.media,
+            max(self.directory.next_id, self.store.directory.next_id),
+            [(walk.snapshot, walk.records, walk.pages) for walk in intact]
+            + [(None, walk.records, walk.pages) for walk in plans],
         )
-        allocator.faults = store.faults
-        keep: dict[int, Extent] = {}
-        for walk in intact:
-            keep[walk.snapshot.manifest_extent.offset] = \
-                walk.snapshot.manifest_extent
-        for walk in intact + plans:
-            for ref in walk.records:
-                keep[ref.extent.offset] = ref.extent
-            for ref in walk.pages:
-                keep[ref.extent.offset] = ref.extent
-        for extent in keep.values():
-            allocator.reserve(extent)
-        for log in store._logs.values():
-            allocator.reserve(log.region)
-        if self._dir_spill is not None:
-            # The media superblock still points at the spilled
-            # directory record; keep it reserved until the repaired
-            # superblock supersedes it (then it becomes garbage).
-            allocator.reserve(self._dir_spill)
-            store._dir_spill = self._dir_spill
-
-        dedup = DedupIndex()
-        delta_depth: dict[bytes, int] = {}
-        delta_bases: dict[bytes, bytes] = {}
-
-        def index_page(ref: PageRef) -> None:
-            if ref.content_hash in dedup.entries():
-                return
-            flags, stored = self._page_info.get(
-                ref.content_hash, (ENC_RAW, b"")
-            )
-            media = (HEADER_SIZE + PAGE_SIZE if flags == ENC_RAW
-                     else ref.extent.length)
-            dedup.insert(ref.content_hash, ref.extent,
-                         length=ref.length, media_bytes=media)
-            if flags == ENC_DELTA:
-                base_hash, depth, _length, _ext = delta_info(stored)
-                delta_depth[ref.content_hash] = depth
-                delta_bases[ref.content_hash] = base_hash
-
-        meta_refs: dict[int, tuple[Extent, int]] = {}
-        directory = SnapshotDirectory()
-        directory.next_id = max(self.directory.next_id,
-                                store.directory.next_id)
-        for walk in intact:
-            snapshot = walk.snapshot
-            directory.add(snapshot)
-            off = snapshot.manifest_extent.offset
-            extent, count = meta_refs.get(off, (snapshot.manifest_extent, 0))
-            meta_refs[off] = (extent, count + 1)
-            for ref in walk.records:
-                extent, count = meta_refs.get(ref.extent.offset, (ref.extent, 0))
-                meta_refs[ref.extent.offset] = (extent, count + 1)
-            for ref in walk.pages:
-                index_page(ref)
-                dedup.hold(ref.content_hash, nbytes=ref.length)
-        for walk in plans:
-            for ref in walk.pages:
-                index_page(ref)
-
-        store.allocator = allocator
-        store.dedup = dedup
-        store._delta_depth = delta_depth
-        store._delta_bases = delta_bases
-        store._meta_refs = meta_refs
-        store.directory = directory
-        store.garbage = []
-        store._open_batch = None
-        # The page cache indexed the pre-repair truth; hashes the
-        # repair dropped must not survive it.
-        store.pagecache.clear()
 
     def _apply_repairs(self) -> None:
         """Rebuild the store to the repaired truth and persist it.
@@ -890,33 +547,29 @@ class Fsck:
         before_allocated = store.allocator.allocated_bytes
 
         intact = [walk for walk in self.walks if not walk.damaged]
-        plans = self._quarantine_plans()
-        self._rebuild_in_memory(intact, plans)
-        dedup = store.dedup
-        meta_refs = store._meta_refs
-        directory = store.directory
+        # Damaged snapshots with anything left to salvage.
+        plans = [walk for walk in self.walks
+                 if walk.damaged and walk.manifest_ok
+                 and (walk.records or walk.pages)]
+        self._rebuild(intact, plans)
 
         # Quarantine: each damaged-but-salvageable snapshot gets a
         # lost+found manifest listing only its still-verifying refs.
         for walk in plans:
             original = walk.snapshot
             name = f"{LOST_AND_FOUND}{original.name}@{original.snap_id}"
-            manifest_value = {
-                "meta": {"quarantined": original.name,
-                         "original_snap_id": original.snap_id,
-                         "fsck": True},
-                "records": [[r.oid, r.extent.offset, r.extent.length]
-                            for r in walk.records],
-                "pages": [[p.content_hash, p.extent.offset,
-                           p.extent.length, p.length]
-                          for p in walk.pages],
-            }
             manifest_extent = store._write_record(
-                KIND_MANIFEST, 0, original.epoch, encode(manifest_value),
+                KIND_MANIFEST, 0, original.epoch,
+                encode_manifest(
+                    {"quarantined": original.name,
+                     "original_snap_id": original.snap_id,
+                     "fsck": True},
+                    walk.records, walk.pages,
+                ),
                 sync=False,
             )
             snapshot = Snapshot(
-                snap_id=directory.allocate_id(),
+                snap_id=store.directory.allocate_id(),
                 name=name,
                 epoch=original.epoch,
                 created_at_ns=store.device.clock.now,
@@ -925,13 +578,7 @@ class Fsck:
                 delta_bytes=0,
                 logical_bytes=sum(p.length for p in walk.pages),
             )
-            meta_refs[manifest_extent.offset] = (manifest_extent, 1)
-            for ref in walk.records:
-                extent, count = meta_refs.get(ref.extent.offset, (ref.extent, 0))
-                meta_refs[ref.extent.offset] = (extent, count + 1)
-            for ref in walk.pages:
-                dedup.hold(ref.content_hash, nbytes=ref.length)
-            directory.add(snapshot)
+            store._take_references(snapshot, walk.records, walk.pages)
             self.report.quarantined.append(name)
 
         # The repaired superblock, ordered behind the quarantine
@@ -961,13 +608,11 @@ class Fsck:
                 "fsck repair needs a quiescent store: an open write batch "
                 "still buffers records (flush or commit first)"
             )
-        self._read_directory()
-        if self._superblock_lost:
-            # Nothing downstream is meaningful without a directory, and
-            # repair must never "fix" this by writing an empty one over
-            # whatever the slots still hold.
+        if not self._adopt_directory():
+            # Repair must never "fix" a lost directory by writing an
+            # empty one over whatever the slots still hold.
             return self.report
-        self._walk_snapshots()
+        self._classify_verdicts()
         claims = self._claims()
         self._check_double_alloc(claims)
         if self._live:
@@ -978,8 +623,8 @@ class Fsck:
                 self._apply_repairs()
             elif not self._live:
                 # Clean media, fresh store: adopt the verified state
-                # without touching the device (recover()-equivalent).
-                self._rebuild_in_memory(self.walks, [])
+                # without touching the device — exactly recover().
+                self._rebuild(self.walks, [])
         if self.report.clean:
             # A clean verdict is trusted until the next superblock
             # write (see the sls_send DR gate): cache the generation

@@ -28,34 +28,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ChecksumError, ObjectStoreError, PowerCut
+from repro.errors import ObjectStoreError, PowerCut
 from repro.fault import names as fault_names
 from repro.obs import names as obs_names
-from repro.objstore.alloc import Extent
-from repro.objstore.codec import DeltaChainTooDeep
-from repro.objstore.fsck import (
-    CHECKSUM_CORRUPT,
-    DANGLING_REF,
-    DELTA_BROKEN_BASE,
-    DELTA_CHAIN_TOO_DEEP,
-    FsckFinding,
-)
-from repro.objstore.record import KIND_MANIFEST, KIND_META, KIND_PAGE, unpack_record
+from repro.objstore.fsck import FsckFinding
 from repro.objstore.store import ObjectStore
+from repro.objstore.walk import (
+    PAGE,
+    MediaWalk,
+    Reference,
+    Verdict,
+    content_verdict,
+    in_bounds,
+    reference_verdict,
+    unpack_verdict,
+)
 
 #: default number of extents verified per scrub step — small enough
 #: that one step never monopolizes the device, large enough that a
 #: full pass over a checkpoint workload takes a handful of steps
 DEFAULT_BATCH_EXTENTS = 16
-
-
-@dataclass
-class _WorkItem:
-    extent: Extent
-    expect_kind: int
-    #: content hash for pages, oid for metadata records, None for manifests
-    expect: Optional[object]
-    snapshot: str
 
 
 @dataclass
@@ -94,8 +86,6 @@ class Scrubber:
         self.stats = ScrubStats()
         self.findings: list[FsckFinding] = []
         self._cursor = 0
-        self._worklist = self._build_worklist()
-        self.stats.extents_total = len(self._worklist)
         self._g_progress = self._c_verified = self._c_errors = None
         if store.obs is not None:
             reg = store.obs.registry
@@ -107,119 +97,58 @@ class Scrubber:
                 obs_names.C_SCRUB_EXTENTS, store=label
             )
             self._c_errors = reg.counter(obs_names.C_SCRUB_ERRORS, store=label)
+        # Built last: an unreadable manifest is reported while enumerating.
+        self._worklist = self._build_worklist()
+        self.stats.extents_total = len(self._worklist)
+        if self._g_progress is not None:
             self._g_progress.set(self.stats.progress_permille)
 
-    def _build_worklist(self) -> list[_WorkItem]:
-        """Every unique reachable extent, sorted by media offset so the
-        scrub reads sequentially per queue."""
-        items: dict[int, _WorkItem] = {}
+    def _build_worklist(self) -> list[Reference]:
+        """Every unique reachable reference the media walker enumerates
+        — keyed by (offset, length, role), so two claimants of the same
+        bytes are each verified — sorted by media offset so the scrub
+        reads sequentially per queue."""
+        walk = MediaWalk(self.store)
+        items: dict[tuple[int, int, str], Reference] = {}
         for snapshot in self.store.snapshots():
-            ext = snapshot.manifest_extent
-            items.setdefault(ext.offset, _WorkItem(
-                extent=ext, expect_kind=KIND_MANIFEST, expect=None,
-                snapshot=snapshot.name,
-            ))
-            try:
-                _meta, records, pages = self.store.load_manifest(snapshot)
-            except (ChecksumError, ObjectStoreError, ValueError) as exc:
-                self._record_error(FsckFinding(
-                    kind=CHECKSUM_CORRUPT, snapshot=snapshot.name,
-                    offset=ext.offset, length=ext.length,
-                    detail=f"manifest unreadable while building scrub "
-                           f"worklist: {exc}",
-                ))
+            verdict, references = walk.references(snapshot)
+            if not verdict.ok:
+                # Fully judged already, and its refs cannot be listed.
+                self._record_error(verdict)
                 continue
-            for ref in records:
-                items.setdefault(ref.extent.offset, _WorkItem(
-                    extent=ref.extent, expect_kind=KIND_META, expect=ref.oid,
-                    snapshot=snapshot.name,
-                ))
-            for ref in pages:
-                items.setdefault(ref.extent.offset, _WorkItem(
-                    extent=ref.extent, expect_kind=KIND_PAGE,
-                    expect=ref.content_hash, snapshot=snapshot.name,
-                ))
-        return [items[off] for off in sorted(items)]
+            for item in [verdict.reference] + references:
+                items.setdefault(
+                    (item.extent.offset, item.extent.length, item.role), item
+                )
+        return [items[key] for key in sorted(items)]
 
-    def _record_error(self, finding: FsckFinding,
-                      page_hash: Optional[bytes] = None) -> None:
-        self.findings.append(finding)
+    def _record_error(self, verdict: Verdict) -> None:
+        self.findings.append(FsckFinding.of(verdict))
         self.stats.errors += 1
         if self._c_errors is not None:
             self._c_errors.inc()
-        if page_hash is not None:
+        if verdict.reference.role == PAGE:
             # A cached clean copy must not mask the media damage the
             # scrub just found — drop it so readers see the finding.
-            self.store.pagecache.invalidate(page_hash)
+            self.store.pagecache.invalidate(verdict.reference.ref.content_hash)
 
-    def _verify(self, item: _WorkItem, raw: bytes) -> None:
-        page_hash = item.expect if item.expect_kind == KIND_PAGE else None
-        try:
-            header, payload = unpack_record(raw)
-        except ChecksumError as exc:
-            self._record_error(FsckFinding(
-                kind=CHECKSUM_CORRUPT, snapshot=item.snapshot,
-                offset=item.extent.offset, length=item.extent.length,
-                detail=f"record fails verification: {exc}",
-            ), page_hash=page_hash)
-            return
-        except ObjectStoreError as exc:
-            self._record_error(FsckFinding(
-                kind=DANGLING_REF, snapshot=item.snapshot,
-                offset=item.extent.offset, length=item.extent.length,
-                detail=f"no parseable record: {exc}",
-            ), page_hash=page_hash)
-            return
-        if header.kind != item.expect_kind:
-            self._record_error(FsckFinding(
-                kind=DANGLING_REF, snapshot=item.snapshot,
-                offset=item.extent.offset, length=item.extent.length,
-                detail=f"kind-{header.kind} record where kind-"
-                       f"{item.expect_kind} was referenced",
-            ), page_hash=page_hash)
-            return
-        if (item.expect_kind == KIND_META and item.expect is not None
-                and header.oid != item.expect):
-            self._record_error(FsckFinding(
-                kind=DANGLING_REF, snapshot=item.snapshot,
-                offset=item.extent.offset, length=item.extent.length,
-                detail=f"record belongs to oid {header.oid}, "
-                       f"reference claims {item.expect}",
-            ))
-            return
-        if item.expect_kind == KIND_PAGE:
-            # Encoded page records reconstruct through the live store's
-            # decode path (delta bases resolve via the dedup index —
-            # the scrubber runs against a live, recovered store).
-            try:
-                content = self.store._decode_payload(header.flags, payload)
-            except DeltaChainTooDeep:
-                self._record_error(FsckFinding(
-                    kind=DELTA_CHAIN_TOO_DEEP, snapshot=item.snapshot,
-                    offset=item.extent.offset, length=item.extent.length,
-                    detail="delta page reconstructs through too many hops",
-                ), page_hash=page_hash)
-                return
-            except ChecksumError as exc:
-                self._record_error(FsckFinding(
-                    kind=CHECKSUM_CORRUPT, snapshot=item.snapshot,
-                    offset=item.extent.offset, length=item.extent.length,
-                    detail=f"encoded page does not decode: {exc}",
-                ), page_hash=page_hash)
-                return
-            except ObjectStoreError as exc:
-                self._record_error(FsckFinding(
-                    kind=DELTA_BROKEN_BASE, snapshot=item.snapshot,
-                    offset=item.extent.offset, length=item.extent.length,
-                    detail=f"delta base does not resolve: {exc}",
-                ), page_hash=page_hash)
-                return
-            if ObjectStore.page_hash(content) != item.expect:
-                self._record_error(FsckFinding(
-                    kind=CHECKSUM_CORRUPT, snapshot=item.snapshot,
-                    offset=item.extent.offset, length=item.extent.length,
-                    detail="page content no longer matches its content hash",
-                ), page_hash=page_hash)
+    def _verify(self, item: Reference, raw: Optional[bytes]) -> None:
+        """Judge one extent with the walker's checks (``raw`` is None
+        for an out-of-bounds reference, which is never read).  Encoded
+        pages reconstruct from media: delta bases resolve by point reads
+        through the dedup index — the scrubber runs against a live,
+        recovered store — never from the page cache."""
+        outcome = unpack_verdict(item.extent, raw)
+        verdict = reference_verdict(item, outcome)
+        if verdict.ok and item.role == PAGE:
+            _ok, header, stored = outcome
+            verdict = content_verdict(
+                self.store, item,
+                {item.ref.content_hash: (header.flags, stored)}, {},
+                fetch=True,
+            )
+        if not verdict.ok:
+            self._record_error(verdict)
 
     def step(self) -> int:
         """Verify the next batch of extents; returns how many.
@@ -256,19 +185,21 @@ class Scrubber:
             )
         self._cursor += len(batch)
         deadline = store.device.clock.now
-        reads: list[tuple[_WorkItem, bytes]] = []
+        reads: list[tuple[Reference, Optional[bytes]]] = []
         for item in batch:
-            queue = store.device.idlest_queue()
-            ticket, raw = store.volume.read_data_async(
-                item.extent.offset, item.extent.length, queue=queue
-            )
-            deadline = max(deadline, ticket.completes_at)
+            raw = None
+            if in_bounds(store.volume, item.extent):
+                queue = store.device.idlest_queue()
+                ticket, raw = store.volume.read_data_async(
+                    item.extent.offset, item.extent.length, queue=queue
+                )
+                deadline = max(deadline, ticket.completes_at)
+                self.stats.bytes_verified += item.extent.length
             reads.append((item, raw))
         store.device.clock.advance_to(deadline)
         for item, raw in reads:
             self._verify(item, raw)
             self.stats.extents_verified += 1
-            self.stats.bytes_verified += item.extent.length
         self.stats.steps += 1
         if store.obs is not None:
             self._c_verified.inc(len(batch))

@@ -6,13 +6,77 @@ extents.  Snapshots share unchanged records/pages with their parents
 (the COW layout), so an incremental checkpoint's footprint is its
 delta.  Zero-copy clones (``sls restore`` into a new instance, SLSFS
 clones) are new snapshots sharing every reference.
+
+The manifest and directory *formats* live here too — one encode/parse
+pair each — so the commit path, fsck's quarantine manifests and the
+media walker (:mod:`repro.objstore.walk`) cannot drift apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import ObjectStoreError
 from repro.objstore.alloc import Extent
+from repro.objstore.record import decode, encode
+
+#: superblock stub key pointing at a spilled snapshot directory.  The
+#: directory encodes as a *list*, the stub as a *dict*, so the two
+#: superblock payload formats cannot be confused; stores whose
+#: directory fits the slot stay byte-identical with the pre-spill
+#: format.
+DIR_SPILL_KEY = "dir-spill"
+
+
+@dataclass(frozen=True)
+class MetaRef:
+    """Reference to a stored metadata record."""
+
+    oid: int
+    extent: Extent
+
+
+@dataclass(frozen=True)
+class PageRef:
+    """Reference to stored (deduplicated) page content."""
+
+    content_hash: bytes
+    extent: Extent
+    length: int
+
+
+def encode_manifest(meta, records: list[MetaRef], pages: list[PageRef]) -> bytes:
+    """The manifest record payload naming ``records`` + ``pages``."""
+    return encode({
+        "meta": meta,
+        "records": [[r.oid, r.extent.offset, r.extent.length] for r in records],
+        "pages": [
+            [p.content_hash, p.extent.offset, p.extent.length, p.length]
+            for p in pages
+        ],
+    })
+
+
+def parse_manifest(payload: bytes) -> tuple[object, list[MetaRef], list[PageRef]]:
+    """Inverse of :func:`encode_manifest`: ``(meta, records, pages)``.
+    A payload that checksums but decodes to the wrong shape raises
+    :class:`ObjectStoreError`, never a stray ``KeyError``/``TypeError``."""
+    try:
+        value = decode(payload)
+        records = [
+            MetaRef(oid=int(oid), extent=Extent(int(off), int(length)))
+            for oid, off, length in value["records"]
+        ]
+        pages = [
+            PageRef(content_hash=h, extent=Extent(int(off), int(elen)),
+                    length=int(plen))
+            for h, off, elen, plen in value["pages"]
+        ]
+        if not all(isinstance(p.content_hash, bytes) for p in pages):
+            raise TypeError("content hash is not bytes")
+        return value["meta"], records, pages
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ObjectStoreError(f"malformed manifest: {exc!r}") from exc
 
 
 @dataclass

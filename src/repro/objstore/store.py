@@ -27,7 +27,7 @@ from repro.obs import names as obs_names
 from repro.hw.specs import DEFAULT_CPU
 from repro.objstore.alloc import Extent, ExtentAllocator
 from repro.objstore.block import SUPERBLOCK_SLOT_SIZE, Volume
-from repro.objstore.codec import PageCodec, delta_info
+from repro.objstore.codec import BrokenDeltaBase, DeltaChainTooDeep, PageCodec
 from repro.objstore.dedup import DedupIndex
 from repro.objstore.pagecache import (
     DEFAULT_PAGE_CACHE_BYTES,
@@ -42,12 +42,22 @@ from repro.objstore.record import (
     KIND_MANIFEST,
     KIND_META,
     KIND_PAGE,
+    RecordHeader,
     decode,
     encode,
     pack_record,
     unpack_record,
 )
-from repro.objstore.snapshot import Snapshot, SnapshotDirectory
+from repro.objstore.snapshot import (
+    DIR_SPILL_KEY,
+    MetaRef,
+    PageRef,
+    Snapshot,
+    SnapshotDirectory,
+    encode_manifest,
+    parse_manifest,
+)
+from repro.objstore.walk import MANIFEST, PAGE, RECORD, MediaWalk
 from repro.units import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -62,31 +72,6 @@ READ_COALESCE_GAP = 64 * 1024
 #: a coalesced write run is capped at this many bytes so one extent
 #: never monopolizes the device channel (matches common MDTS limits)
 MAX_BATCH_EXTENT = 256 * 1024
-
-#: superblock stub key pointing at a spilled snapshot directory.  The
-#: directory encodes as a *list*, the stub as a *dict*, so the two
-#: superblock payload formats cannot be confused; stores whose
-#: directory fits the slot stay byte-identical with the pre-spill
-#: format.
-DIR_SPILL_KEY = "dir-spill"
-
-
-@dataclass(frozen=True)
-class MetaRef:
-    """Reference to a stored metadata record."""
-
-    oid: int
-    extent: Extent
-
-
-@dataclass(frozen=True)
-class PageRef:
-    """Reference to stored (deduplicated) page content."""
-
-    content_hash: bytes
-    extent: Extent
-    length: int
-
 
 @dataclass
 class StoreStats:
@@ -137,22 +122,12 @@ class ObjectStore:
         #: queue — the sharded batch flush submits each stripe's runs
         #: on its own queue so they drain in parallel
         self.num_shards = max(1, device.spec.num_queues)
-        self.allocator = ExtentAllocator(
-            base=self.volume.data_base, size=self.volume.data_size,
-            num_shards=self.num_shards,
-        )
-        self.dedup = DedupIndex()
         #: classify/encode policy for page records; arms itself with
         #: the device's queue model (legacy flat-latency stores keep
         #: writing byte-identical RAW records)
         self.codec = PageCodec(
             device.spec, mem.cpu if mem is not None else DEFAULT_CPU
         )
-        #: delta-chain bookkeeping: content hash -> chain depth / base
-        #: hash for every live delta-encoded page record
-        self._delta_depth: dict[bytes, int] = {}
-        self._delta_bases: dict[bytes, bytes] = {}
-        self.directory = SnapshotDirectory()
         self.stats = StoreStats()
         self.obs: Optional["KernelObs"] = None
         self._c_pages = self._c_dedup = self._c_meta = None
@@ -160,14 +135,6 @@ class ObjectStore:
         self._c_batches = self._c_batch_records = None
         self._c_compressed = self._c_delta = self._c_saved = None
         self._g_ratio = None
-        #: write batch registered by ``begin_batch``; ``commit_snapshot``
-        #: flushes its leftovers before naming a snapshot so the
-        #: superblock stays strictly after its records in queue order
-        self._open_batch: Optional["WriteBatch"] = None
-        #: metadata/manifest record refcounts keyed by extent offset
-        self._meta_refs: dict[int, tuple[Extent, int]] = {}
-        #: extents freed by refcount-zero, awaiting in-place GC
-        self.garbage: list[Extent] = []
         self._bytes_since_commit = 0
         #: failpoint plane (repro.fault); None = zero-cost disarmed
         self.faults: Optional["FailpointRegistry"] = None
@@ -176,9 +143,34 @@ class ObjectStore:
         self._fsck_clean_generation: Optional[int] = None
         #: persistent logs carved out of this store, keyed by owner oid
         self._logs: dict[int, "PersistentLog"] = {}
+        self._reset_index()
+
+    def _reset_index(self, next_id: int = 1,
+                     dir_spill: Optional[Extent] = None) -> None:
+        """Empty in-memory bookkeeping: what a new store starts from and
+        what a rebuild from media (:meth:`_rebuild`) refills."""
+        self.allocator = ExtentAllocator(
+            base=self.volume.data_base, size=self.volume.data_size,
+            num_shards=self.num_shards,
+        )
+        self.allocator.faults = self.faults
+        self.dedup = DedupIndex()
+        #: delta-chain bookkeeping: content hash -> chain depth / base
+        #: hash for every live delta-encoded page record
+        self._delta_depth: dict[bytes, int] = {}
+        self._delta_bases: dict[bytes, bytes] = {}
+        self.directory = SnapshotDirectory(next_id=next_id)
+        #: write batch registered by ``begin_batch``; ``commit_snapshot``
+        #: flushes its leftovers before naming a snapshot so the
+        #: superblock stays strictly after its records in queue order
+        self._open_batch: Optional["WriteBatch"] = None
+        #: metadata/manifest record refcounts keyed by extent offset
+        self._meta_refs: dict[int, tuple[Extent, int]] = {}
+        #: extents freed by refcount-zero, awaiting in-place GC
+        self.garbage: list[Extent] = []
         #: live spilled-directory record, when the snapshot directory
         #: no longer fits the superblock slot (fleet-scale stores)
-        self._dir_spill: Optional[Extent] = None
+        self._dir_spill = dir_spill
 
     def attach_obs(self, obs: "KernelObs") -> None:
         """Adopt a kernel's observability plane (instruments cached —
@@ -278,14 +270,16 @@ class ObjectStore:
             self._c_bytes.inc(size)
         return extent
 
-    def _read_record(self, extent: Extent, expect_kind: int) -> tuple[int, bytes]:
-        raw = self.volume.read_data(extent.offset, extent.length)
+    def _read_record(self, extent: Extent, expect_kind: int,
+                     logical: Optional[int] = None
+                     ) -> tuple[RecordHeader, bytes]:
+        raw = self.volume.read_data(extent.offset, extent.length, logical=logical)
         header, payload = unpack_record(raw)
         if header.kind != expect_kind:
             raise ObjectStoreError(
                 f"record kind {header.kind} at {extent.offset}, expected {expect_kind}"
             )
-        return header.oid, payload
+        return header, payload
 
     # -- metadata records -----------------------------------------------------------
 
@@ -300,9 +294,9 @@ class ObjectStore:
         return MetaRef(oid=oid, extent=extent)
 
     def read_meta(self, ref: MetaRef):
-        oid, payload = self._read_record(ref.extent, KIND_META)
-        if oid != ref.oid:
-            raise ObjectStoreError(f"oid mismatch: {oid} != {ref.oid}")
+        header, payload = self._read_record(ref.extent, KIND_META)
+        if header.oid != ref.oid:
+            raise ObjectStoreError(f"oid mismatch: {header.oid} != {ref.oid}")
         return decode(payload)
 
     # -- page data ---------------------------------------------------------------------
@@ -412,85 +406,90 @@ class ObjectStore:
             # cache buffer; only the device round-trip is skipped.
             self._charge(self.mem.cpu.page_copy_ns if self.mem else 0)
             return cached
-        raw = self.volume.read_data(
-            ref.extent.offset, ref.extent.length,
-            logical=HEADER_SIZE + PAGE_SIZE,
+        header, stored = self._read_record(
+            ref.extent, KIND_PAGE, logical=HEADER_SIZE + PAGE_SIZE
         )
-        header, payload = unpack_record(raw)
-        if header.kind != KIND_PAGE:
-            raise ObjectStoreError(f"expected page record at {ref.extent.offset}")
-        return self._decode_record(ref.content_hash, header.flags, payload)
+        return self._page_content(
+            ref.content_hash, {ref.content_hash: (header.flags, stored)}, {}
+        )
 
-    def _decode_record(self, content_hash: Optional[bytes], flags: int,
-                       stored: bytes, resolve_base=None, *,
-                       _depth: int = 0, fill: bool = True) -> bytes:
-        """Reconstruct page content from a stored record payload — the
-        *single* decode and cache-fill point for every page-read path
-        (point reads, coalesced bulk reads, delta-base resolution).
+    def _page_content(self, content_hash: bytes,
+                      stash: dict[bytes, tuple[int, bytes]],
+                      resolved: dict[bytes, bytes], *,
+                      verify: bool = False, fetch: bool = True,
+                      _depth: int = 0) -> bytes:
+        """Decoded content of page ``content_hash`` — the *single*
+        depth-bounded delta-base resolver, decode and cache-fill point
+        of every page-read path (point reads, coalesced bulk reads,
+        scrub, the media walker).
 
-        The chain-depth bound is checked once, inside
-        :meth:`~repro.objstore.codec.PageCodec.decode_page`; callers
-        supply ``resolve_base`` to prefer already-fetched bytes (the
-        coalesced stash) and default to dedup-index point reads.
-        ``fill=False`` keeps the result out of the cache (the
-        scrubber's verification path, which must observe the media).
+        ``stash`` holds ``(flags, stored payload)`` of records the
+        caller already fetched; ``resolved`` memoizes decoded content
+        across one bulk operation.  A hash in neither is served from
+        the page cache or point-read through the dedup index — unless
+        ``fetch=False``: the media walker resolves only against records
+        it verified itself, so anything else is a broken base (and,
+        like the rest of recovery, it models no decode CPU).
+
+        ``verify=True`` (scrub, the walker) bypasses the page cache
+        entirely — a cached clean copy must never mask on-media damage
+        — and checks every decoded page, bases included, against its
+        content hash.  Any failure beneath a delta surfaces on the
+        delta as :class:`~repro.objstore.codec.BrokenDeltaBase`.  The
+        chain-depth bound is checked once, inside
+        :meth:`~repro.objstore.codec.PageCodec.decode_page`.
         """
-        if resolve_base is None:
-            def resolve_base(base_hash: bytes) -> bytes:
-                return self._resolve_base(base_hash, _depth + 1, fill=fill)
+        content = resolved.get(content_hash)
+        if content is not None:
+            return content
+        record = stash.get(content_hash)
+        if record is None:
+            if not fetch:
+                raise BrokenDeltaBase(content_hash)
+            if not verify:
+                content = self.pagecache.get(content_hash)
+                if content is not None:
+                    resolved[content_hash] = content
+                    return content
+            entry = self.dedup.get(content_hash)
+            if entry is None:
+                raise ObjectStoreError(
+                    f"page {content_hash.hex()} not in store"
+                )
+            header, stored = self._read_record(
+                entry.extent, KIND_PAGE, logical=HEADER_SIZE + PAGE_SIZE
+            )
+            record = header.flags, stored
+        flags, stored = record
         if flags == ENC_RAW:
             content = stored
         else:
-            if flags == ENC_ZLIB:
+            if fetch and flags == ENC_ZLIB:
                 self._charge(self.codec.cpu.page_decompress_ns)
-            elif flags == ENC_DELTA:
+            elif fetch and flags == ENC_DELTA:
                 self._charge(self.codec.cpu.delta_apply_ns)
+
+            def resolve_base(base_hash: bytes) -> bytes:
+                try:
+                    return self._page_content(
+                        base_hash, stash, resolved,
+                        verify=verify, fetch=fetch, _depth=_depth + 1,
+                    )
+                except (DeltaChainTooDeep, BrokenDeltaBase):
+                    raise
+                except ObjectStoreError as exc:
+                    raise BrokenDeltaBase(base_hash) from exc
+
             content = self.codec.decode_page(
                 flags, stored, resolve_base, _depth=_depth
             )
-        if fill and content_hash is not None:
+        if verify:
+            if self.page_hash(content) != content_hash:
+                raise ChecksumError("page content hash mismatch")
+        else:
             self.pagecache.put(content_hash, content)
+        resolved[content_hash] = content
         return content
-
-    def _decode_payload(self, flags: int, stored: bytes,
-                        _depth: int = 0) -> bytes:
-        """Cache-*bypassing* decode of a stored record payload (delta
-        bases resolve via point reads, nothing is filled).  The
-        scrubber verifies media through this entry so a cached clean
-        copy can never mask on-media damage."""
-        return self._decode_record(
-            None, flags, stored,
-            lambda base_hash: self._resolve_base(
-                base_hash, _depth + 1, fill=False
-            ),
-            _depth=_depth, fill=False,
-        )
-
-    def _resolve_base(self, base_hash: bytes, _depth: int,
-                      fill: bool = True) -> bytes:
-        if fill:
-            cached = self.pagecache.get(base_hash)
-            if cached is not None:
-                return cached
-        entry = self.dedup.get(base_hash)
-        if entry is None:
-            raise ObjectStoreError(
-                f"delta base {base_hash.hex()} not in store"
-            )
-        raw = self.volume.read_data(
-            entry.extent.offset, entry.extent.length,
-            logical=HEADER_SIZE + PAGE_SIZE,
-        )
-        header, stored = unpack_record(raw)
-        if header.kind != KIND_PAGE:
-            raise ObjectStoreError(
-                f"delta base {base_hash.hex()} is not a page record"
-            )
-        return self._decode_record(
-            base_hash if fill else None, header.flags, stored,
-            lambda h: self._resolve_base(h, _depth + 1, fill=fill),
-            _depth=_depth, fill=fill,
-        )
 
     def read_pages_coalesced(self, refs: list[PageRef], *,
                              _accounted: bool = True) -> dict[bytes, bytes]:
@@ -557,26 +556,8 @@ class ObjectStore:
         # and only fall back to the cache or a point read for bases
         # shared with an earlier snapshot.
         for ref in missing:
-            self._decode_stashed(ref.content_hash, stash, resolved)
+            self._page_content(ref.content_hash, stash, resolved)
         return resolved
-
-    def _decode_stashed(self, content_hash: bytes,
-                        stash: dict[bytes, tuple[int, bytes]],
-                        resolved: dict[bytes, bytes],
-                        _depth: int = 0) -> bytes:
-        if content_hash in resolved:
-            return resolved[content_hash]
-        if content_hash not in stash:
-            content = self._resolve_base(content_hash, _depth)
-        else:
-            flags, stored = stash[content_hash]
-            content = self._decode_record(
-                content_hash, flags, stored,
-                lambda h: self._decode_stashed(h, stash, resolved, _depth + 1),
-                _depth=_depth,
-            )
-        resolved[content_hash] = content
-        return content
 
     def prefetch_pages(self, refs: list[PageRef],
                        batch_pages: int = PREFETCH_BATCH_PAGES) -> int:
@@ -672,21 +653,6 @@ class ObjectStore:
             self.garbage.append(self._dir_spill)
         self._dir_spill = spill
 
-    def _resolve_directory(self, payload: bytes) -> list:
-        """Decode a superblock payload into directory entries,
-        following a spill stub to its data-area record if present.
-        Side effect: remembers the live spill extent for recovery's
-        allocator rebuild."""
-        value = decode(payload)
-        self._dir_spill = None
-        if isinstance(value, dict) and DIR_SPILL_KEY in value:
-            offset, length = value[DIR_SPILL_KEY]
-            extent = Extent(int(offset), int(length))
-            _oid, dir_payload = self._read_record(extent, KIND_META)
-            self._dir_spill = extent
-            value = decode(dir_payload)
-        return value
-
     def commit_snapshot(
         self,
         name: str,
@@ -710,14 +676,6 @@ class ObjectStore:
         # manifest (taking dedup holds below) so deleting an older
         # snapshot can never free a base out from under a live delta.
         pages = self._with_delta_bases(pages)
-        manifest_value = {
-            "meta": meta,
-            "records": [[r.oid, r.extent.offset, r.extent.length] for r in records],
-            "pages": [
-                [p.content_hash, p.extent.offset, p.extent.length, p.length]
-                for p in pages
-            ],
-        }
         if self.faults is not None:
             action = self.faults.fire(
                 fault_names.FP_STORE_COMMIT,
@@ -733,7 +691,7 @@ class ObjectStore:
                     raise ObjectStoreError(
                         action.reason or f"injected commit failure for {name!r}"
                     )
-        payload = encode(manifest_value)
+        payload = encode_manifest(meta, records, pages)
         manifest_extent = self._write_record(KIND_MANIFEST, 0, epoch, payload, sync)
         snapshot = Snapshot(
             snap_id=self.directory.allocate_id(),
@@ -746,14 +704,7 @@ class ObjectStore:
             logical_bytes=sum(p.length for p in pages),
         )
         self._bytes_since_commit = 0
-        # Take references.
-        self._meta_refs[manifest_extent.offset] = (manifest_extent, 1)
-        for ref in records:
-            extent, count = self._meta_refs.get(ref.extent.offset, (ref.extent, 0))
-            self._meta_refs[ref.extent.offset] = (extent, count + 1)
-        for ref in pages:
-            self.dedup.hold(ref.content_hash, nbytes=ref.length)
-        self.directory.add(snapshot)
+        self._take_references(snapshot, records, pages)
         # Cross-queue barrier: the superblock must become durable only
         # after every record it references.  FIFO ordering holds per
         # submission queue, but a sharded flush spreads records over
@@ -764,6 +715,18 @@ class ObjectStore:
         if self.obs is not None:
             self._c_snaps.inc()
         return snapshot
+
+    def _take_references(self, snapshot: Snapshot, records: list[MetaRef],
+                         pages: list[PageRef]) -> None:
+        """Enter ``snapshot`` into the directory, counting one reference
+        on its manifest and on every record and page it lists (commit,
+        recovery and fsck repair all name snapshots through here)."""
+        for extent in [snapshot.manifest_extent] + [r.extent for r in records]:
+            extent, count = self._meta_refs.get(extent.offset, (extent, 0))
+            self._meta_refs[extent.offset] = (extent, count + 1)
+        for ref in pages:
+            self.dedup.hold(ref.content_hash, nbytes=ref.length)
+        self.directory.add(snapshot)
 
     def _with_delta_bases(self, pages: list[PageRef]) -> list[PageRef]:
         """``pages`` plus the transitive delta bases of every listed
@@ -788,17 +751,10 @@ class ObjectStore:
         return out
 
     def load_manifest(self, snapshot: Snapshot) -> tuple[object, list[MetaRef], list[PageRef]]:
-        _oid, payload = self._read_record(snapshot.manifest_extent, KIND_MANIFEST)
-        value = decode(payload)
-        records = [
-            MetaRef(oid=oid, extent=Extent(off, length))
-            for oid, off, length in value["records"]
-        ]
-        pages = [
-            PageRef(content_hash=h, extent=Extent(off, elen), length=plen)
-            for h, off, elen, plen in value["pages"]
-        ]
-        return value["meta"], records, pages
+        _header, payload = self._read_record(
+            snapshot.manifest_extent, KIND_MANIFEST
+        )
+        return parse_manifest(payload)
 
     def delete_snapshot(self, snap_id: int, sync: bool = False) -> None:
         snapshot = self.directory.get(snap_id)
@@ -878,125 +834,97 @@ class ObjectStore:
     def recover(self) -> RecoveryReport:
         """Rebuild in-memory state from the device after a crash.
 
-        Walks the newest valid superblock's snapshot directory; any
-        snapshot whose manifest or referenced records fail checksum
-        verification is discarded (a torn final checkpoint).
+        Consumes the media walker's verdicts (:mod:`repro.objstore.walk`)
+        for the newest valid superblock's snapshot directory: a
+        snapshot is adopted only if its manifest and every record it
+        references verify, and is discarded as a unit at the first
+        verdict that does not (a torn final checkpoint).  A superblock
+        whose payload does not decode as a directory raises
+        :class:`ObjectStoreError`.
         """
         report = RecoveryReport()
-        self.allocator = ExtentAllocator(
-            base=self.volume.data_base, size=self.volume.data_size,
-            num_shards=self.num_shards,
-        )
-        self.allocator.faults = self.faults
-        self.dedup = DedupIndex()
-        self._delta_depth = {}
-        self._delta_bases = {}
-        self._meta_refs = {}
-        self.garbage = []
+        walk = MediaWalk(self)
+        directory = walk.directory()
+        adopted = []
+        if directory is not None:
+            report.generation = walk.generation
+            for snap_id in sorted(directory.snapshots):
+                snapshot = directory.snapshots[snap_id]
+                refs: dict[str, list] = {MANIFEST: [], RECORD: [], PAGE: []}
+                for verdict in walk.snapshot(snapshot):
+                    if not verdict.ok:
+                        report.snapshots_discarded += 1
+                        report.errors.append(
+                            f"snapshot {snap_id} ({snapshot.name}): "
+                            f"{verdict.detail}"
+                        )
+                        break
+                    refs[verdict.reference.role].append(verdict.reference.ref)
+                else:
+                    adopted.append((snapshot, refs[RECORD], refs[PAGE]))
         self._logs = {}
-        self._open_batch = None
-        self._dir_spill = None
-        # In-memory truth is being rebuilt wholesale; drop every cached
-        # page along with the rest of the pre-crash state.
-        self.pagecache.clear()
-        super_read = self.volume.read_superblock()
-        if super_read is None:
-            self.directory = SnapshotDirectory()
-            return report
-        generation, payload = super_read
-        report.generation = generation
-        directory = SnapshotDirectory.decode(self._resolve_directory(payload))
-        if self._dir_spill is not None:
-            # The spilled directory record is reachable from the
-            # superblock (not from any snapshot) — reserve it so later
-            # allocations can never clobber the live directory.
-            self._reserve_once(self._dir_spill)
-        self.directory = SnapshotDirectory()
-        self.directory.next_id = directory.next_id
-        for snap_id in sorted(directory.snapshots):
-            snapshot = directory.snapshots[snap_id]
-            try:
-                self._recover_snapshot(snapshot)
-            except (ChecksumError, ObjectStoreError, ValueError) as exc:
-                report.snapshots_discarded += 1
-                report.errors.append(f"snapshot {snap_id} ({snapshot.name}): {exc}")
-                continue
-            self.directory.add(snapshot)
-            report.snapshots_recovered += 1
+        self._rebuild(walk, directory.next_id if directory else 1, adopted)
+        report.snapshots_recovered = len(adopted)
         return report
 
-    def _recover_snapshot(self, snapshot: Snapshot) -> None:
-        _meta, records, pages = self.load_manifest(snapshot)
-        # Verify every record before taking any references.
-        for ref in records:
-            self._read_record(ref.extent, KIND_META)
-        # Pass 1: read + checksum-verify every page record new to this
-        # walk (the record checksum covers the *stored* payload, raw or
-        # encoded — a torn encoded record fails here like any other).
-        pending: dict[bytes, tuple[int, bytes]] = {}
-        for ref in pages:
-            if (ref.content_hash in self.dedup.entries()
-                    or ref.content_hash in pending):
-                continue
-            raw = self.volume.read_data(ref.extent.offset, ref.extent.length)
-            header, stored = unpack_record(raw)
-            if header.kind != KIND_PAGE:
-                raise ObjectStoreError(
-                    f"record kind {header.kind} at {ref.extent.offset},"
-                    f" expected {KIND_PAGE}"
-                )
-            pending[ref.content_hash] = (header.flags, stored)
-        # Pass 2: reconstruct encoded content and verify it hashes to
-        # the manifest's content hash.  A delta's base is either in
-        # this manifest (commit expansion lists the whole chain) or
-        # already recovered from an earlier snapshot.
-        resolved: dict[bytes, bytes] = {}
+    def _rebuild(
+        self, walk: MediaWalk, next_id: int,
+        groups: list[tuple[Optional[Snapshot], list[MetaRef], list[PageRef]]],
+    ) -> None:
+        """Rebuild allocator, dedup index, delta-chain bookkeeping,
+        refcounts and directory from a media walk — the one
+        construction recovery and fsck repair share.
 
-        def resolve(content_hash: bytes, depth: int = 0) -> bytes:
-            if content_hash in resolved:
-                return resolved[content_hash]
-            if content_hash not in pending:
-                return self._resolve_base(content_hash, depth)
-            flags, stored = pending[content_hash]
-            content = self.codec.decode_page(
-                flags, stored, lambda h: resolve(h, depth + 1), _depth=depth
-            )
-            if self.page_hash(content) != content_hash:
-                raise ChecksumError("page content hash mismatch")
-            resolved[content_hash] = content
-            return content
+        Each group is a snapshot to adopt (entered into the directory
+        with its references counted) or, with ``None`` for the
+        snapshot, refs fsck salvaged for quarantine: indexed and
+        reserved but not yet held.  Whatever no group lists (orphans,
+        deferred garbage, a torn checkpoint) is simply not reserved:
+        that is the leak reclaim.  Touches only in-memory state.
+        """
+        # The spilled directory record is reachable from the superblock
+        # (not from any snapshot): it stays reserved until a newer
+        # superblock supersedes it, so later allocations can never
+        # clobber the live directory.
+        self._reset_index(next_id, walk.dir_spill)
+        # In-memory truth is being rebuilt wholesale; drop every cached
+        # page along with the rest of the old state.
+        self.pagecache.clear()
+        reserved: set[Extent] = set()
 
-        for content_hash in pending:
-            resolve(content_hash)
-        # References + allocator reservations.
-        self._reserve_once(snapshot.manifest_extent)
-        self._meta_refs[snapshot.manifest_extent.offset] = (snapshot.manifest_extent, 1)
-        for ref in records:
-            extent, count = self._meta_refs.get(ref.extent.offset, (ref.extent, 0))
-            if count == 0:
-                self._reserve_once(ref.extent)
-            self._meta_refs[ref.extent.offset] = (extent, count + 1)
-        for ref in pages:
-            if ref.content_hash not in self.dedup.entries():
-                self._reserve_once(ref.extent)
-                flags, stored = pending[ref.content_hash]
-                media = (HEADER_SIZE + PAGE_SIZE if flags == ENC_RAW
-                         else ref.extent.length)
+        def reserve(extent: Optional[Extent]) -> None:
+            if extent is None or extent in reserved:
+                return  # shared with an already-adopted snapshot
+            reserved.add(extent)
+            try:
+                self.allocator.reserve(extent)
+            except ValueError:
+                # Overlaps bytes already reserved: the first claimant
+                # keeps them (fsck's claims phase reports the overlap).
+                pass
+
+        reserve(walk.dir_spill)
+        for log in self._logs.values():
+            reserve(log.region)
+        for snapshot, records, pages in groups:
+            reserve(snapshot.manifest_extent if snapshot else None)
+            for ref in records:
+                reserve(ref.extent)
+            for ref in pages:
+                if self.dedup.get(ref.content_hash) is not None:
+                    continue
+                flags, base_hash, depth = walk.encodings[ref.content_hash]
+                reserve(ref.extent)
                 self.dedup.insert(
-                    ref.content_hash, ref.extent,
-                    length=ref.length, media_bytes=media,
+                    ref.content_hash, ref.extent, length=ref.length,
+                    media_bytes=(HEADER_SIZE + PAGE_SIZE if flags == ENC_RAW
+                                 else ref.extent.length),
                 )
                 if flags == ENC_DELTA:
-                    base_hash, depth, _length, _ext = delta_info(stored)
                     self._delta_depth[ref.content_hash] = depth
                     self._delta_bases[ref.content_hash] = base_hash
-            self.dedup.hold(ref.content_hash, nbytes=ref.length)
-
-    def _reserve_once(self, extent: Extent) -> None:
-        try:
-            self.allocator.reserve(extent)
-        except ValueError:
-            pass  # shared with an already-recovered snapshot
+            if snapshot is not None:
+                self._take_references(snapshot, records, pages)
 
 
 class WriteBatch:

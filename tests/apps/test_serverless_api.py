@@ -86,16 +86,19 @@ class TestOptionsObjects:
 
 
 class TestDeprecationShims:
-    def test_positional_deploy_warns_and_works(self, manager):
-        with pytest.warns(DeprecationWarning, match="positional deploy"):
-            deployed = manager.deploy("fn", b"delta")
-        assert deployed.delta_pages > 0
+    """The positional ``DeprecationWarning`` shims are gone: only the
+    function name is positional, anything else is a ``TypeError``."""
 
-    def test_positional_invoke_warns_and_works(self, manager):
+    def test_positional_deploy_rejected(self, manager):
+        with pytest.raises(TypeError):
+            manager.deploy("fn", b"delta")
+        assert manager.deploy("fn", customize=b"delta").delta_pages > 0
+
+    def test_positional_invoke_rejected(self, manager):
         manager.deploy("fn", customize=b"delta")
-        with pytest.warns(DeprecationWarning, match="positional invoke"):
-            result = manager.invoke("fn", b"req", True)
-        assert result.output == b"hello, req"
+        with pytest.raises(TypeError):
+            manager.invoke("fn", b"req", True)
+        assert manager.invoke("fn", payload=b"req").output == b"hello, req"
 
     def test_keyword_calls_do_not_warn(self, manager):
         with warnings.catch_warnings():
@@ -104,10 +107,12 @@ class TestDeprecationShims:
             manager.invoke("fn", payload=b"req", lazy=True)
 
     def test_too_many_positionals_rejected(self, manager):
-        with pytest.raises(TypeError, match="at most"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                manager.deploy("fn", b"a", None, "extra")
+        with pytest.raises(TypeError):
+            manager.deploy("fn", b"a", None, "extra")
+
+    def test_misspelled_keyword_rejected(self, manager):
+        with pytest.raises(TypeError, match="customise"):
+            manager.deploy("fn", customise=b"delta")
 
 
 class TestTenancyAndObservability:

@@ -1,11 +1,9 @@
-"""The redesigned Table 2 surface: option objects + deprecation shims.
+"""The Table 2 surface: explicit keywords or one options object.
 
 ``sls_checkpoint``/``sls_restore`` take explicit keyword-only
-parameters (or one ``CheckpointOptions``/``RestoreOptions`` value);
-the historical positional and ``backend_name=`` shapes still work but
-emit ``DeprecationWarning``.  CI runs this suite under
-``-W error::DeprecationWarning``, so every shim test must route the
-legacy call through ``pytest.warns``.
+parameters (or one ``CheckpointOptions``/``RestoreOptions`` value).
+The historical positional and ``backend_name=`` shapes are gone: they
+fail as any other wrong call does, with ``TypeError``.
 """
 
 import pytest
@@ -105,11 +103,10 @@ class TestCheckpointApi:
         image = api.sls_checkpoint(sync=True)
         assert image.durable_on  # barrier ran before the call returned
 
-    def test_positional_form_warns_but_works(self, world):
+    def test_positional_form_rejected(self, world):
         *_, api = world
-        with pytest.warns(DeprecationWarning, match="positional sls_checkpoint"):
-            image = api.sls_checkpoint("legacy", True)
-        assert image.name == "legacy"
+        with pytest.raises(TypeError):
+            api.sls_checkpoint("legacy", True)
 
     def test_too_many_positionals_rejected(self, world):
         *_, api = world
@@ -155,18 +152,20 @@ class TestRestoreApi:
         with pytest.raises(TypeError, match="new_instnace"):
             api.sls_restore(new_instnace=True)
 
-    def test_positional_lazy_warns_but_works(self, world):
+    def test_positional_lazy_rejected(self, world):
         *_, api = world
         api.sls_checkpoint(name="base")
-        with pytest.warns(DeprecationWarning, match="positional sls_restore"):
-            procs, metrics = api.sls_restore("base", True)
+        with pytest.raises(TypeError):
+            api.sls_restore("base", True)
+        procs, metrics = api.sls_restore("base", lazy=True)
         assert procs and metrics.lazy
 
-    def test_backend_name_alias_warns_but_works(self, world):
+    def test_backend_name_alias_rejected(self, world):
         *_, api = world
         api.sls_checkpoint(sync=True)
-        with pytest.warns(DeprecationWarning, match="backend_name"):
-            procs, _ = api.sls_restore(backend_name="memory", new_instance=True)
+        with pytest.raises(TypeError, match="backend_name"):
+            api.sls_restore(backend_name="memory", new_instance=True)
+        procs, _ = api.sls_restore(backend="memory", new_instance=True)
         assert procs
 
 

@@ -137,3 +137,36 @@ class TestCrashRebootResume:
             kernel, device, snapshot_name="named-v2"
         )
         assert Syscalls(kernel2, procs[0]).peek(heap.start, 2) == b"v2"
+
+    def test_restore_after_forced_consolidation(self):
+        """A retention-forced consolidating full checkpoint still has a
+        parent, but the post-reboot lineage walk stops at it — so its
+        on-disk pagemap must be the complete map, not a delta.  Pages
+        last written *before* the consolidation are the ones a delta
+        against the parent would silently drop."""
+        kernel, sls, device, proc, heap, fd, pipe_r, group = boot_and_run()
+        sys = Syscalls(kernel, proc)
+        npages = 256 * KIB // PAGE_SIZE
+        model = {i: b"heap-%d" % i for i in range(npages)}
+        consolidations = 0
+        # Default retention: run well past one forced consolidation,
+        # each round dirtying a different page.
+        for round_no in range(group.retention + 6):
+            page = (7 * round_no) % npages
+            model[page] = b"round-%d" % round_no
+            sys.poke(heap.start + page * PAGE_SIZE, model[page])
+            image = sls.checkpoint(group)
+            if round_no and not image.incremental:
+                consolidations += 1
+        assert consolidations >= 1, "retention never forced a full checkpoint"
+        sls.barrier(group)
+        device.crash()
+
+        kernel2, _s, procs, _m, report = reboot_and_restore(kernel, device)
+        assert report.snapshots_discarded == 0
+        rsys = Syscalls(kernel2, procs[0])
+        wrong = [
+            page for page, content in model.items()
+            if rsys.peek(heap.start + page * PAGE_SIZE, len(content)) != content
+        ]
+        assert wrong == []
