@@ -23,8 +23,9 @@ from typing import Dict, Optional
 
 DEFAULT_CACHE_NAME = ".sls-lint-cache.json"
 
-#: bump to invalidate every entry (cache schema changes)
-CACHE_SCHEMA = 1
+#: bump to invalidate every entry (cache schema changes, or an
+#: extractor namespace retired: warm files must not carry it forward)
+CACHE_SCHEMA = 2
 
 
 class SummaryCache:

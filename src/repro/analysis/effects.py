@@ -40,6 +40,8 @@ Effect atoms are deliberately few and physical:
 ``MEDIA_WRITE``     bytes leave RAM for the device (volume/device writes)
 ``SUPERBLOCK_WRITE``the store's commit point (implies ``MEDIA_WRITE``)
 ``FAILPOINT_FIRE``  a catalogued ``FP_*`` constant fires (crash sweep hook)
+``BATCH_APPEND``    a record is buffered in a ``WriteBatch`` (not yet media)
+``BATCH_FLUSH``     the open batch is submitted (or dropped)
 ``CLOCK_ADVANCE``   virtual time moves
 ``RNG_DRAW``        seeded randomness is consumed
 ``OBS_EMIT``        a catalogued instrument is emitted
@@ -68,22 +70,38 @@ CLOCK_ADVANCE = "CLOCK_ADVANCE"
 RNG_DRAW = "RNG_DRAW"
 OBS_EMIT = "OBS_EMIT"
 RAISES_POWERCUT = "RAISES_POWERCUT"
+BATCH_APPEND = "BATCH_APPEND"
+BATCH_FLUSH = "BATCH_FLUSH"
 
 ALL_EFFECTS = (
     MEDIA_WRITE, SUPERBLOCK_WRITE, FAILPOINT_FIRE, CLOCK_ADVANCE,
-    RNG_DRAW, OBS_EMIT, RAISES_POWERCUT,
+    RNG_DRAW, OBS_EMIT, RAISES_POWERCUT, BATCH_APPEND, BATCH_FLUSH,
 )
 
 #: atoms the durability-order linearization keeps
 ORDERED_ATOMS = frozenset({MEDIA_WRITE, SUPERBLOCK_WRITE, FAILPOINT_FIRE})
+#: atoms the crash-ordering typestate (batched records pending at a
+#: superblock write) keeps
+BATCH_ATOMS = frozenset({BATCH_APPEND, BATCH_FLUSH, SUPERBLOCK_WRITE})
 
 #: bump when the extraction shape changes (cache key component)
-EXTRACT_VERSION = 1
+EXTRACT_VERSION = 2
+
+#: ``SUPERBLOCK_WRITE`` detail of a call that passes no real
+#: ``release_ns=`` barrier (absent, or a literal ``None``)
+UNBARRIERED = "write_superblock [no release_ns barrier]"
+#: failpoint evaluators: the registry's ``fire``, the device's
+#: ``_fire`` and the store-level gate ``ObjectStore._failpoint``
+FIRE_CALLS = frozenset({"fire", "_fire", "_failpoint"})
 
 #: store-layer write entry points on the volume (media effects)
 VOLUME_WRITES = frozenset({"write_data", "write_data_batch"})
 #: raw device submission entry points (media when the receiver is a device)
 DEVICE_WRITES = frozenset({"write", "write_async", "write_batch"})
+#: record producers that buffer into a batch
+BATCH_APPENDS = frozenset({"add_page", "add_meta"})
+#: record producers that buffer when given a ``batch=`` argument
+BATCH_PARAM_WRITERS = frozenset({"_write_record", "write_meta", "write_page"})
 #: instrument emitters on the obs plane
 OBS_EMITTERS = frozenset({"counter", "gauge", "histogram", "span", "event"})
 #: catalogue symbol prefixes (registry membership is checked first; the
@@ -144,6 +162,16 @@ def _receiver_text(node: ast.Call) -> str:
         except Exception:  # pragma: no cover - unparse is total on exprs
             return ""
     return ""
+
+
+def _passes(node: ast.Call, keyword: str) -> bool:
+    """Whether a call passes ``keyword=`` with anything but a literal
+    ``None`` (``release_ns=None`` is no barrier, ``batch=None`` no batch)."""
+    for kw in node.keywords:
+        if kw.arg == keyword:
+            return not (isinstance(kw.value, ast.Constant)
+                        and kw.value.value is None)
+    return False
 
 
 def _is_fault_symbol(name: str, config: AnalyzerConfig) -> bool:
@@ -256,6 +284,16 @@ def _scan_block(body: Sequence[ast.AST], aliases: Dict[str, List[str]],
                 effects.append([node.lineno, node.col_offset,
                                 RAISES_POWERCUT, "raise PowerCut"])
             continue
+        if isinstance(node, ast.Assign):
+            # resetting the store's open batch neutralizes it
+            if (isinstance(node.value, ast.Constant)
+                    and node.value.value is None
+                    and any(isinstance(target, ast.Attribute)
+                            and target.attr == "_open_batch"
+                            for target in node.targets)):
+                effects.append([node.lineno, node.col_offset,
+                                BATCH_FLUSH, "_open_batch = None"])
+            continue
         if not isinstance(node, ast.Call):
             continue
         name = _callee_name(node)
@@ -265,12 +303,21 @@ def _scan_block(body: Sequence[ast.AST], aliases: Dict[str, List[str]],
         receiver = _receiver_text(node)
         lowered = receiver.lower()
         if name == "write_superblock":
-            effects.append([line, col, SUPERBLOCK_WRITE, name])
+            effects.append([
+                line, col, SUPERBLOCK_WRITE,
+                name if _passes(node, "release_ns") else UNBARRIERED,
+            ])
         elif name in VOLUME_WRITES:
             effects.append([line, col, MEDIA_WRITE, name])
         elif name in DEVICE_WRITES and "device" in lowered:
             effects.append([line, col, MEDIA_WRITE, f"{receiver}.{name}"])
-        elif name in ("fire", "_fire") and node.args:
+        elif name in BATCH_APPENDS or (
+            name in BATCH_PARAM_WRITERS and _passes(node, "batch")
+        ):
+            effects.append([line, col, BATCH_APPEND, name])
+        elif name == "flush" and "batch" in lowered:
+            effects.append([line, col, BATCH_FLUSH, receiver])
+        elif name in FIRE_CALLS and node.args:
             for symbol in _constant_symbols(
                 node.args[0], aliases,
                 lambda sym: _is_fault_symbol(sym, config),
@@ -444,7 +491,7 @@ class _ModuleScan:
             if not (name and name[:1].isupper()):
                 continue
             if isinstance(target, ast.Name):
-                types[target.arg if hasattr(target, "arg") else target.id] = name
+                types[target.id] = name
             elif (isinstance(target, ast.Attribute) and cls
                   and isinstance(target.value, ast.Name)
                   and target.value.id == "self"):
@@ -509,7 +556,9 @@ class EffectAnalysis:
         #: catalogue symbol -> sorted node ids with an *own* fire/emit
         self.fire_sites: Dict[str, List[str]] = {}
         self.emit_sites: Dict[str, List[str]] = {}
-        self._seq_cache: Dict[str, Tuple[str, ...]] = {}
+        self._seq_cache: Dict[
+            Tuple[str, FrozenSet[str]], Tuple[str, ...]
+        ] = {}
         # linking indexes (built in _link)
         self._local: Dict[Tuple[str, str], List[str]] = {}
         self._module_member: Dict[Tuple[str, str], List[str]] = {}
@@ -879,48 +928,28 @@ class EffectAnalysis:
                 out.append(atom)
         return tuple(out)
 
-    def flattened(self, node_id: str,
+    def flattened(self, node_id: str, atoms: FrozenSet[str] = ORDERED_ATOMS,
                   _stack: Tuple[str, ...] = ()) -> Tuple[str, ...]:
-        """The function's ordered {MEDIA,SUPERBLOCK,FIRE} atom sequence
-        with callees inlined (consecutive duplicates collapsed, cycles
-        cut at the recursion point)."""
-        if node_id in self._seq_cache:
-            return self._seq_cache[node_id]
+        """The function's ordered sequence of ``atoms`` with callees
+        inlined (consecutive duplicates collapsed, cycles cut at the
+        recursion point)."""
+        key = (node_id, atoms)
+        if key in self._seq_cache:
+            return self._seq_cache[key]
         if node_id in _stack:
             return ()
-        node = self.nodes[node_id]
-        merged: List[Tuple[int, int, object]] = [
-            (line, col, atom)
-            for line, col, atom, _detail in node.record["effects"]
-            if atom in ORDERED_ATOMS
-        ]
-        # a call site that already yielded an intrinsic ordered atom
-        # (write_superblock, write_data, fire, ...) IS that event — do
-        # not also inline the callee's body, or the volume's internal
-        # device write shows up "after" the superblock atom
-        intrinsic = {(line, col) for line, col, _atom in merged}
-        for line, col, targets, _display in node.resolved_calls:
-            if (line, col) in intrinsic:
-                continue
-            for callee in targets:
-                if self.summaries[callee] & ORDERED_ATOMS:
-                    merged.append((
-                        line, col,
-                        self.flattened(callee, _stack + (node_id,)),
-                    ))
-        merged.sort(key=lambda item: (item[0], item[1]))
-        atoms: List[str] = []
-        for _line, _col, item in merged:
-            if isinstance(item, tuple):
-                atoms.extend(item)
-            else:
-                atoms.append(item)
-        result = self._compress(atoms)
+        result = self._compress([
+            atom for _l, _c, atom, _d
+            in self.root_sequence(node_id, atoms, _stack)
+        ])
         if not _stack:
-            self._seq_cache[node_id] = result
+            self._seq_cache[key] = result
         return result
 
-    def root_sequence(self, node_id: str) -> List[Tuple[int, int, str, str]]:
+    def root_sequence(self, node_id: str,
+                      atoms: FrozenSet[str] = ORDERED_ATOMS,
+                      _stack: Tuple[str, ...] = (),
+                      ) -> List[Tuple[int, int, str, str]]:
         """Like :meth:`flattened` for a root, but keeping root-level
         source locations: callee expansions are attributed to their
         call site with a ``via <callee>`` detail."""
@@ -928,16 +957,20 @@ class EffectAnalysis:
         merged: List[Tuple[int, int, str, str]] = [
             (line, col, atom, detail)
             for line, col, atom, detail in node.record["effects"]
-            if atom in ORDERED_ATOMS
+            if atom in atoms
         ]
+        # a call site that already yielded an intrinsic kept atom
+        # (write_superblock, write_data, fire, ...) IS that event — do
+        # not also inline the callee's body, or the volume's internal
+        # device write shows up "after" the superblock atom
         intrinsic = {(line, col) for line, col, _atom, _detail in merged}
         for line, col, targets, display in node.resolved_calls:
             if (line, col) in intrinsic:
                 continue
             for callee in targets:
-                if not (self.summaries[callee] & ORDERED_ATOMS):
+                if not (self.summaries[callee] & atoms):
                     continue
-                for atom in self.flattened(callee, (node_id,)):
+                for atom in self.flattened(callee, atoms, _stack + (node_id,)):
                     merged.append((line, col, atom, f"via {display}"))
         merged.sort(key=lambda item: (item[0], item[1]))
         return merged

@@ -1,19 +1,20 @@
 """``crash-ordering``: the object store's crash invariants, statically.
 
 The store's durability contract (see FAULTS.md and the docstring of
-:class:`repro.objstore.store.ObjectStore`) has two machine-checkable
-halves:
+:class:`repro.objstore.store.ObjectStore`) has three machine-checkable
+parts, each one query over the whole-program effect graph
+(:mod:`repro.analysis.effects`):
 
 1. **superblock-after-records** — a superblock naming a snapshot must
    be ordered after that snapshot's records in device queue order.
    With batched I/O the dangerous shape is concrete: records buffered
    in the open :class:`WriteBatch` while ``write_superblock`` runs
    would let the snapshot's *name* reach the device before its *data*.
-   The check linearizes each function's effects (batched-record
-   appends, batch flushes, superblock writes), inlining the summaries
-   of called functions within the package (a small call-graph
-   typestate pass, in the spirit of SquirrelFS), and reports any
-   superblock write reachable with a batched record still unflushed.
+   A typestate scan over the linearized ``BATCH_APPEND`` /
+   ``BATCH_FLUSH`` / ``SUPERBLOCK_WRITE`` atoms (callees inlined through
+   the resolved call graph) of every object-store function and every
+   configured durability root reports any superblock write reachable
+   with a batched record still unflushed.
 
 2. **cross-queue barrier** — per-queue FIFO is not enough once the
    batch flush shards records over multiple submission queues: the
@@ -25,193 +26,32 @@ halves:
    defeats the barrier and is a finding.
 
 3. **failpoint coverage** — every raw volume/device write call site in
-   :mod:`repro.objstore` sits in a function that fires a registered
-   failpoint (an imported ``FP_*`` constant) *before* the write, so
-   the crash sweep can power-cut at every store-level durability
-   boundary.  The volume adapter (``block.py``) is exempt: its device
-   calls are covered by the device-level failpoints inside
-   :class:`~repro.hw.device.StorageDevice`.  Direct ``device.write``
-   calls anywhere else in the package bypass the volume layer and are
-   findings outright.
-
-Call-graph linking is name-based (no type inference): two methods
-sharing a name share a summary.  Inside one cohesive package that is
-the right trade — see ANALYSIS.md for the limitation statement.
+   :mod:`repro.objstore` sits in a function that fires a catalogued
+   failpoint *before* the write, so the crash sweep can power-cut at
+   every store-level durability boundary.  The volume adapter
+   (``block.py``) is exempt: its device calls are covered by the
+   failpoints inside :class:`~repro.hw.device.StorageDevice`.  Direct
+   ``device.write`` calls anywhere else in the package bypass the
+   volume layer and are findings outright.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from repro.analysis.core import Finding, ProjectTree, Rule
-
-#: effect atoms, in the order they appear in a function body
-FLUSH = "flush"
-BATCHED_RECORD = "batched_record"
-SUPER = "superblock"
-FIRE = "fire"
-
-#: store-layer write entry points on the volume
-VOLUME_WRITES = frozenset({"write_data", "write_data_batch", "write_superblock"})
-#: raw device submission entry points
-DEVICE_WRITES = frozenset({"write", "write_async", "write_batch"})
-#: record producers that buffer into a batch
-BATCH_APPENDS = frozenset({"add_page", "add_meta"})
-#: record producers that buffer when given a ``batch=`` argument
-BATCH_PARAM_WRITERS = frozenset({"_write_record", "write_meta", "write_page"})
-
-
-def _receiver_text(node: ast.Call) -> str:
-    """Dotted receiver of a method call, '' for plain calls."""
-    if isinstance(node.func, ast.Attribute):
-        try:
-            return ast.unparse(node.func.value)
-        except Exception:  # pragma: no cover - unparse is total on exprs
-            return ""
-    return ""
-
-
-def _callee_name(node: ast.Call) -> Optional[str]:
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    return None
-
-
-def _fires_failpoint_constant(node: ast.Call) -> bool:
-    """Whether a ``.fire(...)`` call names an imported FP_* constant."""
-    if not node.args:
-        return False
-    first = node.args[0]
-    if isinstance(first, ast.Attribute):
-        return first.attr.startswith("FP_")
-    if isinstance(first, ast.Name):
-        return first.id.startswith("FP_")
-    return False
-
-
-class _FunctionFacts:
-    """Source-ordered effects + raw write sites of one function.
-
-    Built from the AST once per module change, then round-tripped
-    through the facts cache as plain JSON (:meth:`to_json` /
-    :meth:`from_json`)."""
-
-    def __init__(self, qualname: str, name: str, relpath: str):
-        self.qualname = qualname
-        self.name = name
-        self.relpath = relpath
-        #: [(lineno, col, effect, detail)] in source order
-        self.effects: List[Tuple[int, int, str, str]] = []
-        #: calls into other package functions: [(lineno, col, name)]
-        self.calls: List[Tuple[int, int, str]] = []
-        #: raw write call sites: [(lineno, col, kind, attr)]
-        self.raw_writes: List[Tuple[int, int, str, str]] = []
-        #: superblock call sites: [(lineno, col, has_release_barrier)]
-        self.superblock_calls: List[Tuple[int, int, bool]] = []
-
-    @classmethod
-    def collect(cls, qualname: str, node: ast.AST,
-                relpath: str) -> "_FunctionFacts":
-        fact = cls(qualname, node.name, relpath)
-        fact._collect(node)
-        fact.effects.sort(key=lambda e: (e[0], e[1]))
-        fact.calls.sort()
-        fact.raw_writes.sort()
-        return fact
-
-    def to_json(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "effects": [list(item) for item in self.effects],
-            "calls": [list(item) for item in self.calls],
-            "raw_writes": [list(item) for item in self.raw_writes],
-            "superblock_calls": [
-                list(item) for item in self.superblock_calls
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, relpath: str, data: dict) -> "_FunctionFacts":
-        fact = cls(data["qualname"], data["name"], relpath)
-        fact.effects = [tuple(item) for item in data["effects"]]
-        fact.calls = [tuple(item) for item in data["calls"]]
-        fact.raw_writes = [tuple(item) for item in data["raw_writes"]]
-        fact.superblock_calls = [
-            tuple(item) for item in data["superblock_calls"]
-        ]
-        return fact
-
-    def _collect(self, fn_node: ast.AST) -> None:
-        own_body = list(ast.iter_child_nodes(fn_node))
-        for child in own_body:
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                continue  # nested defs have their own facts
-            for node in ast.walk(child):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if (isinstance(target, ast.Attribute)
-                                and target.attr == "_open_batch"
-                                and isinstance(node.value, ast.Constant)
-                                and node.value.value is None):
-                            # resetting the open batch neutralizes it
-                            self.effects.append(
-                                (node.lineno, node.col_offset, FLUSH,
-                                 "_open_batch = None")
-                            )
-                if not isinstance(node, ast.Call):
-                    continue
-                name = _callee_name(node)
-                if name is None:
-                    continue
-                where = (node.lineno, node.col_offset)
-                receiver = _receiver_text(node)
-                if name == "flush" and "batch" in receiver.lower():
-                    self.effects.append(where + (FLUSH, receiver))
-                elif name in BATCH_APPENDS:
-                    self.effects.append(where + (BATCHED_RECORD, name))
-                elif name in BATCH_PARAM_WRITERS and self._batched(node):
-                    self.effects.append(where + (BATCHED_RECORD, name))
-                elif name == "write_superblock":
-                    self.effects.append(where + (SUPER, name))
-                    self.raw_writes.append(where + ("volume", name))
-                    self.superblock_calls.append(
-                        where + (self._has_release_barrier(node),)
-                    )
-                elif name in ("fire", "_fire") and _fires_failpoint_constant(node):
-                    self.effects.append(where + (FIRE, name))
-                elif name in VOLUME_WRITES:
-                    self.raw_writes.append(where + ("volume", name))
-                elif name in DEVICE_WRITES and (
-                    receiver == "device" or receiver.endswith(".device")
-                ):
-                    self.raw_writes.append(where + ("device", name))
-                else:
-                    self.calls.append(where + (name,))
-
-    @staticmethod
-    def _has_release_barrier(node: ast.Call) -> bool:
-        """Whether a ``write_superblock`` call passes a real
-        ``release_ns=`` barrier (a literal ``None`` does not count)."""
-        for keyword in node.keywords:
-            if keyword.arg == "release_ns":
-                return not (isinstance(keyword.value, ast.Constant)
-                            and keyword.value.value is None)
-        return False
-
-    @staticmethod
-    def _batched(node: ast.Call) -> bool:
-        for keyword in node.keywords:
-            if keyword.arg == "batch":
-                if (isinstance(keyword.value, ast.Constant)
-                        and keyword.value.value is None):
-                    return False
-                return True
-        return False
+from repro.analysis.effects import (
+    BATCH_APPEND,
+    BATCH_ATOMS,
+    BATCH_FLUSH,
+    FAILPOINT_FIRE,
+    MEDIA_WRITE,
+    SUPERBLOCK_WRITE,
+    UNBARRIERED,
+    VOLUME_WRITES,
+    EffectAnalysis,
+    FunctionNode,
+)
 
 
 class CrashOrderingRule(Rule):
@@ -222,181 +62,89 @@ class CrashOrderingRule(Rule):
         "write site sits under a registered failpoint"
     )
 
-    #: facts-cache extractor version (bump when the facts change shape)
-    version = 1
-
     def check(self, tree: ProjectTree) -> List[Finding]:
         config = tree.config
-        extracted = tree.facts(
-            self.name, self.version,
-            lambda mod: self._extract(mod, config),
+        analysis = tree.effects()
+        store_layer = {
+            node_id for node_id, node in analysis.nodes.items()
+            if node.relpath.startswith(config.objstore_prefix)
+        }
+        roots = store_layer | set(
+            analysis.roots_matching(config.durability_roots)
         )
-        facts: Dict[str, List[_FunctionFacts]] = {}
-        per_module: List[_FunctionFacts] = []
-        for relpath in extracted:
-            for data in extracted[relpath]:
-                fact = _FunctionFacts.from_json(relpath, data)
-                facts.setdefault(fact.name, []).append(fact)
-                per_module.append(fact)
-
         findings: List[Finding] = []
-        for fact in per_module:
-            adapter = fact.relpath in config.adapter_modules
-            findings.extend(self._check_ordering(fact, facts))
-            if not adapter:
-                findings.extend(self._check_coverage(fact))
-                findings.extend(self._check_barrier(fact))
+        for node_id in sorted(roots):
+            node = analysis.nodes[node_id]
+            findings.extend(self._check_ordering(analysis, node))
+            if (node_id in store_layer
+                    and node.relpath not in config.adapter_modules):
+                findings.extend(self._check_write_sites(node))
+        # two same-named callees can inline the same violation twice
+        return list(dict.fromkeys(findings))
+
+    def _finding(self, node: FunctionNode, line: int, col: int,
+                 message: str) -> Finding:
+        return Finding(rule=self.name, path=node.relpath, line=line,
+                       col=col, message=message, symbol=node.qual)
+
+    def _check_ordering(self, analysis: EffectAnalysis,
+                        node: FunctionNode) -> List[Finding]:
+        """On the path from ``node``, no superblock write may be
+        reachable while a batched record (its own or an inlined
+        callee's) is unflushed."""
+        findings: List[Finding] = []
+        pending_since = None
+        for line, col, atom, detail in analysis.root_sequence(
+            node.node_id, BATCH_ATOMS
+        ):
+            if atom == BATCH_APPEND:
+                if pending_since is None:
+                    # own site: the producer; inlined: the callee's name
+                    pending_since = detail.rsplit(".", 1)[-1].split()[-1]
+            elif atom == BATCH_FLUSH:
+                pending_since = None
+            elif pending_since is not None:
+                findings.append(self._finding(node, line, col, (
+                    "superblock write reachable with batched "
+                    f"records (from {pending_since!r}) still "
+                    "unflushed; flush the open WriteBatch first"
+                )))
+                pending_since = None  # one report per unflushed run
         return findings
 
-    @staticmethod
-    def _extract(mod, config) -> List[dict]:
-        if not mod.relpath.startswith(config.objstore_prefix):
-            return []
-        out = []
-        for qual, node in mod.scopes():
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out.append(
-                    _FunctionFacts.collect(qual, node, mod.relpath).to_json()
-                )
-        return out
-
-    # -- superblock-after-records ------------------------------------------------
-
-    def _summary(self, name: str, facts: Dict[str, List[_FunctionFacts]],
-                 stack: Tuple[str, ...] = ()) -> List[str]:
-        """Flattened effect sequence of every function named ``name``
-        (name-based linking), cycles cut at the recursion point."""
-        if name in stack or name not in facts:
-            return []
-        out: List[str] = []
-        for fact in facts[name]:
-            out.extend(
-                self._linearize(fact, facts, stack + (name,))
-            )
-        return out
-
-    def _linearize(self, fact: _FunctionFacts,
-                   facts: Dict[str, List[_FunctionFacts]],
-                   stack: Tuple[str, ...]) -> List[str]:
-        merged: List[Tuple[int, int, object]] = [
-            (line, col, effect) for line, col, effect, _ in fact.effects
-        ]
-        for line, col, callee in fact.calls:
-            merged.append((line, col, self._summary(callee, facts, stack)))
-        merged.sort(key=lambda item: (item[0], item[1]))
-        out: List[str] = []
-        for _, _, item in merged:
-            if isinstance(item, list):
-                out.extend(item)
-            else:
-                out.append(item)
-        return out
-
-    def _check_ordering(self, fact: _FunctionFacts,
-                        facts: Dict[str, List[_FunctionFacts]]) -> List[Finding]:
-        """Within ``fact``, no SUPER effect may be reachable while a
-        batched record (its own or an inlined callee's) is unflushed."""
+    def _check_write_sites(self, node: FunctionNode) -> List[Finding]:
+        """The function's own raw write sites, in source order: device
+        writes bypass the volume outright; volume writes need a
+        failpoint fired earlier in this function; and a superblock
+        write needs a real ``release_ns=`` barrier — per-queue FIFO
+        cannot order it after records a sharded flush submitted on
+        *other* queues."""
         findings: List[Finding] = []
-        merged: List[Tuple[int, int, object, str]] = [
-            (line, col, effect, detail)
-            for line, col, effect, detail in fact.effects
-        ]
-        for line, col, callee in fact.calls:
-            merged.append(
-                (line, col, self._summary(callee, facts, (fact.name,)),
-                 callee)
-            )
-        merged.sort(key=lambda item: (item[0], item[1]))
-
-        pending_since: Optional[str] = None
-        for line, col, item, detail in merged:
-            effects = item if isinstance(item, list) else [item]
-            for effect in effects:
-                if effect == BATCHED_RECORD:
-                    if pending_since is None:
-                        pending_since = detail
-                elif effect == FLUSH:
-                    pending_since = None
-                elif effect == SUPER and pending_since is not None:
-                    findings.append(Finding(
-                        rule=self.name,
-                        path=fact.relpath,
-                        line=line,
-                        col=col,
-                        message=(
-                            "superblock write reachable with batched "
-                            f"records (from {pending_since!r}) still "
-                            "unflushed; flush the open WriteBatch first"
-                        ),
-                        symbol=fact.qualname,
-                    ))
-                    pending_since = None  # one report per unflushed run
-        return findings
-
-    # -- cross-queue barrier -------------------------------------------------------
-
-    def _check_barrier(self, fact: _FunctionFacts) -> List[Finding]:
-        """Store-layer ``write_superblock`` calls must pass a real
-        ``release_ns=`` barrier: per-queue FIFO cannot order the
-        superblock after records a sharded flush submitted on *other*
-        queues, so the all-shard completion barrier has to be explicit
-        at every call site."""
-        findings: List[Finding] = []
-        for line, col, has_barrier in fact.superblock_calls:
-            if has_barrier:
-                continue
-            findings.append(Finding(
-                rule=self.name,
-                path=fact.relpath,
-                line=line,
-                col=col,
-                message=(
-                    "write_superblock() without a release_ns= barrier: "
-                    "FIFO durability holds only per submission queue, so "
-                    "pass release_ns=device.pending_deadline() to order "
-                    "the superblock after every shard's records"
-                ),
-                symbol=fact.qualname,
-            ))
-        return findings
-
-    # -- failpoint coverage --------------------------------------------------------
-
-    def _check_coverage(self, fact: _FunctionFacts) -> List[Finding]:
-        findings: List[Finding] = []
-        fires_before = [
-            (line, col) for line, col, effect, _ in fact.effects
-            if effect == FIRE
-        ]
-        for line, col, kind, attr in fact.raw_writes:
-            if kind == "device":
-                findings.append(Finding(
-                    rule=self.name,
-                    path=fact.relpath,
-                    line=line,
-                    col=col,
-                    message=(
-                        f"raw device.{attr}() bypasses the Volume layer; "
-                        "go through volume.write_* so superblock ordering "
-                        "and failpoint coverage hold"
-                    ),
-                    symbol=fact.qualname,
-                ))
-                continue
-            covered = any(
-                (fl, fc) < (line, col) for fl, fc in fires_before
-            )
-            if not covered:
-                findings.append(Finding(
-                    rule=self.name,
-                    path=fact.relpath,
-                    line=line,
-                    col=col,
-                    message=(
-                        f"{attr}() call site has no registered failpoint "
-                        "fired before it in this function; fire an FP_* "
-                        "constant so the crash sweep covers this boundary"
-                    ),
-                    symbol=fact.qualname,
-                ))
+        fired = False
+        for line, col, atom, detail in node.record["effects"]:
+            if atom == FAILPOINT_FIRE:
+                fired = True
+            elif atom == MEDIA_WRITE and detail not in VOLUME_WRITES:
+                attr = detail.rsplit(".", 1)[-1]
+                findings.append(self._finding(node, line, col, (
+                    f"raw device.{attr}() bypasses the Volume layer; "
+                    "go through volume.write_* so superblock ordering "
+                    "and failpoint coverage hold"
+                )))
+            elif atom in (MEDIA_WRITE, SUPERBLOCK_WRITE):
+                if not fired:
+                    findings.append(self._finding(node, line, col, (
+                        f"{detail.split()[0]}() call site has no registered "
+                        "failpoint fired before it in this function; fire "
+                        "an FP_* constant so the crash sweep covers this "
+                        "boundary"
+                    )))
+                if detail == UNBARRIERED:
+                    findings.append(self._finding(node, line, col, (
+                        "write_superblock() without a release_ns= "
+                        "barrier: FIFO durability holds only per "
+                        "submission queue, so pass "
+                        "release_ns=device.pending_deadline() to order "
+                        "the superblock after every shard's records"
+                    )))
         return findings

@@ -5,11 +5,13 @@ Aurora's single-level-store claim rests on one ordering discipline:
 anything a public commit/checkpoint API externalizes is covered by a
 failpoint *before* it leaves RAM (so the crash sweep can cut power at
 the boundary) and is named by a superblock write *after* it (so the
-committed generation covers every byte it references).  PR 4's
-``crash-ordering`` checks the per-function shapes inside the object
-store; this rule generalizes both halves across the whole program by
-scanning the effect linearization of every configured durability root
-(:attr:`AnalyzerConfig.durability_roots`):
+committed generation covers every byte it references).
+``crash-ordering`` asks three narrower questions of the same effect
+graph (batched records flushed before the superblock, its
+``release_ns`` barrier, a failpoint ahead of every raw store write);
+this rule checks both halves of the discipline across the whole
+program by scanning the effect linearization of every configured
+durability root (:attr:`AnalyzerConfig.durability_roots`):
 
 1. **fire-before-media** — on the linearized path from the root, the
    first ``MEDIA_WRITE`` is preceded by a ``FAILPOINT_FIRE``.  A write

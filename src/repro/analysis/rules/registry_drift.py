@@ -29,6 +29,7 @@ from repro.analysis.core import Finding, ProjectTree, Rule, SourceModule
 #: methods whose first argument names an instrument or failpoint
 INSTRUMENT_CALLS = frozenset({
     "span", "event", "counter", "gauge", "histogram", "fire", "arm", "_fire",
+    "_failpoint",
 })
 #: dotted paths that make a module "instrumented" when imported
 REGISTRY_IMPORTS = ("repro.obs.names", "repro.fault.names")

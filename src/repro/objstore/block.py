@@ -13,12 +13,7 @@ from typing import Optional, Sequence
 
 from repro.errors import ChecksumError, ObjectStoreError
 from repro.hw.device import BatchWrite, IoTicket, StorageDevice
-from repro.objstore.record import (
-    HEADER_SIZE,
-    KIND_SUPER,
-    pack_record,
-    unpack_record,
-)
+from repro.objstore.record import KIND_SUPER, pack_record, unpack_record
 
 SUPERBLOCK_SLOT_SIZE = 8 * 1024
 DATA_BASE = 2 * SUPERBLOCK_SLOT_SIZE
@@ -72,7 +67,7 @@ class Volume:
             offset = slot * SUPERBLOCK_SLOT_SIZE
             raw = self.device.read(offset, SUPERBLOCK_SLOT_SIZE)
             try:
-                header, payload = unpack_record(raw[: HEADER_SIZE + len(raw)])
+                header, payload = unpack_record(raw)
             except (ChecksumError, ObjectStoreError):
                 continue
             if header.kind != KIND_SUPER:

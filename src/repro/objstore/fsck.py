@@ -47,7 +47,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from repro.errors import ObjectStoreError, PowerCut
+from repro.errors import ObjectStoreError
 from repro.fault import names as fault_names
 from repro.obs import names as obs_names
 from repro.objstore.record import KIND_MANIFEST
@@ -529,20 +529,11 @@ class Fsck:
         """
         store = self.store
         if store.faults is not None:
-            action = store.faults.fire(
+            store._failpoint(
                 fault_names.FP_FSCK_REPAIR,
+                "power cut during fsck repair", "injected fsck repair failure",
                 store=store.device.name, findings=len(self.report.findings),
             )
-            if action is not None:
-                if action.kind == "crash":
-                    raise PowerCut(
-                        action.reason or "power cut during fsck repair",
-                        at_ns=store.device.clock.now,
-                    )
-                if action.kind == "fail":
-                    raise ObjectStoreError(
-                        action.reason or "injected fsck repair failure"
-                    )
         store.flush_barrier()
         before_allocated = store.allocator.allocated_bytes
 

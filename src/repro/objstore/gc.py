@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ObjectStoreError, PowerCut
 from repro.fault import names as fault_names
 from repro.obs import names as obs_names
 from repro.objstore.store import ObjectStore
@@ -37,21 +36,12 @@ class GarbageCollector:
         checkpointing instead of stalling.
         """
         if self.store.faults is not None:
-            action = self.store.faults.fire(
+            self.store._failpoint(
                 fault_names.FP_GC_COLLECT,
+                "power cut during gc", "injected gc failure",
                 store=self.store.device.name,
                 pending=len(self.store.garbage),
             )
-            if action is not None:
-                if action.kind == "crash":
-                    raise PowerCut(
-                        action.reason or "power cut during gc",
-                        at_ns=self.store.device.clock.now,
-                    )
-                if action.kind == "fail":
-                    raise ObjectStoreError(
-                        action.reason or "injected gc failure"
-                    )
         obs = self.store.obs
         if obs is None:
             return self._collect(limit)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ChecksumError, ObjectStoreError, PowerCut
+from repro.errors import ChecksumError, ObjectStoreError
 from repro.fault import names as fault_names
 from repro.hw.device import IoTicket
 from repro.objstore.alloc import Extent
@@ -78,20 +78,12 @@ class PersistentLog:
         filesystem journal dance).
         """
         if self.store.faults is not None:
-            action = self.store.faults.fire(
+            self.store._failpoint(
                 fault_names.FP_LOG_APPEND,
+                f"power cut appending seq {self.next_seq}",
+                "injected log-append failure",
                 owner=self.owner_oid, seq=self.next_seq,
             )
-            if action is not None:
-                if action.kind == "crash":
-                    raise PowerCut(
-                        action.reason or f"power cut appending seq {self.next_seq}",
-                        at_ns=self.store.device.clock.now,
-                    )
-                if action.kind == "fail":
-                    raise ObjectStoreError(
-                        action.reason or "injected log-append failure"
-                    )
         record = pack_record(
             kind=KIND_LOG, oid=self.owner_oid, epoch=self.next_seq, payload=payload
         )

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ObjectStoreError, PowerCut
 from repro.fault import names as fault_names
 from repro.obs import names as obs_names
 from repro.objstore.fsck import FsckFinding
@@ -163,20 +162,11 @@ class Scrubber:
         store = self.store
         batch = self._worklist[self._cursor:self._cursor + self.batch_extents]
         if store.faults is not None:
-            action = store.faults.fire(
+            store._failpoint(
                 fault_names.FP_SCRUB_STEP,
+                "power cut during scrub step", "injected scrub-step failure",
                 store=store.device.name, extents=len(batch),
             )
-            if action is not None:
-                if action.kind == "crash":
-                    raise PowerCut(
-                        action.reason or "power cut during scrub step",
-                        at_ns=store.device.clock.now,
-                    )
-                if action.kind == "fail":
-                    raise ObjectStoreError(
-                        action.reason or "injected scrub-step failure"
-                    )
         span = None
         if store.obs is not None:
             span = store.obs.tracer.span(

@@ -233,25 +233,35 @@ class ObjectStore:
     def _now(self) -> int:
         return self.device.clock.now
 
+    def _failpoint(self, name: str, crash_msg: str, fail_msg: str,
+                   **labels) -> None:
+        """The store layer's one failpoint gate (see FAULTS.md): fire
+        ``name`` and turn an armed ``crash`` into a :class:`PowerCut`
+        stamped with the current virtual time, an armed ``fail`` into an
+        :class:`ObjectStoreError`; the action's own ``reason`` wins over
+        the site's default message.  Call sites keep the
+        ``faults is not None`` guard so a disarmed store builds neither
+        labels nor messages.  ``sls lint`` reads a call to this method
+        as a fire site of the constant it names."""
+        action = self.faults.fire(name, **labels)
+        if action is None:
+            return
+        if action.kind == "crash":
+            raise PowerCut(action.reason or crash_msg, at_ns=self._now())
+        if action.kind == "fail":
+            raise ObjectStoreError(action.reason or fail_msg)
+
     def _write_record(self, kind: int, oid: int, epoch: int, payload: bytes,
                       sync: bool, logical: Optional[int] = None,
                       batch: Optional["WriteBatch"] = None,
                       flags: int = 0) -> Extent:
         if self.faults is not None:
-            action = self.faults.fire(
+            self._failpoint(
                 fault_names.FP_STORE_WRITE_RECORD,
+                "power cut before record write",
+                "injected record-write failure",
                 store=self.device.name, kind=kind,
             )
-            if action is not None:
-                if action.kind == "crash":
-                    raise PowerCut(
-                        action.reason or "power cut before record write",
-                        at_ns=self._now(),
-                    )
-                if action.kind == "fail":
-                    raise ObjectStoreError(
-                        action.reason or "injected record-write failure"
-                    )
         record = pack_record(
             kind=kind, oid=oid, epoch=epoch, payload=payload, flags=flags
         )
@@ -351,19 +361,11 @@ class ObjectStore:
         if plan.flags != ENC_RAW and self.faults is not None:
             fp = (fault_names.FP_STORE_WRITE_DELTA if plan.flags == ENC_DELTA
                   else fault_names.FP_STORE_WRITE_COMPRESSED)
-            action = self.faults.fire(
-                fp, store=self.device.name, saved=plan.bytes_saved,
+            self._failpoint(
+                fp, "power cut before encoded page write",
+                "injected encoded-page write failure",
+                store=self.device.name, saved=plan.bytes_saved,
             )
-            if action is not None:
-                if action.kind == "crash":
-                    raise PowerCut(
-                        action.reason or "power cut before encoded page write",
-                        at_ns=self._now(),
-                    )
-                if action.kind == "fail":
-                    raise ObjectStoreError(
-                        action.reason or "injected encoded-page write failure"
-                    )
         extent = self._write_record(
             KIND_PAGE, 0, epoch, plan.stored, sync,
             logical=plan.media_bytes, batch=batch, flags=plan.flags,
@@ -623,20 +625,12 @@ class ObjectStore:
         under the usual barrier-before-collect discipline.
         """
         if self.faults is not None:
-            action = self.faults.fire(
+            self._failpoint(
                 fault_names.FP_STORE_WRITE_DIRECTORY,
+                "power cut before directory write",
+                "injected directory-write failure",
                 store=self.device.name, snapshots=len(self.directory.snapshots),
             )
-            if action is not None:
-                if action.kind == "crash":
-                    raise PowerCut(
-                        action.reason or "power cut before directory write",
-                        at_ns=self._now(),
-                    )
-                if action.kind == "fail":
-                    raise ObjectStoreError(
-                        action.reason or "injected directory-write failure"
-                    )
         payload = encode(self.directory.encode())
         if HEADER_SIZE + len(payload) <= SUPERBLOCK_SLOT_SIZE:
             self.volume.write_superblock(
@@ -677,20 +671,12 @@ class ObjectStore:
         # snapshot can never free a base out from under a live delta.
         pages = self._with_delta_bases(pages)
         if self.faults is not None:
-            action = self.faults.fire(
+            self._failpoint(
                 fault_names.FP_STORE_COMMIT,
+                f"power cut committing {name!r}",
+                f"injected commit failure for {name!r}",
                 store=self.device.name, snapshot=name,
             )
-            if action is not None:
-                if action.kind == "crash":
-                    raise PowerCut(
-                        action.reason or f"power cut committing {name!r}",
-                        at_ns=self._now(),
-                    )
-                if action.kind == "fail":
-                    raise ObjectStoreError(
-                        action.reason or f"injected commit failure for {name!r}"
-                    )
         payload = encode_manifest(meta, records, pages)
         manifest_extent = self._write_record(KIND_MANIFEST, 0, epoch, payload, sync)
         snapshot = Snapshot(
@@ -761,20 +747,12 @@ class ObjectStore:
         if snapshot is None:
             raise NoSuchObject(f"no snapshot {snap_id}")
         if self.faults is not None:
-            action = self.faults.fire(
+            self._failpoint(
                 fault_names.FP_STORE_DELETE,
+                f"power cut deleting {snapshot.name!r}",
+                f"injected delete failure for {snapshot.name!r}",
                 store=self.device.name, snapshot=snapshot.name,
             )
-            if action is not None:
-                if action.kind == "crash":
-                    raise PowerCut(
-                        action.reason or f"power cut deleting {snapshot.name!r}",
-                        at_ns=self._now(),
-                    )
-                if action.kind == "fail":
-                    raise ObjectStoreError(
-                        action.reason or f"injected delete failure for {snapshot.name!r}"
-                    )
         _meta, records, pages = self.load_manifest(snapshot)
         for ref in records:
             self._release_meta(ref.extent)
@@ -1033,20 +1011,11 @@ class WriteBatch:
         if not self._items:
             return []
         if store.faults is not None:
-            action = store.faults.fire(
+            store._failpoint(
                 fault_names.FP_STORE_BATCH_FLUSH,
+                "power cut at batch flush", "injected batch-flush failure",
                 store=store.device.name, records=len(self._items),
             )
-            if action is not None:
-                if action.kind == "crash":
-                    raise PowerCut(
-                        action.reason or "power cut at batch flush",
-                        at_ns=store._now(),
-                    )
-                if action.kind == "fail":
-                    raise ObjectStoreError(
-                        action.reason or "injected batch-flush failure"
-                    )
         items = sorted(self._items, key=lambda item: item[0].offset)
         self._items = []
         num_queues = store.device.num_queues
@@ -1096,21 +1065,13 @@ class WriteBatch:
         for shard in sorted(by_shard):
             shard_items = by_shard[shard]
             if store.faults is not None:
-                action = store.faults.fire(
+                store._failpoint(
                     fault_names.FP_STORE_SHARD_FLUSH,
+                    f"power cut at shard {shard} flush",
+                    f"injected shard {shard} flush failure",
                     store=store.device.name, shard=shard,
                     records=len(shard_items),
                 )
-                if action is not None:
-                    if action.kind == "crash":
-                        raise PowerCut(
-                            action.reason or f"power cut at shard {shard} flush",
-                            at_ns=store._now(),
-                        )
-                    if action.kind == "fail":
-                        raise ObjectStoreError(
-                            action.reason or f"injected shard {shard} flush failure"
-                        )
             writes = coalesce(shard_items)
             total_extents += len(writes)
             if store.obs is not None:

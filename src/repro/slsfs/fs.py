@@ -27,8 +27,6 @@ from repro.errors import (
     IsADirectory,
     NoSuchFile,
     NotADirectory,
-    ObjectStoreError,
-    PowerCut,
 )
 from repro.fault import names as fault_names
 from repro.objstore.snapshot import Snapshot
@@ -363,19 +361,11 @@ class SlsFS(FileSystem):
         synchronizing memory and file system checkpoints").
         """
         if self.store.faults is not None:
-            action = self.store.faults.fire(
-                fault_names.FP_FS_SYNC, fs=self.name
+            self.store._failpoint(
+                fault_names.FP_FS_SYNC,
+                "power cut during slsfs sync", "injected slsfs sync failure",
+                fs=self.name,
             )
-            if action is not None:
-                if action.kind == "crash":
-                    raise PowerCut(
-                        action.reason or "power cut during slsfs sync",
-                        at_ns=self.store.device.clock.now,
-                    )
-                if action.kind == "fail":
-                    raise ObjectStoreError(
-                        action.reason or "injected slsfs sync failure"
-                    )
         self._flush_dirty()
         meta_ref = self.store.write_meta(oid=ROOT_INO, value=self._encode_meta())
         all_refs = [

@@ -190,6 +190,12 @@ def test_cache_file_appears_and_warm_run_agrees(tmp_path, capsys):
     assert main(["lint", str(tree), "--no-baseline"]) == 1
     cold = capsys.readouterr().out
     assert cache_path.exists()
+    # one extractor feeds every graph rule: crash-ordering has no facts
+    # namespace of its own any more
+    kinds = {key.split(":")[0]
+             for entry in json.loads(cache_path.read_text())["modules"].values()
+             for key in entry["facts"]}
+    assert "effects" in kinds and "crash-ordering" not in kinds
 
     assert main(["lint", str(tree), "--no-baseline"]) == 1
     warm = capsys.readouterr().out

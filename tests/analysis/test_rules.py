@@ -3,6 +3,7 @@ the good snippet must pass, with the exact findings pinned."""
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from repro.analysis import (
     make_rules,
     run_rules,
 )
+from repro.analysis.cache import SummaryCache
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -130,6 +132,103 @@ def test_crash_ordering_adapter_is_exempt():
     # failpoints inside StorageDevice, not store-level ones.
     report = run_fixture("crash", "crash-ordering")
     assert by_path(report, "repro/objstore/block.py") == []
+
+
+
+# seeded mutations of the real tree: each must surface as crash-ordering
+
+SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
+STORE_PY = "repro/objstore/store.py"
+
+DIRECTORY_GATE = """\
+        if self.faults is not None:
+            self._failpoint(
+                fault_names.FP_STORE_WRITE_DIRECTORY,
+                "power cut before directory write",
+                "injected directory-write failure",
+                store=self.device.name, snapshots=len(self.directory.snapshots),
+            )
+"""
+PACK_RECORD = """\
+        record = pack_record(
+            kind=kind, oid=oid, epoch=epoch, payload=payload, flags=flags
+        )
+"""
+OPEN_BATCH_FLUSH = """\
+        if self._open_batch is not None and len(self._open_batch):
+            self._open_batch.flush()
+"""
+WRITE_DIRECTORY = "        self._write_directory(sync=sync)\n"
+COMMITTED = "        self.stats.snapshots_committed += 1\n"
+
+UNFLUSHED = "superblock write reachable with batched records"
+PERSIST = ("repro/core/backends.py", "StoreBackend.persist", UNFLUSHED)
+
+#: name -> ([(old, new)] edits of store.py, [(path, symbol, message part)]
+#: expected crash-ordering findings).  The last two need the whole-program
+#: linearization: the batch is filled in core/backends.py -> serial/.
+MUTATIONS = {
+    "drop-release-ns": (
+        [(", release_ns=self.device.pending_deadline()", "")],
+        [(STORE_PY, "ObjectStore._write_directory",
+          "without a release_ns= barrier")] * 2,
+    ),
+    "drop-directory-gate": (
+        [(DIRECTORY_GATE, "")],
+        [(STORE_PY, "ObjectStore._write_directory",
+          "write_superblock() call site has no registered failpoint")] * 2,
+    ),
+    "raw-device-write": (
+        [(PACK_RECORD, PACK_RECORD
+          + "        self.device.write_async(0, record)\n")],
+        [(STORE_PY, "ObjectStore._write_record",
+          "raw device.write_async() bypasses the Volume layer")],
+    ),
+    "delete-open-batch-flush": (
+        [(OPEN_BATCH_FLUSH, "")],
+        [PERSIST],
+    ),
+    "flush-after-directory": (
+        [(OPEN_BATCH_FLUSH, ""),
+         (WRITE_DIRECTORY + COMMITTED,
+          WRITE_DIRECTORY + OPEN_BATCH_FLUSH + COMMITTED)],
+        [PERSIST],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def real_tree_copy(tmp_path_factory):
+    """The real ``src/repro`` copied once, plus a shared in-memory
+    summary cache so each mutation re-extracts only ``store.py``."""
+    root = tmp_path_factory.mktemp("mutated")
+    shutil.copytree(SRC_REPRO, root / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return root, SummaryCache(), AnalyzerConfig.default()
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_crash_ordering_catches_seeded_mutation(real_tree_copy, mutation):
+    root, cache, config = real_tree_copy
+    edits, expected = MUTATIONS[mutation]
+    target = root / STORE_PY
+    pristine = target.read_text()
+    mutated = pristine
+    for old, new in edits:
+        assert old in mutated, f"{mutation}: anchor drifted: {old!r}"
+        mutated = mutated.replace(old, new)
+    try:
+        target.write_text(mutated)
+        tree = ProjectTree.load(root, config=config, cache=cache)
+        report = run_rules(tree, make_rules(["crash-ordering"]))
+    finally:
+        target.write_text(pristine)
+    got = [(f.path, f.symbol, f.message) for f in report.findings]
+    for path, symbol, part in set(expected):
+        matching = [g for g in got
+                    if g[:2] == (path, symbol) and part in g[2]]
+        assert len(matching) == expected.count((path, symbol, part)), got
+    assert all(f.rule == "crash-ordering" for f in report.findings)
 
 
 # -- kwonly-api -----------------------------------------------------------------

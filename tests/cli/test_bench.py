@@ -199,7 +199,19 @@ class TestCompareGate:
 
 
 class TestCliEntry:
-    def test_bench_json_and_compare_roundtrip(self, tmp_path, capsys):
+    @pytest.fixture
+    def suite_from_fixture(self, results, monkeypatch):
+        """Full-suite ``sls bench`` runs reuse the module fixture's
+        result: these tests pin the CLI plumbing (files, compare, exit
+        codes), determinism is TestDeterminism's re-run."""
+        def stub(only=None):
+            assert only is None
+            return copy.deepcopy(results)
+
+        monkeypatch.setattr("repro.cli.bench.run_suite", stub)
+
+    def test_bench_json_and_compare_roundtrip(self, tmp_path, capsys,
+                                              suite_from_fixture):
         out = tmp_path / "bench.json"
         assert main(["bench", "--json", str(out)]) == 0
         first = out.read_text()
@@ -210,7 +222,8 @@ class TestCliEntry:
         captured = capsys.readouterr()
         assert "no regressions" in captured.out
 
-    def test_bench_compare_fails_on_regression(self, tmp_path, capsys):
+    def test_bench_compare_fails_on_regression(self, tmp_path, capsys,
+                                               suite_from_fixture):
         baseline = tmp_path / "baseline.json"
         assert main(["bench", "--json", str(baseline)]) == 0
         doctored = json.loads(baseline.read_text())

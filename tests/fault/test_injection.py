@@ -8,6 +8,7 @@ degradation, remote retry + degrade-to-memory, and power cuts.
 
 import pytest
 
+from repro.cli.recovery import build_demo_store, inject
 from repro.core.backends import (
     MemoryBackend,
     RemoteBackend,
@@ -22,16 +23,19 @@ from repro.errors import (
     StoreFullError,
 )
 from repro.fault import FailpointRegistry, FaultAction, names
+from repro.fault.crashtest import SWEEP_SITES
 from repro.hw.netdev import NetworkLink
 from repro.hw.nvme import NvmeDevice
+from repro.objstore import repair_store
 from repro.objstore.gc import GarbageCollector
 from repro.objstore.log import PersistentLog
+from repro.objstore.scrub import Scrubber
 from repro.objstore.store import ObjectStore
 from repro.posix.kernel import Kernel
 from repro.posix.syscalls import Syscalls
 from repro.sim.clock import SimClock
 from repro.slsfs.fs import SlsFS
-from repro.units import GIB, PAGE_SIZE
+from repro.units import GIB, KIB, PAGE_SIZE
 
 
 @pytest.fixture
@@ -160,6 +164,125 @@ class TestStoreSites:
         store.faults.arm(names.FP_FS_SYNC, FaultAction("crash"))
         with pytest.raises(PowerCut):
             fs.sync()
+
+
+
+# -- the store-level gate ---------------------------------------------------------
+
+
+def _gate_delta(store):
+    content = bytes(range(256)) * 16
+    base = store.write_page(content)
+    store.write_page(b"gate" + content[4:], delta_base=base.content_hash,
+                     dirty_extents=[(0, 4)])
+
+
+def _gate_batch(store):
+    batch = store.begin_batch(epoch=9)
+    batch.add_meta(1, {"gate": True})
+    batch.flush()
+
+
+def _gate_commit(store):
+    store.commit_snapshot("gate", {}, [], [])
+
+
+STORE = ("store", "fsck-nvme")
+
+#: failpoint -> (driver, default crash message, default fail message,
+#: sorted fault-log labels), pinned from the twelve per-site ladders
+#: ``ObjectStore._failpoint`` replaced (demo store of ``sls fsck``)
+GATE_SITES = {
+    names.FP_STORE_WRITE_RECORD: (
+        lambda s: s.write_meta(1, {"gate": True}),
+        "power cut before record write", "injected record-write failure",
+        (("kind", 1), STORE)),
+    names.FP_STORE_WRITE_COMPRESSED: (
+        lambda s: s.write_page(b"gate-zlib" + b"\xab" * KIB),
+        "power cut before encoded page write",
+        "injected encoded-page write failure",
+        (("saved", 4068), STORE)),
+    names.FP_STORE_WRITE_DELTA: (
+        _gate_delta,
+        "power cut before encoded page write",
+        "injected encoded-page write failure",
+        (("saved", 4032), STORE)),
+    names.FP_STORE_BATCH_FLUSH: (
+        _gate_batch,
+        "power cut at batch flush", "injected batch-flush failure",
+        (("records", 1), STORE)),
+    names.FP_STORE_SHARD_FLUSH: (
+        _gate_batch,
+        "power cut at shard 0 flush", "injected shard 0 flush failure",
+        (("records", 1), ("shard", 0), STORE)),
+    names.FP_STORE_COMMIT: (
+        _gate_commit,
+        "power cut committing 'gate'", "injected commit failure for 'gate'",
+        (("snapshot", "gate"), STORE)),
+    names.FP_STORE_WRITE_DIRECTORY: (
+        _gate_commit,
+        "power cut before directory write", "injected directory-write failure",
+        (("snapshots", 4), STORE)),
+    names.FP_STORE_DELETE: (
+        lambda s: s.delete_snapshot(s.snapshot_by_name("demo-0").snap_id),
+        "power cut deleting 'demo-0'", "injected delete failure for 'demo-0'",
+        (("snapshot", "demo-0"), STORE)),
+    names.FP_LOG_APPEND: (
+        lambda s: PersistentLog(s, 7777, capacity=64 * KIB).append(b"entry"),
+        "power cut appending seq 1", "injected log-append failure",
+        (("owner", 7777), ("seq", 1))),
+    names.FP_GC_COLLECT: (
+        lambda s: GarbageCollector(s).collect(),
+        "power cut during gc", "injected gc failure",
+        (("pending", 0), STORE)),
+    names.FP_FSCK_REPAIR: (
+        repair_store,
+        "power cut during fsck repair", "injected fsck repair failure",
+        (("findings", 1), STORE)),
+    names.FP_FS_SYNC: (
+        lambda s: SlsFS(s).sync(name="gate-fs"),
+        "power cut during slsfs sync", "injected slsfs sync failure",
+        (("fs", "slsfs"),)),
+    names.FP_SCRUB_STEP: (
+        lambda s: Scrubber(s, batch_extents=4).step(),
+        "power cut during scrub step", "injected scrub-step failure",
+        (("extents", 4), STORE)),
+}
+
+
+def test_store_gate_preserves_every_site():
+    """Every site behind ``ObjectStore._failpoint`` (all the swept
+    store-level failpoints plus write_record/delete/fsck.repair), armed
+    ``crash`` then ``fail``: same exception type, default message,
+    ``at_ns`` and fault-log labels as the per-site ladders had."""
+    assert set(SWEEP_SITES) - set(GATE_SITES) == {
+        names.FP_DEVICE_WRITE, names.FP_DEVICE_BATCH,  # device-level
+    }
+    for name, (drive, crash_msg, fail_msg, labels) in GATE_SITES.items():
+        for kind, error, message in (("crash", PowerCut, crash_msg),
+                                     ("fail", ObjectStoreError, fail_msg)):
+            device, store, _obs = build_demo_store()
+            if name == names.FP_FSCK_REPAIR:
+                inject(device, store, "orphan")
+            faults = FailpointRegistry(device.clock, seed=7)
+            store.attach_faults(faults)
+            faults.arm(name, FaultAction(kind))
+            with pytest.raises(error) as caught:
+                drive(store)
+            assert type(caught.value) is error, (name, kind)
+            assert str(caught.value) == message, (name, kind)
+            [record] = faults.log
+            assert (record.name, record.kind) == (name, kind)
+            assert record.labels == labels, (name, kind)
+            if kind == "crash":
+                assert caught.value.at_ns == record.at_ns == device.clock.now
+
+    # the armed action's own reason wins over the site default
+    device, store, _obs = build_demo_store()
+    store.attach_faults(FailpointRegistry(device.clock, seed=7))
+    store.faults.arm(names.FP_STORE_COMMIT, FaultAction("crash", reason="why"))
+    with pytest.raises(PowerCut, match="^why$"):
+        _gate_commit(store)
 
 
 @pytest.fixture

@@ -12,9 +12,9 @@ change.
 import pytest
 
 from repro.hw.nvme import NvmeDevice
-from repro.objstore.block import HEADER_SIZE, SUPERBLOCK_SLOT_SIZE
+from repro.objstore.block import SUPERBLOCK_SLOT_SIZE
 from repro.objstore.fsck import Fsck
-from repro.objstore.record import decode
+from repro.objstore.record import HEADER_SIZE, decode
 from repro.objstore.store import DIR_SPILL_KEY, ObjectStore
 from repro.sim.clock import SimClock
 
