@@ -149,8 +149,8 @@ class StoreBackend(Backend):
         # plus this checkpoint's pagemap *delta*: which (object, page
         # index) slots the captured hashes belong to.  A post-reboot
         # restore rebuilds the full page map by overlaying the deltas
-        # along the snapshot lineage (see restore.load_image_from_store),
-        # and stops at the first full checkpoint — so an image recorded
+        # of the lineage back to its covering full checkpoint (see
+        # restore.load_image_from_store) — so an image recorded
         # non-incremental (a consolidating full checkpoint still has a
         # parent) must carry the *complete* map, diffed against nothing.
         base = (parent.page_refs.get(self.name, {})
@@ -168,6 +168,13 @@ class StoreBackend(Backend):
             epoch=image.epoch,
             batch=batch,
         )
+        # The manifest lists this checkpoint's own record first, then
+        # the lineage's delta records: the store's refcounts pin them
+        # (as ``_with_delta_bases`` pins delta bases), so the snapshot
+        # stays restorable when any ancestor snapshot is deleted.
+        records = [meta_ref]
+        if parent and image.incremental:
+            records += parent.delta_records.get(self.name, [])
         parent_snap = parent.snapshots.get(self.name) if parent else None
         snapshot = self.store.commit_snapshot(
             name=image.name,
@@ -176,13 +183,14 @@ class StoreBackend(Backend):
                 "incremental": image.incremental,
                 "parent_snap": parent_snap.snap_id if parent_snap else None,
             },
-            records=[meta_ref],
+            records=records,
             pages=[r for r in all_refs if isinstance(r, PageRef)],
             epoch=image.epoch,
             parent_id=parent_snap.snap_id if parent_snap else None,
         )
         image.snapshots[self.name] = snapshot
         image.page_refs[self.name] = page_map
+        image.delta_records[self.name] = records
         batched = batch is not None
         image.flush_info[self.name] = FlushInfo(
             submitted_at_ns=submitted_at,

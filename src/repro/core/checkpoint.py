@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from repro.core.metrics import CheckpointMetrics
 from repro.mem.page import Page
 from repro.objstore.snapshot import Snapshot
-from repro.objstore.store import PageRef
+from repro.objstore.store import MetaRef, PageRef
 from repro.units import PAGE_SIZE
 
 #: oid -> {pindex -> PageRef | Page}
@@ -70,6 +70,10 @@ class CheckpointImage:
     snapshots: dict[str, Snapshot] = field(default_factory=dict)
     #: backend name -> page map of PageRefs (disk-like backends)
     page_refs: dict[str, PageMap] = field(default_factory=dict)
+    #: backend name -> pagemap-delta records a post-reboot restore
+    #: overlays: this image's own first, then its lineage's back to the
+    #: covering full checkpoint (what the snapshot's manifest lists)
+    delta_records: dict[str, list[MetaRef]] = field(default_factory=dict)
     #: backend name -> submission accounting for this image's flush
     flush_info: dict[str, "FlushInfo"] = field(default_factory=dict)
     #: memory-backend page map of held frozen frames

@@ -134,12 +134,15 @@ class PersistenceGroup:
     def _prune(self) -> None:
         """Drop history beyond the retention window (in-place GC).
 
-        An incremental image's on-disk pagemap is a *delta*: restoring
-        it after a reboot needs the chain back to its covering full
-        checkpoint.  So pruning removes whole chain segments — history
-        older than a later full image.  When the window is over budget
-        but contains no such cut point, the next checkpoint is forced
-        full (consolidation), after which the old chain goes at once.
+        An incremental image's on-disk pagemap is a *delta*, and its
+        manifest lists (and so pins) the delta records of its whole
+        chain back to the covering full checkpoint — deleting an
+        ancestor can no longer strand it.  Pruning still removes whole
+        chain segments (history older than a later full image), and
+        when the window is over budget but contains no such cut point
+        the next checkpoint is forced full (consolidation): that is
+        what bounds the chain's length, hence manifest size and the
+        overlay work of a post-reboot restore.
         """
         if len(self.images) <= self.retention:
             return

@@ -42,53 +42,46 @@ def load_image_from_store(store: ObjectStore, snapshot,
     """Rebuild a restorable :class:`CheckpointImage` from a snapshot.
 
     The post-reboot path: nothing but the device contents exists.  The
-    snapshot lineage (``parent_snap`` links) is walked oldest-first and
-    each checkpoint's persisted pagemap delta is overlaid, producing
-    the complete (object, page index) → page-ref map; hash → extent
-    bindings come from the snapshot's own manifest (which lists every
-    referenced page, inherited or new).
+    snapshot's manifest is self-contained: its records are its own
+    pagemap-delta record followed by its lineage's back to the covering
+    full checkpoint (``StoreBackend.persist`` lists them, so the store
+    keeps them alive whatever happens to the ancestor snapshots), and
+    its pages bind every hash the complete map references.  The deltas
+    are overlaid oldest-first into the (object, page index) → page-ref
+    map.
     """
     from repro.core.metrics import CheckpointMetrics
 
-    # Collect the lineage back to the covering full checkpoint,
-    # newest → oldest, then overlay oldest-first.
-    lineage = []
-    current = snapshot
-    while current is not None:
-        value, records, pages = store.load_manifest(current)
-        lineage.append((current, value, records, pages))
-        if isinstance(value, dict) and not value.get("incremental", False):
-            break  # a full checkpoint's delta is the complete map
-        parent_id = value.get("parent_snap") if isinstance(value, dict) else None
-        current = store.directory.get(parent_id) if parent_id else None
-
-    hash_to_ref: dict[bytes, PageRef] = {}
-    for _snap, _value, _records, pages in lineage:
-        for ref in pages:
-            hash_to_ref.setdefault(ref.content_hash, ref)
-
-    page_refs: dict[int, dict[int, PageRef]] = {}
-    meta = None
-    for snap, value, records, _pages in reversed(lineage):  # oldest first
-        if not records:
-            raise RestoreError(f"snapshot {snap.name!r} has no metadata record")
-        record_value = store.read_meta(records[0])
+    _value, records, pages = store.load_manifest(snapshot)
+    if not records:
+        raise RestoreError(f"snapshot {snapshot.name!r} has no metadata record")
+    hashes: dict[int, dict[int, bytes]] = {}
+    for record in reversed(records):  # oldest first, the snapshot's own last
+        record_value = store.read_meta(record)
         if not isinstance(record_value, dict) or "pagemap_delta" not in record_value:
             raise RestoreError(
-                f"snapshot {snap.name!r} metadata lacks a pagemap delta"
+                f"snapshot {snapshot.name!r} metadata lacks a pagemap delta"
             )
         meta = record_value["meta"]
         for oid, entries in record_value["pagemap_delta"].items():
-            target = page_refs.setdefault(oid, {})
-            for pindex, content_hash in entries:
-                ref = hash_to_ref.get(content_hash)
-                if ref is None:
-                    raise RestoreError(
-                        f"page {content_hash.hex()} missing from manifests"
-                    )
-                target[pindex] = ref
-    if meta is None:
-        raise RestoreError("empty snapshot lineage")
+            hashes.setdefault(oid, {}).update(entries)
+
+    # Only the overlaid map has to resolve: a slot an ancestor wrote and
+    # a later checkpoint overwrote names a hash this manifest no longer
+    # lists (and the store may have freed).
+    hash_to_ref: dict[bytes, PageRef] = {}
+    for ref in pages:
+        hash_to_ref.setdefault(ref.content_hash, ref)
+    page_refs: dict[int, dict[int, PageRef]] = {}
+    for oid, slots in hashes.items():
+        target = page_refs[oid] = {}
+        for pindex, content_hash in slots.items():
+            ref = hash_to_ref.get(content_hash)
+            if ref is None:
+                raise RestoreError(
+                    f"page {content_hash.hex()} missing from manifests"
+                )
+            target[pindex] = ref
 
     image = CheckpointImage(
         name=snapshot.name,

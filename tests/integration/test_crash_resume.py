@@ -170,3 +170,36 @@ class TestCrashRebootResume:
             if rsys.peek(heap.start + page * PAGE_SIZE, len(content)) != content
         ]
         assert wrong == []
+
+    def test_restore_after_ancestor_deleted(self):
+        """An incremental snapshot is self-contained: its manifest pins
+        the pagemap-delta records of its whole lineage, so deleting
+        every ancestor snapshot (retention tooling, `sls` maintenance)
+        cannot strand it — the post-reboot restore still overlays every
+        delta back to the covering full checkpoint."""
+        kernel, sls, device, proc, heap, fd, pipe_r, group = boot_and_run()
+        sys = Syscalls(kernel, proc)
+        npages = 256 * KIB // PAGE_SIZE
+        model = {i: b"heap-%d" % i for i in range(npages)}
+        for round_no in range(5):
+            page = (11 * round_no + 3) % npages
+            model[page] = b"incr-%d" % round_no
+            sys.poke(heap.start + page * PAGE_SIZE, model[page])
+            assert sls.checkpoint(group).incremental
+        sls.barrier(group)
+        store = group.store_backends()[0].store
+        snapshots = store.snapshots()
+        assert len(snapshots) == 6
+        for snapshot in snapshots[:-1]:
+            store.delete_snapshot(snapshot.snap_id)
+        store.flush_barrier()
+        device.crash()
+
+        kernel2, _s, procs, _m, report = reboot_and_restore(kernel, device)
+        assert (report.snapshots_recovered, report.snapshots_discarded) == (1, 0)
+        rsys = Syscalls(kernel2, procs[0])
+        wrong = [
+            page for page, content in model.items()
+            if rsys.peek(heap.start + page * PAGE_SIZE, len(content)) != content
+        ]
+        assert wrong == []
