@@ -77,13 +77,13 @@ def test_lazy_restore_policies(benchmark):
 
         store.pagecache.clear()
         procs, lazy = sls.restore(image, backend_name="disk0", lazy=True,
-                                  prefetch_hot=False,
+                                  prefetch="off",
                                   new_instance=True, name_suffix="-lazy")
         results["lazy"] = {"restore": lazy, **drive(kernel, procs, server)}
 
         store.pagecache.clear()
         procs, hot = sls.restore(image, backend_name="disk0", lazy=True,
-                                 prefetch_hot=True,
+                                 prefetch="hot",
                                  new_instance=True, name_suffix="-hot")
         results["lazy+prefetch"] = {"restore": hot, **drive(kernel, procs, server)}
         return results

@@ -40,8 +40,8 @@ Effect atoms are deliberately few and physical:
 ``MEDIA_WRITE``     bytes leave RAM for the device (volume/device writes)
 ``SUPERBLOCK_WRITE``the store's commit point (implies ``MEDIA_WRITE``)
 ``FAILPOINT_FIRE``  a catalogued ``FP_*`` constant fires (crash sweep hook)
-``BATCH_APPEND``    a record is buffered in a ``WriteBatch`` (not yet media)
-``BATCH_FLUSH``     the open batch is submitted (or dropped)
+``BATCH_APPEND``    a data record is staged in the ``WriteBatch`` (not yet media)
+``BATCH_FLUSH``     the store's batch is submitted
 ``CLOCK_ADVANCE``   virtual time moves
 ``RNG_DRAW``        seeded randomness is consumed
 ``OBS_EMIT``        a catalogued instrument is emitted
@@ -78,14 +78,20 @@ ALL_EFFECTS = (
     RNG_DRAW, OBS_EMIT, RAISES_POWERCUT, BATCH_APPEND, BATCH_FLUSH,
 )
 
-#: atoms the durability-order linearization keeps
-ORDERED_ATOMS = frozenset({MEDIA_WRITE, SUPERBLOCK_WRITE, FAILPOINT_FIRE})
+#: atoms the durability-order linearization keeps.  A batch flush is
+#: one event there, not inlined: it fires its own failpoints and
+#: carries only records no superblock names yet (a read of a staged
+#: record may trigger one anywhere); that it precedes the superblock
+#: naming them is the crash-ordering typestate's to prove
+ORDERED_ATOMS = frozenset(
+    {MEDIA_WRITE, SUPERBLOCK_WRITE, FAILPOINT_FIRE, BATCH_FLUSH}
+)
 #: atoms the crash-ordering typestate (batched records pending at a
 #: superblock write) keeps
 BATCH_ATOMS = frozenset({BATCH_APPEND, BATCH_FLUSH, SUPERBLOCK_WRITE})
 
 #: bump when the extraction shape changes (cache key component)
-EXTRACT_VERSION = 2
+EXTRACT_VERSION = 3
 
 #: ``SUPERBLOCK_WRITE`` detail of a call that passes no real
 #: ``release_ns=`` barrier (absent, or a literal ``None``)
@@ -98,10 +104,8 @@ FIRE_CALLS = frozenset({"fire", "_fire", "_failpoint"})
 VOLUME_WRITES = frozenset({"write_data", "write_data_batch"})
 #: raw device submission entry points (media when the receiver is a device)
 DEVICE_WRITES = frozenset({"write", "write_async", "write_batch"})
-#: record producers that buffer into a batch
-BATCH_APPENDS = frozenset({"add_page", "add_meta"})
-#: record producers that buffer when given a ``batch=`` argument
-BATCH_PARAM_WRITERS = frozenset({"_write_record", "write_meta", "write_page"})
+#: data-record producers: every call stages into the store's batch
+BATCH_APPENDS = frozenset({"write_page", "write_meta", "_stage_record"})
 #: instrument emitters on the obs plane
 OBS_EMITTERS = frozenset({"counter", "gauge", "histogram", "span", "event"})
 #: catalogue symbol prefixes (registry membership is checked first; the
@@ -166,7 +170,7 @@ def _receiver_text(node: ast.Call) -> str:
 
 def _passes(node: ast.Call, keyword: str) -> bool:
     """Whether a call passes ``keyword=`` with anything but a literal
-    ``None`` (``release_ns=None`` is no barrier, ``batch=None`` no batch)."""
+    ``None`` (``release_ns=None`` is no barrier)."""
     for kw in node.keywords:
         if kw.arg == keyword:
             return not (isinstance(kw.value, ast.Constant)
@@ -284,16 +288,6 @@ def _scan_block(body: Sequence[ast.AST], aliases: Dict[str, List[str]],
                 effects.append([node.lineno, node.col_offset,
                                 RAISES_POWERCUT, "raise PowerCut"])
             continue
-        if isinstance(node, ast.Assign):
-            # resetting the store's open batch neutralizes it
-            if (isinstance(node.value, ast.Constant)
-                    and node.value.value is None
-                    and any(isinstance(target, ast.Attribute)
-                            and target.attr == "_open_batch"
-                            for target in node.targets)):
-                effects.append([node.lineno, node.col_offset,
-                                BATCH_FLUSH, "_open_batch = None"])
-            continue
         if not isinstance(node, ast.Call):
             continue
         name = _callee_name(node)
@@ -311,9 +305,7 @@ def _scan_block(body: Sequence[ast.AST], aliases: Dict[str, List[str]],
             effects.append([line, col, MEDIA_WRITE, name])
         elif name in DEVICE_WRITES and "device" in lowered:
             effects.append([line, col, MEDIA_WRITE, f"{receiver}.{name}"])
-        elif name in BATCH_APPENDS or (
-            name in BATCH_PARAM_WRITERS and _passes(node, "batch")
-        ):
+        elif name in BATCH_APPENDS:
             effects.append([line, col, BATCH_APPEND, name])
         elif name == "flush" and "batch" in lowered:
             effects.append([line, col, BATCH_FLUSH, receiver])

@@ -24,7 +24,7 @@ that is the line someone will delete or re-wire.
 Non-swept constants (e.g. ``FP_REMOTE_SEND``, exercised by targeted
 tests rather than the sweep) only need a live fire site on a public
 path; forcing every constant into the sweep would just bloat the
-129-point pin without adding coverage.
+154-point pin without adding coverage.
 """
 
 from __future__ import annotations

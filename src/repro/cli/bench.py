@@ -7,12 +7,11 @@ byte-identical JSON, which is what lets CI diff the output against a
 committed baseline (``benchmarks/results/baseline.json``) and fail on
 regression instead of eyeballing noisy timings.
 
-The headline scenario is the batched checkpoint flush path: the same
-dirty working set is flushed through the legacy one-command-per-record
-path and the coalescing :class:`~repro.objstore.store.WriteBatch`
-path, across NVMe queue depths.  The suite reports flush latency,
-doorbells, and submit stalls per cell, plus the batched/unbatched
-speedup at each depth (scaled ×1000 to stay integer).  The
+The headline scenario is the checkpoint flush path: one dirty working
+set flushed through the store's coalescing
+:class:`~repro.objstore.store.WriteBatch` across NVMe queue depths.
+The suite reports flush latency, doorbells, and submit stalls per
+cell.  The
 ``multiqueue_flush`` scenario sweeps the queue *count* at fixed depth:
 the sharded batch flush spreads a checkpoint's records over all
 submission queues, and the nq4-vs-nq1 flush-lag speedup is a gated
@@ -49,7 +48,7 @@ from repro.sim.hermetic import hermetic_ids
 from repro.units import GIB, PAGE_SIZE
 
 #: bump when scenario shape changes incompatibly (forces a baseline refresh)
-SUITE_VERSION = 4
+SUITE_VERSION = 5
 
 #: distinct-content dirty pages flushed per checkpoint
 PAGES = 512
@@ -61,7 +60,7 @@ QUEUE_DEPTHS = (1, 8, 16)
 NUM_QUEUES = (1, 2, 4)
 
 
-def _boot(queue_depth: int, batched: bool, num_queues: int = 1):
+def _boot(queue_depth: int, num_queues: int = 1):
     """One fresh machine + group + disk backend for one bench cell."""
     kernel = Kernel(hostname="bench", memory_bytes=2 * GIB)
     spec = (
@@ -79,17 +78,16 @@ def _boot(queue_depth: int, batched: bool, num_queues: int = 1):
     )
     group = sls.persist(proc, name="bench")
     store = ObjectStore(device, mem=kernel.mem)
-    backend = DiskBackend("disk0", store, batched=batched)
+    backend = DiskBackend("disk0", store)
     backend.bind(kernel)
     group.attach(backend)
     return kernel, sls, sysc, group, backend, heap
 
 
-def _checkpoint_flush_cell(queue_depth: int, batched: bool,
-                           num_queues: int = 1) -> dict:
+def _checkpoint_flush_cell(queue_depth: int, num_queues: int = 1) -> dict:
     """Flush ``PAGES`` distinct pages through one full checkpoint."""
     kernel, sls, sysc, group, backend, heap = _boot(
-        queue_depth, batched, num_queues=num_queues
+        queue_depth, num_queues=num_queues
     )
     # This grid pins *flush mechanics* — coalescing, doorbells, shard
     # spread — on full-page traffic, so the write-path codec is forced
@@ -125,7 +123,7 @@ def _checkpoint_flush_cell(queue_depth: int, batched: bool,
 def _pipeline_cell() -> dict:
     """Two back-to-back checkpoints with no barrier between: the second
     barrier entry lands while the first flush is still in flight."""
-    kernel, sls, sysc, group, backend, heap = _boot(8, batched=True)
+    kernel, sls, sysc, group, backend, heap = _boot(8)
     sls.checkpoint(group, name="pipe-0")
     first = group.latest_image
     overlapped = not first.durable
@@ -147,7 +145,7 @@ def _pipeline_cell() -> dict:
 
 def _restore_cell() -> dict:
     """Read a full checkpoint back from the store (restore path)."""
-    kernel, sls, sysc, group, backend, heap = _boot(8, batched=True)
+    kernel, sls, sysc, group, backend, heap = _boot(8)
     sls.checkpoint(group, name="restore-src")
     sls.barrier(group)
     store = backend.store
@@ -171,22 +169,11 @@ def _restore_cell() -> dict:
 
 
 def _flush_grid() -> tuple[dict, dict]:
-    """batched × unbatched over queue depths, plus speedup leaves."""
-    flush: dict[str, dict] = {}
-    for queue_depth in QUEUE_DEPTHS:
-        for batched in (False, True):
-            mode = "batched" if batched else "unbatched"
-            flush[f"{mode}_qd{queue_depth}"] = _checkpoint_flush_cell(
-                queue_depth, batched
-            )
-    derived = {}
-    for queue_depth in QUEUE_DEPTHS:
-        base = flush[f"unbatched_qd{queue_depth}"]["flush_lag_ns"]
-        new = flush[f"batched_qd{queue_depth}"]["flush_lag_ns"]
-        derived[f"speedup_qd{queue_depth}_x1000"] = (
-            base * 1000 // new if new else 0
-        )
-    return flush, derived
+    """The batched flush over queue depths."""
+    return {
+        f"batched_qd{queue_depth}": _checkpoint_flush_cell(queue_depth)
+        for queue_depth in QUEUE_DEPTHS
+    }, {}
 
 
 def _multiqueue_grid() -> tuple[dict, dict]:
@@ -195,7 +182,7 @@ def _multiqueue_grid() -> tuple[dict, dict]:
     flush-lag speedups are the gated leaves (``speedup_`` prefix)."""
     cells = {
         f"nq{num_queues}_qd8": _checkpoint_flush_cell(
-            8, batched=True, num_queues=num_queues
+            8, num_queues=num_queues
         )
         for num_queues in NUM_QUEUES
     }
@@ -250,7 +237,7 @@ def _writeamp_cell(num_queues: int, codec_on: bool) -> dict:
     legacy RAW path (a full page on media per dirty byte) — the
     write-amplification baseline the codec is gated against."""
     kernel, sls, sysc, group, backend, heap = _boot(
-        8, batched=True, num_queues=num_queues
+        8, num_queues=num_queues
     )
     store = backend.store
     store.codec.enabled = codec_on
@@ -328,7 +315,7 @@ def _restorecache_cell(num_queues: int) -> dict:
     )
 
     kernel, sls, sysc, group, backend, heap = _boot(
-        8, batched=True, num_queues=num_queues
+        8, num_queues=num_queues
     )
     store = backend.store
     sls.checkpoint(group, name="rc-src")

@@ -66,7 +66,7 @@ def build_fleet_world(*, tenant: str = "fleet",
     sls = SLS(kernel)
     sls.scheduler.max_inflight_total = max_inflight_total
     store = ObjectStore(device, mem=kernel.mem)
-    backend = DiskBackend("disk0", store, batched=True)
+    backend = DiskBackend("disk0", store)
     backend.bind(kernel)
     manager = ServerlessManager(sls, backend=backend)
     fleet = ServerlessFleet(manager, rng=RngFactory(), tenant=tenant)
@@ -150,7 +150,7 @@ def noisy_neighbor_cell(*, qos: bool) -> dict:
     # tenants' heaps as incompressible (encrypted / pre-compressed
     # content the write-path codec stores RAW).
     store.codec.enabled = False
-    backend = DiskBackend("disk0", store, batched=True)
+    backend = DiskBackend("disk0", store)
     backend.bind(kernel)
 
     def make_group(name: str, pages: int, tenant: str):

@@ -117,8 +117,8 @@ def inject(device: NvmeDevice, store: ObjectStore, kind: str) -> str:
             "base": b"\x11" * 20 if broken else content_hash,
             "depth": 1, "len": len(content), "ext": [[0, content[:16]]],
         })
-        extent = store._write_record(
-            KIND_PAGE, 0, 0, stored, sync=True, flags=ENC_DELTA
+        extent = store._stage_record(
+            KIND_PAGE, 0, 0, stored, flags=ENC_DELTA
         )
         store.dedup.insert(content_hash, extent,
                            length=len(content), media_bytes=extent.length)

@@ -79,7 +79,6 @@ class AuroraApi:
         lazy: bool = False,
         new_instance: bool = False,
         name_suffix: str = "",
-        prefetch_hot: bool = True,
         prefetch: Optional[str] = None,
         record_faults: bool = False,
         fault_log=None,
@@ -94,16 +93,16 @@ class AuroraApi:
         """
         if options is not None:
             if (
-                backend, lazy, new_instance, name_suffix, prefetch_hot,
+                backend, lazy, new_instance, name_suffix,
                 prefetch, record_faults, fault_log,
-            ) != (None, False, False, "", True, None, False, None):
+            ) != (None, False, False, "", None, False, None):
                 raise SlsError(
                     "pass either options= or individual keywords, not both"
                 )
         else:
             options = RestoreOptions(
                 backend=backend, lazy=lazy, new_instance=new_instance,
-                name_suffix=name_suffix, prefetch_hot=prefetch_hot,
+                name_suffix=name_suffix,
                 prefetch=prefetch, record_faults=record_faults,
                 fault_log=fault_log,
             )

@@ -98,21 +98,17 @@ class Backend(abc.ABC):
 class StoreBackend(Backend):
     """Shared logic for object-store backends (NVMe / NAND / NVDIMM).
 
-    ``batched`` (the default) routes each persist's records through a
-    :meth:`~repro.objstore.store.ObjectStore.begin_batch` write batch:
-    contiguous records coalesce into multi-page extents submitted with
-    one doorbell, and ``commit_snapshot`` flushes the batch before the
-    superblock so the crash-ordering invariant is untouched.  Pass
-    ``batched=False`` for the legacy one-command-per-record path (the
-    benchmark suite compares the two).
+    A persist stages its page and metadata records in the store's
+    write batch; ``commit_snapshot`` flushes them — contiguous records
+    coalesced into multi-page extents, one doorbell per shard — before
+    the manifest and the barriered superblock.
     """
 
     kind = "disk"
 
-    def __init__(self, name: str, store: ObjectStore, batched: bool = True):
+    def __init__(self, name: str, store: ObjectStore):
         super().__init__(name)
         self.store = store
-        self.batched = batched
 
     def bind(self, kernel: Kernel) -> None:
         super().bind(kernel)
@@ -131,10 +127,12 @@ class StoreBackend(Backend):
         device_stats = self.store.device.stats
         doorbells_before = device_stats.doorbells
         stall_before = device_stats.submit_stall_ns
-        batch = self.store.begin_batch(epoch=image.epoch) if self.batched else None
+        batch = self.store.batch
+        records_before, extents_before = batch.records_flushed, batch.extents_flushed
+        nbytes_before, shards_before = batch.bytes_flushed, batch.shards_flushed
         base_map = parent.page_refs.get(self.name) if parent else None
         page_map, all_refs = capture_pages_to_store(
-            freeze_set, self.store, base_map=base_map, batch=batch
+            freeze_set, self.store, base_map=base_map
         )
         # Swapped-out pages join the checkpoint without faulting in
         # ("when pages are swapped out due to memory pressure they are
@@ -142,7 +140,7 @@ class StoreBackend(Backend):
         if self.kernel._swap is not None:
             extra = capture_swapped_to_store(
                 freeze_set.objects, self.store, self.kernel.swap, page_map,
-                force=freeze_set.swapped_dirty, batch=batch,
+                force=freeze_set.swapped_dirty,
             )
             all_refs.extend(extra)
         # The on-disk metadata record carries the kernel-object graph
@@ -166,7 +164,6 @@ class StoreBackend(Backend):
             oid=image.image_id,
             value={"meta": image.meta, "pagemap_delta": delta},
             epoch=image.epoch,
-            batch=batch,
         )
         # The manifest lists this checkpoint's own record first, then
         # the lineage's delta records: the store's refcounts pin them
@@ -191,15 +188,14 @@ class StoreBackend(Backend):
         image.snapshots[self.name] = snapshot
         image.page_refs[self.name] = page_map
         image.delta_records[self.name] = records
-        batched = batch is not None
         image.flush_info[self.name] = FlushInfo(
             submitted_at_ns=submitted_at,
-            records=batch.records_flushed if batched else len(all_refs) + 1,
-            extents=batch.extents_flushed if batched else len(all_refs) + 1,
+            records=batch.records_flushed - records_before,
+            extents=batch.extents_flushed - extents_before,
             doorbells=device_stats.doorbells - doorbells_before,
-            nbytes=batch.bytes_flushed if batched else snapshot.delta_bytes,
+            nbytes=batch.bytes_flushed - nbytes_before,
             submit_stall_ns=device_stats.submit_stall_ns - stall_before,
-            shards=batch.shards_flushed if batched else 1,
+            shards=batch.shards_flushed - shards_before,
         )
         image.metrics.bytes_flushed += snapshot.delta_bytes
         self._count_flushed(snapshot.delta_bytes)

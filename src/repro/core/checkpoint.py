@@ -33,7 +33,7 @@ _image_ids = itertools.count(1)
 
 @dataclass(frozen=True)
 class FlushInfo:
-    """How one backend submitted this image's flush (batched path).
+    """How one backend submitted this image's flush.
 
     Captured per persist from the device's submission-model deltas, so
     benchmarks and tests can assert doorbell amortization without
@@ -41,7 +41,7 @@ class FlushInfo:
     """
 
     submitted_at_ns: int
-    #: records buffered through the epoch's WriteBatch
+    #: records staged in the store's WriteBatch and flushed
     records: int
     #: coalesced extents those records flushed as
     extents: int

@@ -23,7 +23,7 @@ from repro.errors import NoSuchObject, SlsError
 from repro.mem.address_space import AddressSpace
 from repro.objstore.snapshot import Snapshot
 from repro.objstore.store import ObjectStore, PageRef
-from repro.units import PAGE_MASK, PAGE_SIZE, page_align_up
+from repro.units import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, page_align_up
 
 #: snapshot-name prefix distinguishing data snapshots in the directory
 DATA_PREFIX = "data:"
@@ -58,7 +58,7 @@ def datasnap(
         raise SlsError("datasnap address must be page aligned")
     if length <= 0:
         raise SlsError("datasnap length must be positive")
-    npages = page_align_up(length) >> 12
+    npages = page_align_up(length) >> PAGE_SHIFT
     refs: list[list] = []
     page_list: list[PageRef] = []
     for i in range(npages):
@@ -79,8 +79,9 @@ def datasnap(
         meta={"kind": "datasnap"},
         records=[meta_ref],
         pages=page_list,
-        sync=sync,
     )
+    if sync:
+        store.flush_barrier()
     return DataSnapshot(
         name=name, snapshot=snapshot, addr=addr, length=length, pages=npages
     )
@@ -114,7 +115,7 @@ def datarestore(
         )
         payload = store.read_page(ref)
         # Whole-page semantics: the region is restored exactly.
-        aspace.write(target + i * PAGE_SIZE, payload + bytes(0))
+        aspace.write(target + i * PAGE_SIZE, payload)
         page = aspace.fault(target + i * PAGE_SIZE, for_write=True)
         page.payload = payload
         page._hash = None

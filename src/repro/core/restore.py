@@ -113,7 +113,6 @@ class RestoreEngine:
         lazy: bool = False,
         new_instance: bool = False,
         name_suffix: str = "",
-        prefetch_hot: bool = True,
         store: Optional[ObjectStore] = None,
         prefetch: Optional[str] = None,
         record_faults: bool = False,
@@ -129,8 +128,7 @@ class RestoreEngine:
         (received/migrated images that belong to no local group).
 
         ``prefetch`` names the lazy-restore prefetch policy (``"off"``,
-        ``"recorded"``, ``"hot"``); when ``None`` the legacy
-        ``prefetch_hot`` flag picks between ``"hot"`` and ``"off"``.
+        ``"recorded"``, ``"hot"``); ``None`` means ``"hot"``.
         ``record_faults`` appends this restore's page-fault sequence to
         ``fault_log`` (a :class:`~repro.objstore.pagecache.FaultOrderLog`,
         also the source replayed by ``prefetch="recorded"``).
@@ -152,12 +150,9 @@ class RestoreEngine:
             )
         if store is None:
             store = self._store_for(image, backend_name)
-        policy = prefetch if prefetch is not None else (
-            "hot" if prefetch_hot else "off"
-        )
         return self._restore_from_store(
             image, store, backend_name, kernel, lazy, new_instance,
-            name_suffix, policy, record_faults, fault_log,
+            name_suffix, prefetch or "hot", record_faults, fault_log,
         )
 
     def _store_for(self, image: CheckpointImage, backend_name: str) -> ObjectStore:
@@ -261,9 +256,8 @@ class RestoreEngine:
             # --- phase 1: object store read ------------------------------------
             with tracer.span(obs_names.SPAN_RESTORE_READ) as read_span:
                 snapshot = image.snapshots.get(backend_name)
-                if snapshot is not None and snapshot.snap_id in (
-                    s.snap_id for s in store.snapshots()
-                ):
+                if (snapshot is not None
+                        and store.directory.get(snapshot.snap_id) is not None):
                     _value, records, _pages = store.load_manifest(snapshot)
                     meta = store.read_meta(records[0]) if records else image.meta
                     if isinstance(meta, dict) and "pagemap_delta" in meta:

@@ -90,7 +90,7 @@ SCRUB_BATCH = 16
 #: ``--expect-points pinned`` and ``run_sweep`` itself fails loudly
 #: when a full sweep's width drifts from it — adding or removing a
 #: crash site means updating exactly this constant.
-EXPECTED_CRASH_POINTS = 129
+EXPECTED_CRASH_POINTS = 154
 
 
 @dataclass
@@ -201,9 +201,8 @@ def _record_superblocks(state: WorkloadState, store: ObjectStore) -> None:
     volume = store.volume
     original = volume.write_superblock
 
-    def recording(payload_value: bytes, sync: bool = False,
-                  release_ns: int | None = None):
-        ticket = original(payload_value, sync=sync, release_ns=release_ns)
+    def recording(payload_value: bytes, release_ns: int | None = None):
+        ticket = original(payload_value, release_ns=release_ns)
         directory = SnapshotDirectory.decode(decode(payload_value))
         state.history[volume.generation] = sorted(
             s.name for s in directory.snapshots.values()

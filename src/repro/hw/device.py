@@ -79,7 +79,7 @@ class IoStats:
 @dataclass
 class _PendingWrite:
     offset: int
-    data: bytes
+    length: int
     durable_at: int
 
 
@@ -437,7 +437,7 @@ class StorageDevice:
             self._store(offset, data)
             self._pending.append(
                 _PendingWrite(
-                    offset=offset, data=bytes(data), durable_at=ticket.completes_at
+                    offset=offset, length=len(data), durable_at=ticket.completes_at
                 )
             )
         self.stats.writes += 1
@@ -517,7 +517,7 @@ class StorageDevice:
             return lost
         for pending in self._pending:
             # Tear the write: the media holds stale (zero) data again.
-            self._store(pending.offset, bytes(len(pending.data)))
+            self._store(pending.offset, bytes(pending.length))
         self._pending.clear()
         return lost
 

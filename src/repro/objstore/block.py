@@ -36,7 +36,7 @@ class Volume:
 
     # -- superblock ------------------------------------------------------------
 
-    def write_superblock(self, payload_value: bytes, sync: bool = False,
+    def write_superblock(self, payload_value: bytes,
                          release_ns: int | None = None) -> IoTicket:
         """Write the next-generation superblock to the inactive slot.
 
@@ -56,8 +56,6 @@ class Volume:
             )
         slot = self.generation % 2
         offset = slot * SUPERBLOCK_SLOT_SIZE
-        if sync:
-            return self.device.write(offset, record, release_ns=release_ns)
         return self.device.write_async(offset, record, release_ns=release_ns)
 
     def read_superblock(self) -> Optional[tuple[int, bytes]]:

@@ -468,11 +468,10 @@ class Fsck:
         if include_unreachable:
             store = self.store
             intervals.extend((e.offset, e.end) for e in store.garbage)
-            if store._open_batch is not None:
-                intervals.extend(
-                    (extent.offset, extent.end)
-                    for extent, _record, _logical in store._open_batch._items
-                )
+            intervals.extend(
+                (extent.offset, extent.end)
+                for extent, _record, _logical in store.batch._items.values()
+            )
             intervals.extend(
                 (entry.extent.offset, entry.extent.end)
                 for entry in store.dedup.entries().values()
@@ -550,14 +549,13 @@ class Fsck:
             original = walk.snapshot
             name = f"{LOST_AND_FOUND}{original.name}@{original.snap_id}"
             manifest_extent = store._write_record(
-                KIND_MANIFEST, 0, original.epoch,
+                KIND_MANIFEST, original.epoch,
                 encode_manifest(
                     {"quarantined": original.name,
                      "original_snap_id": original.snap_id,
                      "fsck": True},
                     walk.records, walk.pages,
                 ),
-                sync=False,
             )
             snapshot = Snapshot(
                 snap_id=store.directory.allocate_id(),
@@ -575,7 +573,7 @@ class Fsck:
         # The repaired superblock, ordered behind the quarantine
         # records on every queue exactly like a commit's (spilling the
         # directory to the data area when it outgrows the slot).
-        store._write_directory(sync=False)
+        store._write_directory()
         self.report.bytes_reclaimed = max(
             0, before_allocated - store.allocator.allocated_bytes
         )
@@ -593,11 +591,10 @@ class Fsck:
     # -- driver ----------------------------------------------------------------
 
     def run(self) -> FsckReport:
-        if self.repair and self.store._open_batch is not None \
-                and len(self.store._open_batch):
+        if self.repair and len(self.store.batch):
             raise ObjectStoreError(
-                "fsck repair needs a quiescent store: an open write batch "
-                "still buffers records (flush or commit first)"
+                "fsck repair needs a quiescent store: the write batch "
+                "still stages records (flush or commit first)"
             )
         if not self._adopt_directory():
             # Repair must never "fix" a lost directory by writing an

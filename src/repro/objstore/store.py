@@ -6,11 +6,16 @@ unchanged records with their parents, page data is content-deduplicated
 across all checkpoints, and freed extents are reclaimed in place by the
 garbage collector without rewriting incremental history.
 
-Durability model: record writes are asynchronous (the orchestrator's
-background flush); the superblock naming a new snapshot is written
-*after* its records in device queue order, so a crash can only tear the
+Durability model: there is one write path.  Data records (pages,
+metadata) are staged in the store's :class:`WriteBatch` and reach the
+device coalesced, sharded over the submission queues, when it flushes;
+a commit flushes, then issues its tail — manifest, spilled directory,
+superblock — as single commands, the superblock barriered behind every
+record on every queue.  A crash can therefore only tear the
 not-yet-named snapshot — recovery falls back to the previous
-generation, discarding the torn checkpoint as a unit.
+generation, discarding the torn checkpoint as a unit.  Staging is
+invisible to callers: reading a staged record and
+:meth:`ObjectStore.flush_barrier` both flush first.
 """
 
 from __future__ import annotations
@@ -160,10 +165,9 @@ class ObjectStore:
         self._delta_depth: dict[bytes, int] = {}
         self._delta_bases: dict[bytes, bytes] = {}
         self.directory = SnapshotDirectory(next_id=next_id)
-        #: write batch registered by ``begin_batch``; ``commit_snapshot``
-        #: flushes its leftovers before naming a snapshot so the
-        #: superblock stays strictly after its records in queue order
-        self._open_batch: Optional["WriteBatch"] = None
+        #: where every data record waits for the next flush; a rebuild
+        #: drops what was staged with the rest of the in-memory state
+        self.batch = WriteBatch(self)
         #: metadata/manifest record refcounts keyed by extent offset
         self._meta_refs: dict[int, tuple[Extent, int]] = {}
         #: extents freed by refcount-zero, awaiting in-place GC
@@ -251,10 +255,21 @@ class ObjectStore:
         if action.kind == "fail":
             raise ObjectStoreError(action.reason or fail_msg)
 
-    def _write_record(self, kind: int, oid: int, epoch: int, payload: bytes,
-                      sync: bool, logical: Optional[int] = None,
-                      batch: Optional["WriteBatch"] = None,
-                      flags: int = 0) -> Extent:
+    def _place_record(self, record: bytes, shard: Optional[int] = None,
+                      logical: Optional[int] = None) -> tuple[Extent, int]:
+        """Allocate ``record`` an extent and account its media size."""
+        extent = self.allocator.allocate(len(record), shard=shard)
+        size = max(len(record), logical or 0)
+        self.stats.bytes_written += size
+        self._bytes_since_commit += size
+        if self.obs is not None:
+            self._c_bytes.inc(size)
+        return extent, size
+
+    def _stage_record(self, kind: int, oid: int, epoch: int, payload: bytes,
+                      logical: Optional[int] = None, flags: int = 0) -> Extent:
+        """A data record (page, metadata): staged in the batch, placed
+        round-robin over the allocator stripes."""
         if self.faults is not None:
             self._failpoint(
                 fault_names.FP_STORE_WRITE_RECORD,
@@ -265,24 +280,32 @@ class ObjectStore:
         record = pack_record(
             kind=kind, oid=oid, epoch=epoch, payload=payload, flags=flags
         )
-        shard = batch.next_shard() if batch is not None else None
-        extent = self.allocator.allocate(len(record), shard=shard)
-        size = max(len(record), logical or 0)
-        if batch is not None:
-            if sync:
-                raise ObjectStoreError("cannot add a sync write to a batch")
-            batch._append(extent, record, size)
-        else:
-            self.volume.write_data(extent.offset, record, sync=sync, logical=logical)
-        self.stats.bytes_written += size
-        self._bytes_since_commit += size
-        if self.obs is not None:
-            self._c_bytes.inc(size)
+        extent, size = self._place_record(
+            record, self.batch.next_shard(), logical
+        )
+        self.batch.stage(extent, record, size)
+        return extent
+
+    def _write_record(self, kind: int, epoch: int, payload: bytes) -> Extent:
+        """A commit-tail record (manifest, spilled directory): one
+        command on queue 0, issued after the batch was flushed."""
+        if self.faults is not None:
+            self._failpoint(
+                fault_names.FP_STORE_WRITE_RECORD,
+                "power cut before record write",
+                "injected record-write failure",
+                store=self.device.name, kind=kind,
+            )
+        record = pack_record(kind=kind, oid=0, epoch=epoch, payload=payload)
+        extent, _size = self._place_record(record)
+        self.volume.write_data(extent.offset, record)
         return extent
 
     def _read_record(self, extent: Extent, expect_kind: int,
                      logical: Optional[int] = None
                      ) -> tuple[RecordHeader, bytes]:
+        if self.batch.holds(extent):
+            self.batch.flush()  # read-your-writes
         raw = self.volume.read_data(extent.offset, extent.length, logical=logical)
         header, payload = unpack_record(raw)
         if header.kind != expect_kind:
@@ -293,11 +316,9 @@ class ObjectStore:
 
     # -- metadata records -----------------------------------------------------------
 
-    def write_meta(self, oid: int, value, epoch: int = 0, sync: bool = False,
-                   batch: Optional["WriteBatch"] = None) -> MetaRef:
+    def write_meta(self, oid: int, value, epoch: int = 0) -> MetaRef:
         """Serialize ``value`` as the metadata record for kernel object ``oid``."""
-        payload = encode(value)
-        extent = self._write_record(KIND_META, oid, epoch, payload, sync, batch=batch)
+        extent = self._stage_record(KIND_META, oid, epoch, encode(value))
         self.stats.meta_records_written += 1
         if self.obs is not None:
             self._c_meta.inc()
@@ -315,9 +336,8 @@ class ObjectStore:
     def page_hash(payload: bytes) -> bytes:
         return hashlib.sha1(payload.rstrip(b"\x00")).digest()
 
-    def write_page(self, payload: bytes, epoch: int = 0, sync: bool = False,
-                   content_hash: Optional[bytes] = None,
-                   batch: Optional["WriteBatch"] = None, *,
+    def write_page(self, payload: bytes, epoch: int = 0,
+                   content_hash: Optional[bytes] = None, *,
                    delta_base: Optional[bytes] = None,
                    dirty_extents=None) -> PageRef:
         """Store page content, deduplicating by hash.
@@ -366,9 +386,9 @@ class ObjectStore:
                 "injected encoded-page write failure",
                 store=self.device.name, saved=plan.bytes_saved,
             )
-        extent = self._write_record(
-            KIND_PAGE, 0, epoch, plan.stored, sync,
-            logical=plan.media_bytes, batch=batch, flags=plan.flags,
+        extent = self._stage_record(
+            KIND_PAGE, 0, epoch, plan.stored,
+            logical=plan.media_bytes, flags=plan.flags,
         )
         self.dedup.insert(
             content_hash, extent,
@@ -526,6 +546,8 @@ class ObjectStore:
                 missing.append(ref)
         if not missing:
             return resolved
+        if self.batch and any(self.batch.holds(r.extent) for r in missing):
+            self.batch.flush()  # read-your-writes
         ordered = sorted(missing, key=lambda r: r.extent.offset)
         runs: list[list[PageRef]] = [[ordered[0]]]
         run_end = ordered[0].extent.end
@@ -589,24 +611,9 @@ class ObjectStore:
             )
         return len(ordered)
 
-    # -- batched writes ----------------------------------------------------------------
-
-    def begin_batch(self, epoch: int = 0,
-                    max_extent_bytes: int = MAX_BATCH_EXTENT) -> "WriteBatch":
-        """Open a coalescing :class:`WriteBatch` for one checkpoint epoch.
-
-        The batch is registered as the store's open batch:
-        :meth:`commit_snapshot` flushes any leftover records before it
-        writes the manifest and superblock, so batching can never
-        reorder a snapshot's name ahead of its data.
-        """
-        batch = WriteBatch(self, epoch=epoch, max_extent_bytes=max_extent_bytes)
-        self._open_batch = batch
-        return batch
-
     # -- snapshots -----------------------------------------------------------------------
 
-    def _write_directory(self, sync: bool = False) -> None:
+    def _write_directory(self) -> None:
         """Persist the snapshot directory behind the superblock barrier.
 
         Small directories encode straight into the superblock slot
@@ -634,14 +641,14 @@ class ObjectStore:
         payload = encode(self.directory.encode())
         if HEADER_SIZE + len(payload) <= SUPERBLOCK_SLOT_SIZE:
             self.volume.write_superblock(
-                payload, sync=sync, release_ns=self.device.pending_deadline()
+                payload, release_ns=self.device.pending_deadline()
             )
             spill = None
         else:
-            spill = self._write_record(KIND_META, 0, 0, payload, sync)
+            spill = self._write_record(KIND_META, 0, payload)
             stub = encode({DIR_SPILL_KEY: [spill.offset, spill.length]})
             self.volume.write_superblock(
-                stub, sync=sync, release_ns=self.device.pending_deadline()
+                stub, release_ns=self.device.pending_deadline()
             )
         if self._dir_spill is not None:
             self.garbage.append(self._dir_spill)
@@ -655,16 +662,15 @@ class ObjectStore:
         pages: list[PageRef],
         epoch: int = 0,
         parent_id: Optional[int] = None,
-        sync: bool = False,
     ) -> Snapshot:
         """Durably name a checkpoint consisting of ``records`` + ``pages``.
 
         Reference counts are taken on every listed record and page, so
         snapshots sharing data with a parent simply list the shared
-        refs again.  The superblock write is ordered after the data.
+        refs again.  The staged records are flushed first and the
+        superblock write is ordered after everything in flight.
         """
-        if self._open_batch is not None and len(self._open_batch):
-            self._open_batch.flush()
+        self.batch.flush()
         # A snapshot listing a delta-encoded page must also pin the
         # chain of bases it reconstructs from: list them in the
         # manifest (taking dedup holds below) so deleting an older
@@ -678,7 +684,7 @@ class ObjectStore:
                 store=self.device.name, snapshot=name,
             )
         payload = encode_manifest(meta, records, pages)
-        manifest_extent = self._write_record(KIND_MANIFEST, 0, epoch, payload, sync)
+        manifest_extent = self._write_record(KIND_MANIFEST, epoch, payload)
         snapshot = Snapshot(
             snap_id=self.directory.allocate_id(),
             name=name,
@@ -696,7 +702,7 @@ class ObjectStore:
         # submission queue, but a sharded flush spreads records over
         # all queues — release_ns floors the superblock's start time at
         # the deadline of everything still in flight, on every queue.
-        self._write_directory(sync=sync)
+        self._write_directory()
         self.stats.snapshots_committed += 1
         if self.obs is not None:
             self._c_snaps.inc()
@@ -742,10 +748,11 @@ class ObjectStore:
         )
         return parse_manifest(payload)
 
-    def delete_snapshot(self, snap_id: int, sync: bool = False) -> None:
+    def delete_snapshot(self, snap_id: int) -> None:
         snapshot = self.directory.get(snap_id)
         if snapshot is None:
             raise NoSuchObject(f"no snapshot {snap_id}")
+        self.batch.flush()
         if self.faults is not None:
             self._failpoint(
                 fault_names.FP_STORE_DELETE,
@@ -767,7 +774,7 @@ class ObjectStore:
                 self.pagecache.invalidate(ref.content_hash)
         self._release_meta(snapshot.manifest_extent)
         self.directory.remove(snap_id)
-        self._write_directory(sync=sync)
+        self._write_directory()
         self.stats.snapshots_deleted += 1
         if self.obs is not None:
             self._c_snaps_del.inc()
@@ -792,7 +799,9 @@ class ObjectStore:
     # -- durability & recovery ---------------------------------------------------------------
 
     def flush_barrier(self) -> int:
-        """Block (advance time) until everything written is durable."""
+        """Block (advance time) until everything written — staged
+        records included — is durable."""
+        self.batch.flush()
         return self.volume.flush_barrier()
 
     def physical_bytes(self) -> int:
@@ -906,13 +915,13 @@ class ObjectStore:
 
 
 class WriteBatch:
-    """Coalescing write buffer for one checkpoint epoch's records.
+    """The store's coalescing staging buffer for data records.
 
-    Records added through the batch allocate extents and take dedup
-    hits exactly as unbatched writes do, but their bytes are buffered
-    in memory; :meth:`flush` sorts the buffered extents, merges
+    :meth:`ObjectStore.write_page` and :meth:`ObjectStore.write_meta`
+    allocate an extent and take dedup hits at once, but the record's
+    bytes wait here; :meth:`flush` sorts the staged extents, merges
     contiguous runs into multi-page extents (capped at
-    ``max_extent_bytes``), and submits the whole set through one
+    :data:`MAX_BATCH_EXTENT`), and submits each shard's set through one
     device doorbell (:meth:`~repro.hw.device.StorageDevice.write_batch`).
 
     Because the allocator hands out extents first-fit, a checkpoint's
@@ -922,22 +931,19 @@ class WriteBatch:
 
     Crash safety: flushing stays strictly before the snapshot's
     manifest/superblock in device queue order (``commit_snapshot``
-    auto-flushes the store's open batch), so the existing recovery
-    invariant — a crash can only tear the not-yet-named snapshot — is
-    unchanged.  Failpoint ``objstore.batch.flush`` fires at the batch
-    boundary before any bytes are submitted.
+    and ``delete_snapshot`` flush first), so the recovery invariant —
+    a crash can only tear the not-yet-named snapshot — holds.
+    Failpoint ``objstore.batch.flush`` fires at the batch boundary
+    before any bytes are submitted.
     """
 
-    def __init__(self, store: ObjectStore, epoch: int = 0,
-                 max_extent_bytes: int = MAX_BATCH_EXTENT):
+    def __init__(self, store: ObjectStore):
         self.store = store
-        self.epoch = epoch
-        self.max_extent_bytes = max_extent_bytes
-        self._items: list[tuple[Extent, bytes, int]] = []
+        #: staged (extent, packed record, media size) by extent offset
+        self._items: dict[int, tuple[Extent, bytes, int]] = {}
         self._rr_shard = 0
         #: cumulative accounting across flushes (read by the
         #: checkpoint pipeline's FlushInfo)
-        self.flushes = 0
         self.records_flushed = 0
         self.extents_flushed = 0
         self.bytes_flushed = 0
@@ -945,7 +951,8 @@ class WriteBatch:
         self.last_tickets: list[IoTicket] = []
 
     def next_shard(self) -> int:
-        """Round-robin allocation shard for the next buffered record.
+        """Round-robin allocation shard for the next staged record
+        (every flush restarts the rotation at shard 0).
 
         Spreading a checkpoint's records evenly over the allocator
         stripes is what lets :meth:`flush` hand every submission queue
@@ -955,36 +962,19 @@ class WriteBatch:
         self._rr_shard = (self._rr_shard + 1) % self.store.num_shards
         return shard
 
+    def stage(self, extent: Extent, record: bytes, size: int) -> None:
+        self._items[extent.offset] = (extent, record, size)
+
+    def holds(self, extent: Extent) -> bool:
+        """Whether ``extent``'s record is still staged (not on media)."""
+        return extent.offset in self._items
+
     def __len__(self) -> int:
         return len(self._items)
 
     @property
-    def pending_records(self) -> int:
-        return len(self._items)
-
-    @property
     def pending_bytes(self) -> int:
-        return sum(logical for _, _, logical in self._items)
-
-    # -- adding records ---------------------------------------------------------
-
-    def add_page(self, payload: bytes,
-                 content_hash: Optional[bytes] = None, *,
-                 delta_base: Optional[bytes] = None,
-                 dirty_extents=None) -> PageRef:
-        """Buffer one page record (deduplicated exactly like
-        :meth:`ObjectStore.write_page`)."""
-        return self.store.write_page(
-            payload, epoch=self.epoch, content_hash=content_hash, batch=self,
-            delta_base=delta_base, dirty_extents=dirty_extents,
-        )
-
-    def add_meta(self, oid: int, value) -> MetaRef:
-        """Buffer one metadata record for kernel object ``oid``."""
-        return self.store.write_meta(oid, value, epoch=self.epoch, batch=self)
-
-    def _append(self, extent: Extent, record: bytes, logical: int) -> None:
-        self._items.append((extent, record, logical))
+        return sum(logical for _, _, logical in self._items.values())
 
     # -- flushing ---------------------------------------------------------------
 
@@ -1016,8 +1006,9 @@ class WriteBatch:
                 "power cut at batch flush", "injected batch-flush failure",
                 store=store.device.name, records=len(self._items),
             )
-        items = sorted(self._items, key=lambda item: item[0].offset)
-        self._items = []
+        items = [self._items[offset] for offset in sorted(self._items)]
+        self._items = {}
+        self._rr_shard = 0
         num_queues = store.device.num_queues
         by_shard: dict[int, list[tuple[Extent, bytes, int]]] = {}
         for item in items:
@@ -1043,7 +1034,7 @@ class WriteBatch:
             for item in shard_items[1:]:
                 extent, _record, logical = item
                 if (extent.offset == run[-1][0].end
-                        and run_bytes + logical <= self.max_extent_bytes):
+                        and run_bytes + logical <= MAX_BATCH_EXTENT):
                     run.append(item)
                     run_bytes += logical
                 else:
@@ -1081,7 +1072,6 @@ class WriteBatch:
                 )
             tickets.extend(store.volume.write_data_batch(writes, queue=shard))
         total_logical = sum(lg for _, _, lg in items)
-        self.flushes += 1
         self.records_flushed += len(items)
         self.extents_flushed += total_extents
         self.bytes_flushed += total_logical

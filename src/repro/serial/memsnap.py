@@ -21,7 +21,7 @@ from repro.mem.cow import FreezeSet
 from repro.mem.page import Page
 from repro.mem.vmobject import ObjectKind, VMObject
 from repro.obs import names as obs_names
-from repro.objstore.store import ObjectStore, PageRef, WriteBatch
+from repro.objstore.store import ObjectStore, PageRef
 from repro.serial.registry import RestoreContext, SerialContext
 
 #: oid -> {pindex -> PageRef} (disk image) or {pindex -> Page} (memory image)
@@ -136,16 +136,12 @@ def capture_pages_to_store(
     freeze_set: FreezeSet,
     store: ObjectStore,
     base_map: Optional[PageMap] = None,
-    batch: Optional[WriteBatch] = None,
 ) -> tuple[PageMap, list[PageRef]]:
     """Write a freeze set's pages to the object store (deduplicated).
 
     ``base_map`` is the parent checkpoint's page map; incremental
     checkpoints overlay their dirty pages onto it, so the returned map
     is always complete.  Returns (page map, all refs for the manifest).
-
-    With ``batch``, page records are buffered there instead of being
-    submitted one device command each (the batched flush path).
     """
     page_map: PageMap = {}
     if base_map:
@@ -160,7 +156,6 @@ def capture_pages_to_store(
             frozen.page.snapshot_payload(),
             epoch=freeze_set.epoch,
             content_hash=frozen.page.content_hash(),
-            batch=batch,
             delta_base=frozen.page.base_hash,
             dirty_extents=frozen.page.dirty_extents,
         )
@@ -182,7 +177,6 @@ def capture_swapped_to_store(
     swap,
     page_map: PageMap,
     force: Optional[set] = None,
-    batch: Optional[WriteBatch] = None,
 ) -> list[PageRef]:
     """Incorporate swapped-out pages into the checkpoint (paper §3:
     pages evicted under memory pressure join the next checkpoint).
@@ -199,7 +193,7 @@ def capture_swapped_to_store(
             if isinstance(existing, PageRef) and (obj.oid, pindex) not in force:
                 continue  # unchanged since it was last captured
             payload = swap.read_slot(obj, pindex)
-            ref = store.write_page(payload, batch=batch)
+            ref = store.write_page(payload)
             page_map.setdefault(obj.oid, {})[pindex] = ref
             new_refs.append(ref)
     if new_refs and store.obs is not None:

@@ -5,9 +5,8 @@ from repro.fault import names as fault_names
 
 class Store:
     def commit_snapshot(self, snapshot):
-        batch = self.batch
-        batch.add_meta(snapshot)
-        # superblock written while the batch still holds the records
+        self.write_meta(snapshot)
+        # superblock written while the batch still stages the record
         # (also: no failpoint before it, and no release_ns barrier)
         self.volume.write_superblock(self.directory)
 

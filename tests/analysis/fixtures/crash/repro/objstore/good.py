@@ -6,9 +6,8 @@ from repro.fault import names as fault_names
 
 class Store:
     def commit_snapshot(self, snapshot):
-        batch = self.batch
-        batch.add_meta(snapshot)
-        batch.flush()
+        self.write_meta(snapshot)
+        self.batch.flush()
         if self.faults is not None:
             self.faults.fire(fault_names.FP_STORE_COMMIT, store=self.name)
         self.volume.write_superblock(
@@ -19,9 +18,8 @@ class Store:
         # The sharded flush submits each shard's runs on its own
         # queue; the superblock then barriers on ALL of them via the
         # device-wide pending deadline.
-        batch = self.batch
-        batch.add_meta(snapshot)
-        batch.flush()
+        self.write_meta(snapshot)
+        self.batch.flush()
         if self.faults is not None:
             self.faults.fire(fault_names.FP_STORE_COMMIT, store=self.name)
         self.volume.write_superblock(

@@ -149,16 +149,13 @@ DIRECTORY_GATE = """\
                 store=self.device.name, snapshots=len(self.directory.snapshots),
             )
 """
-PACK_RECORD = """\
-        record = pack_record(
-            kind=kind, oid=oid, epoch=epoch, payload=payload, flags=flags
-        )
-"""
-OPEN_BATCH_FLUSH = """\
-        if self._open_batch is not None and len(self._open_batch):
-            self._open_batch.flush()
-"""
-WRITE_DIRECTORY = "        self._write_directory(sync=sync)\n"
+TAIL_WRITE = "        self.volume.write_data(extent.offset, record)\n"
+FLUSH = "        self.batch.flush()\n"
+#: the line after commit_snapshot's flush (anchors that one flush)
+PIN_BASES = (
+    "        # A snapshot listing a delta-encoded page must also pin the\n"
+)
+WRITE_DIRECTORY = "        self._write_directory()\n"
 COMMITTED = "        self.stats.snapshots_committed += 1\n"
 
 UNFLUSHED = "superblock write reachable with batched records"
@@ -179,19 +176,19 @@ MUTATIONS = {
           "write_superblock() call site has no registered failpoint")] * 2,
     ),
     "raw-device-write": (
-        [(PACK_RECORD, PACK_RECORD
-          + "        self.device.write_async(0, record)\n")],
+        [(TAIL_WRITE,
+          "        self.device.write_async(extent.offset, record)\n")],
         [(STORE_PY, "ObjectStore._write_record",
           "raw device.write_async() bypasses the Volume layer")],
     ),
     "delete-open-batch-flush": (
-        [(OPEN_BATCH_FLUSH, "")],
+        [(FLUSH + PIN_BASES, PIN_BASES)],
         [PERSIST],
     ),
     "flush-after-directory": (
-        [(OPEN_BATCH_FLUSH, ""),
+        [(FLUSH + PIN_BASES, PIN_BASES),
          (WRITE_DIRECTORY + COMMITTED,
-          WRITE_DIRECTORY + OPEN_BATCH_FLUSH + COMMITTED)],
+          WRITE_DIRECTORY + FLUSH + COMMITTED)],
         [PERSIST],
     ),
 }

@@ -40,22 +40,26 @@ class TestDeterminism:
 
 class TestAcceptance:
     def test_batching_speedup_at_depth(self, results):
-        # The tentpole's acceptance floor: >= 2x at queue depth >= 8.
-        assert results["derived"]["speedup_qd8_x1000"] >= 2000
-        assert results["derived"]["speedup_qd16_x1000"] >= 2000
+        # The batching tentpole's acceptance floor, >= 2x at queue
+        # depth >= 8, against the per-record path's last measured
+        # flush lag (retired with that path; see BENCHMARKS.md).
+        flush = results["checkpoint_flush"]
+        per_record_flush_lag_ns = 2_475_866  # unbatched_qd8 == unbatched_qd16
+        for cell in ("batched_qd8", "batched_qd16"):
+            assert flush[cell]["flush_lag_ns"] * 2 <= per_record_flush_lag_ns
 
     def test_batching_amortizes_doorbells(self, results):
-        flush = results["checkpoint_flush"]
-        assert flush["batched_qd8"]["doorbells"] < (
-            flush["unbatched_qd8"]["doorbells"] // 10
-        )
-        assert flush["batched_qd8"]["extents"] < (
-            flush["unbatched_qd8"]["extents"] // 10
-        )
+        # One command and one doorbell per record is what the
+        # per-record path paid; the batch pays under a tenth of it.
+        cell = results["checkpoint_flush"]["batched_qd8"]
+        assert cell["doorbells"] < cell["records"] // 10
+        assert cell["extents"] < cell["records"] // 10
 
     def test_stop_time_unaffected_by_flush_path(self, results):
+        # The flush is asynchronous: however deep the queue, the
+        # application is stopped for the same time.
         flush = results["checkpoint_flush"]
-        assert flush["batched_qd8"]["stop_ns"] == flush["unbatched_qd8"]["stop_ns"]
+        assert len({cell["stop_ns"] for cell in flush.values()}) == 1
 
     def test_pipeline_cell_overlaps(self, results):
         assert results["pipeline"]["overlapped"] == 1
@@ -170,19 +174,19 @@ class TestCompareGate:
 
     def test_speedup_drop_caught(self, results):
         current = copy.deepcopy(results)
-        current["derived"]["speedup_qd8_x1000"] //= 2
+        current["derived"]["speedup_nq4_x1000"] //= 2
         regressions = compare(current, results)
         assert len(regressions) == 1
-        assert "speedup_qd8_x1000" in regressions[0]
+        assert "speedup_nq4_x1000" in regressions[0]
 
     def test_speedup_gain_passes(self, results):
         current = copy.deepcopy(results)
-        current["derived"]["speedup_qd8_x1000"] *= 2
+        current["derived"]["speedup_nq4_x1000"] *= 2
         assert compare(current, results) == []
 
     def test_missing_scenario_is_a_regression(self, results):
         current = copy.deepcopy(results)
-        del current["checkpoint_flush"]["unbatched_qd1"]
+        del current["checkpoint_flush"]["batched_qd1"]
         regressions = compare(current, results)
         assert any("missing from current run" in r for r in regressions)
 

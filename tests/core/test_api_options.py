@@ -58,7 +58,7 @@ class TestOptionObjects:
     def test_restore_defaults(self):
         opts = RestoreOptions()
         assert opts.backend is None and not opts.lazy
-        assert not opts.new_instance and opts.prefetch_hot
+        assert not opts.new_instance and opts.prefetch is None
 
     def test_restore_validates_types(self):
         with pytest.raises(SlsError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.backends import StoreBackend, make_disk_backend
+from repro.core.backends import StoreBackend
 from repro.core.orchestrator import SLS
 from repro.hw.nvme import NvmeDevice
 from repro.obs import names as obs_names
@@ -23,15 +23,14 @@ def sls(kernel):
     return SLS(kernel)
 
 
-def make_world(kernel, sls, batched=True, queue_depth=8):
+def make_world(kernel, sls, queue_depth=8):
     proc = kernel.spawn("app")
     sysc = Syscalls(kernel, proc)
     heap = sysc.mmap(2 * MIB, name="heap")
     sysc.populate(heap.start, 2 * MIB, fill_fn=lambda i: b"pipe%d" % i)
     group = sls.persist(proc, name="app")
     device = NvmeDevice(kernel.clock, queue_depth=queue_depth)
-    backend = StoreBackend("disk0", ObjectStore(device, mem=kernel.mem),
-                           batched=batched)
+    backend = StoreBackend("disk0", ObjectStore(device, mem=kernel.mem))
     backend.bind(kernel)
     group.attach(backend)
     return proc, sysc, heap, group, backend
@@ -135,7 +134,7 @@ class TestConcurrentGroups:
         group_b = sls.persist(proc_b, name="app-b")
         device_b = NvmeDevice(kernel.clock, queue_depth=8)
         backend_b = StoreBackend(
-            "disk1", ObjectStore(device_b, mem=kernel.mem), batched=True
+            "disk1", ObjectStore(device_b, mem=kernel.mem)
         )
         backend_b.bind(kernel)
         group_b.attach(backend_b)
@@ -161,7 +160,7 @@ class TestConcurrentGroups:
         group_b = sls.persist(proc_b, name="app-b")
         device_b = NvmeDevice(kernel.clock, queue_depth=8)
         backend_b = StoreBackend(
-            "disk1", ObjectStore(device_b, mem=kernel.mem), batched=True
+            "disk1", ObjectStore(device_b, mem=kernel.mem)
         )
         backend_b.bind(kernel)
         group_b.attach(backend_b)
@@ -196,7 +195,7 @@ class TestConcurrentGroups:
 
 class TestFlushInfo:
     def test_batched_persist_amortizes_doorbells(self, kernel, sls):
-        proc, sysc, heap, group, backend = make_world(kernel, sls, batched=True)
+        proc, sysc, heap, group, backend = make_world(kernel, sls)
         image = sls.checkpoint(group, name="full")
         sls.barrier(group)
         info = image.flush_info["disk0"]
@@ -206,28 +205,3 @@ class TestFlushInfo:
         assert info.doorbells < info.records
         assert info.nbytes > 0
         assert info.submitted_at_ns >= 0
-
-    def test_unbatched_persist_pays_per_record(self, kernel, sls):
-        proc, sysc, heap, group, backend = make_world(
-            kernel, sls, batched=False
-        )
-        image = sls.checkpoint(group, name="full")
-        sls.barrier(group)
-        info = image.flush_info["disk0"]
-        # One command per record plus the superblock: no amortization.
-        assert info.doorbells >= info.records
-
-    def test_batched_beats_unbatched_on_flush_lag(self):
-        def flush_lag(batched):
-            kernel = Kernel(memory_bytes=8 * GIB)
-            sls = SLS(kernel)
-            _p, _s, _h, group, _b = make_world(kernel, sls, batched=batched)
-            image = sls.checkpoint(group, name="race")
-            sls.barrier(group)
-            return image.metrics.flush_lag_ns
-
-        assert flush_lag(True) < flush_lag(False)
-
-    def test_disk_backend_defaults_to_batched(self, kernel):
-        backend = make_disk_backend(kernel, NvmeDevice(kernel.clock))
-        assert backend.batched

@@ -141,7 +141,7 @@ class TestLazyRestore:
     def test_lazy_faults_content_on_demand(self, world, sls, kernel):
         _, _, entry, _, image = world
         procs, _ = sls.restore(
-            image, backend_name="disk0", lazy=True, prefetch_hot=False,
+            image, backend_name="disk0", lazy=True, prefetch="off",
             new_instance=True, name_suffix="-l",
         )
         rsys = Syscalls(kernel, procs[0])
@@ -154,7 +154,7 @@ class TestLazyRestore:
         _, eager = sls.restore(image, backend_name="disk0",
                                new_instance=True, name_suffix="-e2")
         _, lazy = sls.restore(image, backend_name="disk0", lazy=True,
-                              prefetch_hot=False,
+                              prefetch="off",
                               new_instance=True, name_suffix="-l2")
         assert lazy.total_ns < eager.total_ns
 
@@ -172,7 +172,7 @@ class TestLazyRestore:
         image = sls.checkpoint(group)
         sls.barrier(group)
         procs, metrics = sls.restore(
-            image, backend_name="disk0", lazy=True, prefetch_hot=True,
+            image, backend_name="disk0", lazy=True, prefetch="hot",
             new_instance=True, name_suffix="-hot",
         )
         rsys = Syscalls(kernel, procs[0])

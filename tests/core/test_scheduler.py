@@ -33,7 +33,7 @@ def disk(kernel):
     spec = with_queue_model(OPTANE_900P, 8, num_queues=2)
     device = NvmeDevice(kernel.clock, spec=spec)
     store = ObjectStore(device, mem=kernel.mem)
-    backend = DiskBackend("disk0", store, batched=True)
+    backend = DiskBackend("disk0", store)
     backend.bind(kernel)
     return backend
 

@@ -178,9 +178,8 @@ def _gate_delta(store):
 
 
 def _gate_batch(store):
-    batch = store.begin_batch(epoch=9)
-    batch.add_meta(1, {"gate": True})
-    batch.flush()
+    store.write_meta(1, {"gate": True}, epoch=9)
+    store.batch.flush()
 
 
 def _gate_commit(store):

@@ -1,4 +1,5 @@
-"""The coalescing ``WriteBatch`` layer (batched checkpoint flush)."""
+"""The store's coalescing ``WriteBatch``: every data record stages
+there and reaches the device when it flushes."""
 
 import pytest
 
@@ -29,8 +30,8 @@ def store(nvme):
 
 class TestCoalescing:
     def test_contiguous_records_merge_into_one_command(self, store, nvme):
-        batch = store.begin_batch()
-        refs = [batch.add_page(b"pg-%04d" % i) for i in range(32)]
+        batch = store.batch
+        refs = [store.write_page(b"pg-%04d" % i) for i in range(32)]
         writes_before = nvme.stats.writes
         batch.flush()
         # First-fit allocation lays the records end-to-end, so the
@@ -42,28 +43,30 @@ class TestCoalescing:
         for i, ref in enumerate(refs):
             assert store.read_page(ref) == b"pg-%04d" % i
 
-    def test_logical_cap_splits_runs(self, store):
+    def test_logical_cap_splits_runs(self, store, monkeypatch):
         # Probe the on-media record size (page + framing), then cap
         # each coalesced command at exactly two records.  The cap
         # applies to RAW page inflation; codec off so every record is
         # the same size (codec behaviour is pinned in test_codec.py).
         store.codec.enabled = False
-        probe = store.begin_batch()
-        probe.add_page(b"probe")
-        per_record = probe.pending_bytes
-        probe.flush()
-        batch = store.begin_batch(max_extent_bytes=2 * per_record)
-        for i in range(8):
-            batch.add_page(b"cap-%04d" % i)
+        batch = store.batch
+        store.write_page(b"probe")
+        per_record = batch.pending_bytes
         batch.flush()
-        assert batch.extents_flushed == 4
+        monkeypatch.setattr(
+            "repro.objstore.store.MAX_BATCH_EXTENT", 2 * per_record
+        )
+        for i in range(8):
+            store.write_page(b"cap-%04d" % i)
+        batch.flush()
+        assert batch.extents_flushed == 1 + 4
 
     def test_default_cap_bounds_on_media_run_size(self, store, nvme):
         store.codec.enabled = False  # cap semantics on RAW page inflation
         pages = 2 * MAX_BATCH_EXTENT // PAGE_SIZE
-        batch = store.begin_batch()
+        batch = store.batch
         for i in range(pages):
-            batch.add_page(b"big-%04d" % i)
+            store.write_page(b"big-%04d" % i)
         buffered = batch.pending_bytes
         batch.flush()
         assert buffered > MAX_BATCH_EXTENT
@@ -71,48 +74,45 @@ class TestCoalescing:
         assert batch.bytes_flushed == buffered
 
     def test_meta_and_pages_mix(self, store):
-        batch = store.begin_batch()
-        meta = batch.add_meta(oid=7, value={"pid": 7})
-        page = batch.add_page(b"payload")
-        batch.flush()
+        meta = store.write_meta(oid=7, value={"pid": 7})
+        page = store.write_page(b"payload")
+        store.batch.flush()
         assert store.read_meta(meta) == {"pid": 7}
         assert store.read_page(page) == b"payload"
 
     def test_empty_flush_is_noop(self, store, nvme):
-        batch = store.begin_batch()
-        assert batch.flush() == []
+        assert store.batch.flush() == []
         assert nvme.stats.doorbells == 0
         assert store.stats.batches_flushed == 0
 
 
 class TestDedupInBatch:
     def test_dedup_hit_skips_buffering(self, store):
-        batch = store.begin_batch()
-        a = batch.add_page(b"identical")
-        b = batch.add_page(b"identical")
+        a = store.write_page(b"identical")
+        b = store.write_page(b"identical")
         assert a.extent.offset == b.extent.offset
-        assert batch.pending_records == 1
-        batch.flush()
+        assert len(store.batch) == 1
+        store.batch.flush()
         assert store.stats.pages_written == 1
         assert store.stats.pages_deduped == 1
 
     def test_dedup_against_prior_unbatched_write(self, store):
+        # the earlier write is already on the device, not in the batch
         first = store.write_page(b"seen before")
-        batch = store.begin_batch()
-        again = batch.add_page(b"seen before")
+        store.batch.flush()
+        again = store.write_page(b"seen before")
         assert again.extent.offset == first.extent.offset
-        assert len(batch) == 0
+        assert len(store.batch) == 0
 
 
 class TestCommitOrdering:
     def test_commit_auto_flushes_open_batch(self, store):
-        batch = store.begin_batch()
-        refs = [batch.add_page(b"auto-%d" % i) for i in range(4)]
+        refs = [store.write_page(b"auto-%d" % i) for i in range(4)]
         snap = store.commit_snapshot(
             "auto", meta=None, records=[], pages=refs
         )
-        assert len(batch) == 0
-        assert batch.flushes == 1
+        assert len(store.batch) == 0
+        assert store.stats.batches_flushed == 1
         _meta, _records, pages = store.load_manifest(snap)
         assert [store.read_page(p) for p in pages] == [
             b"auto-%d" % i for i in range(4)
@@ -122,16 +122,10 @@ class TestCommitOrdering:
         # FIFO durability: everything submitted before the superblock
         # completes no later than it, so a named snapshot implies all
         # of its batched records are on media.
-        batch = store.begin_batch()
-        refs = [batch.add_page(b"ord-%d" % i) for i in range(8)]
+        refs = [store.write_page(b"ord-%d" % i) for i in range(8)]
         store.commit_snapshot("ordered", meta=None, records=[], pages=refs)
-        data_done = max(t.completes_at for t in batch.last_tickets)
+        data_done = max(t.completes_at for t in store.batch.last_tickets)
         assert nvme.pending_deadline() >= data_done
-
-    def test_sync_write_cannot_join_batch(self, store):
-        batch = store.begin_batch()
-        with pytest.raises(ObjectStoreError):
-            store.write_page(b"sync", sync=True, batch=batch)
 
 
 class TestBatchCrash:
@@ -152,9 +146,8 @@ class TestBatchCrash:
         nvme.flush_barrier()
         self.arm(clock, store, fault_names.FP_STORE_BATCH_FLUSH,
                  FaultAction("crash"))
-        batch = store.begin_batch()
         for i in range(4):
-            batch.add_page(b"lost-%d" % i)
+            store.write_page(b"lost-%d" % i)
         with pytest.raises(PowerCut):
             store.commit_snapshot("torn", meta=None, records=[], pages=[])
         nvme.crash()
@@ -170,28 +163,30 @@ class TestBatchCrash:
     def test_flush_failure_leaves_store_usable(self, clock, store):
         self.arm(clock, store, fault_names.FP_STORE_BATCH_FLUSH,
                  FaultAction("fail"))
-        batch = store.begin_batch()
-        batch.add_page(b"doomed")
+        batch = store.batch
+        store.write_page(b"doomed")
         with pytest.raises(ObjectStoreError):
             batch.flush()
-        # The armed point fired once; the retry goes through.
-        batch.add_page(b"retried")
+        # The armed point fired once, before anything was submitted:
+        # the record is still staged and the retry carries it too.
+        store.write_page(b"retried")
         batch.flush()
         assert store.stats.batches_flushed == 1
+        assert batch.records_flushed == 2
 
     def test_recover_drops_open_batch(self, clock, store, nvme):
-        batch = store.begin_batch()
-        batch.add_page(b"abandoned")
+        abandoned = store.batch
+        store.write_page(b"abandoned")
         nvme.crash()
         store.recover()
-        assert store._open_batch is None
+        assert store.batch is not abandoned and len(store.batch) == 0
 
 
 class TestAccounting:
     def test_store_stats_and_bytes(self, store):
-        batch = store.begin_batch()
+        batch = store.batch
         for i in range(6):
-            batch.add_page(b"acct-%d" % i)
+            store.write_page(b"acct-%d" % i)
         buffered = batch.pending_bytes
         # Tiny compressible payloads on an armed device go through the
         # write-path codec: the buffered media footprint is a fraction
@@ -206,10 +201,10 @@ class TestAccounting:
         assert batch.bytes_flushed == buffered
 
     def test_batch_reusable_across_flushes(self, store):
-        batch = store.begin_batch()
-        batch.add_page(b"first wave")
+        batch = store.batch
+        store.write_page(b"first wave")
         batch.flush()
-        batch.add_page(b"second wave")
+        store.write_page(b"second wave")
         batch.flush()
-        assert batch.flushes == 2
+        assert store.stats.batches_flushed == 2
         assert batch.records_flushed == 2

@@ -117,8 +117,7 @@ class TestReleaseFeedsGc:
         assert gc.pending() == 0
 
     def test_batched_writes_release_like_unbatched(self, store):
-        batch = store.begin_batch()
-        refs = [batch.add_page(b"via-batch-%d" % i) for i in range(3)]
+        refs = [store.write_page(b"via-batch-%d" % i) for i in range(3)]
         snap = store.commit_snapshot(
             "batched", meta=None, records=[], pages=refs
         )

@@ -126,7 +126,8 @@ class TestSpillFsck:
         # Orphan a snapshot by hand to force a repairable finding.
         victim_id = max(store.directory.snapshots)
         store.directory.snapshots.pop(victim_id)
-        store._write_directory(sync=True)
+        store._write_directory()
+        store.flush_barrier()
         checker = Fsck(ObjectStore(nvme), repair=True)
         report = checker.run()
         second = Fsck(ObjectStore(nvme)).run()

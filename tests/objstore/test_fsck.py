@@ -129,8 +129,7 @@ class TestRepair:
 
     def test_repair_requires_quiescence(self):
         _device, store, _obs = build_demo_store()
-        batch = store.begin_batch()
-        batch.add_page(b"buffered" * 512)
+        store.write_page(b"buffered" * 512)
         with pytest.raises(ObjectStoreError, match="quiescent"):
             Fsck(store, repair=True).run()
         # the read-only check has no such requirement

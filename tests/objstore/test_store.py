@@ -66,6 +66,7 @@ class TestRecords:
 
     def test_logical_page_size_charged(self, store, nvme):
         store.write_page(b"tiny")
+        store.batch.flush()
         assert nvme.stats.bytes_written >= PAGE_SIZE
 
 

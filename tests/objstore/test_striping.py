@@ -74,11 +74,10 @@ class TestStripedAllocator:
 
 class TestShardedRoundTrip:
     def checkpoint(self, store, n_pages, tag):
-        batch = store.begin_batch()
         pages = [
-            batch.add_page(b"%s-page-%04d" % (tag, i)) for i in range(n_pages)
+            store.write_page(b"%s-page-%04d" % (tag, i)) for i in range(n_pages)
         ]
-        meta = batch.add_meta(oid=1, value={"tag": tag.decode()})
+        meta = store.write_meta(oid=1, value={"tag": tag.decode()})
         snapshot = store.commit_snapshot(
             tag.decode(), {"gen": tag.decode()}, [meta], pages
         )
@@ -126,10 +125,9 @@ class TestShardedRoundTrip:
         # is cut mid-air — recovery must keep exactly the first.
         self.checkpoint(mq_store, 16, b"keep")
         mq_store.flush_barrier()
-        batch = mq_store.begin_batch()
         for i in range(16):
-            batch.add_page(b"torn-%04d" % i)
-        batch.flush()
+            mq_store.write_page(b"torn-%04d" % i)
+        mq_store.batch.flush()
         mq_store.device.crash()  # records in flight on several queues
         report = mq_store.recover()
         assert report.snapshots_recovered == 1
@@ -137,11 +135,10 @@ class TestShardedRoundTrip:
 
     def test_multiple_checkpoints_share_striped_pages(self, mq_store):
         _s1, pages1 = self.checkpoint(mq_store, 24, b"a")
-        batch = mq_store.begin_batch()
         # Re-add the same content: all 24 dedup against checkpoint 1.
-        reused = [batch.add_page(b"a-page-%04d" % i) for i in range(24)]
-        fresh = [batch.add_page(b"b-page-%04d" % i) for i in range(8)]
-        meta = batch.add_meta(oid=1, value={"tag": "b"})
+        reused = [mq_store.write_page(b"a-page-%04d" % i) for i in range(24)]
+        fresh = [mq_store.write_page(b"b-page-%04d" % i) for i in range(8)]
+        meta = mq_store.write_meta(oid=1, value={"tag": "b"})
         mq_store.commit_snapshot("b", {}, [meta], reused + fresh)
         assert mq_store.stats.pages_deduped == 24
         assert [r.extent for r in reused] == [p.extent for p in pages1]
