@@ -77,142 +77,184 @@ def unpack_record(raw: bytes) -> tuple[RecordHeader, bytes]:
 
 # --- metadata codec -----------------------------------------------------------
 
-_T_NONE = b"N"
-_T_TRUE = b"T"
-_T_FALSE = b"F"
-_T_INT = b"i"
-_T_NEGINT = b"j"
-_T_FLOAT = b"f"
-_T_BYTES = b"b"
-_T_STR = b"s"
-_T_LIST = b"l"
-_T_DICT = b"d"
+# wire tags (their byte values): None, True, False, int >= 0, int < 0,
+# float, bytes, str, list, dict
+_NONE, _TRUE, _FALSE, _INT, _NEGINT, _FLOAT, _BYTES, _STR, _LIST, _DICT = b"NTFijfbsld"
+_VARINT_TAGS = frozenset({_INT, _NEGINT, _BYTES, _STR, _LIST, _DICT})  # a varint follows
+_CONSTANTS = {_NONE: None, _TRUE: True, _FALSE: False}
+
+_DOUBLE = struct.Struct("<d")
+#: types the encoder dispatches on directly; anything else (a subclass
+#: such as an ``IntEnum``, ``bytearray``/``memoryview``, ``tuple``) is
+#: first mapped to one of these by :func:`_wire_type`
+_WIRE_TYPES = frozenset({type(None), bool, int, float, bytes, str, list, dict})
+
+#: deepest container nesting :func:`decode` follows before rejecting
+#: the payload.  The deepest value the tree writes nests 8 levels (a
+#: serialized process group's metadata record; measured over tier-1,
+#: ``sls bench`` and the e2e benchmark), so no honest payload comes
+#: near it, and hostile ones stay far inside the recursion limit.
+MAX_DEPTH = 64
 
 
 def _enc_varint(value: int, out: bytearray) -> None:
-    if value < 0:
-        raise ValueError("varint must be non-negative")
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
+    out.append(value)
+
+
+def _wire_type(value) -> type:
+    for kind in (int, float, bytes, str, list, dict):
+        if isinstance(value, kind):
+            return kind
+    if isinstance(value, (bytearray, memoryview)):
+        return bytes
+    if isinstance(value, tuple):
+        return list
+    raise TypeError(f"codec cannot encode {type(value).__name__}")
+
+
+def _encode_items(items, out: bytearray) -> None:
+    """Append the encoding of each of ``items``: scalars inline, one
+    call per container (a call per node was half the encoder's cost)."""
+    for value in items:
+        kind = type(value)
+        if kind not in _WIRE_TYPES:
+            kind = _wire_type(value)
+        if kind is int:
+            if value < 0:
+                out.append(_NEGINT)
+                value = -value
+            else:
+                out.append(_INT)
+            if value < 0x80:
+                out.append(value)
+            else:
+                _enc_varint(value, out)
+        elif kind is str or kind is bytes:
+            if kind is str:
+                out.append(_STR)
+                value = value.encode("utf-8")
+            else:
+                out.append(_BYTES)
+                if type(value) is not bytes:
+                    value = bytes(value)
+            size = len(value)
+            if size < 0x80:
+                out.append(size)
+            else:
+                _enc_varint(size, out)
+            out += value
+        elif kind is list or kind is dict:
+            out.append(_LIST if kind is list else _DICT)
+            size = len(value)
+            if size < 0x80:
+                out.append(size)
+            else:
+                _enc_varint(size, out)
+            if kind is dict:
+                # Deterministic ordering: identical state encodes
+                # identically, which dedup and replication diffing rely
+                # on.  All-``str`` keys sort as themselves, same order.
+                if set(map(type, value)) <= {str}:
+                    keys = sorted(value)
+                else:
+                    keys = sorted(value, key=lambda k: (str(type(k)), str(k)))
+                value = [x for key in keys for x in (key, value[key])]
+            _encode_items(value, out)
+        elif value is None:
+            out.append(_NONE)
+        elif kind is bool:
+            out.append(_TRUE if value else _FALSE)
         else:
-            out.append(byte)
-            return
-
-
-def _dec_varint(data: memoryview, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise ObjectStoreError("truncated varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-
-
-def _encode_into(value, out: bytearray) -> None:
-    if value is None:
-        out += _T_NONE
-    elif value is True:
-        out += _T_TRUE
-    elif value is False:
-        out += _T_FALSE
-    elif isinstance(value, int):
-        if value >= 0:
-            out += _T_INT
-            _enc_varint(value, out)
-        else:
-            out += _T_NEGINT
-            _enc_varint(-value, out)
-    elif isinstance(value, float):
-        out += _T_FLOAT
-        out += struct.pack("<d", value)
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        out += _T_BYTES
-        raw = bytes(value)
-        _enc_varint(len(raw), out)
-        out += raw
-    elif isinstance(value, str):
-        out += _T_STR
-        raw = value.encode("utf-8")
-        _enc_varint(len(raw), out)
-        out += raw
-    elif isinstance(value, (list, tuple)):
-        out += _T_LIST
-        _enc_varint(len(value), out)
-        for item in value:
-            _encode_into(item, out)
-    elif isinstance(value, dict):
-        out += _T_DICT
-        _enc_varint(len(value), out)
-        # Deterministic ordering: identical state encodes identically,
-        # which dedup and replication diffing rely on.
-        for key in sorted(value, key=lambda k: (str(type(k)), str(k))):
-            _encode_into(key, out)
-            _encode_into(value[key], out)
-    else:
-        raise TypeError(f"codec cannot encode {type(value).__name__}")
+            out.append(_FLOAT)
+            out += _DOUBLE.pack(value)
 
 
 def encode(value) -> bytes:
     """Encode a metadata value deterministically."""
     out = bytearray()
-    _encode_into(value, out)
+    _encode_items((value,), out)
     return bytes(out)
 
 
-def _decode_at(data: memoryview, pos: int):
-    if pos >= len(data):
-        raise ObjectStoreError("truncated payload")
-    tag = data[pos : pos + 1].tobytes()
-    pos += 1
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_INT:
-        return _dec_varint(data, pos)
-    if tag == _T_NEGINT:
-        value, pos = _dec_varint(data, pos)
-        return -value, pos
-    if tag == _T_FLOAT:
-        (value,) = struct.unpack_from("<d", data, pos)
-        return value, pos + 8
-    if tag == _T_BYTES:
-        length, pos = _dec_varint(data, pos)
-        return bytes(data[pos : pos + length]), pos + length
-    if tag == _T_STR:
-        length, pos = _dec_varint(data, pos)
-        return bytes(data[pos : pos + length]).decode("utf-8"), pos + length
-    if tag == _T_LIST:
-        length, pos = _dec_varint(data, pos)
-        items = []
-        for _ in range(length):
-            item, pos = _decode_at(data, pos)
-            items.append(item)
-        return items, pos
-    if tag == _T_DICT:
-        length, pos = _dec_varint(data, pos)
-        result = {}
-        for _ in range(length):
-            key, pos = _decode_at(data, pos)
-            value, pos = _decode_at(data, pos)
-            result[key] = value
-        return result, pos
-    raise ObjectStoreError(f"unknown codec tag {tag!r}")
+def encode_list_of(encoded_items: list[bytes]) -> bytes:
+    """``encode([v0, v1, ...])`` given each ``encode(vi)`` — for a
+    caller that keeps its items encoded (the snapshot directory)."""
+    head = bytearray((_LIST,))
+    _enc_varint(len(encoded_items), head)
+    return bytes(head) + b"".join(encoded_items)
+
+
+def _decode_items(data: bytes, pos: int, count: int, depth: int) -> tuple[list, int]:
+    """Decode ``count`` consecutive values from ``pos``: scalars inline,
+    one call per container.  Running off the end raises ``IndexError``
+    (mapped by :func:`decode`); every other fault is caught here."""
+    if depth > MAX_DEPTH:
+        raise ObjectStoreError(f"payload nests deeper than {MAX_DEPTH}")
+    items = []
+    append = items.append
+    for _ in range(count):
+        tag = data[pos]
+        if tag in _VARINT_TAGS:
+            number = data[pos + 1]
+            pos += 2
+            if number > 0x7F:
+                number &= 0x7F
+                shift = 7
+                while True:
+                    byte = data[pos]
+                    pos += 1
+                    number |= (byte & 0x7F) << shift
+                    if byte < 0x80:
+                        break
+                    shift += 7
+            if tag == _INT:
+                append(number)
+            elif tag == _BYTES or tag == _STR:
+                end = pos + number
+                if end > len(data):
+                    raise ObjectStoreError("truncated bytes/str")
+                try:
+                    append(data[pos:end] if tag == _BYTES else str(data[pos:end], "utf-8"))
+                except UnicodeDecodeError as exc:
+                    raise ObjectStoreError(f"invalid UTF-8 in str: {exc}") from exc
+                pos = end
+            elif tag == _LIST:
+                value, pos = _decode_items(data, pos, number, depth + 1)
+                append(value)
+            elif tag == _DICT:
+                flat, pos = _decode_items(data, pos, 2 * number, depth + 1)
+                try:
+                    append(dict(zip(flat[::2], flat[1::2])))
+                except TypeError as exc:
+                    raise ObjectStoreError(f"unhashable dict key: {exc}") from exc
+            else:
+                append(-number)
+        elif tag == _FLOAT:
+            if pos + 9 > len(data):
+                raise ObjectStoreError("truncated float")
+            append(_DOUBLE.unpack_from(data, pos + 1)[0])
+            pos += 9
+        elif tag in _CONSTANTS:
+            append(_CONSTANTS[tag])
+            pos += 1
+        else:
+            raise ObjectStoreError(f"unknown codec tag {bytes((tag,))!r}")
+    return items, pos
 
 
 def decode(payload: bytes):
-    """Decode a metadata value; raises on trailing garbage."""
-    value, pos = _decode_at(memoryview(payload), 0)
+    """Decode a metadata value.  Total: any payload yields a value or
+    :class:`ObjectStoreError` (truncation, trailing garbage, unknown
+    tag, bad UTF-8, unhashable key, nesting past :data:`MAX_DEPTH`)."""
+    if type(payload) is not bytes:
+        payload = bytes(payload)
+    try:
+        (value,), pos = _decode_items(payload, 0, 1, 0)
+    except IndexError:
+        raise ObjectStoreError("truncated payload") from None
     if pos != len(payload):
         raise ObjectStoreError(f"{len(payload) - pos} trailing bytes after value")
     return value

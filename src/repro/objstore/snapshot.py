@@ -15,10 +15,11 @@ media walker (:mod:`repro.objstore.walk`) cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import ObjectStoreError
 from repro.objstore.alloc import Extent
-from repro.objstore.record import decode, encode
+from repro.objstore.record import decode, encode, encode_list_of
 
 #: superblock stub key pointing at a spilled snapshot directory.  The
 #: directory encodes as a *list*, the stub as a *dict*, so the two
@@ -79,9 +80,10 @@ def parse_manifest(payload: bytes) -> tuple[object, list[MetaRef], list[PageRef]
         raise ObjectStoreError(f"malformed manifest: {exc!r}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class Snapshot:
-    """One durable checkpoint root in the store directory."""
+    """One durable checkpoint root in the store directory.  Immutable,
+    so its encoded directory entry is computed once."""
 
     snap_id: int
     name: str
@@ -107,6 +109,10 @@ class Snapshot:
             "delta_bytes": self.delta_bytes,
             "logical_bytes": self.logical_bytes,
         }
+
+    @cached_property
+    def encoded_entry(self) -> bytes:
+        return encode(self.directory_entry())
 
     @classmethod
     def from_directory_entry(cls, entry: dict) -> "Snapshot":
@@ -150,10 +156,13 @@ class SnapshotDirectory:
         self.next_id += 1
         return snap_id
 
-    def encode(self) -> list[dict]:
-        return [
-            self.snapshots[sid].directory_entry() for sid in sorted(self.snapshots)
-        ]
+    def payload(self) -> bytes:
+        """``encode`` of every :meth:`Snapshot.directory_entry`, in id
+        order — assembled from the entries' memoized encodings, so a
+        commit costs one entry encode, not one per snapshot."""
+        return encode_list_of(
+            [self.snapshots[sid].encoded_entry for sid in sorted(self.snapshots)]
+        )
 
     @classmethod
     def decode(cls, entries: list[dict]) -> "SnapshotDirectory":

@@ -638,7 +638,7 @@ class ObjectStore:
                 "injected directory-write failure",
                 store=self.device.name, snapshots=len(self.directory.snapshots),
             )
-        payload = encode(self.directory.encode())
+        payload = self.directory.payload()
         if HEADER_SIZE + len(payload) <= SUPERBLOCK_SLOT_SIZE:
             self.volume.write_superblock(
                 payload, release_ns=self.device.pending_deadline()

@@ -1,19 +1,33 @@
 """Unit tests for checksums, record framing, and the metadata codec."""
 
+import dataclasses
+import enum
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ChecksumError, ObjectStoreError
+from repro.objstore.alloc import Extent
+from repro.objstore.block import SUPERBLOCK_SLOT_SIZE
 from repro.objstore.checksum import fletcher64, verify
 from repro.objstore.record import (
     HEADER_SIZE,
     KIND_META,
+    MAX_DEPTH,
     decode,
     encode,
     pack_record,
     unpack_header,
     unpack_record,
+)
+from repro.objstore.snapshot import (
+    MetaRef,
+    PageRef,
+    Snapshot,
+    SnapshotDirectory,
+    encode_manifest,
 )
 
 
@@ -136,3 +150,293 @@ def test_record_roundtrip_property(payload, oid, epoch):
     assert out == payload
     assert header.oid == oid
     assert header.epoch == epoch
+
+
+# --- the encoder against the recursive one it replaced -------------------------
+
+
+def _reference_varint(value: int, out: bytearray) -> None:
+    if value < 0:
+        raise ValueError("varint must be non-negative")
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return
+
+
+def _reference_encode_into(value, out: bytearray) -> None:
+    """The store's original encoder (an ``isinstance`` ladder, one call
+    per node), kept as the wire format's oracle."""
+    if value is None:
+        out += b"N"
+    elif value is True:
+        out += b"T"
+    elif value is False:
+        out += b"F"
+    elif isinstance(value, int):
+        if value >= 0:
+            out += b"i"
+            _reference_varint(value, out)
+        else:
+            out += b"j"
+            _reference_varint(-value, out)
+    elif isinstance(value, float):
+        out += b"f"
+        out += struct.pack("<d", value)
+    elif isinstance(value, (bytes, bytearray, memoryview)):
+        out += b"b"
+        raw = bytes(value)
+        _reference_varint(len(raw), out)
+        out += raw
+    elif isinstance(value, str):
+        out += b"s"
+        raw = value.encode("utf-8")
+        _reference_varint(len(raw), out)
+        out += raw
+    elif isinstance(value, (list, tuple)):
+        out += b"l"
+        _reference_varint(len(value), out)
+        for item in value:
+            _reference_encode_into(item, out)
+    elif isinstance(value, dict):
+        out += b"d"
+        _reference_varint(len(value), out)
+        for key in sorted(value, key=lambda k: (str(type(k)), str(k))):
+            _reference_encode_into(key, out)
+            _reference_encode_into(value[key], out)
+    else:
+        raise TypeError(f"codec cannot encode {type(value).__name__}")
+
+
+def reference_encode(value) -> bytes:
+    out = bytearray()
+    _reference_encode_into(value, out)
+    return bytes(out)
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BIG = 300
+    NEG = -7
+
+
+class Label(str):
+    """A ``str`` subclass: takes the encoder's ``isinstance`` path."""
+
+
+def _decoded(value):
+    """What ``decode(encode(value))`` is expected to return."""
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return bytes(value)
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, (list, tuple)):
+        return [_decoded(item) for item in value]
+    if isinstance(value, dict):
+        return {_decoded(k): _decoded(v) for k, v in value.items()}
+    return value
+
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from(list(Colour))
+    | st.floats(allow_nan=False)
+    | st.binary(max_size=200)
+    | st.text(max_size=40)
+    | st.text(max_size=8).map(Label)
+)
+keys = (
+    st.text(max_size=8)
+    | st.integers(-(2**65), 2**65)
+    | st.binary(max_size=8)
+    | st.booleans()
+    | st.none()
+    | st.sampled_from(list(Colour))
+    | st.text(max_size=4).map(Label)
+)
+wire_values = st.recursive(
+    scalars | st.binary(max_size=200).map(bytearray) | st.binary(max_size=200).map(memoryview),
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=8), children, max_size=5)
+    | st.dictionaries(keys, children, max_size=6),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=wire_values)
+def test_encode_matches_reference_encoder(value):
+    payload = encode(value)
+    assert payload == reference_encode(value)
+    assert decode(payload) == _decoded(value)
+
+
+@pytest.mark.parametrize("value", [
+    127, 128, -127, -128, 2**63, 2**64 + 1, -(2**63) - 1, Colour.BIG, Colour.NEG,
+    True, {True: 1, 2: 3}, {1: "a", "1": "b", b"1": "c", None: "d"},
+    "x" * 127, "x" * 128, b"y" * 16384, list(range(200)), (1, (2, (3,))),
+    {Label("k"): Label("v")}, {"b": 1, "a": 2, "B": 3, "": 4},
+], ids=lambda v: repr(v)[:30])
+def test_encode_boundary_cases_match_reference(value):
+    assert encode(value) == reference_encode(value)
+    assert decode(encode(value)) == _decoded(value)
+
+
+# --- decode is total: a value or ObjectStoreError, nothing else -------------
+
+
+class TestDecodeIsTotal:
+    @pytest.mark.parametrize("payload, message", [
+        (b"f\x00\x00", "truncated float"),
+        (b"l\x01" * 5000 + b"N", "nests deeper"),
+        (b"s\x02\xff\xfe", "invalid UTF-8"),
+        (b"d\x01l\x00N", "unhashable dict key"),
+        (b"d\x01d\x00N", "unhashable dict key"),
+        (b"b\x05ab", "truncated bytes/str"),
+        (b"s\x05ab", "truncated bytes/str"),
+        (b"", "truncated payload"),
+        (b"i", "truncated payload"),
+        (b"i\x80", "truncated payload"),
+        (b"l\x02N", "truncated payload"),
+        (b"d\x01N", "truncated payload"),
+        (b"l\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", "truncated payload"),
+        (b"X", "unknown codec tag b'X'"),
+        (b"NN", "1 trailing bytes"),
+    ], ids=lambda v: repr(v)[:24])
+    def test_malformed_payload_raises_objectstoreerror(self, payload, message):
+        with pytest.raises(ObjectStoreError, match=message):
+            decode(payload)
+
+    def test_nesting_up_to_the_bound_decodes(self):
+        value = None
+        for _ in range(MAX_DEPTH):
+            value = [value]
+        assert decode(encode(value)) == value
+        with pytest.raises(ObjectStoreError, match="nests deeper"):
+            decode(encode([value]))
+
+    def test_accepts_any_bytes_like(self):
+        payload = encode({"a": [1, b"x"]})
+        assert decode(bytearray(payload)) == decode(memoryview(payload)) == decode(payload)
+
+    PAYLOADS = {
+        "manifest": encode_manifest(
+            {"group": "g", "incremental": True, "parent_snap": None, "t": 0.5},
+            [MetaRef(7, Extent(16384, 300)), MetaRef(2**40, Extent(20480, 129))],
+            [PageRef(b"\xd4" * 20, Extent(24576, 4136), 4096),
+             PageRef(b"\x00\xff" * 10, Extent(28672, 48), 4096)],
+        ),
+        "directory": SnapshotDirectory({
+            i: Snapshot(i, f"fn-{i:04d}", i, 10**9 * i, Extent(16384 * i, 517),
+                        parent_id=None if i == 1 else i - 1, delta_bytes=4096)
+            for i in (1, 2)
+        }).payload(),
+    }
+
+    @staticmethod
+    def _value_or_objectstoreerror(payload: bytes):
+        try:
+            return decode(payload)
+        except ObjectStoreError:
+            return None
+
+    @pytest.mark.parametrize("name", sorted(PAYLOADS))
+    def test_every_truncation(self, name):
+        payload = self.PAYLOADS[name]
+        assert decode(payload) is not None
+        for cut in range(len(payload)):
+            with pytest.raises(ObjectStoreError):
+                decode(payload[:cut])
+
+    @pytest.mark.parametrize("name", sorted(PAYLOADS))
+    def test_every_single_byte_mutation(self, name):
+        payload = self.PAYLOADS[name]
+        for pos in range(len(payload)):
+            mutated = bytearray(payload)
+            for byte in range(256):
+                if byte != payload[pos]:
+                    mutated[pos] = byte
+                    self._value_or_objectstoreerror(bytes(mutated))
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.binary(max_size=64))
+    def test_arbitrary_bytes(self, payload):
+        self._value_or_objectstoreerror(payload)
+
+
+# --- the snapshot directory is assembled from memoized entries --------------
+
+
+def _snapshot(i: int) -> Snapshot:
+    return Snapshot(
+        snap_id=i, name=f"fn-{i:04d}", epoch=i % 7, created_at_ns=10**9 + 1000 * i,
+        manifest_extent=Extent(16384 + 4096 * i, 517),
+        parent_id=None if i % 3 == 0 else i - 1,
+        delta_bytes=4096 * (i % 5), logical_bytes=4096 * i,
+    )
+
+
+def _directory(count: int) -> SnapshotDirectory:
+    directory = SnapshotDirectory()
+    for i in range(count, 0, -1):  # payload order is by id, not insertion
+        directory.add(_snapshot(i))
+    return directory
+
+
+def _fits_inline(count: int) -> bool:
+    return HEADER_SIZE + len(_directory(count).payload()) <= SUPERBLOCK_SLOT_SIZE
+
+
+def _last_inline_count() -> int:
+    count = 1
+    while _fits_inline(count + 1):
+        count += 1
+    return count
+
+
+class TestDirectoryPayload:
+    LAST_INLINE = _last_inline_count()
+
+    @pytest.mark.parametrize("count", [0, 1, LAST_INLINE, LAST_INLINE + 1, 1000])
+    def test_payload_is_the_encoded_entry_list(self, count):
+        directory = _directory(count)
+        entries = [directory.snapshots[i].directory_entry() for i in range(1, count + 1)]
+        assert directory.payload() == encode(entries) == reference_encode(entries)
+        decoded = SnapshotDirectory.decode(decode(directory.payload()))
+        assert decoded.snapshots == directory.snapshots
+
+    def test_the_boundary_counts_straddle_the_slot(self):
+        assert 1 < self.LAST_INLINE < 1000
+        assert _fits_inline(self.LAST_INLINE)
+        assert not _fits_inline(self.LAST_INLINE + 1)
+
+    def test_payload_tracks_add_and_remove(self):
+        directory = _directory(5)
+        before = directory.payload()
+        directory.remove(3)
+        assert directory.payload() == encode(
+            [directory.snapshots[i].directory_entry() for i in (1, 2, 4, 5)]
+        )
+        directory.add(_snapshot(3))
+        assert directory.payload() == before
+
+    def test_snapshot_is_immutable_and_replace_gets_a_fresh_memo(self):
+        snapshot = _snapshot(4)
+        assert snapshot.encoded_entry == encode(snapshot.directory_entry())
+        assert snapshot.encoded_entry is snapshot.encoded_entry
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            snapshot.name = "renamed"
+        renamed = dataclasses.replace(snapshot, name="renamed")
+        assert renamed.encoded_entry == encode(renamed.directory_entry())
+        assert renamed.encoded_entry != snapshot.encoded_entry
