@@ -17,6 +17,7 @@ arrives at the peer.
 from __future__ import annotations
 
 import abc
+import struct
 from typing import Optional
 
 from repro.core.checkpoint import CheckpointImage, FlushInfo
@@ -36,6 +37,11 @@ from repro.serial.memsnap import (
     capture_pages_to_store,
     capture_swapped_to_store,
 )
+
+
+#: one row of a metadata record's ``pagemap_delta`` table (a ``bytes``
+#: value per object id): page index, SHA-1 content hash
+PAGEMAP_ROW = struct.Struct("<I20s")
 
 
 class Backend(abc.ABC):
@@ -153,13 +159,16 @@ class StoreBackend(Backend):
         # parent) must carry the *complete* map, diffed against nothing.
         base = (parent.page_refs.get(self.name, {})
                 if parent and image.incremental else {})
-        delta: dict[int, list] = {}
+        delta: dict[int, bytes] = {}
         for oid, pages in page_map.items():
             base_pages = base.get(oid, {})
+            rows = bytearray()
             for pindex, ref in pages.items():
                 old = base_pages.get(pindex)
                 if old is None or old.content_hash != ref.content_hash:
-                    delta.setdefault(oid, []).append([pindex, ref.content_hash])
+                    rows += PAGEMAP_ROW.pack(pindex, ref.content_hash)
+            if rows:
+                delta[oid] = bytes(rows)
         meta_ref = self.store.write_meta(
             oid=image.image_id,
             value={"meta": image.meta, "pagemap_delta": delta},

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.backends import StoreBackend
+from repro.core.backends import PAGEMAP_ROW, StoreBackend
 from repro.core.checkpoint import CheckpointImage
 from repro.core.metrics import RestoreMetrics
 from repro.errors import RestoreError
@@ -35,6 +35,27 @@ from repro.serial.procsnap import restore_group
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.group import PersistenceGroup
     from repro.core.orchestrator import SLS
+
+
+def _read_image_record(store: ObjectStore, ref, name: str) -> tuple[dict, Optional[dict]]:
+    """``(group metadata, packed pagemap delta)`` of snapshot ``name``'s
+    metadata record: ``StoreBackend.persist`` wraps the metadata with
+    its delta, a received image stores it bare (delta ``None``).  The
+    one place the record's shape is checked: one that checksums but is
+    shaped wrong raises :class:`RestoreError`, not a stray exception."""
+    meta, delta = store.read_meta(ref), None
+    if isinstance(meta, dict) and "pagemap_delta" in meta:
+        meta, delta = meta.get("meta"), meta["pagemap_delta"]
+    procs = meta.get("procs", [{}]) if isinstance(meta, dict) else None
+    shaped = isinstance(procs, list) and procs and isinstance(procs[0], dict)
+    if shaped and delta is not None:
+        shaped = isinstance(delta, dict) and all(
+            type(rows) is bytes and len(rows) % PAGEMAP_ROW.size == 0
+            for rows in delta.values()
+        )
+    if not shaped:
+        raise RestoreError(f"snapshot {name!r} metadata record has the wrong shape")
+    return meta, delta
 
 
 def load_image_from_store(store: ObjectStore, snapshot,
@@ -57,14 +78,13 @@ def load_image_from_store(store: ObjectStore, snapshot,
         raise RestoreError(f"snapshot {snapshot.name!r} has no metadata record")
     hashes: dict[int, dict[int, bytes]] = {}
     for record in reversed(records):  # oldest first, the snapshot's own last
-        record_value = store.read_meta(record)
-        if not isinstance(record_value, dict) or "pagemap_delta" not in record_value:
+        meta, delta = _read_image_record(store, record, snapshot.name)
+        if delta is None:
             raise RestoreError(
                 f"snapshot {snapshot.name!r} metadata lacks a pagemap delta"
             )
-        meta = record_value["meta"]
-        for oid, entries in record_value["pagemap_delta"].items():
-            hashes.setdefault(oid, {}).update(entries)
+        for oid, rows in delta.items():
+            hashes.setdefault(oid, {}).update(PAGEMAP_ROW.iter_unpack(rows))
 
     # Only the overlaid map has to resolve: a slot an ancestor wrote and
     # a later checkpoint overwrote names a hash this manifest no longer
@@ -85,8 +105,7 @@ def load_image_from_store(store: ObjectStore, snapshot,
 
     image = CheckpointImage(
         name=snapshot.name,
-        group_name=str(meta.get("procs", [{}])[0].get("name", snapshot.name))
-        if isinstance(meta, dict) else snapshot.name,
+        group_name=str(meta.get("procs", [{}])[0].get("name", snapshot.name)),
         epoch=snapshot.epoch,
         incremental=False,
         meta=meta,
@@ -162,21 +181,23 @@ class RestoreEngine:
         "disk0" — the right one is whichever store actually contains
         the image's snapshot.
         """
-        candidates = []
+        snapshot = image.snapshots.get(backend_name)
+        fallback = None
         for group in self.sls.groups.values():
             for backend in group.backends:
-                if backend.name == backend_name and isinstance(backend, StoreBackend):
-                    candidates.append(backend.store)
-        snapshot = image.snapshots.get(backend_name)
-        for store in candidates:
-            if snapshot is None:
-                return store
-            held = store.directory.get(snapshot.snap_id)
-            if held is not None and held.name == snapshot.name:
-                return store
-        if candidates:
-            return candidates[0]
-        raise RestoreError(f"no store backend named {backend_name!r}")
+                if backend.name != backend_name or not isinstance(backend, StoreBackend):
+                    continue
+                store = backend.store
+                if snapshot is None:
+                    return store
+                held = store.directory.get(snapshot.snap_id)
+                if held is not None and held.name == snapshot.name:
+                    return store
+                if fallback is None:
+                    fallback = store
+        if fallback is None:
+            raise RestoreError(f"no store backend named {backend_name!r}")
+        return fallback
 
     # -- memory-image restore -----------------------------------------------------
 
@@ -259,9 +280,8 @@ class RestoreEngine:
                 if (snapshot is not None
                         and store.directory.get(snapshot.snap_id) is not None):
                     _value, records, _pages = store.load_manifest(snapshot)
-                    meta = store.read_meta(records[0]) if records else image.meta
-                    if isinstance(meta, dict) and "pagemap_delta" in meta:
-                        meta = meta["meta"]
+                    meta = (_read_image_record(store, records[0], snapshot.name)[0]
+                            if records else image.meta)
                 else:
                     meta = image.meta
                 payloads: dict[bytes, bytes] = {}

@@ -287,8 +287,8 @@ def _referenced_extents(store: ObjectStore) -> dict[int, int]:
         _meta, records, pages = store.load_manifest(snapshot)
         for ref in records:
             seen[ref.extent.offset] = ref.extent.length
-        for ref in pages:
-            seen[ref.extent.offset] = ref.extent.length
+        for _hash, offset, length, _page_length in pages.rows():
+            seen[offset] = length
     return seen
 
 

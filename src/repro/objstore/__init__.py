@@ -26,7 +26,7 @@ from repro.objstore.record import (
     unpack_record,
 )
 from repro.objstore.scrub import Scrubber, ScrubStats
-from repro.objstore.snapshot import Snapshot, SnapshotDirectory
+from repro.objstore.snapshot import PageTable, Snapshot, SnapshotDirectory
 from repro.objstore.store import (
     MAX_BATCH_EXTENT,
     MetaRef,
@@ -67,6 +67,7 @@ __all__ = [
     "encode",
     "pack_record",
     "unpack_record",
+    "PageTable",
     "Snapshot",
     "SnapshotDirectory",
     "MAX_BATCH_EXTENT",

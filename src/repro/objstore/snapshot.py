@@ -14,6 +14,8 @@ media walker (:mod:`repro.objstore.walk`) cannot drift apart.
 
 from __future__ import annotations
 
+import struct
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,36 +48,90 @@ class PageRef:
     length: int
 
 
-def encode_manifest(meta, records: list[MetaRef], pages: list[PageRef]) -> bytes:
-    """The manifest record payload naming ``records`` + ``pages``."""
-    return encode({
-        "meta": meta,
-        "records": [[r.oid, r.extent.offset, r.extent.length] for r in records],
-        "pages": [
-            [p.content_hash, p.extent.offset, p.extent.length, p.length]
+#: manifest row layouts (format version :data:`MANIFEST_VERSION`).  A
+#: record row is oid, extent offset, extent length; a page row is the
+#: SHA-1 content hash, extent offset, extent length, page length — a
+#: page record's extent (header + at most one page) and a page's length
+#: both fit 16 bits.
+MANIFEST_VERSION = 2
+_RECORD_ROW = struct.Struct("<QQI")
+_PAGE_ROW = struct.Struct("<20sQHH")
+
+
+def _page_ref(row: tuple[bytes, int, int, int]) -> PageRef:
+    content_hash, offset, extent_length, length = row
+    return PageRef(content_hash, Extent(offset, extent_length), length)
+
+
+class PageTable(Sequence):
+    """A manifest's page table: a read-only ``Sequence[PageRef]`` over
+    the packed rows, materializing a :class:`PageRef` only where one is
+    asked for.  :func:`parse_manifest` builds it after checking the
+    buffer holds whole rows, so no access can fail."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: bytes):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows) // _PAGE_ROW.size
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]  # index and slice arithmetic
+        if isinstance(index, slice):
+            return [self[i] for i in picked]
+        return _page_ref(_PAGE_ROW.unpack_from(self._rows, picked * _PAGE_ROW.size))
+
+    def __iter__(self) -> Iterator[PageRef]:
+        return map(_page_ref, self.rows())
+
+    def rows(self) -> Iterator[tuple[bytes, int, int, int]]:
+        """Raw ``(content_hash, offset, extent_length, page_length)``
+        rows, for a consumer that wants no :class:`PageRef`."""
+        return _PAGE_ROW.iter_unpack(self._rows)
+
+
+def encode_manifest(meta, records: list[MetaRef], pages: Sequence[PageRef]) -> bytes:
+    """The manifest record payload naming ``records`` + ``pages``.  A
+    ref no row can hold (a hash that is not 20 bytes, a field past its
+    width) raises :class:`ObjectStoreError`."""
+    try:
+        record_rows = b"".join(
+            [_RECORD_ROW.pack(r.oid, r.extent.offset, r.extent.length) for r in records]
+        )
+        page_rows = b"".join([
+            _PAGE_ROW.pack(p.content_hash, p.extent.offset, p.extent.length, p.length)
             for p in pages
-        ],
-    })
+        ])
+        # "20s" would silently pad or cut a hash of any other length
+        if any(len(p.content_hash) != 20 for p in pages):
+            raise ValueError("content hash is not 20 bytes")
+    except (struct.error, TypeError, ValueError) as exc:
+        raise ObjectStoreError(f"manifest row does not encode: {exc}") from exc
+    return encode({"v": MANIFEST_VERSION, "meta": meta,
+                   "records": record_rows, "pages": page_rows})
 
 
-def parse_manifest(payload: bytes) -> tuple[object, list[MetaRef], list[PageRef]]:
+def parse_manifest(payload: bytes) -> tuple[object, list[MetaRef], PageTable]:
     """Inverse of :func:`encode_manifest`: ``(meta, records, pages)``.
-    A payload that checksums but decodes to the wrong shape raises
+    A payload that checksums but decodes to the wrong shape — another
+    version, a table that is not whole rows of ``bytes`` — raises
     :class:`ObjectStoreError`, never a stray ``KeyError``/``TypeError``."""
     try:
         value = decode(payload)
+        if value["v"] != MANIFEST_VERSION:
+            raise ValueError(f"manifest version {value['v']!r}")
+        record_rows, page_rows = value["records"], value["pages"]
+        if type(record_rows) is not bytes or type(page_rows) is not bytes:
+            raise TypeError("row table is not bytes")
+        if len(record_rows) % _RECORD_ROW.size or len(page_rows) % _PAGE_ROW.size:
+            raise ValueError("row table is not whole rows")
         records = [
-            MetaRef(oid=int(oid), extent=Extent(int(off), int(length)))
-            for oid, off, length in value["records"]
+            MetaRef(oid, Extent(off, length))
+            for oid, off, length in _RECORD_ROW.iter_unpack(record_rows)
         ]
-        pages = [
-            PageRef(content_hash=h, extent=Extent(int(off), int(elen)),
-                    length=int(plen))
-            for h, off, elen, plen in value["pages"]
-        ]
-        if not all(isinstance(p.content_hash, bytes) for p in pages):
-            raise TypeError("content hash is not bytes")
-        return value["meta"], records, pages
+        return value["meta"], records, PageTable(page_rows)
     except (KeyError, TypeError, ValueError) as exc:
         raise ObjectStoreError(f"malformed manifest: {exc!r}") from exc
 

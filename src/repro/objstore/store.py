@@ -57,6 +57,7 @@ from repro.objstore.snapshot import (
     DIR_SPILL_KEY,
     MetaRef,
     PageRef,
+    PageTable,
     Snapshot,
     SnapshotDirectory,
     encode_manifest,
@@ -139,7 +140,7 @@ class ObjectStore:
         self._c_bytes = self._c_snaps = self._c_snaps_del = None
         self._c_batches = self._c_batch_records = None
         self._c_compressed = self._c_delta = self._c_saved = None
-        self._g_ratio = None
+        self._g_ratio = self._g_manifest_bytes = self._g_manifest_rows = None
         self._bytes_since_commit = 0
         #: failpoint plane (repro.fault); None = zero-cost disarmed
         self.faults: Optional["FailpointRegistry"] = None
@@ -201,9 +202,9 @@ class ObjectStore:
         self._c_saved = reg.counter(
             obs_names.C_STORE_ENCODED_BYTES_SAVED, store=store
         )
-        self._g_ratio = reg.gauge(
-            obs_names.G_STORE_COMPRESSION_RATIO, store=store
-        )
+        self._g_ratio = reg.gauge(obs_names.G_STORE_COMPRESSION_RATIO, store=store)
+        self._g_manifest_bytes = reg.gauge(obs_names.G_STORE_MANIFEST_BYTES, store=store)
+        self._g_manifest_rows = reg.gauge(obs_names.G_STORE_MANIFEST_PAGE_ROWS, store=store)
         self.pagecache.attach_obs(reg, store=store)
 
     def attach_faults(self, registry: "FailpointRegistry") -> None:
@@ -706,6 +707,8 @@ class ObjectStore:
         self.stats.snapshots_committed += 1
         if self.obs is not None:
             self._c_snaps.inc()
+            self._g_manifest_bytes.set(len(payload))
+            self._g_manifest_rows.set(len(pages))
         return snapshot
 
     def _take_references(self, snapshot: Snapshot, records: list[MetaRef],
@@ -742,11 +745,8 @@ class ObjectStore:
             queue.append(base)
         return out
 
-    def load_manifest(self, snapshot: Snapshot) -> tuple[object, list[MetaRef], list[PageRef]]:
-        _header, payload = self._read_record(
-            snapshot.manifest_extent, KIND_MANIFEST
-        )
-        return parse_manifest(payload)
+    def load_manifest(self, snapshot: Snapshot) -> tuple[object, list[MetaRef], PageTable]:
+        return parse_manifest(self._read_record(snapshot.manifest_extent, KIND_MANIFEST)[1])
 
     def delete_snapshot(self, snap_id: int) -> None:
         snapshot = self.directory.get(snap_id)
@@ -763,15 +763,15 @@ class ObjectStore:
         _meta, records, pages = self.load_manifest(snapshot)
         for ref in records:
             self._release_meta(ref.extent)
-        for ref in pages:
-            freed = self.dedup.release(ref.content_hash)
+        for content_hash, _offset, _extent_length, _length in pages.rows():
+            freed = self.dedup.release(content_hash)
             if freed is not None:
                 self.garbage.append(freed)
-                self._delta_depth.pop(ref.content_hash, None)
-                self._delta_bases.pop(ref.content_hash, None)
+                self._delta_depth.pop(content_hash, None)
+                self._delta_bases.pop(content_hash, None)
                 # The hash just left the store; a cached copy must not
                 # outlive the media extent (GC may reuse it).
-                self.pagecache.invalidate(ref.content_hash)
+                self.pagecache.invalidate(content_hash)
         self._release_meta(snapshot.manifest_extent)
         self.directory.remove(snap_id)
         self._write_directory()

@@ -123,6 +123,14 @@ def render_device_utilization(registry: Registry) -> Optional[str]:
     return "\n".join(lines)
 
 
+def _store_value(registry: Registry, name: str, store: str) -> int:
+    """Total of the counters/gauges called ``name`` labelled ``store``."""
+    return sum(
+        inst.value for inst in registry.collect()
+        if inst.name == name and inst.labels.get("store", "?") == store
+    )
+
+
 def render_scrub_progress(registry: Registry) -> Optional[str]:
     """Per-store scrub table from the scrubber's exported instruments.
 
@@ -140,22 +148,14 @@ def render_scrub_progress(registry: Registry) -> Optional[str]:
     if not progress:
         return None
 
-    def count(name: str, store: str) -> int:
-        total = 0
-        for inst in registry.collect():
-            if (isinstance(inst, Counter) and inst.name == name
-                    and inst.labels.get("store", "?") == store):
-                total += inst.value
-        return total
-
     store_w = max(len("store"), max(len(s) for s in progress))
     lines = [f"  {'store':<{store_w}}  scrub%  extents  errors"]
     for store in sorted(progress):
         pct = progress[store].value / 10.0
         lines.append(
             f"  {store:<{store_w}}  {pct:6.1f}"
-            f"  {count(names.C_SCRUB_EXTENTS, store):>7}"
-            f"  {count(names.C_SCRUB_ERRORS, store):>6}"
+            f"  {_store_value(registry, names.C_SCRUB_EXTENTS, store):>7}"
+            f"  {_store_value(registry, names.C_SCRUB_ERRORS, store):>6}"
         )
     return "\n".join(lines)
 
@@ -165,8 +165,9 @@ def render_store_encoding(registry: Registry) -> Optional[str]:
 
     One row per store showing how the classify/encode stage split the
     page records (compressed / delta counts), the media bytes it saved,
-    and the compression ratio (the ``media/raw`` permille gauge
-    rendered as a percentage — 100% means the codec never beat RAW).
+    the compression ratio (the ``media/raw`` permille gauge rendered as
+    a percentage — 100% means the codec never beat RAW), and the shape
+    of the last committed manifest (payload bytes, page rows).
     None when no store has published encoding metrics.
     """
     ratio = {
@@ -178,25 +179,20 @@ def render_store_encoding(registry: Registry) -> Optional[str]:
     if not ratio:
         return None
 
-    def count(name: str, store: str) -> int:
-        total = 0
-        for inst in registry.collect():
-            if (isinstance(inst, Counter) and inst.name == name
-                    and inst.labels.get("store", "?") == store):
-                total += inst.value
-        return total
-
     store_w = max(len("store"), max(len(s) for s in ratio))
     lines = [
         f"  {'store':<{store_w}}  media%  compressed  delta  bytes saved"
+        f"  manifest B  page rows"
     ]
     for store in sorted(ratio):
         pct = ratio[store].value / 10.0
         lines.append(
             f"  {store:<{store_w}}  {pct:6.1f}"
-            f"  {count(names.C_STORE_PAGES_COMPRESSED, store):>10}"
-            f"  {count(names.C_STORE_PAGES_DELTA, store):>5}"
-            f"  {count(names.C_STORE_ENCODED_BYTES_SAVED, store):>11}"
+            f"  {_store_value(registry, names.C_STORE_PAGES_COMPRESSED, store):>10}"
+            f"  {_store_value(registry, names.C_STORE_PAGES_DELTA, store):>5}"
+            f"  {_store_value(registry, names.C_STORE_ENCODED_BYTES_SAVED, store):>11}"
+            f"  {_store_value(registry, names.G_STORE_MANIFEST_BYTES, store):>10}"
+            f"  {_store_value(registry, names.G_STORE_MANIFEST_PAGE_ROWS, store):>9}"
         )
     return "\n".join(lines)
 
@@ -218,31 +214,16 @@ def render_pagecache(registry: Registry) -> Optional[str]:
     if not hit_rate:
         return None
 
-    def count(name: str, store: str) -> int:
-        total = 0
-        for inst in registry.collect():
-            if (isinstance(inst, Counter) and inst.name == name
-                    and inst.labels.get("store", "?") == store):
-                total += inst.value
-        return total
-
-    def gauge(name: str, store: str) -> int:
-        for inst in registry.collect():
-            if (isinstance(inst, Gauge) and inst.name == name
-                    and inst.labels.get("store", "?") == store):
-                return inst.value
-        return 0
-
     store_w = max(len("store"), max(len(s) for s in hit_rate))
     lines = [f"  {'store':<{store_w}}    hit%     hits   misses  evicted  resident"]
     for store in sorted(hit_rate):
         pct = hit_rate[store].value / 10.0
         lines.append(
             f"  {store:<{store_w}}  {pct:6.1f}"
-            f"  {count(names.C_PAGECACHE_HITS, store):>7}"
-            f"  {count(names.C_PAGECACHE_MISSES, store):>7}"
-            f"  {count(names.C_PAGECACHE_EVICTIONS, store):>7}"
-            f"  {gauge(names.G_PAGECACHE_BYTES, store):>8}"
+            f"  {_store_value(registry, names.C_PAGECACHE_HITS, store):>7}"
+            f"  {_store_value(registry, names.C_PAGECACHE_MISSES, store):>7}"
+            f"  {_store_value(registry, names.C_PAGECACHE_EVICTIONS, store):>7}"
+            f"  {_store_value(registry, names.G_PAGECACHE_BYTES, store):>8}"
         )
     return "\n".join(lines)
 

@@ -136,3 +136,84 @@ class TestRemoteBackendOrdering:
         image = sls.checkpoint(group)
         assert remote.bytes_sent > 0
         assert image.metrics.bytes_flushed == remote.bytes_sent
+
+
+class TestPackedMetadataSize:
+    """Packed rows must not cost more media than the TLV lists they
+    replaced (the v1 layouts, rebuilt here with the reference encoder)."""
+
+    #: the version field (``"v": 2`` is 5 bytes) plus one record row at
+    #: fixed width (20 B) against its smallest TLV spelling (11 B: oid
+    #: < 128, offset < 2 MiB, length < 16 KiB).  Page rows never lose —
+    #: a v1 row is 32 B at best, on any volume — so this is all a
+    #: manifest can grow by, and a handful of page rows pay it back.
+    VERSION_FIELD, RECORD_ROW_SLACK = 5, 9
+
+    @pytest.fixture
+    def sizes(self, kernel, sls, monkeypatch):
+        """Checkpoints an app of ``pages`` pages, then an incremental:
+        ``[(record refs, v2 manifest, v1 manifest, v2 record, v1 record)]``."""
+        import hashlib
+
+        import repro.objstore.store as store_module
+        from repro.core.backends import PAGEMAP_ROW
+        from repro.objstore.record import encode
+        from tests.objstore.test_record import reference_encode, reference_manifest_v1
+
+        manifests, records = [], []
+        real_encode_manifest = store_module.encode_manifest
+
+        def spy_manifest(meta, refs, pages):
+            payload = real_encode_manifest(meta, refs, pages)
+            manifests.append(
+                (len(refs), len(payload), len(reference_manifest_v1(meta, refs, pages)))
+            )
+            return payload
+
+        monkeypatch.setattr(store_module, "encode_manifest", spy_manifest)
+        real_write_meta = ObjectStore.write_meta
+
+        def spy_meta(store, oid, value, epoch=0):
+            listed = {
+                obj: [list(row) for row in PAGEMAP_ROW.iter_unpack(bytes(rows))]
+                for obj, rows in value["pagemap_delta"].items()
+            }
+            records.append((
+                len(encode(value)),
+                len(reference_encode({**value, "pagemap_delta": listed})),
+            ))
+            return real_write_meta(store, oid, value, epoch)
+
+        monkeypatch.setattr(ObjectStore, "write_meta", spy_meta)
+
+        def run(pages: int):
+            proc = kernel.spawn("app")
+            sys = Syscalls(kernel, proc)
+            entry = sys.mmap(pages * PAGE_SIZE, name="heap")
+            sys.populate(
+                entry.start, pages * PAGE_SIZE,
+                fill_fn=lambda i: hashlib.sha256(b"%d" % i).digest() * 128,
+            )
+            group = sls.persist(proc, name="app")
+            group.attach(make_disk_backend(kernel, NvmeDevice(kernel.clock)))
+            sls.checkpoint(group)
+            sys.poke(entry.start, b"dirty")
+            sls.checkpoint(group)
+            sls.barrier(group)
+            return [m + r for m, r in zip(manifests, records)]
+
+        return run
+
+    def test_full_and_incremental_images_shrink(self, sizes):
+        full, incremental = sizes(64)
+        for _refs, v2_manifest, v1_manifest, v2_record, v1_record in (full, incremental):
+            assert v2_manifest < v1_manifest
+            assert v2_record < v1_record
+        assert (full[0], incremental[0]) == (1, 2)  # own record (+ the parent's)
+
+    def test_one_page_image_grows_by_the_fixed_overhead_at_most(self, sizes):
+        for refs, v2_manifest, v1_manifest, v2_record, v1_record in sizes(1):
+            assert v2_record < v1_record
+            assert v1_manifest < v2_manifest <= (
+                v1_manifest + self.VERSION_FIELD + self.RECORD_ROW_SLACK * refs
+            )

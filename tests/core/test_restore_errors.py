@@ -74,3 +74,119 @@ class TestRestoreErrors:
                                store=backend.store,
                                new_instance=True, name_suffix="-r")
         assert Syscalls(kernel, procs[0]).peek(entry.start, 1) == b"x"
+
+
+# --- a checksummed record of the wrong shape is a RestoreError ----------------
+
+
+def _checkpointed(kernel, sls, name="app", pages=4):
+    proc = kernel.spawn(name)
+    sys = Syscalls(kernel, proc)
+    entry = sys.mmap(pages * PAGE_SIZE, name="heap")
+    sys.populate(entry.start, pages * PAGE_SIZE, fill=b"x")
+    group = sls.persist(proc, name=name)
+    backend = make_disk_backend(kernel, NvmeDevice(kernel.clock))
+    group.attach(backend)
+    image = sls.checkpoint(group)
+    sls.barrier(group)
+    return group, backend, image, entry
+
+
+WRONG_SHAPES = [
+    [1, 2, 3],
+    7,
+    {"meta": [1, 2], "pagemap_delta": {}},
+    {"meta": {"procs": []}, "pagemap_delta": {}},
+    {"meta": {"procs": {"0": {}}}, "pagemap_delta": {}},
+    {"meta": {"procs": [7]}, "pagemap_delta": {}},
+    {"meta": {"procs": [{}]}, "pagemap_delta": [[1, b"h" * 20]]},
+    {"meta": {"procs": [{}]}, "pagemap_delta": {1: [[0, b"h" * 20]]}},
+    {"meta": {"procs": [{}]}, "pagemap_delta": {1: b"r" * 25}},
+    {"procs": []},
+]
+
+
+class TestWrongShapedMetaRecord:
+    @pytest.mark.parametrize("value", WRONG_SHAPES, ids=lambda v: repr(v)[:40])
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_restore_raises_restoreerror(self, kernel, sls, value, lazy):
+        _group, backend, image, _entry = _checkpointed(kernel, sls)
+        backend.store.read_meta = lambda ref: value
+        with pytest.raises(RestoreError, match="wrong shape"):
+            sls.restore(image, backend_name="disk0", lazy=lazy,
+                        new_instance=True, name_suffix="-r")
+
+    @pytest.mark.parametrize("value", WRONG_SHAPES, ids=lambda v: repr(v)[:40])
+    def test_loader_raises_restoreerror(self, kernel, sls, value):
+        _group, backend, image, _entry = _checkpointed(kernel, sls)
+        backend.store.read_meta = lambda ref: value
+        with pytest.raises(RestoreError, match="wrong shape"):
+            load_image_from_store(backend.store, image.snapshots["disk0"])
+
+    def test_every_truncation_and_mutation_of_a_packed_record(self, kernel, sls):
+        """Whatever the codec makes of a damaged-but-checksummed record,
+        the loader answers with an image or a catalogued error."""
+        from repro.core.backends import PAGEMAP_ROW
+        from repro.errors import ObjectStoreError
+        from repro.objstore.record import decode, encode
+
+        _group, backend, image, _entry = _checkpointed(kernel, sls, pages=2)
+        store, snapshot = backend.store, image.snapshots["disk0"]
+        _meta, _records, pages = store.load_manifest(snapshot)
+        payload = encode({
+            "meta": {"procs": [{"name": "app"}], "hot": {3: [0]}},
+            "pagemap_delta": {3: b"".join(
+                PAGEMAP_ROW.pack(i, ref.content_hash) for i, ref in enumerate(pages)
+            )},
+        })
+        damaged = [payload[:cut] for cut in range(len(payload))]
+        for pos in range(len(payload)):
+            mutated = bytearray(payload)
+            for byte in range(256):
+                if byte != payload[pos]:
+                    mutated[pos] = byte
+                    damaged.append(bytes(mutated))
+        loaded = 0
+        for candidate in damaged:
+            store.read_meta = lambda ref, candidate=candidate: decode(candidate)
+            try:
+                loaded += load_image_from_store(store, snapshot) is not None
+            except (RestoreError, ObjectStoreError):
+                pass
+        del store.read_meta
+        assert 0 < loaded < len(damaged)
+        assert load_image_from_store(store, snapshot).page_refs["disk0"]
+
+
+class TestStoreLookup:
+    def test_the_store_holding_the_snapshot_wins_over_an_earlier_namesake(
+            self, kernel, sls):
+        """Every group's backend is "disk0": the image restores from the
+        store that holds its snapshot, not the first one registered."""
+        first = _checkpointed(kernel, sls, name="first")
+        second = _checkpointed(kernel, sls, name="second", pages=2)
+        # same snap_id on both stores, so only the name tells them apart
+        assert (first[2].snapshots["disk0"].snap_id
+                == second[2].snapshots["disk0"].snap_id)
+        for _group, backend, image, entry in (first, second):
+            procs, _ = sls.restore(image, backend_name="disk0", lazy=True,
+                                   new_instance=True, name_suffix="-r")
+            assert Syscalls(kernel, procs[0]).peek(entry.start, 1) == b"x"
+
+    def test_fallback_order_is_the_first_matching_backend(self, kernel, sls):
+        from repro.core.restore import RestoreEngine
+
+        first = _checkpointed(kernel, sls, name="first")
+        second = _checkpointed(kernel, sls, name="second")
+        engine = RestoreEngine(sls)
+        assert engine._store_for(first[2], "disk0") is first[1].store
+        assert engine._store_for(second[2], "disk0") is second[1].store
+        stranger = CheckpointImage(name="stranger", group_name="g", epoch=1,
+                                   incremental=False, meta={})
+        assert engine._store_for(stranger, "disk0") is first[1].store
+        stranger.snapshots["disk0"] = second[2].snapshots["disk0"]
+        assert engine._store_for(stranger, "disk0") is second[1].store
+        second[1].store.delete_snapshot(second[2].snapshots["disk0"].snap_id)
+        assert engine._store_for(stranger, "disk0") is first[1].store
+        with pytest.raises(RestoreError, match="no store backend"):
+            engine._store_for(stranger, "nvdimm0")

@@ -25,9 +25,11 @@ from repro.objstore.record import (
 from repro.objstore.snapshot import (
     MetaRef,
     PageRef,
+    PageTable,
     Snapshot,
     SnapshotDirectory,
     encode_manifest,
+    parse_manifest,
 )
 
 
@@ -216,6 +218,19 @@ def reference_encode(value) -> bytes:
     out = bytearray()
     _reference_encode_into(value, out)
     return bytes(out)
+
+
+def reference_manifest_v1(meta, records, pages) -> bytes:
+    """The manifest layout v2 replaced (one small TLV list per row),
+    kept as the size oracle: packed rows must not cost more media."""
+    return reference_encode({
+        "meta": meta,
+        "records": [[r.oid, r.extent.offset, r.extent.length] for r in records],
+        "pages": [
+            [p.content_hash, p.extent.offset, p.extent.length, p.length]
+            for p in pages
+        ],
+    })
 
 
 class Colour(enum.IntEnum):
@@ -440,3 +455,148 @@ class TestDirectoryPayload:
         renamed = dataclasses.replace(snapshot, name="renamed")
         assert renamed.encoded_entry == encode(renamed.directory_entry())
         assert renamed.encoded_entry != snapshot.encoded_entry
+
+
+# --- manifest v2: packed rows behind one encode/parse pair -------------------
+
+MANIFEST_META = {"group": "g", "incremental": True, "parent_snap": None, "t": 0.5}
+MANIFEST_RECORDS = [MetaRef(7, Extent(16384, 300)), MetaRef(2**40, Extent(20480, 129))]
+MANIFEST_PAGES = [
+    PageRef(b"\xd4" * 20, Extent(24576, 4132), 4096),
+    PageRef(b"\x00\xff" * 10, Extent(28672, 48), 4096),
+    PageRef(bytes(range(20)), Extent(2**40, 65535), 0),
+]
+
+meta_refs = st.builds(
+    MetaRef, st.integers(0, 2**64 - 1),
+    st.builds(Extent, st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1)),
+)
+page_refs = st.builds(
+    PageRef, st.binary(min_size=20, max_size=20),
+    st.builds(Extent, st.integers(0, 2**64 - 1), st.integers(0, 2**16 - 1)),
+    st.integers(0, 2**16 - 1),
+)
+
+
+def _parsed_or_objectstoreerror(payload: bytes):
+    """``parse_manifest`` with the lazy table drained: whatever it
+    accepts must also iterate, index and slice without raising."""
+    try:
+        meta, records, pages = parse_manifest(payload)
+    except ObjectStoreError:
+        return None
+    assert list(pages) == [pages[i] for i in range(len(pages))] == pages[:]
+    assert len(list(pages.rows())) == len(pages)
+    return meta, records, list(pages)
+
+
+class TestManifestV2:
+    PAYLOAD = encode_manifest(MANIFEST_META, MANIFEST_RECORDS, MANIFEST_PAGES)
+
+    def test_roundtrip(self):
+        meta, records, pages = parse_manifest(self.PAYLOAD)
+        assert (meta, records) == (MANIFEST_META, MANIFEST_RECORDS)
+        assert isinstance(pages, PageTable)
+        assert list(pages) == MANIFEST_PAGES
+        assert [PageRef(h, Extent(off, elen), plen)
+                for h, off, elen, plen in pages.rows()] == MANIFEST_PAGES
+
+    def test_payload_is_one_versioned_dict_of_bytes_tables(self):
+        value = decode(self.PAYLOAD)
+        assert self.PAYLOAD == reference_encode(value)
+        assert value["v"] == 2 and value["meta"] == MANIFEST_META
+        assert len(value["records"]) == 20 * len(MANIFEST_RECORDS)
+        assert len(value["pages"]) == 32 * len(MANIFEST_PAGES)
+
+    def test_a_table_reencodes_to_the_same_payload(self):
+        meta, records, pages = parse_manifest(self.PAYLOAD)
+        assert encode_manifest(meta, records, pages) == self.PAYLOAD
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(meta_refs, max_size=4),
+           eager=st.lists(page_refs, max_size=12), data=st.data())
+    def test_lazy_table_equals_the_eager_list(self, records, eager, data):
+        meta, parsed_records, table = parse_manifest(
+            encode_manifest({"m": 1}, records, eager)
+        )
+        assert (meta, parsed_records) == ({"m": 1}, records)
+        assert len(table) == len(eager)
+        assert list(table) == list(iter(table)) == eager
+        assert list(reversed(table)) == eager[::-1]
+        for index in range(-len(eager), len(eager)):
+            assert table[index] == eager[index]
+        for index in (len(eager), -len(eager) - 1):
+            with pytest.raises(IndexError):
+                table[index]
+        bound = st.none() | st.integers(-15, 15)
+        cut = slice(data.draw(bound), data.draw(bound),
+                    data.draw(st.none() | st.integers(-3, 3).filter(bool)))
+        assert table[cut] == eager[cut]
+        if eager:
+            assert eager[0] in table and table.index(eager[-1]) == eager.index(eager[-1])
+
+    def test_the_table_is_read_only(self):
+        _meta, _records, table = parse_manifest(self.PAYLOAD)
+        with pytest.raises(TypeError):
+            table[0] = MANIFEST_PAGES[0]
+        with pytest.raises(AttributeError):
+            table.extra = 1
+
+    def test_every_truncation(self):
+        for cut in range(len(self.PAYLOAD)):
+            with pytest.raises(ObjectStoreError):
+                parse_manifest(self.PAYLOAD[:cut])
+
+    def test_every_single_byte_mutation(self):
+        survivors = 0
+        for pos in range(len(self.PAYLOAD)):
+            mutated = bytearray(self.PAYLOAD)
+            for byte in range(256):
+                if byte != self.PAYLOAD[pos]:
+                    mutated[pos] = byte
+                    survivors += _parsed_or_objectstoreerror(bytes(mutated)) is not None
+        # a flipped bit inside a row is a different, well-formed row
+        assert survivors > 255 * 32 * len(MANIFEST_PAGES) // 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.binary(max_size=96))
+    def test_arbitrary_bytes(self, payload):
+        _parsed_or_objectstoreerror(payload)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"v": None}, "KeyError"),
+        ({"v": 1}, "manifest version 1"),
+        ({"v": 3}, "manifest version 3"),
+        ({"v": "2"}, "manifest version '2'"),
+        ({"pages": None}, "KeyError"),
+        ({"records": None}, "KeyError"),
+        ({"pages": [[b"h" * 20, 1, 2, 3]]}, "not bytes"),
+        ({"records": "r" * 20}, "not bytes"),
+        ({"pages": b"p" * 33}, "not whole rows"),
+        ({"records": b"r" * 19}, "not whole rows"),
+    ], ids=lambda v: repr(v)[:32])
+    def test_wrong_shape_raises_objectstoreerror(self, change, message):
+        value = {**decode(self.PAYLOAD), **change}
+        value = {k: v for k, v in value.items() if v is not None}
+        with pytest.raises(ObjectStoreError, match=f"malformed manifest.*{message}"):
+            parse_manifest(encode(value))
+
+    @pytest.mark.parametrize("payload", [encode([1, 2]), encode(7), encode(None)])
+    def test_non_dict_payload_raises_objectstoreerror(self, payload):
+        with pytest.raises(ObjectStoreError, match="malformed manifest"):
+            parse_manifest(payload)
+
+    @pytest.mark.parametrize("records, pages", [
+        ([], [PageRef(b"short", Extent(16384, 64), 64)]),
+        ([], [PageRef(b"x" * 21, Extent(16384, 64), 64)]),
+        ([], [PageRef("h" * 20, Extent(16384, 64), 64)]),
+        ([], [PageRef(b"h" * 20, Extent(16384, 2**16), 64)]),
+        ([], [PageRef(b"h" * 20, Extent(16384, 64), 2**16)]),
+        ([], [PageRef(b"h" * 20, Extent(-1, 64), 64)]),
+        ([MetaRef(2**64, Extent(16384, 64))], []),
+        ([MetaRef(1, Extent(16384, 2**32))], []),
+        ([MetaRef(1, Extent("far", 64))], []),
+    ], ids=lambda v: repr(v)[:48])
+    def test_a_ref_no_row_can_hold_raises_at_encode(self, records, pages):
+        with pytest.raises(ObjectStoreError, match="does not encode"):
+            encode_manifest(None, records, pages)

@@ -78,6 +78,31 @@ class TestSnapshots:
         assert store.read_meta(records[0]) == {"a": 1}
         assert store.read_page(pages[0]) == b"pg"
 
+    def test_manifest_shape_gauges_track_the_last_commit(self, store, clock):
+        from repro.obs import KernelObs, render_store_encoding
+        from repro.obs import names as obs_names
+        from repro.objstore.record import HEADER_SIZE
+
+        obs = KernelObs(clock, label="shape")
+        store.attach_obs(obs)
+
+        def shape():
+            return tuple(
+                obs.registry.gauge(name, store=store.device.name).value
+                for name in (obs_names.G_STORE_MANIFEST_BYTES,
+                             obs_names.G_STORE_MANIFEST_PAGE_ROWS)
+            )
+
+        assert shape() == (0, 0)
+        small = commit(store, "small", values=[{"a": 1}], pages=[b"pg"])
+        assert shape() == (small.manifest_extent.length - HEADER_SIZE, 1)
+        big = commit(store, "big", values=[{"a": 1}, {"b": 2}],
+                     pages=[b"pg-%d" % i for i in range(9)])
+        assert shape() == (big.manifest_extent.length - HEADER_SIZE, 9)
+        header, row = render_store_encoding(obs.registry).splitlines()
+        assert header.split()[-4:] == ["manifest", "B", "page", "rows"]
+        assert row.split()[-2:] == [str(shape()[0]), "9"]
+
     def test_snapshot_directory(self, store):
         commit(store, "one")
         commit(store, "two")

@@ -92,12 +92,16 @@ def write_superblock(device, store, value):
 
 
 MALFORMED_MANIFESTS = [
-    [1, 2, 3],                                            # not a dict
-    {"meta": None, "pages": []},                          # no "records"
-    {"meta": None, "records": 7, "pages": []},            # not iterable
-    {"meta": None, "records": [[1, 2]], "pages": []},     # wrong arity
-    {"meta": None, "records": [], "pages": [["h", 1, 2, 3]]},  # hash not bytes
-    {"meta": None, "records": [[1, "x", 3]], "pages": []},     # offset not int
+    [1, 2, 3],                                                     # not a dict
+    {"v": 2, "meta": None, "pages": b""},                          # no "records"
+    {"v": 2, "meta": None, "records": 7, "pages": b""},            # table not bytes
+    {"v": 2, "meta": None, "records": [[1, 2, 3]], "pages": b""},  # a list of rows
+    {"v": 2, "meta": None, "records": b"", "pages": "h" * 32},     # str, not bytes
+    {"v": 2, "meta": None, "records": b"\0" * 21, "pages": b""},   # ragged records
+    {"v": 2, "meta": None, "records": b"", "pages": b"\0" * 33},   # ragged pages
+    {"meta": None, "records": b"", "pages": b""},                  # no version
+    {"v": 3, "meta": None, "records": b"", "pages": b""},          # unknown version
+    {"meta": None, "records": [], "pages": []},                    # the v1 layout
 ]
 
 MALFORMED_DIRECTORIES = [
@@ -131,6 +135,9 @@ class TestMalformedMedia:
         assert media_findings(scrubber.findings) == {
             (CHECKSUM_CORRUPT, finding.offset)
         }
+        # repair drops it (nothing parsed, nothing to quarantine)
+        assert repair_store(store).repaired_all
+        assert [s.name for s in store.snapshots()] == ["demo-0", "demo-2"]
 
     @pytest.mark.parametrize("value", MALFORMED_DIRECTORIES)
     def test_malformed_directory_is_a_catalogued_error(self, value):
