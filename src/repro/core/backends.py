@@ -17,7 +17,6 @@ arrives at the peer.
 from __future__ import annotations
 
 import abc
-import struct
 from typing import Optional
 
 from repro.core.checkpoint import CheckpointImage, FlushInfo
@@ -29,19 +28,15 @@ from repro.mem.cow import FreezeSet
 from repro.mem.page import Page
 from repro.units import MSEC
 from repro.obs import names as obs_names
+from repro.objstore.image import write_image
 from repro.objstore.record import encode
-from repro.objstore.store import ObjectStore, PageRef
+from repro.objstore.store import ObjectStore
 from repro.posix.kernel import Kernel
 from repro.serial.memsnap import (
     capture_pages_to_memory,
     capture_pages_to_store,
     capture_swapped_to_store,
 )
-
-
-#: one row of a metadata record's ``pagemap_delta`` table (a ``bytes``
-#: value per object id): page index, SHA-1 content hash
-PAGEMAP_ROW = struct.Struct("<I20s")
 
 
 class Backend(abc.ABC):
@@ -137,62 +132,40 @@ class StoreBackend(Backend):
         records_before, extents_before = batch.records_flushed, batch.extents_flushed
         nbytes_before, shards_before = batch.bytes_flushed, batch.shards_flushed
         base_map = parent.page_refs.get(self.name) if parent else None
-        page_map, all_refs = capture_pages_to_store(
+        page_map = capture_pages_to_store(
             freeze_set, self.store, base_map=base_map
         )
         # Swapped-out pages join the checkpoint without faulting in
         # ("when pages are swapped out due to memory pressure they are
         # incorporated into the subsequent checkpoint").
         if self.kernel._swap is not None:
-            extra = capture_swapped_to_store(
+            capture_swapped_to_store(
                 freeze_set.objects, self.store, self.kernel.swap, page_map,
                 force=freeze_set.swapped_dirty,
             )
-            all_refs.extend(extra)
-        # The on-disk metadata record carries the kernel-object graph
-        # plus this checkpoint's pagemap *delta*: which (object, page
-        # index) slots the captured hashes belong to.  A post-reboot
-        # restore rebuilds the full page map by overlaying the deltas
-        # of the lineage back to its covering full checkpoint (see
-        # restore.load_image_from_store) — so an image recorded
-        # non-incremental (a consolidating full checkpoint still has a
-        # parent) must carry the *complete* map, diffed against nothing.
-        base = (parent.page_refs.get(self.name, {})
-                if parent and image.incremental else {})
-        delta: dict[int, bytes] = {}
-        for oid, pages in page_map.items():
-            base_pages = base.get(oid, {})
-            rows = bytearray()
-            for pindex, ref in pages.items():
-                old = base_pages.get(pindex)
-                if old is None or old.content_hash != ref.content_hash:
-                    rows += PAGEMAP_ROW.pack(pindex, ref.content_hash)
-            if rows:
-                delta[oid] = bytes(rows)
-        meta_ref = self.store.write_meta(
-            oid=image.image_id,
-            value={"meta": image.meta, "pagemap_delta": delta},
-            epoch=image.epoch,
-        )
-        # The manifest lists this checkpoint's own record first, then
-        # the lineage's delta records: the store's refcounts pin them
-        # (as ``_with_delta_bases`` pins delta bases), so the snapshot
-        # stays restorable when any ancestor snapshot is deleted.
-        records = [meta_ref]
-        if parent and image.incremental:
-            records += parent.delta_records.get(self.name, [])
+        # The image record carries the kernel-object graph plus this
+        # checkpoint's slot-map *delta* against its parent's map; the
+        # manifest lists the lineage's records after it (see
+        # repro.objstore.image).  An image recorded non-incremental (a
+        # consolidating full checkpoint still has a parent) must carry
+        # the *complete* map, diffed against nothing.
+        incremental = parent is not None and image.incremental
         parent_snap = parent.snapshots.get(self.name) if parent else None
-        snapshot = self.store.commit_snapshot(
+        snapshot, records = write_image(
+            self.store,
             name=image.name,
             meta={
                 "group": image.group_name,
                 "incremental": image.incremental,
                 "parent_snap": parent_snap.snap_id if parent_snap else None,
             },
-            records=records,
-            pages=[r for r in all_refs if isinstance(r, PageRef)],
+            value=image.meta,
+            page_map=page_map,
+            oid=image.image_id,
             epoch=image.epoch,
             parent_id=parent_snap.snap_id if parent_snap else None,
+            base_map=base_map if incremental else None,
+            base_records=parent.delta_records.get(self.name, ()) if incremental else (),
         )
         image.snapshots[self.name] = snapshot
         image.page_refs[self.name] = page_map

@@ -18,11 +18,9 @@ from typing import Callable, Optional
 from repro.core.metrics import CheckpointMetrics
 from repro.mem.page import Page
 from repro.objstore.snapshot import Snapshot
-from repro.objstore.store import MetaRef, PageRef
+from repro.objstore.store import MetaRef
+from repro.serial.memsnap import PageMap
 from repro.units import PAGE_SIZE
-
-#: oid -> {pindex -> PageRef | Page}
-PageMap = dict[int, dict[int, object]]
 
 #: global image-id allocator.  The id is varint-encoded into snapshot
 #: manifests, so its byte width leaks into flush timings — hermetic

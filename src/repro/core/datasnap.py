@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 from repro.errors import NoSuchObject, SlsError
 from repro.mem.address_space import AddressSpace
+from repro.objstore.image import read_image, write_image
+from repro.objstore.record import shaped
 from repro.objstore.snapshot import Snapshot
-from repro.objstore.store import ObjectStore, PageRef
+from repro.objstore.store import ObjectStore
 from repro.units import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, page_align_up
 
 #: snapshot-name prefix distinguishing data snapshots in the directory
@@ -59,26 +61,18 @@ def datasnap(
     if length <= 0:
         raise SlsError("datasnap length must be positive")
     npages = page_align_up(length) >> PAGE_SHIFT
-    refs: list[list] = []
-    page_list: list[PageRef] = []
+    pages = {}
     for i in range(npages):
         page = aspace.fault(addr + i * PAGE_SIZE, for_write=False)
-        ref = store.write_page(
+        pages[i] = store.write_page(
             page.snapshot_payload(), content_hash=page.content_hash()
         )
-        refs.append([i, ref.content_hash, ref.extent.offset,
-                     ref.extent.length, ref.length])
-        page_list.append(ref)
-    meta_ref = store.write_meta(
-        oid=0,
-        value={"kind": "datasnap", "addr": addr, "length": length,
-               "pages": refs},
-    )
-    snapshot = store.commit_snapshot(
+    snapshot, _records = write_image(
+        store,
         name=DATA_PREFIX + name,
         meta={"kind": "datasnap"},
-        records=[meta_ref],
-        pages=page_list,
+        value={"kind": "datasnap", "addr": addr, "length": length},
+        page_map={0: pages},
     )
     if sync:
         store.flush_barrier()
@@ -101,18 +95,13 @@ def datarestore(
     snapshot = store.snapshot_by_name(DATA_PREFIX + name)
     if snapshot is None:
         raise NoSuchObject(f"no data snapshot {name!r}")
-    _meta, records, _pages = store.load_manifest(snapshot)
-    value = store.read_meta(records[0])
-    if value.get("kind") != "datasnap":
+    value, page_map = read_image(store, snapshot)
+    if not (shaped(value, {"kind": str, "addr": int, "length": int})
+            and value["kind"] == "datasnap"):
         raise SlsError(f"snapshot {name!r} is not a data snapshot")
     target = value["addr"] if addr is None else addr
-    from repro.objstore.alloc import Extent
-
     restored = 0
-    for i, content_hash, offset, elen, plen in value["pages"]:
-        ref = PageRef(
-            content_hash=content_hash, extent=Extent(offset, elen), length=plen
-        )
+    for i, ref in page_map.get(0, {}).items():
         payload = store.read_page(ref)
         # Whole-page semantics: the region is restored exactly.
         aspace.write(target + i * PAGE_SIZE, payload)

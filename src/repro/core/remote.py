@@ -25,16 +25,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.backends import RemoteBackend
-from repro.core.checkpoint import CheckpointImage, PageMap
+from repro.core.checkpoint import CheckpointImage
 from repro.core.group import PersistenceGroup
 from repro.core.metrics import CheckpointMetrics, RestoreMetrics
 from repro.core.orchestrator import SLS
 from repro.errors import MigrationError
 from repro.hw.netdev import NetworkEndpoint
 from repro.mem.page import Page
-from repro.objstore.record import decode, encode
+from repro.objstore.image import write_image
+from repro.objstore.record import decode, encode, shaped
 from repro.objstore.store import ObjectStore, PageRef
 from repro.posix.process import Process
+from repro.serial.memsnap import PageMap
 
 
 def collect_payloads(image: CheckpointImage, store: Optional[ObjectStore]) -> list:
@@ -117,6 +119,72 @@ def sls_send(
     return len(payload)
 
 
+#: field -> type of an image/checkpoint message (a finish marker
+#: carries only the group)
+_MESSAGE_FIELDS = {"group": str, "name": str, "epoch": int, "meta": dict,
+                   "pages": list}
+
+
+def _checked_message(value) -> dict:
+    """``value`` if it is a well-formed migration message.  It came off
+    a file or the network, so everything the receiver will index is
+    checked here, before anything is staged in the store."""
+    kind = value.get("kind") if isinstance(value, dict) else None
+    if kind not in ("image", "checkpoint", "finish"):
+        raise MigrationError(f"unknown migration message kind {kind!r}")
+    fields = {"group": str} if kind == "finish" else _MESSAGE_FIELDS
+    if not (shaped(value, fields) and all(  # [oid, page index, payload]
+        isinstance(row, list) and [type(x) for x in row] == [int, int, bytes]
+        for row in (value["pages"] if kind != "finish" else ())
+    )):
+        raise MigrationError(f"malformed {kind!r} migration message")
+    return value
+
+
+@dataclass
+class _GroupStream:
+    """Assembly state for one transferred group: its newest metadata
+    and the page map every message so far adds up to."""
+
+    group: str
+    meta: Optional[dict] = None
+    name: str = ""
+    epoch: int = 0
+    page_refs: PageMap = field(default_factory=dict)
+    checkpoints_applied: int = 0
+
+    def apply(self, store: ObjectStore, value: dict) -> None:
+        """Adopt one image/checkpoint message: stage its pages, overlay
+        them on the map, keep its metadata."""
+        self.meta, self.name, self.epoch = value["meta"], value["name"], value["epoch"]
+        for oid, pindex, payload in value["pages"]:
+            self.page_refs.setdefault(oid, {})[pindex] = store.write_page(payload)
+        self.checkpoints_applied += 1
+
+    def commit(self, store: ObjectStore, backend_name: str, marker: str) -> CheckpointImage:
+        """Commit the assembled image to ``store``; returns it
+        restorable under ``backend_name``."""
+        snapshot, _records = write_image(
+            store,
+            name=f"{backend_name}:{self.name}",
+            meta={"group": self.group, marker: True},
+            value=self.meta,
+            page_map=self.page_refs,
+            epoch=self.epoch,
+        )
+        image = CheckpointImage(
+            name=self.name,
+            group_name=self.group,
+            epoch=self.epoch,
+            incremental=False,
+            meta=self.meta,
+            metrics=CheckpointMetrics(group=self.group),
+        )
+        image.snapshots[backend_name] = snapshot
+        image.page_refs[backend_name] = dict(self.page_refs)
+        return image
+
+
 def import_image(blob: bytes, store: ObjectStore) -> CheckpointImage:
     """Load an exported image blob into a store ("give to another
     user"): the file-transfer counterpart of send/recv.
@@ -124,45 +192,12 @@ def import_image(blob: bytes, store: ObjectStore) -> CheckpointImage:
     Returns a restorable image whose pages live in ``store`` under the
     backend name ``"import"``.
     """
-    value = decode(blob)
-    if not isinstance(value, dict) or value.get("kind") != "image":
+    value = _checked_message(decode(blob))
+    if value["kind"] != "image":
         raise MigrationError("blob is not an exported checkpoint image")
-    page_refs: PageMap = {}
-    all_refs = []
-    for oid, pindex, payload in value["pages"]:
-        ref = store.write_page(payload)
-        page_refs.setdefault(oid, {})[pindex] = ref
-        all_refs.append(ref)
-    meta_ref = store.write_meta(oid=0, value=value["meta"], epoch=value["epoch"])
-    snapshot = store.commit_snapshot(
-        name=f"import:{value['name']}",
-        meta={"group": value["group"], "imported": True},
-        records=[meta_ref],
-        pages=all_refs,
-        epoch=value["epoch"],
-    )
-    image = CheckpointImage(
-        name=value["name"],
-        group_name=value["group"],
-        epoch=value["epoch"],
-        incremental=False,
-        meta=value["meta"],
-        metrics=CheckpointMetrics(group=value["group"]),
-    )
-    image.snapshots["import"] = snapshot
-    image.page_refs["import"] = page_refs
-    return image
-
-
-@dataclass
-class _GroupStream:
-    """Receiver-side assembly state for one replicated group."""
-
-    meta: Optional[dict] = None
-    name: str = ""
-    epoch: int = 0
-    page_refs: PageMap = field(default_factory=dict)
-    checkpoints_applied: int = 0
+    stream = _GroupStream(value["group"])
+    stream.apply(store, value)
+    return stream.commit(store, "import", "imported")
 
 
 class MigrationReceiver:
@@ -177,24 +212,13 @@ class MigrationReceiver:
 
     # -- stream assembly -------------------------------------------------------
 
-    def _apply_pages(self, stream: _GroupStream, pages: list) -> None:
-        for oid, pindex, payload in pages:
-            ref = self.store.write_page(payload)
-            stream.page_refs.setdefault(oid, {})[pindex] = ref
-
-    def _apply_message(self, value: dict) -> Optional[str]:
-        kind = value.get("kind")
-        if kind not in ("image", "checkpoint", "finish"):
-            raise MigrationError(f"unknown migration message kind {kind!r}")
+    def _apply_message(self, value) -> Optional[str]:
+        kind = _checked_message(value)["kind"]
         group_name = value["group"]
-        stream = self._streams.setdefault(group_name, _GroupStream())
+        stream = self._streams.setdefault(group_name, _GroupStream(group_name))
         if kind == "finish":
             return group_name
-        stream.meta = value["meta"]
-        stream.name = value["name"]
-        stream.epoch = value["epoch"]
-        self._apply_pages(stream, value["pages"])
-        stream.checkpoints_applied += 1
+        stream.apply(self.store, value)
         self.images_received += 1
         if kind == "image":
             return group_name
@@ -218,31 +242,7 @@ class MigrationReceiver:
         stream = self._streams.get(group_name)
         if stream is None or stream.meta is None:
             raise MigrationError(f"no received image for group {group_name!r}")
-        all_refs = [
-            ref
-            for pages in stream.page_refs.values()
-            for ref in pages.values()
-            if isinstance(ref, PageRef)
-        ]
-        meta_ref = self.store.write_meta(oid=0, value=stream.meta, epoch=stream.epoch)
-        snapshot = self.store.commit_snapshot(
-            name=f"recv:{stream.name}",
-            meta={"group": group_name, "received": True},
-            records=[meta_ref],
-            pages=all_refs,
-            epoch=stream.epoch,
-        )
-        image = CheckpointImage(
-            name=stream.name,
-            group_name=group_name,
-            epoch=stream.epoch,
-            incremental=False,
-            meta=stream.meta,
-            metrics=CheckpointMetrics(group=group_name),
-        )
-        image.snapshots["recv"] = snapshot
-        image.page_refs["recv"] = dict(stream.page_refs)
-        return image
+        return stream.commit(self.store, "recv", "received")
 
     def restore(
         self, group_name: str, lazy: bool = False, new_instance: bool = False

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.backends import PAGEMAP_ROW, StoreBackend
+from repro.core.backends import StoreBackend
 from repro.core.checkpoint import CheckpointImage
-from repro.core.metrics import RestoreMetrics
-from repro.errors import RestoreError
+from repro.core.metrics import CheckpointMetrics, RestoreMetrics
+from repro.errors import ImageFormatError, RestoreError
 from repro.obs import names as obs_names
+from repro.objstore.image import read_image, read_image_value
+from repro.objstore.record import shaped
 from repro.objstore.store import ObjectStore, PageRef
 from repro.posix.kernel import Kernel
 from repro.posix.process import Process
@@ -37,75 +39,35 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.orchestrator import SLS
 
 
-def _read_image_record(store: ObjectStore, ref, name: str) -> tuple[dict, Optional[dict]]:
-    """``(group metadata, packed pagemap delta)`` of snapshot ``name``'s
-    metadata record: ``StoreBackend.persist`` wraps the metadata with
-    its delta, a received image stores it bare (delta ``None``).  The
-    one place the record's shape is checked: one that checksums but is
-    shaped wrong raises :class:`RestoreError`, not a stray exception."""
-    meta, delta = store.read_meta(ref), None
-    if isinstance(meta, dict) and "pagemap_delta" in meta:
-        meta, delta = meta.get("meta"), meta["pagemap_delta"]
-    procs = meta.get("procs", [{}]) if isinstance(meta, dict) else None
-    shaped = isinstance(procs, list) and procs and isinstance(procs[0], dict)
-    if shaped and delta is not None:
-        shaped = isinstance(delta, dict) and all(
-            type(rows) is bytes and len(rows) % PAGEMAP_ROW.size == 0
-            for rows in delta.values()
+def _group_meta(snapshot, meta) -> dict:
+    """``meta`` if it is a serialized process group: an image whose
+    value half is anything else (an SLSFS or data snapshot, damage that
+    checksums) raises :class:`RestoreError`, not a stray exception."""
+    if not (shaped(meta, {"procs": list}) and meta["procs"]
+            and isinstance(meta["procs"][0], dict)):
+        raise RestoreError(
+            f"snapshot {snapshot.name!r} metadata record has the wrong shape"
         )
-    if not shaped:
-        raise RestoreError(f"snapshot {name!r} metadata record has the wrong shape")
-    return meta, delta
+    return meta
 
 
 def load_image_from_store(store: ObjectStore, snapshot,
                           backend_name: str = "disk0") -> CheckpointImage:
     """Rebuild a restorable :class:`CheckpointImage` from a snapshot.
 
-    The post-reboot path: nothing but the device contents exists.  The
-    snapshot's manifest is self-contained: its records are its own
-    pagemap-delta record followed by its lineage's back to the covering
-    full checkpoint (``StoreBackend.persist`` lists them, so the store
-    keeps them alive whatever happens to the ancestor snapshots), and
-    its pages bind every hash the complete map references.  The deltas
-    are overlaid oldest-first into the (object, page index) → page-ref
-    map.
+    The post-reboot path: nothing but the device contents exists, and
+    the snapshot's manifest is self-contained — :func:`~repro.objstore.
+    image.read_image` turns it into the group metadata and the complete
+    (object, page index) → page-ref map, whichever producer wrote it.
     """
-    from repro.core.metrics import CheckpointMetrics
-
-    _value, records, pages = store.load_manifest(snapshot)
-    if not records:
-        raise RestoreError(f"snapshot {snapshot.name!r} has no metadata record")
-    hashes: dict[int, dict[int, bytes]] = {}
-    for record in reversed(records):  # oldest first, the snapshot's own last
-        meta, delta = _read_image_record(store, record, snapshot.name)
-        if delta is None:
-            raise RestoreError(
-                f"snapshot {snapshot.name!r} metadata lacks a pagemap delta"
-            )
-        for oid, rows in delta.items():
-            hashes.setdefault(oid, {}).update(PAGEMAP_ROW.iter_unpack(rows))
-
-    # Only the overlaid map has to resolve: a slot an ancestor wrote and
-    # a later checkpoint overwrote names a hash this manifest no longer
-    # lists (and the store may have freed).
-    hash_to_ref: dict[bytes, PageRef] = {}
-    for ref in pages:
-        hash_to_ref.setdefault(ref.content_hash, ref)
-    page_refs: dict[int, dict[int, PageRef]] = {}
-    for oid, slots in hashes.items():
-        target = page_refs[oid] = {}
-        for pindex, content_hash in slots.items():
-            ref = hash_to_ref.get(content_hash)
-            if ref is None:
-                raise RestoreError(
-                    f"page {content_hash.hex()} missing from manifests"
-                )
-            target[pindex] = ref
-
+    try:
+        meta, page_refs = read_image(store, snapshot)
+    except ImageFormatError as exc:
+        raise RestoreError(str(exc)) from exc
+    meta = _group_meta(snapshot, meta)
     image = CheckpointImage(
         name=snapshot.name,
-        group_name=str(meta.get("procs", [{}])[0].get("name", snapshot.name)),
+        group_name=str(meta["procs"][0].get("name", snapshot.name)),
         epoch=snapshot.epoch,
         incremental=False,
         meta=meta,
@@ -279,9 +241,11 @@ class RestoreEngine:
                 snapshot = image.snapshots.get(backend_name)
                 if (snapshot is not None
                         and store.directory.get(snapshot.snap_id) is not None):
-                    _value, records, _pages = store.load_manifest(snapshot)
-                    meta = (_read_image_record(store, records[0], snapshot.name)[0]
-                            if records else image.meta)
+                    try:
+                        meta = read_image_value(store, snapshot)
+                    except ImageFormatError as exc:
+                        raise RestoreError(str(exc)) from exc
+                    meta = _group_meta(snapshot, meta)
                 else:
                     meta = image.meta
                 payloads: dict[bytes, bytes] = {}

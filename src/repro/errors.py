@@ -145,6 +145,11 @@ class ChecksumError(ObjectStoreError):
     """A record failed checksum verification (torn/corrupt write)."""
 
 
+class ImageFormatError(ObjectStoreError):
+    """A snapshot's records checksum but do not spell an image (value +
+    slot map, see :mod:`repro.objstore.image`)."""
+
+
 class NoSuchObject(ObjectStoreError):
     """Lookup of an OID or snapshot that does not exist on the store."""
 

@@ -27,6 +27,10 @@ class DedupEntry:
     #: on-media logical footprint of the record (what the flush path
     #: charged the device); header + full page for RAW
     media_bytes: int = 0
+    #: delta-encoded records only: content hash of the base page the
+    #: record patches, and its chain depth (0 = a full record)
+    base_hash: bytes | None = None
+    depth: int = 0
 
 
 @dataclass
@@ -64,11 +68,13 @@ class DedupIndex:
         return self._entries.get(content_hash)
 
     def insert(self, content_hash: bytes, extent: Extent,
-               length: int = 0, media_bytes: int = 0) -> DedupEntry:
+               length: int = 0, media_bytes: int = 0,
+               base_hash: bytes | None = None, depth: int = 0) -> DedupEntry:
         if content_hash in self._entries:
             raise AssertionError("dedup insert of existing hash")
         entry = DedupEntry(extent=extent, refcount=0,
-                           length=length, media_bytes=media_bytes)
+                           length=length, media_bytes=media_bytes,
+                           base_hash=base_hash, depth=depth)
         self._entries[content_hash] = entry
         self.stats.unique_pages += 1
         return entry

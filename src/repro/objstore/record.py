@@ -245,6 +245,15 @@ def _decode_items(data: bytes, pos: int, count: int, depth: int) -> tuple[list, 
     return items, pos
 
 
+def shaped(value, fields: dict) -> bool:
+    """Whether a decoded ``value`` is a dict holding every key of
+    ``fields`` with exactly the type it names — the shape check a reader
+    owes a record that checksummed, or a message off the network."""
+    return isinstance(value, dict) and all(
+        type(value.get(name)) is kind for name, kind in fields.items()
+    )
+
+
 def decode(payload: bytes):
     """Decode a metadata value.  Total: any payload yields a value or
     :class:`ObjectStoreError` (truncation, trailing garbage, unknown

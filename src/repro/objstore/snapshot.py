@@ -56,6 +56,9 @@ class PageRef:
 MANIFEST_VERSION = 2
 _RECORD_ROW = struct.Struct("<QQI")
 _PAGE_ROW = struct.Struct("<20sQHH")
+#: one row of an image record's slot map (:mod:`repro.objstore.image`):
+#: slot (page index), SHA-1 content hash
+PAGEMAP_ROW = struct.Struct("<I20s")
 
 
 def _page_ref(row: tuple[bytes, int, int, int]) -> PageRef:

@@ -161,10 +161,6 @@ class ObjectStore:
         )
         self.allocator.faults = self.faults
         self.dedup = DedupIndex()
-        #: delta-chain bookkeeping: content hash -> chain depth / base
-        #: hash for every live delta-encoded page record
-        self._delta_depth: dict[bytes, int] = {}
-        self._delta_bases: dict[bytes, bytes] = {}
         self.directory = SnapshotDirectory(next_id=next_id)
         #: where every data record waits for the next flush; a rebuild
         #: drops what was staged with the rest of the in-memory state
@@ -369,10 +365,10 @@ class ObjectStore:
         base_hash = None
         base_depth = 0
         if (self.codec.enabled and delta_base is not None
-                and delta_base != content_hash
-                and self.dedup.get(delta_base) is not None):
-            base_hash = delta_base
-            base_depth = self._delta_depth.get(delta_base, 0)
+                and delta_base != content_hash):
+            base = self.dedup.get(delta_base)
+            if base is not None:
+                base_hash, base_depth = delta_base, base.depth
         plan = self.codec.plan(
             payload, base_hash=base_hash, base_depth=base_depth,
             dirty_extents=dirty_extents,
@@ -394,6 +390,7 @@ class ObjectStore:
         self.dedup.insert(
             content_hash, extent,
             length=len(payload), media_bytes=plan.media_bytes,
+            base_hash=plan.base_hash, depth=plan.depth,
         )
         self.stats.pages_written += 1
         self.stats.page_full_bytes += HEADER_SIZE + PAGE_SIZE
@@ -404,8 +401,6 @@ class ObjectStore:
         elif plan.flags == ENC_DELTA:
             self.stats.pages_delta += 1
             self.stats.encoded_bytes_saved += plan.bytes_saved
-            self._delta_depth[content_hash] = plan.depth
-            self._delta_bases[content_hash] = plan.base_hash
         if self.obs is not None:
             self._c_pages.inc()
             if plan.flags == ENC_ZLIB:
@@ -730,7 +725,8 @@ class ObjectStore:
         out = list(pages)
         queue = [p.content_hash for p in pages]
         while queue:
-            base = self._delta_bases.get(queue.pop())
+            listed = self.dedup.get(queue.pop())
+            base = listed.base_hash if listed is not None else None
             if base is None or base in seen:
                 continue
             entry = self.dedup.get(base)
@@ -767,8 +763,6 @@ class ObjectStore:
             freed = self.dedup.release(content_hash)
             if freed is not None:
                 self.garbage.append(freed)
-                self._delta_depth.pop(content_hash, None)
-                self._delta_bases.pop(content_hash, None)
                 # The hash just left the store; a cached copy must not
                 # outlive the media extent (GC may reuse it).
                 self.pagecache.invalidate(content_hash)
@@ -858,7 +852,7 @@ class ObjectStore:
         self, walk: MediaWalk, next_id: int,
         groups: list[tuple[Optional[Snapshot], list[MetaRef], list[PageRef]]],
     ) -> None:
-        """Rebuild allocator, dedup index, delta-chain bookkeeping,
+        """Rebuild allocator, dedup index (delta chains included),
         refcounts and directory from a media walk — the one
         construction recovery and fsck repair share.
 
@@ -906,10 +900,8 @@ class ObjectStore:
                     ref.content_hash, ref.extent, length=ref.length,
                     media_bytes=(HEADER_SIZE + PAGE_SIZE if flags == ENC_RAW
                                  else ref.extent.length),
+                    base_hash=base_hash, depth=depth,
                 )
-                if flags == ENC_DELTA:
-                    self._delta_depth[ref.content_hash] = depth
-                    self._delta_bases[ref.content_hash] = base_hash
             if snapshot is not None:
                 self._take_references(snapshot, records, pages)
 

@@ -136,12 +136,12 @@ def capture_pages_to_store(
     freeze_set: FreezeSet,
     store: ObjectStore,
     base_map: Optional[PageMap] = None,
-) -> tuple[PageMap, list[PageRef]]:
+) -> PageMap:
     """Write a freeze set's pages to the object store (deduplicated).
 
     ``base_map`` is the parent checkpoint's page map; incremental
     checkpoints overlay their dirty pages onto it, so the returned map
-    is always complete.  Returns (page map, all refs for the manifest).
+    is always complete.
     """
     page_map: PageMap = {}
     if base_map:
@@ -160,7 +160,6 @@ def capture_pages_to_store(
             dirty_extents=frozen.page.dirty_extents,
         )
         page_map.setdefault(frozen.obj.oid, {})[frozen.pindex] = ref
-    all_refs = [ref for pages in page_map.values() for ref in pages.values()]
     if store.obs is not None:
         store.obs.tracer.event(
             obs_names.EV_CAPTURE_STORE,
@@ -168,7 +167,7 @@ def capture_pages_to_store(
             epoch=freeze_set.epoch,
             store=store.device.name,
         )
-    return page_map, all_refs
+    return page_map
 
 
 def capture_swapped_to_store(

@@ -24,19 +24,27 @@ from typing import Optional
 from repro.errors import (
     DirectoryNotEmpty,
     FileExists,
+    ImageFormatError,
     IsADirectory,
     NoSuchFile,
     NotADirectory,
 )
 from repro.fault import names as fault_names
+from repro.objstore.image import read_image, write_image
+from repro.objstore.record import shaped
 from repro.objstore.snapshot import Snapshot
-from repro.objstore.store import MetaRef, ObjectStore, PageRef
+from repro.objstore.store import ObjectStore, PageRef
 from repro.posix.vnode import FileSystem, Vnode, VnodeType
 from repro.slsfs.anonfile import OrphanTable
 from repro.units import PAGE_SIZE
 
 #: ino of the filesystem root
 ROOT_INO = 1
+#: the :class:`Inode` fields a sync persists, with their types (its
+#: clean pages are the image's slot map, dirty ones were just flushed)
+_INODE_FIELDS = {"ino": int, "vtype": str, "nlink": int, "size": int,
+                 "mode": int, "open_refs": int, "symlink_target": str,
+                 "entries": dict}
 
 
 @dataclass
@@ -330,21 +338,8 @@ class SlsFS(FileSystem):
             "next_ino": self._peek_ino(),
             "orphans": self.orphans.encode(),
             "inodes": [
-                {
-                    "ino": i.ino,
-                    "vtype": i.vtype,
-                    "nlink": i.nlink,
-                    "size": i.size,
-                    "mode": i.mode,
-                    "open_refs": i.open_refs,
-                    "symlink_target": i.symlink_target,
-                    "entries": dict(i.entries),
-                    "pages": [
-                        [p, r.content_hash, r.extent.offset, r.extent.length, r.length]
-                        for p, r in sorted(i.pages.items())
-                    ],
-                }
-                for i in self._inodes.values()
+                {name: getattr(inode, name) for name in _INODE_FIELDS}
+                for inode in self._inodes.values()
             ],
         }
 
@@ -367,17 +362,16 @@ class SlsFS(FileSystem):
                 fs=self.name,
             )
         self._flush_dirty()
-        meta_ref = self.store.write_meta(oid=ROOT_INO, value=self._encode_meta())
-        all_refs = [
-            ref for inode in self._inodes.values() for ref in inode.pages.values()
-        ]
         self.snapshots_taken += 1
-        return self.store.commit_snapshot(
+        snapshot, _records = write_image(
+            self.store,
             name=name or f"slsfs@{self.snapshots_taken}",
             meta={"fs": "slsfs"},
-            records=[meta_ref],
-            pages=all_refs,
+            value=self._encode_meta(),
+            page_map={inode.ino: inode.pages for inode in self._inodes.values()},
+            oid=ROOT_INO,
         )
+        return snapshot
 
     @classmethod
     def recover(cls, store: ObjectStore, snapshot: Optional[Snapshot] = None) -> "SlsFS":
@@ -393,29 +387,25 @@ class SlsFS(FileSystem):
             if not candidates:
                 return cls(store)
             snapshot = max(candidates, key=lambda s: s.snap_id)
-        _meta, records, _pages = store.load_manifest(snapshot)
-        data = store.read_meta(records[0])
+        data, page_map = read_image(store, snapshot)
+        # The record checksummed; that it is *this* filesystem's
+        # metadata (what _encode_meta writes) is checked here, once.
+        if not (
+            shaped(data, {"next_ino": int, "orphans": dict, "inodes": list})
+            and all(isinstance(k, str) and k.isdigit() for k in data["orphans"])
+            and all(shaped(entry, _INODE_FIELDS) for entry in data["inodes"])
+        ):
+            raise ImageFormatError(
+                f"snapshot {snapshot.name!r} does not hold SLSFS metadata"
+            )
         fs = cls(store)
         fs._inodes.clear()
         fs._vnodes.clear()
-        from repro.objstore.alloc import Extent
-
         for entry in data["inodes"]:
-            inode = Inode(
-                ino=entry["ino"],
-                vtype=entry["vtype"],
-                nlink=entry["nlink"],
-                size=entry["size"],
-                mode=entry["mode"],
-                open_refs=entry["open_refs"],
-                entries={k: v for k, v in entry["entries"].items()},
-                symlink_target=entry.get("symlink_target", ""),
+            fs._inodes[entry["ino"]] = Inode(
+                **{name: entry[name] for name in _INODE_FIELDS},
+                pages=page_map.get(entry["ino"], {}),
             )
-            inode.pages = {
-                p: PageRef(content_hash=h, extent=Extent(off, elen), length=plen)
-                for p, h, off, elen, plen in entry["pages"]
-            }
-            fs._inodes[inode.ino] = inode
         fs._ino = itertools.count(data["next_ino"])
         fs.orphans = OrphanTable.decode(data["orphans"])
         root = fs._inodes.get(ROOT_INO)

@@ -156,7 +156,7 @@ class TestPackedMetadataSize:
         import hashlib
 
         import repro.objstore.store as store_module
-        from repro.core.backends import PAGEMAP_ROW
+        from repro.objstore.snapshot import PAGEMAP_ROW
         from repro.objstore.record import encode
         from tests.objstore.test_record import reference_encode, reference_manifest_v1
 

@@ -11,8 +11,9 @@ from repro.core.datasnap import (
     list_datasnaps,
 )
 from repro.core.orchestrator import SLS
-from repro.errors import NoSuchObject, SlsError
+from repro.errors import NoSuchObject, ObjectStoreError, SlsError
 from repro.hw.nvme import NvmeDevice
+from repro.objstore.image import read_image
 from repro.posix.kernel import Kernel
 from repro.posix.syscalls import Syscalls
 from repro.units import GIB, PAGE_SIZE
@@ -54,11 +55,10 @@ class TestDatasnap:
     def test_no_execution_state_captured(self, world):
         proc, sys, entry, store, api = world
         snap = api.sls_datasnap(entry.start, 4 * PAGE_SIZE, "small")
-        _meta, records, pages = store.load_manifest(snap.snapshot)
-        value = store.read_meta(records[0])
+        value, page_map = read_image(store, snap.snapshot)
         assert value["kind"] == "datasnap"
         assert "procs" not in value  # no process metadata at all
-        assert len(pages) == 4
+        assert list(page_map) == [0] and len(page_map[0]) == 4
 
     def test_restore_to_different_address(self, world):
         proc, sys, entry, store, api = world
@@ -118,6 +118,50 @@ class TestDatasnap:
             api.sls_datasnap(entry.start, 0, "empty")
         with pytest.raises(NoSuchObject):
             api.sls_datarestore("ghost")
+
+    def test_record_holds_no_second_page_table(self, kernel):
+        """Pinned for a 256-page region (the private TLV page list this
+        replaced made the record 9 432 B)."""
+        import hashlib
+
+        proc = kernel.spawn("big")
+        sys = Syscalls(kernel, proc)
+        entry = sys.mmap(256 * PAGE_SIZE, name="pool")
+        sys.populate(entry.start, 256 * PAGE_SIZE,
+                     fill_fn=lambda i: hashlib.sha256(b"%d" % i).digest() * 128)
+        store = make_disk_backend(kernel, NvmeDevice(kernel.clock)).store
+        snap = datasnap(store, proc.aspace, entry.start, 256 * PAGE_SIZE, "pool")
+        _meta, records, pages = store.load_manifest(snap.snapshot)
+        assert len(pages) == 256
+        assert records[0].extent.length == 6252
+
+    @pytest.mark.parametrize("damage", [
+        lambda record: [1, 2, 3],
+        lambda record: 7,
+        lambda record: record["meta"],  # the bare pre-slot-map layout
+        lambda record: {**record, "meta": [1, 2, 3]},
+        lambda record: {**record, "meta": 7},
+        lambda record: {**record, "pagemap_delta": {0: b"short row"}},
+        lambda record: {**record, "meta": {"kind": "datasnap", "length": 1}},
+        lambda record: {**record, "meta": {**record["meta"], "addr": "0x10"}},
+        lambda record: {**record, "meta": {**record["meta"], "length": None}},
+    ])
+    def test_damaged_record_is_a_catalogued_error(self, world, damage):
+        """A record that checksums but is not a data snapshot's: an
+        ``ObjectStoreError``/``SlsError``, never a stray exception."""
+        proc, sys, entry, store, api = world
+        snap = api.sls_datasnap(entry.start, 2 * PAGE_SIZE, "pool")
+        _meta, records, _pages = store.load_manifest(snap.snapshot)
+        record = store.read_meta(records[0])
+        store.read_meta = lambda ref: damage(record)
+        with pytest.raises((ObjectStoreError, SlsError)):
+            api.sls_datarestore("pool")
+
+    def test_recordless_snapshot_is_a_catalogued_error(self, world):
+        proc, sys, entry, store, api = world
+        store.commit_snapshot("data:hollow", meta=None, records=[], pages=[])
+        with pytest.raises(ObjectStoreError):
+            api.sls_datarestore("hollow")
 
     def test_unmapped_region_faults(self, world):
         from repro.errors import SegmentationFault

@@ -45,6 +45,23 @@ def app(hosts):
     return proc, sys, entry, group
 
 
+#: ways a decoded image/checkpoint message can be wrong, each applied
+#: to a well-formed one
+MALFORMED_IMAGES = [
+    lambda v: {k: x for k, x in v.items() if k != "pages"},
+    lambda v: {k: x for k, x in v.items() if k != "group"},
+    lambda v: {k: x for k, x in v.items() if k != "meta"},
+    lambda v: {**v, "name": 7},
+    lambda v: {**v, "epoch": "1"},
+    lambda v: {**v, "meta": [1]},
+    lambda v: {**v, "pages": {}},
+    lambda v: {**v, "pages": v["pages"] + [[1, 1]]},            # a 2-element row
+    lambda v: {**v, "pages": v["pages"] + [[1, 1, "text"]]},    # payload not bytes
+    lambda v: {**v, "pages": v["pages"] + [["1", 1, b"page"]]},
+    lambda v: {**v, "pages": v["pages"] + [7]},
+]
+
+
 class TestSendRecv:
     def test_image_transfers_and_restores(self, hosts, app):
         src, dst, src_sls, dst_sls, src_ep, receiver = hosts
@@ -148,6 +165,33 @@ class TestSendRecv:
         *_, receiver = hosts
         with pytest.raises(MigrationError):
             import_image(encode({"kind": "not-an-image"}), receiver.store)
+        good = {"kind": "image", "group": "g", "name": "n", "epoch": 1,
+                "meta": {"procs": [{}]}, "pages": [[1, 0, b"page"]]}
+        for bad in MALFORMED_IMAGES:
+            with pytest.raises(MigrationError):
+                import_image(encode(bad(good)), receiver.store)
+            # outside input is checked whole before the store is touched
+            assert len(receiver.store.batch) == 0
+        with pytest.raises(MigrationError):  # a message, but not a blob
+            import_image(encode({**good, "kind": "checkpoint"}), receiver.store)
+        assert import_image(encode(good), receiver.store).page_refs["import"]
+
+    def test_receiver_rejects_malformed_messages(self, hosts):
+        """The same messages off the network: ``MigrationError`` from
+        ``pump``, nothing staged, no stream state left behind."""
+        from repro.errors import MigrationError
+        from repro.objstore.record import encode
+
+        src, dst, src_sls, dst_sls, src_ep, receiver = hosts
+        good = {"kind": "checkpoint", "group": "g", "name": "n", "epoch": 1,
+                "meta": {"procs": [{}]}, "pages": [[1, 0, b"page"]]}
+        for bad in MALFORMED_IMAGES + [lambda v: [1, 2], lambda v: {"kind": "finish"}]:
+            src_ep.send("dst", encode(bad(good)))
+            with pytest.raises(MigrationError):
+                receiver.pump(wait=True)
+            assert len(receiver.store.batch) == 0
+            with pytest.raises(MigrationError):
+                receiver.build_image("g")
 
 
 class TestContinuousReplication:

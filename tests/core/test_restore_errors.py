@@ -47,6 +47,25 @@ class TestRestoreErrors:
         with pytest.raises(RestoreError):
             load_image_from_store(store, snap)
 
+    def test_loader_rejects_images_of_other_producers(self, kernel):
+        """SLSFS and data snapshots share the image format (value + slot
+        map) but their value is no process group."""
+        from repro.core.datasnap import datasnap
+        from repro.objstore.store import ObjectStore
+        from repro.posix.fd import O_CREAT, O_RDWR
+        from repro.posix.vnode import VfsNamespace
+        from repro.slsfs.fs import SlsFS
+
+        store = ObjectStore(NvmeDevice(kernel.clock), mem=kernel.mem)
+        fs = SlsFS(store)
+        VfsNamespace(fs).open("/f", O_RDWR | O_CREAT).write(b"file")
+        proc = kernel.spawn("db")
+        entry = Syscalls(kernel, proc).mmap(PAGE_SIZE, name="pool")
+        data = datasnap(store, proc.aspace, entry.start, PAGE_SIZE, "pool")
+        for snapshot in (fs.sync(), data.snapshot):
+            with pytest.raises(RestoreError, match="wrong shape"):
+                load_image_from_store(store, snapshot)
+
     def test_loader_rejects_recordless_snapshot(self, kernel):
         device = NvmeDevice(kernel.clock)
         from repro.objstore.store import ObjectStore
@@ -126,7 +145,7 @@ class TestWrongShapedMetaRecord:
     def test_every_truncation_and_mutation_of_a_packed_record(self, kernel, sls):
         """Whatever the codec makes of a damaged-but-checksummed record,
         the loader answers with an image or a catalogued error."""
-        from repro.core.backends import PAGEMAP_ROW
+        from repro.objstore.snapshot import PAGEMAP_ROW
         from repro.errors import ObjectStoreError
         from repro.objstore.record import decode, encode
 

@@ -221,7 +221,8 @@ class TestStoreIntegration:
         # depths 1..MAX chain up; the next write re-anchors as a full
         # record (depth 0) and the one after chains off the new anchor
         assert store.stats.pages_delta == MAX_DELTA_CHAIN + 1
-        assert max(store._delta_depth.values()) == MAX_DELTA_CHAIN
+        depths = [entry.depth for entry in store.dedup.entries().values()]
+        assert max(depths) == MAX_DELTA_CHAIN
 
     def test_missing_base_falls_back_to_full_write(self, store):
         content = incompressible(PAGE_SIZE, seed=b"nobase")
@@ -294,7 +295,7 @@ class TestStoreIntegration:
         for ref, content in zip(refs, [base, patched, b"zipped " * 500]):
             assert fresh.read_page(ref) == content
         # the delta maps rebuilt, so new deltas chain with correct depth
-        assert fresh._delta_depth[refs[1].content_hash] == 1
+        assert fresh.dedup.get(refs[1].content_hash).depth == 1
 
     def test_encoding_stats_and_gauge(self, clock):
         from repro.obs import KernelObs

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.cli.recovery import build_demo_store, inject
 from repro.core.backends import DiskBackend, StoreBackend
-from repro.core.datasnap import datasnap
+from repro.core.datasnap import datarestore, datasnap
 from repro.core.orchestrator import SLS
 from repro.core.remote import (
     MigrationReceiver,
@@ -29,6 +29,7 @@ from repro.core.restore import load_image_from_store
 from repro.errors import ObjectStoreError
 from repro.hw.netdev import NetworkLink
 from repro.hw.nvme import NvmeDevice
+from repro.mem.address_space import AddressSpace
 from repro.objstore.block import Volume
 from repro.objstore.fsck import LOST_AND_FOUND, repair_store
 from repro.objstore.store import ObjectStore
@@ -71,15 +72,37 @@ def snapshot_pages(store, name):
     return sorted(store.read_page(ref).rstrip(b"\x00") for ref in pages)
 
 
-def after_power_cut(store, name):
-    """The same, from a fresh store recovered after a power cut that
-    follows a flush barrier."""
+def reboot(store, mem=None):
+    """A fresh store recovered after a power cut that follows a flush
+    barrier: nothing but the device contents survives."""
     store.flush_barrier()
     store.device.crash()
-    rebooted = ObjectStore(store.device)
+    rebooted = ObjectStore(store.device, mem=mem)
     report = rebooted.recover()
     assert not report.errors and not report.snapshots_discarded
-    return snapshot_pages(rebooted, name)
+    return rebooted
+
+
+def after_power_cut(store, name):
+    """:func:`snapshot_pages` of ``name`` after a :func:`reboot`."""
+    return snapshot_pages(reboot(store), name)
+
+
+def assert_restores_after_reboot(store, name, backend_name, kernel, heap):
+    """The producer's own reader, post-reboot: ``load_image_from_store``
+    + restore on a fresh kernel serves every heap page *at its address*
+    (a sorted bag of contents cannot see a missing or wrong slot map)."""
+    rebooted = reboot(store, mem=kernel.mem)
+    target = Kernel(hostname="fresh", memory_bytes=1 * GIB, clock=kernel.clock)
+    procs, _metrics = SLS(target).restore(
+        load_image_from_store(rebooted, rebooted.snapshot_by_name(name),
+                              backend_name),
+        backend_name=backend_name, store=rebooted,
+    )
+    restored = Syscalls(target, procs[0])
+    for i in range(HEAP_PAGES):
+        want = b"heap-%d" % i
+        assert restored.peek(heap.start + i * PAGE_SIZE, len(want)) == want
 
 
 @pytest.fixture
@@ -117,22 +140,10 @@ class TestEveryProducerTakesTheOnePath:
         before = snapshot_pages(store, "ckpt")
         assert before == HEAP
         assert after_power_cut(store, "ckpt") == before
-        # and the post-reboot restore serves the same bytes
-        rebooted = ObjectStore(store.device, mem=kernel.mem)
-        rebooted.recover()
-        target = Kernel(hostname="dst", memory_bytes=1 * GIB,
-                        clock=kernel.clock)
-        procs, _metrics = SLS(target).restore(
-            load_image_from_store(rebooted, rebooted.snapshot_by_name("ckpt")),
-            backend_name="disk0", store=rebooted,
-        )
-        restored = Syscalls(target, procs[0])
-        for i in range(HEAP_PAGES):
-            want = b"heap-%d" % i
-            assert restored.peek(heap.start + i * PAGE_SIZE, len(want)) == want
+        assert_restores_after_reboot(store, "ckpt", "disk0", kernel, heap)
 
     def test_import_image(self, world):
-        kernel, sls, _proc, _sysc, _heap, group, store = world
+        kernel, sls, _proc, _sysc, heap, group, store = world
         blob = export_image(sls.checkpoint(group, name="ckpt"), store)
         target = ObjectStore(nvme(kernel.clock, "import-nvme"))
         with commit_cost(target) as cost:
@@ -140,9 +151,10 @@ class TestEveryProducerTakesTheOnePath:
         assert cost == [QUEUES, QUEUES + COMMIT_TAIL]
         assert snapshot_pages(target, "import:ckpt") == HEAP
         assert after_power_cut(target, "import:ckpt") == HEAP
+        assert_restores_after_reboot(target, "import:ckpt", "import", kernel, heap)
 
     def test_migration_receiver_build_image(self, world):
-        kernel, sls, _proc, _sysc, _heap, group, store = world
+        kernel, sls, _proc, _sysc, heap, group, store = world
         link = NetworkLink(kernel.clock)
         src_ep, dst_ep = link.attach("src"), link.attach("dst")
         dst = Kernel(hostname="dst", memory_bytes=1 * GIB, clock=kernel.clock)
@@ -160,15 +172,24 @@ class TestEveryProducerTakesTheOnePath:
         assert cost == [QUEUES, QUEUES + COMMIT_TAIL]
         assert snapshot_pages(target, "recv:ckpt") == HEAP
         assert after_power_cut(target, "recv:ckpt") == HEAP
+        # the replica outlives its host's reboot ("install a new
+        # instance ... recover all")
+        assert_restores_after_reboot(target, "recv:ckpt", "recv", kernel, heap)
 
     def test_datasnap(self, world):
-        _kernel, _sls, proc, _sysc, heap, _group, store = world
+        kernel, _sls, proc, _sysc, heap, _group, store = world
         with commit_cost(store) as cost:
             datasnap(store, proc.aspace, heap.start,
                      HEAP_PAGES * PAGE_SIZE, "pool")
         assert cost == [QUEUES, QUEUES + COMMIT_TAIL]
         assert snapshot_pages(store, "data:pool") == HEAP
         assert after_power_cut(store, "data:pool") == HEAP
+        fresh = AddressSpace(kernel.mem, "post-reboot")
+        fresh.mmap(HEAP_PAGES * PAGE_SIZE, addr=heap.start)
+        datarestore(reboot(store, mem=kernel.mem), fresh, "pool")
+        for i in range(HEAP_PAGES):
+            want = b"heap-%d" % i
+            assert fresh.read(heap.start + i * PAGE_SIZE, len(want)) == want
 
     def test_datasnap_sync_returns_durable(self, world):
         _kernel, _sls, proc, _sysc, heap, _group, store = world
@@ -192,6 +213,12 @@ class TestEveryProducerTakesTheOnePath:
         assert cost == [QUEUES, QUEUES + COMMIT_TAIL]
         assert snapshot_pages(store, "fs-0") == files
         assert after_power_cut(store, "fs-0") == files
+        rebooted = reboot(store)
+        recovered = VfsNamespace(
+            SlsFS.recover(rebooted, rebooted.snapshot_by_name("fs-0"))
+        )
+        for i, content in enumerate(files):
+            assert recovered.open(f"/f{i}", O_RDWR).read(PAGE_SIZE) == content
 
     def test_fsck_lost_and_found_repair(self):
         device, store, _obs = build_demo_store()
