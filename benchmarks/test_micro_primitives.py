@@ -17,7 +17,7 @@ from repro.objstore.record import decode, encode
 from repro.objstore.store import ObjectStore
 from repro.hw.nvme import NvmeDevice
 from repro.sim.clock import SimClock
-from repro.units import GIB, PAGE_SIZE
+from repro.units import GIB, KIB, PAGE_SIZE
 
 
 @pytest.fixture
@@ -77,8 +77,15 @@ def test_micro_codec_roundtrip(benchmark):
     assert benchmark(roundtrip)["procs"][3]["pid"] == 3
 
 
-def test_micro_fletcher64(benchmark):
-    data = bytes(range(256)) * 16  # 4 KiB
+@pytest.mark.parametrize(
+    "size",
+    # what the e2e record-size histogram is made of: page deltas,
+    # pages, manifests and metadata records, spilled directories
+    [64, 4 * KIB, 8 * KIB, 64 * KIB],
+    ids=["64B", "4KiB", "8KiB", "64KiB"],
+)
+def test_micro_fletcher64(benchmark, size):
+    data = (bytes(range(256)) * (size // 256 + 1))[:size]
 
     benchmark(fletcher64, data)
 

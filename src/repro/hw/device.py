@@ -34,6 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.fault.registry import FailpointRegistry
 
 _BLOCK = 4096
+#: what a block that was never written reads as
+_UNWRITTEN = bytes(_BLOCK)
 
 
 @dataclass
@@ -266,18 +268,17 @@ class StorageDevice:
             pos += chunk
 
     def _load(self, offset: int, nbytes: int) -> bytes:
-        out = bytearray(nbytes)
-        pos = offset
-        filled = 0
-        while filled < nbytes:
-            block_no, within = divmod(pos, _BLOCK)
-            chunk = min(_BLOCK - within, nbytes - filled)
-            block = self._blocks.get(block_no)
-            if block is not None:
-                out[filled : filled + chunk] = block[within : within + chunk]
-            filled += chunk
-            pos += chunk
-        return bytes(out)
+        first, skip = divmod(offset, _BLOCK)
+        end = skip + nbytes
+        get = self._blocks.get
+        if end <= _BLOCK:
+            return bytes(get(first, _UNWRITTEN)[skip:end])
+        # Crosses a block: trim the first and the last, join once.
+        more, last_byte = divmod(end - 1, _BLOCK)
+        parts = [get(no, _UNWRITTEN) for no in range(first, first + more + 1)]
+        parts[0] = parts[0][skip:]
+        parts[-1] = parts[-1][: last_byte + 1]
+        return b"".join(parts)
 
     # -- public I/O ------------------------------------------------------
 

@@ -121,11 +121,16 @@ class ExtentAllocator:
             return extent
         return None
 
+    def _runs_below(self, offset: int) -> int:
+        """How many free runs start below ``offset``.  The runs are
+        sorted ``[start, end]`` lists, and a one-element probe sorts
+        before every run with the same start."""
+        return bisect.bisect_left(self._free, [offset])
+
     def free(self, extent: Extent) -> None:
         if extent.offset < self.base or extent.end > self.base + self.size:
             raise ValueError(f"extent {extent} outside allocator range")
-        starts = [f[0] for f in self._free]
-        i = bisect.bisect_left(starts, extent.offset)
+        i = self._runs_below(extent.offset)
         # Overlap checks against neighbours (double free detection).
         if i > 0 and self._free[i - 1][1] > extent.offset:
             raise ValueError(f"double free overlapping {extent}")
@@ -148,17 +153,18 @@ class ExtentAllocator:
         """Carve a specific extent out of the free list (recovery path:
         the allocator is rebuilt by reserving every extent the snapshot
         directory references)."""
-        for i, (start, end) in enumerate(self._free):
-            if start <= extent.offset and extent.end <= end:
-                self._free.pop(i)
-                if start < extent.offset:
-                    self._free.insert(i, [start, extent.offset])
-                    i += 1
-                if extent.end < end:
-                    self._free.insert(i, [extent.end, end])
-                self.allocated_bytes += extent.length
-                return
-        raise ValueError(f"extent {extent} is not free (overlap or double reserve)")
+        # The runs are disjoint, so only the last one starting at or
+        # before the extent can hold it.
+        i = self._runs_below(extent.offset + 1) - 1
+        if i < 0 or self._free[i][1] < extent.end:
+            raise ValueError(f"extent {extent} is not free (overlap or double reserve)")
+        start, end = self._free.pop(i)
+        if start < extent.offset:
+            self._free.insert(i, [start, extent.offset])
+            i += 1
+        if extent.end < end:
+            self._free.insert(i, [extent.end, end])
+        self.allocated_bytes += extent.length
 
     def free_extents(self) -> list[Extent]:
         """The free list as extents (sorted, disjoint, coalesced)."""

@@ -40,6 +40,27 @@ class TestDataPlane:
         dev.write(4090, data)
         assert dev.read(4090, len(data)) == data
 
+    @pytest.mark.parametrize(
+        "offset, nbytes",
+        [
+            (4096, 0), (5000, 0),                 # no block
+            (4096, 4096), (4100, 40), (8191, 1),  # one block, whole and part
+            (4000, 4136), (4096, 8192),           # two
+            (4095, 4098), (4096, 12288), (100, 12000),  # three
+            (4096, 16384), (8000, 9000),          # across the unwritten block 3
+            (19000, 3000), (20479, 4097), (40960, 5000),  # past the last byte
+        ],
+    )
+    def test_reads_spanning_blocks_and_holes(self, dev, offset, nbytes):
+        # blocks 0-2 and most of 4 are written, 3 is a hole
+        image = bytearray(12 * 4096)
+        for start, length in ((0, 3 * 4096), (4 * 4096, 4000)):
+            image[start : start + length] = bytes(i % 251 + 1 for i in range(length))
+            dev.write(start, bytes(image[start : start + length]))
+        data = dev.read(offset, nbytes)
+        assert type(data) is bytes
+        assert data == image[offset : offset + nbytes]
+
     def test_capacity_enforced(self, clock):
         dev = StorageDevice(OPTANE_900P, clock)
         with pytest.raises(DeviceFullError):

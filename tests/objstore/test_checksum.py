@@ -1,4 +1,4 @@
-"""Fletcher-64: the closed form must be bit-identical to the word loop.
+"""Fletcher-64: the big-integer fold must be bit-identical to the word loop.
 
 ``reference_fletcher64`` is the implementation the store shipped with
 (one ``int.from_bytes`` and two ``%`` per 4-byte word), kept here as
@@ -7,13 +7,14 @@ literals, so a change to both sides at once still fails.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ChecksumError
-from repro.objstore.checksum import fletcher64, verify
+from repro.objstore.checksum import _BLOCK_BYTES, fletcher64, verify
 from repro.objstore.record import HEADER_SIZE, KIND_META, pack_record, unpack_record
 
 
@@ -57,12 +58,27 @@ def test_golden_vectors(data, expected):
 EDGE_WORDS = st.sampled_from(
     [b"\xff\xff\xff\xff", b"\xfe\xff\xff\xff", b"\x00\x00\x00\x00", b"\x01\x00\x00\x00"]
 )
+#: ten pages: past every record the store writes but a spilled directory
+MAX_BUFFER = 40 * 1024
 buffers = st.one_of(
     st.binary(max_size=600),
     # every residue of the length mod 4, with edge words in front
     st.builds(
         lambda words, tail: b"".join(words) + tail,
         st.lists(EDGE_WORDS, max_size=300),
+        st.binary(max_size=3),
+    ),
+    # whole pages and more.  Hypothesis caps what it draws byte by
+    # byte, so a long buffer is seeded noise or one edge word repeated.
+    st.builds(
+        lambda seed, size: random.Random(seed).randbytes(size),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, MAX_BUFFER),
+    ),
+    st.builds(
+        lambda word, count, tail: word * count + tail,
+        EDGE_WORDS,
+        st.integers(0, MAX_BUFFER // 4),
         st.binary(max_size=3),
     ),
 )
@@ -79,6 +95,56 @@ def test_matches_reference_loop(data, wrap):
 def test_every_tail_length(length, fill):
     data = bytes([fill]) * length
     assert fletcher64(data) == reference_fletcher64(data)
+
+
+#: every slot count the fold table has an entry for: 8 bytes a slot,
+#: one slot up to a whole block
+SLOT_BOUNDARIES = [8 << k for k in range((_BLOCK_BYTES // 8).bit_length())]
+
+
+@pytest.mark.parametrize("boundary", SLOT_BOUNDARIES)
+def test_lengths_around_every_slot_count_boundary(boundary):
+    noise = random.Random(boundary).randbytes(boundary + 9)
+    ones = b"\xff" * (boundary + 9)
+    for length in range(max(boundary - 9, 0), boundary + 10):
+        for data in (noise[:length], ones[:length]):
+            assert fletcher64(data) == reference_fletcher64(data), length
+
+
+@pytest.mark.parametrize("fill", [0xFF, 0xFE])
+@pytest.mark.parametrize(
+    "length",
+    [_BLOCK_BYTES - 4, _BLOCK_BYTES, _BLOCK_BYTES + 4, 1 << 20],
+    ids=["block-1w", "block", "block+1w", "1MiB"],
+)
+def test_saturated_payloads_at_the_block_bound(length, fill):
+    # the largest word values at the largest block — the largest slot
+    # sums the fold ever holds — and payloads whose blocks must compose
+    # with the right word offsets
+    data = bytes([fill]) * length
+    assert fletcher64(data) == reference_fletcher64(data)
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_buffer_types_at_a_page(wrap):
+    page = random.Random(0x9A6E).randbytes(4096)
+    assert fletcher64(wrap(page)) == reference_fletcher64(page)
+
+
+def test_no_python_object_per_word():
+    # the repo allows no wall-clock assertion; peak allocation is the
+    # deterministic proxy.  The fold peaks near 5x the input (the
+    # integer, its even and odd halves, their sum); a tuple of one int
+    # per word is already past 9x.
+    data = random.Random(0x64).randbytes(64 * 1024)
+    fletcher64(data)
+    tracemalloc.start()
+    try:
+        fletcher64(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * len(data)
 
 
 def test_long_edge_runs_reduce_like_the_loop():
