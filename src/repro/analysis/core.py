@@ -280,13 +280,6 @@ class AnalyzerConfig:
     #: the device-adapter module whose raw writes are covered by the
     #: device-level failpoints inside StorageDevice itself
     adapter_modules: Tuple[str, ...] = ("repro/objstore/block.py",)
-    #: public-API modules the kwonly rule checks
-    api_modules: Tuple[str, ...] = (
-        "repro/core/api.py",
-        "repro/core/orchestrator.py",
-    )
-    #: whole packages the kwonly rule checks (every module under them)
-    api_prefixes: Tuple[str, ...] = ("repro/apps/",)
     #: module defining the unit helpers (exempt from unit-suffix)
     units_modules: Tuple[str, ...] = ("repro/units.py",)
     #: public commit/checkpoint APIs the durability-order rule traces
@@ -319,8 +312,8 @@ class AnalyzerConfig:
             sorted(self.obs_registry.items()),
             sorted(self.fault_registry.items()),
             self.registry_modules, self.drift_exempt, self.objstore_prefix,
-            self.adapter_modules, self.api_modules, self.api_prefixes,
-            self.units_modules, self.durability_roots, self.sweep_entry,
+            self.adapter_modules, self.units_modules,
+            self.durability_roots, self.sweep_entry,
             self.sweep_sites, self.powercut_catchers, self.obs_doc,
         ))
         return hashlib.sha1(blob.encode()).hexdigest()[:12]

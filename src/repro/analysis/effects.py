@@ -40,7 +40,6 @@ Effect atoms are deliberately few and physical:
 ``MEDIA_WRITE``     bytes leave RAM for the device (volume/device writes)
 ``SUPERBLOCK_WRITE``the store's commit point (implies ``MEDIA_WRITE``)
 ``FAILPOINT_FIRE``  a catalogued ``FP_*`` constant fires (crash sweep hook)
-``BATCH_APPEND``    a data record is staged in the ``WriteBatch`` (not yet media)
 ``BATCH_FLUSH``     the store's batch is submitted
 ``CLOCK_ADVANCE``   virtual time moves
 ``RNG_DRAW``        seeded randomness is consumed
@@ -70,32 +69,26 @@ CLOCK_ADVANCE = "CLOCK_ADVANCE"
 RNG_DRAW = "RNG_DRAW"
 OBS_EMIT = "OBS_EMIT"
 RAISES_POWERCUT = "RAISES_POWERCUT"
-BATCH_APPEND = "BATCH_APPEND"
 BATCH_FLUSH = "BATCH_FLUSH"
 
 ALL_EFFECTS = (
     MEDIA_WRITE, SUPERBLOCK_WRITE, FAILPOINT_FIRE, CLOCK_ADVANCE,
-    RNG_DRAW, OBS_EMIT, RAISES_POWERCUT, BATCH_APPEND, BATCH_FLUSH,
+    RNG_DRAW, OBS_EMIT, RAISES_POWERCUT, BATCH_FLUSH,
 )
 
 #: atoms the durability-order linearization keeps.  A batch flush is
 #: one event there, not inlined: it fires its own failpoints and
 #: carries only records no superblock names yet (a read of a staged
 #: record may trigger one anywhere); that it precedes the superblock
-#: naming them is the crash-ordering typestate's to prove
+#: naming them holds by construction — the store's one superblock call
+#: site flushes first (see the crash-ordering rule)
 ORDERED_ATOMS = frozenset(
     {MEDIA_WRITE, SUPERBLOCK_WRITE, FAILPOINT_FIRE, BATCH_FLUSH}
 )
-#: atoms the crash-ordering typestate (batched records pending at a
-#: superblock write) keeps
-BATCH_ATOMS = frozenset({BATCH_APPEND, BATCH_FLUSH, SUPERBLOCK_WRITE})
 
 #: bump when the extraction shape changes (cache key component)
-EXTRACT_VERSION = 3
+EXTRACT_VERSION = 4
 
-#: ``SUPERBLOCK_WRITE`` detail of a call that passes no real
-#: ``release_ns=`` barrier (absent, or a literal ``None``)
-UNBARRIERED = "write_superblock [no release_ns barrier]"
 #: failpoint evaluators: the registry's ``fire``, the device's
 #: ``_fire`` and the store-level gate ``ObjectStore._failpoint``
 FIRE_CALLS = frozenset({"fire", "_fire", "_failpoint"})
@@ -104,8 +97,6 @@ FIRE_CALLS = frozenset({"fire", "_fire", "_failpoint"})
 VOLUME_WRITES = frozenset({"write_data", "write_data_batch"})
 #: raw device submission entry points (media when the receiver is a device)
 DEVICE_WRITES = frozenset({"write", "write_async", "write_batch"})
-#: data-record producers: every call stages into the store's batch
-BATCH_APPENDS = frozenset({"write_page", "write_meta", "_stage_record"})
 #: instrument emitters on the obs plane
 OBS_EMITTERS = frozenset({"counter", "gauge", "histogram", "span", "event"})
 #: catalogue symbol prefixes (registry membership is checked first; the
@@ -166,16 +157,6 @@ def _receiver_text(node: ast.Call) -> str:
         except Exception:  # pragma: no cover - unparse is total on exprs
             return ""
     return ""
-
-
-def _passes(node: ast.Call, keyword: str) -> bool:
-    """Whether a call passes ``keyword=`` with anything but a literal
-    ``None`` (``release_ns=None`` is no barrier)."""
-    for kw in node.keywords:
-        if kw.arg == keyword:
-            return not (isinstance(kw.value, ast.Constant)
-                        and kw.value.value is None)
-    return False
 
 
 def _is_fault_symbol(name: str, config: AnalyzerConfig) -> bool:
@@ -297,16 +278,11 @@ def _scan_block(body: Sequence[ast.AST], aliases: Dict[str, List[str]],
         receiver = _receiver_text(node)
         lowered = receiver.lower()
         if name == "write_superblock":
-            effects.append([
-                line, col, SUPERBLOCK_WRITE,
-                name if _passes(node, "release_ns") else UNBARRIERED,
-            ])
+            effects.append([line, col, SUPERBLOCK_WRITE, name])
         elif name in VOLUME_WRITES:
             effects.append([line, col, MEDIA_WRITE, name])
         elif name in DEVICE_WRITES and "device" in lowered:
             effects.append([line, col, MEDIA_WRITE, f"{receiver}.{name}"])
-        elif name in BATCH_APPENDS:
-            effects.append([line, col, BATCH_APPEND, name])
         elif name == "flush" and "batch" in lowered:
             effects.append([line, col, BATCH_FLUSH, receiver])
         elif name in FIRE_CALLS and node.args:
@@ -548,9 +524,7 @@ class EffectAnalysis:
         #: catalogue symbol -> sorted node ids with an *own* fire/emit
         self.fire_sites: Dict[str, List[str]] = {}
         self.emit_sites: Dict[str, List[str]] = {}
-        self._seq_cache: Dict[
-            Tuple[str, FrozenSet[str]], Tuple[str, ...]
-        ] = {}
+        self._seq_cache: Dict[str, Tuple[str, ...]] = {}
         # linking indexes (built in _link)
         self._local: Dict[Tuple[str, str], List[str]] = {}
         self._module_member: Dict[Tuple[str, str], List[str]] = {}
@@ -920,27 +894,23 @@ class EffectAnalysis:
                 out.append(atom)
         return tuple(out)
 
-    def flattened(self, node_id: str, atoms: FrozenSet[str] = ORDERED_ATOMS,
+    def flattened(self, node_id: str,
                   _stack: Tuple[str, ...] = ()) -> Tuple[str, ...]:
-        """The function's ordered sequence of ``atoms`` with callees
-        inlined (consecutive duplicates collapsed, cycles cut at the
-        recursion point)."""
-        key = (node_id, atoms)
-        if key in self._seq_cache:
-            return self._seq_cache[key]
+        """The function's ordered sequence of :data:`ORDERED_ATOMS`
+        with callees inlined (consecutive duplicates collapsed, cycles
+        cut at the recursion point)."""
+        if node_id in self._seq_cache:
+            return self._seq_cache[node_id]
         if node_id in _stack:
             return ()
         result = self._compress([
-            atom for _l, _c, atom, _d
-            in self.root_sequence(node_id, atoms, _stack)
+            atom for _l, _c, atom, _d in self.root_sequence(node_id, _stack)
         ])
         if not _stack:
-            self._seq_cache[key] = result
+            self._seq_cache[node_id] = result
         return result
 
-    def root_sequence(self, node_id: str,
-                      atoms: FrozenSet[str] = ORDERED_ATOMS,
-                      _stack: Tuple[str, ...] = (),
+    def root_sequence(self, node_id: str, _stack: Tuple[str, ...] = (),
                       ) -> List[Tuple[int, int, str, str]]:
         """Like :meth:`flattened` for a root, but keeping root-level
         source locations: callee expansions are attributed to their
@@ -949,7 +919,7 @@ class EffectAnalysis:
         merged: List[Tuple[int, int, str, str]] = [
             (line, col, atom, detail)
             for line, col, atom, detail in node.record["effects"]
-            if atom in atoms
+            if atom in ORDERED_ATOMS
         ]
         # a call site that already yielded an intrinsic kept atom
         # (write_superblock, write_data, fire, ...) IS that event — do
@@ -960,9 +930,9 @@ class EffectAnalysis:
             if (line, col) in intrinsic:
                 continue
             for callee in targets:
-                if not (self.summaries[callee] & atoms):
+                if not (self.summaries[callee] & ORDERED_ATOMS):
                     continue
-                for atom in self.flattened(callee, atoms, _stack + (node_id,)):
+                for atom in self.flattened(callee, _stack + (node_id,)):
                     merged.append((line, col, atom, f"via {display}"))
         merged.sort(key=lambda item: (item[0], item[1]))
         return merged

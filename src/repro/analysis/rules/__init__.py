@@ -14,7 +14,6 @@ from repro.analysis.rules.crash_ordering import CrashOrderingRule
 from repro.analysis.rules.durability_order import DurabilityOrderRule
 from repro.analysis.rules.exception_safety import ExceptionSafetyRule
 from repro.analysis.rules.failpoint_reach import FailpointReachRule
-from repro.analysis.rules.kwonly import KwOnlyApiRule
 from repro.analysis.rules.obs_coverage import ObsCoverageRule
 from repro.analysis.rules.registry_drift import RegistryDriftRule
 from repro.analysis.rules.unit_suffix import UnitSuffixRule
@@ -24,7 +23,6 @@ ALL_RULES = (
     WallClockRule,
     RegistryDriftRule,
     CrashOrderingRule,
-    KwOnlyApiRule,
     UnitSuffixRule,
     DurabilityOrderRule,
     FailpointReachRule,

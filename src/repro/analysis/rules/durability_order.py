@@ -6,9 +6,8 @@ anything a public commit/checkpoint API externalizes is covered by a
 failpoint *before* it leaves RAM (so the crash sweep can cut power at
 the boundary) and is named by a superblock write *after* it (so the
 committed generation covers every byte it references).
-``crash-ordering`` asks three narrower questions of the same effect
-graph (batched records flushed before the superblock, its
-``release_ns`` barrier, a failpoint ahead of every raw store write);
+``crash-ordering`` asks two local questions of the same effect records
+(one superblock call site, a failpoint ahead of every raw store write);
 this rule checks both halves of the discipline across the whole
 program by scanning the effect linearization of every configured
 durability root (:attr:`AnalyzerConfig.durability_roots`):

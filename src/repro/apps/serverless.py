@@ -16,8 +16,8 @@ store bytes per deployed function.  :class:`ServerlessFleet` scales
 that to thousands of deployed functions on one store, billed to a
 scheduler tenant and driven by a seeded Poisson-ish invocation storm.
 
-The public surface follows the libsls keyword-only convention
-(ANALYSIS.md, rule ``kwonly-api``): every knob is keyword-only, and
+The public surface follows the libsls keyword-only convention (pinned
+by ``tests/core/test_api_options.py``): every knob is keyword-only, and
 :class:`DeployOptions`/:class:`InvokeOptions` carry them as one value.
 """
 

@@ -19,7 +19,7 @@ from repro.core.metrics import CheckpointMetrics
 from repro.mem.page import Page
 from repro.objstore.snapshot import Snapshot
 from repro.objstore.store import MetaRef
-from repro.serial.memsnap import PageMap
+from repro.serial.memsnap import PageMap, StorePageMap
 from repro.units import PAGE_SIZE
 
 #: global image-id allocator.  The id is varint-encoded into snapshot
@@ -67,7 +67,7 @@ class CheckpointImage:
     #: backend name -> store snapshot (disk-like backends)
     snapshots: dict[str, Snapshot] = field(default_factory=dict)
     #: backend name -> page map of PageRefs (disk-like backends)
-    page_refs: dict[str, PageMap] = field(default_factory=dict)
+    page_refs: dict[str, StorePageMap] = field(default_factory=dict)
     #: backend name -> pagemap-delta records a post-reboot restore
     #: overlays: this image's own first, then its lineage's back to the
     #: covering full checkpoint (what the snapshot's manifest lists)

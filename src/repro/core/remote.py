@@ -34,9 +34,9 @@ from repro.hw.netdev import NetworkEndpoint
 from repro.mem.page import Page
 from repro.objstore.image import write_image
 from repro.objstore.record import decode, encode, shaped
-from repro.objstore.store import ObjectStore, PageRef
+from repro.objstore.store import ObjectStore
 from repro.posix.process import Process
-from repro.serial.memsnap import PageMap
+from repro.serial.memsnap import StorePageMap
 
 
 def collect_payloads(image: CheckpointImage, store: Optional[ObjectStore]) -> list:
@@ -58,7 +58,6 @@ def collect_payloads(image: CheckpointImage, store: Optional[ObjectStore]) -> li
         (oid, pindex, ref)
         for oid, pages in refs.items()
         for pindex, ref in pages.items()
-        if isinstance(ref, PageRef)
     ]
     payloads = store.read_pages_coalesced([r for _, _, r in flat])
     for oid, pindex, ref in flat:
@@ -150,7 +149,7 @@ class _GroupStream:
     meta: Optional[dict] = None
     name: str = ""
     epoch: int = 0
-    page_refs: PageMap = field(default_factory=dict)
+    page_refs: StorePageMap = field(default_factory=dict)
     checkpoints_applied: int = 0
 
     def apply(self, store: ObjectStore, value: dict) -> None:
@@ -181,7 +180,10 @@ class _GroupStream:
             metrics=CheckpointMetrics(group=self.group),
         )
         image.snapshots[backend_name] = snapshot
-        image.page_refs[backend_name] = dict(self.page_refs)
+        # the image owns its map; the stream's grows with later messages
+        image.page_refs[backend_name] = {
+            oid: dict(pages) for oid, pages in self.page_refs.items()
+        }
         return image
 
 

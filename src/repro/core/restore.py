@@ -24,7 +24,7 @@ from repro.errors import ImageFormatError, RestoreError
 from repro.obs import names as obs_names
 from repro.objstore.image import read_image, read_image_value
 from repro.objstore.record import shaped
-from repro.objstore.store import ObjectStore, PageRef
+from repro.objstore.store import ObjectStore
 from repro.posix.kernel import Kernel
 from repro.posix.process import Process
 from repro.serial.memsnap import (
@@ -255,7 +255,6 @@ class RestoreEngine:
                         ref
                         for pages in page_refs.values()
                         for ref in pages.values()
-                        if isinstance(ref, PageRef)
                     ]
                     payloads = store.read_pages_coalesced(all_refs)
                 elif prefetch == "hot":
@@ -280,7 +279,7 @@ class RestoreEngine:
                     replay_refs = []
                     for rec in fault_log.entries:
                         ref = page_refs.get(rec.oid, {}).get(rec.pindex)
-                        if isinstance(ref, PageRef):
+                        if ref is not None:
                             replay_refs.append(ref)
                     prefetched = store.prefetch_pages(replay_refs)
                     if prefetched and kernel.obs is not None:
@@ -312,25 +311,22 @@ class RestoreEngine:
                     obj = ctx.vm_objects.get(oid)
                     if obj is None:
                         continue
-                    typed_refs = {
-                        p: r for p, r in refs.items() if isinstance(r, PageRef)
-                    }
                     if lazy:
                         obj.pager = make_store_pager(
-                            store, typed_refs, mem, oid=oid,
+                            store, refs, mem, oid=oid,
                             recorder=fault_log if record_faults else None,
                         )
                         # Prefetch whatever the hot read brought in.
                         ready = {
                             p: payloads[r.content_hash]
-                            for p, r in typed_refs.items()
+                            for p, r in refs.items()
                             if r.content_hash in payloads
                         }
                         installed += install_store_pages(obj, ready, kernel.phys, mem)
-                        lazy_pages += len(typed_refs) - len(ready)
+                        lazy_pages += len(refs) - len(ready)
                     else:
                         ready = {
-                            p: payloads[r.content_hash] for p, r in typed_refs.items()
+                            p: payloads[r.content_hash] for p, r in refs.items()
                         }
                         installed += install_store_pages(obj, ready, kernel.phys, mem)
                 mem.charge(ctx.aspaces_created * cpu.aspace_create_ns * discount)

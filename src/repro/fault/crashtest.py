@@ -201,8 +201,8 @@ def _record_superblocks(state: WorkloadState, store: ObjectStore) -> None:
     volume = store.volume
     original = volume.write_superblock
 
-    def recording(payload_value: bytes, release_ns: int | None = None):
-        ticket = original(payload_value, release_ns=release_ns)
+    def recording(payload_value: bytes):
+        ticket = original(payload_value)
         directory = SnapshotDirectory.decode(decode(payload_value))
         state.history[volume.generation] = sorted(
             s.name for s in directory.snapshots.values()

@@ -36,15 +36,15 @@ class Volume:
 
     # -- superblock ------------------------------------------------------------
 
-    def write_superblock(self, payload_value: bytes,
-                         release_ns: int | None = None) -> IoTicket:
+    def write_superblock(self, payload_value: bytes) -> IoTicket:
         """Write the next-generation superblock to the inactive slot.
 
-        ``release_ns`` is the cross-queue ordering barrier: the command
-        starts no earlier than that time, so passing the device's
-        pending deadline keeps the superblock durable only after every
-        record it references — on *every* submission queue.  Superblock
-        writes always go out on queue 0.
+        The volume computes the cross-queue ordering barrier itself:
+        the command starts no earlier than the device's pending
+        deadline, so the superblock is durable only after every record
+        submitted before it — on *every* submission queue (per-queue
+        FIFO alone cannot order it behind a sharded flush).  There is
+        no way to ask for less.  Superblock writes go out on queue 0.
         """
         self.generation += 1
         record = pack_record(
@@ -56,7 +56,9 @@ class Volume:
             )
         slot = self.generation % 2
         offset = slot * SUPERBLOCK_SLOT_SIZE
-        return self.device.write_async(offset, record, release_ns=release_ns)
+        return self.device.write_async(
+            offset, record, release_ns=self.device.pending_deadline()
+        )
 
     def read_superblock(self) -> Optional[tuple[int, bytes]]:
         """Return (generation, payload) of the newest valid superblock."""

@@ -33,7 +33,7 @@ Two entry points:
   repaired truth (the construction :meth:`ObjectStore.recover
   <repro.objstore.store.ObjectStore.recover>` uses) and persists the
   repairs (quarantine manifests plus a new superblock, ordered behind
-  them by ``release_ns`` exactly like a commit).  Repair is
+  them by the volume's barrier exactly like a commit).  Repair is
   idempotent: a second fsck reports zero findings.
 
 The online counterpart (continuous verification on idle queues) is
@@ -334,11 +334,12 @@ class Fsck:
         keeps the space so history stays intact — the younger snapshot
         is quarantined with the contested reference dropped.
         """
-        by_end: list[_Claim] = []
+        open_claims: list[_Claim] = []
         for claim in claims:
-            for other in by_end:
-                if other.end <= claim.offset:
-                    continue
+            # claims come sorted by offset: one that ends at or before
+            # this start overlaps nothing later either
+            open_claims = [c for c in open_claims if c.end > claim.offset]
+            for other in open_claims:
                 if other.identity == claim.identity:
                     continue
                 loser = claim if claim.snap_id >= other.snap_id else other
@@ -357,7 +358,7 @@ class Fsck:
                 ))
                 if loser.owner is not None:
                     self._drop_claim(loser)
-            by_end.append(claim)
+            open_claims.append(claim)
 
     def _drop_claim(self, claim: _Claim) -> None:
         """Drop the losing reference from *every* walk that shares it."""
@@ -440,16 +441,17 @@ class Fsck:
                   cut: list[tuple[int, int]]) -> list[tuple[int, int]]:
         """Interval subtraction ``base - cut`` (both sorted, disjoint)."""
         out: list[tuple[int, int]] = []
+        first = 0  # cuts before it end at or before every later start
         for start, end in base:
-            pos = start
-            for c_start, c_end in cut:
-                if c_end <= pos or c_start >= end:
-                    continue
+            while first < len(cut) and cut[first][1] <= start:
+                first += 1
+            pos, i = start, first
+            while i < len(cut) and cut[i][0] < end:
+                c_start, c_end = cut[i]
                 if c_start > pos:
                     out.append((pos, c_start))
                 pos = max(pos, c_end)
-                if pos >= end:
-                    break
+                i += 1
             if pos < end:
                 out.append((pos, end))
         return out
@@ -523,8 +525,8 @@ class Fsck:
         durability barrier fences any in-flight writes (freed space
         must never be reused while an older superblock could still
         name it), quarantine manifests are written as ordinary records,
-        and the new superblock goes out ordered behind them via
-        ``release_ns``.
+        and the new superblock goes out behind them through the store's
+        one commit point, :meth:`ObjectStore._write_directory`.
         """
         store = self.store
         if store.faults is not None:

@@ -6,12 +6,15 @@ unchanged records with their parents, page data is content-deduplicated
 across all checkpoints, and freed extents are reclaimed in place by the
 garbage collector without rewriting incremental history.
 
-Durability model: there is one write path.  Data records (pages,
-metadata) are staged in the store's :class:`WriteBatch` and reach the
-device coalesced, sharded over the submission queues, when it flushes;
-a commit flushes, then issues its tail — manifest, spilled directory,
-superblock — as single commands, the superblock barriered behind every
-record on every queue.  A crash can therefore only tear the
+Durability model: there is one write path and one commit point.  Data
+records (pages, metadata) are staged in the store's :class:`WriteBatch`
+and reach the device coalesced, sharded over the submission queues,
+when it flushes; a commit issues its tail — manifest, spilled
+directory, superblock — as single commands.  Ordering is by
+construction, not by convention: :meth:`ObjectStore._write_directory`
+is the only caller of ``Volume.write_superblock`` and flushes the batch
+itself, and the volume barriers every superblock behind all records in
+flight on every queue.  A crash can therefore only tear the
 not-yet-named snapshot — recovery falls back to the previous
 generation, discarding the torn checkpoint as a unit.  Staging is
 invisible to callers: reading a staged record and
@@ -610,17 +613,22 @@ class ObjectStore:
     # -- snapshots -----------------------------------------------------------------------
 
     def _write_directory(self) -> None:
-        """Persist the snapshot directory behind the superblock barrier.
+        """Name the current snapshot directory: the store's one commit
+        point and the only caller of ``Volume.write_superblock``.
 
-        Small directories encode straight into the superblock slot
-        (byte-identical with the historical format).  Once the encoded
-        directory outgrows the slot — thousands of deployed serverless
-        functions, one snapshot each — it *spills*: the directory is
-        written as an ordinary metadata record in the data area and the
-        superblock stores only a stub pointing at it.  The stub write
-        is barriered behind the spill record via ``release_ns``, so the
-        crash invariant is unchanged: a superblock generation never
-        names a directory record that is not yet durable.
+        The write sequence is spelled here, once, so no caller can get
+        it wrong: fire the failpoint, flush whatever the batch still
+        stages (a no-op that fires nothing when the caller already
+        flushed), then write the superblock, which the volume barriers
+        behind everything in flight on every submission queue.  A
+        superblock generation thus never names a record that is not yet
+        durable.
+
+        Small directories encode straight into the superblock slot.
+        Once the encoded directory outgrows it — thousands of deployed
+        serverless functions, one snapshot each — it *spills*: the
+        directory is written as an ordinary metadata record in the data
+        area and the superblock stores only a stub pointing at it.
 
         The previous spill record (if any) becomes deferred garbage
         only after the new superblock is submitted — the older
@@ -634,18 +642,13 @@ class ObjectStore:
                 "injected directory-write failure",
                 store=self.device.name, snapshots=len(self.directory.snapshots),
             )
+        self.batch.flush()
         payload = self.directory.payload()
-        if HEADER_SIZE + len(payload) <= SUPERBLOCK_SLOT_SIZE:
-            self.volume.write_superblock(
-                payload, release_ns=self.device.pending_deadline()
-            )
-            spill = None
-        else:
+        spill = None
+        if HEADER_SIZE + len(payload) > SUPERBLOCK_SLOT_SIZE:
             spill = self._write_record(KIND_META, 0, payload)
-            stub = encode({DIR_SPILL_KEY: [spill.offset, spill.length]})
-            self.volume.write_superblock(
-                stub, release_ns=self.device.pending_deadline()
-            )
+            payload = encode({DIR_SPILL_KEY: [spill.offset, spill.length]})
+        self.volume.write_superblock(payload)
         if self._dir_spill is not None:
             self.garbage.append(self._dir_spill)
         self._dir_spill = spill
@@ -663,9 +666,12 @@ class ObjectStore:
 
         Reference counts are taken on every listed record and page, so
         snapshots sharing data with a parent simply list the shared
-        refs again.  The staged records are flushed first and the
-        superblock write is ordered after everything in flight.
+        refs again.  :meth:`_write_directory` names the snapshot only
+        after everything it lists is in flight ahead of the superblock.
         """
+        # Not needed for safety (_write_directory flushes for itself):
+        # flushing here pins the *submission order* — sharded data
+        # records, then the manifest — that BENCH_4.json measures.
         self.batch.flush()
         # A snapshot listing a delta-encoded page must also pin the
         # chain of bases it reconstructs from: list them in the
@@ -693,11 +699,6 @@ class ObjectStore:
         )
         self._bytes_since_commit = 0
         self._take_references(snapshot, records, pages)
-        # Cross-queue barrier: the superblock must become durable only
-        # after every record it references.  FIFO ordering holds per
-        # submission queue, but a sharded flush spreads records over
-        # all queues — release_ns floors the superblock's start time at
-        # the deadline of everything still in flight, on every queue.
         self._write_directory()
         self.stats.snapshots_committed += 1
         if self.obs is not None:
@@ -748,7 +749,6 @@ class ObjectStore:
         snapshot = self.directory.get(snap_id)
         if snapshot is None:
             raise NoSuchObject(f"no snapshot {snap_id}")
-        self.batch.flush()
         if self.faults is not None:
             self._failpoint(
                 fault_names.FP_STORE_DELETE,
@@ -921,12 +921,11 @@ class WriteBatch:
     page records typically flushes as a handful of large extents
     instead of N tiny commands.
 
-    Crash safety: flushing stays strictly before the snapshot's
-    manifest/superblock in device queue order (``commit_snapshot``
-    and ``delete_snapshot`` flush first), so the recovery invariant —
-    a crash can only tear the not-yet-named snapshot — holds.
-    Failpoint ``objstore.batch.flush`` fires at the batch boundary
-    before any bytes are submitted.
+    Crash safety: :meth:`ObjectStore._write_directory` flushes before
+    it writes the superblock, so the recovery invariant — a crash can
+    only tear the not-yet-named snapshot — holds.  Failpoint
+    ``objstore.batch.flush`` fires at the batch boundary before any
+    bytes are submitted.
     """
 
     def __init__(self, store: ObjectStore):

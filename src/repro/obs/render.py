@@ -123,12 +123,29 @@ def render_device_utilization(registry: Registry) -> Optional[str]:
     return "\n".join(lines)
 
 
-def _store_value(registry: Registry, name: str, store: str) -> int:
-    """Total of the counters/gauges called ``name`` labelled ``store``."""
-    return sum(
-        inst.value for inst in registry.collect()
-        if inst.name == name and inst.labels.get("store", "?") == store
-    )
+def _per_store_table(registry: Registry, key_gauge: str, header: str,
+                     columns: list[tuple[str, int]]) -> Optional[str]:
+    """The per-store tables of ``sls stats``: one row per store that
+    published ``key_gauge`` (a permille, shown as a percentage), then
+    per ``(instrument name, width)`` column the right-aligned total of
+    the store's counters/gauges of that name; ``header`` heads them.
+    None when no store published the key gauge."""
+    totals: dict[tuple[str, str], int] = {}
+    for inst in registry.collect():
+        if isinstance(inst, (Counter, Gauge)):
+            at = inst.name, inst.labels.get("store", "?")
+            totals[at] = totals.get(at, 0) + inst.value
+    stores = sorted(store for name, store in totals if name == key_gauge)
+    if not stores:
+        return None
+    store_w = max(len("store"), max(len(s) for s in stores))
+    lines = [f"  {'store':<{store_w}}{header}"]
+    for store in stores:
+        cells = "".join(f"  {totals.get((name, store), 0):>{width}}"
+                        for name, width in columns)
+        pct = totals[key_gauge, store] / 10.0
+        lines.append(f"  {store:<{store_w}}  {pct:6.1f}{cells}")
+    return "\n".join(lines)
 
 
 def render_scrub_progress(registry: Registry) -> Optional[str]:
@@ -140,24 +157,10 @@ def render_scrub_progress(registry: Registry) -> Optional[str]:
     whether it has anything for ``sls fsck --repair``.  None when no
     scrubber has published progress.
     """
-    progress = {
-        inst.labels.get("store", "?"): inst
-        for inst in registry.collect()
-        if isinstance(inst, Gauge) and inst.name == names.G_SCRUB_PROGRESS
-    }
-    if not progress:
-        return None
-
-    store_w = max(len("store"), max(len(s) for s in progress))
-    lines = [f"  {'store':<{store_w}}  scrub%  extents  errors"]
-    for store in sorted(progress):
-        pct = progress[store].value / 10.0
-        lines.append(
-            f"  {store:<{store_w}}  {pct:6.1f}"
-            f"  {_store_value(registry, names.C_SCRUB_EXTENTS, store):>7}"
-            f"  {_store_value(registry, names.C_SCRUB_ERRORS, store):>6}"
-        )
-    return "\n".join(lines)
+    return _per_store_table(
+        registry, names.G_SCRUB_PROGRESS, "  scrub%  extents  errors",
+        [(names.C_SCRUB_EXTENTS, 7), (names.C_SCRUB_ERRORS, 6)],
+    )
 
 
 def render_store_encoding(registry: Registry) -> Optional[str]:
@@ -170,31 +173,13 @@ def render_store_encoding(registry: Registry) -> Optional[str]:
     of the last committed manifest (payload bytes, page rows).
     None when no store has published encoding metrics.
     """
-    ratio = {
-        inst.labels.get("store", "?"): inst
-        for inst in registry.collect()
-        if isinstance(inst, Gauge)
-        and inst.name == names.G_STORE_COMPRESSION_RATIO
-    }
-    if not ratio:
-        return None
-
-    store_w = max(len("store"), max(len(s) for s in ratio))
-    lines = [
-        f"  {'store':<{store_w}}  media%  compressed  delta  bytes saved"
-        f"  manifest B  page rows"
-    ]
-    for store in sorted(ratio):
-        pct = ratio[store].value / 10.0
-        lines.append(
-            f"  {store:<{store_w}}  {pct:6.1f}"
-            f"  {_store_value(registry, names.C_STORE_PAGES_COMPRESSED, store):>10}"
-            f"  {_store_value(registry, names.C_STORE_PAGES_DELTA, store):>5}"
-            f"  {_store_value(registry, names.C_STORE_ENCODED_BYTES_SAVED, store):>11}"
-            f"  {_store_value(registry, names.G_STORE_MANIFEST_BYTES, store):>10}"
-            f"  {_store_value(registry, names.G_STORE_MANIFEST_PAGE_ROWS, store):>9}"
-        )
-    return "\n".join(lines)
+    return _per_store_table(
+        registry, names.G_STORE_COMPRESSION_RATIO,
+        "  media%  compressed  delta  bytes saved  manifest B  page rows",
+        [(names.C_STORE_PAGES_COMPRESSED, 10), (names.C_STORE_PAGES_DELTA, 5),
+         (names.C_STORE_ENCODED_BYTES_SAVED, 11),
+         (names.G_STORE_MANIFEST_BYTES, 10), (names.G_STORE_MANIFEST_PAGE_ROWS, 9)],
+    )
 
 
 def render_pagecache(registry: Registry) -> Optional[str]:
@@ -206,26 +191,12 @@ def render_pagecache(registry: Registry) -> Optional[str]:
     being served from cache or reading through to the device.  None
     when no store has bound its cache to a registry.
     """
-    hit_rate = {
-        inst.labels.get("store", "?"): inst
-        for inst in registry.collect()
-        if isinstance(inst, Gauge) and inst.name == names.G_PAGECACHE_HIT_RATE
-    }
-    if not hit_rate:
-        return None
-
-    store_w = max(len("store"), max(len(s) for s in hit_rate))
-    lines = [f"  {'store':<{store_w}}    hit%     hits   misses  evicted  resident"]
-    for store in sorted(hit_rate):
-        pct = hit_rate[store].value / 10.0
-        lines.append(
-            f"  {store:<{store_w}}  {pct:6.1f}"
-            f"  {_store_value(registry, names.C_PAGECACHE_HITS, store):>7}"
-            f"  {_store_value(registry, names.C_PAGECACHE_MISSES, store):>7}"
-            f"  {_store_value(registry, names.C_PAGECACHE_EVICTIONS, store):>7}"
-            f"  {_store_value(registry, names.G_PAGECACHE_BYTES, store):>8}"
-        )
-    return "\n".join(lines)
+    return _per_store_table(
+        registry, names.G_PAGECACHE_HIT_RATE,
+        "    hit%     hits   misses  evicted  resident",
+        [(names.C_PAGECACHE_HITS, 7), (names.C_PAGECACHE_MISSES, 7),
+         (names.C_PAGECACHE_EVICTIONS, 7), (names.G_PAGECACHE_BYTES, 8)],
+    )
 
 
 def render_registry(registry: Registry) -> str:

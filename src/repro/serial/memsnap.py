@@ -26,6 +26,9 @@ from repro.serial.registry import RestoreContext, SerialContext
 
 #: oid -> {pindex -> PageRef} (disk image) or {pindex -> Page} (memory image)
 PageMap = dict[int, dict[int, object]]
+#: a disk image's map: every slot a PageRef (``image.page_refs[backend]``;
+#: a memory image's frames live apart, in ``image.memory_pages``)
+StorePageMap = dict[int, dict[int, PageRef]]
 
 
 def serialize_vm_objects(objects: list[VMObject], ctx: SerialContext) -> list[dict]:
@@ -135,15 +138,15 @@ def restore_entries(
 def capture_pages_to_store(
     freeze_set: FreezeSet,
     store: ObjectStore,
-    base_map: Optional[PageMap] = None,
-) -> PageMap:
+    base_map: Optional[StorePageMap] = None,
+) -> StorePageMap:
     """Write a freeze set's pages to the object store (deduplicated).
 
     ``base_map`` is the parent checkpoint's page map; incremental
     checkpoints overlay their dirty pages onto it, so the returned map
     is always complete.
     """
-    page_map: PageMap = {}
+    page_map: StorePageMap = {}
     if base_map:
         for oid, pages in base_map.items():
             page_map[oid] = dict(pages)
@@ -174,7 +177,7 @@ def capture_swapped_to_store(
     objects: list[VMObject],
     store: ObjectStore,
     swap,
-    page_map: PageMap,
+    page_map: StorePageMap,
     force: Optional[set] = None,
 ) -> list[PageRef]:
     """Incorporate swapped-out pages into the checkpoint (paper §3:
@@ -189,7 +192,7 @@ def capture_swapped_to_store(
     for obj in objects:
         for pindex in sorted(obj.swap_slots):
             existing = page_map.get(obj.oid, {}).get(pindex)
-            if isinstance(existing, PageRef) and (obj.oid, pindex) not in force:
+            if existing is not None and (obj.oid, pindex) not in force:
                 continue  # unchanged since it was last captured
             payload = swap.read_slot(obj, pindex)
             ref = store.write_page(payload)

@@ -1,23 +1,25 @@
-"""Five crash-ordering violations in one store."""
+"""Four crash-ordering violations in one store."""
 
 from repro.fault import names as fault_names
 
 
-class Store:
-    def commit_snapshot(self, snapshot):
-        self.write_meta(snapshot)
-        # superblock written while the batch still stages the record
-        # (also: no failpoint before it, and no release_ns barrier)
-        self.volume.write_superblock(self.directory)
+class ObjectStore:
+    def _write_directory(self):
+        # the commit point itself, but nothing fires before the write
+        self.batch.flush()
+        self.volume.write_superblock(self.directory.payload())
 
-    def commit_parallel(self, snapshot):
+    def commit_snapshot(self, snapshot):
         if self.faults is not None:
             self.faults.fire(fault_names.FP_STORE_COMMIT, store=self.name)
-        for shard, writes in self.shards.items():
-            self.volume.write_data_batch(writes, queue=shard)
-        # release_ns=None defeats the all-shard barrier: a shard's
-        # records may still be in flight when the superblock lands
-        self.volume.write_superblock(self.directory, release_ns=None)
+        self.write_meta(snapshot)
+        # a second write_superblock call site: a second copy of the
+        # write sequence, and this one forgot the flush
+        self.volume.write_superblock(self.directory.payload())
+
+    def write_tail(self, extent, record):
+        # volume write the crash sweep cannot cut in front of
+        self.volume.write_data(extent.offset, record)
 
     def compact(self):
         # raw device write bypassing the Volume layer

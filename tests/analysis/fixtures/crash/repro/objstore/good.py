@@ -1,27 +1,20 @@
-"""Correct commit shapes: flush, fire, then name — with the
-superblock barriered on every shard's completion."""
+"""The correct shape: one commit point that fires, flushes, then names;
+everything else that names a snapshot goes through it."""
 
 from repro.fault import names as fault_names
 
 
-class Store:
-    def commit_snapshot(self, snapshot):
-        self.write_meta(snapshot)
-        self.batch.flush()
+class ObjectStore:
+    def _write_directory(self):
         if self.faults is not None:
-            self.faults.fire(fault_names.FP_STORE_COMMIT, store=self.name)
-        self.volume.write_superblock(
-            self.directory, release_ns=self.device.pending_deadline()
-        )
+            self.faults.fire(fault_names.FP_STORE_WRITE_DIRECTORY,
+                             store=self.name)
+        self.batch.flush()
+        self.volume.write_superblock(self.directory.payload())
 
-    def commit_parallel(self, snapshot):
-        # The sharded flush submits each shard's runs on its own
-        # queue; the superblock then barriers on ALL of them via the
-        # device-wide pending deadline.
-        self.write_meta(snapshot)
-        self.batch.flush()
+    def commit_snapshot(self, snapshot):
         if self.faults is not None:
             self.faults.fire(fault_names.FP_STORE_COMMIT, store=self.name)
-        self.volume.write_superblock(
-            self.directory, release_ns=self.device.pending_deadline()
-        )
+        self.write_meta(snapshot)
+        self.volume.write_data(snapshot.extent.offset, snapshot.manifest)
+        self._write_directory()

@@ -101,25 +101,18 @@ def test_registry_drift_good_fixture_passes():
 def test_crash_ordering_bad_fixture_fails():
     report = run_fixture("crash", "crash-ordering")
     bad = by_path(report, "repro/objstore/bad.py")
-    messages = "\n".join(f.message for f in bad)
-    assert "superblock write reachable with batched records" in messages
-    assert "no registered failpoint" in messages
-    assert "bypasses the Volume layer" in messages
-    assert "without a release_ns= barrier" in messages
-    assert len(bad) == 5
-
-
-def test_crash_ordering_flags_none_barrier():
-    # release_ns=None is not a barrier: the parallel-flush shape must
-    # pass the device's pending deadline, not a literal None.
-    report = run_fixture("crash", "crash-ordering")
-    bad = by_path(report, "repro/objstore/bad.py")
-    none_barrier = [
-        f for f in bad
-        if "release_ns= barrier" in f.message
-        and f.symbol.endswith("commit_parallel")
+    assert sorted((f.symbol, f.message.split(";")[0]) for f in bad) == [
+        ("ObjectStore._write_directory",
+         "write_superblock() call site has no registered failpoint "
+         "fired before it in this function"),
+        ("ObjectStore.commit_snapshot",
+         "write_superblock() called outside ObjectStore._write_directory()"),
+        ("ObjectStore.compact",
+         "raw device.write() bypasses the Volume layer"),
+        ("ObjectStore.write_tail",
+         "write_data() call site has no registered failpoint "
+         "fired before it in this function"),
     ]
-    assert len(none_barrier) == 1
 
 
 def test_crash_ordering_good_fixture_passes():
@@ -132,7 +125,6 @@ def test_crash_ordering_adapter_is_exempt():
     # failpoints inside StorageDevice, not store-level ones.
     report = run_fixture("crash", "crash-ordering")
     assert by_path(report, "repro/objstore/block.py") == []
-
 
 
 # seeded mutations of the real tree: each must surface as crash-ordering
@@ -150,30 +142,18 @@ DIRECTORY_GATE = """\
             )
 """
 TAIL_WRITE = "        self.volume.write_data(extent.offset, record)\n"
-FLUSH = "        self.batch.flush()\n"
-#: the line after commit_snapshot's flush (anchors that one flush)
-PIN_BASES = (
-    "        # A snapshot listing a delta-encoded page must also pin the\n"
-)
-WRITE_DIRECTORY = "        self._write_directory()\n"
 COMMITTED = "        self.stats.snapshots_committed += 1\n"
 
-UNFLUSHED = "superblock write reachable with batched records"
-PERSIST = ("repro/core/backends.py", "StoreBackend.persist", UNFLUSHED)
-
 #: name -> ([(old, new)] edits of store.py, [(path, symbol, message part)]
-#: expected crash-ordering findings).  The last two need the whole-program
-#: linearization: the batch is filled in core/backends.py -> serial/.
+#: expected crash-ordering findings).  Dropping the barrier or moving a
+#: caller's flush is no longer here: Volume.write_superblock has no
+#: barrier parameter to drop and _write_directory flushes for itself
+#: (tests/objstore/test_write_path.py pins both behaviours).
 MUTATIONS = {
-    "drop-release-ns": (
-        [(", release_ns=self.device.pending_deadline()", "")],
-        [(STORE_PY, "ObjectStore._write_directory",
-          "without a release_ns= barrier")] * 2,
-    ),
     "drop-directory-gate": (
         [(DIRECTORY_GATE, "")],
         [(STORE_PY, "ObjectStore._write_directory",
-          "write_superblock() call site has no registered failpoint")] * 2,
+          "write_superblock() call site has no registered failpoint")],
     ),
     "raw-device-write": (
         [(TAIL_WRITE,
@@ -181,15 +161,11 @@ MUTATIONS = {
         [(STORE_PY, "ObjectStore._write_record",
           "raw device.write_async() bypasses the Volume layer")],
     ),
-    "delete-open-batch-flush": (
-        [(FLUSH + PIN_BASES, PIN_BASES)],
-        [PERSIST],
-    ),
-    "flush-after-directory": (
-        [(FLUSH + PIN_BASES, PIN_BASES),
-         (WRITE_DIRECTORY + COMMITTED,
-          WRITE_DIRECTORY + FLUSH + COMMITTED)],
-        [PERSIST],
+    "second-superblock-site": (
+        [(COMMITTED,
+          '        self.volume.write_superblock(b"")\n' + COMMITTED)],
+        [(STORE_PY, "ObjectStore.commit_snapshot",
+          "called outside ObjectStore._write_directory()")],
     ),
 }
 
@@ -226,41 +202,6 @@ def test_crash_ordering_catches_seeded_mutation(real_tree_copy, mutation):
                     if g[:2] == (path, symbol) and part in g[2]]
         assert len(matching) == expected.count((path, symbol, part)), got
     assert all(f.rule == "crash-ordering" for f in report.findings)
-
-
-# -- kwonly-api -----------------------------------------------------------------
-
-
-def test_kwonly_bad_fixture_fails():
-    report = run_fixture("kwonly", "kwonly-api")
-    bad = by_path(report, "repro/core/api.py")
-    messages = "\n".join(f.message for f in bad)
-    assert "flag parameter sync=True" in messages
-    assert "'options' of restore() must be keyword-only" in messages
-    assert "**kwargs" in messages
-    assert len(bad) == 3
-
-
-def test_kwonly_good_fixture_passes():
-    # keyword-only flags, a legacy* shim, and a pure delegate all pass
-    report = run_fixture("kwonly", "kwonly-api")
-    assert by_path(report, "repro/core/orchestrator.py") == []
-
-
-def test_kwonly_covers_apps_prefix():
-    # repro/apps/ is in scope via api_prefixes, not api_modules
-    report = run_fixture("kwonly", "kwonly-api")
-    bad = by_path(report, "repro/apps/bad.py")
-    messages = "\n".join(f.message for f in bad)
-    assert "flag parameter lazy=True" in messages
-    assert "'invoke_options' of invoke() must be keyword-only" in messages
-    assert "**knobs" in messages
-    assert len(bad) == 3
-
-
-def test_kwonly_apps_good_fixture_passes():
-    report = run_fixture("kwonly", "kwonly-api")
-    assert by_path(report, "repro/apps/good.py") == []
 
 
 # -- unit-suffix ----------------------------------------------------------------

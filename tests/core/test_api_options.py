@@ -6,6 +6,10 @@ The historical positional and ``backend_name=`` shapes are gone: they
 fail as any other wrong call does, with ``TypeError``.
 """
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
 from repro.core.api import AuroraApi
@@ -223,3 +227,112 @@ class TestEntriesCovering:
         affected = api.sls_mctl(entry.start, 8192, include=False)
         assert affected >= 1
         assert any(e.sls_exclude for e in proc.aspace.entries)
+
+
+# -- the keyword-only convention, checked as signatures ---------------------------
+#
+# Every option on the public libsls/orchestrator/apps surface is an
+# explicit keyword (or one options object), so a misspelled knob fails
+# loudly instead of being swallowed two layers down.  That shape erodes
+# one convenient positional bool at a time; these tests pin it by
+# looking at the signatures themselves.
+
+API_MODULES = ("repro.core.api", "repro.core.orchestrator")
+API_PACKAGES = ("repro.apps",)
+#: the one public ``**kwargs`` that is not a ``legacy*`` deprecation
+#: shim: its whole body forwards ``*args, **kwargs`` to
+#: ``RestoreEngine.restore``, whose own signature rejects a typo
+PURE_DELEGATES = {"repro.core.orchestrator.SLS.restore"}
+
+
+def public_functions(owner, prefix):
+    """``(qualname, function)`` for every public function defined
+    directly on ``owner`` (a module or a class): plain functions and
+    methods, static/class methods, property getters, and — for a
+    module — the same for each public class it defines.  Names with a
+    leading underscore (dunders included) and imported names are not
+    part of the surface."""
+    in_module = inspect.ismodule(owner)
+    for name, member in vars(owner).items():
+        if name.startswith("_"):
+            continue
+        member = getattr(member, "__func__", member)   # static/classmethod
+        member = getattr(member, "fget", member)       # property
+        if in_module and getattr(member, "__module__", None) != owner.__name__:
+            continue  # imported, not defined here
+        if inspect.isfunction(member):
+            yield f"{prefix}.{name}", member
+        elif in_module and inspect.isclass(member):
+            yield from public_functions(member, f"{prefix}.{name}")
+
+
+def api_surface():
+    names = list(API_MODULES)
+    for package in API_PACKAGES:
+        path = importlib.import_module(package).__path__
+        names += sorted(f"{package}.{info.name}"
+                        for info in pkgutil.iter_modules(path))
+    for name in names:
+        yield from public_functions(importlib.import_module(name), name)
+
+
+def keyword_only_violations(surface):
+    """What the convention forbids, one message per offending parameter."""
+    out = []
+    for qualname, func in surface:
+        for param in inspect.signature(func).parameters.values():
+            positional = param.kind in (param.POSITIONAL_ONLY,
+                                        param.POSITIONAL_OR_KEYWORD)
+            if positional and (param.name == "options"
+                               or param.name.endswith("_options")):
+                out.append(f"{qualname}: {param.name!r} must be keyword-only")
+            elif positional and isinstance(param.default, bool):
+                out.append(f"{qualname}: flag {param.name}={param.default} "
+                           "must be keyword-only")
+            elif (param.kind is param.VAR_KEYWORD
+                    and not param.name.startswith("legacy")
+                    and qualname not in PURE_DELEGATES):
+                out.append(f"{qualname}: **{param.name} swallows typos")
+    return out
+
+
+class PositionalOptions:
+    def restore(self, image, options=None):
+        """An options object a caller can pass by position."""
+
+
+class PositionalFlag:
+    def checkpoint(self, group, sync=True):
+        """``checkpoint(group, True)`` is unreadable and un-greppable."""
+
+
+class OptionBag:
+    def invoke(self, name, **knobs):
+        """A forwarded bag: ``invoke("f", lazzy=True)`` goes unnoticed."""
+
+
+class Conforming:
+    def restore(self, image, *, options=None, lazy=False, **legacy_kwargs):
+        """Keyword-only knobs and a ``legacy*`` shim are the convention."""
+
+
+class TestKeywordOnlySurface:
+    def test_public_api_is_keyword_only(self):
+        surface = list(api_surface())
+        # the count pins the scan's reach: an import that silently drops
+        # a module, or a filter that skips methods, fails here
+        assert len(surface) == 84
+        assert PURE_DELEGATES <= {qualname for qualname, _ in surface}
+        assert keyword_only_violations(surface) == []
+
+    @pytest.mark.parametrize("cls, message", [
+        (PositionalOptions, "restore: 'options' must be keyword-only"),
+        (PositionalFlag, "checkpoint: flag sync=True must be keyword-only"),
+        (OptionBag, "invoke: **knobs swallows typos"),
+    ])
+    def test_each_violation_is_caught(self, cls, message):
+        surface = list(api_surface()) + list(public_functions(cls, "t"))
+        assert keyword_only_violations(surface) == [f"t.{message}"]
+
+    def test_the_convention_itself_passes(self):
+        assert keyword_only_violations(public_functions(Conforming, "t")) == []

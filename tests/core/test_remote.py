@@ -212,6 +212,34 @@ class TestContinuousReplication:
         assert rsys.peek(entry.start, 7) == b"delta-1"
         assert rsys.peek(entry.start + PAGE_SIZE, 4) == b"pg-1"
 
+    def test_a_built_image_is_not_rewritten_by_later_messages(self, hosts, app):
+        src, dst, src_sls, dst_sls, src_ep, receiver = hosts
+        proc, sys, entry, group = app
+        group.attach(RemoteBackend("replica", src_ep, "dst"))
+        src_sls.checkpoint(group)
+        src_sls.barrier(group)
+        receiver.pump(wait=True)
+        image = receiver.build_image("app")
+
+        def restore_lazily():
+            procs, _ = dst_sls.restore(
+                image, backend_name="recv", store=receiver.store,
+                lazy=True, new_instance=True, prefetch="none",
+            )
+            return Syscalls(dst, procs[0])
+
+        drill = restore_lazily()  # nothing faulted in yet
+        sys.poke(entry.start + PAGE_SIZE, b"later")
+        src_sls.checkpoint(group)
+        src_sls.barrier(group)
+        receiver.pump(wait=True)
+        # neither the running instance's pager nor a fresh restore of
+        # the same image sees the page the stream received afterwards
+        assert drill.peek(entry.start + PAGE_SIZE, 4) == b"pg-1"
+        assert restore_lazily().peek(entry.start + PAGE_SIZE, 4) == b"pg-1"
+        newest, _ = receiver.restore("app", new_instance=True)
+        assert Syscalls(dst, newest[0]).peek(entry.start + PAGE_SIZE, 5) == b"later"
+
     def test_replication_durability_is_arrival(self, hosts, app):
         src, dst, src_sls, dst_sls, src_ep, receiver = hosts
         proc, sys, entry, group = app

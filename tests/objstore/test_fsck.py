@@ -9,6 +9,8 @@ docs demonstrate is, by construction, a damage class the suite pins.
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cli.recovery import INJECTIONS, build_demo_store, inject
 from repro.errors import ObjectStoreError, PowerCut
@@ -185,3 +187,34 @@ class TestObservability:
         }
         assert by_name["objstore.fsck.findings_total"] == 1
         assert by_name["objstore.fsck.repairs_total"] == 1
+
+
+# -- interval arithmetic behind the allocator audit ------------------------------
+
+#: sorted, disjoint, possibly abutting half-open intervals
+INTERVALS = st.lists(st.integers(0, 48), max_size=16).map(
+    lambda points: Fsck._union(
+        list(zip(sorted(points)[::2], sorted(points)[1::2]))
+    )
+)
+
+
+def subtract_by_rescanning(base, cut):
+    """The reference: every base interval against every cut interval."""
+    out = []
+    for start, end in base:
+        pos = start
+        for c_start, c_end in cut:
+            if c_end <= pos or c_start >= end:
+                continue
+            if c_start > pos:
+                out.append((pos, c_start))
+            pos = max(pos, c_end)
+        if pos < end:
+            out.append((pos, end))
+    return out
+
+
+@given(base=INTERVALS, cut=INTERVALS)
+def test_subtract_with_a_cursor_matches_rescanning(base, cut):
+    assert Fsck._subtract(base, cut) == subtract_by_rescanning(base, cut)

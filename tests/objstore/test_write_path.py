@@ -30,8 +30,10 @@ from repro.errors import ObjectStoreError
 from repro.hw.netdev import NetworkLink
 from repro.hw.nvme import NvmeDevice
 from repro.mem.address_space import AddressSpace
-from repro.objstore.block import Volume
+from repro.objstore.block import DATA_BASE, Volume
 from repro.objstore.fsck import LOST_AND_FOUND, repair_store
+from repro.objstore.record import KIND_MANIFEST, KIND_PAGE, unpack_record
+from repro.objstore.snapshot import Snapshot, encode_manifest
 from repro.objstore.store import ObjectStore
 from repro.posix.fd import O_CREAT, O_RDWR
 from repro.posix.kernel import Kernel
@@ -43,7 +45,7 @@ from repro.serial.memsnap import (
 )
 from repro.sim.clock import SimClock
 from repro.slsfs.fs import SlsFS
-from repro.units import GIB, PAGE_SIZE
+from repro.units import GIB, MIB, PAGE_SIZE
 
 QUEUES = 4
 #: manifest + superblock, one single-command doorbell each
@@ -395,6 +397,97 @@ def test_recovered_store_is_a_committed_prefix(ops, cut_after, linger_ns):
         state == recovered
         for _durable_at, state in history[durable_floor:]
     ), (recovered, history, cut_at)
+
+
+# -- ordering by construction: the volume barriers, the commit point flushes -------
+
+
+def test_the_volume_computes_the_superblock_barrier():
+    """No argument asks for the barrier and none can decline it: with a
+    long write in flight on another queue the superblock still lands
+    after it (per-queue FIFO alone would let it race ahead on queue 0)."""
+    assert list(inspect.signature(Volume.write_superblock).parameters) == [
+        "self", "payload_value",
+    ]
+    device = nvme(SimClock())
+    big = device.write_async(DATA_BASE, b"x", logical_nbytes=4 * MIB, queue=3)
+    superblock = Volume(device).write_superblock(b"names nothing yet")
+    assert superblock.issued_at < big.completes_at < superblock.completes_at
+
+
+def name_a_staged_page(store):
+    """What a caller that forgot to flush would do: a snapshot enters
+    the directory, and the directory is written, while the snapshot's
+    one page still waits in the batch."""
+    ref = store.write_page(b"named while staged")
+    manifest = store._write_record(
+        KIND_MANIFEST, 0, encode_manifest(None, [], [ref])
+    )
+    store._take_references(
+        Snapshot(snap_id=store.directory.allocate_id(), name="s", epoch=0,
+                 created_at_ns=0, manifest_extent=manifest),
+        [], [ref],
+    )
+    store._write_directory()
+    return ref
+
+
+def test_the_directory_write_flushes_for_itself():
+    clock = SimClock()
+    device = nvme(clock)
+    store = ObjectStore(device)
+    ref = name_a_staged_page(store)
+    assert len(store.batch) == 0 and store.stats.batches_flushed == 1
+    submitted = clock.now
+    page_done = max(t.completes_at for t in store.batch.last_tickets)
+    deadline = device.pending_deadline()  # the superblock's: it is last
+    assert submitted < page_done < deadline
+    # on the device, whole: the record checksum verifies
+    header, _stored = unpack_record(
+        device.read(ref.extent.offset, ref.extent.length)
+    )
+    assert header.kind == KIND_PAGE
+    # A cut changes outcome only where a write completes, so 50 ns steps
+    # plus both sides of each completion stand for every instant.
+    for cut_at in sorted({*range(submitted, deadline, 50), page_done - 1,
+                          page_done, deadline - 1, deadline}):
+        clock = SimClock()
+        store = ObjectStore(nvme(clock))
+        name_a_staged_page(store)
+        clock.advance_to(cut_at)
+        store.device.crash()
+        rebooted = ObjectStore(store.device)
+        report = rebooted.recover()
+        # never a directory naming a torn record: all of it or none
+        assert not report.snapshots_discarded, (cut_at, report.errors)
+        names = [snapshot.name for snapshot in rebooted.snapshots()]
+        assert names == (["s"] if cut_at >= deadline else []), cut_at
+        if names:
+            assert snapshot_pages(rebooted, "s") == [b"named while staged"]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: StorageDevice.crash() tears an in-flight write by "
+    "zeroing its range instead of restoring the pre-image, so with two "
+    "superblock generations in flight a cut wipes both A/B slots and "
+    "recover() adopts nothing.  A hole in the device model, not in the "
+    "barrier Volume.write_superblock computes; item 2 flips this."
+))
+def test_two_unbarriered_commits_fall_back_to_the_last_durable_generation():
+    device = nvme(SimClock())
+    store = ObjectStore(device)
+    for name in (b"s0", b"s1"):
+        store.commit_snapshot(name.decode(), meta=None, records=[],
+                              pages=[store.write_page(name)])
+        store.flush_barrier()
+    # generations 3 and 4, one per slot, neither waited for
+    store.delete_snapshot(store.snapshot_by_name("s0").snap_id)
+    store.commit_snapshot("s2", meta=None, records=[],
+                          pages=[store.write_page(b"s2")])
+    assert device.crash() >= 2  # before either superblock is durable
+    rebooted = ObjectStore(device)
+    rebooted.recover()
+    assert [snapshot.name for snapshot in rebooted.snapshots()] == ["s0", "s1"]
 
 
 # -- the API has no path selector left ---------------------------------------------
