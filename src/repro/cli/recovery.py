@@ -61,8 +61,7 @@ def build_demo_store() -> tuple[NvmeDevice, ObjectStore, KernelObs]:
 
 def _first_page_ref(store: ObjectStore, snapshot_name: str) -> PageRef:
     snapshot = store.snapshot_by_name(snapshot_name)
-    _meta, _records, pages = store.load_manifest(snapshot)
-    return pages[0]
+    return store.load_manifest(snapshot).pages[0]
 
 
 def inject(device: NvmeDevice, store: ObjectStore, kind: str) -> str:

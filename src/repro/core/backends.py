@@ -28,7 +28,7 @@ from repro.mem.cow import FreezeSet
 from repro.mem.page import Page
 from repro.units import MSEC
 from repro.obs import names as obs_names
-from repro.objstore.image import write_image
+from repro.objstore.image import Lineage, write_image
 from repro.objstore.record import encode
 from repro.objstore.store import ObjectStore
 from repro.posix.kernel import Kernel
@@ -144,14 +144,14 @@ class StoreBackend(Backend):
                 force=freeze_set.swapped_dirty,
             )
         # The image record carries the kernel-object graph plus this
-        # checkpoint's slot-map *delta* against its parent's map; the
-        # manifest lists the lineage's records after it (see
-        # repro.objstore.image).  An image recorded non-incremental (a
-        # consolidating full checkpoint still has a parent) must carry
-        # the *complete* map, diffed against nothing.
+        # checkpoint's slot-map *delta* against its parent's map, the
+        # manifest the delta's pages plus the lineage's records and
+        # manifests (see repro.objstore.image).  An image recorded
+        # non-incremental (a consolidating full checkpoint still has a
+        # parent) must carry the *complete* map, diffed against nothing.
         incremental = parent is not None and image.incremental
         parent_snap = parent.snapshots.get(self.name) if parent else None
-        snapshot, records = write_image(
+        snapshot, lineage = write_image(
             self.store,
             name=image.name,
             meta={
@@ -165,11 +165,12 @@ class StoreBackend(Backend):
             epoch=image.epoch,
             parent_id=parent_snap.snap_id if parent_snap else None,
             base_map=base_map if incremental else None,
-            base_records=parent.delta_records.get(self.name, ()) if incremental else (),
+            base=(parent.store_lineage.get(self.name, Lineage()) if incremental
+                  else Lineage()),
         )
         image.snapshots[self.name] = snapshot
         image.page_refs[self.name] = page_map
-        image.delta_records[self.name] = records
+        image.store_lineage[self.name] = lineage
         image.flush_info[self.name] = FlushInfo(
             submitted_at_ns=submitted_at,
             records=batch.records_flushed - records_before,

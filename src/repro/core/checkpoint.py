@@ -17,8 +17,8 @@ from typing import Callable, Optional
 
 from repro.core.metrics import CheckpointMetrics
 from repro.mem.page import Page
+from repro.objstore.image import Lineage
 from repro.objstore.snapshot import Snapshot
-from repro.objstore.store import MetaRef
 from repro.serial.memsnap import PageMap, StorePageMap
 from repro.units import PAGE_SIZE
 
@@ -68,10 +68,11 @@ class CheckpointImage:
     snapshots: dict[str, Snapshot] = field(default_factory=dict)
     #: backend name -> page map of PageRefs (disk-like backends)
     page_refs: dict[str, StorePageMap] = field(default_factory=dict)
-    #: backend name -> pagemap-delta records a post-reboot restore
-    #: overlays: this image's own first, then its lineage's back to the
-    #: covering full checkpoint (what the snapshot's manifest lists)
-    delta_records: dict[str, list[MetaRef]] = field(default_factory=dict)
+    #: backend name -> the pagemap-delta records and manifests a
+    #: post-reboot restore replays: this image's own first, then its
+    #: lineage's back to the covering full checkpoint (what a child's
+    #: manifest lists)
+    store_lineage: dict[str, Lineage] = field(default_factory=dict)
     #: backend name -> submission accounting for this image's flush
     flush_info: dict[str, "FlushInfo"] = field(default_factory=dict)
     #: memory-backend page map of held frozen frames

@@ -67,7 +67,7 @@ def datasnap(
         pages[i] = store.write_page(
             page.snapshot_payload(), content_hash=page.content_hash()
         )
-    snapshot, _records = write_image(
+    snapshot, _lineage = write_image(
         store,
         name=DATA_PREFIX + name,
         meta={"kind": "datasnap"},

@@ -135,14 +135,15 @@ class PersistenceGroup:
         """Drop history beyond the retention window (in-place GC).
 
         An incremental image's on-disk pagemap is a *delta*, and its
-        manifest lists (and so pins) the delta records of its whole
-        chain back to the covering full checkpoint — deleting an
-        ancestor can no longer strand it.  Pruning still removes whole
-        chain segments (history older than a later full image), and
-        when the window is over budget but contains no such cut point
-        the next checkpoint is forced full (consolidation): that is
-        what bounds the chain's length, hence manifest size and the
-        overlay work of a post-reboot restore.
+        manifest lists (and so pins) the delta records and manifests of
+        its whole chain back to the covering full checkpoint — deleting
+        an ancestor can no longer strand it.  Pruning still removes
+        whole chain segments (history older than a later full image),
+        newest first, so each delete frees the table it names and every
+        manifest is read once; and when the window is over budget but
+        contains no such cut point the next checkpoint is forced full
+        (consolidation): that is what bounds the chain's length, hence
+        manifest size and the overlay work of a post-reboot restore.
         """
         if len(self.images) <= self.retention:
             return
@@ -156,7 +157,7 @@ class PersistenceGroup:
             return
         doomed, self.images = self.images[:cut], self.images[cut:]
         self.images[0].parent = None
-        for old in doomed:
+        for old in reversed(doomed):
             for backend in self.backends:
                 delete = getattr(backend, "delete_image", None)
                 if delete is not None:

@@ -163,7 +163,7 @@ class _GroupStream:
     def commit(self, store: ObjectStore, backend_name: str, marker: str) -> CheckpointImage:
         """Commit the assembled image to ``store``; returns it
         restorable under ``backend_name``."""
-        snapshot, _records = write_image(
+        snapshot, _lineage = write_image(
             store,
             name=f"{backend_name}:{self.name}",
             meta={"group": self.group, marker: True},

@@ -280,15 +280,19 @@ def run_workload(kernel: Kernel, device: NvmeDevice,
 
 def _referenced_extents(store: ObjectStore) -> dict[int, int]:
     """offset -> length of every unique extent reachable from the
-    recovered directory (manifests, metadata records, pages)."""
+    recovered directory (manifests, their lineages' manifests, metadata
+    records, pages)."""
     seen: dict[int, int] = {}
     for snapshot in store.snapshots():
-        seen[snapshot.manifest_extent.offset] = snapshot.manifest_extent.length
-        _meta, records, pages = store.load_manifest(snapshot)
-        for ref in records:
+        manifest = store.load_manifest(snapshot)
+        for extent in [snapshot.manifest_extent, *manifest.lineage]:
+            if extent.offset in seen:
+                continue
+            seen[extent.offset] = extent.length
+            for _hash, offset, length, _page_length in store.read_manifest(extent).pages.rows():
+                seen[offset] = length
+        for ref in manifest.records:
             seen[ref.extent.offset] = ref.extent.length
-        for _hash, offset, length, _page_length in pages.rows():
-            seen[offset] = length
     return seen
 
 

@@ -15,8 +15,9 @@ Two I/O flavours mirror how Aurora uses devices:
 
 Durability is modelled faithfully: a write is durable only once its
 completion time has passed; :meth:`StorageDevice.crash` at time *t*
-discards in-flight writes, which the object-store recovery tests use to
-exercise torn-checkpoint handling.
+unwinds in-flight writes to their pre-images (whole sectors of a write
+caught mid-transfer survive), which the object-store recovery tests use
+to exercise torn-checkpoint handling.
 """
 
 from __future__ import annotations
@@ -78,10 +79,20 @@ class IoStats:
     queues: list[QueueIoStats] = field(default_factory=list)
 
 
+#: the unit a torn write lands in: a power cut mid-transfer leaves
+#: whole sectors of new bytes, never a partial one
+SECTOR = 512
+
+
 @dataclass
 class _PendingWrite:
     offset: int
     length: int
+    #: the bytes the write replaced (its pre-image); None when it landed
+    #: on blocks never written before, which read back as zeros
+    old: Optional[bytes]
+    #: its transfer onto the media runs from here to ``durable_at``
+    transfer_at: int
     durable_at: int
 
 
@@ -214,6 +225,10 @@ class StorageDevice:
             c for c in self._inflight[queue] if c > self.clock.now
         ]
 
+    def _transfer_ns(self, nbytes: int, bandwidth: float) -> int:
+        """Channel time one command of ``nbytes`` occupies."""
+        return transfer_ns(nbytes, bandwidth) + self.spec.command_overhead_ns
+
     def _occupy(self, nbytes: int, latency_ns: int, bandwidth: float,
                 queue: int = 0, release_ns: int | None = None) -> IoTicket:
         """Reserve channel time for one command and return its ticket.
@@ -234,7 +249,7 @@ class StorageDevice:
         """
         issued = self.clock.now
         start = max(issued, self._busy_until[queue], release_ns or 0)
-        xfer = transfer_ns(nbytes, bandwidth) + self.spec.command_overhead_ns
+        xfer = self._transfer_ns(nbytes, bandwidth)
         completes = start + latency_ns + xfer
         self._busy_until[queue] = start + xfer
         self.stats.busy_ns += xfer
@@ -424,8 +439,9 @@ class StorageDevice:
                 f"{self.name}: write [{offset}, {end}) exceeds capacity {self.spec.capacity}"
             )
         self._wait_for_queue_slot(queue)
+        nbytes = max(len(data), logical_nbytes or 0)
         ticket = self._occupy(
-            max(len(data), logical_nbytes or 0),
+            nbytes,
             self.spec.write_latency_ns,
             self.spec.write_bandwidth,
             queue=queue,
@@ -435,12 +451,18 @@ class StorageDevice:
             # Only a prefix reaches the media; the caller is not told.
             data = bytes(data)[: int(len(data) * action.fraction)]
         if action is None or action.kind != "drop":
+            blocks = range(offset // _BLOCK, (offset + len(data) - 1) // _BLOCK + 1)
+            old = (self._load(offset, len(data))
+                   if any(block in self._blocks for block in blocks) else None)
             self._store(offset, data)
-            self._pending.append(
-                _PendingWrite(
-                    offset=offset, length=len(data), durable_at=ticket.completes_at
-                )
-            )
+            # The transfer is the last stretch before completion, so a
+            # write whose transfer ended is exactly a durable one.
+            self._pending.append(_PendingWrite(
+                offset=offset, length=len(data), old=old,
+                durable_at=ticket.completes_at,
+                transfer_at=ticket.completes_at
+                - self._transfer_ns(nbytes, self.spec.write_bandwidth),
+            ))
         self.stats.writes += 1
         self.stats.queues[queue].writes += 1
         self.stats.bytes_written += max(len(data), logical_nbytes or 0)
@@ -502,23 +524,34 @@ class StorageDevice:
     def crash(self) -> int:
         """Simulate a power failure at the current instant.
 
-        In-flight (non-durable) writes are torn out of the media; if
-        the device is volatile (``spec.persistent == False``) all
-        contents are lost.  Returns the number of writes discarded.
+        In-flight (non-durable) writes unwind, newest first, to what
+        the media held before them: a command whose transfer had not
+        begun reverts entirely, one caught mid-transfer keeps the whole
+        sectors of new bytes its elapsed transfer time covers over the
+        old tail — a real device never zeroes a sector it has not begun
+        to program.  If the device is volatile (``spec.persistent ==
+        False``) all contents are lost.  Returns the number of writes
+        torn.
         """
         self._retire_pending()
         lost = len(self._pending)
+        now = self.clock.now
         for inflight in self._inflight:
             inflight.clear()
-        self._busy_until = [self.clock.now] * self.num_queues
+        self._busy_until = [now] * self.num_queues
         if not self.spec.persistent:
             self._blocks.clear()
             self._used = 0
             self._pending.clear()
             return lost
-        for pending in self._pending:
-            # Tear the write: the media holds stale (zero) data again.
-            self._store(pending.offset, bytes(pending.length))
+        for pending in reversed(self._pending):
+            old = bytes(pending.length) if pending.old is None else pending.old
+            landed = 0
+            if now > pending.transfer_at:
+                landed = (pending.length * (now - pending.transfer_at)
+                          // (pending.durable_at - pending.transfer_at)
+                          // SECTOR * SECTOR)
+            self._store(pending.offset + landed, old[landed:])
         self._pending.clear()
         return lost
 

@@ -45,11 +45,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from repro.errors import ObjectStoreError
 from repro.fault import names as fault_names
 from repro.obs import names as obs_names
+from repro.objstore.alloc import Extent
 from repro.objstore.record import KIND_MANIFEST
 from repro.objstore.snapshot import (
     MetaRef,
@@ -65,6 +66,7 @@ from repro.objstore.walk import (
     DELTA_BROKEN_BASE,
     DELTA_CHAIN_TOO_DEEP,
     MANIFEST,
+    PAGE,
     RECORD,
     MediaWalk,
     Verdict,
@@ -187,18 +189,53 @@ class FsckReport:
 
 
 @dataclass
+class _TableWalk:
+    """Verification state for one manifest's page table — shared by its
+    snapshot and every descendant whose lineage lists it, so its rows
+    are counted, claimed and dropped once."""
+
+    extent: Extent
+    #: the lowest-id snapshot that reads through it, and its name
+    snap_id: int
+    name: str
+    manifest_ok: bool = False
+    #: rows that verified end-to-end (salvageable)
+    pages: list[PageRef] = field(default_factory=list)
+    #: rows that parsed out of the manifest but failed verification
+    bad_pages: list[PageRef] = field(default_factory=list)
+
+    @property
+    def damaged(self) -> bool:
+        return not self.manifest_ok or bool(self.bad_pages)
+
+
+@dataclass
 class _SnapshotWalk:
     """Verification state for one snapshot during the walk."""
 
     snapshot: Snapshot
-    manifest_ok: bool = False
+    #: its own manifest's table, then its lineage's newest first
+    tables: list[_TableWalk]
+    #: its manifest's lineage extents (empty when it does not parse)
+    lineage: list[Extent] = field(default_factory=list)
     #: refs that verified end-to-end (salvageable)
     records: list[MetaRef] = field(default_factory=list)
-    pages: list[PageRef] = field(default_factory=list)
     #: refs that parsed out of the manifest but failed verification
     bad_records: list[MetaRef] = field(default_factory=list)
-    bad_pages: list[PageRef] = field(default_factory=list)
     damaged: bool = False
+
+    @property
+    def manifest_ok(self) -> bool:
+        return self.tables[0].manifest_ok
+
+    @property
+    def intact(self) -> bool:
+        return not self.damaged and not any(t.damaged for t in self.tables)
+
+    def salvage(self) -> list[PageRef]:
+        """Every row that verified, once per content hash."""
+        return list({ref.content_hash: ref for table in self.tables
+                     for ref in table.pages}.values())
 
 
 @dataclass
@@ -209,7 +246,10 @@ class _Claim:
     end: int
     identity: tuple
     snap_id: int  # -1 for non-snapshot claimants (log regions)
-    owner: Optional[_SnapshotWalk]
+    #: the snapshot or table that loses the reference if the claim loses
+    owner: Union[_SnapshotWalk, _TableWalk, None]
+    #: name of the snapshot charged with it
+    name: Optional[str] = None
 
 
 class Fsck:
@@ -232,6 +272,8 @@ class Fsck:
         self.media = MediaWalk(store)
         self.directory = SnapshotDirectory()
         self.walks: list[_SnapshotWalk] = []
+        #: every table some snapshot reads through, by extent
+        self.tables: dict[Extent, _TableWalk] = {}
 
     # -- phases 0-1: the media walk's verdicts become findings ------------------
 
@@ -261,25 +303,37 @@ class Fsck:
         for snap_id in sorted(self.directory.snapshots):
             snapshot = self.directory.snapshots[snap_id]
             self.report.snapshots_checked += 1
-            walk = _SnapshotWalk(snapshot=snapshot)
-            self.walks.append(walk)
+            records: list[MetaRef] = []
+            bad_records: list[MetaRef] = []
+            damaged = False
             for verdict in self.media.snapshot(snapshot):
                 role, ref = verdict.reference.role, verdict.reference.ref
-                if role == MANIFEST:
-                    walk.manifest_ok = verdict.ok
-                elif role == RECORD:
-                    (walk.records if verdict.ok
-                     else walk.bad_records).append(ref)
+                if role == RECORD:
+                    (records if verdict.ok else bad_records).append(ref)
                     self.report.records_verified += verdict.ok
-                else:
-                    (walk.pages if verdict.ok else walk.bad_pages).append(ref)
+                elif role == PAGE:
                     self.report.pages_verified += verdict.ok
                 if not verdict.ok:
-                    walk.damaged = True
+                    damaged = True
                     self.report.findings.append(FsckFinding.of(
                         verdict, action=("drop-snapshot" if role == MANIFEST
                                          else "quarantine"),
                     ))
+            view = self.media.view(snapshot)
+            for table in view:
+                if table.extent not in self.tables:
+                    self.tables[table.extent] = _TableWalk(
+                        table.extent, snap_id, snapshot.name,
+                        manifest_ok=table.manifest is not None,
+                        pages=list(table.pages),
+                        bad_pages=[v.reference.ref for v in table.bad],
+                    )
+            own = view[0].manifest
+            self.walks.append(_SnapshotWalk(
+                snapshot, [self.tables[table.extent] for table in view],
+                lineage=own.lineage if own else [], records=records,
+                bad_records=bad_records, damaged=damaged,
+            ))
         self.report.bytes_verified = self.media.bytes_verified
 
     # -- phase 2: cross-snapshot claims (double allocation) --------------------
@@ -288,41 +342,42 @@ class Fsck:
         """Every parsed reference's claim, deduplicated by identity.
 
         Identity is what makes sharing legal: two snapshots listing the
-        same record (same offset, length, kind-class) or the same page
-        content hash collapse to one claim.  Overlapping claims with
-        *different* identities mean the allocator handed the same bytes
-        out twice.
+        same record (same offset, length, kind-class), the same
+        manifest or the same page content hash collapse to one claim.
+        Overlapping claims with *different* identities mean the
+        allocator handed the same bytes out twice.
         """
         unique: dict[tuple, _Claim] = {}
 
-        def add(offset: int, length: int, identity: tuple,
-                snap_id: int, owner: Optional[_SnapshotWalk]) -> None:
-            key = (offset, length, identity)
+        def add(extent: Extent, identity: tuple, snap_id: int,
+                owner: Union[_SnapshotWalk, _TableWalk, None] = None,
+                name: Optional[str] = None) -> None:
+            if owner is not None and not in_bounds(self.store.volume, extent):
+                return
+            key = (extent.offset, extent.length, identity)
             existing = unique.get(key)
             if existing is None or (existing.snap_id > snap_id >= 0):
-                unique[key] = _Claim(offset=offset, end=offset + length,
+                unique[key] = _Claim(offset=extent.offset, end=extent.end,
                                      identity=identity, snap_id=snap_id,
-                                     owner=owner)
+                                     owner=owner, name=name)
 
         for walk in self.walks:
-            snapshot = walk.snapshot
-            if walk.manifest_ok:
-                ext = snapshot.manifest_extent
-                add(ext.offset, ext.length, ("manifest", snapshot.snap_id),
-                    snapshot.snap_id, walk)
-            for ref in (walk.records + walk.bad_records
-                        + walk.pages + walk.bad_pages):
-                if in_bounds(self.store.volume, ref.extent):
-                    add(ref.extent.offset, ref.extent.length,
-                        (("page", ref.content_hash)
-                         if isinstance(ref, PageRef) else
-                         ("rec", ref.extent.offset, ref.extent.length)),
-                        snapshot.snap_id, walk)
+            for ref in walk.records + walk.bad_records:
+                add(ref.extent, ("rec", ref.extent.offset, ref.extent.length),
+                    walk.snapshot.snap_id, walk, walk.snapshot.name)
+        # A manifest a lineage lists is one claim however many snapshots
+        # read through it, and so is each of its rows.
+        for table in self.tables.values():
+            if table.manifest_ok:
+                add(table.extent, ("manifest",), table.snap_id, table, table.name)
+            for ref in table.pages + table.bad_pages:
+                add(ref.extent, ("page", ref.content_hash), table.snap_id,
+                    table, table.name)
         for oid, log in self.store._logs.items():
-            add(log.region.offset, log.region.length, ("log", oid), -1, None)
+            add(log.region, ("log", oid), -1)
         spill = self.media.dir_spill
         if spill is not None:
-            add(spill.offset, spill.length, ("dir-spill", spill.offset), -1, None)
+            add(spill, ("dir-spill", spill.offset), -1)
         return sorted(unique.values(), key=lambda c: (c.offset, c.snap_id))
 
     def _check_double_alloc(self, claims: list[_Claim]) -> None:
@@ -346,8 +401,7 @@ class Fsck:
                 winner = other if loser is claim else claim
                 self.report.findings.append(FsckFinding(
                     kind=DOUBLE_ALLOC,
-                    snapshot=(loser.owner.snapshot.name
-                              if loser.owner else None),
+                    snapshot=loser.name,
                     offset=max(claim.offset, other.offset),
                     length=(min(claim.end, other.end)
                             - max(claim.offset, other.offset)),
@@ -361,20 +415,23 @@ class Fsck:
             open_claims.append(claim)
 
     def _drop_claim(self, claim: _Claim) -> None:
-        """Drop the losing reference from *every* walk that shares it."""
-        if claim.identity[0] == "manifest":
-            claim.owner.damaged = True
-            claim.owner.manifest_ok = False
-            return
-        for walk in self.walks:
-            good, bad = ((walk.records, walk.bad_records)
-                         if claim.identity[0] == "rec"
-                         else (walk.pages, walk.bad_pages))
+        """Drop the losing reference from *every* snapshot or table that
+        shares it (a table's loss damages every snapshot reading it)."""
+        def drop(good: list, bad: list) -> bool:
             dropped = [r for r in good if r.extent.offset == claim.offset]
-            if dropped:
-                walk.damaged = True
-                good[:] = [r for r in good if r.extent.offset != claim.offset]
-                bad.extend(dropped)
+            good[:] = [r for r in good if r.extent.offset != claim.offset]
+            bad.extend(dropped)
+            return bool(dropped)
+
+        if claim.identity[0] == "manifest":
+            claim.owner.manifest_ok = False
+        elif claim.identity[0] == "rec":
+            for walk in self.walks:
+                if drop(walk.records, walk.bad_records):
+                    walk.damaged = True
+        else:
+            for table in self.tables.values():
+                drop(table.pages, table.bad_pages)
 
     # -- phase 3: in-memory cross-checks (refcounts, allocator) ----------------
 
@@ -387,11 +444,14 @@ class Fsck:
     def _expected_refcounts(self) -> tuple[dict[bytes, int], dict[int, int]]:
         """Refcounts implied by every parseable manifest (good and bad
         refs alike — commits counted both, so drift means a counting
-        bug, not corruption of the referenced bytes)."""
-        pages = Counter(ref.content_hash for walk in self.walks
-                        for ref in walk.pages + walk.bad_pages)
+        bug, not corruption of the referenced bytes): a page once per
+        table listing it, a record or lineage manifest once per snapshot
+        listing it."""
+        pages = Counter(ref.content_hash for table in self.tables.values()
+                        for ref in table.pages + table.bad_pages)
         metas = Counter(ref.extent.offset for walk in self.walks
                         for ref in walk.records + walk.bad_records)
+        metas.update(extent.offset for walk in self.walks for extent in walk.lineage)
         metas.update(walk.snapshot.manifest_extent.offset
                      for walk in self.walks if walk.manifest_ok)
         return pages, metas
@@ -514,8 +574,8 @@ class Fsck:
         self.store._rebuild(
             self.media,
             max(self.directory.next_id, self.store.directory.next_id),
-            [(walk.snapshot, walk.records, walk.pages) for walk in intact]
-            + [(None, walk.records, walk.pages) for walk in plans],
+            [walk.snapshot for walk in intact],
+            [(walk.records, walk.salvage()) for walk in plans],
         )
 
     def _apply_repairs(self) -> None:
@@ -538,25 +598,28 @@ class Fsck:
         store.flush_barrier()
         before_allocated = store.allocator.allocated_bytes
 
-        intact = [walk for walk in self.walks if not walk.damaged]
+        intact = [walk for walk in self.walks if walk.intact]
         # Damaged snapshots with anything left to salvage.
         plans = [walk for walk in self.walks
-                 if walk.damaged and walk.manifest_ok
-                 and (walk.records or walk.pages)]
+                 if not walk.intact and walk.manifest_ok
+                 and (walk.records or walk.salvage())]
         self._rebuild(intact, plans)
 
         # Quarantine: each damaged-but-salvageable snapshot gets a
-        # lost+found manifest listing only its still-verifying refs.
+        # lost+found manifest listing only its still-verifying refs —
+        # a full table (its lineage's verified rows folded in) with no
+        # lineage of its own.
         for walk in plans:
             original = walk.snapshot
             name = f"{LOST_AND_FOUND}{original.name}@{original.snap_id}"
+            pages = walk.salvage()
             manifest_extent = store._write_record(
                 KIND_MANIFEST, original.epoch,
                 encode_manifest(
                     {"quarantined": original.name,
                      "original_snap_id": original.snap_id,
                      "fsck": True},
-                    walk.records, walk.pages,
+                    walk.records, pages,
                 ),
             )
             snapshot = Snapshot(
@@ -567,9 +630,9 @@ class Fsck:
                 manifest_extent=manifest_extent,
                 parent_id=None,
                 delta_bytes=0,
-                logical_bytes=sum(p.length for p in walk.pages),
+                logical_bytes=sum(p.length for p in pages),
             )
-            store._take_references(snapshot, walk.records, walk.pages)
+            store._take_references(snapshot, walk.records, pages)
             self.report.quarantined.append(name)
 
         # The repaired superblock, ordered behind the quarantine

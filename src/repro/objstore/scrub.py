@@ -34,6 +34,7 @@ from repro.objstore.fsck import FsckFinding
 from repro.objstore.store import ObjectStore
 from repro.objstore.walk import (
     PAGE,
+    RECORD,
     MediaWalk,
     Reference,
     Verdict,
@@ -109,13 +110,24 @@ class Scrubber:
         reads sequentially per queue."""
         walk = MediaWalk(self.store)
         items: dict[tuple[int, int, str], Reference] = {}
+        listed: set = set()  # tables, each listed once
         for snapshot in self.store.snapshots():
-            verdict, references = walk.references(snapshot)
-            if not verdict.ok:
-                # Fully judged already, and its refs cannot be listed.
-                self._record_error(verdict)
-                continue
-            for item in [verdict.reference] + references:
+            tables = walk.view(snapshot)
+            own = tables[0].manifest
+            references = [Reference(RECORD, r.extent, r, snapshot.name)
+                          for r in (own.records if own else [])]
+            for table in tables:
+                if table.extent in listed:
+                    continue
+                listed.add(table.extent)
+                if not table.verdict.ok:
+                    # Fully judged already, and its rows cannot be listed.
+                    self._record_error(table.verdict)
+                    continue
+                references.append(table.verdict.reference)
+                references.extend(Reference(PAGE, p.extent, p, snapshot.name)
+                                  for p in table.manifest.pages)
+            for item in references:
                 items.setdefault(
                     (item.extent.offset, item.extent.length, item.role), item
                 )

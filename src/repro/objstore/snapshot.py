@@ -4,8 +4,10 @@ A snapshot is a durable, named checkpoint root: it points at a
 manifest record which in turn references metadata records and page
 extents.  Snapshots share unchanged records/pages with their parents
 (the COW layout), so an incremental checkpoint's footprint is its
-delta.  Zero-copy clones (``sls restore`` into a new instance, SLSFS
-clones) are new snapshots sharing every reference.
+delta — its manifest included: it lists only the page rows the
+snapshot added plus its ancestors' manifests, whose tables it reads
+through (:func:`replay`).  Zero-copy clones (``sls restore`` into a new
+instance, SLSFS clones) are new snapshots sharing every reference.
 
 The manifest and directory *formats* live here too — one encode/parse
 pair each — so the commit path, fsck's quarantine manifests and the
@@ -15,9 +17,10 @@ media walker (:mod:`repro.objstore.walk`) cannot drift apart.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from repro.errors import ObjectStoreError
 from repro.objstore.alloc import Extent
@@ -52,10 +55,12 @@ class PageRef:
 #: record row is oid, extent offset, extent length; a page row is the
 #: SHA-1 content hash, extent offset, extent length, page length — a
 #: page record's extent (header + at most one page) and a page's length
-#: both fit 16 bits.
-MANIFEST_VERSION = 2
+#: both fit 16 bits; a lineage row is an ancestor manifest's extent
+#: offset and length.
+MANIFEST_VERSION = 3
 _RECORD_ROW = struct.Struct("<QQI")
 _PAGE_ROW = struct.Struct("<20sQHH")
+_LINEAGE_ROW = struct.Struct("<QI")
 #: one row of an image record's slot map (:mod:`repro.objstore.image`):
 #: slot (page index), SHA-1 content hash
 PAGEMAP_ROW = struct.Struct("<I20s")
@@ -95,10 +100,24 @@ class PageTable(Sequence):
         return _PAGE_ROW.iter_unpack(self._rows)
 
 
-def encode_manifest(meta, records: list[MetaRef], pages: Sequence[PageRef]) -> bytes:
-    """The manifest record payload naming ``records`` + ``pages``.  A
-    ref no row can hold (a hash that is not 20 bytes, a field past its
-    width) raises :class:`ObjectStoreError`."""
+class Manifest(NamedTuple):
+    """A parsed manifest.  ``pages`` are the rows its snapshot *added*;
+    an incremental resolves the rest of its image through ``lineage``,
+    its ancestors' manifests newest first — parallel to ``records``,
+    whose first entry is the snapshot's own and the rest its
+    ancestors'.  A full table has an empty lineage."""
+
+    meta: object
+    records: list[MetaRef]
+    pages: PageTable
+    lineage: list[Extent]
+
+
+def encode_manifest(meta, records: list[MetaRef], pages: Sequence[PageRef],
+                    lineage: Sequence[Extent] = ()) -> bytes:
+    """The manifest record payload naming ``records`` + ``pages`` +
+    ``lineage``.  A ref no row can hold (a hash that is not 20 bytes, a
+    field past its width) raises :class:`ObjectStoreError`."""
     try:
         record_rows = b"".join(
             [_RECORD_ROW.pack(r.oid, r.extent.offset, r.extent.length) for r in records]
@@ -107,36 +126,57 @@ def encode_manifest(meta, records: list[MetaRef], pages: Sequence[PageRef]) -> b
             _PAGE_ROW.pack(p.content_hash, p.extent.offset, p.extent.length, p.length)
             for p in pages
         ])
+        lineage_rows = b"".join(
+            [_LINEAGE_ROW.pack(e.offset, e.length) for e in lineage]
+        )
         # "20s" would silently pad or cut a hash of any other length
         if any(len(p.content_hash) != 20 for p in pages):
             raise ValueError("content hash is not 20 bytes")
     except (struct.error, TypeError, ValueError) as exc:
         raise ObjectStoreError(f"manifest row does not encode: {exc}") from exc
-    return encode({"v": MANIFEST_VERSION, "meta": meta,
-                   "records": record_rows, "pages": page_rows})
+    return encode({"v": MANIFEST_VERSION, "meta": meta, "records": record_rows,
+                   "pages": page_rows, "lineage": lineage_rows})
 
 
-def parse_manifest(payload: bytes) -> tuple[object, list[MetaRef], PageTable]:
-    """Inverse of :func:`encode_manifest`: ``(meta, records, pages)``.
-    A payload that checksums but decodes to the wrong shape — another
-    version, a table that is not whole rows of ``bytes`` — raises
-    :class:`ObjectStoreError`, never a stray ``KeyError``/``TypeError``."""
+def parse_manifest(payload: bytes) -> Manifest:
+    """Inverse of :func:`encode_manifest`.  A payload that checksums but
+    decodes to the wrong shape — another version, a table that is not
+    whole rows of ``bytes`` — raises :class:`ObjectStoreError`, never a
+    stray ``KeyError``/``TypeError``."""
     try:
         value = decode(payload)
         if value["v"] != MANIFEST_VERSION:
             raise ValueError(f"manifest version {value['v']!r}")
         record_rows, page_rows = value["records"], value["pages"]
-        if type(record_rows) is not bytes or type(page_rows) is not bytes:
+        lineage_rows = value["lineage"]
+        if not type(record_rows) is type(page_rows) is type(lineage_rows) is bytes:
             raise TypeError("row table is not bytes")
-        if len(record_rows) % _RECORD_ROW.size or len(page_rows) % _PAGE_ROW.size:
+        if (len(record_rows) % _RECORD_ROW.size or len(page_rows) % _PAGE_ROW.size
+                or len(lineage_rows) % _LINEAGE_ROW.size):
             raise ValueError("row table is not whole rows")
-        records = [
-            MetaRef(oid, Extent(off, length))
-            for oid, off, length in _RECORD_ROW.iter_unpack(record_rows)
-        ]
-        return value["meta"], records, PageTable(page_rows)
+        return Manifest(
+            value["meta"],
+            [MetaRef(oid, Extent(off, length))
+             for oid, off, length in _RECORD_ROW.iter_unpack(record_rows)],
+            PageTable(page_rows),
+            [Extent(off, length)
+             for off, length in _LINEAGE_ROW.iter_unpack(lineage_rows)],
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ObjectStoreError(f"malformed manifest: {exc!r}") from exc
+
+
+def replay(layers: Sequence[Iterable[tuple]]) -> dict:
+    """A base plus its deltas as one table: ``layers`` come newest first
+    (a delta, its ancestors', the base last), each an iterable of
+    ``(key, value)`` rows, and are applied oldest first so the newest
+    row for a key wins.  Slot maps overlay their records' rows through
+    this, and an incremental resolves its hashes through its lineage's
+    page tables with it."""
+    table: dict = {}
+    for layer in reversed(layers):
+        table.update(layer)
+    return table
 
 
 @dataclass(frozen=True)

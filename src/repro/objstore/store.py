@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import ChecksumError, NoSuchObject, ObjectStoreError, PowerCut
 from repro.fault import names as fault_names
@@ -37,11 +37,7 @@ from repro.objstore.alloc import Extent, ExtentAllocator
 from repro.objstore.block import SUPERBLOCK_SLOT_SIZE, Volume
 from repro.objstore.codec import BrokenDeltaBase, DeltaChainTooDeep, PageCodec
 from repro.objstore.dedup import DedupIndex
-from repro.objstore.pagecache import (
-    DEFAULT_PAGE_CACHE_BYTES,
-    PREFETCH_BATCH_PAGES,
-    PageCache,
-)
+from repro.objstore.pagecache import DEFAULT_PAGE_CACHE_BYTES, PREFETCH_BATCH_PAGES, PageCache
 from repro.objstore.record import (
     ENC_DELTA,
     ENC_RAW,
@@ -58,15 +54,15 @@ from repro.objstore.record import (
 )
 from repro.objstore.snapshot import (
     DIR_SPILL_KEY,
+    Manifest,
     MetaRef,
     PageRef,
-    PageTable,
     Snapshot,
     SnapshotDirectory,
     encode_manifest,
     parse_manifest,
 )
-from repro.objstore.walk import MANIFEST, PAGE, RECORD, MediaWalk
+from repro.objstore.walk import MediaWalk
 from repro.units import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -144,6 +140,7 @@ class ObjectStore:
         self._c_batches = self._c_batch_records = None
         self._c_compressed = self._c_delta = self._c_saved = None
         self._g_ratio = self._g_manifest_bytes = self._g_manifest_rows = None
+        self._g_manifest_lineage = None
         self._bytes_since_commit = 0
         #: failpoint plane (repro.fault); None = zero-cost disarmed
         self.faults: Optional["FailpointRegistry"] = None
@@ -187,23 +184,16 @@ class ObjectStore:
         self._c_meta = reg.counter(obs_names.C_STORE_META_RECORDS, store=store)
         self._c_bytes = reg.counter(obs_names.C_STORE_BYTES_WRITTEN, store=store)
         self._c_snaps = reg.counter(obs_names.C_STORE_SNAPSHOTS, store=store)
-        self._c_snaps_del = reg.counter(
-            obs_names.C_STORE_SNAPSHOTS_DELETED, store=store
-        )
+        self._c_snaps_del = reg.counter(obs_names.C_STORE_SNAPSHOTS_DELETED, store=store)
         self._c_batches = reg.counter(obs_names.C_STORE_BATCHES, store=store)
-        self._c_batch_records = reg.counter(
-            obs_names.C_STORE_BATCH_RECORDS, store=store
-        )
-        self._c_compressed = reg.counter(
-            obs_names.C_STORE_PAGES_COMPRESSED, store=store
-        )
+        self._c_batch_records = reg.counter(obs_names.C_STORE_BATCH_RECORDS, store=store)
+        self._c_compressed = reg.counter(obs_names.C_STORE_PAGES_COMPRESSED, store=store)
         self._c_delta = reg.counter(obs_names.C_STORE_PAGES_DELTA, store=store)
-        self._c_saved = reg.counter(
-            obs_names.C_STORE_ENCODED_BYTES_SAVED, store=store
-        )
+        self._c_saved = reg.counter(obs_names.C_STORE_ENCODED_BYTES_SAVED, store=store)
         self._g_ratio = reg.gauge(obs_names.G_STORE_COMPRESSION_RATIO, store=store)
         self._g_manifest_bytes = reg.gauge(obs_names.G_STORE_MANIFEST_BYTES, store=store)
         self._g_manifest_rows = reg.gauge(obs_names.G_STORE_MANIFEST_PAGE_ROWS, store=store)
+        self._g_manifest_lineage = reg.gauge(obs_names.G_STORE_MANIFEST_LINEAGE, store=store)
         self.pagecache.attach_obs(reg, store=store)
 
     def attach_faults(self, registry: "FailpointRegistry") -> None:
@@ -255,33 +245,30 @@ class ObjectStore:
         if action.kind == "fail":
             raise ObjectStoreError(action.reason or fail_msg)
 
-    def _place_record(self, record: bytes, shard: Optional[int] = None,
-                      logical: Optional[int] = None) -> tuple[Extent, int]:
-        """Allocate ``record`` an extent and account its media size."""
+    def _place_record(self, kind: int, oid: int, epoch: int, payload: bytes, *,
+                      flags: int = 0, shard: Optional[int] = None,
+                      logical: Optional[int] = None) -> tuple[Extent, bytes, int]:
+        """Pack a record and allocate it an extent; returns the extent,
+        the record and its accounted media size."""
+        record = pack_record(kind=kind, oid=oid, epoch=epoch, payload=payload, flags=flags)
         extent = self.allocator.allocate(len(record), shard=shard)
         size = max(len(record), logical or 0)
         self.stats.bytes_written += size
         self._bytes_since_commit += size
         if self.obs is not None:
             self._c_bytes.inc(size)
-        return extent, size
+        return extent, record, size
 
     def _stage_record(self, kind: int, oid: int, epoch: int, payload: bytes,
                       logical: Optional[int] = None, flags: int = 0) -> Extent:
         """A data record (page, metadata): staged in the batch, placed
         round-robin over the allocator stripes."""
         if self.faults is not None:
-            self._failpoint(
-                fault_names.FP_STORE_WRITE_RECORD,
-                "power cut before record write",
-                "injected record-write failure",
-                store=self.device.name, kind=kind,
-            )
-        record = pack_record(
-            kind=kind, oid=oid, epoch=epoch, payload=payload, flags=flags
-        )
-        extent, size = self._place_record(
-            record, self.batch.next_shard(), logical
+            self._failpoint(fault_names.FP_STORE_WRITE_RECORD, "power cut before record write",
+                            "injected record-write failure", store=self.device.name, kind=kind)
+        extent, record, size = self._place_record(
+            kind, oid, epoch, payload, flags=flags,
+            shard=self.batch.next_shard(), logical=logical,
         )
         self.batch.stage(extent, record, size)
         return extent
@@ -290,14 +277,9 @@ class ObjectStore:
         """A commit-tail record (manifest, spilled directory): one
         command on queue 0, issued after the batch was flushed."""
         if self.faults is not None:
-            self._failpoint(
-                fault_names.FP_STORE_WRITE_RECORD,
-                "power cut before record write",
-                "injected record-write failure",
-                store=self.device.name, kind=kind,
-            )
-        record = pack_record(kind=kind, oid=0, epoch=epoch, payload=payload)
-        extent, _size = self._place_record(record)
+            self._failpoint(fault_names.FP_STORE_WRITE_RECORD, "power cut before record write",
+                            "injected record-write failure", store=self.device.name, kind=kind)
+        extent, record, _size = self._place_record(kind, 0, epoch, payload)
         self.volume.write_data(extent.offset, record)
         return extent
 
@@ -661,13 +643,17 @@ class ObjectStore:
         pages: list[PageRef],
         epoch: int = 0,
         parent_id: Optional[int] = None,
+        *,
+        lineage: Sequence[Extent] = (),
+        logical_bytes: Optional[int] = None,
     ) -> Snapshot:
         """Durably name a checkpoint consisting of ``records`` + ``pages``.
 
-        Reference counts are taken on every listed record and page, so
-        snapshots sharing data with a parent simply list the shared
-        refs again.  :meth:`_write_directory` names the snapshot only
-        after everything it lists is in flight ahead of the superblock.
+        An incremental lists only the pages it added, plus as
+        ``lineage`` its ancestors' manifests (newest first) whose tables
+        hold the rest of its image — whose ``logical_bytes`` it passes.
+        :meth:`_write_directory` names the snapshot only after
+        everything it lists is in flight ahead of the superblock.
         """
         # Not needed for safety (_write_directory flushes for itself):
         # flushing here pins the *submission order* — sharded data
@@ -678,6 +664,8 @@ class ObjectStore:
         # manifest (taking dedup holds below) so deleting an older
         # snapshot can never free a base out from under a live delta.
         pages = self._with_delta_bases(pages)
+        if any(extent.offset not in self._meta_refs for extent in lineage):
+            raise ObjectStoreError(f"{name!r} lists a lineage manifest nothing holds")
         if self.faults is not None:
             self._failpoint(
                 fault_names.FP_STORE_COMMIT,
@@ -685,7 +673,7 @@ class ObjectStore:
                 f"injected commit failure for {name!r}",
                 store=self.device.name, snapshot=name,
             )
-        payload = encode_manifest(meta, records, pages)
+        payload = encode_manifest(meta, records, pages, lineage)
         manifest_extent = self._write_record(KIND_MANIFEST, epoch, payload)
         snapshot = Snapshot(
             snap_id=self.directory.allocate_id(),
@@ -695,24 +683,28 @@ class ObjectStore:
             manifest_extent=manifest_extent,
             parent_id=parent_id,
             delta_bytes=self._bytes_since_commit,
-            logical_bytes=sum(p.length for p in pages),
+            logical_bytes=sum(p.length for p in pages) if logical_bytes is None else logical_bytes,
         )
         self._bytes_since_commit = 0
-        self._take_references(snapshot, records, pages)
+        self._take_references(snapshot, records, pages, lineage)
         self._write_directory()
         self.stats.snapshots_committed += 1
         if self.obs is not None:
             self._c_snaps.inc()
             self._g_manifest_bytes.set(len(payload))
             self._g_manifest_rows.set(len(pages))
+            self._g_manifest_lineage.set(len(lineage))
         return snapshot
 
     def _take_references(self, snapshot: Snapshot, records: list[MetaRef],
-                         pages: list[PageRef]) -> None:
+                         pages: list[PageRef],
+                         lineage: Sequence[Extent] = ()) -> None:
         """Enter ``snapshot`` into the directory, counting one reference
-        on its manifest and on every record and page it lists (commit,
-        recovery and fsck repair all name snapshots through here)."""
-        for extent in [snapshot.manifest_extent] + [r.extent for r in records]:
+        on its manifest and on every record and lineage manifest it
+        lists (commit, recovery and fsck repair all name snapshots
+        through here).  ``pages`` are the rows of the tables it brings
+        to life — its own, at commit — held once per manifest."""
+        for extent in [snapshot.manifest_extent, *[r.extent for r in records], *lineage]:
             extent, count = self._meta_refs.get(extent.offset, (extent, 0))
             self._meta_refs[extent.offset] = (extent, count + 1)
         for ref in pages:
@@ -732,20 +724,23 @@ class ObjectStore:
                 continue
             entry = self.dedup.get(base)
             if entry is None:
-                raise ObjectStoreError(
-                    f"delta base {base.hex()} missing at commit"
-                )
-            out.append(PageRef(
-                content_hash=base, extent=entry.extent, length=entry.length
-            ))
+                raise ObjectStoreError(f"delta base {base.hex()} missing at commit")
+            out.append(PageRef(base, entry.extent, entry.length))
             seen.add(base)
             queue.append(base)
         return out
 
-    def load_manifest(self, snapshot: Snapshot) -> tuple[object, list[MetaRef], PageTable]:
-        return parse_manifest(self._read_record(snapshot.manifest_extent, KIND_MANIFEST)[1])
+    def read_manifest(self, extent: Extent) -> Manifest:
+        return parse_manifest(self._read_record(extent, KIND_MANIFEST)[1])
+
+    def load_manifest(self, snapshot: Snapshot) -> Manifest:
+        return self.read_manifest(snapshot.manifest_extent)
 
     def delete_snapshot(self, snap_id: int) -> None:
+        """Un-name a snapshot: one reference off its manifest and every
+        record and lineage manifest it lists.  Only the manifests that
+        just died — its own unless a descendant's lineage lists it, any
+        ancestor's it was the last to list — have their rows walked."""
         snapshot = self.directory.get(snap_id)
         if snapshot is None:
             raise NoSuchObject(f"no snapshot {snap_id}")
@@ -756,33 +751,40 @@ class ObjectStore:
                 f"injected delete failure for {snapshot.name!r}",
                 store=self.device.name, snapshot=snapshot.name,
             )
-        _meta, records, pages = self.load_manifest(snapshot)
-        for ref in records:
+        manifest = self.load_manifest(snapshot)
+        for ref in manifest.records:
             self._release_meta(ref.extent)
-        for content_hash, _offset, _extent_length, _length in pages.rows():
-            freed = self.dedup.release(content_hash)
-            if freed is not None:
-                self.garbage.append(freed)
-                # The hash just left the store; a cached copy must not
-                # outlive the media extent (GC may reuse it).
-                self.pagecache.invalidate(content_hash)
-        self._release_meta(snapshot.manifest_extent)
+        dead = [self.read_manifest(extent).pages for extent in manifest.lineage
+                if self._release_meta(extent)]
+        if self._release_meta(snapshot.manifest_extent):
+            dead.append(manifest.pages)
+        for table in dead:
+            for content_hash, _offset, _extent_length, _length in table.rows():
+                freed = self.dedup.release(content_hash)
+                if freed is not None:
+                    self.garbage.append(freed)
+                    # The hash just left the store; a cached copy must
+                    # not outlive the media extent (GC may reuse it).
+                    self.pagecache.invalidate(content_hash)
         self.directory.remove(snap_id)
         self._write_directory()
         self.stats.snapshots_deleted += 1
         if self.obs is not None:
             self._c_snaps_del.inc()
 
-    def _release_meta(self, extent: Extent) -> None:
+    def _release_meta(self, extent: Extent) -> bool:
+        """Drop one reference on a record or manifest; True when that
+        was the last and its extent became garbage."""
         stored = self._meta_refs.get(extent.offset)
         if stored is None:
             raise NoSuchObject(f"no record reference at {extent.offset}")
         _, count = stored
-        if count <= 1:
-            del self._meta_refs[extent.offset]
-            self.garbage.append(extent)
-        else:
+        if count > 1:
             self._meta_refs[extent.offset] = (extent, count - 1)
+            return False
+        del self._meta_refs[extent.offset]
+        self.garbage.append(extent)
+        return True
 
     def snapshots(self) -> list[Snapshot]:
         return [self.directory.snapshots[s] for s in sorted(self.directory.snapshots)]
@@ -817,9 +819,10 @@ class ObjectStore:
 
         Consumes the media walker's verdicts (:mod:`repro.objstore.walk`)
         for the newest valid superblock's snapshot directory: a
-        snapshot is adopted only if its manifest and every record it
-        references verify, and is discarded as a unit at the first
-        verdict that does not (a torn final checkpoint).  A superblock
+        snapshot is adopted only if its manifest, its lineage's and
+        every record and page they list verify, and is discarded as a
+        unit at the first verdict that does not (a torn final
+        checkpoint).  A superblock
         whose payload does not decode as a directory raises
         :class:`ObjectStoreError`.
         """
@@ -831,36 +834,31 @@ class ObjectStore:
             report.generation = walk.generation
             for snap_id in sorted(directory.snapshots):
                 snapshot = directory.snapshots[snap_id]
-                refs: dict[str, list] = {MANIFEST: [], RECORD: [], PAGE: []}
-                for verdict in walk.snapshot(snapshot):
-                    if not verdict.ok:
-                        report.snapshots_discarded += 1
-                        report.errors.append(
-                            f"snapshot {snap_id} ({snapshot.name}): "
-                            f"{verdict.detail}"
-                        )
-                        break
-                    refs[verdict.reference.role].append(verdict.reference.ref)
-                else:
-                    adopted.append((snapshot, refs[RECORD], refs[PAGE]))
+                bad = next((v for v in walk.snapshot(snapshot) if not v.ok), None)
+                if bad is None:
+                    adopted.append(snapshot)
+                    continue
+                report.snapshots_discarded += 1
+                report.errors.append(f"snapshot {snap_id} ({snapshot.name}): {bad.detail}")
         self._logs = {}
         self._rebuild(walk, directory.next_id if directory else 1, adopted)
         report.snapshots_recovered = len(adopted)
         return report
 
     def _rebuild(
-        self, walk: MediaWalk, next_id: int,
-        groups: list[tuple[Optional[Snapshot], list[MetaRef], list[PageRef]]],
+        self, walk: MediaWalk, next_id: int, adopted: list[Snapshot],
+        salvaged: list[tuple[list[MetaRef], list[PageRef]]] = (),
     ) -> None:
         """Rebuild allocator, dedup index (delta chains included),
         refcounts and directory from a media walk — the one
         construction recovery and fsck repair share.
 
-        Each group is a snapshot to adopt (entered into the directory
-        with its references counted) or, with ``None`` for the
-        snapshot, refs fsck salvaged for quarantine: indexed and
-        reserved but not yet held.  Whatever no group lists (orphans,
-        deferred garbage, a torn checkpoint) is simply not reserved:
+        Each adopted snapshot (walked, in id order) enters the
+        directory with its references counted, each table it reads
+        through held once, by the first to reach it.  Each salvaged pair
+        is refs fsck kept for quarantine: indexed and reserved but not
+        yet held.  Whatever neither lists (orphans, deferred garbage, a
+        torn checkpoint, a table no survivor reads) is not reserved:
         that is the leak reclaim.  Touches only in-memory state.
         """
         # The spilled directory record is reachable from the superblock
@@ -884,11 +882,7 @@ class ObjectStore:
                 # keeps them (fsck's claims phase reports the overlap).
                 pass
 
-        reserve(walk.dir_spill)
-        for log in self._logs.values():
-            reserve(log.region)
-        for snapshot, records, pages in groups:
-            reserve(snapshot.manifest_extent if snapshot else None)
+        def index(records: list[MetaRef], pages: list[PageRef]) -> None:
             for ref in records:
                 reserve(ref.extent)
             for ref in pages:
@@ -902,8 +896,23 @@ class ObjectStore:
                                  else ref.extent.length),
                     base_hash=base_hash, depth=depth,
                 )
-            if snapshot is not None:
-                self._take_references(snapshot, records, pages)
+
+        reserve(walk.dir_spill)
+        for log in self._logs.values():
+            reserve(log.region)
+        live: set[Extent] = set()
+        for snapshot in adopted:
+            tables = walk.view(snapshot)
+            fresh = [table for table in tables if table.extent not in live]
+            for table in fresh:
+                live.add(table.extent)
+                reserve(table.extent)
+            manifest = tables[0].manifest
+            pages = [ref for table in fresh for ref in table.pages]
+            index(manifest.records, pages)
+            self._take_references(snapshot, manifest.records, pages, manifest.lineage)
+        for records, pages in salvaged:
+            index(records, pages)
 
 
 class WriteBatch:
@@ -1007,33 +1016,23 @@ class WriteBatch:
             by_shard.setdefault(shard, []).append(item)
 
         def coalesce(shard_items: list[tuple[Extent, bytes, int]]) -> list[BatchWrite]:
-            writes: list[BatchWrite] = []
-            run: list[tuple[Extent, bytes, int]] = [shard_items[0]]
+            runs = [[shard_items[0]]]
             # The cap bounds the *on-media* (logical) size of one
             # coalesced command, matching how MDTS limits a transfer.
             run_bytes = shard_items[0][2]
-
-            def close_run() -> None:
-                data = b"".join(record for _, record, _ in run)
-                logical = sum(lg for _, _, lg in run)
-                writes.append(
-                    BatchWrite(
-                        offset=run[0][0].offset, data=data, logical_nbytes=logical
-                    )
-                )
-
             for item in shard_items[1:]:
                 extent, _record, logical = item
-                if (extent.offset == run[-1][0].end
+                if (extent.offset == runs[-1][-1][0].end
                         and run_bytes + logical <= MAX_BATCH_EXTENT):
-                    run.append(item)
+                    runs[-1].append(item)
                     run_bytes += logical
                 else:
-                    close_run()
-                    run[:] = [item]
+                    runs.append([item])
                     run_bytes = logical
-            close_run()
-            return writes
+            return [BatchWrite(offset=run[0][0].offset,
+                               data=b"".join(record for _, record, _ in run),
+                               logical_nbytes=sum(lg for _, _, lg in run))
+                    for run in runs]
 
         span = None
         if store.obs is not None:

@@ -2,9 +2,9 @@
 
 Recovery, fsck and scrub all ask *what does the media say?*, so they
 read one definition of it.  A :class:`MediaWalk` follows superblock →
-snapshot directory (through the ``dir-spill`` stub) → manifest →
-records → page content and yields one :class:`Verdict` per reference,
-in fsck's vocabulary:
+snapshot directory (through the ``dir-spill`` stub) → manifest and its
+lineage's manifests → records → page content and yields one
+:class:`Verdict` per reference, in fsck's vocabulary:
 
 - ``checksum-corrupt`` — the record fails its Fletcher-64 checksum, or
   decoded page content no longer matches its content hash;
@@ -23,12 +23,16 @@ there, ``Fsck`` drains and classifies them all, and ``Scrubber`` takes
 the enumeration and applies the same checks (:func:`unpack_verdict`,
 :func:`reference_verdict`, :func:`content_verdict`) to bytes it reads
 over idle queues.  The walker only ever reads the device, and reads and
-checksums each extent once however many snapshots share it.
+checksums each extent once however many snapshots share it.  A page
+table is a :class:`Table`, verified once per walk however many
+snapshots read through it: the first to reach it gets a verdict per
+row, every later one only its failing rows again — a bad row condemns
+every snapshot whose lineage lists it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from repro.errors import ChecksumError, ObjectStoreError
@@ -45,6 +49,7 @@ from repro.objstore.record import (
 )
 from repro.objstore.snapshot import (
     DIR_SPILL_KEY,
+    Manifest,
     MetaRef,
     PageRef,
     Snapshot,
@@ -65,6 +70,7 @@ DELTA_CHAIN_TOO_DEEP = "delta-chain-too-deep"
 # --- reference roles ------------------------------------------------------------
 
 MANIFEST = "manifest"
+LINEAGE = "lineage"
 RECORD = "record"
 PAGE = "page"
 
@@ -72,6 +78,7 @@ PAGE = "page"
 #: reads in a finding
 _EXPECT = {
     MANIFEST: (KIND_MANIFEST, "a manifest"),
+    LINEAGE: (KIND_MANIFEST, "a manifest"),
     RECORD: (KIND_META, "metadata"),
     PAGE: (KIND_PAGE, "page data"),
 }
@@ -79,12 +86,13 @@ _EXPECT = {
 
 @dataclass(frozen=True)
 class Reference:
-    """One reference the media makes: a snapshot's manifest, or a
-    record or page that manifest lists."""
+    """One reference the media makes: a snapshot's manifest, an
+    ancestor's manifest its lineage lists, or a record or page one of
+    those manifests lists."""
 
     role: str
     extent: Extent
-    #: the manifest's MetaRef/PageRef (None for the manifest itself)
+    #: the manifest's MetaRef/PageRef (None for a manifest itself)
     ref: Union[MetaRef, PageRef, None]
     #: name of the referencing snapshot
     snapshot: str
@@ -187,6 +195,22 @@ def content_verdict(store: "ObjectStore", reference: Reference,
     return Verdict(reference)
 
 
+@dataclass
+class Table:
+    """One manifest as a walk found it: read, parsed and its rows
+    verified once, however many snapshots read through it."""
+
+    extent: Extent
+    #: on the manifest record itself: readable, a manifest, parses
+    verdict: Verdict
+    manifest: Optional[Manifest] = None
+    #: rows that verified end to end, once the rows were walked
+    pages: list[PageRef] = field(default_factory=list)
+    #: the verdicts of the rows that did not
+    bad: list[Verdict] = field(default_factory=list)
+    walked: bool = False
+
+
 class MediaWalk:
     """One pass over one store's media (see the module docstring)."""
 
@@ -201,6 +225,8 @@ class MediaWalk:
         #: (offset, length) -> :func:`unpack_verdict`, so records shared
         #: across snapshots are read and checksummed once
         self._records: dict[tuple[int, int], tuple] = {}
+        #: (offset, length) -> the manifest found there
+        self._tables: dict[tuple[int, int], Table] = {}
         #: content hash -> decoded, hash-verified page content (delta
         #: bases resolve here across snapshots)
         self._content: dict[bytes, bytes] = {}
@@ -253,52 +279,85 @@ class MediaWalk:
                 self.bytes_verified += extent.length
         return outcome
 
-    def references(self, snapshot: Snapshot) -> tuple[Verdict, list[Reference]]:
-        """The verdict on ``snapshot``'s manifest and the references it
-        lists: records, then pages (none when it cannot be trusted)."""
-        manifest = Reference(
-            MANIFEST, snapshot.manifest_extent, None, snapshot.name
-        )
-        outcome = self.record(manifest.extent)
-        verdict = reference_verdict(manifest, outcome)
-        if outcome[0] == "bad":
-            verdict = Verdict(manifest, verdict.kind,
-                              f"manifest unreadable: {verdict.detail}")
-        if not verdict.ok:
-            return verdict, []
-        try:
-            _meta, records, pages = parse_manifest(outcome[2])
-        except ObjectStoreError as exc:
-            return Verdict(manifest, CHECKSUM_CORRUPT,
-                           f"manifest payload does not decode: {exc}"), []
-        return verdict, (
-            [Reference(RECORD, r.extent, r, snapshot.name) for r in records]
-            + [Reference(PAGE, p.extent, p, snapshot.name) for p in pages]
-        )
+    def table(self, reference: Reference) -> Table:
+        """The manifest ``reference`` names, read and parsed once per
+        walk (its rows are walked by :meth:`snapshot`)."""
+        key = (reference.extent.offset, reference.extent.length)
+        table = self._tables.get(key)
+        if table is None:
+            outcome = self.record(reference.extent)
+            verdict = reference_verdict(reference, outcome)
+            manifest = None
+            if outcome[0] == "bad":
+                verdict = Verdict(reference, verdict.kind,
+                                  f"manifest unreadable: {verdict.detail}")
+            elif verdict.ok:
+                try:
+                    manifest = parse_manifest(outcome[2])
+                except ObjectStoreError as exc:
+                    verdict = Verdict(reference, CHECKSUM_CORRUPT,
+                                      f"manifest payload does not decode: {exc}")
+            table = self._tables[key] = Table(reference.extent, verdict, manifest)
+        return table
+
+    def view(self, snapshot: Snapshot) -> list[Table]:
+        """The tables ``snapshot`` reads through: its own manifest's,
+        then its lineage's newest first (only its own when that does not
+        parse)."""
+        own = self.table(Reference(MANIFEST, snapshot.manifest_extent, None, snapshot.name))
+        if own.manifest is None:
+            return [own]
+        return [own, *[self.table(Reference(LINEAGE, extent, None, snapshot.name))
+                       for extent in own.manifest.lineage]]
 
     def snapshot(self, snapshot: Snapshot) -> Iterator[Verdict]:
         """One verdict per reference of ``snapshot``, lazily: the
-        manifest, each metadata record, then each page.
+        manifest, each lineage manifest, each metadata record, then the
+        rows of every table it reads through — all of them from the
+        first snapshot to reach a table, only the failing ones from any
+        later one."""
+        name = snapshot.name
+        own = self.table(Reference(MANIFEST, snapshot.manifest_extent, None, name))
+        yield Verdict(Reference(MANIFEST, own.extent, None, name),
+                      own.verdict.kind, own.verdict.detail)
+        if own.manifest is None:
+            return
+        tables = self.view(snapshot)
+        for table in tables[1:]:
+            yield Verdict(Reference(LINEAGE, table.extent, None, name),
+                          table.verdict.kind, table.verdict.detail)
+        for ref in own.manifest.records:
+            yield reference_verdict(Reference(RECORD, ref.extent, ref, name),
+                                    self.record(ref.extent))
+        for table in tables:
+            if table.manifest is None:
+                continue
+            if table.walked:
+                for verdict in table.bad:
+                    yield replace(verdict, reference=replace(verdict.reference,
+                                                             snapshot=name))
+            else:
+                yield from self._walk_rows(table, name)
 
-        Pages take two passes — a delta's base may appear later in the
-        manifest — so record-level page failures come first, then the
-        content verdict (decode through the chain + content hash) of
-        every page whose record verified, in manifest order.
-        """
-        verdict, references = self.references(snapshot)
-        yield verdict
+    def _walk_rows(self, table: Table, name: str) -> list[Verdict]:
+        """Verify every row of ``table`` (for snapshot ``name``), filling
+        its ``pages``/``bad``.  Two passes — a delta's base may appear
+        later in the manifest — so record-level failures come first,
+        then the content verdict (decode through the chain + content
+        hash) of every row whose record verified, in manifest order."""
+        table.walked = True
+        verdicts: list[Verdict] = []
         pending: dict[bytes, tuple[int, bytes]] = {}
         candidates: list[Reference] = []
-        for reference in references:
-            outcome = self.record(reference.extent)
+        for ref in table.manifest.pages:
+            reference = Reference(PAGE, ref.extent, ref, name)
+            outcome = self.record(ref.extent)
             verdict = reference_verdict(reference, outcome)
-            if reference.role == PAGE and verdict.ok:
-                pending.setdefault(
-                    reference.ref.content_hash, (outcome[1].flags, outcome[2])
-                )
+            if verdict.ok:
+                pending.setdefault(ref.content_hash, (outcome[1].flags, outcome[2]))
                 candidates.append(reference)
             else:
-                yield verdict
+                verdicts.append(verdict)
         for reference in candidates:
             content_hash = reference.ref.content_hash
             verdict = content_verdict(
@@ -310,4 +369,10 @@ class MediaWalk:
                 if flags == ENC_DELTA:
                     base_hash, depth, _length, _ext = delta_info(stored)
                 self.encodings[content_hash] = (flags, base_hash, depth)
-            yield verdict
+            verdicts.append(verdict)
+        for verdict in verdicts:
+            if verdict.ok:
+                table.pages.append(verdict.reference.ref)
+            else:
+                table.bad.append(verdict)
+        return verdicts

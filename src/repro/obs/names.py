@@ -131,10 +131,12 @@ G_SCHED_INFLIGHT = "sched.inflight"
 #: cost stored raw, as an integer permille (1000 = no savings; integer
 #: so metric exports stay byte-stable)
 G_STORE_COMPRESSION_RATIO = "objstore.compression_ratio_permille"
-#: payload bytes / page rows of the manifest the store last committed
-#: (an incremental's manifest lists one record ref per live ancestor)
+#: payload bytes / page rows added / ancestor manifests listed of the
+#: manifest the store last committed (an incremental's manifest lists
+#: one record ref and one manifest per live ancestor)
 G_STORE_MANIFEST_BYTES = "objstore.manifest_bytes"
 G_STORE_MANIFEST_PAGE_ROWS = "objstore.manifest_page_rows"
+G_STORE_MANIFEST_LINEAGE = "objstore.manifest_lineage"
 #: decoded page bytes currently resident in the restore-side cache
 G_PAGECACHE_BYTES = "objstore.pagecache.resident_bytes"
 #: lifetime demand hit rate of the restore-side page cache, as an

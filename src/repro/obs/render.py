@@ -170,15 +170,17 @@ def render_store_encoding(registry: Registry) -> Optional[str]:
     page records (compressed / delta counts), the media bytes it saved,
     the compression ratio (the ``media/raw`` permille gauge rendered as
     a percentage — 100% means the codec never beat RAW), and the shape
-    of the last committed manifest (payload bytes, page rows).
+    of the last committed manifest (payload bytes, page rows it added,
+    ancestor manifests it lists).
     None when no store has published encoding metrics.
     """
     return _per_store_table(
         registry, names.G_STORE_COMPRESSION_RATIO,
-        "  media%  compressed  delta  bytes saved  manifest B  page rows",
+        "  media%  compressed  delta  bytes saved  manifest B  page rows  lineage",
         [(names.C_STORE_PAGES_COMPRESSED, 10), (names.C_STORE_PAGES_DELTA, 5),
          (names.C_STORE_ENCODED_BYTES_SAVED, 11),
-         (names.G_STORE_MANIFEST_BYTES, 10), (names.G_STORE_MANIFEST_PAGE_ROWS, 9)],
+         (names.G_STORE_MANIFEST_BYTES, 10), (names.G_STORE_MANIFEST_PAGE_ROWS, 9),
+         (names.G_STORE_MANIFEST_LINEAGE, 7)],
     )
 
 

@@ -363,7 +363,7 @@ class SlsFS(FileSystem):
             )
         self._flush_dirty()
         self.snapshots_taken += 1
-        snapshot, _records = write_image(
+        snapshot, _lineage = write_image(
             self.store,
             name=name or f"slsfs@{self.snapshots_taken}",
             meta={"fs": "slsfs"},

@@ -140,9 +140,11 @@ class TestRemoteBackendOrdering:
 
 class TestPackedMetadataSize:
     """Packed rows must not cost more media than the TLV lists they
-    replaced (the v1 layouts, rebuilt here with the reference encoder)."""
+    replaced (the v1 layouts, rebuilt here with the reference encoder).
+    The lineage table is content v1 never had, so it is left out of the
+    comparison."""
 
-    #: the version field (``"v": 2`` is 5 bytes) plus one record row at
+    #: the version field (``"v": 3`` is 5 bytes) plus one record row at
     #: fixed width (20 B) against its smallest TLV spelling (11 B: oid
     #: < 128, offset < 2 MiB, length < 16 KiB).  Page rows never lose —
     #: a v1 row is 32 B at best, on any volume — so this is all a
@@ -152,7 +154,8 @@ class TestPackedMetadataSize:
     @pytest.fixture
     def sizes(self, kernel, sls, monkeypatch):
         """Checkpoints an app of ``pages`` pages, then an incremental:
-        ``[(record refs, v2 manifest, v1 manifest, v2 record, v1 record)]``."""
+        ``[(record refs, packed manifest, v1 manifest, packed record,
+        v1 record)]``."""
         import hashlib
 
         import repro.objstore.store as store_module
@@ -163,11 +166,14 @@ class TestPackedMetadataSize:
         manifests, records = [], []
         real_encode_manifest = store_module.encode_manifest
 
-        def spy_manifest(meta, refs, pages):
-            payload = real_encode_manifest(meta, refs, pages)
-            manifests.append(
-                (len(refs), len(payload), len(reference_manifest_v1(meta, refs, pages)))
-            )
+        def spy_manifest(meta, refs, pages, lineage=()):
+            payload = real_encode_manifest(meta, refs, pages, lineage)
+            lineage_field = (len(encode({"lineage": bytes(12 * len(lineage))}))
+                             - len(encode({})))
+            manifests.append((
+                len(refs), len(payload) - lineage_field,
+                len(reference_manifest_v1(meta, refs, pages)),
+            ))
             return payload
 
         monkeypatch.setattr(store_module, "encode_manifest", spy_manifest)
@@ -204,16 +210,22 @@ class TestPackedMetadataSize:
 
         return run
 
+    def fixed_overhead_at_most(self, refs, packed_manifest, v1_manifest):
+        return v1_manifest < packed_manifest <= (
+            v1_manifest + self.VERSION_FIELD + self.RECORD_ROW_SLACK * refs
+        )
+
     def test_full_and_incremental_images_shrink(self, sizes):
         full, incremental = sizes(64)
-        for _refs, v2_manifest, v1_manifest, v2_record, v1_record in (full, incremental):
-            assert v2_manifest < v1_manifest
-            assert v2_record < v1_record
+        for _refs, _packed, _v1, packed_record, v1_record in (full, incremental):
+            assert packed_record < v1_record
+        assert full[1] < full[2]
+        # the incremental's manifest lists only what it dirtied: a table
+        # as small as a one-page image's
+        assert self.fixed_overhead_at_most(*incremental[:3])
         assert (full[0], incremental[0]) == (1, 2)  # own record (+ the parent's)
 
     def test_one_page_image_grows_by_the_fixed_overhead_at_most(self, sizes):
-        for refs, v2_manifest, v1_manifest, v2_record, v1_record in sizes(1):
-            assert v2_record < v1_record
-            assert v1_manifest < v2_manifest <= (
-                v1_manifest + self.VERSION_FIELD + self.RECORD_ROW_SLACK * refs
-            )
+        for refs, packed_manifest, v1_manifest, packed_record, v1_record in sizes(1):
+            assert packed_record < v1_record
+            assert self.fixed_overhead_at_most(refs, packed_manifest, v1_manifest)

@@ -131,7 +131,7 @@ class TestDatasnap:
                      fill_fn=lambda i: hashlib.sha256(b"%d" % i).digest() * 128)
         store = make_disk_backend(kernel, NvmeDevice(kernel.clock)).store
         snap = datasnap(store, proc.aspace, entry.start, 256 * PAGE_SIZE, "pool")
-        _meta, records, pages = store.load_manifest(snap.snapshot)
+        _meta, records, pages, _lineage = store.load_manifest(snap.snapshot)
         assert len(pages) == 256
         assert records[0].extent.length == 6252
 
@@ -151,7 +151,7 @@ class TestDatasnap:
         ``ObjectStoreError``/``SlsError``, never a stray exception."""
         proc, sys, entry, store, api = world
         snap = api.sls_datasnap(entry.start, 2 * PAGE_SIZE, "pool")
-        _meta, records, _pages = store.load_manifest(snap.snapshot)
+        _meta, records, _pages, _lineage = store.load_manifest(snap.snapshot)
         record = store.read_meta(records[0])
         store.read_meta = lambda ref: damage(record)
         with pytest.raises((ObjectStoreError, SlsError)):

@@ -151,7 +151,7 @@ class TestWrongShapedMetaRecord:
 
         _group, backend, image, _entry = _checkpointed(kernel, sls, pages=2)
         store, snapshot = backend.store, image.snapshots["disk0"]
-        _meta, _records, pages = store.load_manifest(snapshot)
+        _meta, _records, pages, _lineage = store.load_manifest(snapshot)
         payload = encode({
             "meta": {"procs": [{"name": "app"}], "hot": {3: [0]}},
             "pagemap_delta": {3: b"".join(

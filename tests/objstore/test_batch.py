@@ -113,7 +113,7 @@ class TestCommitOrdering:
         )
         assert len(store.batch) == 0
         assert store.stats.batches_flushed == 1
-        _meta, _records, pages = store.load_manifest(snap)
+        _meta, _records, pages, _lineage = store.load_manifest(snap)
         assert [store.read_page(p) for p in pages] == [
             b"auto-%d" % i for i in range(4)
         ]
@@ -155,7 +155,7 @@ class TestBatchCrash:
         assert not report.errors
         names = [s.name for s in store.snapshots()]
         assert "durable" in names and "torn" not in names
-        _meta, _records, pages = store.load_manifest(
+        _meta, _records, pages, _lineage = store.load_manifest(
             store.snapshot_by_name("durable")
         )
         assert store.read_page(pages[0]) == b"kept"

@@ -246,7 +246,7 @@ class TestStoreIntegration:
         new = store.commit_snapshot(
             "new", meta=None, records=[], pages=[delta_ref]
         )
-        _m, _r, new_pages = store.load_manifest(new)
+        _m, _r, new_pages, _lineage = store.load_manifest(new)
         assert {p.content_hash for p in new_pages} == {
             base_ref.content_hash, delta_ref.content_hash
         }
@@ -378,7 +378,7 @@ class TestFsckClassification:
         # the base rode along into quarantine-salvage untouched: its
         # content is still byte-identical wherever it survived
         for snapshot in store.snapshots():
-            _m, _r, pages = store.load_manifest(snapshot)
+            _m, _r, pages, _lineage = store.load_manifest(snapshot)
             for page in pages:
                 if page.content_hash == refs[0].content_hash:
                     assert store.read_page(page) is not None

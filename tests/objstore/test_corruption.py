@@ -52,7 +52,7 @@ def test_recovery_detects_or_survives_corruption(flips):
     for snapshot in fresh.snapshots():
         # Anything recovery kept must read back bit-exact.
         try:
-            _meta, records, pages = fresh.load_manifest(snapshot)
+            _meta, records, pages, _lineage = fresh.load_manifest(snapshot)
             got = sorted(fresh.read_page(r) for r in pages)
         except AuroraError:
             # Detected on access — acceptable: never silent corruption.
@@ -68,7 +68,7 @@ class TestTargetedCorruption:
         store = ObjectStore(device)
         store.recover()
         snap = store.snapshots()[0]
-        _m, _r, pages = store.load_manifest(snap)
+        _m, _r, pages, _lineage = store.load_manifest(snap)
         # Corrupt the first page record's payload on the media.
         target = pages[0].extent.offset + 40
         block_no, within = divmod(target, 4096)

@@ -49,7 +49,7 @@ def snapshot_payloads(store):
     """name -> sorted page payloads, for byte-identical comparisons."""
     out = {}
     for snapshot in store.snapshots():
-        _meta, _records, pages = store.load_manifest(snapshot)
+        _meta, _records, pages, _lineage = store.load_manifest(snapshot)
         payloads = store.read_pages_coalesced(pages)
         out[snapshot.name] = sorted(payloads[p.content_hash] for p in pages)
     return out

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ImageFormatError, ObjectStoreError
 from repro.hw.nvme import NvmeDevice
-from repro.objstore.image import read_image, read_image_value, write_image
+from repro.objstore.image import Lineage, read_image, read_image_value, write_image
 from repro.objstore.record import decode, encode
 from repro.objstore.snapshot import PAGEMAP_ROW
 from repro.objstore.store import ObjectStore
@@ -26,7 +26,7 @@ def fresh_store():
 def written(store, slots=4, **kwargs):
     """One image of ``slots`` pages under oid 3; ``(snapshot, page map)``."""
     page_map = {3: {i: store.write_page(b"page-%d" % i) for i in range(slots)}}
-    snapshot, _records = write_image(
+    snapshot, _lineage = write_image(
         store, name="img", meta={"who": "test"}, value={"v": 1},
         page_map=page_map, **kwargs,
     )
@@ -43,7 +43,7 @@ class TestRoundTrip:
     def test_the_record_is_the_documented_layout(self):
         store = fresh_store()
         snapshot, page_map = written(store, slots=2)
-        meta, records, pages = store.load_manifest(snapshot)
+        meta, records, pages, _lineage = store.load_manifest(snapshot)
         assert meta == {"who": "test"} and len(records) == 1
         assert list(pages) == list(page_map[3].values())
         assert store.read_meta(records[0]) == {
@@ -116,7 +116,7 @@ class TestWrongShapes:
         the reader answers with an image or a catalogued error."""
         store = fresh_store()
         snapshot, page_map = written(store, slots=2)
-        _meta, records, _pages = store.load_manifest(snapshot)
+        _meta, records, _pages, _lineage = store.load_manifest(snapshot)
         payload = encode(store.read_meta(records[0]))
         damaged = [payload[:cut] for cut in range(len(payload))]
         for pos in range(len(payload)):
@@ -158,7 +158,7 @@ def test_writer_reader_round_trip_across_a_chain(steps, drop_ancestors):
     before and after a reboot, and with its ancestors deleted."""
     store = fresh_store()
     chain = []  # (snapshot, value, complete map)
-    page_map, records = {}, []
+    page_map, lineage = {}, Lineage()
     for number, step in enumerate(steps):
         base_map = page_map
         page_map = {oid: dict(slots) for oid, slots in base_map.items()}
@@ -166,13 +166,12 @@ def test_writer_reader_round_trip_across_a_chain(steps, drop_ancestors):
             page_map.setdefault(oid, {})[slot] = store.write_page(
                 b"content-%d" % content
             )
-        snapshot, records = write_image(
+        snapshot, lineage = write_image(
             store, name=f"ckpt-{number}", meta=None, value={"n": number},
             page_map=page_map, epoch=number,
-            base_map=base_map if chain else None,
-            base_records=records,
+            base_map=base_map if chain else None, base=lineage,
         )
-        assert len(records) == number + 1
+        assert len(lineage.records) == len(lineage.manifests) == number + 1
         chain.append((snapshot, {"n": number}, page_map))
 
     def check(store, chain):

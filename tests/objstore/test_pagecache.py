@@ -102,7 +102,7 @@ class TestLruMechanics:
 class TestStoreIntegration:
     def _page_refs(self, store, name):
         snapshot = store.snapshot_by_name(name)
-        _meta, _records, pages = store.load_manifest(snapshot)
+        _meta, _records, pages, _lineage = store.load_manifest(snapshot)
         return pages
 
     def test_read_page_fills_then_hits(self):
@@ -172,7 +172,7 @@ class TestDeterminism:
                                         record_trace=True)
             for name in ("demo-0", "demo-1", "demo-2", "demo-0"):
                 snapshot = store.snapshot_by_name(name)
-                _m, _r, pages = store.load_manifest(snapshot)
+                _m, _r, pages, _lineage = store.load_manifest(snapshot)
                 store.read_pages_coalesced(pages)
                 store.read_page(pages[0])
             return store.pagecache.trace_text()
@@ -197,7 +197,7 @@ class TestDeterminism:
 class TestInvalidation:
     def _warm(self, store, name):
         snapshot = store.snapshot_by_name(name)
-        _m, _r, pages = store.load_manifest(snapshot)
+        _m, _r, pages, _lineage = store.load_manifest(snapshot)
         store.read_pages_coalesced(pages)
         return snapshot, pages
 
@@ -249,7 +249,7 @@ class TestObsWiring:
     def test_counters_and_gauges_export(self):
         _device, store, obs = build_demo_store()
         snapshot = store.snapshot_by_name("demo-0")
-        _m, _r, pages = store.load_manifest(snapshot)
+        _m, _r, pages, _lineage = store.load_manifest(snapshot)
         store.read_pages_coalesced(pages)
         store.read_pages_coalesced(pages)
         reg = obs.registry

@@ -66,7 +66,7 @@ def test_snapshot_delete_gc_interleaving(ops):
     # Every surviving snapshot's pages read back intact.
     for snap_id, payloads in live.items():
         snapshot = store.directory.get(snap_id)
-        _meta, _records, pages = store.load_manifest(snapshot)
+        _meta, _records, pages, _lineage = store.load_manifest(snapshot)
         got = sorted(store.read_page(r) for r in pages)
         assert got == sorted(payloads)
 

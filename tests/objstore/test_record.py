@@ -381,6 +381,7 @@ class TestDecodeIsTotal:
             [MetaRef(7, Extent(16384, 300)), MetaRef(2**40, Extent(20480, 129))],
             [PageRef(b"\xd4" * 20, Extent(24576, 4136), 4096),
              PageRef(b"\x00\xff" * 10, Extent(28672, 48), 4096)],
+            [Extent(32768, 241)],
         ),
         "directory": SnapshotDirectory({
             i: Snapshot(i, f"fn-{i:04d}", i, 10**9 * i, Extent(16384 * i, 517),
@@ -487,7 +488,7 @@ class TestDirectoryPayload:
         assert renamed.encoded_entry != snapshot.encoded_entry
 
 
-# --- manifest v2: packed rows behind one encode/parse pair -------------------
+# --- manifest v3: packed rows behind one encode/parse pair -------------------
 
 MANIFEST_META = {"group": "g", "incremental": True, "parent_snap": None, "t": 0.5}
 MANIFEST_RECORDS = [MetaRef(7, Extent(16384, 300)), MetaRef(2**40, Extent(20480, 129))]
@@ -496,6 +497,7 @@ MANIFEST_PAGES = [
     PageRef(b"\x00\xff" * 10, Extent(28672, 48), 4096),
     PageRef(bytes(range(20)), Extent(2**40, 65535), 0),
 ]
+MANIFEST_LINEAGE = [Extent(32768, 241), Extent(2**40, 2**32 - 1)]
 
 meta_refs = st.builds(
     MetaRef, st.integers(0, 2**64 - 1),
@@ -512,7 +514,7 @@ def _parsed_or_objectstoreerror(payload: bytes):
     """``parse_manifest`` with the lazy table drained: whatever it
     accepts must also iterate, index and slice without raising."""
     try:
-        meta, records, pages = parse_manifest(payload)
+        meta, records, pages, _lineage = parse_manifest(payload)
     except ObjectStoreError:
         return None
     assert list(pages) == [pages[i] for i in range(len(pages))] == pages[:]
@@ -520,12 +522,15 @@ def _parsed_or_objectstoreerror(payload: bytes):
     return meta, records, list(pages)
 
 
-class TestManifestV2:
-    PAYLOAD = encode_manifest(MANIFEST_META, MANIFEST_RECORDS, MANIFEST_PAGES)
+class TestManifestV3:
+    PAYLOAD = encode_manifest(
+        MANIFEST_META, MANIFEST_RECORDS, MANIFEST_PAGES, MANIFEST_LINEAGE
+    )
 
     def test_roundtrip(self):
-        meta, records, pages = parse_manifest(self.PAYLOAD)
+        meta, records, pages, lineage = parse_manifest(self.PAYLOAD)
         assert (meta, records) == (MANIFEST_META, MANIFEST_RECORDS)
+        assert lineage == MANIFEST_LINEAGE
         assert isinstance(pages, PageTable)
         assert list(pages) == MANIFEST_PAGES
         assert [PageRef(h, Extent(off, elen), plen)
@@ -534,19 +539,19 @@ class TestManifestV2:
     def test_payload_is_one_versioned_dict_of_bytes_tables(self):
         value = decode(self.PAYLOAD)
         assert self.PAYLOAD == reference_encode(value)
-        assert value["v"] == 2 and value["meta"] == MANIFEST_META
+        assert value["v"] == 3 and value["meta"] == MANIFEST_META
         assert len(value["records"]) == 20 * len(MANIFEST_RECORDS)
         assert len(value["pages"]) == 32 * len(MANIFEST_PAGES)
+        assert len(value["lineage"]) == 12 * len(MANIFEST_LINEAGE)
 
     def test_a_table_reencodes_to_the_same_payload(self):
-        meta, records, pages = parse_manifest(self.PAYLOAD)
-        assert encode_manifest(meta, records, pages) == self.PAYLOAD
+        assert encode_manifest(*parse_manifest(self.PAYLOAD)) == self.PAYLOAD
 
     @settings(max_examples=200, deadline=None)
     @given(records=st.lists(meta_refs, max_size=4),
            eager=st.lists(page_refs, max_size=12), data=st.data())
     def test_lazy_table_equals_the_eager_list(self, records, eager, data):
-        meta, parsed_records, table = parse_manifest(
+        meta, parsed_records, table, _lineage = parse_manifest(
             encode_manifest({"m": 1}, records, eager)
         )
         assert (meta, parsed_records) == ({"m": 1}, records)
@@ -566,7 +571,7 @@ class TestManifestV2:
             assert eager[0] in table and table.index(eager[-1]) == eager.index(eager[-1])
 
     def test_the_table_is_read_only(self):
-        _meta, _records, table = parse_manifest(self.PAYLOAD)
+        _meta, _records, table, _lineage = parse_manifest(self.PAYLOAD)
         with pytest.raises(TypeError):
             table[0] = MANIFEST_PAGES[0]
         with pytest.raises(AttributeError):
@@ -596,14 +601,17 @@ class TestManifestV2:
     @pytest.mark.parametrize("change, message", [
         ({"v": None}, "KeyError"),
         ({"v": 1}, "manifest version 1"),
-        ({"v": 3}, "manifest version 3"),
-        ({"v": "2"}, "manifest version '2'"),
+        ({"v": 2}, "manifest version 2"),
+        ({"v": "3"}, "manifest version '3'"),
         ({"pages": None}, "KeyError"),
         ({"records": None}, "KeyError"),
         ({"pages": [[b"h" * 20, 1, 2, 3]]}, "not bytes"),
         ({"records": "r" * 20}, "not bytes"),
         ({"pages": b"p" * 33}, "not whole rows"),
         ({"records": b"r" * 19}, "not whole rows"),
+        ({"lineage": None}, "KeyError"),
+        ({"lineage": [[32768, 241]]}, "not bytes"),
+        ({"lineage": b"l" * 13}, "not whole rows"),
     ], ids=lambda v: repr(v)[:32])
     def test_wrong_shape_raises_objectstoreerror(self, change, message):
         value = {**decode(self.PAYLOAD), **change}
@@ -630,3 +638,10 @@ class TestManifestV2:
     def test_a_ref_no_row_can_hold_raises_at_encode(self, records, pages):
         with pytest.raises(ObjectStoreError, match="does not encode"):
             encode_manifest(None, records, pages)
+
+    @pytest.mark.parametrize("extent", [
+        Extent(2**64, 64), Extent(16384, 2**32), Extent(-1, 64), Extent("far", 64),
+    ], ids=repr)
+    def test_a_lineage_extent_no_row_can_hold_raises_at_encode(self, extent):
+        with pytest.raises(ObjectStoreError, match="does not encode"):
+            encode_manifest(None, [], [], [extent])

@@ -65,7 +65,7 @@ class TestRecoveryReport:
         by_name = {s.name: s for s in reopened.snapshots()}
         assert sorted(by_name) == sorted(payloads)
         for name, snap in by_name.items():
-            meta, records, pages = reopened.load_manifest(snap)
+            meta, records, pages, _lineage = reopened.load_manifest(snap)
             assert meta == {"n": name}
             assert reopened.read_page(pages[0]) == payloads[name]
             assert reopened.read_meta(records[0])["name"] == name

@@ -73,7 +73,7 @@ class TestRecords:
 class TestSnapshots:
     def test_commit_and_load(self, store):
         snap = commit(store, "ckpt", values=[{"a": 1}], pages=[b"pg"])
-        meta, records, pages = store.load_manifest(snap)
+        meta, records, pages, _lineage = store.load_manifest(snap)
         assert meta == {"n": "ckpt"}
         assert store.read_meta(records[0]) == {"a": 1}
         assert store.read_page(pages[0]) == b"pg"
@@ -90,18 +90,25 @@ class TestSnapshots:
             return tuple(
                 obs.registry.gauge(name, store=store.device.name).value
                 for name in (obs_names.G_STORE_MANIFEST_BYTES,
-                             obs_names.G_STORE_MANIFEST_PAGE_ROWS)
+                             obs_names.G_STORE_MANIFEST_PAGE_ROWS,
+                             obs_names.G_STORE_MANIFEST_LINEAGE)
             )
 
-        assert shape() == (0, 0)
+        assert shape() == (0, 0, 0)
         small = commit(store, "small", values=[{"a": 1}], pages=[b"pg"])
-        assert shape() == (small.manifest_extent.length - HEADER_SIZE, 1)
+        assert shape() == (small.manifest_extent.length - HEADER_SIZE, 1, 0)
         big = commit(store, "big", values=[{"a": 1}, {"b": 2}],
                      pages=[b"pg-%d" % i for i in range(9)])
-        assert shape() == (big.manifest_extent.length - HEADER_SIZE, 9)
+        assert shape() == (big.manifest_extent.length - HEADER_SIZE, 9, 0)
         header, row = render_store_encoding(obs.registry).splitlines()
-        assert header.split()[-4:] == ["manifest", "B", "page", "rows"]
-        assert row.split()[-2:] == [str(shape()[0]), "9"]
+        assert header.split()[-5:] == ["manifest", "B", "page", "rows", "lineage"]
+        assert row.split()[-3:] == [str(shape()[0]), "9", "0"]
+        # an incremental counts the rows it added and the tables it reads
+        chained = store.commit_snapshot(
+            "chained", meta=None, records=[], pages=[store.write_page(b"new")],
+            lineage=[big.manifest_extent, small.manifest_extent],
+        )
+        assert shape() == (chained.manifest_extent.length - HEADER_SIZE, 1, 2)
 
     def test_snapshot_directory(self, store):
         commit(store, "one")
@@ -165,7 +172,7 @@ class TestGc:
         doomed = commit(store, "doomed", pages=[b"dead"])
         store.delete_snapshot(doomed.snap_id)
         GarbageCollector(store).collect()
-        meta, records, pages = store.load_manifest(keep)
+        meta, records, pages, _lineage = store.load_manifest(keep)
         assert store.read_meta(records[0]) == {"v": 1}
         assert store.read_page(pages[0]) == b"live"
 
@@ -186,7 +193,7 @@ class TestRecovery:
         report = fresh.recover()
         assert report.snapshots_recovered == 1
         snap = fresh.snapshot_by_name("alpha")
-        meta, records, pages = fresh.load_manifest(snap)
+        meta, records, pages, _lineage = fresh.load_manifest(snap)
         assert fresh.read_meta(records[0]) == {"k": "v"}
 
     def test_torn_checkpoint_discarded_as_unit(self, store, nvme):
@@ -206,7 +213,7 @@ class TestRecovery:
         store.flush_barrier()
         fresh = ObjectStore(nvme)
         fresh.recover()
-        _, _, pages = fresh.load_manifest(fresh.snapshot_by_name("a"))
+        _, _, pages, _lineage = fresh.load_manifest(fresh.snapshot_by_name("a"))
         shared_hash = ObjectStore.page_hash(b"shared")
         assert fresh.dedup.refcount(shared_hash) == 2
         # New writes do not collide with recovered extents.

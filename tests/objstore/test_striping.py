@@ -109,7 +109,7 @@ class TestShardedRoundTrip:
         mq_store.recover()
         recovered = mq_store.snapshot_by_name("mf")
         assert recovered is not None
-        _meta, _records, pages = mq_store.load_manifest(recovered)
+        _meta, _records, pages, _lineage = mq_store.load_manifest(recovered)
         shards = {
             mq_store.allocator.shard_of(p.extent.offset) for p in pages
         }

@@ -70,7 +70,7 @@ def commit_cost(store):
 def snapshot_pages(store, name):
     """Sorted page contents of snapshot ``name``, read off the device."""
     snapshot = store.snapshot_by_name(name)
-    _meta, _records, pages = store.load_manifest(snapshot)
+    _meta, _records, pages, _lineage = store.load_manifest(snapshot)
     return sorted(store.read_page(ref).rstrip(b"\x00") for ref in pages)
 
 
@@ -319,7 +319,7 @@ def read_state(store):
     """{snapshot name: (sorted page contents, sorted meta values)}."""
     state = {}
     for snapshot in store.snapshots():
-        _meta, records, pages = store.load_manifest(snapshot)
+        _meta, records, pages, _lineage = store.load_manifest(snapshot)
         state[snapshot.name] = (
             sorted(store.read_page(ref).rstrip(b"\x00") for ref in pages),
             sorted(store.read_meta(ref)["n"] for ref in records),
@@ -346,11 +346,6 @@ def test_recovered_store_is_a_committed_prefix(ops, cut_after, linger_ns):
     pages, metas = [], []  # staged for the next commit: (ref, content)
     commits = 0
 
-    def name_directory():
-        # A torn write zeroes its slot, so the A/B superblock scheme
-        # assumes one generation in flight: wait out the previous one.
-        clock.advance_to(history[-1][0])
-
     for op, arg in ops[:cut_after]:
         if op == "page":
             content = b"page-%d-%d" % (commits, arg)
@@ -360,7 +355,6 @@ def test_recovered_store_is_a_committed_prefix(ops, cut_after, linger_ns):
         elif op == "flush":
             store.batch.flush()
         elif op == "commit":
-            name_directory()
             commits += 1
             store.commit_snapshot(
                 f"s{commits}", meta=None,
@@ -374,7 +368,6 @@ def test_recovered_store_is_a_committed_prefix(ops, cut_after, linger_ns):
             pages, metas = [], []
             history.append((device.pending_deadline(), dict(live)))
         elif op == "delete" and live:
-            name_directory()
             name = sorted(live)[arg % len(live)]
             store.delete_snapshot(store.snapshot_by_name(name).snap_id)
             del live[name]
@@ -466,13 +459,6 @@ def test_the_directory_write_flushes_for_itself():
             assert snapshot_pages(rebooted, "s") == [b"named while staged"]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: StorageDevice.crash() tears an in-flight write by "
-    "zeroing its range instead of restoring the pre-image, so with two "
-    "superblock generations in flight a cut wipes both A/B slots and "
-    "recover() adopts nothing.  A hole in the device model, not in the "
-    "barrier Volume.write_superblock computes; item 2 flips this."
-))
 def test_two_unbarriered_commits_fall_back_to_the_last_durable_generation():
     device = nvme(SimClock())
     store = ObjectStore(device)
@@ -488,6 +474,53 @@ def test_two_unbarriered_commits_fall_back_to_the_last_durable_generation():
     rebooted = ObjectStore(device)
     rebooted.recover()
     assert [snapshot.name for snapshot in rebooted.snapshots()] == ["s0", "s1"]
+
+
+def two_unbarriered_commits(clock):
+    """``s0``, ``s1`` committed and barriered, then a delete and a
+    commit with no barrier between: superblock generations 3 and 4 in
+    flight at once.  Returns the device and ``[(virtual time a
+    generation is durable, the names it holds)]``."""
+    device = nvme(clock)
+    store = ObjectStore(device)
+    for name in (b"s0", b"s1"):
+        store.commit_snapshot(name.decode(), meta=None, records=[],
+                              pages=[store.write_page(name)])
+        store.flush_barrier()
+    history = [(clock.now, ["s0", "s1"])]
+    store.delete_snapshot(store.snapshot_by_name("s0").snap_id)
+    history.append((device.pending_deadline(), ["s1"]))
+    store.commit_snapshot("s2", meta=None, records=[],
+                          pages=[store.write_page(b"s2")])
+    history.append((device.pending_deadline(), ["s1", "s2"]))
+    return device, history
+
+
+def test_a_cut_anywhere_in_two_unbarriered_commits_recovers_the_newest_durable():
+    """Torn writes unwind to their pre-images, so with two generations
+    in flight a cut at any instant — 50 ns steps plus both sides of
+    every completion stand for all of them — recovers exactly the
+    newest generation durable at the cut, every page intact."""
+    clock = SimClock()
+    device, history = two_unbarriered_commits(clock)
+    submitted, deadline = clock.now, history[-1][0]
+    completions = {p.durable_at for p in device._pending}
+    assert len(completions) >= 4  # two superblocks, a page, a manifest
+    cuts = {*range(submitted, deadline, 50), deadline}
+    cuts |= {edge for done in completions for edge in (done - 1, done)}
+    for cut_at in sorted(cuts):
+        clock = SimClock()
+        device, history = two_unbarriered_commits(clock)
+        clock.advance_to(cut_at)
+        device.crash()
+        rebooted = ObjectStore(device)
+        report = rebooted.recover()
+        assert not report.snapshots_discarded, (cut_at, report.errors)
+        durable = [names for durable_at, names in history if durable_at <= cut_at]
+        names = [snapshot.name for snapshot in rebooted.snapshots()]
+        assert names == durable[-1], cut_at
+        for name in names:
+            assert snapshot_pages(rebooted, name) == [name.encode()]
 
 
 # -- the API has no path selector left ---------------------------------------------

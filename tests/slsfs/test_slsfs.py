@@ -167,7 +167,7 @@ class TestPersistence:
         )
         vfs.open("/big", O_RDWR | O_CREAT).write(content)
         snapshot = fs.sync()
-        _meta, records, pages = store.load_manifest(snapshot)
+        _meta, records, pages, _lineage = store.load_manifest(snapshot)
         assert len(pages) == 256
         assert records[0].extent.length == 6432
         assert VfsNamespace(SlsFS.recover(store)).open("/big", O_RDWR).read(
@@ -182,7 +182,7 @@ class TestDamagedMetadata:
     def synced(self, vfs, fs, store):
         vfs.open("/f", O_RDWR | O_CREAT).write(b"x" * PAGE_SIZE)
         snapshot = fs.sync()
-        _meta, records, _pages = store.load_manifest(snapshot)
+        _meta, records, _pages, _lineage = store.load_manifest(snapshot)
         return snapshot, store.read_meta(records[0])
 
     def test_recordless_snapshot(self, store):
