@@ -12,8 +12,8 @@ import pytest
 from repro.mem.address_space import AddressSpace, MemContext
 from repro.mem.cow import AuroraCow
 from repro.mem.phys import PhysicalMemory
-from repro.objstore.checksum import fletcher64
-from repro.objstore.record import decode, encode
+from repro.objstore.checksum import crc32_adler32, fletcher64
+from repro.objstore.record import COVERED_SIZE, decode, encode
 from repro.objstore.store import ObjectStore
 from repro.hw.nvme import NvmeDevice
 from repro.sim.clock import SimClock
@@ -88,6 +88,19 @@ def test_micro_fletcher64(benchmark, size):
     data = (bytes(range(256)) * (size // 256 + 1))[:size]
 
     benchmark(fletcher64, data)
+
+
+@pytest.mark.parametrize(
+    "size",
+    # the Fletcher-64 sizes plus the e2e mean record (≈ 1.7 KB)
+    [64, 1700, 4 * KIB, 64 * KIB],
+    ids=["64B", "1700B", "4KiB", "64KiB"],
+)
+def test_micro_record_checksum(benchmark, size):
+    header = bytes(COVERED_SIZE)
+    data = (bytes(range(256)) * (size // 256 + 1))[:size]
+
+    benchmark(crc32_adler32, header, data)
 
 
 def test_micro_store_write_page(benchmark):

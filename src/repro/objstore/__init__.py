@@ -2,7 +2,6 @@
 
 from repro.objstore.alloc import Extent, ExtentAllocator
 from repro.objstore.block import Volume
-from repro.objstore.checksum import fletcher64, verify
 from repro.objstore.dedup import DedupEntry, DedupIndex, DedupStats
 from repro.objstore.fsck import (
     Fsck,
@@ -41,8 +40,6 @@ __all__ = [
     "Extent",
     "ExtentAllocator",
     "Volume",
-    "fletcher64",
-    "verify",
     "DedupEntry",
     "DedupIndex",
     "DedupStats",

@@ -145,7 +145,8 @@ class PersistentLog:
                 header = unpack_header(head_raw)
             except (ChecksumError, ObjectStoreError):
                 break
-            if header.kind != KIND_LOG:
+            # a length running past the region is damage: never read it
+            if header.kind != KIND_LOG or pos + HEADER_SIZE + header.length > self.capacity:
                 break
             raw = self.store.volume.read_data(
                 self.region.offset + pos, HEADER_SIZE + header.length

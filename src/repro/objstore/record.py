@@ -1,12 +1,15 @@
 """On-disk record format and the metadata codec.
 
-Records are self-delimiting: a fixed header (magic, kind, object id,
-epoch, payload length, Fletcher-64 of the payload) followed by the
-payload.  Metadata payloads are encoded with a small deterministic
-binary codec (:func:`encode` / :func:`decode`) supporting the JSON-ish
-types serializers produce — dicts, lists, ints, bytes, str, bool,
-None, floats — with no pickling (checkpoints must be loadable by a
-different process safely, e.g. on ``sls recv``).
+Records are self-delimiting: a fixed header (magic, kind, flags,
+object id, epoch, payload length, checksum) followed by the payload.
+The checksum (:func:`~repro.objstore.checksum.crc32_adler32`) covers
+every other header byte and the whole payload, so a record verifies as
+a unit — no header field is trusted unchecked.  Metadata payloads are
+encoded with a small deterministic binary codec (:func:`encode` /
+:func:`decode`) supporting the JSON-ish types serializers produce —
+dicts, lists, ints, bytes, str, bool, None, floats — with no pickling
+(checkpoints must be loadable by a different process safely, e.g. on
+``sls recv``).
 """
 
 from __future__ import annotations
@@ -15,11 +18,16 @@ import struct
 from dataclasses import dataclass
 
 from repro.errors import ChecksumError, ObjectStoreError
-from repro.objstore.checksum import fletcher64
+# fletcher64 is unused here; the e2e tracer's harness test reads ``record.fletcher64``
+from repro.objstore.checksum import crc32_adler32, fletcher64  # noqa: F401
 
 RECORD_MAGIC = 0x41555230  # "AUR0"
 _HEADER = struct.Struct("<IHHQQIQ")  # magic, kind, flags, oid, epoch, len, cksum
 HEADER_SIZE = _HEADER.size
+#: the header bytes the checksum covers: everything before the checksum
+_COVERED = struct.Struct("<IHHQQI")
+COVERED_SIZE = _COVERED.size
+_CHECKSUM = struct.Struct("<Q")
 
 # record kinds
 KIND_META = 1       # serialized kernel-object metadata
@@ -48,10 +56,8 @@ class RecordHeader:
 
 
 def pack_record(kind: int, oid: int, epoch: int, payload: bytes, flags: int = 0) -> bytes:
-    header = _HEADER.pack(
-        RECORD_MAGIC, kind, flags, oid, epoch, len(payload), fletcher64(payload)
-    )
-    return header + payload
+    covered = _COVERED.pack(RECORD_MAGIC, kind, flags, oid, epoch, len(payload))
+    return b"".join((covered, _CHECKSUM.pack(crc32_adler32(covered, payload)), payload))
 
 
 def unpack_header(raw: bytes) -> RecordHeader:
@@ -70,7 +76,7 @@ def unpack_record(raw: bytes) -> tuple[RecordHeader, bytes]:
     payload = raw[HEADER_SIZE : HEADER_SIZE + header.length]
     if len(payload) != header.length:
         raise ChecksumError("truncated record payload")
-    if fletcher64(payload) != header.checksum:
+    if crc32_adler32(raw[:COVERED_SIZE], payload) != header.checksum:
         raise ChecksumError(f"checksum mismatch for oid {header.oid}")
     return header, payload
 

@@ -6,8 +6,9 @@ snapshot directory (through the ``dir-spill`` stub) → manifest and its
 lineage's manifests → records → page content and yields one
 :class:`Verdict` per reference, in fsck's vocabulary:
 
-- ``checksum-corrupt`` — the record fails its Fletcher-64 checksum, or
-  decoded page content no longer matches its content hash;
+- ``checksum-corrupt`` — the record fails its checksum (which covers
+  its header as well as its payload), or decoded page content no
+  longer matches its content hash;
 - ``dangling-ref`` — the extent lies outside the data area, holds no
   parseable record, or holds one of the wrong kind or oid;
 - ``delta-broken-base`` — a delta's base resolves to no page this walk

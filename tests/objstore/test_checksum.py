@@ -1,21 +1,91 @@
-"""Fletcher-64: the big-integer fold must be bit-identical to the word loop.
+"""Record checksums.
 
-``reference_fletcher64`` is the implementation the store shipped with
-(one ``int.from_bytes`` and two ``%`` per 4-byte word), kept here as
-the oracle.  The golden values were computed with it and pinned as
-literals, so a change to both sides at once still fails.
+The record checksum, ``crc32_adler32``, is checked against the
+definition it claims — zlib's CRC-32 and Adler-32 of header and payload
+concatenated — and against golden values pinned as literals.
+
+Fletcher-64, the previous record checksum, stays importable for the
+benchmark tracer: its big-integer fold must be bit-identical to the word
+loop.  ``reference_fletcher64`` is the implementation the store first
+shipped with (one ``int.from_bytes`` and two ``%`` per 4-byte word),
+kept here as the oracle.  Its golden values were computed with it and
+pinned as literals, so a change to both sides at once still fails.
 """
 
 import random
 import tracemalloc
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ChecksumError
-from repro.objstore.checksum import _BLOCK_BYTES, fletcher64, verify
-from repro.objstore.record import HEADER_SIZE, KIND_META, pack_record, unpack_record
+from repro.objstore.checksum import _BLOCK_BYTES, crc32_adler32, fletcher64, verify
+from repro.objstore.record import (
+    COVERED_SIZE,
+    HEADER_SIZE,
+    KIND_META,
+    pack_record,
+    unpack_record,
+)
+
+# --- the record checksum -----------------------------------------------------------
+
+
+def reference_crc32_adler32(header: bytes, payload: bytes) -> int:
+    whole = bytes(header) + bytes(payload)
+    return zlib.adler32(whole) << 32 | zlib.crc32(whole)
+
+
+RECORD_GOLDEN = [
+    (b"", b"", 0x100000000),
+    (b"", b"hello", 0x062C02153610A686),
+    (b"AUR0", b"hello", 0x0E7F032D722450E0),
+    (b"", bytes(4096), 0x10000001C71C0011),
+    (b"", b"\xff" * 4096, 0x8161F0E2F154670A),
+    (b"", random.Random(0xA0A0).randbytes(70002), 0xD56C6B23D94214A6),
+]
+
+
+@pytest.mark.parametrize(
+    "header, payload, expected", RECORD_GOLDEN,
+    ids=["empty", "hello", "header+hello", "zero-page", "ff-page", "random-70002"],
+)
+def test_record_checksum_golden_vectors(header, payload, expected):
+    assert crc32_adler32(header, payload) == expected
+    assert reference_crc32_adler32(header, payload) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    header=st.binary(max_size=40),
+    payload=st.binary(max_size=600),
+    wrap=st.sampled_from([bytes, bytearray, memoryview]),
+)
+def test_record_checksum_is_the_checksum_of_the_concatenation(header, payload, wrap):
+    assert crc32_adler32(wrap(header), wrap(payload)) == reference_crc32_adler32(
+        header, payload
+    )
+
+
+def test_erased_words_are_not_zero_words():
+    # Fletcher-64 sums modulo 2**32 - 1, where 0xFFFFFFFF is 0
+    zero, erased = bytes(4096), b"\xff" * 4096
+    one_word = bytes(64) + b"\xff" * 4 + bytes(4028)
+    assert fletcher64(zero) == fletcher64(erased) == fletcher64(one_word)
+    assert len({crc32_adler32(b"", page) for page in (zero, erased, one_word)}) == 3
+
+
+def test_the_checksum_field_covers_the_rest_of_the_header_and_the_payload():
+    record = pack_record(KIND_META, 1, 1, bytes(range(64)))
+    covered, payload = record[:COVERED_SIZE], record[HEADER_SIZE:]
+    assert int.from_bytes(record[COVERED_SIZE:HEADER_SIZE], "little") == crc32_adler32(
+        covered, payload
+    )
+
+
+# --- Fletcher-64 -------------------------------------------------------------------
 
 
 def reference_fletcher64(data) -> int:

@@ -10,13 +10,19 @@ from hypothesis import strategies as st
 
 from repro.errors import ChecksumError, ObjectStoreError
 from repro.hw.nvme import NvmeDevice
-from repro.objstore import ObjectStore, check_store
+from repro.objstore import ObjectStore, PersistentLog, check_store
 from repro.objstore.alloc import Extent
 from repro.objstore.block import SUPERBLOCK_SLOT_SIZE
 from repro.objstore.checksum import fletcher64, verify
 from repro.objstore.record import (
+    COVERED_SIZE,
     HEADER_SIZE,
+    KIND_FILEDATA,
+    KIND_LOG,
+    KIND_MANIFEST,
     KIND_META,
+    KIND_PAGE,
+    KIND_SUPER,
     MAX_DEPTH,
     decode,
     encode,
@@ -33,7 +39,10 @@ from repro.objstore.snapshot import (
     encode_manifest,
     parse_manifest,
 )
+from repro.objstore.walk import CHECKSUM_CORRUPT
 from repro.sim.clock import SimClock
+
+ALL_KINDS = [KIND_META, KIND_PAGE, KIND_MANIFEST, KIND_LOG, KIND_SUPER, KIND_FILEDATA]
 
 
 class TestFletcher64:
@@ -86,11 +95,6 @@ class TestRecordFraming:
         with pytest.raises(ObjectStoreError):
             unpack_header(b"tiny")
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the record checksum covers the payload only and the superblock's "
-        "generation is the header's epoch: ROADMAP item 5(c), a format change",
-    )
     def test_one_flipped_header_bit_cannot_roll_back_a_commit(self):
         device = NvmeDevice(SimClock())
         store = ObjectStore(device)
@@ -106,12 +110,154 @@ class TestRecordFraming:
         assert unpack_header(device.read(0, HEADER_SIZE)).epoch == 258
         recovered = ObjectStore(device)
         recovered.recover()
-        # today: ['s0', 's1'] — the acknowledged s2 is gone — and fsck
-        # calls the media clean
+        # with the header outside the checksum, recovery adopted the
+        # stale slot (['s0', 's1']: acknowledged s2 gone) and fsck
+        # called the media clean
         assert (
             [s.name for s in recovered.snapshots()] == ["s0", "s1", "s2"]
             or not check_store(ObjectStore(device)).clean
         )
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_every_header_bit_is_under_the_checksum(self, kind):
+        raw = pack_record(kind, oid=0x0123456789, epoch=77, payload=b"covered", flags=1)
+        for bit in range(HEADER_SIZE * 8):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(ChecksumError):
+                unpack_record(bytes(flipped))
+
+
+# --- header bit flips on a populated device ---------------------------------------
+
+LOG_OWNER = 99
+
+
+def _populated_device():
+    """Three snapshots (a metadata record and two pages each) and a log
+    entry after each commit.  Returns the device, what each snapshot
+    holds, the log's region and entries, and one extent per record kind
+    on media — s1's, the middle log entry's, and the older superblock
+    slot, whose loss is no loss."""
+    device = NvmeDevice(SimClock())
+    store = ObjectStore(device)
+    log = PersistentLog(store, owner_oid=LOG_OWNER, capacity=4096)
+    contents, entries, targets = {}, [], {}
+    for n in range(3):
+        value, pages = {"n": n}, [b"s%d-page%d" % (n, i) for i in range(2)]
+        meta = store.write_meta(oid=10 + n, value=value)
+        refs = [store.write_page(page) for page in pages]
+        snapshot = store.commit_snapshot(f"s{n}", None, [meta], refs)
+        contents[snapshot.name] = (value, sorted(pages))
+        append = log.append(b"entry-%d" % n)
+        entries.append((append.seq, b"entry-%d" % n))
+        if n == 1:
+            targets = {KIND_META: meta.extent, KIND_PAGE: refs[0].extent,
+                       KIND_MANIFEST: snapshot.manifest_extent, KIND_LOG: append.extent}
+    store.flush_barrier()
+    older = min((0, SUPERBLOCK_SLOT_SIZE),
+                key=lambda offset: unpack_header(device.read(offset, HEADER_SIZE)).epoch)
+    targets[KIND_SUPER] = Extent(older, SUPERBLOCK_SLOT_SIZE)
+    return device, contents, log.region, entries, targets
+
+
+def _flip(device, offset: int, bit: int) -> None:
+    block_no, within = divmod(offset + bit // 8, 4096)
+    device._blocks[block_no][within] ^= 1 << (bit % 8)
+
+
+def _after_reboot(device, log_region):
+    """What a reboot reads back: each recovered snapshot's metadata value
+    and sorted page contents, and the log's crash-recovery scan."""
+    fresh = ObjectStore(device)
+    fresh.recover()
+    survived = {}
+    for snapshot in fresh.snapshots():
+        _meta, records, pages, _lineage = fresh.load_manifest(snapshot)
+        (value,) = [fresh.read_meta(ref) for ref in records]
+        survived[snapshot.name] = (value, sorted(fresh.read_page(ref) for ref in pages))
+    log = PersistentLog(fresh, owner_oid=LOG_OWNER, region=log_region)
+    return survived, log.scan_region()
+
+
+@pytest.mark.parametrize(
+    "kind, outcome",
+    [
+        # s1 fails verification: recovery drops it, fsck names it
+        (KIND_META, "finding"),
+        (KIND_PAGE, "finding"),
+        (KIND_MANIFEST, "finding"),
+        # the scan stops at the bad entry, as at a torn tail
+        (KIND_LOG, "log-stops"),
+        # the newer slot wins, as it should
+        (KIND_SUPER, "original"),
+    ],
+    ids=["META", "PAGE", "MANIFEST", "LOG", "SUPER"],
+)
+def test_a_flipped_header_bit_is_caught_or_harmless(kind, outcome):
+    # KIND_FILEDATA is never written to media; the record-level test
+    # above covers its header.
+    device, contents, log_region, entries, targets = _populated_device()
+    extent = targets[kind]
+    assert _after_reboot(device, log_region) == (contents, entries)
+    for bit in range(COVERED_SIZE * 8):
+        _flip(device, extent.offset, bit)
+        with pytest.raises(ChecksumError):
+            unpack_record(device.read(extent.offset, extent.length))
+        survived, replayed = _after_reboot(device, log_region)
+        # never another generation's state, never a wrong page or entry
+        assert all(contents[name] == got for name, got in survived.items()), bit
+        assert replayed == entries[: len(replayed)], bit
+        if outcome == "finding":
+            assert sorted(survived) == ["s0", "s2"], bit
+            findings = check_store(ObjectStore(device)).findings
+            assert [f.kind for f in findings] == [CHECKSUM_CORRUPT], bit
+            assert findings[0].snapshot == "s1", bit
+        elif outcome == "log-stops":
+            assert (survived, replayed) == (contents, entries[:1]), bit
+        else:
+            assert (survived, replayed) == (contents, entries), bit
+            assert check_store(ObjectStore(device)).clean, bit
+        _flip(device, extent.offset, bit)
+
+
+class TestErasedFlash:
+    """An erased cell reads ``0xFF``; Fletcher-64 works modulo 2³² − 1,
+    where the word ``0xFFFFFFFF`` is ``0``, so it could not tell an
+    erased word — or an erased zero page — from the zeros written."""
+
+    def _store_page(self, page: bytes):
+        device = NvmeDevice(SimClock())
+        store = ObjectStore(device)
+        ref = store.write_page(page)
+        store.commit_snapshot("s", None, [], [ref])
+        store.flush_barrier()
+        return device, ref
+
+    def _assert_caught(self, device, ref):
+        with pytest.raises(ChecksumError):
+            unpack_record(device.read(ref.extent.offset, ref.extent.length))
+        with pytest.raises(ChecksumError):
+            ObjectStore(device).read_page(ref)
+        findings = check_store(ObjectStore(device)).findings
+        assert [(f.kind, f.offset) for f in findings] == [
+            (CHECKSUM_CORRUPT, ref.extent.offset)
+        ]
+
+    def test_one_zero_word_erased(self):
+        page = b"live data".ljust(4096, b"\x00")
+        device, ref = self._store_page(page)
+        word_at = ref.extent.offset + HEADER_SIZE + 64
+        assert device.read(word_at, 4) == b"\x00" * 4
+        device.write(word_at, b"\xff" * 4)
+        self._assert_caught(device, ref)
+
+    def test_zero_page_erased(self):
+        device, ref = self._store_page(bytes(4096))
+        payload_at = ref.extent.offset + HEADER_SIZE
+        assert device.read(payload_at, 4096) == bytes(4096)
+        device.write(payload_at, b"\xff" * 4096)
+        self._assert_caught(device, ref)
 
 
 class TestCodec:
