@@ -9,6 +9,8 @@ substrate; no paper claims attached.
 
 import pytest
 
+from repro.core.backends import make_disk_backend
+from repro.core.orchestrator import SLS
 from repro.mem.address_space import AddressSpace, MemContext
 from repro.mem.cow import AuroraCow
 from repro.mem.phys import PhysicalMemory
@@ -16,6 +18,8 @@ from repro.objstore.checksum import crc32_adler32, fletcher64
 from repro.objstore.record import COVERED_SIZE, decode, encode
 from repro.objstore.store import ObjectStore
 from repro.hw.nvme import NvmeDevice
+from repro.posix.kernel import Kernel
+from repro.posix.syscalls import Syscalls
 from repro.sim.clock import SimClock
 from repro.units import GIB, KIB, PAGE_SIZE
 
@@ -112,3 +116,31 @@ def test_micro_store_write_page(benchmark):
         return store.write_page(b"payload-%d" % counter[0])
 
     benchmark(write_unique_page)
+
+
+def test_micro_recover(benchmark):
+    """A reboot of a 512-page store after one full checkpoint and four
+    one-page incrementals: reads the superblock, directory, manifests
+    and metadata records, never a page record."""
+    kernel = Kernel(hostname="micro", memory_bytes=4 * GIB)
+    sls = SLS(kernel)
+    sysc = Syscalls(kernel, kernel.spawn("app"))
+    heap = sysc.mmap(512 * PAGE_SIZE, name="heap")
+    sysc.populate(heap.start, 512 * PAGE_SIZE,
+                  fill_fn=lambda i: b"page-%d" % i + bytes(64))
+    group = sls.persist(sysc.proc, name="app")
+    backend = make_disk_backend(
+        kernel, NvmeDevice(kernel.clock, queue_depth=8, num_queues=4)
+    )
+    group.attach(backend)
+    sls.checkpoint(group)
+    for k in range(4):
+        sysc.poke(heap.start + k * PAGE_SIZE + 100, b"dirty-%d" % k)
+        sls.checkpoint(group)
+    sls.barrier(group)
+    device = backend.store.device
+
+    def reboot():
+        return ObjectStore(device).recover()
+
+    assert benchmark(reboot).snapshots_recovered == 5

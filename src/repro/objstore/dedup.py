@@ -27,8 +27,13 @@ class DedupEntry:
     #: on-media logical footprint of the record (what the flush path
     #: charged the device); header + full page for RAW
     media_bytes: int = 0
+    #: the record's encoding flags (``repro.objstore.record.ENC_*``)
+    flags: int = 0
     #: delta-encoded records only: content hash of the base page the
-    #: record patches, and its chain depth (0 = a full record)
+    #: record patches, and its chain depth (0 = a full record).  A
+    #: rebuild from manifests knows the depth but not the base: until
+    #: :meth:`~repro.objstore.store.ObjectStore._recovered_base` reads
+    #: the record, a delta's ``base_hash`` is None
     base_hash: bytes | None = None
     depth: int = 0
 
@@ -68,12 +73,12 @@ class DedupIndex:
         return self._entries.get(content_hash)
 
     def insert(self, content_hash: bytes, extent: Extent,
-               length: int = 0, media_bytes: int = 0,
+               length: int = 0, media_bytes: int = 0, flags: int = 0,
                base_hash: bytes | None = None, depth: int = 0) -> DedupEntry:
         if content_hash in self._entries:
             raise AssertionError("dedup insert of existing hash")
         entry = DedupEntry(extent=extent, refcount=0,
-                           length=length, media_bytes=media_bytes,
+                           length=length, media_bytes=media_bytes, flags=flags,
                            base_hash=base_hash, depth=depth)
         self._entries[content_hash] = entry
         self.stats.unique_pages += 1

@@ -86,6 +86,10 @@ class Scrubber:
         self.stats = ScrubStats()
         self.findings: list[FsckFinding] = []
         self._cursor = 0
+        #: content hash -> decoded content this run verified against its
+        #: hash: delta bases resolve here instead of by a point read
+        #: each, and the memo is dropped when the run ends
+        self._verified: dict[bytes, bytes] = {}
         self._g_progress = self._c_verified = self._c_errors = None
         if store.obs is not None:
             reg = store.obs.registry
@@ -146,17 +150,22 @@ class Scrubber:
     def _verify(self, item: Reference, raw: Optional[bytes]) -> None:
         """Judge one extent with the walker's checks (``raw`` is None
         for an out-of-bounds reference, which is never read).  Encoded
-        pages reconstruct from media: delta bases resolve by point reads
-        through the dedup index — the scrubber runs against a live,
-        recovered store — never from the page cache."""
+        pages reconstruct from media, never from the page cache: a delta
+        base resolves from this run's memo of hash-verified content, or
+        by a point read through the dedup index — the scrubber runs
+        against a live, recovered store.  The memo never vouches for an
+        item's own bytes (another extent may hold the same hash): those
+        are always decoded and hashed from this read, and only content
+        that verified enters the memo."""
         outcome = unpack_verdict(item.extent, raw)
         verdict = reference_verdict(item, outcome)
         if verdict.ok and item.role == PAGE:
             _ok, header, stored = outcome
+            content_hash = item.ref.content_hash
+            self._verified.pop(content_hash, None)
             verdict = content_verdict(
-                self.store, item,
-                {item.ref.content_hash: (header.flags, stored)}, {},
-                fetch=True,
+                self.store, item, {content_hash: (header.flags, stored)},
+                self._verified, fetch=True,
             )
         if not verdict.ok:
             self._record_error(verdict)
@@ -203,6 +212,8 @@ class Scrubber:
             self._verify(item, raw)
             self.stats.extents_verified += 1
         self.stats.steps += 1
+        if self.stats.done:
+            self._verified = {}
         if store.obs is not None:
             self._c_verified.inc(len(batch))
             self._g_progress.set(self.stats.progress_permille)

@@ -49,26 +49,35 @@ class PageRef:
     content_hash: bytes
     extent: Extent
     length: int
+    #: the manifest row's codec facts — the record's encoding flags and
+    #: delta chain depth — so a rebuild indexes the page without reading
+    #: it.  Not part of a ref's identity: a commit fills them from the
+    #: dedup index, a parsed row carries them, other refs leave them 0.
+    flags: int = field(default=0, compare=False)
+    depth: int = field(default=0, compare=False)
 
 
 #: manifest row layouts (format version :data:`MANIFEST_VERSION`).  A
 #: record row is oid, extent offset, extent length; a page row is the
 #: SHA-1 content hash, extent offset, extent length, page length — a
 #: page record's extent (header + at most one page) and a page's length
-#: both fit 16 bits; a lineage row is an ancestor manifest's extent
+#: both fit 16 bits — then the record's encoding flags and delta chain
+#: depth, one byte each; a lineage row is an ancestor manifest's extent
 #: offset and length.
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 _RECORD_ROW = struct.Struct("<QQI")
-_PAGE_ROW = struct.Struct("<20sQHH")
+_PAGE_ROW = struct.Struct("<20sQHHBB")
+#: a page row without its codec facts (:meth:`PageTable.rows`)
+_PAGE_ROW_REF = struct.Struct("<20sQHH2x")
 _LINEAGE_ROW = struct.Struct("<QI")
 #: one row of an image record's slot map (:mod:`repro.objstore.image`):
 #: slot (page index), SHA-1 content hash
 PAGEMAP_ROW = struct.Struct("<I20s")
 
 
-def _page_ref(row: tuple[bytes, int, int, int]) -> PageRef:
-    content_hash, offset, extent_length, length = row
-    return PageRef(content_hash, Extent(offset, extent_length), length)
+def _page_ref(row: tuple[bytes, int, int, int, int, int]) -> PageRef:
+    content_hash, offset, extent_length, length, flags, depth = row
+    return PageRef(content_hash, Extent(offset, extent_length), length, flags, depth)
 
 
 class PageTable(Sequence):
@@ -92,12 +101,12 @@ class PageTable(Sequence):
         return _page_ref(_PAGE_ROW.unpack_from(self._rows, picked * _PAGE_ROW.size))
 
     def __iter__(self) -> Iterator[PageRef]:
-        return map(_page_ref, self.rows())
+        return map(_page_ref, _PAGE_ROW.iter_unpack(self._rows))
 
     def rows(self) -> Iterator[tuple[bytes, int, int, int]]:
         """Raw ``(content_hash, offset, extent_length, page_length)``
         rows, for a consumer that wants no :class:`PageRef`."""
-        return _PAGE_ROW.iter_unpack(self._rows)
+        return _PAGE_ROW_REF.iter_unpack(self._rows)
 
 
 class Manifest(NamedTuple):
@@ -123,7 +132,8 @@ def encode_manifest(meta, records: list[MetaRef], pages: Sequence[PageRef],
             [_RECORD_ROW.pack(r.oid, r.extent.offset, r.extent.length) for r in records]
         )
         page_rows = b"".join([
-            _PAGE_ROW.pack(p.content_hash, p.extent.offset, p.extent.length, p.length)
+            _PAGE_ROW.pack(p.content_hash, p.extent.offset, p.extent.length,
+                           p.length, p.flags, p.depth)
             for p in pages
         ])
         lineage_rows = b"".join(

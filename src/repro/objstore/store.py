@@ -35,8 +35,8 @@ from repro.obs import names as obs_names
 from repro.hw.specs import DEFAULT_CPU
 from repro.objstore.alloc import Extent, ExtentAllocator
 from repro.objstore.block import SUPERBLOCK_SLOT_SIZE, Volume
-from repro.objstore.codec import BrokenDeltaBase, DeltaChainTooDeep, PageCodec
-from repro.objstore.dedup import DedupIndex
+from repro.objstore.codec import BrokenDeltaBase, DeltaChainTooDeep, PageCodec, delta_info
+from repro.objstore.dedup import DedupEntry, DedupIndex
 from repro.objstore.pagecache import DEFAULT_PAGE_CACHE_BYTES, PREFETCH_BATCH_PAGES, PageCache
 from repro.objstore.record import (
     ENC_DELTA,
@@ -342,11 +342,8 @@ class ObjectStore:
             self.stats.pages_deduped += 1
             if self.obs is not None:
                 self._c_dedup.inc()
-            return PageRef(
-                content_hash=content_hash,
-                extent=entry.extent,
-                length=entry.length,
-            )
+            return PageRef(content_hash, entry.extent, entry.length,
+                           entry.flags, entry.depth)
         base_hash = None
         base_depth = 0
         if (self.codec.enabled and delta_base is not None
@@ -375,7 +372,7 @@ class ObjectStore:
         self.dedup.insert(
             content_hash, extent,
             length=len(payload), media_bytes=plan.media_bytes,
-            base_hash=plan.base_hash, depth=plan.depth,
+            flags=plan.flags, base_hash=plan.base_hash, depth=plan.depth,
         )
         self.stats.pages_written += 1
         self.stats.page_full_bytes += HEADER_SIZE + PAGE_SIZE
@@ -398,9 +395,7 @@ class ObjectStore:
                 self.stats.page_media_bytes * 1000
                 // self.stats.page_full_bytes
             )
-        return PageRef(
-            content_hash=content_hash, extent=extent, length=len(payload)
-        )
+        return PageRef(content_hash, extent, len(payload), plan.flags, plan.depth)
 
     def read_page(self, ref: PageRef) -> bytes:
         cached = self.pagecache.get(ref.content_hash)
@@ -712,23 +707,50 @@ class ObjectStore:
         self.directory.add(snapshot)
 
     def _with_delta_bases(self, pages: list[PageRef]) -> list[PageRef]:
-        """``pages`` plus the transitive delta bases of every listed
-        delta record that are not already listed."""
-        seen = {p.content_hash for p in pages}
-        out = list(pages)
-        queue = [p.content_hash for p in pages]
-        while queue:
-            listed = self.dedup.get(queue.pop())
-            base = listed.base_hash if listed is not None else None
-            if base is None or base in seen:
+        """The page rows a manifest listing ``pages`` holds: each with
+        its record's codec facts from the dedup index, then the
+        transitive delta bases of every listed delta record that are
+        not already listed."""
+        dedup = self.dedup
+        out, deltas = [], []
+        for p in pages:
+            entry = dedup.get(p.content_hash)
+            if entry is not None:
+                if (p.flags, p.depth) != (entry.flags, entry.depth):
+                    p = PageRef(p.content_hash, p.extent, p.length,
+                                entry.flags, entry.depth)
+                if entry.depth:
+                    deltas.append(entry)
+            out.append(p)
+        seen = {p.content_hash for p in out}
+        while deltas:
+            listed = deltas.pop()
+            base = listed.base_hash or self._recovered_base(listed)
+            if base in seen:
                 continue
-            entry = self.dedup.get(base)
+            entry = dedup.get(base)
             if entry is None:
                 raise ObjectStoreError(f"delta base {base.hex()} missing at commit")
-            out.append(PageRef(base, entry.extent, entry.length))
+            out.append(PageRef(base, entry.extent, entry.length, entry.flags, entry.depth))
             seen.add(base)
-            queue.append(base)
+            if entry.depth:
+                deltas.append(entry)
         return out
+
+    def _recovered_base(self, entry: DedupEntry) -> bytes:
+        """The base hash of a delta page a rebuild indexed from its
+        manifest row, which carries the chain depth but not the base:
+        read and verify the record once and keep the hash in ``entry``."""
+        header, stored = self._read_record(
+            entry.extent, KIND_PAGE, logical=HEADER_SIZE + PAGE_SIZE
+        )
+        if header.flags != ENC_DELTA:
+            raise ObjectStoreError(
+                f"page record at {entry.extent.offset} is not the delta its "
+                f"manifest row says"
+            )
+        entry.base_hash = delta_info(stored)[0]
+        return entry.base_hash
 
     def read_manifest(self, extent: Extent) -> Manifest:
         return parse_manifest(self._read_record(extent, KIND_MANIFEST)[1])
@@ -817,14 +839,18 @@ class ObjectStore:
     def recover(self) -> RecoveryReport:
         """Rebuild in-memory state from the device after a crash.
 
-        Consumes the media walker's verdicts (:mod:`repro.objstore.walk`)
-        for the newest valid superblock's snapshot directory: a
-        snapshot is adopted only if its manifest, its lineage's and
-        every record and page they list verify, and is discarded as a
-        unit at the first verdict that does not (a torn final
-        checkpoint).  A superblock
-        whose payload does not decode as a directory raises
-        :class:`ObjectStoreError`.
+        Reads metadata, not data.  Consumes the media walker's verdicts
+        (:mod:`repro.objstore.walk`) for the newest valid superblock's
+        snapshot directory, stopping each snapshot before its page
+        rows: a snapshot is adopted when its manifest, its lineage's
+        and every metadata record they list verify, and is discarded as
+        a unit at the first verdict that does not.  No page record is
+        read — the superblock barrier means a named snapshot's pages
+        are durable, each manifest row carries what the dedup index
+        needs, and a page that decayed on media fails its first read
+        with :class:`ChecksumError` (fsck and scrub report and
+        quarantine it; RECOVERY.md).  A superblock whose payload does
+        not decode as a directory raises :class:`ObjectStoreError`.
         """
         report = RecoveryReport()
         walk = MediaWalk(self)
@@ -834,7 +860,8 @@ class ObjectStore:
             report.generation = walk.generation
             for snap_id in sorted(directory.snapshots):
                 snapshot = directory.snapshots[snap_id]
-                bad = next((v for v in walk.snapshot(snapshot) if not v.ok), None)
+                bad = next((v for v in walk.snapshot(snapshot, pages=False)
+                            if not v.ok), None)
                 if bad is None:
                     adopted.append(snapshot)
                     continue
@@ -853,13 +880,16 @@ class ObjectStore:
         refcounts and directory from a media walk — the one
         construction recovery and fsck repair share.
 
-        Each adopted snapshot (walked, in id order) enters the
-        directory with its references counted, each table it reads
+        Each adopted snapshot (in id order) enters the directory with
+        its references counted, every row of each table it reads
         through held once, by the first to reach it.  Each salvaged pair
         is refs fsck kept for quarantine: indexed and reserved but not
-        yet held.  Whatever neither lists (orphans, deferred garbage, a
-        torn checkpoint, a table no survivor reads) is not reserved:
-        that is the leak reclaim.  Touches only in-memory state.
+        yet held.  A page is indexed from its manifest row alone (its
+        codec facts; a delta's base hash is read later, if a commit
+        needs it — :meth:`_recovered_base`).  Whatever neither lists
+        (orphans, deferred garbage, a torn checkpoint, a table no
+        survivor reads) is not reserved: that is the leak reclaim.
+        Touches only in-memory state.
         """
         # The spilled directory record is reachable from the superblock
         # (not from any snapshot): it stays reserved until a newer
@@ -888,13 +918,12 @@ class ObjectStore:
             for ref in pages:
                 if self.dedup.get(ref.content_hash) is not None:
                     continue
-                flags, base_hash, depth = walk.encodings[ref.content_hash]
                 reserve(ref.extent)
                 self.dedup.insert(
                     ref.content_hash, ref.extent, length=ref.length,
-                    media_bytes=(HEADER_SIZE + PAGE_SIZE if flags == ENC_RAW
+                    media_bytes=(HEADER_SIZE + PAGE_SIZE if ref.flags == ENC_RAW
                                  else ref.extent.length),
-                    base_hash=base_hash, depth=depth,
+                    flags=ref.flags, depth=ref.depth,
                 )
 
         reserve(walk.dir_spill)
@@ -908,7 +937,7 @@ class ObjectStore:
                 live.add(table.extent)
                 reserve(table.extent)
             manifest = tables[0].manifest
-            pages = [ref for table in fresh for ref in table.pages]
+            pages = [ref for table in fresh for ref in table.manifest.pages]
             index(manifest.records, pages)
             self._take_references(snapshot, manifest.records, pages, manifest.lineage)
         for records, pages in salvaged:

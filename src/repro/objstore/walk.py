@@ -19,8 +19,10 @@ lineage's manifests → records → page content and yields one
   the writer's re-anchor bound was violated on media.
 
 Verdicts come lazily, in manifest order, so a consumer can stop at the
-first bad one: ``ObjectStore.recover`` discards the snapshot as a unit
-there, ``Fsck`` drains and classifies them all, and ``Scrubber`` takes
+first bad one: ``ObjectStore.recover`` asks for a snapshot's metadata
+only (no page row is read) and discards the snapshot as a unit at the
+first bad verdict, ``Fsck`` drains and classifies them all, and
+``Scrubber`` takes
 the enumeration and applies the same checks (:func:`unpack_verdict`,
 :func:`reference_verdict`, :func:`content_verdict`) to bytes it reads
 over idle queues.  The walker only ever reads the device, and reads and
@@ -39,9 +41,8 @@ from typing import TYPE_CHECKING, Iterator, Optional, Union
 from repro.errors import ChecksumError, ObjectStoreError
 from repro.objstore.alloc import Extent
 from repro.objstore.block import Volume
-from repro.objstore.codec import BrokenDeltaBase, DeltaChainTooDeep, delta_info
+from repro.objstore.codec import BrokenDeltaBase, DeltaChainTooDeep
 from repro.objstore.record import (
-    ENC_DELTA,
     KIND_MANIFEST,
     KIND_META,
     KIND_PAGE,
@@ -231,10 +232,6 @@ class MediaWalk:
         #: content hash -> decoded, hash-verified page content (delta
         #: bases resolve here across snapshots)
         self._content: dict[bytes, bytes] = {}
-        #: content hash -> (encoding flags, delta base hash, chain
-        #: depth) of every verified page, from which a rebuild restores
-        #: dedup sizes and delta chains
-        self.encodings: dict[bytes, tuple[int, Optional[bytes], int]] = {}
 
     def directory(self) -> Optional[SnapshotDirectory]:
         """The newest valid superblock's snapshot directory, following
@@ -311,12 +308,13 @@ class MediaWalk:
         return [own, *[self.table(Reference(LINEAGE, extent, None, snapshot.name))
                        for extent in own.manifest.lineage]]
 
-    def snapshot(self, snapshot: Snapshot) -> Iterator[Verdict]:
+    def snapshot(self, snapshot: Snapshot, *, pages: bool = True) -> Iterator[Verdict]:
         """One verdict per reference of ``snapshot``, lazily: the
         manifest, each lineage manifest, each metadata record, then the
         rows of every table it reads through — all of them from the
         first snapshot to reach a table, only the failing ones from any
-        later one."""
+        later one.  ``pages=False`` stops before the rows: the
+        snapshot's metadata only, and no page record is read."""
         name = snapshot.name
         own = self.table(Reference(MANIFEST, snapshot.manifest_extent, None, name))
         yield Verdict(Reference(MANIFEST, own.extent, None, name),
@@ -330,6 +328,8 @@ class MediaWalk:
         for ref in own.manifest.records:
             yield reference_verdict(Reference(RECORD, ref.extent, ref, name),
                                     self.record(ref.extent))
+        if not pages:
+            return
         for table in tables:
             if table.manifest is None:
                 continue
@@ -360,17 +360,9 @@ class MediaWalk:
             else:
                 verdicts.append(verdict)
         for reference in candidates:
-            content_hash = reference.ref.content_hash
-            verdict = content_verdict(
+            verdicts.append(content_verdict(
                 self.store, reference, pending, self._content, fetch=False
-            )
-            if verdict.ok and content_hash not in self.encodings:
-                flags, stored = pending[content_hash]
-                base_hash, depth = None, 0
-                if flags == ENC_DELTA:
-                    base_hash, depth, _length, _ext = delta_info(stored)
-                self.encodings[content_hash] = (flags, base_hash, depth)
-            verdicts.append(verdict)
+            ))
         for verdict in verdicts:
             if verdict.ok:
                 table.pages.append(verdict.reference.ref)

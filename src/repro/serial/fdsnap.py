@@ -277,7 +277,6 @@ def serialize_shm(segment: SharedMemorySegment, ctx: SerialContext) -> dict:
         "size": segment.size,
         "name": segment.name,
         "vm_oid": segment.vm_object.oid,
-        "attach_count": segment.attach_count,
         "marked_removed": segment.marked_removed,
     }
 

@@ -51,8 +51,6 @@ def serialize_vm_objects(objects: list[VMObject], ctx: SerialContext) -> list[di
                 "shadow_oid": obj.shadow.oid if obj.shadow else None,
                 "shadow_offset": obj.shadow_offset,
                 "name": obj.name,
-                "swap_slots": dict(obj.swap_slots),
-                "resident": sorted(obj.pages),
             }
         )
 

@@ -223,6 +223,7 @@ def restore_group(
             segment = ctx.resolve(shm_koid)
             if segment is not None:
                 proc.shm_attachments[addr] = segment
+                kernel.shm.note_attach(segment)
         kernel.procs.insert(proc)
         kernel.registry.register(proc)
         if proc.container_id and proc.container_id in kernel.containers:

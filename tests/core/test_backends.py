@@ -144,11 +144,12 @@ class TestPackedMetadataSize:
     The lineage table is content v1 never had, so it is left out of the
     comparison."""
 
-    #: the version field (``"v": 3`` is 5 bytes) plus one record row at
+    #: the version field (``"v": 4`` is 5 bytes) plus one record row at
     #: fixed width (20 B) against its smallest TLV spelling (11 B: oid
     #: < 128, offset < 2 MiB, length < 16 KiB).  Page rows never lose —
-    #: a v1 row is 32 B at best, on any volume — so this is all a
-    #: manifest can grow by, and a handful of page rows pay it back.
+    #: a v1 row is 36 B at best, on any volume, against 34 B packed — so
+    #: this is all a manifest can grow by, and a handful of page rows pay
+    #: it back.
     VERSION_FIELD, RECORD_ROW_SLACK = 5, 9
 
     @pytest.fixture

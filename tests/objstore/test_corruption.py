@@ -1,18 +1,22 @@
 """Corruption fuzzing: recovery never crashes, never serves bad data.
 
 The store's integrity contract: whatever bytes get flipped on the
-medium, recovery either reproduces a snapshot's data exactly or
-discards that snapshot — it must never return silently corrupted
-content or raise an unhandled error.
+medium, a snapshot recovery keeps reads back exactly or raises a
+catalogued error on access (recovery reads metadata only, so a decayed
+page surfaces on its first read, and fsck and scrub report it) — it
+must never return silently corrupted content or raise an unhandled
+error.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AuroraError
+from repro.errors import AuroraError, ChecksumError
 from repro.hw.nvme import NvmeDevice
+from repro.objstore import Scrubber, check_store
 from repro.objstore.store import ObjectStore
+from repro.objstore.walk import CHECKSUM_CORRUPT
 from repro.sim.clock import SimClock
 
 
@@ -63,20 +67,36 @@ def test_recovery_detects_or_survives_corruption(flips):
 
 
 class TestTargetedCorruption:
-    def test_corrupt_page_record_discards_snapshot(self):
+    def test_corrupt_page_record_is_adopted_and_fails_its_read(self):
         device, expected = build_device(n_snapshots=1)
-        store = ObjectStore(device)
-        store.recover()
-        snap = store.snapshots()[0]
-        _m, _r, pages, _lineage = store.load_manifest(snap)
+        live = ObjectStore(device)
+        live.recover()
+        pages = list(live.load_manifest(live.snapshots()[0]).pages)
+        # the live store reads its image once: a clean copy is cached
+        assert sorted(live.read_page(ref) for ref in pages) == expected["s0"]
         # Corrupt the first page record's payload on the media.
-        target = pages[0].extent.offset + 40
-        block_no, within = divmod(target, 4096)
+        bad = pages[0]
+        block_no, within = divmod(bad.extent.offset + 40, 4096)
         device._blocks[block_no][within] ^= 0xFF
+
+        # a reboot reads no page: the snapshot is adopted whole ...
         fresh = ObjectStore(device)
         report = fresh.recover()
-        assert report.snapshots_discarded == 1
-        assert fresh.snapshots() == []
+        assert (report.snapshots_recovered, report.snapshots_discarded) == (1, 0)
+        # ... and the decayed page fails its first read, never reads wrong
+        with pytest.raises(ChecksumError):
+            fresh.read_page(bad)
+        assert [fresh.read_page(ref) for ref in pages[1:]] \
+            == [live.read_page(ref) for ref in pages[1:]]
+        (finding,) = check_store(fresh).findings
+        assert (finding.kind, finding.offset) == (CHECKSUM_CORRUPT, bad.extent.offset)
+
+        # scrub on the live store counts it and drops the cached copy
+        assert live.pagecache.peek(bad.content_hash) is not None
+        assert Scrubber(live).run().errors == 1
+        assert live.pagecache.peek(bad.content_hash) is None
+        with pytest.raises(ChecksumError):
+            live.read_page(bad)
 
     def test_corrupt_both_superblocks_recovers_empty(self):
         device, expected = build_device(n_snapshots=2)

@@ -1,7 +1,8 @@
-"""Incremental manifests (format v3): an incremental lists only the page
-rows it added plus its lineage's manifests, so what a commit or a
-delete costs follows the dirty set, not the image — and an ancestor
-deleted under a live descendant keeps its table alive.
+"""Incremental manifests (format v3 on): an incremental lists only the
+page rows it added plus its lineage's manifests, so what a commit or a
+delete costs follows the dirty set, not the image, and a reboot reads
+tables, not pages — and an ancestor deleted under a live descendant
+keeps its table alive.
 """
 
 from collections import Counter
@@ -10,11 +11,13 @@ import pytest
 
 from repro.core.backends import make_disk_backend
 from repro.core.orchestrator import SLS
+from repro.errors import ChecksumError
 from repro.hw.nvme import NvmeDevice
 from repro.objstore import ObjectStore, check_store, repair_store
 from repro.objstore.fsck import LOST_AND_FOUND
 from repro.objstore.image import Lineage, read_image, write_image
 from repro.objstore.record import HEADER_SIZE
+from repro.objstore.snapshot import _PAGE_ROW, PAGEMAP_ROW
 from repro.objstore.walk import MediaWalk
 from repro.posix.kernel import Kernel
 from repro.posix.syscalls import Syscalls
@@ -38,11 +41,9 @@ def counted(store, counts):
     dedup.hold, dedup.release = counting_hold, counting_release
 
 
-def one_page_incrementals(pages, incrementals=3):
-    """A full checkpoint of a ``pages``-page heap, then incrementals
-    that each dirty one page; the newest is deleted last.  Returns
-    (manifest payload bytes, holds) per incremental and the rows its
-    delete released."""
+def full_checkpoint(pages):
+    """A ``pages``-page heap, checkpointed once in full.  Returns the
+    SLS, the heap's syscalls and entry, the group and its backend."""
     kernel = Kernel(hostname="lineage", memory_bytes=4 * GIB)
     sls = SLS(kernel)
     proc = kernel.spawn("app")
@@ -55,8 +56,17 @@ def one_page_incrementals(pages, incrementals=3):
         kernel, NvmeDevice(kernel.clock, queue_depth=8, num_queues=4)
     )
     group.attach(backend)
-    store = backend.store
     sls.checkpoint(group)
+    return sls, sysc, heap, group, backend
+
+
+def one_page_incrementals(pages, incrementals=3):
+    """A full checkpoint of a ``pages``-page heap, then incrementals
+    that each dirty one page; the newest is deleted last.  Returns
+    (manifest payload bytes, holds) per incremental and the rows its
+    delete released."""
+    sls, sysc, heap, group, backend = full_checkpoint(pages)
+    store = backend.store
     counts = Counter()
     counted(store, counts)
     commits = []
@@ -82,6 +92,35 @@ def test_a_one_page_incremental_costs_the_same_at_any_image_size():
     assert len(set(map(tuple, holds.values()))) == 1, holds
     assert len(set(released.values())) == 1, released
     assert released[64] == holds[64][-1]  # its own rows and nothing else
+
+
+def reboot_reads(pages, incrementals=4):
+    """A full checkpoint, then one-page incrementals, then a reboot:
+    the device reads and bytes ``recover()`` issued, and the page rows
+    of the tables it adopted."""
+    sls, sysc, heap, group, backend = full_checkpoint(pages)
+    for k in range(incrementals):
+        sysc.poke(heap.start + k * PAGE_SIZE + 100, b"dirty-%d" % k)
+        sls.checkpoint(group)
+    sls.barrier(group)
+    device = backend.store.device
+    reads, read_bytes = device.stats.reads, device.stats.bytes_read
+    rebooted = ObjectStore(device)
+    assert rebooted.recover().snapshots_recovered == 1 + incrementals
+    reads, read_bytes = device.stats.reads - reads, device.stats.bytes_read - read_bytes
+    rows = sum(len(rebooted.load_manifest(s).pages) for s in rebooted.snapshots())
+    return reads, read_bytes, rows
+
+
+def test_a_reboot_reads_the_same_records_at_any_image_size():
+    results = {pages: reboot_reads(pages) for pages in (64, 512, 4096)}
+    assert len({reads for reads, _bytes, _rows in results.values()}) == 1, results
+    # what grows is the tables: a manifest row per page, and a slot-map
+    # row in the full image's metadata record (+1 B as varints widen) —
+    # never a page record
+    (_r, small, small_rows), (_r, large, large_rows) = results[64], results[4096]
+    per_row = (large - small) / (large_rows - small_rows)
+    assert per_row <= _PAGE_ROW.size + PAGEMAP_ROW.size + 1, results
 
 
 # -- ancestors deleted under a live incremental -----------------------------------
@@ -172,8 +211,12 @@ def test_a_bad_row_condemns_every_snapshot_whose_lineage_lists_it():
     report = check_store(store)
     damaged = {f.snapshot for f in report.findings}
     assert damaged == {"ckpt-0", "ckpt-1", "ckpt-2", "ckpt-3"}
+    # a reboot reads no page: all four are adopted, and the bad row
+    # fails its first read
     recovered = ObjectStore(store.device)
-    assert recovered.recover().snapshots_discarded == 4
+    assert recovered.recover().snapshots_discarded == 0
+    with pytest.raises(ChecksumError):
+        recovered.read_page(ref)
     # repair salvages every verified row into self-contained tables
     assert repair_store(store).repaired_all
     assert check_store(store).clean

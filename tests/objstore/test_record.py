@@ -168,14 +168,18 @@ def _flip(device, offset: int, bit: int) -> None:
 
 def _after_reboot(device, log_region):
     """What a reboot reads back: each recovered snapshot's metadata value
-    and sorted page contents, and the log's crash-recovery scan."""
+    and sorted page contents (or the class of the error its first read
+    raised), and the log's crash-recovery scan."""
     fresh = ObjectStore(device)
     fresh.recover()
     survived = {}
     for snapshot in fresh.snapshots():
         _meta, records, pages, _lineage = fresh.load_manifest(snapshot)
         (value,) = [fresh.read_meta(ref) for ref in records]
-        survived[snapshot.name] = (value, sorted(fresh.read_page(ref) for ref in pages))
+        try:
+            survived[snapshot.name] = (value, sorted(fresh.read_page(ref) for ref in pages))
+        except ChecksumError as exc:
+            survived[snapshot.name] = type(exc)
     log = PersistentLog(fresh, owner_oid=LOG_OWNER, region=log_region)
     return survived, log.scan_region()
 
@@ -185,14 +189,16 @@ def _after_reboot(device, log_region):
     [
         # s1 fails verification: recovery drops it, fsck names it
         (KIND_META, "finding"),
-        (KIND_PAGE, "finding"),
         (KIND_MANIFEST, "finding"),
+        # recovery reads no page: s1 is adopted, its page's first read
+        # fails, fsck names it
+        (KIND_PAGE, "read-fails"),
         # the scan stops at the bad entry, as at a torn tail
         (KIND_LOG, "log-stops"),
         # the newer slot wins, as it should
         (KIND_SUPER, "original"),
     ],
-    ids=["META", "PAGE", "MANIFEST", "LOG", "SUPER"],
+    ids=["META", "MANIFEST", "PAGE", "LOG", "SUPER"],
 )
 def test_a_flipped_header_bit_is_caught_or_harmless(kind, outcome):
     # KIND_FILEDATA is never written to media; the record-level test
@@ -206,10 +212,14 @@ def test_a_flipped_header_bit_is_caught_or_harmless(kind, outcome):
             unpack_record(device.read(extent.offset, extent.length))
         survived, replayed = _after_reboot(device, log_region)
         # never another generation's state, never a wrong page or entry
-        assert all(contents[name] == got for name, got in survived.items()), bit
+        assert all(got in (contents[name], ChecksumError)
+                   for name, got in survived.items()), bit
         assert replayed == entries[: len(replayed)], bit
-        if outcome == "finding":
-            assert sorted(survived) == ["s0", "s2"], bit
+        if outcome in ("finding", "read-fails"):
+            if outcome == "finding":
+                assert sorted(survived) == ["s0", "s2"], bit
+            else:
+                assert survived == {**contents, "s1": ChecksumError}, bit
             findings = check_store(ObjectStore(device)).findings
             assert [f.kind for f in findings] == [CHECKSUM_CORRUPT], bit
             assert findings[0].snapshot == "s1", bit
@@ -398,12 +408,14 @@ def reference_encode(value) -> bytes:
 
 def reference_manifest_v1(meta, records, pages) -> bytes:
     """The manifest layout v2 replaced (one small TLV list per row),
-    kept as the size oracle: packed rows must not cost more media."""
+    kept as the size oracle: packed rows must not cost more media than
+    TLV lists holding the same fields (a page row's codec facts too)."""
     return reference_encode({
         "meta": meta,
         "records": [[r.oid, r.extent.offset, r.extent.length] for r in records],
         "pages": [
-            [p.content_hash, p.extent.offset, p.extent.length, p.length]
+            [p.content_hash, p.extent.offset, p.extent.length, p.length,
+             p.flags, p.depth]
             for p in pages
         ],
     })
@@ -634,14 +646,14 @@ class TestDirectoryPayload:
         assert renamed.encoded_entry != snapshot.encoded_entry
 
 
-# --- manifest v3: packed rows behind one encode/parse pair -------------------
+# --- manifest v3+: packed rows behind one encode/parse pair ------------------
 
 MANIFEST_META = {"group": "g", "incremental": True, "parent_snap": None, "t": 0.5}
 MANIFEST_RECORDS = [MetaRef(7, Extent(16384, 300)), MetaRef(2**40, Extent(20480, 129))]
 MANIFEST_PAGES = [
     PageRef(b"\xd4" * 20, Extent(24576, 4132), 4096),
-    PageRef(b"\x00\xff" * 10, Extent(28672, 48), 4096),
-    PageRef(bytes(range(20)), Extent(2**40, 65535), 0),
+    PageRef(b"\x00\xff" * 10, Extent(28672, 48), 4096, flags=2, depth=3),
+    PageRef(bytes(range(20)), Extent(2**40, 65535), 0, flags=255, depth=255),
 ]
 MANIFEST_LINEAGE = [Extent(32768, 241), Extent(2**40, 2**32 - 1)]
 
@@ -652,7 +664,7 @@ meta_refs = st.builds(
 page_refs = st.builds(
     PageRef, st.binary(min_size=20, max_size=20),
     st.builds(Extent, st.integers(0, 2**64 - 1), st.integers(0, 2**16 - 1)),
-    st.integers(0, 2**16 - 1),
+    st.integers(0, 2**16 - 1), st.integers(0, 255), st.integers(0, 255),
 )
 
 
@@ -679,15 +691,17 @@ class TestManifestV3:
         assert lineage == MANIFEST_LINEAGE
         assert isinstance(pages, PageTable)
         assert list(pages) == MANIFEST_PAGES
+        # the codec facts are not part of a ref's identity: compare them
+        assert [(p.flags, p.depth) for p in pages] == [(0, 0), (2, 3), (255, 255)]
         assert [PageRef(h, Extent(off, elen), plen)
                 for h, off, elen, plen in pages.rows()] == MANIFEST_PAGES
 
     def test_payload_is_one_versioned_dict_of_bytes_tables(self):
         value = decode(self.PAYLOAD)
         assert self.PAYLOAD == reference_encode(value)
-        assert value["v"] == 3 and value["meta"] == MANIFEST_META
+        assert value["v"] == 4 and value["meta"] == MANIFEST_META
         assert len(value["records"]) == 20 * len(MANIFEST_RECORDS)
-        assert len(value["pages"]) == 32 * len(MANIFEST_PAGES)
+        assert len(value["pages"]) == 34 * len(MANIFEST_PAGES)
         assert len(value["lineage"]) == 12 * len(MANIFEST_LINEAGE)
 
     def test_a_table_reencodes_to_the_same_payload(self):
@@ -703,6 +717,7 @@ class TestManifestV3:
         assert (meta, parsed_records) == ({"m": 1}, records)
         assert len(table) == len(eager)
         assert list(table) == list(iter(table)) == eager
+        assert [(r.flags, r.depth) for r in table] == [(r.flags, r.depth) for r in eager]
         assert list(reversed(table)) == eager[::-1]
         for index in range(-len(eager), len(eager)):
             assert table[index] == eager[index]
@@ -748,7 +763,8 @@ class TestManifestV3:
         ({"v": None}, "KeyError"),
         ({"v": 1}, "manifest version 1"),
         ({"v": 2}, "manifest version 2"),
-        ({"v": "3"}, "manifest version '3'"),
+        ({"v": 3}, "manifest version 3"),
+        ({"v": "4"}, "manifest version '4'"),
         ({"pages": None}, "KeyError"),
         ({"records": None}, "KeyError"),
         ({"pages": [[b"h" * 20, 1, 2, 3]]}, "not bytes"),
@@ -777,6 +793,8 @@ class TestManifestV3:
         ([], [PageRef(b"h" * 20, Extent(16384, 2**16), 64)]),
         ([], [PageRef(b"h" * 20, Extent(16384, 64), 2**16)]),
         ([], [PageRef(b"h" * 20, Extent(-1, 64), 64)]),
+        ([], [PageRef(b"h" * 20, Extent(16384, 64), 64, flags=256)]),
+        ([], [PageRef(b"h" * 20, Extent(16384, 64), 64, depth=-1)]),
         ([MetaRef(2**64, Extent(16384, 64))], []),
         ([MetaRef(1, Extent(16384, 2**32))], []),
         ([MetaRef(1, Extent("far", 64))], []),

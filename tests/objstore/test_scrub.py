@@ -6,6 +6,7 @@ report damage in fsck's finding vocabulary.
 """
 
 import copy
+import hashlib
 
 import pytest
 
@@ -16,7 +17,13 @@ from repro.fault.registry import FailpointRegistry, FaultAction
 from repro.hw.nvme import NvmeDevice
 from repro.objstore import ObjectStore, Scrubber
 from repro.objstore.fsck import CHECKSUM_CORRUPT
+from repro.objstore.record import KIND_PAGE, pack_record
+from repro.objstore.snapshot import PageRef
 from repro.sim.clock import SimClock
+
+
+def queued_store() -> ObjectStore:
+    return ObjectStore(NvmeDevice(SimClock(), queue_depth=8, num_queues=4))
 
 
 class TestScrub:
@@ -77,6 +84,51 @@ class TestScrub:
         _device, store, _obs = build_demo_store()
         with pytest.raises(ValueError):
             Scrubber(store, batch_extents=0)
+
+
+class TestBaseMemo:
+    """One run resolves each delta base once, and only ever from content
+    it verified: never in place of an item's own bytes."""
+
+    def test_a_shared_base_is_read_once_per_run(self):
+        store = queued_store()
+        base = store.write_page(b"base" + bytes(2000))
+        deltas = [store.write_page(b"d%03d" % i + bytes(2000),
+                                   delta_base=base.content_hash,
+                                   dirty_extents=[(0, 4)])
+                  for i in range(6)]
+        assert store.stats.pages_delta == len(deltas)
+        store.commit_snapshot("s", meta=None, records=[], pages=deltas)
+        store.flush_barrier()
+        device = store.device
+        reads = device.stats.reads
+        stats = Scrubber(store).run()
+        assert stats.errors == 0
+        # every extent once, plus at most one point read of the base
+        # (when a delta precedes it in media order)
+        assert device.stats.reads - reads <= stats.extents_total + 1
+
+    def test_the_memo_never_vouches_for_an_items_own_bytes(self):
+        store = queued_store()
+        # incompressible, so both records are stored raw
+        content = b"".join(hashlib.sha256(b"%d" % i).digest() for i in range(128))
+        first = store.write_page(content)
+        twin = PageRef(first.content_hash,
+                       store._stage_record(KIND_PAGE, 0, 0, content), len(content))
+        store.commit_snapshot("first", meta=None, records=[], pages=[first])
+        store.commit_snapshot("twin", meta=None, records=[], pages=[twin])
+        store.flush_barrier()
+        # whichever of the two the scrub reaches second, after the other
+        # verified the same hash, takes a misdirected write: a record
+        # that checksums, holding other bytes — only its content hash
+        # can tell
+        later = max(first.extent, twin.extent, key=lambda e: e.offset)
+        store.volume.write_data(later.offset, pack_record(
+            kind=KIND_PAGE, oid=0, epoch=0, payload=content[::-1]), sync=True)
+        scrubber = Scrubber(store)
+        assert scrubber.run().errors == 1
+        (finding,) = scrubber.findings
+        assert (finding.kind, finding.offset) == (CHECKSUM_CORRUPT, later.offset)
 
 
 class TestScrubFaultsAndObs:

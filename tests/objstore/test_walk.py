@@ -1,9 +1,11 @@
 """The media walker (repro.objstore.walk) and its three consumers.
 
 ``recover()``, fsck and scrub read one definition of "what the media
-says", so on the same damaged device they must agree — and media that
-checksums but decodes to the wrong shape may only ever surface as a
-catalogued ``ObjectStoreError``, a discarded snapshot, or a finding.
+says", so on the same damaged device they must agree — ``recover()``
+on a snapshot's metadata, which is all it reads, fsck and scrub on
+everything — and media that checksums but decodes to the wrong shape
+may only ever surface as a catalogued ``ObjectStoreError``, a discarded
+snapshot, or a finding.
 """
 
 import pytest
@@ -33,19 +35,32 @@ def media_findings(findings):
 @pytest.mark.parametrize("kind", INJECTIONS)
 class TestConsumersAgree:
     def test_recover_discards_what_fsck_marks_damaged(self, kind):
+        """... in a snapshot's metadata.  A page row fsck condemns is
+        adopted by ``recover()``, which reads no page, and fails its
+        first read instead."""
         device, store, _obs = build_demo_store()
         inject(device, store, kind)
         fsck = Fsck(ObjectStore(device))
         fsck.run()
-        damaged = {
-            f.snapshot for f in fsck.report.findings if f.kind in MEDIA_KINDS
-        }
+        rows = {walk.snapshot.name: {ref.extent.offset for table in walk.tables
+                                     for ref in table.pages + table.bad_pages}
+                for walk in fsck.walks}
+        findings = [f for f in fsck.report.findings if f.kind in MEDIA_KINDS]
+        bad_rows = {(f.snapshot, f.offset) for f in findings
+                    if f.offset in rows[f.snapshot]}
+        damaged = {f.snapshot for f in findings if (f.snapshot, f.offset) not in bad_rows}
         recovered = ObjectStore(device)
         report = recovered.recover()
         on_media = {s.name for s in fsck.directory.snapshots.values()}
         assert on_media - {s.name for s in recovered.snapshots()} == damaged
         assert report.snapshots_discarded == len(damaged)
         assert len(report.errors) == len(damaged)
+        assert bool(bad_rows) == (kind in ("checksum", "delta-base", "delta-deep"))
+        for name, offset in bad_rows:
+            pages = recovered.load_manifest(recovered.snapshot_by_name(name)).pages
+            (ref,) = [ref for ref in pages if ref.extent.offset == offset]
+            with pytest.raises(ObjectStoreError):
+                recovered.read_page(ref)
 
     def test_scrub_and_fsck_report_the_same_media_damage(self, kind):
         device, store, _obs = build_demo_store()

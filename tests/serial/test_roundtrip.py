@@ -187,6 +187,19 @@ class TestIpcObjects:
         seg_b = rb.shm_attachments[addr]
         assert seg_a is seg_b
 
+    def test_restored_attachments_are_counted(self, kernel):
+        proc = kernel.spawn("a")
+        sysc = Syscalls(kernel, proc)
+        seg = sysc.shmget(99, 64 * KIB)
+        addr = sysc.shmat(seg)
+        child = sysc.fork()
+        restored, _, target, _ = roundtrip(kernel, [proc, child])
+        segment = restored[0].shm_attachments[addr]
+        assert segment.attach_count == 2
+        for rproc in restored:
+            Syscalls(target, rproc).shmdt(addr)
+        assert segment.attach_count == 0
+
     def test_message_queue_contents(self, kernel):
         proc = kernel.spawn("app")
         sys = Syscalls(kernel, proc)
@@ -260,3 +273,112 @@ class TestRegistry:
         _, _, _, ctx = roundtrip(kernel, [proc])
         # proc + thread + 2 pipe ends + pipe + entry + vmobject ...
         assert ctx.objects_serialized >= 6
+
+
+# --- every key a serializer writes is read back -----------------------------
+
+
+class _Recording(dict):
+    """A decoded metadata dict that notes each key a restorer reads (by
+    lookup, membership, or taking the whole dict)."""
+
+    def __init__(self, value: dict, path: str, reads: set):
+        super().__init__(value)
+        self._path, self._reads = path, reads
+
+    def _read_all(self):
+        self._reads.update((self._path, key) for key in dict.keys(self))
+
+    def __getitem__(self, key):
+        self._reads.add((self._path, key))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self._reads.add((self._path, key))
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self._reads.add((self._path, key))
+        return super().__contains__(key)
+
+    def __iter__(self):
+        self._read_all()
+        return super().__iter__()
+
+    def keys(self):
+        self._read_all()
+        return super().keys()
+
+    def items(self):
+        self._read_all()
+        return super().items()
+
+    def values(self):
+        self._read_all()
+        return super().values()
+
+
+def _recording(value, path: str, reads: set):
+    if isinstance(value, dict):
+        return _Recording({key: _recording(item, f"{path}.{key}", reads)
+                           for key, item in value.items()}, path, reads)
+    if isinstance(value, list):
+        return [_recording(item, path + "[]", reads) for item in value]
+    return value
+
+
+def _written(value, path: str, out: set) -> set:
+    if isinstance(value, dict):
+        for key, item in value.items():
+            out.add((path, key))
+            _written(item, f"{path}.{key}", out)
+    elif isinstance(value, list):
+        for item in value:
+            _written(item, path + "[]", out)
+    return out
+
+
+#: the one place a key no restorer reads may live: (where in the group's
+#: metadata, key) -> why it is written anyway.  Anything else a
+#: serializer writes must be read back, or it is bytes every checkpoint
+#: pays for and nothing uses.
+DIAGNOSTIC_ONLY = {
+    ("", "hostname"): "the capturing machine; a restore runs on its target's",
+    (".procs[].threads[]", "tid"): "the captured thread id; a restore numbers threads afresh",
+    (".procs[].fds[].file.pipe", "koid"): "names the pipe in its own state; restore keys it by pipe_koid",
+    (".procs[].fds[].file.sock", "koid"): "names the socket in its own state; restore keys it by sock_koid",
+    (".vnodes[]", "vtype"): "the captured type; a restore reopens every vnode as a file at its path",
+    (".vnodes[]", "fs"): "the captured filesystem; a restore uses the target's VFS at the path",
+    (".vnodes[]", "open_refs"): "rebuilt as the restored descriptions re-attach",
+}
+
+
+def test_every_key_a_serializer_writes_is_read_on_restore(kernel):
+    """Restore a graph touching every serializer through a key-recording
+    mapping: a key that is written but never read is a write-only field
+    (as VM objects' ``resident``/``swap_slots`` were) unless listed in
+    :data:`DIAGNOSTIC_ONLY` — and every listed key is still written."""
+    proc = kernel.spawn("app")
+    proc.env = {"HOME": "/root"}
+    proc.signals.send(SIGUSR1)
+    proc.signals.set_handler(SIGUSR1, "handler_fn")
+    proc.spawn_thread().state = ThreadState.SLEEPING
+    sysc = Syscalls(kernel, proc)
+    fd = sysc.open("/data", O_RDWR | O_CREAT)
+    sysc.write(fd, b"content")
+    sysc.dup(fd)
+    _read_end, write_end = sysc.pipe()
+    sysc.write(write_end, b"in flight")
+    left, _right = sysc.socketpair()
+    sysc.write(left, b"buffered")
+    sysc.shmat(sysc.shmget(99, 64 * KIB))
+    sysc.msgsnd(5, 2, b"queued")
+    heap = sysc.mmap(64 * KIB, name="heap")
+    sysc.poke(heap.start, b"gen0")
+    sysc.fork()
+    meta, _ctx = serialize_group(list(proc.walk_tree()), kernel)
+    meta = decode(encode(meta))
+    reads: set = set()
+    restore_group(_recording(meta, "", reads), Kernel(hostname="restore-host"))
+    written = _written(meta, "", set())
+    assert written - reads == set(DIAGNOSTIC_ONLY)
