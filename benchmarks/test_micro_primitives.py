@@ -9,6 +9,7 @@ substrate; no paper claims attached.
 
 import pytest
 
+from repro.apps.serverless import ServerlessManager
 from repro.core.backends import make_disk_backend
 from repro.core.orchestrator import SLS
 from repro.mem.address_space import AddressSpace, MemContext
@@ -144,3 +145,21 @@ def test_micro_recover(benchmark):
         return ObjectStore(device).recover()
 
     assert benchmark(reboot).snapshots_recovered == 5
+
+
+def test_micro_warm_start(benchmark):
+    """One lazy warm start (paper §4) of a deployed function on a qd8 ×
+    4-queue store: the manifest and metadata record are read and
+    verified, the image's own value restored, the hot set prefetched."""
+    kernel = Kernel(hostname="micro", memory_bytes=4 * GIB)
+    sls = SLS(kernel)
+    backend = make_disk_backend(
+        kernel, NvmeDevice(kernel.clock, queue_depth=8, num_queues=4)
+    )
+    manager = ServerlessManager(sls, backend=backend)
+    manager.deploy("fn", customize=b"handler")
+
+    def invoke():
+        return manager.invoke("fn", payload=b"micro")
+
+    assert benchmark(invoke).output == b"hello, micro"

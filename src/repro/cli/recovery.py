@@ -119,13 +119,9 @@ def inject(device: NvmeDevice, store: ObjectStore, kind: str) -> str:
         extent = store._stage_record(
             KIND_PAGE, 0, 0, stored, flags=ENC_DELTA
         )
-        store.dedup.insert(content_hash, extent,
-                           length=len(content), media_bytes=extent.length)
-        store.commit_snapshot(
-            name, meta={"injected": True}, records=[],
-            pages=[PageRef(content_hash=content_hash, extent=extent,
-                           length=len(content))],
-        )
+        ref = PageRef(content_hash=content_hash, extent=extent, length=len(content))
+        store.dedup.insert(ref, media_bytes=extent.length)
+        store.commit_snapshot(name, meta={"injected": True}, records=[], pages=[ref])
         store.flush_barrier()
         what = ("whose base hash resolves to nothing" if broken
                 else "that names itself as its own base")

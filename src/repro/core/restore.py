@@ -2,9 +2,10 @@
 
 Restores rebuild an application from a checkpoint image:
 
-1. **Object store read** (disk restores): the manifest, the metadata
-   record, and — for eager restores — the page data are read in with
-   large coalesced reads.
+1. **Object store read** (disk restores): the manifest and the metadata
+   record are read and verified — the image already holds the decoded
+   value, so the record is not decoded again — and, for eager restores,
+   the page data are read in with large coalesced reads.
 2. **Metadata state**: every kernel object is recreated and re-linked.
 3. **Memory state**: address spaces are rebuilt and page content is
    attached: shared COW with an in-memory image (no copies), installed
@@ -22,7 +23,7 @@ from repro.core.checkpoint import CheckpointImage
 from repro.core.metrics import CheckpointMetrics, RestoreMetrics
 from repro.errors import ImageFormatError, RestoreError
 from repro.obs import names as obs_names
-from repro.objstore.image import read_image, read_image_value
+from repro.objstore.image import read_image, verify_image_record
 from repro.objstore.record import shaped
 from repro.objstore.store import ObjectStore
 from repro.posix.kernel import Kernel
@@ -39,15 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.orchestrator import SLS
 
 
-def _group_meta(snapshot, meta) -> dict:
+def _group_meta(name: str, meta) -> dict:
     """``meta`` if it is a serialized process group: an image whose
     value half is anything else (an SLSFS or data snapshot, damage that
     checksums) raises :class:`RestoreError`, not a stray exception."""
     if not (shaped(meta, {"procs": list}) and meta["procs"]
             and isinstance(meta["procs"][0], dict)):
-        raise RestoreError(
-            f"snapshot {snapshot.name!r} metadata record has the wrong shape"
-        )
+        raise RestoreError(f"snapshot {name!r} metadata record has the wrong shape")
     return meta
 
 
@@ -64,7 +63,7 @@ def load_image_from_store(store: ObjectStore, snapshot,
         meta, page_refs = read_image(store, snapshot)
     except ImageFormatError as exc:
         raise RestoreError(str(exc)) from exc
-    meta = _group_meta(snapshot, meta)
+    meta = _group_meta(snapshot.name, meta)
     image = CheckpointImage(
         name=snapshot.name,
         group_name=str(meta["procs"][0].get("name", snapshot.name)),
@@ -238,16 +237,18 @@ class RestoreEngine:
         ) as root:
             # --- phase 1: object store read ------------------------------------
             with tracer.span(obs_names.SPAN_RESTORE_READ) as read_span:
+                # The image already holds the value its snapshot stored
+                # (every producer writes ``image.meta`` itself): restore
+                # that, and only read and verify the snapshot's record,
+                # so decay on the medium still fails the restore.
                 snapshot = image.snapshots.get(backend_name)
                 if (snapshot is not None
-                        and store.directory.get(snapshot.snap_id) is not None):
+                        and store.directory.get(snapshot.snap_id) == snapshot):
                     try:
-                        meta = read_image_value(store, snapshot)
+                        verify_image_record(store, snapshot)
                     except ImageFormatError as exc:
                         raise RestoreError(str(exc)) from exc
-                    meta = _group_meta(snapshot, meta)
-                else:
-                    meta = image.meta
+                meta = _group_meta(image.name, image.meta)
                 payloads: dict[bytes, bytes] = {}
                 prefetched = 0
                 if not lazy:

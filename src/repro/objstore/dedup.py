@@ -12,30 +12,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.objstore.alloc import Extent
+from repro.objstore.snapshot import PageRef
 
 
 @dataclass
 class DedupEntry:
-    extent: Extent
+    #: the one reference to this content: every dedup hit returns it, so
+    #: page maps share one object per stored page.  Its extent, decoded
+    #: length and codec facts (flags, delta chain depth) are the entry's
+    ref: PageRef
     refcount: int
     #: times this content was written logically (hits = writes avoided)
     hits: int = 0
-    #: decoded page content length; the stored record payload may be
-    #: shorter (compressed/delta encodings), so extent.length no longer
-    #: implies the logical size
-    length: int = 0
     #: on-media logical footprint of the record (what the flush path
     #: charged the device); header + full page for RAW
     media_bytes: int = 0
-    #: the record's encoding flags (``repro.objstore.record.ENC_*``)
-    flags: int = 0
     #: delta-encoded records only: content hash of the base page the
-    #: record patches, and its chain depth (0 = a full record).  A
-    #: rebuild from manifests knows the depth but not the base: until
+    #: record patches.  A rebuild from manifests knows the chain depth
+    #: but not the base: until
     #: :meth:`~repro.objstore.store.ObjectStore._recovered_base` reads
     #: the record, a delta's ``base_hash`` is None
     base_hash: bytes | None = None
-    depth: int = 0
+
+    @property
+    def extent(self) -> Extent:
+        return self.ref.extent
+
+    @property
+    def length(self) -> int:
+        """Decoded page content length; the stored record payload may
+        be shorter (compressed/delta encodings)."""
+        return self.ref.length
+
+    @property
+    def flags(self) -> int:
+        """The record's encoding flags (``repro.objstore.record.ENC_*``)."""
+        return self.ref.flags
+
+    @property
+    def depth(self) -> int:
+        """Delta chain depth (0 = a full record)."""
+        return self.ref.depth
 
 
 @dataclass
@@ -51,7 +68,7 @@ class DedupStats:
 
 
 class DedupIndex:
-    """content hash -> stored extent, with refcounts."""
+    """content hash -> the stored page's :class:`PageRef`, with refcounts."""
 
     def __init__(self):
         self._entries: dict[bytes, DedupEntry] = {}
@@ -72,15 +89,13 @@ class DedupIndex:
         """Peek without counting a lookup (codec base-resolution path)."""
         return self._entries.get(content_hash)
 
-    def insert(self, content_hash: bytes, extent: Extent,
-               length: int = 0, media_bytes: int = 0, flags: int = 0,
-               base_hash: bytes | None = None, depth: int = 0) -> DedupEntry:
-        if content_hash in self._entries:
+    def insert(self, ref: PageRef, media_bytes: int = 0,
+               base_hash: bytes | None = None) -> DedupEntry:
+        if ref.content_hash in self._entries:
             raise AssertionError("dedup insert of existing hash")
-        entry = DedupEntry(extent=extent, refcount=0,
-                           length=length, media_bytes=media_bytes, flags=flags,
-                           base_hash=base_hash, depth=depth)
-        self._entries[content_hash] = entry
+        entry = DedupEntry(ref=ref, refcount=0, media_bytes=media_bytes,
+                           base_hash=base_hash)
+        self._entries[ref.content_hash] = entry
         self.stats.unique_pages += 1
         return entry
 

@@ -12,7 +12,10 @@ map, its manifest only those slots' pages, and it lists its lineage —
 each ancestor's record and manifest, newest first — after its own:
 refcounts pin them, so the snapshot reads back from its own manifest
 and its lineage's whatever happens to the ancestors' names.  Nothing
-outside this module spells or parses the layout.
+outside this module spells or parses the layout.  A restore already
+holding the value a producer stored (``CheckpointImage.meta``) reads
+and verifies the snapshot's own record without decoding it
+(:func:`verify_image_record`).
 """
 
 from __future__ import annotations
@@ -130,7 +133,11 @@ def read_image(store, snapshot: Snapshot) -> tuple[object, dict[int, dict[int, P
         ) from None
 
 
-def read_image_value(store, snapshot: Snapshot):
-    """The value half alone: one manifest and one record read, no slot
-    row parsed — all a lazy restore needs up front."""
-    return _read_record(store, snapshot, _manifest(store, snapshot).records[0])[0]
+def verify_image_record(store, snapshot: Snapshot) -> None:
+    """Read the snapshot's manifest and its own metadata record through
+    the record checksum and the kind/oid checks, without decoding the
+    record: what a restore of an image whose value it already holds
+    owes the medium — the same reads, and decay still surfaces as
+    :class:`~repro.errors.ChecksumError`.  A snapshot with no record
+    raises :class:`~repro.errors.ImageFormatError`."""
+    store.read_meta_payload(_manifest(store, snapshot).records[0])

@@ -306,11 +306,16 @@ class ObjectStore:
             self._c_meta.inc()
         return MetaRef(oid=oid, extent=extent)
 
-    def read_meta(self, ref: MetaRef):
+    def read_meta_payload(self, ref: MetaRef) -> bytes:
+        """The metadata record's payload, verified — checksum, kind and
+        oid checked — but not decoded."""
         header, payload = self._read_record(ref.extent, KIND_META)
         if header.oid != ref.oid:
             raise ObjectStoreError(f"oid mismatch: {header.oid} != {ref.oid}")
-        return decode(payload)
+        return payload
+
+    def read_meta(self, ref: MetaRef):
+        return decode(self.read_meta_payload(ref))
 
     # -- page data ---------------------------------------------------------------------
 
@@ -322,7 +327,9 @@ class ObjectStore:
                    content_hash: Optional[bytes] = None, *,
                    delta_base: Optional[bytes] = None,
                    dirty_extents=None) -> PageRef:
-        """Store page content, deduplicating by hash.
+        """Store page content, deduplicating by hash: every write of
+        stored content returns the one :class:`PageRef` the index holds
+        for it.
 
         ``delta_base``/``dirty_extents`` are the COW layer's hints for
         the codec: the content hash of the checkpointed ancestor this
@@ -342,8 +349,7 @@ class ObjectStore:
             self.stats.pages_deduped += 1
             if self.obs is not None:
                 self._c_dedup.inc()
-            return PageRef(content_hash, entry.extent, entry.length,
-                           entry.flags, entry.depth)
+            return entry.ref
         base_hash = None
         base_depth = 0
         if (self.codec.enabled and delta_base is not None
@@ -369,11 +375,8 @@ class ObjectStore:
             KIND_PAGE, 0, epoch, plan.stored,
             logical=plan.media_bytes, flags=plan.flags,
         )
-        self.dedup.insert(
-            content_hash, extent,
-            length=len(payload), media_bytes=plan.media_bytes,
-            flags=plan.flags, base_hash=plan.base_hash, depth=plan.depth,
-        )
+        ref = PageRef(content_hash, extent, len(payload), plan.flags, plan.depth)
+        self.dedup.insert(ref, media_bytes=plan.media_bytes, base_hash=plan.base_hash)
         self.stats.pages_written += 1
         self.stats.page_full_bytes += HEADER_SIZE + PAGE_SIZE
         self.stats.page_media_bytes += plan.media_bytes
@@ -395,7 +398,7 @@ class ObjectStore:
                 self.stats.page_media_bytes * 1000
                 // self.stats.page_full_bytes
             )
-        return PageRef(content_hash, extent, len(payload), plan.flags, plan.depth)
+        return ref
 
     def read_page(self, ref: PageRef) -> bytes:
         cached = self.pagecache.get(ref.content_hash)
@@ -731,7 +734,7 @@ class ObjectStore:
             entry = dedup.get(base)
             if entry is None:
                 raise ObjectStoreError(f"delta base {base.hex()} missing at commit")
-            out.append(PageRef(base, entry.extent, entry.length, entry.flags, entry.depth))
+            out.append(entry.ref)
             seen.add(base)
             if entry.depth:
                 deltas.append(entry)
@@ -920,10 +923,8 @@ class ObjectStore:
                     continue
                 reserve(ref.extent)
                 self.dedup.insert(
-                    ref.content_hash, ref.extent, length=ref.length,
-                    media_bytes=(HEADER_SIZE + PAGE_SIZE if ref.flags == ENC_RAW
-                                 else ref.extent.length),
-                    flags=ref.flags, depth=ref.depth,
+                    ref, media_bytes=(HEADER_SIZE + PAGE_SIZE if ref.flags == ENC_RAW
+                                      else ref.extent.length),
                 )
 
         reserve(walk.dir_spill)

@@ -139,6 +139,20 @@ class TestTenancyAndObservability:
         assert counter.value == 1
 
 
+class TestDensity:
+    def test_page_maps_share_one_ref_per_stored_page(self, manager, disk):
+        """Every function's map names the shared runtime pages through
+        the store's one ref per content hash, not one ref per dedup hit."""
+        for i in range(4):
+            manager.deploy(f"fn-{i}", customize=b"v%d" % i)
+        refs = [ref for fn in manager.functions.values()
+                for slots in fn.image.page_refs["disk0"].values()
+                for ref in slots.values()]
+        hashes = {ref.content_hash for ref in refs}
+        assert len(refs) > 2 * len(hashes)  # the runtime dedups
+        assert len({id(ref) for ref in refs}) == len(hashes)
+
+
 class TestFleet:
     def test_deploy_many_and_storm(self, sls, manager):
         fleet = ServerlessFleet(

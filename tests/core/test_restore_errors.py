@@ -6,8 +6,9 @@ from repro.core.backends import make_disk_backend
 from repro.core.checkpoint import CheckpointImage
 from repro.core.orchestrator import SLS
 from repro.core.restore import load_image_from_store
-from repro.errors import RestoreError
+from repro.errors import ChecksumError, RestoreError
 from repro.hw.nvme import NvmeDevice
+from repro.objstore.record import HEADER_SIZE
 from repro.posix.kernel import Kernel
 from repro.posix.syscalls import Syscalls
 from repro.units import GIB, PAGE_SIZE
@@ -128,12 +129,30 @@ WRONG_SHAPES = [
 class TestWrongShapedMetaRecord:
     @pytest.mark.parametrize("value", WRONG_SHAPES, ids=lambda v: repr(v)[:40])
     @pytest.mark.parametrize("lazy", [True, False])
-    def test_restore_raises_restoreerror(self, kernel, sls, value, lazy):
-        _group, backend, image, _entry = _checkpointed(kernel, sls)
-        backend.store.read_meta = lambda ref: value
+    def test_restore_of_a_wrong_shaped_image_raises_restoreerror(
+            self, kernel, sls, value, lazy):
+        """A store restore restores the image's in-memory value, so that
+        is what is shape-checked."""
+        _group, _backend, image, _entry = _checkpointed(kernel, sls)
+        image.meta = value
         with pytest.raises(RestoreError, match="wrong shape"):
             sls.restore(image, backend_name="disk0", lazy=lazy,
                         new_instance=True, name_suffix="-r")
+
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_a_record_damaged_on_media_fails_the_restore(self, kernel, sls, lazy):
+        """The restore does not decode the record, but still reads and
+        verifies it: decay after the checkpoint restores nothing."""
+        _group, backend, image, _entry = _checkpointed(kernel, sls)
+        store = backend.store
+        record = store.load_manifest(image.snapshots["disk0"]).records[0]
+        block, within = divmod(record.extent.offset + HEADER_SIZE, 4096)
+        store.device._blocks[block][within] ^= 0xFF
+        procs_before = len(kernel.procs)
+        with pytest.raises(ChecksumError):
+            sls.restore(image, backend_name="disk0", lazy=lazy,
+                        new_instance=True, name_suffix="-r")
+        assert len(kernel.procs) == procs_before
 
     @pytest.mark.parametrize("value", WRONG_SHAPES, ids=lambda v: repr(v)[:40])
     def test_loader_raises_restoreerror(self, kernel, sls, value):

@@ -6,6 +6,7 @@ from repro.hw.nvme import NvmeDevice
 from repro.objstore.alloc import Extent
 from repro.objstore.dedup import DedupIndex
 from repro.objstore.gc import GarbageCollector
+from repro.objstore.snapshot import PageRef
 from repro.objstore.store import ObjectStore
 from repro.sim.clock import SimClock
 
@@ -24,11 +25,15 @@ HASH_A = b"\xaa" * 32
 HASH_B = b"\xbb" * 32
 
 
+def _ref(content_hash, extent):
+    return PageRef(content_hash, extent, extent.length)
+
+
 class TestDedupIndex:
     def test_release_of_last_ref_returns_extent(self):
         index = DedupIndex()
         extent = Extent(4096, 4096)
-        index.insert(HASH_A, extent)
+        index.insert(_ref(HASH_A, extent))
         index.hold(HASH_A)
         index.hold(HASH_A)
         assert index.release(HASH_A) is None
@@ -39,7 +44,7 @@ class TestDedupIndex:
 
     def test_release_underflow_is_an_error(self):
         index = DedupIndex()
-        index.insert(HASH_A, Extent(0, 4096))
+        index.insert(_ref(HASH_A, Extent(0, 4096)))
         with pytest.raises(AssertionError):
             index.release(HASH_A)
 
@@ -50,26 +55,44 @@ class TestDedupIndex:
 
     def test_reinsert_after_full_release(self):
         index = DedupIndex()
-        index.insert(HASH_A, Extent(0, 4096))
+        index.insert(_ref(HASH_A, Extent(0, 4096)))
         index.hold(HASH_A)
         index.release(HASH_A)
         # The hash fully drained; the same content may be stored anew.
-        index.insert(HASH_A, Extent(8192, 4096))
+        index.insert(_ref(HASH_A, Extent(8192, 4096)))
         assert index.refcount(HASH_A) == 0
 
     def test_double_insert_rejected(self):
         index = DedupIndex()
-        index.insert(HASH_A, Extent(0, 4096))
+        index.insert(_ref(HASH_A, Extent(0, 4096)))
         with pytest.raises(AssertionError):
-            index.insert(HASH_A, Extent(4096, 4096))
+            index.insert(_ref(HASH_A, Extent(4096, 4096)))
 
     def test_bytes_deduped_counts_shared_holds_only(self):
         index = DedupIndex()
-        index.insert(HASH_A, Extent(0, 4096))
+        index.insert(_ref(HASH_A, Extent(0, 4096)))
         index.hold(HASH_A, nbytes=4096)  # first hold: not a dedup win
         index.hold(HASH_A, nbytes=4096)
         index.hold(HASH_A, nbytes=4096)
         assert index.stats.bytes_deduped == 2 * 4096
+
+
+class TestOneRefPerStoredPage:
+    def test_identical_content_returns_the_same_ref(self, store):
+        first = store.write_page(b"runtime page")
+        assert store.write_page(b"runtime page") is first
+        assert store.dedup.get(first.content_hash).ref is first
+
+    def test_a_hit_after_recover_returns_the_ref_the_rebuild_indexed(self, store):
+        ref = store.write_page(b"survivor")
+        store.commit_snapshot("only", meta=None, records=[], pages=[ref])
+        store.flush_barrier()
+        store.device.crash()
+        rebooted = ObjectStore(store.device)
+        rebooted.recover()
+        indexed = rebooted.dedup.get(ref.content_hash).ref
+        assert indexed == ref and indexed is not ref
+        assert rebooted.write_page(b"survivor") is indexed
 
 
 class TestReleaseFeedsGc:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ImageFormatError, ObjectStoreError
 from repro.hw.nvme import NvmeDevice
-from repro.objstore.image import Lineage, read_image, read_image_value, write_image
+from repro.objstore.image import Lineage, read_image, verify_image_record, write_image
 from repro.objstore.record import decode, encode
 from repro.objstore.snapshot import PAGEMAP_ROW
 from repro.objstore.store import ObjectStore
@@ -38,7 +38,7 @@ class TestRoundTrip:
         store = fresh_store()
         snapshot, page_map = written(store)
         assert read_image(store, snapshot) == ({"v": 1}, page_map)
-        assert read_image_value(store, snapshot) == {"v": 1}
+        verify_image_record(store, snapshot)
 
     def test_the_record_is_the_documented_layout(self):
         store = fresh_store()
@@ -54,19 +54,26 @@ class TestRoundTrip:
             )},
         }
 
-    def test_value_only_read_parses_no_slot_row(self, monkeypatch):
+    def test_verify_decodes_no_record_and_parses_no_slot_row(self, monkeypatch):
         import repro.objstore.image as image_module
+        import repro.objstore.store as store_module
 
         class NoRows:
             size = PAGEMAP_ROW.size
 
             def iter_unpack(self, rows):
-                raise AssertionError("a value-only read parsed a slot row")
+                raise AssertionError("a verify read parsed a slot row")
+
+        def no_decode(payload):
+            raise AssertionError("a verify read decoded the record")
 
         store = fresh_store()
         snapshot, _page_map = written(store)
         monkeypatch.setattr(image_module, "PAGEMAP_ROW", NoRows())
-        assert read_image_value(store, snapshot) == {"v": 1}
+        monkeypatch.setattr(store_module, "decode", no_decode)  # read_meta's
+        reads = store.device.stats.reads
+        verify_image_record(store, snapshot)
+        assert store.device.stats.reads == reads + 2  # manifest, record
 
     def test_an_unencodable_slot_is_a_catalogued_error(self):
         store = fresh_store()
@@ -98,16 +105,13 @@ class TestWrongShapes:
         store.read_meta = lambda ref: record
         with pytest.raises(ImageFormatError):
             read_image(store, snapshot)
-        if record != WRONG_SHAPES[-1]:  # only the full read resolves hashes
-            with pytest.raises(ImageFormatError):
-                read_image_value(store, snapshot)
 
     def test_a_snapshot_without_records_is_legal_but_no_image(self):
         store = fresh_store()
         plain = store.commit_snapshot(
             "plain", meta=None, records=[], pages=[store.write_page(b"x")]
         )
-        for read in (read_image, read_image_value):
+        for read in (read_image, verify_image_record):
             with pytest.raises(ImageFormatError, match="no metadata record"):
                 read(store, plain)
 
@@ -128,14 +132,13 @@ class TestWrongShapes:
         loaded = 0
         for candidate in damaged:
             store.read_meta = lambda ref, candidate=candidate: decode(candidate)
-            for read in (read_image, read_image_value):
-                try:
-                    read(store, snapshot)
-                    loaded += 1
-                except ObjectStoreError:
-                    pass
+            try:
+                read_image(store, snapshot)
+                loaded += 1
+            except ObjectStoreError:
+                pass
         del store.read_meta
-        assert 0 < loaded < 2 * len(damaged)
+        assert 0 < loaded < len(damaged)
         assert read_image(store, snapshot) == ({"v": 1}, page_map)
 
 
@@ -177,8 +180,9 @@ def test_writer_reader_round_trip_across_a_chain(steps, drop_ancestors):
     def check(store, chain):
         for snapshot, value, expected in chain:
             got_value, got_map = read_image(store, snapshot)
-            assert got_value == value == read_image_value(store, snapshot)
+            assert got_value == value
             assert got_map == expected
+            verify_image_record(store, snapshot)
 
     check(store, chain)
     if drop_ancestors:
