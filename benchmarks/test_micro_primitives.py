@@ -10,7 +10,7 @@ substrate; no paper claims attached.
 import pytest
 
 from repro.apps.serverless import ServerlessManager
-from repro.core.backends import make_disk_backend
+from repro.core.backends import MemoryBackend, make_disk_backend
 from repro.core.orchestrator import SLS
 from repro.mem.address_space import AddressSpace, MemContext
 from repro.mem.cow import AuroraCow
@@ -163,3 +163,27 @@ def test_micro_warm_start(benchmark):
         return manager.invoke("fn", payload=b"micro")
 
     assert benchmark(invoke).output == b"hello, micro"
+
+
+def test_micro_memory_checkpoint(benchmark):
+    """One steady-state incremental checkpoint of a 256-page heap to the
+    memory backend, 1 dirty page, past retention: pruning runs in the
+    loop (and every retention + 1 calls a consolidating full one)."""
+    kernel = Kernel(hostname="micro", memory_bytes=4 * GIB)
+    sls = SLS(kernel)
+    sysc = Syscalls(kernel, kernel.spawn("app"))
+    heap = sysc.mmap(256 * PAGE_SIZE, name="heap")
+    sysc.populate(heap.start, 256 * PAGE_SIZE, fill_fn=lambda i: b"page-%d" % i)
+    group = sls.persist(sysc.proc, name="app")
+    group.attach(MemoryBackend("memory"))
+    counter = [0]
+
+    def checkpoint():
+        counter[0] += 1
+        sysc.poke(heap.start + counter[0] % 256 * PAGE_SIZE, b"dirty-%d" % counter[0])
+        return sls.checkpoint(group)
+
+    for _ in range(group.retention + 1):
+        checkpoint()
+    benchmark(checkpoint)
+    assert len(group.images) <= group.retention + 1

@@ -25,7 +25,6 @@ from repro.fault import names as fault_names
 from repro.hw.device import StorageDevice
 from repro.hw.netdev import NetworkEndpoint
 from repro.mem.cow import FreezeSet
-from repro.mem.page import Page
 from repro.units import MSEC
 from repro.obs import names as obs_names
 from repro.objstore.image import Lineage, write_image
@@ -249,16 +248,15 @@ class MemoryBackend(Backend):
         self._fire_persist(image)
         base_map = parent.memory_pages if parent else None
         page_map, captured = capture_pages_to_memory(freeze_set, base_map=base_map)
-        phys = self.kernel.phys
-        held = set()
-        for oid, pages in page_map.items():
-            for pindex, page in pages.items():
-                assert isinstance(page, Page)
-                if (oid, pindex) not in captured:
-                    # Inherited from the parent image: take our own hold
-                    # so pruning the parent cannot free our frames.
-                    phys.hold(page)
-                held.add((oid, pindex))
+        # Each captured frame carries the freeze's hold; the image owns it.
+        held = [frozen.page for frozen in freeze_set.pages]
+        if parent is not None and not image.incremental:
+            # Cut from a chain pruning will delete: hold what it inherits.
+            phys = self.kernel.phys
+            for oid, pages in page_map.items():
+                for pindex, page in pages.items():
+                    if (oid, pindex) not in captured:
+                        held.append(phys.hold(page))
         image.memory_pages = page_map
         image._held_frames = held
         image.mark_durable(self.name, self.kernel.clock.now)

@@ -55,7 +55,12 @@ class FlushInfo:
 
 @dataclass
 class CheckpointImage:
-    """One checkpoint of one persistence group."""
+    """One checkpoint of one persistence group.
+
+    A memory image holds only the frames its own freeze captured, and
+    an incremental reaches the rest of ``memory_pages`` through
+    ``parent``, which outlives it (pruning deletes whole segments).
+    """
 
     name: str
     group_name: str
@@ -75,10 +80,11 @@ class CheckpointImage:
     store_lineage: dict[str, Lineage] = field(default_factory=dict)
     #: backend name -> submission accounting for this image's flush
     flush_info: dict[str, "FlushInfo"] = field(default_factory=dict)
-    #: memory-backend page map of held frozen frames
+    #: memory-backend page map of frozen frames (every slot)
     memory_pages: Optional[PageMap] = None
-    #: (oid, pindex) pairs whose frames this image holds references on
-    _held_frames: set = field(default_factory=set)
+    #: frames this image holds a reference on: those it captured, and a
+    #: full image's inherited slots when it has a parent
+    _held_frames: list[Page] = field(default_factory=list)
     #: backends on which this image is durable (by name)
     durable_on: set = field(default_factory=set)
     #: backends whose flush failed (I/O error); image absent there
@@ -148,19 +154,12 @@ class CheckpointImage:
     # -- lifecycle ----------------------------------------------------------------
 
     def release_memory(self, phys) -> int:
-        """Drop the memory image's frame references (image deletion)."""
-        released = 0
-        if self.memory_pages is None:
-            return 0
-        for oid, pages in self.memory_pages.items():
-            for pindex, page in pages.items():
-                if (oid, pindex) in self._held_frames:
-                    assert isinstance(page, Page)
-                    phys.release(page)
-                    released += 1
+        """Drop the frame references this memory image holds (deletion)."""
+        held, self._held_frames = self._held_frames, []
+        for page in held:
+            phys.release(page)
         self.memory_pages = None
-        self._held_frames = set()
-        return released
+        return len(held)
 
     def lineage(self) -> list["CheckpointImage"]:
         """This image and its ancestors, newest first."""

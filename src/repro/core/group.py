@@ -144,6 +144,8 @@ class PersistenceGroup:
         contains no such cut point the next checkpoint is forced full
         (consolidation): that is what bounds the chain's length, hence
         manifest size and the overlay work of a post-reboot restore.
+        The memory backend relies on whole segments: an incremental
+        memory image holds no frame it inherited from its parent.
         """
         if len(self.images) <= self.retention:
             return

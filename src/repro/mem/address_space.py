@@ -249,9 +249,6 @@ class AddressSpace:
             hits.append(entry)
         return hits
 
-    # Backwards-compatible alias; prefer the public spelling.
-    _entries_covering = entries_covering
-
     def munmap(self, addr: int, length: int) -> int:
         """Unmap [addr, addr+length); returns the number of entries removed."""
         if addr & PAGE_MASK or length <= 0:

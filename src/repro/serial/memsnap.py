@@ -214,8 +214,7 @@ def capture_pages_to_memory(
     """Memory-backend capture: the image *is* the frozen frames.
 
     No bytes are copied; the freeze pass already holds a reference per
-    frame.  For frames carried over from the parent image an extra
-    hold is taken so each image owns its references independently.
+    captured frame.  Returns the complete map and the captured slots.
     """
     page_map: PageMap = {}
     if base_map:

@@ -97,19 +97,24 @@ class TestMemoryBackendFrames:
         assert kernel.phys.allocated_frames < frames_with_image + 16
 
     def test_parent_deletion_keeps_child_frames_alive(self, kernel, sls, world):
-        """Each memory image holds its own frame references, so
-        deleting the parent cannot free frames the child inherited."""
+        """A full image with a parent holds its own reference on each
+        slot it inherited (not resident at its freeze), so deleting the
+        parent cannot free frames the child still lists."""
         proc, sys, entry, group = world
         memory = MemoryBackend("memory")
         group.attach(memory)
-        parent = sls.checkpoint(group)           # full
-        sys.poke(entry.start, b"delta")
-        child = sls.checkpoint(group)            # incremental, inherits
+        extra = sys.mmap(PAGE_SIZE, name="extra")
+        sys.poke(extra.start, b"gone")
+        parent = sls.checkpoint(group)           # full, lists extra's page
+        page = parent.memory_pages[extra.obj.oid][0]
+        sys.munmap(extra.start, PAGE_SIZE)       # the image is its sole owner
+        child = sls.checkpoint(group, full=True)  # inherits the slot
+        assert child.memory_pages[extra.obj.oid][0] is page
         memory.delete_image(parent)
-        page = child.memory_pages[entry.obj.oid][3]
         assert page.refcount > 0
-        assert page.read(0, 3) == b"pg3"
+        assert page.read(0, 4) == b"gone"
         memory.delete_image(child)               # no double free
+        assert page.refcount == 0
 
 
 class TestRemoteBackendOrdering:

@@ -11,7 +11,7 @@ from repro.errors import BackendError, NotPersisted
 from repro.hw.nvme import NvmeDevice
 from repro.posix.kernel import Kernel
 from repro.posix.syscalls import Syscalls
-from repro.units import GIB, KIB
+from repro.units import GIB, KIB, PAGE_SIZE
 
 
 @pytest.fixture
@@ -152,15 +152,27 @@ class TestCheckpointImageLifecycle:
         image.mark_durable("a", when_ns=99)
         assert image.metrics.durable_at_ns == 10
 
-    def test_release_memory_drops_held_frames(self, kernel):
-        from repro.mem.page import Page
-
-        phys = kernel.phys
-        page = phys.allocate(payload=b"img")
-        image = CheckpointImage(name="x", group_name="g", epoch=1,
-                                incremental=False, meta={})
-        image.memory_pages = {1: {0: page}}
-        image._held_frames = {(1, 0)}
-        assert image.release_memory(phys) == 1
-        assert phys.allocated_frames == 0
-        assert image.release_memory(phys) == 0  # idempotent
+    def test_release_memory_drops_held_frames(self, kernel, sls):
+        """Pruning a memory segment frees the frames only it held."""
+        proc = kernel.spawn("app")
+        sys = Syscalls(kernel, proc)
+        entry = sys.mmap(4 * PAGE_SIZE)
+        for i in range(4):
+            sys.poke(entry.start + i * PAGE_SIZE, b"v0-%d" % i)
+        group = sls.persist(proc)
+        group.attach(MemoryBackend("memory"))
+        group.retention = 2
+        first = sls.checkpoint(group)                 # full
+        original = first.memory_pages[entry.obj.oid][0]
+        sys.poke(entry.start, b"v1")                  # COW: first is sole owner
+        second = sls.checkpoint(group)                # incremental
+        before = kernel.phys.allocated_frames
+        third = sls.checkpoint(group, full=True)      # prunes first + second
+        assert group.images == [third]
+        assert first.memory_pages is None and second.memory_pages is None
+        assert original.refcount == 0
+        assert kernel.phys.allocated_frames == before - 1
+        assert first.release_memory(kernel.phys) == 0  # idempotent
+        assert second.release_memory(kernel.phys) == 0
+        assert kernel.phys.allocated_frames == before - 1
+        assert sys.peek(entry.start, 2) == b"v1"
