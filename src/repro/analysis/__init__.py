@@ -1,16 +1,15 @@
 """``repro.analysis`` — the AST-based invariant checker behind
-``sls lint``.
-
-Static rules for the invariants the runtime can only check when the
-right test happens to exercise them: no wall-clock reads (determinism),
-instrument names from the catalogues (registry drift), batch-flush
-before superblock plus failpoint coverage (crash ordering), a
-keyword-only public API, and honest ``_ns``/``_bytes`` suffixes.
-See ANALYSIS.md for the rule catalogue and the suppression/baseline
-workflow, and ``repro.analysis.rules`` for how to add a rule.
+``sls lint``: eight rules for invariants the runtime checks only when
+the right test happens to exercise them.  Four are per-module: no
+wall-clock reads, instrument names from the catalogues (registry
+drift), one superblock call site with failpoints before every raw
+store write (crash ordering), and honest ``_ns``/``_bytes`` suffixes.
+Four are proved on the whole-program effect call graph: durability
+order, failpoint reachability, obs coverage, and exception safety.
+See ANALYSIS.md for the catalogue and ``repro.analysis.rules`` for
+how to add a rule.
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.core import (
     AnalyzerConfig,
     Finding,
@@ -24,7 +23,6 @@ from repro.analysis.rules import ALL_RULES, make_rules
 __all__ = [
     "ALL_RULES",
     "AnalyzerConfig",
-    "Baseline",
     "Finding",
     "ProjectTree",
     "Report",

@@ -1,31 +1,23 @@
 """``sls lint`` — run the invariant checker (see ANALYSIS.md).
 
-Exit codes: 0 clean (possibly via suppressions), 1 findings or stale
-baseline entries, 2 usage errors.  ``--format json`` emits one
-machine-readable document (CI uploads it as an artifact); ``--json
-PATH`` writes the same document to a file alongside the human output,
-matching the house style of ``sls bench``/``sls crashtest``.
+Exit codes: 0 clean, 1 findings, 2 usage errors.  ``--json PATH``
+writes one machine-readable document to a file alongside the human
+output, matching the house style of ``sls bench``/``sls crashtest``.
 
 Runs are incremental by default: per-module facts (findings, effect
-summaries) live in ``.sls-lint-cache.json`` next to the baseline,
-keyed by content hash, so a warm run re-extracts only edited modules
+summaries) live in ``.sls-lint-cache.json`` at the repo root, keyed by
+content hash, so a warm run re-extracts only edited modules
 (``--no-cache`` opts out).  ``--graph dot|json`` dumps the
-whole-program effect call graph instead of linting; ``--changed``
-restricts *reported* findings to files differing from the merge base
-with origin/main (the rules still see the whole tree — a whole-program
-rule can blame an unchanged file for a change elsewhere, so this is a
-developer loop, not the CI gate).
+whole-program effect call graph instead of linting.
 """
 
 from __future__ import annotations
 
 import json
-import subprocess
 import sys
 from pathlib import Path
-from typing import FrozenSet, List, Optional
+from typing import List, Optional
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.analysis.cache import DEFAULT_CACHE_NAME, SummaryCache
 from repro.analysis.core import ProjectTree, Report, run_rules
 from repro.analysis.rules import ALL_RULES, make_rules
@@ -41,19 +33,15 @@ def _find_default_root() -> Path:
     return Path("src")
 
 
-def lint_tree(root: Path, rule_names: Optional[List[str]] = None,
-              baseline: Optional[Baseline] = None,
-              cache: Optional[SummaryCache] = None) -> Report:
-    """Library entry point: lint every ``*.py`` under ``root``.
+def lint_tree(root: Path, rule_names: Optional[List[str]] = None) -> Report:
+    """Library entry point: lint every ``*.py`` under ``root``, uncached.
 
-    Used by the CLI, CI, and ``tests/test_no_wallclock.py`` alike, so
-    the three can never disagree about what the rules see.
+    The tests call it (``tests/test_no_wallclock.py``, the shipped-tree
+    check); it runs the same ``run_rules`` as ``sls lint``, so the two
+    can never disagree about what the rules see.
     """
-    tree = ProjectTree.load(Path(root), cache=cache)
-    report = run_rules(tree, make_rules(rule_names))
-    if baseline is not None:
-        report.stale_baseline = baseline.apply(report)
-    return report
+    tree = ProjectTree.load(Path(root))
+    return run_rules(tree, make_rules(rule_names))
 
 
 def _report_json(report: Report) -> dict:
@@ -61,12 +49,6 @@ def _report_json(report: Report) -> dict:
         "rules": report.rules_run,
         "modules_scanned": report.modules_scanned,
         "findings": [f.to_json() for f in report.findings],
-        "inline_suppressed": [f.to_json() for f in report.inline_suppressed],
-        "baselined": [
-            dict(f.to_json(), justification=why)
-            for f, why in report.baselined
-        ],
-        "stale_baseline": getattr(report, "stale_baseline", []),
         "clean": report.clean,
     }
 
@@ -84,26 +66,11 @@ def add_lint_parser(subparsers) -> None:
                       help="run only this rule (repeatable)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
-    lint.add_argument("--format", choices=("human", "json"), default="human",
-                      help="stdout format (default: human)")
     lint.add_argument("--json", metavar="PATH", default=None,
                       help="also write the JSON report to PATH")
-    lint.add_argument("--baseline", metavar="PATH", default=None,
-                      help="suppression baseline (default: "
-                           f"{DEFAULT_BASELINE_NAME} next to the tree)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore any baseline file")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="absorb current findings into the baseline "
-                           "(new entries get a TODO justification) and "
-                           "prune stale ones, reporting what was pruned")
     lint.add_argument("--graph", choices=("dot", "json"), default=None,
                       help="dump the whole-program effect call graph "
                            "in this format instead of linting")
-    lint.add_argument("--changed", action="store_true",
-                      help="report findings only for files changed "
-                           "since the merge base with origin/main "
-                           "(rules still analyze the whole tree)")
     lint.add_argument("--no-cache", action="store_true",
                       help="ignore and do not write the per-module "
                            f"summary cache ({DEFAULT_CACHE_NAME})")
@@ -125,32 +92,7 @@ def cmd_lint(args) -> int:
         print(f"sls lint: {exc}", file=sys.stderr)
         return 2
 
-    changed: Optional[FrozenSet[str]] = None
-    if args.changed:
-        changed = _changed_relpaths(root)
-        if changed is None:
-            print(
-                "sls lint: --changed: cannot resolve the merge base "
-                "with origin/main (not a git checkout?)", file=sys.stderr,
-            )
-            return 2
-
-    baseline_path = Path(args.baseline) if args.baseline else (
-        _baseline_near(root)
-    )
-    baseline = None
-    if not args.no_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"sls lint: {exc}", file=sys.stderr)
-            return 2
-
-    cache = None
-    if not args.no_cache:
-        cache_path = _baseline_near(root).parent / DEFAULT_CACHE_NAME
-        cache = SummaryCache.load(cache_path)
-
+    cache = None if args.no_cache else SummaryCache.load(_cache_path(root))
     tree = ProjectTree.load(root, cache=cache)
 
     if args.graph:
@@ -167,115 +109,28 @@ def cmd_lint(args) -> int:
     if cache is not None:
         cache.save()
 
-    if args.update_baseline:
-        if baseline is None:
-            baseline = Baseline()
-        added, pruned = baseline.absorb(report.findings, report.rules_run)
-        baseline.save(baseline_path)
-        print(f"baseline {baseline_path}: +{added} -{len(pruned)} "
-              f"({len(baseline.entries)} entries)")
-        for fingerprint in pruned:
-            print(f"  pruned stale entry {fingerprint}")
-        return 0
-
-    if baseline is not None:
-        report.stale_baseline = baseline.apply(report)
-    if changed is not None:
-        # developer loop: report only what the diff touches; config
-        # anchoring findings (path "<config>") always apply, and stale
-        # baseline entries are left to the full (CI) run to enforce
-        report.findings = [
-            f for f in report.findings
-            if f.path in changed or f.path.startswith("<")
-        ]
-        report.stale_baseline = []
-    stale = report.stale_baseline
-
     if args.json:
         Path(args.json).write_text(
             json.dumps(_report_json(report), indent=2, sort_keys=True) + "\n"
         )
-    if args.format == "json":
-        print(json.dumps(_report_json(report), indent=2, sort_keys=True))
-    else:
-        _print_human(report, stale)
-
-    return 0 if report.clean and not stale else 1
+    _print_human(report)
+    return 0 if report.clean else 1
 
 
-def _changed_relpaths(root: Path) -> Optional[FrozenSet[str]]:
-    """Files changed vs the merge base with origin/main (plus
-    untracked files), as paths relative to ``root``; ``None`` when git
-    cannot answer."""
+def _cache_path(root: Path) -> Path:
+    """The cache lives at the repo root: next to ``src`` when linting
+    an ``src`` tree, else inside the linted tree."""
     root = Path(root).resolve()
-
-    def git(*argv: str) -> Optional[str]:
-        try:
-            done = subprocess.run(
-                ["git", *argv], cwd=root,
-                capture_output=True, text=True, check=True,
-            )
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        return done.stdout
-
-    toplevel = git("rev-parse", "--show-toplevel")
-    if toplevel is None:
-        return None
-    toplevel_path = Path(toplevel.strip())
-    base = None
-    for ref in ("origin/main", "main"):
-        merge_base = git("merge-base", "HEAD", ref)
-        if merge_base is not None:
-            base = merge_base.strip()
-            break
-    if base is None:
-        return None
-    diff = git("diff", "--name-only", base)
-    untracked = git("ls-files", "--others", "--exclude-standard")
-    if diff is None or untracked is None:
-        return None
-
-    out = set()
-    for name in (diff + untracked).splitlines():
-        if not name:
-            continue
-        path = toplevel_path / name
-        try:
-            out.add(path.resolve().relative_to(root).as_posix())
-        except ValueError:
-            continue  # changed, but outside the linted tree
-    return frozenset(out)
+    return (root.parent if root.name == "src" else root) / DEFAULT_CACHE_NAME
 
 
-def _baseline_near(root: Path) -> Path:
-    """The baseline lives at the repo root: next to ``src`` when
-    linting an ``src`` tree, else inside the linted tree."""
-    root = Path(root).resolve()
-    if root.name == "src":
-        return root.parent / DEFAULT_BASELINE_NAME
-    return root / DEFAULT_BASELINE_NAME
-
-
-def _print_human(report: Report, stale: List[str]) -> None:
+def _print_human(report: Report) -> None:
     for finding in report.findings:
         print(finding.render())
-    summary = (
+    print(
         f"sls lint: {len(report.findings)} finding(s) over "
         f"{report.modules_scanned} modules "
         f"({', '.join(report.rules_run)})"
     )
-    if report.inline_suppressed:
-        summary += f"; {len(report.inline_suppressed)} inline-suppressed"
-    if report.baselined:
-        summary += f"; {len(report.baselined)} baselined"
-    print(summary)
-    for finding, why in report.baselined:
-        print(f"  baselined: {finding.render()}  # {why}")
-    for fingerprint in stale:
-        print(
-            f"stale baseline entry {fingerprint}: no longer produced — "
-            "remove it (sls lint --update-baseline)"
-        )
-    if report.clean and not stale:
+    if report.clean:
         print("tree is clean")

@@ -4,16 +4,9 @@ A rule is a whole-tree pass: it receives every parsed module at once
 (:class:`ProjectTree`), so cross-module invariants — "every registry
 constant is referenced somewhere", "this call graph flushes before it
 names a snapshot" — are first-class, not bolted on.  Modules are
-parsed once and shared by all rules.
-
-Suppression has two layers (see ANALYSIS.md):
-
-- an inline marker ``# sls-lint: ok[<rule>] <why>`` on the flagged
-  line (or the line above it) waives one finding with its
-  justification in the source;
-- a checked-in baseline file maps known findings (by stable
-  fingerprint, not line number) to justifications, so a rule can ship
-  before the tree is fully clean without going non-blocking.
+parsed once and shared by all rules.  There are no waivers: a rule
+ships with the tree clean, and a finding is fixed, not suppressed
+(see ANALYSIS.md).
 
 Everything here is plain :mod:`ast` — no imports of the analyzed code
 are ever executed, so the analyzer can safely run over fixtures that
@@ -24,13 +17,9 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
-
-#: inline suppression: ``# sls-lint: ok[rule-a,rule-b] justification``
-SUPPRESS_RE = re.compile(r"#\s*sls-lint:\s*ok\[([a-z0-9_,\- ]+)\]")
 
 
 @dataclass(frozen=True)
@@ -42,15 +31,8 @@ class Finding:
     line: int
     col: int
     message: str
-    #: dotted enclosing scope (``ObjectStore.delete_snapshot``), the
-    #: stable anchor for baseline fingerprints
+    #: dotted enclosing scope (``ObjectStore.delete_snapshot``)
     symbol: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-independent identity for baseline matching."""
-        blob = "|".join((self.rule, self.path, self.symbol, self.message))
-        return hashlib.sha1(blob.encode()).hexdigest()[:16]
 
     def render(self) -> str:
         where = f"{self.path}:{self.line}:{self.col}"
@@ -65,7 +47,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "symbol": self.symbol,
-            "fingerprint": self.fingerprint,
         }
 
     @classmethod
@@ -157,7 +138,6 @@ class SourceModule:
         self.path = path
         self.relpath = relpath
         self.source = source
-        self.lines: List[str] = source.splitlines()
         self._tree: Optional[ast.Module] = None
         self._imports: Optional[ImportMap] = None
         self._docstring_lines: Optional[frozenset] = None
@@ -239,19 +219,6 @@ class SourceModule:
                 if best_span is None or span <= best_span:
                     best, best_span = qual, span
         return best
-
-    def suppressed_rules(self, line: int) -> frozenset:
-        """Rules waived at ``line`` by an inline ``sls-lint: ok`` marker
-        on the line itself or the line directly above."""
-        rules = set()
-        for lineno in (line, line - 1):
-            if 1 <= lineno <= len(self.lines):
-                match = SUPPRESS_RE.search(self.lines[lineno - 1])
-                if match:
-                    rules.update(
-                        part.strip() for part in match.group(1).split(",")
-                    )
-        return frozenset(rules)
 
 
 @dataclass
@@ -429,14 +396,8 @@ class Report:
     """Outcome of one analyzer run."""
 
     findings: List[Finding] = field(default_factory=list)
-    #: findings waived by inline markers
-    inline_suppressed: List[Finding] = field(default_factory=list)
-    #: findings waived by the baseline, with their justifications
-    baselined: List[Tuple[Finding, str]] = field(default_factory=list)
     rules_run: List[str] = field(default_factory=list)
     modules_scanned: int = 0
-    #: baselined fingerprints no rule produces anymore (stale entries)
-    stale_baseline: List[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -444,21 +405,14 @@ class Report:
 
 
 def run_rules(tree: ProjectTree, rules: Iterable[Rule]) -> Report:
-    """Run ``rules`` over ``tree``; inline suppressions are applied
-    here so every rule stays suppression-agnostic.  All findings are
-    sorted into one deterministic (path, line, col, rule) order before
-    anything downstream — JSON reports, baseline diffs — sees them."""
+    """Run ``rules`` over ``tree``.  All findings are sorted into one
+    deterministic (path, line, col, rule) order before anything
+    downstream — the human report, the JSON document — sees them."""
     report = Report(modules_scanned=len(tree.modules))
-    by_path = {mod.relpath: mod for mod in tree.modules}
     produced: List[Finding] = []
     for rule in rules:
         report.rules_run.append(rule.name)
         produced.extend(rule.check(tree))
-    for finding in sorted(produced, key=lambda f: (f.path, f.line,
-                                                   f.col, f.rule)):
-        mod = by_path.get(finding.path)
-        if mod is not None and finding.rule in mod.suppressed_rules(finding.line):
-            report.inline_suppressed.append(finding)
-        else:
-            report.findings.append(finding)
+    report.findings = sorted(produced, key=lambda f: (f.path, f.line,
+                                                      f.col, f.rule))
     return report

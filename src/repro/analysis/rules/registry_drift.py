@@ -16,7 +16,7 @@ Three checks:
    value (spelled-out copies of a registry name, wherever they hide);
 3. every catalogue constant must be referenced somewhere outside its
    defining module — an unreferenced constant is dead weight the docs
-   still advertise (reserve intentionally with an inline suppression).
+   still advertise (a name is catalogued with its first use).
 """
 
 from __future__ import annotations

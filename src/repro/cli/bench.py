@@ -53,7 +53,7 @@ SUITE_VERSION = 5
 #: distinct-content dirty pages flushed per checkpoint
 PAGES = 512
 
-#: queue depths the flush scenario sweeps (0 = legacy unbounded model)
+#: queue depths the flush scenario sweeps
 QUEUE_DEPTHS = (1, 8, 16)
 
 #: queue counts the multi-queue scenario sweeps (at fixed depth 8)
@@ -63,11 +63,7 @@ NUM_QUEUES = (1, 2, 4)
 def _boot(queue_depth: int, num_queues: int = 1):
     """One fresh machine + group + disk backend for one bench cell."""
     kernel = Kernel(hostname="bench", memory_bytes=2 * GIB)
-    spec = (
-        with_queue_model(OPTANE_900P, queue_depth, num_queues=num_queues)
-        if queue_depth > 0 or num_queues > 1
-        else OPTANE_900P
-    )
+    spec = with_queue_model(OPTANE_900P, queue_depth, num_queues=num_queues)
     device = NvmeDevice(kernel.clock, spec=spec, name="bench-nvme")
     sls = SLS(kernel)
     proc = kernel.spawn("bench-app")

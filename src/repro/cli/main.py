@@ -38,9 +38,9 @@ invocation storm of lazy-restore warm starts, and the noisy-neighbor
 QoS comparison (unthrottled vs per-tenant scheduler budgets).
 
 ``sls lint`` runs the AST-based invariant checker (see ANALYSIS.md):
-determinism, registry drift, crash ordering, keyword-only API, and
-unit-suffix rules over the source tree, with a checked-in suppression
-baseline.  CI runs it as a blocking job.
+eight rules over the source tree, four of them proved on the
+whole-program effect call graph, with no waivers.  CI runs it as a
+blocking job.
 
 ``sls fsck`` and ``sls scrub`` exercise the recovery tooling (see
 RECOVERY.md) against a deterministic demo store: ``--inject`` plants

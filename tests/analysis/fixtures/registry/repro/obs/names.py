@@ -2,5 +2,4 @@
 
 SPAN_CHECKPOINT = "sls.checkpoint"
 COUNTER_UNUSED = "objstore.unused_total"
-COUNTER_RESERVED = "objstore.reserved_total"  # sls-lint: ok[registry-drift] reserved for the GC PR
 GAUGE_RATIO = "demo.ratio_permille"
