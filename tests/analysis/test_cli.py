@@ -3,10 +3,13 @@ summary cache, and the shipped tree staying clean."""
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
-from repro.analysis.cli import _find_default_root, lint_tree
+import pytest
+
+from repro.analysis.cli import _find_default_root, add_lint_parser, lint_tree
 from repro.cli.main import main
 
 REPO = Path(__file__).resolve().parent.parent.parent
@@ -103,6 +106,46 @@ def test_rule_selection_scopes_the_run(tmp_path):
     assert main(["lint", str(tree), "--rule", "no-wallclock"]) == 1
 
 
+def test_clean_tree_exits_zero_with_a_clean_json_report(tmp_path, capsys):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "ok.py").write_text("def add(a, b):\n    return a + b\n")
+    out_path = tmp_path / "report.json"
+    assert main(["lint", str(tree), "--json", str(out_path)]) == 0
+    assert "tree is clean" in capsys.readouterr().out
+    document = json.loads(out_path.read_text())
+    assert document["clean"] is True
+    assert document["findings"] == []
+    assert len(document["rules"]) == 8
+
+
+def test_lint_cli_has_six_options():
+    subparsers = argparse.ArgumentParser().add_subparsers(dest="mode")
+    add_lint_parser(subparsers)
+    lint = subparsers.choices["lint"]
+    settable = [action.dest for action in lint._actions
+                if not isinstance(action, argparse._HelpAction)]
+    assert settable == ["root", "rules", "list_rules", "json", "graph",
+                        "no_cache"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--baseline", "waivers.json"], id="baseline"),
+    pytest.param(["--no-baseline"], id="no-baseline"),
+    pytest.param(["--update-baseline"], id="update-baseline"),
+    pytest.param(["--changed"], id="changed"),
+    pytest.param(["--format", "json"], id="format"),
+])
+def test_waiver_and_filter_options_are_usage_errors(tmp_path, capsys, argv):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "bad.py").write_text(BAD_WALLCLOCK)
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", str(tree), *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # -- fixtures are data, not code -------------------------------------------------
 
 
@@ -151,6 +194,15 @@ def test_cache_file_appears_and_warm_run_agrees(tmp_path, capsys):
     assert main(["lint", str(tree)]) == 1
     warm = capsys.readouterr().out
     assert warm == cold  # byte-identical report off the warm cache
+
+
+def test_cache_of_an_src_tree_lives_at_the_repo_root(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "bad.py").write_text(BAD_WALLCLOCK)
+    assert main(["lint", str(src)]) == 1
+    assert (tmp_path / ".sls-lint-cache.json").exists()
+    assert not (src / ".sls-lint-cache.json").exists()
 
 
 def test_no_cache_leaves_no_file(tmp_path):

@@ -83,6 +83,23 @@ def test_registry_drift_reports_unreferenced_constant():
     assert [f.symbol for f in unref] == ["COUNTER_UNUSED"]
 
 
+def test_registry_drift_marker_does_not_waive_unreferenced_constant(tmp_path):
+    # a "# sls-lint: ok[...]" comment is just a comment: the rule still
+    # reports the constant it sits on
+    tree = tmp_path / "registry"
+    shutil.copytree(FIXTURES / "registry", tree)
+    names = tree / "repro" / "obs" / "names.py"
+    names.write_text(names.read_text() + (
+        'COUNTER_RESERVED = "objstore.reserved_total"'
+        "  # sls-lint: ok[registry-drift] reserved\n"))
+    config = registry_config()
+    config.obs_registry["COUNTER_RESERVED"] = "objstore.reserved_total"
+    report = run_rules(ProjectTree.load(tree, config=config),
+                       make_rules(["registry-drift"]))
+    unref = [f for f in report.findings if "never referenced" in f.message]
+    assert [f.symbol for f in unref] == ["COUNTER_UNUSED", "COUNTER_RESERVED"]
+
+
 def test_registry_drift_good_fixture_passes():
     report = run_fixture("registry", "registry-drift", registry_config())
     assert by_path(report, "repro/store_good.py") == []
