@@ -15,6 +15,7 @@ from repro.core.orchestrator import SLS
 from repro.mem.address_space import AddressSpace, MemContext
 from repro.mem.cow import AuroraCow
 from repro.mem.phys import PhysicalMemory
+from repro.obs import KernelObs
 from repro.objstore.checksum import crc32_adler32, fletcher64
 from repro.objstore.record import COVERED_SIZE, decode, encode
 from repro.objstore.store import ObjectStore
@@ -109,7 +110,11 @@ def test_micro_record_checksum(benchmark, size):
 
 
 def test_micro_store_write_page(benchmark):
-    store = ObjectStore(NvmeDevice(SimClock()))
+    """One stored (not deduplicated) page write on a store bound to a
+    kernel's observability plane."""
+    clock = SimClock()
+    store = ObjectStore(NvmeDevice(clock))
+    store.attach_obs(KernelObs(clock))
     counter = [0]
 
     def write_unique_page():
@@ -117,6 +122,19 @@ def test_micro_store_write_page(benchmark):
         return store.write_page(b"payload-%d" % counter[0])
 
     benchmark(write_unique_page)
+
+
+def test_micro_pagecache_get(benchmark):
+    """One demand page read served from the page cache (a hit) on a
+    store bound to a kernel's observability plane."""
+    clock = SimClock()
+    store = ObjectStore(NvmeDevice(clock))
+    store.attach_obs(KernelObs(clock))
+    ref = store.write_page(b"cached page")
+    store.read_page(ref)
+
+    assert benchmark(store.read_page, ref) == b"cached page"
+    assert store.pagecache.misses == 1
 
 
 def test_micro_recover(benchmark):

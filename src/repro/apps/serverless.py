@@ -295,7 +295,7 @@ class ServerlessManager:
             "logical_bytes": logical,
             "physical_bytes": physical,
             "dedup_ratio": (logical / physical) if physical else 0.0,
-            "unique_pages": store.dedup.stats.unique_pages,
+            "unique_pages": len(store.dedup),
             "bytes_deduped": store.dedup.stats.bytes_deduped,
         }
 

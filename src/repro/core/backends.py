@@ -127,9 +127,9 @@ class StoreBackend(Backend):
         device_stats = self.store.device.stats
         doorbells_before = device_stats.doorbells
         stall_before = device_stats.submit_stall_ns
-        batch = self.store.batch
-        records_before, extents_before = batch.records_flushed, batch.extents_flushed
-        nbytes_before, shards_before = batch.bytes_flushed, batch.shards_flushed
+        store_stats = self.store.stats
+        records_before, extents_before = store_stats.batch_records, store_stats.batch_extents
+        nbytes_before, shards_before = store_stats.batch_bytes, store_stats.batch_shards
         base_map = parent.page_refs.get(self.name) if parent else None
         page_map = capture_pages_to_store(
             freeze_set, self.store, base_map=base_map
@@ -172,12 +172,12 @@ class StoreBackend(Backend):
         image.store_lineage[self.name] = lineage
         image.flush_info[self.name] = FlushInfo(
             submitted_at_ns=submitted_at,
-            records=batch.records_flushed - records_before,
-            extents=batch.extents_flushed - extents_before,
+            records=store_stats.batch_records - records_before,
+            extents=store_stats.batch_extents - extents_before,
             doorbells=device_stats.doorbells - doorbells_before,
-            nbytes=batch.bytes_flushed - nbytes_before,
+            nbytes=store_stats.batch_bytes - nbytes_before,
             submit_stall_ns=device_stats.submit_stall_ns - stall_before,
-            shards=batch.shards_flushed - shards_before,
+            shards=store_stats.batch_shards - shards_before,
         )
         image.metrics.bytes_flushed += snapshot.delta_bytes
         self._count_flushed(snapshot.delta_bytes)
@@ -258,6 +258,7 @@ class MemoryBackend(Backend):
                     if (oid, pindex) not in captured:
                         held.append(phys.hold(page))
         image.memory_pages = page_map
+        image.memory_backend = self.name
         image._held_frames = held
         image.mark_durable(self.name, self.kernel.clock.now)
 

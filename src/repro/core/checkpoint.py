@@ -82,6 +82,8 @@ class CheckpointImage:
     flush_info: dict[str, "FlushInfo"] = field(default_factory=dict)
     #: memory-backend page map of frozen frames (every slot)
     memory_pages: Optional[PageMap] = None
+    #: name of the memory backend whose freeze captured ``memory_pages``
+    memory_backend: Optional[str] = None
     #: frames this image holds a reference on: those it captured, and a
     #: full image's inherited slots when it has a parent
     _held_frames: list[Page] = field(default_factory=list)

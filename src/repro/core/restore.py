@@ -122,9 +122,7 @@ class RestoreEngine:
             backend_name = next(iter(image.page_refs), None)
             if backend_name is None:
                 raise RestoreError("image has no restorable backend")
-        if backend_name == "memory" or (
-            image.memory_pages is not None and backend_name in ("", "mem")
-        ):
+        if backend_name == image.memory_backend:
             return self._restore_from_memory(
                 image, kernel, lazy, new_instance, name_suffix
             )

@@ -12,7 +12,7 @@ pages (checkpoint COW) to the engine installed in the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.errors import MappingError, SegmentationFault
 from repro.hw.specs import DEFAULT_CPU, CpuCostModel
@@ -509,14 +509,6 @@ class AddressSpace:
 
     def resident_bytes(self) -> int:
         return self.resident_pages() * PAGE_SIZE
-
-    def iter_mapped_pages(self) -> Iterator[tuple[VMEntry, int, Page]]:
-        """Yield (entry, vaddr, page) for every resident mapped page."""
-        for entry in self.entries:
-            for vpn in range(entry.start_vpn, entry.end_vpn):
-                page, _ = entry.obj.lookup(entry.pindex_of(vpn))
-                if page is not None:
-                    yield entry, vpn << PAGE_SHIFT, page
 
     def destroy(self) -> None:
         """Tear down the map, releasing every object reference."""

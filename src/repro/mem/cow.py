@@ -33,6 +33,7 @@ from repro.mem.address_space import MemContext
 from repro.mem.page import Page
 from repro.mem.vmobject import VMObject
 from repro.obs import names as obs_names
+from repro.obs.registry import attr_reader
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import KernelObs
@@ -83,23 +84,22 @@ class AuroraCow:
     which the fault path calls for writes that hit frozen pages.
     """
 
-    def __init__(self, mem: MemContext, obs: Optional["KernelObs"] = None):
+    def __init__(self, mem: MemContext):
         self.mem = mem
         self.stats = CowStats()
         self.obs: Optional["KernelObs"] = None
-        self._c_frozen = self._c_faults = self._c_pte = self._g_depth = None
-        if obs is not None:
-            self.attach_obs(obs)
+        self._g_depth = None
         mem.frozen_write_handler = self.resolve_frozen_write
 
     def attach_obs(self, obs: "KernelObs") -> None:
-        """Wire the kernel's observability plane (instruments cached —
-        the fault path must not pay a registry lookup per COW fault)."""
+        """Wire the kernel's observability plane.  The counters are
+        views of :class:`CowStats`; the shadow-depth ratchet, which
+        nothing else keeps, is pushed at each freeze."""
         self.obs = obs
-        reg = obs.registry
-        self._c_frozen = reg.counter(obs_names.C_COW_PAGES_FROZEN)
-        self._c_faults = reg.counter(obs_names.C_COW_FAULTS)
-        self._c_pte = reg.counter(obs_names.C_COW_PTE_UPDATES)
+        reg, stats = obs.registry, self.stats
+        reg.counter(obs_names.C_COW_PAGES_FROZEN, attr_reader(stats, "pages_frozen"))
+        reg.counter(obs_names.C_COW_FAULTS, attr_reader(stats, "cow_faults"))
+        reg.counter(obs_names.C_COW_PTE_UPDATES, attr_reader(stats, "pte_updates"))
         self._g_depth = reg.gauge(obs_names.G_SHADOW_DEPTH)
 
     # -- freeze (checkpoint-side) ------------------------------------------
@@ -150,7 +150,6 @@ class AuroraCow:
                 self._capture(freeze_set, obj, pindex, current, cpu.pte_cow_arm_incr_ns)
         mem.epoch += 1
         if self.obs is not None:
-            self._c_frozen.inc(len(freeze_set.pages))
             self._g_depth.set_max(max(
                 (self._shadow_depth(obj) for obj in objects), default=0
             ))
@@ -214,7 +213,6 @@ class AuroraCow:
         obj.insert_page(pindex, replacement)
         # Every process mapping the object sees the replacement: shared
         # memory semantics are preserved (the paper's key COW change).
-        updated = 0
         for entry in obj.mappings:
             vpn = entry.start_vpn + (pindex - entry.offset_pages)
             if entry.start_vpn <= vpn < entry.end_vpn:
@@ -224,13 +222,10 @@ class AuroraCow:
                 if entry.aspace.pagetable.update_page(vpn, replacement, writable):
                     mem.charge(mem.cpu.pte_install_ns)
                     self.stats.pte_updates += 1
-                    updated += 1
         mem.log_dirty(obj, pindex, replacement)
         self.stats.cow_faults += 1
         self.stats.frames_released_to_flush += 1
         if self.obs is not None:
-            self._c_faults.inc()
-            self._c_pte.inc(updated)
             self.obs.tracer.event(
                 obs_names.EV_COW_FAULT, oid=obj.oid, pindex=pindex
             )

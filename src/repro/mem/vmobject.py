@@ -136,44 +136,6 @@ class VMObject:
     def iter_resident(self) -> Iterator[tuple[int, Page]]:
         return iter(sorted(self.pages.items()))
 
-    # -- fault service -------------------------------------------------------
-
-    def fault_page(self, pindex: int, for_write: bool) -> Page:
-        """Make ``pindex`` resident in this object and return its page.
-
-        Resolution order matches the kernel: resident here → shadow
-        chain (copying up on write, sharing read-only otherwise) →
-        pager (swap / vnode / checkpoint image) → zero fill.
-        """
-        page = self.pages.get(pindex)
-        if page is not None:
-            return page
-
-        # Shadow chain: read faults may share the backing page; write
-        # faults copy it up into this object (classic COW resolution).
-        if self.shadow is not None:
-            backing, _owner = self.shadow.lookup(pindex + self.shadow_offset)
-            if backing is not None:
-                if for_write:
-                    copied = self.phys.copy(backing)
-                    self.insert_page(pindex, copied)
-                    return copied
-                return backing
-
-        # Pager: swapped-out or lazily-restored content.
-        if self.pager is not None:
-            content = self.pager(pindex)
-            if content is not None:
-                page = self.phys.allocate(payload=content)
-                self.insert_page(pindex, page)
-                self.swap_slots.pop(pindex, None)
-                return page
-
-        # Zero fill.
-        page = self.phys.allocate()
-        self.insert_page(pindex, page)
-        return page
-
     def make_shadow(self, phys: PhysicalMemory) -> "VMObject":
         """Create a shadow of this object (fork-style COW setup)."""
         return VMObject(

@@ -22,8 +22,6 @@ class DedupEntry:
     #: length and codec facts (flags, delta chain depth) are the entry's
     ref: PageRef
     refcount: int
-    #: times this content was written logically (hits = writes avoided)
-    hits: int = 0
     #: on-media logical footprint of the record (what the flush path
     #: charged the device); header + full page for RAW
     media_bytes: int = 0
@@ -57,14 +55,9 @@ class DedupEntry:
 
 @dataclass
 class DedupStats:
-    lookups: int = 0
-    hits: int = 0
-    unique_pages: int = 0
+    #: page bytes held again after their first hold: stored once,
+    #: referenced more than once (the density report's saving)
     bytes_deduped: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 class DedupIndex:
@@ -77,16 +70,7 @@ class DedupIndex:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, content_hash: bytes) -> DedupEntry | None:
-        self.stats.lookups += 1
-        entry = self._entries.get(content_hash)
-        if entry is not None:
-            self.stats.hits += 1
-            entry.hits += 1
-        return entry
-
     def get(self, content_hash: bytes) -> DedupEntry | None:
-        """Peek without counting a lookup (codec base-resolution path)."""
         return self._entries.get(content_hash)
 
     def insert(self, ref: PageRef, media_bytes: int = 0,
@@ -96,7 +80,6 @@ class DedupIndex:
         entry = DedupEntry(ref=ref, refcount=0, media_bytes=media_bytes,
                            base_hash=base_hash)
         self._entries[ref.content_hash] = entry
-        self.stats.unique_pages += 1
         return entry
 
     def hold(self, content_hash: bytes, nbytes: int = 0) -> None:
@@ -115,7 +98,6 @@ class DedupIndex:
         entry.refcount -= 1
         if entry.refcount == 0:
             del self._entries[content_hash]
-            self.stats.unique_pages -= 1
             return entry.extent
         return None
 

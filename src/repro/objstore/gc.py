@@ -27,7 +27,6 @@ class GarbageCollector:
 
     def __init__(self, store: ObjectStore):
         self.store = store
-        self.total_freed_bytes = 0
 
     def collect(self, limit: int | None = None) -> GcReport:
         """Free up to ``limit`` garbage extents (all, by default).
@@ -75,7 +74,6 @@ class GarbageCollector:
             self.store.allocator.free(extent)
             report.extents_freed += 1
             report.bytes_freed += extent.length
-        self.total_freed_bytes += report.bytes_freed
         return report
 
     def pending(self) -> int:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.obs import names as obs_names
+from repro.obs.registry import attr_reader
 from repro.units import MIB
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,32 +75,24 @@ class PageCache:
         #: accumulate unbounded history
         self.record_trace = record_trace
         self.trace: list[str] = []
-        self._c_hits = self._c_misses = None
-        self._c_evictions = self._c_invalidations = None
-        self._g_bytes = self._g_hit_rate = None
 
     # -- observability -------------------------------------------------------
 
     def attach_obs(self, registry: "Registry", store: str) -> None:
-        """Cache the per-store instruments (lookups run per fault)."""
-        self._c_hits = registry.counter(
-            obs_names.C_PAGECACHE_HITS, store=store
-        )
-        self._c_misses = registry.counter(
-            obs_names.C_PAGECACHE_MISSES, store=store
-        )
-        self._c_evictions = registry.counter(
-            obs_names.C_PAGECACHE_EVICTIONS, store=store
-        )
-        self._c_invalidations = registry.counter(
-            obs_names.C_PAGECACHE_INVALIDATIONS, store=store
-        )
-        self._g_bytes = registry.gauge(
-            obs_names.G_PAGECACHE_BYTES, store=store
-        )
-        self._g_hit_rate = registry.gauge(
-            obs_names.G_PAGECACHE_HIT_RATE, store=store
-        )
+        """Register the per-store instruments as views of this cache's
+        own counts (nothing is pushed per lookup)."""
+        registry.counter(obs_names.C_PAGECACHE_HITS,
+                         attr_reader(self, "hits"), store=store)
+        registry.counter(obs_names.C_PAGECACHE_MISSES,
+                         attr_reader(self, "misses"), store=store)
+        registry.counter(obs_names.C_PAGECACHE_EVICTIONS,
+                         attr_reader(self, "evictions"), store=store)
+        registry.counter(obs_names.C_PAGECACHE_INVALIDATIONS,
+                         attr_reader(self, "invalidations"), store=store)
+        registry.gauge(obs_names.G_PAGECACHE_BYTES,
+                       attr_reader(self, "bytes_cached"), store=store)
+        registry.gauge(obs_names.G_PAGECACHE_HIT_RATE,
+                       attr_reader(self, "hit_rate_permille"), store=store)
 
     @property
     def enabled(self) -> bool:
@@ -125,11 +118,6 @@ class PageCache:
         this across hermetic runs)."""
         return "\n".join(self.trace) + ("\n" if self.trace else "")
 
-    def _publish(self) -> None:
-        if self._g_bytes is not None:
-            self._g_bytes.set(self.bytes_cached)
-            self._g_hit_rate.set(self.hit_rate_permille)
-
     # -- lookups -------------------------------------------------------------
 
     def get(self, content_hash: bytes) -> Optional[bytes]:
@@ -139,17 +127,11 @@ class PageCache:
         content = self._entries.get(content_hash)
         if content is None:
             self.misses += 1
-            if self._c_misses is not None:
-                self._c_misses.inc()
             self._trace("miss", content_hash)
-            self._publish()
             return None
         self._entries.move_to_end(content_hash)
         self.hits += 1
-        if self._c_hits is not None:
-            self._c_hits.inc()
         self._trace("hit", content_hash)
-        self._publish()
         return content
 
     def peek(self, content_hash: bytes) -> Optional[bytes]:
@@ -175,14 +157,17 @@ class PageCache:
         self.bytes_cached += len(content)
         self.insertions += 1
         self._trace("fill", content_hash, len(content))
-        while self.bytes_cached > self.capacity_bytes:
+        self._evict_to_capacity()
+
+    def _evict_to_capacity(self) -> None:
+        """Drop LRU entries until the cache fits its capacity (every
+        entry, when the capacity is 0), counting and tracing each."""
+        while self._entries and (self.bytes_cached > self.capacity_bytes
+                                 or not self.enabled):
             evicted_hash, evicted = self._entries.popitem(last=False)
             self.bytes_cached -= len(evicted)
             self.evictions += 1
-            if self._c_evictions is not None:
-                self._c_evictions.inc()
             self._trace("evict", evicted_hash)
-        self._publish()
 
     def invalidate(self, content_hash: bytes) -> bool:
         """Drop one entry (snapshot delete freed it, or scrub found
@@ -192,42 +177,24 @@ class PageCache:
             return False
         self.bytes_cached -= len(content)
         self.invalidations += 1
-        if self._c_invalidations is not None:
-            self._c_invalidations.inc()
         self._trace("invalidate", content_hash)
-        self._publish()
         return True
 
     def clear(self) -> int:
         """Drop everything (recovery/fsck rebuilt the store's truth);
         returns how many entries were dropped."""
         dropped = len(self._entries)
-        if dropped:
-            self.invalidations += dropped
-            if self._c_invalidations is not None:
-                self._c_invalidations.inc(dropped)
+        self.invalidations += dropped
         self._entries.clear()
         self.bytes_cached = 0
         self._trace("clear", extra=dropped)
-        self._publish()
         return dropped
 
     def resize(self, capacity_bytes: int) -> None:
         """Change capacity in place; shrinking evicts LRU-first and
         resizing to 0 disables the cache (dropping every entry)."""
         self.capacity_bytes = int(capacity_bytes)
-        if self.capacity_bytes <= 0:
-            self._entries.clear()
-            self.bytes_cached = 0
-            self._publish()
-            return
-        while self.bytes_cached > self.capacity_bytes:
-            _hash, evicted = self._entries.popitem(last=False)
-            self.bytes_cached -= len(evicted)
-            self.evictions += 1
-            if self._c_evictions is not None:
-                self._c_evictions.inc()
-        self._publish()
+        self._evict_to_capacity()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -32,6 +32,7 @@ from repro.fault import names as fault_names
 from repro.hw.device import BatchWrite, IoTicket, StorageDevice
 from repro.mem.address_space import MemContext
 from repro.obs import names as obs_names
+from repro.obs.registry import attr_reader
 from repro.hw.specs import DEFAULT_CPU
 from repro.objstore.alloc import Extent, ExtentAllocator
 from repro.objstore.block import SUPERBLOCK_SLOT_SIZE, Volume
@@ -90,6 +91,10 @@ class StoreStats:
     batches_flushed: int = 0
     batch_records: int = 0
     batch_extents: int = 0
+    #: media bytes and flush shards (submission queues) the batch
+    #: flushes covered
+    batch_bytes: int = 0
+    batch_shards: int = 0
     #: write-path codec outcomes (repro.objstore.codec)
     pages_compressed: int = 0
     pages_delta: int = 0
@@ -99,6 +104,13 @@ class StoreStats:
     #: numerator/denominator for the compression-ratio gauge
     page_media_bytes: int = 0
     page_full_bytes: int = 0
+
+    @property
+    def compression_ratio_permille(self) -> int:
+        """Page media bytes per 1000 raw bytes (0 before the first page)."""
+        if not self.page_full_bytes:
+            return 0
+        return self.page_media_bytes * 1000 // self.page_full_bytes
 
 
 @dataclass
@@ -135,12 +147,7 @@ class ObjectStore:
         )
         self.stats = StoreStats()
         self.obs: Optional["KernelObs"] = None
-        self._c_pages = self._c_dedup = self._c_meta = None
-        self._c_bytes = self._c_snaps = self._c_snaps_del = None
-        self._c_batches = self._c_batch_records = None
-        self._c_compressed = self._c_delta = self._c_saved = None
-        self._g_ratio = self._g_manifest_bytes = self._g_manifest_rows = None
-        self._g_manifest_lineage = None
+        self._g_manifest_bytes = self._g_manifest_rows = self._g_manifest_lineage = None
         self._bytes_since_commit = 0
         #: failpoint plane (repro.fault); None = zero-cost disarmed
         self.faults: Optional["FailpointRegistry"] = None
@@ -174,23 +181,37 @@ class ObjectStore:
         self._dir_spill = dir_spill
 
     def attach_obs(self, obs: "KernelObs") -> None:
-        """Adopt a kernel's observability plane (instruments cached —
-        ``write_page`` runs once per captured page at checkpoint rate)."""
+        """Adopt a kernel's observability plane.  The counters and the
+        compression-ratio gauge are views of :class:`StoreStats`; only
+        the last manifest's shape, which the stats do not keep, is
+        pushed (at commit)."""
         self.obs = obs
-        reg = obs.registry
+        reg, stats = obs.registry, self.stats
         store = self.device.name
-        self._c_pages = reg.counter(obs_names.C_STORE_PAGES_WRITTEN, store=store)
-        self._c_dedup = reg.counter(obs_names.C_STORE_PAGES_DEDUPED, store=store)
-        self._c_meta = reg.counter(obs_names.C_STORE_META_RECORDS, store=store)
-        self._c_bytes = reg.counter(obs_names.C_STORE_BYTES_WRITTEN, store=store)
-        self._c_snaps = reg.counter(obs_names.C_STORE_SNAPSHOTS, store=store)
-        self._c_snaps_del = reg.counter(obs_names.C_STORE_SNAPSHOTS_DELETED, store=store)
-        self._c_batches = reg.counter(obs_names.C_STORE_BATCHES, store=store)
-        self._c_batch_records = reg.counter(obs_names.C_STORE_BATCH_RECORDS, store=store)
-        self._c_compressed = reg.counter(obs_names.C_STORE_PAGES_COMPRESSED, store=store)
-        self._c_delta = reg.counter(obs_names.C_STORE_PAGES_DELTA, store=store)
-        self._c_saved = reg.counter(obs_names.C_STORE_ENCODED_BYTES_SAVED, store=store)
-        self._g_ratio = reg.gauge(obs_names.G_STORE_COMPRESSION_RATIO, store=store)
+        reg.counter(obs_names.C_STORE_PAGES_WRITTEN,
+                    attr_reader(stats, "pages_written"), store=store)
+        reg.counter(obs_names.C_STORE_PAGES_DEDUPED,
+                    attr_reader(stats, "pages_deduped"), store=store)
+        reg.counter(obs_names.C_STORE_META_RECORDS,
+                    attr_reader(stats, "meta_records_written"), store=store)
+        reg.counter(obs_names.C_STORE_BYTES_WRITTEN,
+                    attr_reader(stats, "bytes_written"), store=store)
+        reg.counter(obs_names.C_STORE_SNAPSHOTS,
+                    attr_reader(stats, "snapshots_committed"), store=store)
+        reg.counter(obs_names.C_STORE_SNAPSHOTS_DELETED,
+                    attr_reader(stats, "snapshots_deleted"), store=store)
+        reg.counter(obs_names.C_STORE_BATCHES,
+                    attr_reader(stats, "batches_flushed"), store=store)
+        reg.counter(obs_names.C_STORE_BATCH_RECORDS,
+                    attr_reader(stats, "batch_records"), store=store)
+        reg.counter(obs_names.C_STORE_PAGES_COMPRESSED,
+                    attr_reader(stats, "pages_compressed"), store=store)
+        reg.counter(obs_names.C_STORE_PAGES_DELTA,
+                    attr_reader(stats, "pages_delta"), store=store)
+        reg.counter(obs_names.C_STORE_ENCODED_BYTES_SAVED,
+                    attr_reader(stats, "encoded_bytes_saved"), store=store)
+        reg.gauge(obs_names.G_STORE_COMPRESSION_RATIO,
+                  attr_reader(stats, "compression_ratio_permille"), store=store)
         self._g_manifest_bytes = reg.gauge(obs_names.G_STORE_MANIFEST_BYTES, store=store)
         self._g_manifest_rows = reg.gauge(obs_names.G_STORE_MANIFEST_PAGE_ROWS, store=store)
         self._g_manifest_lineage = reg.gauge(obs_names.G_STORE_MANIFEST_LINEAGE, store=store)
@@ -255,8 +276,6 @@ class ObjectStore:
         size = max(len(record), logical or 0)
         self.stats.bytes_written += size
         self._bytes_since_commit += size
-        if self.obs is not None:
-            self._c_bytes.inc(size)
         return extent, record, size
 
     def _stage_record(self, kind: int, oid: int, epoch: int, payload: bytes,
@@ -302,8 +321,6 @@ class ObjectStore:
         """Serialize ``value`` as the metadata record for kernel object ``oid``."""
         extent = self._stage_record(KIND_META, oid, epoch, encode(value))
         self.stats.meta_records_written += 1
-        if self.obs is not None:
-            self._c_meta.inc()
         return MetaRef(oid=oid, extent=extent)
 
     def read_meta_payload(self, ref: MetaRef) -> bytes:
@@ -344,11 +361,9 @@ class ObjectStore:
             self._charge(self.mem.cpu.page_hash_ns if self.mem else 0)
             content_hash = self.page_hash(payload)
         self.stats.logical_page_bytes += max(len(payload), 1)
-        entry = self.dedup.lookup(content_hash)
+        entry = self.dedup.get(content_hash)
         if entry is not None:
             self.stats.pages_deduped += 1
-            if self.obs is not None:
-                self._c_dedup.inc()
             return entry.ref
         base_hash = None
         base_depth = 0
@@ -386,18 +401,6 @@ class ObjectStore:
         elif plan.flags == ENC_DELTA:
             self.stats.pages_delta += 1
             self.stats.encoded_bytes_saved += plan.bytes_saved
-        if self.obs is not None:
-            self._c_pages.inc()
-            if plan.flags == ENC_ZLIB:
-                self._c_compressed.inc()
-                self._c_saved.inc(plan.bytes_saved)
-            elif plan.flags == ENC_DELTA:
-                self._c_delta.inc()
-                self._c_saved.inc(plan.bytes_saved)
-            self._g_ratio.set(
-                self.stats.page_media_bytes * 1000
-                // self.stats.page_full_bytes
-            )
         return ref
 
     def read_page(self, ref: PageRef) -> bytes:
@@ -688,7 +691,6 @@ class ObjectStore:
         self._write_directory()
         self.stats.snapshots_committed += 1
         if self.obs is not None:
-            self._c_snaps.inc()
             self._g_manifest_bytes.set(len(payload))
             self._g_manifest_rows.set(len(pages))
             self._g_manifest_lineage.set(len(lineage))
@@ -794,8 +796,6 @@ class ObjectStore:
         self.directory.remove(snap_id)
         self._write_directory()
         self.stats.snapshots_deleted += 1
-        if self.obs is not None:
-            self._c_snaps_del.inc()
 
     def _release_meta(self, extent: Extent) -> bool:
         """Drop one reference on a record or manifest; True when that
@@ -972,12 +972,6 @@ class WriteBatch:
         #: staged (extent, packed record, media size) by extent offset
         self._items: dict[int, tuple[Extent, bytes, int]] = {}
         self._rr_shard = 0
-        #: cumulative accounting across flushes (read by the
-        #: checkpoint pipeline's FlushInfo)
-        self.records_flushed = 0
-        self.extents_flushed = 0
-        self.bytes_flushed = 0
-        self.shards_flushed = 0
         self.last_tickets: list[IoTicket] = []
 
     def next_shard(self) -> int:
@@ -1092,17 +1086,14 @@ class WriteBatch:
                 )
             tickets.extend(store.volume.write_data_batch(writes, queue=shard))
         total_logical = sum(lg for _, _, lg in items)
-        self.records_flushed += len(items)
-        self.extents_flushed += total_extents
-        self.bytes_flushed += total_logical
-        self.shards_flushed += len(by_shard)
         self.last_tickets = tickets
-        store.stats.batches_flushed += 1
-        store.stats.batch_records += len(items)
-        store.stats.batch_extents += total_extents
+        stats = store.stats
+        stats.batches_flushed += 1
+        stats.batch_records += len(items)
+        stats.batch_extents += total_extents
+        stats.batch_bytes += total_logical
+        stats.batch_shards += len(by_shard)
         if store.obs is not None:
-            store._c_batches.inc()
-            store._c_batch_records.inc(len(items))
             span.set(bytes=total_logical, extents=total_extents)
             span.close(at_ns=max(t.completes_at for t in tickets))
         return tickets

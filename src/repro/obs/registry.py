@@ -9,12 +9,19 @@ Instruments are registered lazily and keyed by ``(name, labels)``;
 repeated ``registry.counter("x", backend="disk0")`` calls return the
 same object, so hot paths can also cache the instrument once and call
 ``inc()`` directly.
+
+A counter or gauge that mirrors a count a component already keeps is
+a *view*: registered once with a ``reader`` function, its value is
+computed when read, and nothing is done per event.  Readers capture
+the component's stats object, so a registry never keeps the rest of a
+component (a store's device contents) alive.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 from repro.errors import AuroraError
 
@@ -35,6 +42,11 @@ class ObsError(AuroraError):
 
 def _label_key(labels: dict) -> tuple:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+def attr_reader(obj, name: str) -> Callable[[], int]:
+    """A reader of ``obj.<name>`` that holds ``obj`` and nothing else."""
+    return partial(getattr, obj, name)
 
 
 class Instrument:
@@ -58,40 +70,54 @@ class Instrument:
 
 
 class Counter(Instrument):
-    """Monotonically increasing count."""
+    """Monotonically increasing count: what ``inc`` pushed plus the sum
+    of its readers, so components that share a label set add up."""
 
     kind = "counter"
 
     def __init__(self, name: str, labels: dict):
         super().__init__(name, labels)
-        self.value = 0
+        self._count = 0
+        self._readers: list[Callable[[], int]] = []
 
-    def inc(self, n: int = 1) -> int:
+    @property
+    def value(self) -> int:
+        return self._count + sum(read() for read in self._readers)
+
+    def inc(self, n: int = 1) -> None:
         if n < 0:
             raise ObsError(f"counter {self.name} cannot decrease (inc {n})")
-        self.value += n
-        return self.value
+        self._count += n
 
 
 class Gauge(Instrument):
-    """A value that can move both ways (depths, occupancy, rates)."""
+    """A value that can move both ways (depths, occupancy, rates).
+
+    A gauge with a reader shows the reader's value; pushes (``set``,
+    ``add``, ``set_max``) are for gauges without one.
+    """
 
     kind = "gauge"
 
     def __init__(self, name: str, labels: dict):
         super().__init__(name, labels)
-        self.value = 0
+        self._value = 0
+        self._reader: Optional[Callable[[], int]] = None
+
+    @property
+    def value(self):
+        return self._value if self._reader is None else self._reader()
 
     def set(self, value) -> None:
-        self.value = value
+        self._value = value
 
     def add(self, delta) -> None:
-        self.value += delta
+        self._value += delta
 
     def set_max(self, value) -> None:
         """Ratchet: keep the maximum ever observed."""
-        if value > self.value:
-            self.value = value
+        if value > self._value:
+            self._value = value
 
 
 class Histogram(Instrument):
@@ -159,11 +185,24 @@ class Registry:
             self._kinds[name] = cls.kind
         return instrument
 
-    def counter(self, name: str, **labels) -> Counter:
-        return self._get(Counter, name, labels)
+    def counter(self, name: str, reader: Optional[Callable[[], int]] = None,
+                **labels) -> Counter:
+        """The counter under ``(name, labels)``; a ``reader`` makes it
+        (also) a view of that count.  Readers under one key sum."""
+        counter = self._get(Counter, name, labels)
+        if reader is not None:
+            counter._readers.append(reader)
+        return counter
 
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self._get(Gauge, name, labels)
+    def gauge(self, name: str, reader: Optional[Callable[[], int]] = None,
+              **labels) -> Gauge:
+        """The gauge under ``(name, labels)``; a ``reader`` makes it a
+        view of that value.  A gauge reads one component: a later
+        reader under the same key replaces the earlier one."""
+        gauge = self._get(Gauge, name, labels)
+        if reader is not None:
+            gauge._reader = reader
+        return gauge
 
     def histogram(self, name: str, buckets: Optional[Iterable[int]] = None,
                   **labels) -> Histogram:

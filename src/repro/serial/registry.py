@@ -104,9 +104,6 @@ class RestoreContext:
         self.aspaces_created = 0
         #: deferred fixups run after every object exists (peer links)
         self._fixups: list[Callable[[], None]] = []
-        #: supplies page content for restored VM objects; installed by
-        #: the restore engine (eager page maps or a lazy pager factory)
-        self.page_source = None
 
     def remember(self, original_koid: int, obj: KernelObject) -> KernelObject:
         self.objects[original_koid] = obj

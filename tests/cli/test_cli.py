@@ -4,7 +4,7 @@ import pytest
 
 from repro.cli.main import DEMO_SCRIPT, main, run_lines
 from repro.cli.session import SlsSession
-from repro.errors import SlsError
+from repro.errors import RestoreError, SlsError
 from repro.units import MIB
 
 
@@ -42,6 +42,17 @@ class TestCommands:
         session.execute("checkpoint hello0")
         output = session.execute("restore hello0")
         assert "restored" in output and "pids" in output
+
+    def test_restore_names_the_memory_backend_that_captured_the_image(self, session):
+        session.execute("launch hello0")
+        session.execute("persist hello0")
+        session.execute("attach hello0 mem0")
+        session.execute("checkpoint hello0 --sync")
+        output = session.execute("restore hello0 --backend=mem0")
+        assert "restored" in output and "read 0 ns" in output
+        # a name that holds no copy of the image is not a memory backend
+        with pytest.raises(RestoreError, match="no store backend named 'memory'"):
+            session.execute("restore hello0 --backend=memory")
 
     def test_restore_without_image(self, session):
         session.execute("launch hello0")

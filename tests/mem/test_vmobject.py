@@ -3,14 +3,28 @@
 import pytest
 
 from repro.errors import MappingError
+from repro.mem.address_space import AddressSpace, MemContext
 from repro.mem.phys import PhysicalMemory
 from repro.mem.vmobject import ObjectKind, VMObject
-from repro.units import MIB
+from repro.sim.clock import SimClock
+from repro.units import MIB, PAGE_SIZE
 
 
 @pytest.fixture
 def phys():
     return PhysicalMemory(total_bytes=16 * MIB)
+
+
+def fault(obj, pindex, for_write):
+    """Fault page ``pindex`` of ``obj`` through ``AddressSpace.fault``,
+    the kernel's fault path, from a private mapping of the whole object
+    that is torn down again (``obj`` keeps only its own references)."""
+    aspace = AddressSpace(MemContext(SimClock(), obj.phys))
+    entry = aspace.mmap(obj.size_pages * PAGE_SIZE, obj=obj)
+    try:
+        return aspace.fault(entry.start + pindex * PAGE_SIZE, for_write)
+    finally:
+        aspace.destroy()
 
 
 class TestResidency:
@@ -66,7 +80,7 @@ class TestShadowChains:
         base = VMObject(phys, size_pages=8)
         base.insert_page(1, phys.allocate(payload=b"original"))
         shadow = base.make_shadow(phys)
-        page = shadow.fault_page(1, for_write=True)
+        page = fault(shadow, 1, for_write=True)
         assert page.read(0, 8) == b"original"
         assert shadow.resident_page(1) is page
         # Base unchanged.
@@ -78,7 +92,7 @@ class TestShadowChains:
         original = phys.allocate(payload=b"shared")
         base.insert_page(1, original)
         shadow = base.make_shadow(phys)
-        assert shadow.fault_page(1, for_write=False) is original
+        assert fault(shadow, 1, for_write=False) is original
         assert shadow.resident_page(1) is None  # not copied
 
     def test_shadow_offset(self, phys):
@@ -92,31 +106,31 @@ class TestShadowChains:
 class TestFaultResolution:
     def test_zero_fill(self, phys):
         obj = VMObject(phys, size_pages=4)
-        page = obj.fault_page(0, for_write=False)
+        page = fault(obj, 0, for_write=False)
         assert page.is_zero()
         assert obj.resident_page(0) is page
 
     def test_pager_supplies_content(self, phys):
         obj = VMObject(phys, size_pages=4, pager=lambda i: b"paged-%d" % i)
-        page = obj.fault_page(2, for_write=False)
+        page = fault(obj, 2, for_write=False)
         assert page.read(0, 7) == b"paged-2"
 
     def test_pager_none_falls_back_to_zero(self, phys):
         obj = VMObject(phys, size_pages=4, pager=lambda i: None)
-        assert obj.fault_page(0, for_write=False).is_zero()
+        assert fault(obj, 0, for_write=False).is_zero()
 
     def test_fault_idempotent(self, phys):
         obj = VMObject(phys, size_pages=4)
-        first = obj.fault_page(0, for_write=True)
-        second = obj.fault_page(0, for_write=True)
+        first = fault(obj, 0, for_write=True)
+        second = fault(obj, 0, for_write=True)
         assert first is second
 
 
 class TestLifecycle:
     def test_unref_releases_pages(self, phys):
         obj = VMObject(phys, size_pages=4)
-        obj.fault_page(0, for_write=True)
-        obj.fault_page(1, for_write=True)
+        fault(obj, 0, for_write=True)
+        fault(obj, 1, for_write=True)
         assert phys.allocated_frames == 2
         obj.unref()
         assert phys.allocated_frames == 0

@@ -38,8 +38,8 @@ class TestCoalescing:
         # whole batch coalesces into a single multi-page extent.
         assert nvme.stats.writes - writes_before == 1
         assert nvme.stats.doorbells == 1
-        assert batch.records_flushed == 32
-        assert batch.extents_flushed == 1
+        assert store.stats.batch_records == 32
+        assert store.stats.batch_extents == 1
         for i, ref in enumerate(refs):
             assert store.read_page(ref) == b"pg-%04d" % i
 
@@ -59,7 +59,7 @@ class TestCoalescing:
         for i in range(8):
             store.write_page(b"cap-%04d" % i)
         batch.flush()
-        assert batch.extents_flushed == 1 + 4
+        assert store.stats.batch_extents == 1 + 4
 
     def test_default_cap_bounds_on_media_run_size(self, store, nvme):
         store.codec.enabled = False  # cap semantics on RAW page inflation
@@ -70,8 +70,8 @@ class TestCoalescing:
         buffered = batch.pending_bytes
         batch.flush()
         assert buffered > MAX_BATCH_EXTENT
-        assert batch.extents_flushed >= 2
-        assert batch.bytes_flushed == buffered
+        assert store.stats.batch_extents >= 2
+        assert store.stats.batch_bytes == buffered
 
     def test_meta_and_pages_mix(self, store):
         meta = store.write_meta(oid=7, value={"pid": 7})
@@ -172,7 +172,7 @@ class TestBatchCrash:
         store.write_page(b"retried")
         batch.flush()
         assert store.stats.batches_flushed == 1
-        assert batch.records_flushed == 2
+        assert store.stats.batch_records == 2
 
     def test_recover_drops_open_batch(self, clock, store, nvme):
         abandoned = store.batch
@@ -198,7 +198,7 @@ class TestAccounting:
         assert store.stats.batches_flushed == 1
         assert store.stats.batch_records == 6
         assert store.stats.batch_extents >= 1
-        assert batch.bytes_flushed == buffered
+        assert store.stats.batch_bytes == buffered
 
     def test_batch_reusable_across_flushes(self, store):
         batch = store.batch
@@ -207,4 +207,4 @@ class TestAccounting:
         store.write_page(b"second wave")
         batch.flush()
         assert store.stats.batches_flushed == 2
-        assert batch.records_flushed == 2
+        assert store.stats.batch_records == 2

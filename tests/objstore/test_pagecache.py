@@ -89,7 +89,7 @@ class TestLruMechanics:
         assert len(cache) == 0 and cache.bytes_cached == 0
 
     def test_resize_shrinks_lru_first_and_zero_disables(self):
-        cache = PageCache(capacity_bytes=3 * KIB)
+        cache = PageCache(capacity_bytes=3 * KIB, record_trace=True)
         for i in range(3):
             cache.put(h(i), bytes([i]) * KIB)
         cache.resize(1 * KIB)
@@ -97,6 +97,10 @@ class TestLruMechanics:
         assert cache.evictions == 2
         cache.resize(0)
         assert not cache.enabled and len(cache) == 0
+        # every drop is one counted, traced eviction, LRU first
+        assert cache.evictions == 3
+        evicted = [line for line in cache.trace if line.startswith("evict")]
+        assert evicted == [f"evict {h(i).hex()}" for i in range(3)]
 
 
 class TestStoreIntegration:
@@ -262,6 +266,82 @@ class TestObsWiring:
         assert rate.value == store.pagecache.hit_rate_permille
         resident = reg.gauge("objstore.pagecache.resident_bytes", store=name)
         assert resident.value == store.pagecache.bytes_cached > 0
+
+    def test_store_and_cow_counters_are_their_components_counts(self):
+        """Every store and COW instrument reads its component's own
+        count: after a traced full, incremental, restore and delete
+        sequence each equals the stats field it mirrors."""
+        from repro.core.backends import make_disk_backend
+        from repro.core.orchestrator import SLS
+        from repro.obs import names
+        from repro.posix.kernel import Kernel
+        from repro.posix.syscalls import Syscalls
+        from repro.units import GIB
+
+        kernel = Kernel(memory_bytes=4 * GIB)
+        kernel.obs.enable()
+        sls = SLS(kernel)
+        proc = kernel.spawn("app")
+        sys = Syscalls(kernel, proc)
+        entry = sys.mmap(64 * KIB, name="heap")
+        sys.populate(entry.start, 64 * KIB, fill_fn=lambda i: b"page-%d" % i)
+        group = sls.persist(proc, name="app")
+        backend = make_disk_backend(kernel, NvmeDevice(kernel.clock))
+        group.attach(backend)
+        sls.checkpoint(group)
+        sys.poke(entry.start, b"dirty")
+        incremental = sls.checkpoint(group)
+        sls.barrier(group)
+        sls.restore(incremental, new_instance=True, name_suffix="-r")
+        backend.delete_image(incremental)
+
+        reg, stats = kernel.obs.registry, backend.store.stats
+        label = backend.store.device.name
+        for name, field in [
+            (names.C_STORE_PAGES_WRITTEN, "pages_written"),
+            (names.C_STORE_PAGES_DEDUPED, "pages_deduped"),
+            (names.C_STORE_META_RECORDS, "meta_records_written"),
+            (names.C_STORE_BYTES_WRITTEN, "bytes_written"),
+            (names.C_STORE_SNAPSHOTS, "snapshots_committed"),
+            (names.C_STORE_SNAPSHOTS_DELETED, "snapshots_deleted"),
+            (names.C_STORE_BATCHES, "batches_flushed"),
+            (names.C_STORE_BATCH_RECORDS, "batch_records"),
+            (names.C_STORE_PAGES_COMPRESSED, "pages_compressed"),
+            (names.C_STORE_PAGES_DELTA, "pages_delta"),
+            (names.C_STORE_ENCODED_BYTES_SAVED, "encoded_bytes_saved"),
+        ]:
+            assert reg.get(name, store=label).value == getattr(stats, field), name
+        assert stats.snapshots_deleted == 1
+        assert reg.get(names.G_STORE_COMPRESSION_RATIO, store=label).value == (
+            stats.page_media_bytes * 1000 // stats.page_full_bytes
+        )
+        cow = kernel.cow.stats
+        assert cow.cow_faults > 0
+        for name, count in [
+            (names.C_COW_PAGES_FROZEN, cow.pages_frozen),
+            (names.C_COW_FAULTS, cow.cow_faults),
+            (names.C_COW_PTE_UPDATES, cow.pte_updates),
+        ]:
+            assert reg.get(name).value == count, name
+
+    def test_the_registry_does_not_keep_a_store_alive(self):
+        import gc
+        import weakref
+
+        from repro.obs import KernelObs, names
+
+        clock = SimClock()
+        obs = KernelObs(clock)
+        store = ObjectStore(NvmeDevice(clock, name="gone", queue_depth=8))
+        store.attach_obs(obs)
+        store.write_page(b"kept in the counts")
+        store.flush_barrier()
+        alive = weakref.ref(store.device)
+        del store
+        gc.collect()
+        assert alive() is None
+        written = obs.registry.get(names.C_STORE_PAGES_WRITTEN, store="gone")
+        assert written.value == 1
 
     def test_custom_capacity_via_constructor(self):
         clock = SimClock()

@@ -60,11 +60,11 @@ def nvme(clock, name="nvme0"):
 @contextmanager
 def commit_cost(store):
     """(flush shards, doorbells) one producer's commit spends."""
-    stats, batch = store.device.stats, store.batch
-    before = batch.shards_flushed, stats.doorbells
+    stats, store_stats = store.device.stats, store.stats
+    before = store_stats.batch_shards, stats.doorbells
     cost = []
     yield cost
-    cost += [batch.shards_flushed - before[0], stats.doorbells - before[1]]
+    cost += [store_stats.batch_shards - before[0], stats.doorbells - before[1]]
 
 
 def snapshot_pages(store, name):

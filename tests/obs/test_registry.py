@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.obs.registry import Counter, Gauge, Histogram, ObsError, Registry
+from repro.obs.registry import (
+    Counter,
+    Gauge,
+    Histogram,
+    ObsError,
+    Registry,
+    attr_reader,
+)
 
 
 class TestCounters:
@@ -39,6 +48,39 @@ class TestGauges:
         g.set_max(10)
         g.set_max(7)  # lower values do not regress the ratchet
         assert g.value == 10
+
+
+class TestReaderBackedInstruments:
+    """A counter or gauge registered with a reader is a view: its value
+    is computed when read, so nothing is pushed per event."""
+
+    def test_value_is_read_when_asked(self):
+        stats = SimpleNamespace(pages=0, ratio=0)
+        reg = Registry()
+        counter = reg.counter("pages_total", attr_reader(stats, "pages"), store="a")
+        gauge = reg.gauge("ratio", attr_reader(stats, "ratio"), store="a")
+        stats.pages, stats.ratio = 7, 250
+        assert counter.value == 7 and gauge.value == 250
+        assert reg.snapshot()["counters"][0]["value"] == 7
+        stats.pages += 1
+        assert reg.get("pages_total", store="a").value == 8
+
+    def test_counter_readers_under_one_key_sum(self):
+        first, second = SimpleNamespace(n=3), SimpleNamespace(n=4)
+        reg = Registry()
+        reg.counter("n_total", attr_reader(first, "n"), store="nvme0")
+        counter = reg.counter("n_total", attr_reader(second, "n"), store="nvme0")
+        assert counter.value == 7
+        counter.inc(2)  # a push adds to what the readers report
+        assert counter.value == 9
+        assert reg.counter("n_total", store="other").value == 0
+
+    def test_a_later_gauge_reader_replaces_the_earlier(self):
+        first, second = SimpleNamespace(v=10), SimpleNamespace(v=20)
+        reg = Registry()
+        reg.gauge("v", attr_reader(first, "v"))
+        gauge = reg.gauge("v", attr_reader(second, "v"))
+        assert gauge.value == 20
 
 
 class TestHistograms:
