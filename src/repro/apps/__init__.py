@@ -13,9 +13,7 @@ from repro.apps.lsmtree import AuroraLog, ClassicWal, LsmTree, SSTable
 from repro.apps.recordreplay import CheckpointedRecorder, RecordedInput, RrStats
 from repro.apps.serverless import (
     DeployedFunction,
-    DeployOptions,
     InvocationResult,
-    InvokeOptions,
     ServerlessFleet,
     ServerlessManager,
     StormReport,
@@ -39,9 +37,7 @@ __all__ = [
     "RecordedInput",
     "RrStats",
     "DeployedFunction",
-    "DeployOptions",
     "InvocationResult",
-    "InvokeOptions",
     "ServerlessFleet",
     "ServerlessManager",
     "StormReport",

@@ -17,8 +17,8 @@ that to thousands of deployed functions on one store, billed to a
 scheduler tenant and driven by a seeded Poisson-ish invocation storm.
 
 The public surface follows the libsls keyword-only convention (pinned
-by ``tests/core/test_api_options.py``): every knob is keyword-only, and
-:class:`DeployOptions`/:class:`InvokeOptions` carry them as one value.
+by ``TestKeywordOnlySurface`` in the core API tests): every knob is
+keyword-only and checked by the method that uses it.
 """
 
 from __future__ import annotations
@@ -30,67 +30,11 @@ from repro.apps.hello import HelloWorldApp
 from repro.core.checkpoint import CheckpointImage
 from repro.core.group import PersistenceGroup
 from repro.core.metrics import RestoreMetrics
-from repro.core.options import CheckpointOptions
 from repro.core.orchestrator import SLS
 from repro.errors import SlsError
 from repro.obs import names as obs_names
 from repro.sim.rng import RngFactory, zipf_sampler
 from repro.units import KIB
-
-
-@dataclass(frozen=True)
-class DeployOptions:
-    """How to deploy one function.
-
-    ``customize``  the function's own code/config delta (a few pages
-                   layered over the shared runtime image); ``None``
-                   deploys the bare runtime.
-    ``backend``    per-deploy store-backend override (``None``: the
-                   manager's construction-time backend).
-    ``tenant``     scheduler tenant the function's checkpoints bill to
-                   (``None``: the default tenant).
-    """
-
-    customize: Optional[bytes] = None
-    backend: Optional[object] = None
-    tenant: Optional[str] = None
-
-    def __post_init__(self):
-        if self.customize is not None and not isinstance(self.customize, bytes):
-            raise SlsError(
-                f"DeployOptions.customize must be bytes/None, got {self.customize!r}"
-            )
-        if self.tenant is not None and not isinstance(self.tenant, str):
-            raise SlsError(
-                f"DeployOptions.tenant must be str/None, got {self.tenant!r}"
-            )
-
-
-@dataclass(frozen=True)
-class InvokeOptions:
-    """How to invoke one deployed function.
-
-    ``payload``        request bytes poked into the instance's heap.
-    ``lazy``           restore pages on demand (the paper's warm-start
-                       path) instead of eagerly loading the image.
-    ``keep_instance``  leave the restored instance running instead of
-                       exiting it after the invocation.
-    """
-
-    payload: bytes = b"world"
-    lazy: bool = True
-    keep_instance: bool = False
-
-    def __post_init__(self):
-        if not isinstance(self.payload, bytes):
-            raise SlsError(
-                f"InvokeOptions.payload must be bytes, got {self.payload!r}"
-            )
-        for flag in ("lazy", "keep_instance"):
-            if not isinstance(getattr(self, flag), bool):
-                raise SlsError(
-                    f"InvokeOptions.{flag} must be bool, got {getattr(self, flag)!r}"
-                )
 
 
 @dataclass
@@ -116,9 +60,8 @@ class ServerlessManager:
     """Deploys and invokes functions as Aurora checkpoints.
 
     The store backend is a construction-time contract: every deployed
-    function checkpoints to it (unless a deploy overrides), so a
-    misconfigured manager fails at construction instead of at the
-    first deploy.
+    function checkpoints to it, so a misconfigured manager fails at
+    construction instead of at the first deploy.
     """
 
     def __init__(self, sls: SLS, *, backend):
@@ -143,26 +86,22 @@ class ServerlessManager:
         name: str,
         *,
         customize: Optional[bytes] = None,
-        backend=None,
         tenant: Optional[str] = None,
-        options: Optional[DeployOptions] = None,
     ) -> DeployedFunction:
         """Initialize a function runtime and checkpoint it warm.
 
         Every function boots the *same* runtime (identical pages →
         deduplicated in the store); ``customize`` is the function's own
-        code/config delta.  All parameters after ``name`` are
-        keyword-only; pass a :class:`DeployOptions` instead to carry
-        them as one value.
+        code/config delta (a few pages; ``None`` deploys the bare
+        runtime).  ``tenant`` is the scheduler tenant its checkpoints
+        bill to (``None``: the default tenant).
         """
-        if options is not None:
-            if (customize, backend, tenant) != (None, None, None):
-                raise SlsError(
-                    "pass either options= or individual keywords, not both"
-                )
-            customize = options.customize
-            backend = options.backend
-            tenant = options.tenant
+        if customize is not None and not isinstance(customize, bytes):
+            raise SlsError(
+                f"deploy: customize must be bytes/None, got {customize!r}"
+            )
+        if tenant is not None and not isinstance(tenant, str):
+            raise SlsError(f"deploy: tenant must be str/None, got {tenant!r}")
         if name in self.functions:
             raise SlsError(f"function {name!r} already deployed")
         container = self.kernel.create_container(f"fn-{name}")
@@ -176,15 +115,13 @@ class ServerlessManager:
                 fill_fn=lambda i: b"%s:%d:%s" % (name.encode(), i, customize),
             )
         group = self.sls.persist(container, name=name)
-        group.attach(backend if backend is not None else self.backend)
+        group.attach(self.backend)
         if tenant is not None:
             self.sls.scheduler.assign(group, tenant=tenant)
         # Through the QoS scheduler: at fleet scale many deploys and
         # periodic re-checkpoints contend for the device, and the
         # tenant's budgets decide whose flush goes out when.
-        ticket = self.sls.checkpoint_async(
-            group, options=CheckpointOptions(name=f"{name}@warm")
-        )
+        ticket = self.sls.checkpoint_async(group, name=f"{name}@warm")
         if ticket.status == "rejected":
             raise SlsError(
                 f"deploy of {name!r} rejected by admission control: "
@@ -218,27 +155,26 @@ class ServerlessManager:
         payload: bytes = b"world",
         lazy: bool = True,
         keep_instance: bool = False,
-        options: Optional[InvokeOptions] = None,
     ) -> InvocationResult:
         """Warm-start the function: restore a fresh instance and run it.
 
-        All parameters after ``name`` are keyword-only; pass an
-        :class:`InvokeOptions` instead to carry them as one value.
+        ``payload`` is the request poked into the instance's heap.
+        ``lazy`` restores pages on demand (the paper's warm-start path)
+        and is checked by :meth:`~repro.core.orchestrator.SLS.restore`.
+        ``keep_instance`` leaves the restored instance running instead
+        of exiting it after the invocation.
         """
-        if options is not None:
-            if (payload, lazy, keep_instance) != (b"world", True, False):
-                raise SlsError(
-                    "pass either options= or individual keywords, not both"
-                )
-            payload = options.payload
-            lazy = options.lazy
-            keep_instance = options.keep_instance
+        if not isinstance(payload, bytes):
+            raise SlsError(f"invoke: payload must be bytes, got {payload!r}")
+        if not isinstance(keep_instance, bool):
+            raise SlsError(
+                f"invoke: keep_instance must be bool, got {keep_instance!r}"
+            )
         from repro.posix.syscalls import Syscalls
 
         deployed = self.functions.get(name)
         if deployed is None:
             raise SlsError(f"no function {name!r}")
-        self._instance_seq += 1
         faults_before = self.kernel.mem.stats.major
         started_at = self.kernel.clock.now
         procs, metrics = self.sls.restore(
@@ -246,8 +182,9 @@ class ServerlessManager:
             backend_name=next(iter(deployed.image.page_refs), None),
             lazy=lazy,
             new_instance=True,
-            name_suffix=f"#{self._instance_seq}",
+            name_suffix=f"#{self._instance_seq + 1}",
         )
+        self._instance_seq += 1
         # Drive one invocation on the restored instance.
         instance = procs[0]
         sys = Syscalls(self.kernel, instance)
@@ -395,7 +332,7 @@ class ServerlessFleet:
 
         def fire(fn: str) -> None:
             results.append(
-                self.manager.invoke(fn, options=InvokeOptions(lazy=lazy))
+                self.manager.invoke(fn, lazy=lazy)
             )
 
         last = started_at

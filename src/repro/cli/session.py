@@ -15,7 +15,6 @@ from repro.apps.hello import HelloWorldApp
 from repro.apps.kvstore import RedisLikeServer
 from repro.core.backends import MemoryBackend, make_disk_backend
 from repro.core.group import PersistenceGroup
-from repro.core.options import CheckpointOptions, RestoreOptions
 from repro.core.orchestrator import SLS
 from repro.core.remote import MigrationReceiver, sls_send
 from repro.errors import AuroraError, SlsError
@@ -141,13 +140,13 @@ class SlsSession:
         )
         if len(positional) > 1:
             raise SlsError("checkpoint takes at most one image name")
-        options = CheckpointOptions(
+        group = self._group(group_name)
+        image = self.sls.checkpoint(
+            group,
             full=True if flags.get("full") else None,
             name=positional[0] if positional else None,
             sync=bool(flags.get("sync")),
         )
-        group = self._group(group_name)
-        image = self.sls.checkpoint(group, options=options)
         m = image.metrics
         return (
             f"checkpoint {image.name}: stop {fmt_time(m.stop_time_ns)}"
@@ -177,8 +176,15 @@ class SlsSession:
             # One log per group: a --record-faults run fills it, a
             # later --prefetch=recorded run of the same group replays it.
             fault_log = self._fault_logs.setdefault(group_name, FaultOrderLog())
-        options = RestoreOptions(
-            backend=backend,
+        group = self._group(group_name)
+        image = (
+            group.image_by_name(image_name) if image_name else group.latest_image
+        )
+        if image is None:
+            raise SlsError(f"no image to restore for {group_name!r}")
+        procs, metrics = self.sls.restore(
+            image,
+            backend_name=backend,
             lazy=bool(flags.get("lazy")),
             new_instance=True,
             name_suffix="-restored",
@@ -186,13 +192,6 @@ class SlsSession:
             record_faults=record_faults,
             fault_log=fault_log,
         )
-        group = self._group(group_name)
-        image = (
-            group.image_by_name(image_name) if image_name else group.latest_image
-        )
-        if image is None:
-            raise SlsError(f"no image to restore for {group_name!r}")
-        procs, metrics = self.sls.restore(image, **options.engine_kwargs())
         extra = ""
         if record_faults:
             extra = "; recording fault order"

@@ -31,7 +31,7 @@ from repro.core.remote import (
     live_migrate,
     sls_send,
 )
-from repro.core.restore import RestoreEngine, load_image_from_store
+from repro.core.restore import load_image_from_store
 from repro.core.rollback import ROLLBACK_SIGNAL, rollback
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "import_image",
     "live_migrate",
     "sls_send",
-    "RestoreEngine",
     "load_image_from_store",
     "ROLLBACK_SIGNAL",
     "rollback",

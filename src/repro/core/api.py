@@ -21,11 +21,11 @@ from typing import Optional
 
 from repro.core.checkpoint import CheckpointImage
 from repro.core.metrics import RestoreMetrics
-from repro.core.options import CheckpointOptions, RestoreOptions
 from repro.core.orchestrator import SLS
 from repro.core.rollback import rollback as _rollback
 from repro.errors import NotPersisted, SlsError
 from repro.objstore.log import LogAppend, PersistentLog
+from repro.objstore.pagecache import FaultOrderLog
 from repro.posix.process import Process
 from repro.posix.socket import SocketFile
 
@@ -54,22 +54,12 @@ class AuroraApi:
         name: Optional[str] = None,
         full: Optional[bool] = None,
         sync: bool = False,
-        options: Optional[CheckpointOptions] = None,
     ) -> CheckpointImage:
-        """Create an image of the caller's persistence group.
-
-        All parameters are keyword-only; pass a
-        :class:`~repro.core.options.CheckpointOptions` instead to
-        carry them as one value.
-        """
-        if options is not None:
-            if (name, full, sync) != (None, None, False):
-                raise SlsError(
-                    "pass either options= or individual keywords, not both"
-                )
-        else:
-            options = CheckpointOptions(full=full, name=name, sync=sync)
-        return self.sls.checkpoint(self._group(), options=options)
+        """Create an image of the caller's persistence group (the
+        keywords are :meth:`~repro.core.orchestrator.SLS.checkpoint`'s)."""
+        return self.sls.checkpoint(
+            self._group(), full=full, name=name, sync=sync
+        )
 
     def sls_restore(
         self,
@@ -81,36 +71,24 @@ class AuroraApi:
         name_suffix: str = "",
         prefetch: Optional[str] = None,
         record_faults: bool = False,
-        fault_log=None,
-        options: Optional[RestoreOptions] = None,
+        fault_log: Optional[FaultOrderLog] = None,
     ) -> tuple[list[Process], RestoreMetrics]:
         """Restore the caller's group to a named (or latest) image.
 
-        Every knob is an explicit keyword-only parameter (see
-        :class:`~repro.core.options.RestoreOptions`, which can carry
-        them as one value) — nothing is forwarded blindly anymore, so
-        a misspelled option fails loudly instead of being ignored.
+        Every knob is an explicit keyword-only parameter, checked by
+        :meth:`~repro.core.orchestrator.SLS.restore` (``backend`` is
+        its ``backend_name``), so a misspelled option fails loudly
+        instead of being ignored.
         """
-        if options is not None:
-            if (
-                backend, lazy, new_instance, name_suffix,
-                prefetch, record_faults, fault_log,
-            ) != (None, False, False, "", None, False, None):
-                raise SlsError(
-                    "pass either options= or individual keywords, not both"
-                )
-        else:
-            options = RestoreOptions(
-                backend=backend, lazy=lazy, new_instance=new_instance,
-                name_suffix=name_suffix,
-                prefetch=prefetch, record_faults=record_faults,
-                fault_log=fault_log,
-            )
         group = self._group()
         image = group.image_by_name(name) if name else group.latest_image
         if image is None:
             raise SlsError(f"no image {name!r} for group {group.name!r}")
-        return self.sls.restore(image, **options.engine_kwargs())
+        return self.sls.restore(
+            image, backend_name=backend, lazy=lazy, new_instance=new_instance,
+            name_suffix=name_suffix, prefetch=prefetch,
+            record_faults=record_faults, fault_log=fault_log,
+        )
 
     def sls_rollback(self) -> tuple[list[Process], RestoreMetrics]:
         """Roll the group back to its last checkpoint (in place)."""

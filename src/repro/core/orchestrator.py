@@ -21,9 +21,8 @@ from repro.core.backends import Backend
 from repro.core.checkpoint import CheckpointImage
 from repro.core.extcons import ExternalConsistency
 from repro.core.group import DEFAULT_PERIOD_NS, PersistenceGroup
-from repro.core.metrics import CheckpointMetrics
-from repro.core.options import CheckpointOptions
-from repro.core.restore import RestoreEngine
+from repro.core.metrics import CheckpointMetrics, RestoreMetrics
+from repro.core.restore import restore_from_memory, restore_from_store, store_for
 from repro.core.scheduler import CheckpointScheduler, CheckpointTicket
 from repro.errors import (
     BackendError,
@@ -31,12 +30,20 @@ from repro.errors import (
     HardwareError,
     NotPersisted,
     ObjectStoreError,
+    RestoreError,
+    SlsError,
 )
 from repro.mem.vmobject import VMObject
 from repro.obs import names as obs_names
+from repro.objstore.pagecache import FaultOrderLog
+from repro.objstore.store import ObjectStore
 from repro.posix.kernel import Container, Kernel
 from repro.posix.process import Process
 from repro.serial.procsnap import group_vm_objects, serialize_group
+
+
+#: lazy-restore prefetch policies :meth:`SLS.restore` accepts
+PREFETCH_POLICIES = ("off", "recorded", "hot")
 
 
 class SLS:
@@ -46,7 +53,6 @@ class SLS:
         self.kernel = kernel
         kernel.sls = self
         self.groups: dict[int, PersistenceGroup] = {}
-        self.restore_engine = RestoreEngine(self)
         #: per-tenant QoS multiplexer; every asynchronous checkpoint
         #: (periodic ticks, checkpoint_async) routes through it.  The
         #: default config is unthrottled, so single-tenant callers see
@@ -167,23 +173,25 @@ class SLS:
     def checkpoint(
         self,
         group: PersistenceGroup,
+        *,
         full: Optional[bool] = None,
         name: Optional[str] = None,
-        *,
         sync: bool = False,
-        options: Optional[CheckpointOptions] = None,
     ) -> CheckpointImage:
         """Take one checkpoint of ``group`` (the serialization barrier).
 
         ``full=None`` picks automatically: the first checkpoint is
-        full, later ones incremental.  Data is flushed to the attached
+        full, later ones incremental.  ``name`` names the image
+        (autogenerated when ``None``).  Data is flushed to the attached
         backends asynchronously; use :meth:`barrier` to wait for
         durability, or pass ``sync=True`` to fold the barrier in.
-        An ``options`` object carries all three knobs as one value
-        (and wins over the individual arguments).
         """
-        if options is not None:
-            full, name, sync = options.full, options.name, options.sync
+        if full is not None and not isinstance(full, bool):
+            raise SlsError(f"checkpoint: full must be bool/None, got {full!r}")
+        if name is not None and not isinstance(name, str):
+            raise SlsError(f"checkpoint: name must be str/None, got {name!r}")
+        if not isinstance(sync, bool):
+            raise SlsError(f"checkpoint: sync must be bool, got {sync!r}")
         procs = group.processes()
         if not procs:
             raise CheckpointError(f"group {group.name!r} has no live processes")
@@ -383,7 +391,7 @@ class SLS:
         self,
         group: PersistenceGroup,
         *,
-        options: Optional[CheckpointOptions] = None,
+        name: Optional[str] = None,
     ) -> CheckpointTicket:
         """Submit a checkpoint request to the QoS scheduler.
 
@@ -393,7 +401,7 @@ class SLS:
         run it inline when budgets allow).  Use :meth:`barrier` to
         drain the group's outstanding requests to durability.
         """
-        return self.scheduler.submit(group, options=options)
+        return self.scheduler.submit(group, name=name)
 
     # -- durability ---------------------------------------------------------------------
 
@@ -432,10 +440,88 @@ class SLS:
                     raise CheckpointError("barrier did not converge")
         return self.kernel.clock.now
 
-    # -- restore / rollback (delegated) -----------------------------------------------------
+    # -- restore ---------------------------------------------------------------------------
 
-    def restore(self, *args, **kwargs):
-        return self.restore_engine.restore(*args, **kwargs)
+    def restore(
+        self,
+        image: CheckpointImage,
+        *,
+        backend_name: Optional[str] = None,
+        store: Optional[ObjectStore] = None,
+        lazy: bool = False,
+        new_instance: bool = False,
+        name_suffix: str = "",
+        prefetch: Optional[str] = None,
+        record_faults: bool = False,
+        fault_log: Optional[FaultOrderLog] = None,
+    ) -> tuple[list[Process], RestoreMetrics]:
+        """Restore ``image``; returns (processes, metrics).
+
+        ``backend_name`` picks where to read from when the image lives
+        on several backends; by default an in-memory image is
+        preferred, then the first store backend.  ``store`` overrides
+        backend lookup (received/migrated images that belong to no
+        local group).  ``lazy`` maps pages on demand instead of
+        loading them eagerly.  ``new_instance`` allocates fresh PIDs
+        (scale-out clone) instead of reclaiming the originals (crash
+        resume); ``name_suffix`` is appended to the clone's process
+        names.
+
+        ``prefetch`` names the lazy-restore prefetch policy: ``"off"``
+        (pure demand paging), ``"recorded"`` (replay ``fault_log`` as a
+        cache warm-up stream) or ``"hot"`` (eagerly load the pages the
+        checkpoint marked hot); ``None`` means ``"hot"``.
+        ``record_faults`` appends this restore's page-fault sequence to
+        ``fault_log``.
+        """
+        if backend_name is not None and not isinstance(backend_name, str):
+            raise SlsError(
+                f"restore: backend_name must be str/None, got {backend_name!r}"
+            )
+        for flag, value in (("lazy", lazy), ("new_instance", new_instance),
+                            ("record_faults", record_faults)):
+            if not isinstance(value, bool):
+                raise SlsError(f"restore: {flag} must be bool, got {value!r}")
+        if not isinstance(name_suffix, str):
+            raise SlsError(f"restore: name_suffix must be str, got {name_suffix!r}")
+        if name_suffix and not new_instance:
+            raise SlsError("restore: name_suffix only applies with new_instance=True")
+        if prefetch is not None:
+            if prefetch not in PREFETCH_POLICIES:
+                raise SlsError(
+                    f"restore: prefetch must be one of {PREFETCH_POLICIES}, "
+                    f"got {prefetch!r}"
+                )
+            if not lazy:
+                raise SlsError("restore: prefetch only applies with lazy=True")
+        if fault_log is not None and not isinstance(fault_log, FaultOrderLog):
+            raise SlsError(
+                f"restore: fault_log must be a FaultOrderLog, got {fault_log!r}"
+            )
+        if record_faults and not lazy:
+            raise SlsError("restore: record_faults only applies with lazy=True")
+        if record_faults and fault_log is None:
+            raise SlsError("restore: record_faults requires a fault_log")
+        if prefetch == "recorded" and fault_log is None:
+            raise SlsError('restore: prefetch="recorded" requires a fault_log')
+
+        if backend_name is None and image.memory_pages is None:
+            backend_name = next(iter(image.page_refs), None)
+            if backend_name is None:
+                raise RestoreError("image has no restorable backend")
+        if backend_name is None or backend_name == image.memory_backend:
+            return restore_from_memory(
+                image, self.kernel,
+                lazy=lazy, new_instance=new_instance, name_suffix=name_suffix,
+            )
+        if store is None:
+            store = store_for(self.groups.values(), image, backend_name)
+        return restore_from_store(
+            image, store, backend_name, self.kernel,
+            lazy=lazy, new_instance=new_instance, name_suffix=name_suffix,
+            prefetch=prefetch or "hot", record_faults=record_faults,
+            fault_log=fault_log,
+        )
 
     def ps(self) -> list[dict]:
         """``sls ps``: one row per persisted application."""

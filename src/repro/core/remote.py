@@ -226,7 +226,7 @@ class MigrationReceiver:
             return group_name
         return None
 
-    def pump(self, wait: bool = True) -> list[str]:
+    def pump(self, *, wait: bool = True) -> list[str]:
         """Process incoming messages; returns groups ready to restore."""
         ready = []
         while True:
@@ -247,7 +247,7 @@ class MigrationReceiver:
         return stream.commit(self.store, "recv", "received")
 
     def restore(
-        self, group_name: str, lazy: bool = False, new_instance: bool = False
+        self, group_name: str, *, lazy: bool = False, new_instance: bool = False
     ) -> tuple[list[Process], RestoreMetrics]:
         image = self.build_image(group_name)
         return self.sls.restore(

@@ -1,6 +1,9 @@
-"""The restore engine (Table 4's three phases).
+"""The restore phases (Table 4).
 
-Restores rebuild an application from a checkpoint image:
+:meth:`repro.core.orchestrator.SLS.restore` checks its keywords, picks
+the backend and calls :func:`restore_from_memory` or
+:func:`restore_from_store`.  Restores rebuild an application from a
+checkpoint image:
 
 1. **Object store read** (disk restores): the manifest and the metadata
    record are read and verified — the image already holds the decoded
@@ -16,7 +19,7 @@ Restores rebuild an application from a checkpoint image:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.core.backends import StoreBackend
 from repro.core.checkpoint import CheckpointImage
@@ -24,6 +27,7 @@ from repro.core.metrics import CheckpointMetrics, RestoreMetrics
 from repro.errors import ImageFormatError, RestoreError
 from repro.obs import names as obs_names
 from repro.objstore.image import read_image, verify_image_record
+from repro.objstore.pagecache import FaultOrderLog
 from repro.objstore.record import shaped
 from repro.objstore.store import ObjectStore
 from repro.posix.kernel import Kernel
@@ -37,7 +41,6 @@ from repro.serial.procsnap import restore_group
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.group import PersistenceGroup
-    from repro.core.orchestrator import SLS
 
 
 def _group_meta(name: str, meta) -> dict:
@@ -77,283 +80,237 @@ def load_image_from_store(store: ObjectStore, snapshot,
     return image
 
 
-class RestoreEngine:
-    """Executes restores for one SLS instance."""
+def store_for(groups: Iterable["PersistenceGroup"], image: CheckpointImage,
+              backend_name: str) -> ObjectStore:
+    """The store holding ``image`` on ``backend_name`` among ``groups``.
 
-    def __init__(self, sls: "SLS"):
-        self.sls = sls
+    Backend names are per-group, so several groups may each have a
+    "disk0" — the right one is whichever store actually contains
+    the image's snapshot, else the first store of that name.
+    """
+    snapshot = image.snapshots.get(backend_name)
+    fallback = None
+    for group in groups:
+        for backend in group.backends:
+            if backend.name != backend_name or not isinstance(backend, StoreBackend):
+                continue
+            store = backend.store
+            if snapshot is None:
+                return store
+            held = store.directory.get(snapshot.snap_id)
+            if held is not None and held.name == snapshot.name:
+                return store
+            if fallback is None:
+                fallback = store
+    if fallback is None:
+        raise RestoreError(f"no store backend named {backend_name!r}")
+    return fallback
 
-    # -- public entry points -----------------------------------------------------
 
-    def restore(
-        self,
-        image: CheckpointImage,
-        backend_name: Optional[str] = None,
-        kernel: Optional[Kernel] = None,
-        lazy: bool = False,
-        new_instance: bool = False,
-        name_suffix: str = "",
-        store: Optional[ObjectStore] = None,
-        prefetch: Optional[str] = None,
-        record_faults: bool = False,
-        fault_log=None,
-    ) -> tuple[list[Process], RestoreMetrics]:
-        """Restore ``image``; returns (processes, metrics).
+# -- memory-image restore ---------------------------------------------------------
 
-        ``backend_name`` picks where to read from when the image lives
-        on several backends; by default an in-memory image is
-        preferred, then the first store backend.  ``new_instance``
-        allocates fresh PIDs (scale-out) instead of reclaiming the
-        originals (crash resume).  ``store`` overrides backend lookup
-        (received/migrated images that belong to no local group).
 
-        ``prefetch`` names the lazy-restore prefetch policy (``"off"``,
-        ``"recorded"``, ``"hot"``); ``None`` means ``"hot"``.
-        ``record_faults`` appends this restore's page-fault sequence to
-        ``fault_log`` (a :class:`~repro.objstore.pagecache.FaultOrderLog`,
-        also the source replayed by ``prefetch="recorded"``).
-        """
-        kernel = kernel or self.sls.kernel
-        if backend_name is None:
-            if image.memory_pages is not None:
-                return self._restore_from_memory(
-                    image, kernel, lazy, new_instance, name_suffix
-                )
-            backend_name = next(iter(image.page_refs), None)
-            if backend_name is None:
-                raise RestoreError("image has no restorable backend")
-        if backend_name == image.memory_backend:
-            return self._restore_from_memory(
-                image, kernel, lazy, new_instance, name_suffix
+def restore_from_memory(
+    image: CheckpointImage,
+    kernel: Kernel,
+    *,
+    lazy: bool,
+    new_instance: bool,
+    name_suffix: str,
+) -> tuple[list[Process], RestoreMetrics]:
+    """Restore ``image`` from the pages it holds in memory, shared COW;
+    there is nothing to read, so ``lazy`` only labels the span."""
+    if image.memory_pages is None:
+        raise RestoreError("image has no in-memory pages")
+    mem = kernel.mem
+    cpu = mem.cpu
+    tracer = kernel.obs.tracer
+
+    with tracer.span(
+        obs_names.SPAN_RESTORE,
+        group=image.group_name, backend="memory", lazy=lazy,
+    ) as root:
+        with tracer.span(obs_names.SPAN_RESTORE_METADATA) as meta_span:
+            procs, ctx = restore_group(
+                image.meta,
+                kernel,
+                preserve_pids=not new_instance,
+                name_suffix=name_suffix,
             )
-        if store is None:
-            store = self._store_for(image, backend_name)
-        return self._restore_from_store(
-            image, store, backend_name, kernel, lazy, new_instance,
-            name_suffix, prefetch or "hot", record_faults, fault_log,
-        )
+            mem.charge(cpu.restore_fixed_ns)
+            mem.charge(ctx.objects_restored * cpu.object_restore_ns)
+            meta_span.set(objects=ctx.objects_restored)
 
-    def _store_for(self, image: CheckpointImage, backend_name: str) -> ObjectStore:
-        """Resolve the store holding ``image`` on ``backend_name``.
-
-        Backend names are per-group, so several groups may each have a
-        "disk0" — the right one is whichever store actually contains
-        the image's snapshot.
-        """
-        snapshot = image.snapshots.get(backend_name)
-        fallback = None
-        for group in self.sls.groups.values():
-            for backend in group.backends:
-                if backend.name != backend_name or not isinstance(backend, StoreBackend):
+        with tracer.span(obs_names.SPAN_RESTORE_MEMORY) as mem_span:
+            installed = 0
+            for oid, pages in image.memory_pages.items():
+                obj = ctx.vm_objects.get(oid)
+                if obj is None:
                     continue
-                store = backend.store
-                if snapshot is None:
-                    return store
-                held = store.directory.get(snapshot.snap_id)
-                if held is not None and held.name == snapshot.name:
-                    return store
-                if fallback is None:
-                    fallback = store
-        if fallback is None:
-            raise RestoreError(f"no store backend named {backend_name!r}")
-        return fallback
+                installed += install_memory_pages(obj, pages, kernel.phys)
+            mem.charge(ctx.aspaces_created * cpu.aspace_create_ns)
+            mem.charge(ctx.entries_restored * cpu.map_entry_restore_ns)
+            mem.charge(installed * cpu.pte_share_ns)
+            mem_span.set(pages_installed=installed, pages_lazy=0)
 
-    # -- memory-image restore -----------------------------------------------------
+    metrics = RestoreMetrics.from_span(root)
+    _count_restore(kernel, metrics)
+    _resume(procs)
+    return procs, metrics
 
-    def _restore_from_memory(
-        self,
-        image: CheckpointImage,
-        kernel: Kernel,
-        lazy: bool,
-        new_instance: bool,
-        name_suffix: str,
-    ) -> tuple[list[Process], RestoreMetrics]:
-        if image.memory_pages is None:
-            raise RestoreError("image has no in-memory pages")
-        mem = kernel.mem
-        cpu = mem.cpu
-        tracer = kernel.obs.tracer
 
-        with tracer.span(
-            obs_names.SPAN_RESTORE,
-            group=image.group_name, backend="memory", lazy=lazy,
-        ) as root:
-            with tracer.span(obs_names.SPAN_RESTORE_METADATA) as meta_span:
-                procs, ctx = restore_group(
-                    image.meta,
-                    kernel,
-                    preserve_pids=not new_instance,
-                    name_suffix=name_suffix,
-                )
-                mem.charge(cpu.restore_fixed_ns)
-                mem.charge(ctx.objects_restored * cpu.object_restore_ns)
-                meta_span.set(objects=ctx.objects_restored)
+# -- store (disk/NVDIMM) restore --------------------------------------------------
 
-            with tracer.span(obs_names.SPAN_RESTORE_MEMORY) as mem_span:
-                installed = 0
-                for oid, pages in image.memory_pages.items():
-                    obj = ctx.vm_objects.get(oid)
-                    if obj is None:
-                        continue
-                    installed += install_memory_pages(obj, pages, kernel.phys)
-                mem.charge(ctx.aspaces_created * cpu.aspace_create_ns)
-                mem.charge(ctx.entries_restored * cpu.map_entry_restore_ns)
-                mem.charge(installed * cpu.pte_share_ns)
-                mem_span.set(pages_installed=installed, pages_lazy=0)
 
-        metrics = RestoreMetrics.from_span(root)
-        self._count_restore(kernel, metrics)
-        self._resume(procs)
-        return procs, metrics
+def restore_from_store(
+    image: CheckpointImage,
+    store: ObjectStore,
+    backend_name: str,
+    kernel: Kernel,
+    *,
+    lazy: bool,
+    new_instance: bool,
+    name_suffix: str,
+    prefetch: str,
+    record_faults: bool,
+    fault_log: Optional[FaultOrderLog],
+) -> tuple[list[Process], RestoreMetrics]:
+    """Restore ``image`` from its snapshot in ``store`` (all three
+    phases).  ``prefetch`` is a policy name, already resolved from
+    ``None`` to ``"hot"``."""
+    page_refs = image.page_refs.get(backend_name)
+    if page_refs is None:
+        raise RestoreError(f"image not present on backend {backend_name!r}")
+    mem = kernel.mem
+    cpu = mem.cpu
+    tracer = kernel.obs.tracer
+    discount = cpu.implicit_restore_discount
 
-    # -- store (disk/NVDIMM) restore --------------------------------------------------
+    with tracer.span(
+        obs_names.SPAN_RESTORE,
+        group=image.group_name, backend=backend_name, lazy=lazy,
+    ) as root:
+        # --- phase 1: object store read ------------------------------------
+        with tracer.span(obs_names.SPAN_RESTORE_READ) as read_span:
+            # The image already holds the value its snapshot stored
+            # (every producer writes ``image.meta`` itself): restore
+            # that, and only read and verify the snapshot's record,
+            # so decay on the medium still fails the restore.
+            snapshot = image.snapshots.get(backend_name)
+            if (snapshot is not None
+                    and store.directory.get(snapshot.snap_id) == snapshot):
+                try:
+                    verify_image_record(store, snapshot)
+                except ImageFormatError as exc:
+                    raise RestoreError(str(exc)) from exc
+            meta = _group_meta(image.name, image.meta)
+            payloads: dict[bytes, bytes] = {}
+            prefetched = 0
+            if not lazy:
+                all_refs = [
+                    ref
+                    for pages in page_refs.values()
+                    for ref in pages.values()
+                ]
+                payloads = store.read_pages_coalesced(all_refs)
+            elif prefetch == "hot":
+                hot = meta.get("hot") or {}
+                hot_refs = []
+                seen_hashes: set[bytes] = set()
+                for oid, pindexes in hot.items():
+                    obj_refs = page_refs.get(oid, {})
+                    for p in pindexes:
+                        ref = obj_refs.get(p)
+                        if ref is None or ref.content_hash in seen_hashes:
+                            continue  # dedup'd page already fetched
+                        seen_hashes.add(ref.content_hash)
+                        hot_refs.append(ref)
+                payloads = store.read_pages_coalesced(hot_refs)
+            elif prefetch == "recorded":
+                # Replay a previously recorded fault order as a
+                # prefetch stream: warm the page cache in fault
+                # order (coalesced batches, fanned across the
+                # device's queues) but install nothing eagerly —
+                # the demand faults behind the stream hit cache.
+                replay_refs = []
+                for rec in fault_log.entries:
+                    ref = page_refs.get(rec.oid, {}).get(rec.pindex)
+                    if ref is not None:
+                        replay_refs.append(ref)
+                prefetched = store.prefetch_pages(replay_refs)
+                if prefetched and kernel.obs is not None:
+                    kernel.obs.registry.counter(
+                        obs_names.C_RESTORE_PAGES_PREFETCHED,
+                        group=image.group_name, backend=backend_name,
+                    ).inc(prefetched)
+            read_span.set(
+                pages_read=len(payloads), pages_prefetched=prefetched
+            )
 
-    def _restore_from_store(
-        self,
-        image: CheckpointImage,
-        store: ObjectStore,
-        backend_name: str,
-        kernel: Kernel,
-        lazy: bool,
-        new_instance: bool,
-        name_suffix: str,
-        prefetch: str,
-        record_faults: bool,
-        fault_log,
-    ) -> tuple[list[Process], RestoreMetrics]:
-        page_refs = image.page_refs.get(backend_name)
-        if page_refs is None:
-            raise RestoreError(f"image not present on backend {backend_name!r}")
-        mem = kernel.mem
-        cpu = mem.cpu
-        tracer = kernel.obs.tracer
-        discount = cpu.implicit_restore_discount
+        # --- phase 2: metadata state ------------------------------------------
+        with tracer.span(obs_names.SPAN_RESTORE_METADATA) as meta_span:
+            procs, ctx = restore_group(
+                meta,
+                kernel,
+                preserve_pids=not new_instance,
+                name_suffix=name_suffix,
+            )
+            mem.charge(cpu.restore_fixed_ns * discount)
+            mem.charge(ctx.objects_restored * cpu.object_restore_ns)
+            meta_span.set(objects=ctx.objects_restored)
 
-        with tracer.span(
-            obs_names.SPAN_RESTORE,
-            group=image.group_name, backend=backend_name, lazy=lazy,
-        ) as root:
-            # --- phase 1: object store read ------------------------------------
-            with tracer.span(obs_names.SPAN_RESTORE_READ) as read_span:
-                # The image already holds the value its snapshot stored
-                # (every producer writes ``image.meta`` itself): restore
-                # that, and only read and verify the snapshot's record,
-                # so decay on the medium still fails the restore.
-                snapshot = image.snapshots.get(backend_name)
-                if (snapshot is not None
-                        and store.directory.get(snapshot.snap_id) == snapshot):
-                    try:
-                        verify_image_record(store, snapshot)
-                    except ImageFormatError as exc:
-                        raise RestoreError(str(exc)) from exc
-                meta = _group_meta(image.name, image.meta)
-                payloads: dict[bytes, bytes] = {}
-                prefetched = 0
-                if not lazy:
-                    all_refs = [
-                        ref
-                        for pages in page_refs.values()
-                        for ref in pages.values()
-                    ]
-                    payloads = store.read_pages_coalesced(all_refs)
-                elif prefetch == "hot":
-                    hot = meta.get("hot") or {}
-                    hot_refs = []
-                    seen_hashes: set[bytes] = set()
-                    for oid, pindexes in hot.items():
-                        obj_refs = page_refs.get(oid, {})
-                        for p in pindexes:
-                            ref = obj_refs.get(p)
-                            if ref is None or ref.content_hash in seen_hashes:
-                                continue  # dedup'd page already fetched
-                            seen_hashes.add(ref.content_hash)
-                            hot_refs.append(ref)
-                    payloads = store.read_pages_coalesced(hot_refs)
-                elif prefetch == "recorded" and fault_log is not None:
-                    # Replay a previously recorded fault order as a
-                    # prefetch stream: warm the page cache in fault
-                    # order (coalesced batches, fanned across the
-                    # device's queues) but install nothing eagerly —
-                    # the demand faults behind the stream hit cache.
-                    replay_refs = []
-                    for rec in fault_log.entries:
-                        ref = page_refs.get(rec.oid, {}).get(rec.pindex)
-                        if ref is not None:
-                            replay_refs.append(ref)
-                    prefetched = store.prefetch_pages(replay_refs)
-                    if prefetched and kernel.obs is not None:
-                        kernel.obs.registry.counter(
-                            obs_names.C_RESTORE_PAGES_PREFETCHED,
-                            group=image.group_name, backend=backend_name,
-                        ).inc(prefetched)
-                read_span.set(
-                    pages_read=len(payloads), pages_prefetched=prefetched
-                )
+        # --- phase 3: memory state ----------------------------------------------
+        with tracer.span(obs_names.SPAN_RESTORE_MEMORY) as mem_span:
+            installed = 0
+            lazy_pages = 0
+            for oid, refs in page_refs.items():
+                obj = ctx.vm_objects.get(oid)
+                if obj is None:
+                    continue
+                if lazy:
+                    obj.pager = make_store_pager(
+                        store, refs, mem, oid=oid,
+                        recorder=fault_log if record_faults else None,
+                    )
+                    # Prefetch whatever the hot read brought in.
+                    ready = {
+                        p: payloads[r.content_hash]
+                        for p, r in refs.items()
+                        if r.content_hash in payloads
+                    }
+                    installed += install_store_pages(obj, ready, kernel.phys, mem)
+                    lazy_pages += len(refs) - len(ready)
+                else:
+                    ready = {
+                        p: payloads[r.content_hash] for p, r in refs.items()
+                    }
+                    installed += install_store_pages(obj, ready, kernel.phys, mem)
+            mem.charge(ctx.aspaces_created * cpu.aspace_create_ns * discount)
+            mem.charge(ctx.entries_restored * cpu.map_entry_restore_ns)
+            mem.charge(installed * cpu.pte_share_ns)
+            mem_span.set(pages_installed=installed, pages_lazy=lazy_pages)
 
-            # --- phase 2: metadata state ------------------------------------------
-            with tracer.span(obs_names.SPAN_RESTORE_METADATA) as meta_span:
-                procs, ctx = restore_group(
-                    meta,
-                    kernel,
-                    preserve_pids=not new_instance,
-                    name_suffix=name_suffix,
-                )
-                mem.charge(cpu.restore_fixed_ns * discount)
-                mem.charge(ctx.objects_restored * cpu.object_restore_ns)
-                meta_span.set(objects=ctx.objects_restored)
+    metrics = RestoreMetrics.from_span(root)
+    _count_restore(kernel, metrics)
+    _resume(procs)
+    return procs, metrics
 
-            # --- phase 3: memory state ----------------------------------------------
-            with tracer.span(obs_names.SPAN_RESTORE_MEMORY) as mem_span:
-                installed = 0
-                lazy_pages = 0
-                for oid, refs in page_refs.items():
-                    obj = ctx.vm_objects.get(oid)
-                    if obj is None:
-                        continue
-                    if lazy:
-                        obj.pager = make_store_pager(
-                            store, refs, mem, oid=oid,
-                            recorder=fault_log if record_faults else None,
-                        )
-                        # Prefetch whatever the hot read brought in.
-                        ready = {
-                            p: payloads[r.content_hash]
-                            for p, r in refs.items()
-                            if r.content_hash in payloads
-                        }
-                        installed += install_store_pages(obj, ready, kernel.phys, mem)
-                        lazy_pages += len(refs) - len(ready)
-                    else:
-                        ready = {
-                            p: payloads[r.content_hash] for p, r in refs.items()
-                        }
-                        installed += install_store_pages(obj, ready, kernel.phys, mem)
-                mem.charge(ctx.aspaces_created * cpu.aspace_create_ns * discount)
-                mem.charge(ctx.entries_restored * cpu.map_entry_restore_ns)
-                mem.charge(installed * cpu.pte_share_ns)
-                mem_span.set(pages_installed=installed, pages_lazy=lazy_pages)
 
-        metrics = RestoreMetrics.from_span(root)
-        self._count_restore(kernel, metrics)
-        self._resume(procs)
-        return procs, metrics
+def _count_restore(kernel: Kernel, metrics: RestoreMetrics) -> None:
+    reg = kernel.obs.registry
+    labels = {"group": metrics.group, "backend": metrics.backend}
+    reg.counter(obs_names.C_RESTORES, **labels).inc()
+    reg.counter(obs_names.C_RESTORE_PAGES_INSTALLED, **labels).inc(
+        metrics.pages_installed
+    )
+    reg.counter(obs_names.C_RESTORE_PAGES_LAZY, **labels).inc(
+        metrics.pages_lazy
+    )
+    reg.histogram(obs_names.H_RESTORE_TOTAL, **labels).observe(
+        metrics.total_ns
+    )
 
-    @staticmethod
-    def _count_restore(kernel: Kernel, metrics: RestoreMetrics) -> None:
-        reg = kernel.obs.registry
-        labels = {"group": metrics.group, "backend": metrics.backend}
-        reg.counter(obs_names.C_RESTORES, **labels).inc()
-        reg.counter(obs_names.C_RESTORE_PAGES_INSTALLED, **labels).inc(
-            metrics.pages_installed
-        )
-        reg.counter(obs_names.C_RESTORE_PAGES_LAZY, **labels).inc(
-            metrics.pages_lazy
-        )
-        reg.histogram(obs_names.H_RESTORE_TOTAL, **labels).observe(
-            metrics.total_ns
-        )
 
-    @staticmethod
-    def _resume(procs: list[Process]) -> None:
-        for proc in procs:
-            proc.resume_all_threads()
+def _resume(procs: list[Process]) -> None:
+    for proc in procs:
+        proc.resume_all_threads()

@@ -29,6 +29,7 @@ def rollback(
     sls: "SLS",
     group: "PersistenceGroup",
     image: Optional[CheckpointImage] = None,
+    *,
     notify: bool = True,
 ) -> tuple[list[Process], RestoreMetrics]:
     """Roll ``group`` back to ``image`` (default: latest checkpoint)."""
@@ -48,7 +49,7 @@ def rollback(
         kernel.exit(proc, status=128 + ROLLBACK_SIGNAL)
         kernel.reap(proc)
 
-    procs, metrics = sls.restore_engine.restore(image, kernel=kernel)
+    procs, metrics = sls.restore(image)
 
     # Re-root the group on the restored tree.
     if group.root is not None:

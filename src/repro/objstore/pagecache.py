@@ -218,9 +218,9 @@ class FaultRecord:
 class FaultOrderLog:
     """The page-fault sequence of one lazy restore, in fault order.
 
-    Recorded by the store pager when ``RestoreOptions.record_faults``
-    is set; replayed by ``RestoreOptions.prefetch="recorded"`` as a
-    prefetch stream.  Serializes to JSON lines keyed only by world ids
+    Recorded by the store pager of an ``SLS.restore(record_faults=True)``;
+    replayed by ``SLS.restore(prefetch="recorded")`` as a prefetch
+    stream.  Serializes to JSON lines keyed only by world ids
     and content hashes, so the artifact is byte-stable under
     ``hermetic_ids()``.
     """

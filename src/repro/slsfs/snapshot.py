@@ -67,6 +67,7 @@ def clone_container(
     sls: "SLS",
     snapshot: ContainerSnapshot,
     name_suffix: str = "-clone",
+    *,
     lazy: bool = True,
 ):
     """Instantiate a new container from a snapshot, zero-copy.

@@ -4,12 +4,7 @@ import warnings
 
 import pytest
 
-from repro.apps.serverless import (
-    DeployOptions,
-    InvokeOptions,
-    ServerlessFleet,
-    ServerlessManager,
-)
+from repro.apps.serverless import ServerlessFleet, ServerlessManager
 from repro.core.backends import make_disk_backend
 from repro.core.orchestrator import SLS
 from repro.core.scheduler import TenantQoS
@@ -53,36 +48,44 @@ class TestConstruction:
             ServerlessManager(sls, backend="disk0")
 
 
-class TestOptionsObjects:
-    def test_deploy_options_validation(self):
-        with pytest.raises(SlsError, match="customize"):
-            DeployOptions(customize="not-bytes")
-        with pytest.raises(SlsError, match="tenant"):
-            DeployOptions(tenant=7)
+class TestKeywordValues:
+    """``deploy``/``invoke`` check the values they use before they do
+    anything."""
 
-    def test_invoke_options_validation(self):
-        with pytest.raises(SlsError, match="payload"):
-            InvokeOptions(payload="str")
-        with pytest.raises(SlsError, match="lazy"):
-            InvokeOptions(lazy=1)
+    @pytest.mark.parametrize("kwargs", [
+        {"customize": "not-bytes"},
+        {"tenant": 7},
+    ], ids=["customize", "tenant"])
+    def test_deploy_rejects(self, kernel, manager, kwargs):
+        procs_before = len(kernel.procs)
+        with pytest.raises(SlsError, match=next(iter(kwargs))):
+            manager.deploy("fn", **kwargs)
+        assert len(kernel.procs) == procs_before
+        assert not manager.functions
 
-    def test_options_conflict_with_keywords(self, manager):
-        manager.deploy("fn", customize=b"x")
-        with pytest.raises(SlsError, match="not both"):
-            manager.deploy(
-                "fn2", customize=b"y", options=DeployOptions(customize=b"y")
-            )
-        with pytest.raises(SlsError, match="not both"):
-            manager.invoke(
-                "fn", payload=b"p", options=InvokeOptions(payload=b"p")
-            )
+    @pytest.mark.parametrize("kwargs", [
+        {"payload": "str"},
+        {"lazy": 1},
+        {"keep_instance": None},
+    ], ids=["payload", "lazy", "keep_instance"])
+    def test_invoke_rejects(self, kernel, manager, kwargs):
+        manager.deploy("fn", customize=b"v1")
+        procs_before = len(kernel.procs)
+        with pytest.raises(SlsError, match=next(iter(kwargs))):
+            manager.invoke("fn", **kwargs)
+        assert len(kernel.procs) == procs_before
+        assert manager.functions["fn"].invocations == 0
+        # The rejected call used up no instance number.
+        before = set(kernel.procs.all_processes())
+        manager.invoke("fn", keep_instance=True)
+        new = set(kernel.procs.all_processes()) - before
+        assert new and all(proc.name.endswith("#1") for proc in new)
 
-    def test_options_path_equivalent_to_keywords(self, manager):
-        manager.deploy("fn", options=DeployOptions(customize=b"v1"))
-        result = manager.invoke(
-            "fn", options=InvokeOptions(payload=b"req", lazy=False)
-        )
+    def test_eager_invoke(self, manager):
+        manager.deploy("fn", customize=b"v1")
+        result = manager.invoke("fn", payload=b"req", lazy=False)
         assert result.output == b"hello, req"
+        assert not result.restore.lazy
 
 
 class TestDeprecationShims:
@@ -113,6 +116,17 @@ class TestDeprecationShims:
     def test_misspelled_keyword_rejected(self, manager):
         with pytest.raises(TypeError, match="customise"):
             manager.deploy("fn", customise=b"delta")
+
+    @pytest.mark.parametrize("call, keyword", [
+        ("deploy", "backend"),
+        ("deploy", "options"),
+        ("invoke", "options"),
+    ])
+    def test_removed_keyword_rejected(self, manager, disk, call, keyword):
+        """Every deploy attaches the manager's backend, and each knob
+        has one spelling: no per-call override, no options object."""
+        with pytest.raises(TypeError, match=keyword):
+            getattr(manager, call)("fn", **{keyword: disk})
 
 
 class TestTenancyAndObservability:

@@ -1,9 +1,10 @@
-"""The Table 2 surface: explicit keywords or one options object.
+"""The Table 2 surface: explicit keywords, checked where they are used.
 
 ``sls_checkpoint``/``sls_restore`` take explicit keyword-only
-parameters (or one ``CheckpointOptions``/``RestoreOptions`` value).
-The historical positional and ``backend_name=`` shapes are gone: they
-fail as any other wrong call does, with ``TypeError``.
+parameters, and ``SLS.checkpoint``/``SLS.restore`` check their values,
+so every caller gets the same ``SlsError`` for a bad one.  The
+historical positional and ``backend_name=`` shapes are gone: they fail
+as any other wrong call does, with ``TypeError``.
 """
 
 import importlib
@@ -14,7 +15,6 @@ import pytest
 
 from repro.core.api import AuroraApi
 from repro.core.backends import MemoryBackend, make_disk_backend
-from repro.core.options import CheckpointOptions, RestoreOptions
 from repro.core.orchestrator import SLS
 from repro.errors import SlsError
 from repro.hw.nvme import NvmeDevice
@@ -46,44 +46,54 @@ def world(kernel, sls):
     return proc, sys, entry, group, api
 
 
-class TestOptionObjects:
-    def test_checkpoint_defaults(self):
-        opts = CheckpointOptions()
-        assert (opts.full, opts.name, opts.sync) == (None, None, False)
+class TestValueChecks:
+    """Each knob is checked by the function that uses it, before it
+    does anything, whichever caller passed it."""
 
-    def test_checkpoint_validates_types(self):
-        with pytest.raises(SlsError):
-            CheckpointOptions(full="yes")
-        with pytest.raises(SlsError):
-            CheckpointOptions(name=7)
-        with pytest.raises(SlsError):
-            CheckpointOptions(sync=None)
+    @pytest.mark.parametrize("kwargs", [
+        {"full": "yes"},
+        {"name": 7},
+        {"sync": None},
+    ], ids=["full", "name", "sync"])
+    def test_checkpoint_rejects(self, world, sls, kwargs):
+        _, _, _, group, api = world
+        with pytest.raises(SlsError, match=next(iter(kwargs))):
+            sls.checkpoint(group, **kwargs)
+        with pytest.raises(SlsError, match=next(iter(kwargs))):
+            api.sls_checkpoint(**kwargs)
+        assert group.stats.checkpoints_taken == 0
 
-    def test_restore_defaults(self):
-        opts = RestoreOptions()
-        assert opts.backend is None and not opts.lazy
-        assert not opts.new_instance and opts.prefetch is None
+    @pytest.mark.parametrize("kwargs", [
+        {"backend_name": 3},
+        {"lazy": "maybe"},
+        {"new_instance": 1},
+        {"record_faults": "yes"},
+        {"name_suffix": 5, "new_instance": True},
+        {"name_suffix": "-clone"},
+    ], ids=["backend_name", "lazy", "new_instance", "record_faults",
+            "name_suffix-type", "name_suffix-without-new_instance"])
+    def test_restore_rejects(self, world, kernel, sls, kwargs):
+        _, _, _, group, _ = world
+        image = sls.checkpoint(group)
+        procs_before = len(kernel.procs)
+        with pytest.raises(SlsError, match=next(iter(kwargs))):
+            sls.restore(image, **kwargs)
+        assert len(kernel.procs) == procs_before
 
-    def test_restore_validates_types(self):
-        with pytest.raises(SlsError):
-            RestoreOptions(backend=3)
-        with pytest.raises(SlsError):
-            RestoreOptions(lazy="maybe")
+    def test_checkpoint_async_rejects_before_queueing(self, world, sls):
+        _, _, _, group, _ = world
+        with pytest.raises(SlsError, match="name"):
+            sls.checkpoint_async(group, name=7)
+        assert sls.scheduler.tickets_submitted == 0
+        ticket = sls.checkpoint_async(group, name="queued")
+        sls.barrier(group)
+        assert ticket.image.name == "queued"
 
-    def test_name_suffix_requires_new_instance(self):
-        with pytest.raises(SlsError):
-            RestoreOptions(name_suffix="-clone")
-        RestoreOptions(name_suffix="-clone", new_instance=True)
-
-    def test_options_are_frozen(self):
-        opts = RestoreOptions()
-        with pytest.raises(AttributeError):
-            opts.lazy = True
-
-    def test_engine_kwargs_spelling(self):
-        opts = RestoreOptions(backend="memory", lazy=True)
-        kw = opts.engine_kwargs()
-        assert kw["backend_name"] == "memory" and kw["lazy"] is True
+    def test_full_and_name_are_keyword_only(self, world, sls):
+        _, _, _, group, _ = world
+        with pytest.raises(TypeError):
+            sls.checkpoint(group, True)
+        assert sls.checkpoint(group, full=True, name="f").name == "f"
 
 
 class TestCheckpointApi:
@@ -91,16 +101,6 @@ class TestCheckpointApi:
         *_, api = world
         image = api.sls_checkpoint(name="manual", full=True)
         assert image.name == "manual"
-
-    def test_options_form(self, world):
-        *_, api = world
-        image = api.sls_checkpoint(options=CheckpointOptions(name="opt"))
-        assert image.name == "opt"
-
-    def test_options_and_keywords_conflict(self, world):
-        *_, api = world
-        with pytest.raises(SlsError):
-            api.sls_checkpoint(name="x", options=CheckpointOptions())
 
     def test_sync_blocks_until_durable(self, world):
         _, _, _, group, api = world
@@ -130,19 +130,13 @@ class TestRestoreApi:
         assert rsys.peek(entry.start, 2) == b"v1"
         assert procs[0].name.endswith("-clone")
 
-    def test_options_form(self, world):
-        *_, api = world
-        api.sls_checkpoint(name="base")
-        procs, _ = api.sls_restore(
-            options=RestoreOptions(new_instance=True, lazy=True)
-        )
-        assert procs
-
-    def test_options_and_keywords_conflict(self, world):
+    def test_options_keyword_rejected(self, world):
         *_, api = world
         api.sls_checkpoint()
-        with pytest.raises(SlsError):
-            api.sls_restore(lazy=True, options=RestoreOptions())
+        with pytest.raises(TypeError, match="options"):
+            api.sls_restore(options=None)
+        with pytest.raises(TypeError, match="options"):
+            api.sls_checkpoint(options=None)
 
     def test_missing_image_rejected(self, world):
         *_, api = world
@@ -231,18 +225,21 @@ class TestEntriesCovering:
 
 # -- the keyword-only convention, checked as signatures ---------------------------
 #
-# Every option on the public libsls/orchestrator/apps surface is an
-# explicit keyword (or one options object), so a misspelled knob fails
-# loudly instead of being swallowed two layers down.  That shape erodes
-# one convenient positional bool at a time; these tests pin it by
-# looking at the signatures themselves.
+# Every option on the public libsls/orchestrator/apps surface is one
+# explicit keyword, so a misspelled knob fails loudly instead of being
+# swallowed two layers down.  That shape erodes one convenient
+# positional bool, options object or ``**kwargs`` bag at a time; these
+# tests pin it by looking at the signatures themselves.
 
-API_MODULES = ("repro.core.api", "repro.core.orchestrator")
+API_MODULES = (
+    "repro.core.api",
+    "repro.core.orchestrator",
+    "repro.core.remote",
+    "repro.core.restore",
+    "repro.core.rollback",
+    "repro.slsfs.snapshot",
+)
 API_PACKAGES = ("repro.apps",)
-#: the one public ``**kwargs`` that is not a ``legacy*`` deprecation
-#: shim: its whole body forwards ``*args, **kwargs`` to
-#: ``RestoreEngine.restore``, whose own signature rejects a typo
-PURE_DELEGATES = {"repro.core.orchestrator.SLS.restore"}
 
 
 def public_functions(owner, prefix):
@@ -283,15 +280,13 @@ def keyword_only_violations(surface):
         for param in inspect.signature(func).parameters.values():
             positional = param.kind in (param.POSITIONAL_ONLY,
                                         param.POSITIONAL_OR_KEYWORD)
-            if positional and (param.name == "options"
-                               or param.name.endswith("_options")):
-                out.append(f"{qualname}: {param.name!r} must be keyword-only")
+            if param.name == "options" or param.name.endswith("_options"):
+                out.append(f"{qualname}: {param.name!r} is a second "
+                           "spelling of the keywords")
             elif positional and isinstance(param.default, bool):
                 out.append(f"{qualname}: flag {param.name}={param.default} "
                            "must be keyword-only")
-            elif (param.kind is param.VAR_KEYWORD
-                    and not param.name.startswith("legacy")
-                    and qualname not in PURE_DELEGATES):
+            elif param.kind is param.VAR_KEYWORD:
                 out.append(f"{qualname}: **{param.name} swallows typos")
     return out
 
@@ -299,6 +294,11 @@ def keyword_only_violations(surface):
 class PositionalOptions:
     def restore(self, image, options=None):
         """An options object a caller can pass by position."""
+
+
+class KeywordOptions:
+    def checkpoint(self, group, *, full=None, checkpoint_options=None):
+        """Keyword-only, but still a second way to say ``full``."""
 
 
 class PositionalFlag:
@@ -311,9 +311,14 @@ class OptionBag:
         """A forwarded bag: ``invoke("f", lazzy=True)`` goes unnoticed."""
 
 
+class LegacyBag:
+    def deploy(self, name, **legacy_kwargs):
+        """A deprecation shim's bag swallows typos all the same."""
+
+
 class Conforming:
-    def restore(self, image, *, options=None, lazy=False, **legacy_kwargs):
-        """Keyword-only knobs and a ``legacy*`` shim are the convention."""
+    def restore(self, image, *, lazy=False, new_instance=False):
+        """Keyword-only knobs, one spelling each, are the convention."""
 
 
 class TestKeywordOnlySurface:
@@ -321,14 +326,17 @@ class TestKeywordOnlySurface:
         surface = list(api_surface())
         # the count pins the scan's reach: an import that silently drops
         # a module, or a filter that skips methods, fails here
-        assert len(surface) == 84
-        assert PURE_DELEGATES <= {qualname for qualname, _ in surface}
+        assert len(surface) == 100
         assert keyword_only_violations(surface) == []
 
     @pytest.mark.parametrize("cls, message", [
-        (PositionalOptions, "restore: 'options' must be keyword-only"),
+        (PositionalOptions,
+         "restore: 'options' is a second spelling of the keywords"),
+        (KeywordOptions,
+         "checkpoint: 'checkpoint_options' is a second spelling of the keywords"),
         (PositionalFlag, "checkpoint: flag sync=True must be keyword-only"),
         (OptionBag, "invoke: **knobs swallows typos"),
+        (LegacyBag, "deploy: **legacy_kwargs swallows typos"),
     ])
     def test_each_violation_is_caught(self, cls, message):
         surface = list(api_surface()) + list(public_functions(cls, "t"))

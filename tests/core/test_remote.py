@@ -224,7 +224,7 @@ class TestContinuousReplication:
         def restore_lazily():
             procs, _ = dst_sls.restore(
                 image, backend_name="recv", store=receiver.store,
-                lazy=True, new_instance=True, prefetch="none",
+                lazy=True, new_instance=True, prefetch="off",
             )
             return Syscalls(dst, procs[0])
 

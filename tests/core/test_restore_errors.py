@@ -1,4 +1,4 @@
-"""Error-path tests for the restore engine and image loader."""
+"""Error-path tests for restore and the image loader."""
 
 import pytest
 
@@ -77,7 +77,7 @@ class TestRestoreErrors:
         with pytest.raises(RestoreError):
             load_image_from_store(store, snap)
 
-    def test_restore_engine_survives_group_churn(self, kernel, sls):
+    def test_restore_survives_group_churn(self, kernel, sls):
         """Images from unpersisted groups stay restorable while their
         store backend is referenced by the image itself."""
         proc = kernel.spawn("app")
@@ -99,11 +99,11 @@ class TestRestoreErrors:
 # --- a checksummed record of the wrong shape is a RestoreError ----------------
 
 
-def _checkpointed(kernel, sls, name="app", pages=4):
+def _checkpointed(kernel, sls, name="app", pages=4, fill=b"x"):
     proc = kernel.spawn(name)
     sys = Syscalls(kernel, proc)
     entry = sys.mmap(pages * PAGE_SIZE, name="heap")
-    sys.populate(entry.start, pages * PAGE_SIZE, fill=b"x")
+    sys.populate(entry.start, pages * PAGE_SIZE, fill=fill)
     group = sls.persist(proc, name=name)
     backend = make_disk_backend(kernel, NvmeDevice(kernel.clock))
     group.attach(backend)
@@ -212,19 +212,34 @@ class TestStoreLookup:
             assert Syscalls(kernel, procs[0]).peek(entry.start, 1) == b"x"
 
     def test_fallback_order_is_the_first_matching_backend(self, kernel, sls):
-        from repro.core.restore import RestoreEngine
+        """An image whose snapshot no store holds restores from the first
+        "disk0" registered; a store that holds its snapshot comes first."""
+        first = _checkpointed(kernel, sls, name="first", fill=b"1")
+        second = _checkpointed(kernel, sls, name="second", fill=b"2")
+        entry = first[3]
 
-        first = _checkpointed(kernel, sls, name="first")
-        second = _checkpointed(kernel, sls, name="second")
-        engine = RestoreEngine(sls)
-        assert engine._store_for(first[2], "disk0") is first[1].store
-        assert engine._store_for(second[2], "disk0") is second[1].store
-        stranger = CheckpointImage(name="stranger", group_name="g", epoch=1,
-                                   incremental=False, meta={})
-        assert engine._store_for(stranger, "disk0") is first[1].store
-        stranger.snapshots["disk0"] = second[2].snapshots["disk0"]
-        assert engine._store_for(stranger, "disk0") is second[1].store
+        def stranger(snapshot=None):
+            # first's pages, under a name neither store holds
+            image = CheckpointImage(name="stranger", group_name="g", epoch=1,
+                                    incremental=False, meta=first[2].meta)
+            image.page_refs["disk0"] = first[2].page_refs["disk0"]
+            if snapshot is not None:
+                image.snapshots["disk0"] = snapshot
+            return image
+
+        def reads(image):
+            procs, _ = sls.restore(image, backend_name="disk0",
+                                   new_instance=True, name_suffix="-r")
+            return Syscalls(kernel, procs[0]).peek(entry.start, 1)
+
+        assert reads(first[2]) == b"1"
+        assert reads(second[2]) == b"2"
+        assert reads(stranger()) == b"1"
+        held_by_second = stranger(second[2].snapshots["disk0"])
+        # both stores hold a page at the same extent: what the process
+        # reads names the store it was restored from
+        assert reads(held_by_second) == b"2"
         second[1].store.delete_snapshot(second[2].snapshots["disk0"].snap_id)
-        assert engine._store_for(stranger, "disk0") is first[1].store
+        assert reads(held_by_second) == b"1"
         with pytest.raises(RestoreError, match="no store backend"):
-            engine._store_for(stranger, "nvdimm0")
+            sls.restore(stranger(), backend_name="nvdimm0")

@@ -1,4 +1,4 @@
-"""Recorded-fault-order prefetch: record, replay, and the option surface.
+"""Recorded-fault-order prefetch: record, replay, and the keywords.
 
 The tentpole's end-to-end story: a lazy restore records the demand
 fault sequence into a :class:`FaultOrderLog`; replaying that log as a
@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.api import AuroraApi
 from repro.core.backends import make_disk_backend
-from repro.core.options import RestoreOptions
 from repro.core.orchestrator import SLS
 from repro.errors import SlsError
 from repro.hw.nvme import NvmeDevice
@@ -181,54 +180,29 @@ class TestHotDedup:
         assert kernel.mem.stats.pager_in == faults_before
 
 
-class TestOptionSurface:
-    def test_prefetch_policy_values(self):
-        for policy in RestoreOptions.PREFETCH_POLICIES:
-            RestoreOptions(lazy=True, prefetch=policy,
-                           fault_log=FaultOrderLog())
-        with pytest.raises(SlsError):
-            RestoreOptions(lazy=True, prefetch="psychic")
+class TestPrefetchKeywords:
+    """``SLS.restore`` checks the prefetch keywords itself, so the CLI,
+    serverless invoke, migration and rollback all get the checks."""
 
-    def test_prefetch_requires_lazy(self):
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param({"lazy": True, "prefetch": "psychic"},
+                     id="unknown-policy"),
+        pytest.param({"prefetch": "hot"}, id="prefetch-without-lazy"),
+        pytest.param({"lazy": True, "prefetch": "recorded"},
+                     id="recorded-without-log"),
+        pytest.param({"record_faults": True, "fault_log": FaultOrderLog()},
+                     id="record-without-lazy"),
+        pytest.param({"lazy": True, "record_faults": True},
+                     id="record-without-log"),
+        pytest.param({"lazy": True, "fault_log": "faults.jsonl"},
+                     id="log-not-a-FaultOrderLog"),
+    ])
+    def test_rejected(self, world, kernel, sls, kwargs):
+        *_, image, _ = world
+        procs_before = len(kernel.procs)
         with pytest.raises(SlsError):
-            RestoreOptions(prefetch="hot")
-
-    def test_recorded_requires_fault_log(self):
-        with pytest.raises(SlsError):
-            RestoreOptions(lazy=True, prefetch="recorded")
-
-    def test_record_faults_requires_lazy_and_log(self):
-        with pytest.raises(SlsError):
-            RestoreOptions(record_faults=True, fault_log=FaultOrderLog())
-        with pytest.raises(SlsError):
-            RestoreOptions(lazy=True, record_faults=True)
-
-    def test_fault_log_type_checked(self):
-        with pytest.raises(SlsError):
-            RestoreOptions(lazy=True, fault_log="faults.jsonl")
-
-    def test_engine_kwargs_carry_the_new_knobs(self):
-        log = FaultOrderLog()
-        opts = RestoreOptions(lazy=True, prefetch="recorded",
-                              record_faults=True, fault_log=log)
-        kw = opts.engine_kwargs()
-        assert kw["prefetch"] == "recorded"
-        assert kw["record_faults"] is True
-        assert kw["fault_log"] is log
-
-    def test_api_exclusivity_covers_the_new_keywords(self, world, kernel, sls):
-        proc, *_ = world
-        api = AuroraApi(sls, proc)
-        with pytest.raises(SlsError):
-            api.sls_restore(
-                prefetch="off",
-                options=RestoreOptions(lazy=True),
-            )
-        with pytest.raises(SlsError):
-            api.sls_restore(
-                fault_log=FaultOrderLog(),
-                options=RestoreOptions(lazy=True),
-            )
+            sls.restore(image, backend_name="disk0", **kwargs)
+        assert len(kernel.procs) == procs_before
 
     def test_api_record_and_replay_roundtrip(self, world, kernel, sls):
         proc, _, entry, _, _image, store = world
@@ -241,10 +215,8 @@ class TestOptionSurface:
         _touch_all(kernel, procs[0], entry, FAULT_ORDER)
         assert len(log) == PAGES
         procs, _ = api.sls_restore(
-            options=RestoreOptions(
-                backend="disk0", lazy=True, prefetch="recorded",
-                fault_log=log, new_instance=True, name_suffix="-r2",
-            )
+            backend="disk0", lazy=True, prefetch="recorded",
+            fault_log=log, new_instance=True, name_suffix="-r2",
         )
         got = _touch_all(kernel, procs[0], entry, FAULT_ORDER)
         assert got[0].startswith(b"page-000")
