@@ -70,6 +70,34 @@ def test_micro_cow_fault(benchmark, world):
     benchmark(cow_write)
 
 
+def test_micro_incremental_freeze_among_groups(benchmark):
+    """A 1-page incremental freeze of one group while 200 other groups
+    hold 16 dirty pages each: dirty pages are kept per VM object, so
+    the freeze reads only its own objects' lists and its cost does not
+    grow with the other groups' dirty sets."""
+    mem = MemContext(SimClock(), PhysicalMemory(total_bytes=4 * GIB))
+    cow = AuroraCow(mem)
+    for g in range(200):
+        other = AddressSpace(mem, f"group{g}")
+        region = other.mmap(16 * PAGE_SIZE)
+        other.populate(region.start, 16 * PAGE_SIZE, fill=b"dirty")
+    aspace = AddressSpace(mem, "app")
+    heap = aspace.mmap(64 * PAGE_SIZE)
+    aspace.populate(heap.start, 64 * PAGE_SIZE, fill=b"base")
+    objects = aspace.vm_objects()
+    last_epoch = [cow.freeze(objects).epoch]
+    counter = [0]
+
+    def freeze_one_dirty_page():
+        counter[0] += 1
+        aspace.write(heap.start + counter[0] % 64 * PAGE_SIZE, b"x")
+        freeze_set = cow.freeze(objects, incremental_since=last_epoch[0] + 1)
+        last_epoch[0] = freeze_set.epoch
+        return freeze_set
+
+    assert len(benchmark(freeze_one_dirty_page)) == 1
+
+
 def test_micro_codec_roundtrip(benchmark):
     value = {
         "procs": [{"pid": i, "name": f"p{i}", "regs": list(range(16))}

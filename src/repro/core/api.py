@@ -65,7 +65,7 @@ class AuroraApi:
         self,
         name: Optional[str] = None,
         *,
-        backend: Optional[str] = None,
+        backend_name: Optional[str] = None,
         lazy: bool = False,
         new_instance: bool = False,
         name_suffix: str = "",
@@ -76,16 +76,16 @@ class AuroraApi:
         """Restore the caller's group to a named (or latest) image.
 
         Every knob is an explicit keyword-only parameter, checked by
-        :meth:`~repro.core.orchestrator.SLS.restore` (``backend`` is
-        its ``backend_name``), so a misspelled option fails loudly
-        instead of being ignored.
+        :meth:`~repro.core.orchestrator.SLS.restore`, under the same
+        names, so a misspelled option fails loudly instead of being
+        ignored.
         """
         group = self._group()
         image = group.image_by_name(name) if name else group.latest_image
         if image is None:
             raise SlsError(f"no image {name!r} for group {group.name!r}")
         return self.sls.restore(
-            image, backend_name=backend, lazy=lazy, new_instance=new_instance,
+            image, backend_name=backend_name, lazy=lazy, new_instance=new_instance,
             name_suffix=name_suffix, prefetch=prefetch,
             record_faults=record_faults, fault_log=fault_log,
         )

@@ -25,6 +25,7 @@ from repro.core.backends import StoreBackend
 from repro.core.checkpoint import CheckpointImage
 from repro.core.metrics import CheckpointMetrics, RestoreMetrics
 from repro.errors import ImageFormatError, RestoreError
+from repro.mem.vmobject import VMObject
 from repro.obs import names as obs_names
 from repro.objstore.image import read_image, verify_image_record
 from repro.objstore.pagecache import FaultOrderLog
@@ -152,6 +153,7 @@ def restore_from_memory(
             mem.charge(ctx.entries_restored * cpu.map_entry_restore_ns)
             mem.charge(installed * cpu.pte_share_ns)
             mem_span.set(pages_installed=installed, pages_lazy=0)
+        _drop_creation_refs(ctx.vm_objects.values())
 
     metrics = RestoreMetrics.from_span(root)
     _count_restore(kernel, metrics)
@@ -289,11 +291,24 @@ def restore_from_store(
             mem.charge(ctx.entries_restored * cpu.map_entry_restore_ns)
             mem.charge(installed * cpu.pte_share_ns)
             mem_span.set(pages_installed=installed, pages_lazy=lazy_pages)
+        _drop_creation_refs(ctx.vm_objects.values())
 
     metrics = RestoreMetrics.from_span(root)
     _count_restore(kernel, metrics)
     _resume(procs)
     return procs, metrics
+
+
+def _drop_creation_refs(objects: Iterable[VMObject]) -> None:
+    """Release the reference each restored VM object was created with.
+
+    The map entries, shm segments and shadows that use an object took
+    references of their own, so once the pages are attached the
+    objects belong to them, and exiting the restored processes frees
+    their frames — as ``fork`` drops its shadows' creation references.
+    """
+    for obj in objects:
+        obj.unref()
 
 
 def _count_restore(kernel: Kernel, metrics: RestoreMetrics) -> None:

@@ -11,6 +11,7 @@ pages (checkpoint COW) to the engine installed in the
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -52,6 +53,12 @@ class MemContext:
     Also carries the *checkpoint epoch* (advanced by the orchestrator at
     every checkpoint) and the pluggable frozen-write resolver installed
     by the Aurora COW engine.
+
+    Dirty state does not live here: each VM object keeps its own dirty
+    list, so an exited process's entries go with its objects and a
+    freeze reads only the objects it captures.  The context only hands
+    out the sequence numbers that let a freeze merge those lists back
+    into the order the pages became dirty.
     """
 
     def __init__(
@@ -71,22 +78,22 @@ class MemContext:
         self.frozen_write_handler: Optional[
             Callable[[VMObject, int, Page], Page]
         ] = None
-        #: kernel dirty log: (object, pindex, page) tuples appended by
-        #: the fault path whenever a page becomes dirty in the current
-        #: epoch.  Incremental checkpoints consume this instead of
-        #: scanning page tables (the 7× lazy-copy win of Table 3).
-        self._dirty_log: list[tuple[VMObject, int, Page]] = []
+        #: orders dirty entries across objects: one sequence per
+        #: machine, so merging any set of objects' dirty lists by it
+        #: yields their pages in the order they became dirty
+        self._dirty_seq = itertools.count()
         self._charge_carry = 0.0
 
     def log_dirty(self, obj: VMObject, pindex: int, page: Page) -> None:
-        """Record that ``page`` was dirtied in the current epoch."""
-        page.dirty_epoch = self.epoch
-        self._dirty_log.append((obj, pindex, page))
+        """Record that ``page`` was dirtied in the current epoch.
 
-    def drain_dirty_log(self) -> list[tuple[VMObject, int, Page]]:
-        """Take and reset the dirty log (checkpoint-time consumption)."""
-        log, self._dirty_log = self._dirty_log, []
-        return log
+        The entry goes on the object's own :attr:`VMObject.dirty` list,
+        so it dies with the object; incremental checkpoints walk these
+        lists instead of scanning page tables (the 7× lazy-copy win of
+        Table 3).
+        """
+        page.dirty_epoch = self.epoch
+        obj.dirty.append((next(self._dirty_seq), pindex, page))
 
     def charge(self, ns: float) -> None:
         """Charge fractional nanoseconds, carrying the remainder.

@@ -26,6 +26,7 @@ Mechanism as implemented here:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -76,6 +77,12 @@ class FreezeSet:
         return len(self.pages)
 
 
+def _tagged(obj: VMObject, dirty: list[tuple[int, int, Page]]):
+    """``obj``'s dirty entries as (seq, obj, pindex, page)."""
+    for seq, pindex, page in dirty:
+        yield seq, obj, pindex, page
+
+
 class AuroraCow:
     """The checkpoint COW engine for one machine's memory context.
 
@@ -108,10 +115,11 @@ class AuroraCow:
         """Arm COW tracking over ``objects`` and capture their pages.
 
         With ``incremental_since`` set, only pages dirtied at or after
-        that epoch are captured (the kernel's dirty log makes this a
-        walk of the dirty set, not of the whole resident set — the 7×
-        lazy-copy speedup of Table 3).  Without it, every resident page
-        is captured (a full checkpoint).
+        that epoch are captured: the objects' dirty lists make this a
+        walk of the dirty set, not of the whole resident set (the 7×
+        lazy-copy speedup of Table 3), and only of these objects' lists.
+        Without it, every resident page is captured (a full checkpoint).
+        Either way the pass consumes the objects' dirty lists.
 
         Advances the memory epoch so subsequent writes are attributed
         to the next checkpoint interval.
@@ -121,16 +129,21 @@ class AuroraCow:
         freeze_set = FreezeSet(epoch=mem.epoch, objects=list(objects))
         if incremental_since is None:
             for obj in objects:
+                obj.dirty = []
                 for pindex, page in obj.iter_resident():
                     self._capture(freeze_set, obj, pindex, page, cpu.pte_cow_arm_ns)
         else:
-            oids = {obj.oid for obj in objects}
+            # Merging by sequence number (unique, so the tuples never
+            # compare past it) visits the pages in the order they
+            # became dirty, across objects — the capture order, and so
+            # the extent layout, of one machine-wide log.
+            logs = []
+            for obj in objects:
+                if obj.dirty:
+                    logs.append(_tagged(obj, obj.dirty))
+                    obj.dirty = []
             seen: set[tuple[int, int]] = set()
-            for obj, pindex, page in mem.drain_dirty_log():
-                if obj.oid not in oids:
-                    # Not ours (another persistence group): put it back.
-                    mem._dirty_log.append((obj, pindex, page))
-                    continue
+            for _, obj, pindex, page in heapq.merge(*logs):
                 if page.dirty_epoch < incremental_since:
                     continue
                 key = (obj.oid, pindex)

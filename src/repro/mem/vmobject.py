@@ -75,6 +75,9 @@ class VMObject:
         self.swap_slots: dict[int, int] = {}
         #: live map entries referencing this object (PTE update fan-out)
         self.mappings: list["VMEntry"] = []
+        #: (seq, pindex, page) for every page dirtied since this object
+        #: was last frozen, appended by MemContext.log_dirty in seq order
+        self.dirty: list[tuple[int, int, Page]] = []
         self.ref_count = 1
         if shadow is not None:
             shadow.ref_count += 1
@@ -93,6 +96,7 @@ class VMObject:
             for page in self.pages.values():
                 self.phys.release(page)
             self.pages.clear()
+            self.dirty.clear()
             if self.shadow is not None:
                 self.shadow.unref()
                 self.shadow = None

@@ -43,7 +43,7 @@ class TestServer:
         assert server.get(0, 9) != server.get(1, 9)
 
     def test_dirty_fraction_touches_exact_count(self, server, kernel):
-        # Arm COW first (the dirty log is only complete once pages are
+        # Arm COW first (the dirty lists are only complete once pages are
         # frozen/write-protected, i.e. after a checkpoint).
         first = kernel.cow.freeze(server.proc.aspace.vm_objects())
         touched = server.dirty_fraction(0.25)

@@ -1,5 +1,6 @@
 """The redesigned keyword-only serverless API and the fleet layer."""
 
+import gc
 import warnings
 
 import pytest
@@ -10,6 +11,7 @@ from repro.core.orchestrator import SLS
 from repro.core.scheduler import TenantQoS
 from repro.errors import SlsError
 from repro.hw.nvme import NvmeDevice
+from repro.mem.page import Page
 from repro.obs import names as obs_names
 from repro.posix.kernel import Kernel
 from repro.sim.rng import RngFactory
@@ -165,6 +167,30 @@ class TestDensity:
         hashes = {ref.content_hash for ref in refs}
         assert len(refs) > 2 * len(hashes)  # the runtime dedups
         assert len({id(ref) for ref in refs}) == len(hashes)
+
+
+def _live_pages() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, Page))
+
+
+class TestExitedInstancesLeaveNothing:
+    """Neither the simulated machine nor the host keeps anything of an
+    instance that has exited: a fleet's footprint is its live set."""
+
+    def test_invoke_frees_its_frames(self, kernel, manager):
+        manager.deploy("fn", customize=b"v")
+        frames_before = kernel.phys.allocated_frames
+        manager.invoke("fn", keep_instance=False)
+        assert kernel.phys.allocated_frames == frames_before
+
+    def test_no_page_object_outlives_its_instance(self, manager):
+        pages_before = _live_pages()
+        for i in range(4):
+            manager.deploy(f"fn-{i}", customize=b"v%d" % i)
+        manager.invoke("fn-0")
+        manager.invoke("fn-3", lazy=False)
+        assert _live_pages() == pages_before
 
 
 class TestFleet:

@@ -161,9 +161,9 @@ class TestRestoreApi:
     def test_backend_name_alias_rejected(self, world):
         *_, api = world
         api.sls_checkpoint(sync=True)
-        with pytest.raises(TypeError, match="backend_name"):
-            api.sls_restore(backend_name="memory", new_instance=True)
-        procs, _ = api.sls_restore(backend="memory", new_instance=True)
+        with pytest.raises(TypeError, match="'backend'"):
+            api.sls_restore(backend="memory", new_instance=True)
+        procs, _ = api.sls_restore(backend_name="memory", new_instance=True)
         assert procs
 
 

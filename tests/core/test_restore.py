@@ -83,6 +83,27 @@ class TestMemoryRestore:
         assert procs[0].state is ProcessState.ALIVE
 
 
+class TestRestoredInstanceExit:
+    """A restored instance owns its VM objects only through its map
+    entries: once it exits and is reaped, every frame it allocated —
+    COW copies of shared pages, pages read from the store — is free."""
+
+    @pytest.mark.parametrize("backend", ["memory", "disk0"])
+    def test_exit_frees_every_frame(self, world, sls, kernel, backend):
+        _, _, entry, _, image = world
+        frames_before = kernel.phys.allocated_frames
+        procs, _ = sls.restore(
+            image, backend_name=backend, new_instance=True, name_suffix="-x"
+        )
+        rsys = Syscalls(kernel, procs[0])
+        rsys.poke(entry.start + 3 * PAGE_SIZE, b"instance-write")
+        assert kernel.phys.allocated_frames > frames_before
+        for proc in procs:
+            kernel.exit(proc)
+            kernel.reap(proc)
+        assert kernel.phys.allocated_frames == frames_before
+
+
 class TestDiskRestore:
     def test_eager_reads_everything(self, world, sls, kernel):
         _, _, entry, _, image = world

@@ -210,12 +210,12 @@ class TestPrefetchKeywords:
         log = FaultOrderLog()
         procs, _ = api.sls_restore(
             lazy=True, prefetch="off", record_faults=True, fault_log=log,
-            new_instance=True, name_suffix="-r1", backend="disk0",
+            new_instance=True, name_suffix="-r1", backend_name="disk0",
         )
         _touch_all(kernel, procs[0], entry, FAULT_ORDER)
         assert len(log) == PAGES
         procs, _ = api.sls_restore(
-            backend="disk0", lazy=True, prefetch="recorded",
+            backend_name="disk0", lazy=True, prefetch="recorded",
             fault_log=log, new_instance=True, name_suffix="-r2",
         )
         got = _touch_all(kernel, procs[0], entry, FAULT_ORDER)

@@ -129,12 +129,15 @@ class TestFaults:
         aspace.populate(entry.start, 4 * PAGE_SIZE, fill_fn=lambda i: b"p%d" % i)
         assert aspace.read(entry.start + 2 * PAGE_SIZE, 2) == b"p2"
 
-    def test_dirty_log_records_new_pages(self, aspace, mem):
+    def test_dirty_list_records_new_pages(self, aspace, mem):
         entry = aspace.mmap(64 * KIB)
         aspace.write(entry.start, b"x")
-        log = mem.drain_dirty_log()
-        assert len(log) == 1
-        assert log[0][1] == 0  # pindex
+        aspace.write(entry.start + 3 * PAGE_SIZE, b"y")
+        [(seq0, pindex0, page0), (seq1, pindex1, _)] = entry.obj.dirty
+        assert (pindex0, pindex1) == (0, 3)
+        assert seq0 < seq1
+        assert page0 is entry.obj.resident_page(0)
+        assert page0.dirty_epoch == mem.epoch
 
 
 class TestSharedMappings:

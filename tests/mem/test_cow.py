@@ -173,7 +173,7 @@ class TestIncremental:
         second = cow.freeze(aspace.vm_objects(), incremental_since=first.epoch + 1)
         assert len(second) == 1
 
-    def test_other_groups_dirty_log_preserved(self, mem, cow):
+    def test_other_groups_dirty_pages_preserved(self, mem, cow):
         a = AddressSpace(mem, "a")
         b = AddressSpace(mem, "b")
         ea = a.mmap(4 * PAGE_SIZE)
@@ -183,9 +183,52 @@ class TestIncremental:
         a.write(ea.start, b"y")
         b.write(eb.start, b"z")  # belongs to b's "group"
         cow.freeze(a.vm_objects(), incremental_since=fa.epoch + 1)
-        # b's dirty entry must still be in the log.
+        # b's dirty entry must still be on its object.
         fb = cow.freeze(b.vm_objects(), incremental_since=1)
         assert len(fb) == 1
+
+    def test_capture_order_is_first_dirty_order(self, mem, cow):
+        """An incremental freeze captures pages in the order they first
+        became dirty, across objects and address spaces — the order one
+        machine-wide log would give, which fixes the extent layout."""
+        a = AddressSpace(mem, "a")
+        b = AddressSpace(mem, "b")
+        heap_a = a.mmap(8 * PAGE_SIZE)
+        shared_a = a.mmap(8 * PAGE_SIZE, shared=True)
+        shared_b = b.mmap(8 * PAGE_SIZE, shared=True, obj=shared_a.obj)
+        heap_b = b.mmap(8 * PAGE_SIZE)
+        for aspace, entry in ((a, heap_a), (a, shared_a), (b, heap_b)):
+            aspace.populate(entry.start, 4 * PAGE_SIZE, fill=b"base")
+        objects = [heap_a.obj, shared_a.obj, heap_b.obj]
+        first = cow.freeze(objects)
+        writes = [
+            (b, heap_b, 2), (a, shared_a, 1), (a, heap_a, 0),
+            (b, shared_b, 6), (a, heap_a, 5), (b, heap_b, 2),
+            (b, shared_b, 1), (a, heap_a, 0), (b, heap_b, 0),
+            (a, shared_a, 3),
+        ]
+        expected = []
+        for aspace, entry, pindex in writes:
+            aspace.write(entry.start + pindex * PAGE_SIZE, b"w")
+            key = (entry.obj.oid, pindex)
+            if key not in expected:
+                expected.append(key)
+        second = cow.freeze(objects, incremental_since=first.epoch + 1)
+        assert [(f.obj.oid, f.pindex) for f in second.pages] == expected
+
+    def test_freeze_consumes_dirty_lists(self, mem, cow):
+        a = AddressSpace(mem, "a")
+        b = AddressSpace(mem, "b")
+        ea = a.mmap(4 * PAGE_SIZE)
+        eb = b.mmap(4 * PAGE_SIZE)
+        a.write(ea.start, b"x")
+        b.write(eb.start, b"y")
+        fa = cow.freeze(a.vm_objects())
+        assert ea.obj.dirty == [] and len(eb.obj.dirty) == 1
+        a.write(ea.start, b"z")
+        assert len(ea.obj.dirty) == 1
+        cow.freeze(a.vm_objects(), incremental_since=fa.epoch + 1)
+        assert ea.obj.dirty == [] and len(eb.obj.dirty) == 1
 
     def test_incremental_cheaper_than_full(self, aspace, cow, mem):
         entry = aspace.mmap(1024 * PAGE_SIZE)
