@@ -88,7 +88,7 @@ def main() -> int:
           f" checkpoints from NVMe")
     snapshot = store.snapshots()[-1]
     image = load_image_from_store(store, snapshot)
-    procs, metrics = sls2.restore(image, backend_name="disk0", store=store)
+    procs, metrics = sls2.restore(image, backend_name="disk0")
 
     # --- the app continues, oblivious to the interruption ------------------
     revived = Syscalls(kernel2, procs[0])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.apps.hello import HelloWorldApp
-from repro.core.checkpoint import CheckpointImage
+from repro.core.checkpoint import CheckpointImage, StoreCopy
 from repro.core.group import PersistenceGroup
 from repro.core.metrics import RestoreMetrics
 from repro.core.orchestrator import SLS
@@ -177,9 +177,12 @@ class ServerlessManager:
             raise SlsError(f"no function {name!r}")
         faults_before = self.kernel.mem.stats.major
         started_at = self.kernel.clock.now
+        # the first store copy, else the in-memory one
+        backend = next((b for b, copy in deployed.image.copies.items()
+                        if isinstance(copy, StoreCopy)), None)
         procs, metrics = self.sls.restore(
             deployed.image,
-            backend_name=next(iter(deployed.image.page_refs), None),
+            backend_name=backend,
             lazy=lazy,
             new_instance=True,
             name_suffix=f"#{self._instance_seq + 1}",

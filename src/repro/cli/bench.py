@@ -91,7 +91,7 @@ def _checkpoint_flush_cell(queue_depth: int, num_queues: int = 1) -> dict:
     backend.store.codec.enabled = False
     image = sls.checkpoint(group, name="bench-full")
     sls.barrier(group)
-    info = image.flush_info["disk0"]
+    info = image.copies["disk0"].flush
     metrics = image.metrics
 
     # One incremental on a quarter of the heap, pipelined against the
@@ -101,7 +101,7 @@ def _checkpoint_flush_cell(queue_depth: int, num_queues: int = 1) -> dict:
         sysc.poke(heap.start + page * PAGE_SIZE, b"dirty-%08d" % page)
     incr = sls.checkpoint(group, name="bench-incr")
     sls.barrier(group)
-    incr_info = incr.flush_info["disk0"]
+    incr_info = incr.copies["disk0"].flush
 
     return {
         "stop_ns": int(metrics.stop_time_ns),
@@ -152,9 +152,7 @@ def _restore_cell() -> dict:
     restored_sls = SLS(restored_kernel)
     image = load_image_from_store(store, snapshot)
     before = kernel.clock.now
-    _procs, metrics = restored_sls.restore(
-        image, backend_name="disk0", store=store
-    )
+    _procs, metrics = restored_sls.restore(image, backend_name="disk0")
     return {
         "total_ns": int(kernel.clock.now - before),
         "objstore_read_ns": int(metrics.objstore_read_ns),
@@ -329,7 +327,7 @@ def _restorecache_cell(num_queues: int) -> dict:
         image = load_image_from_store(store, snapshot)
         restore_start = kernel.clock.now
         procs, _metrics = restored_sls.restore(
-            image, backend_name="disk0", store=store, lazy=True,
+            image, backend_name="disk0", lazy=True,
             prefetch=prefetch, record_faults=record, fault_log=log,
         )
         restore_ns = int(kernel.clock.now - restore_start)

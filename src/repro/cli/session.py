@@ -227,11 +227,7 @@ class SlsSession:
         )
         if image is None:
             raise SlsError(f"group {group_name!r} has no image; checkpoint first")
-        store = None
-        stores = group.store_backends()
-        if stores:
-            store = stores[0].store
-        nbytes = sls_send(image, self.local_ep, "aurora1", store=store)
+        nbytes = sls_send(image, self.local_ep, "aurora1")
         return f"sent {image.name} to aurora1 ({fmt_size(nbytes)})"
 
     def cmd_rollback(self, group_name: str) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
-from repro.core.checkpoint import CheckpointImage, FlushInfo
+from repro.core.checkpoint import CheckpointImage, FlushInfo, MemoryCopy, StoreCopy
 from repro.errors import BackendError, HardwareError, PowerCut
 from repro.fault import names as fault_names
 from repro.hw.device import StorageDevice
@@ -86,11 +86,6 @@ class Backend(abc.ABC):
                 parent: Optional[CheckpointImage]) -> None:
         """Capture the image's data on this backend (async flush)."""
 
-    @property
-    def holds_frames(self) -> bool:
-        """Whether images on this backend keep frozen frames alive."""
-        return False
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -130,7 +125,8 @@ class StoreBackend(Backend):
         store_stats = self.store.stats
         records_before, extents_before = store_stats.batch_records, store_stats.batch_extents
         nbytes_before, shards_before = store_stats.batch_bytes, store_stats.batch_shards
-        base_map = parent.page_refs.get(self.name) if parent else None
+        base = parent.copies.get(self.name) if parent else None
+        base_map = base.pages if base else None
         page_map = capture_pages_to_store(
             freeze_set, self.store, base_map=base_map
         )
@@ -148,8 +144,8 @@ class StoreBackend(Backend):
         # manifests (see repro.objstore.image).  An image recorded
         # non-incremental (a consolidating full checkpoint still has a
         # parent) must carry the *complete* map, diffed against nothing.
-        incremental = parent is not None and image.incremental
-        parent_snap = parent.snapshots.get(self.name) if parent else None
+        incremental = base is not None and image.incremental
+        parent_snap = base.snapshot if base else None
         snapshot, lineage = write_image(
             self.store,
             name=image.name,
@@ -164,20 +160,19 @@ class StoreBackend(Backend):
             epoch=image.epoch,
             parent_id=parent_snap.snap_id if parent_snap else None,
             base_map=base_map if incremental else None,
-            base=(parent.store_lineage.get(self.name, Lineage()) if incremental
-                  else Lineage()),
+            base=base.lineage if incremental else Lineage(),
         )
-        image.snapshots[self.name] = snapshot
-        image.page_refs[self.name] = page_map
-        image.store_lineage[self.name] = lineage
-        image.flush_info[self.name] = FlushInfo(
-            submitted_at_ns=submitted_at,
-            records=store_stats.batch_records - records_before,
-            extents=store_stats.batch_extents - extents_before,
-            doorbells=device_stats.doorbells - doorbells_before,
-            nbytes=store_stats.batch_bytes - nbytes_before,
-            submit_stall_ns=device_stats.submit_stall_ns - stall_before,
-            shards=store_stats.batch_shards - shards_before,
+        image.copies[self.name] = StoreCopy(
+            self.store, snapshot, page_map, lineage,
+            flush=FlushInfo(
+                submitted_at_ns=submitted_at,
+                records=store_stats.batch_records - records_before,
+                extents=store_stats.batch_extents - extents_before,
+                doorbells=device_stats.doorbells - doorbells_before,
+                nbytes=store_stats.batch_bytes - nbytes_before,
+                submit_stall_ns=device_stats.submit_stall_ns - stall_before,
+                shards=store_stats.batch_shards - shards_before,
+            ),
         )
         image.metrics.bytes_flushed += snapshot.delta_bytes
         self._count_flushed(snapshot.delta_bytes)
@@ -212,10 +207,9 @@ class StoreBackend(Backend):
             ).set(device.queue_utilization_permille(queue, window_ns))
 
     def delete_image(self, image: CheckpointImage) -> None:
-        snapshot = image.snapshots.pop(self.name, None)
-        if snapshot is not None:
-            self.store.delete_snapshot(snapshot.snap_id)
-        image.page_refs.pop(self.name, None)
+        copy = image.copies.pop(self.name, None)
+        if copy is not None:
+            self.store.delete_snapshot(copy.snapshot.snap_id)
 
 
 class DiskBackend(StoreBackend):
@@ -239,14 +233,11 @@ class MemoryBackend(Backend):
 
     kind = "memory"
 
-    @property
-    def holds_frames(self) -> bool:
-        return True
-
     def persist(self, image, freeze_set, parent):
         assert self.kernel is not None, "backend not bound to a kernel"
         self._fire_persist(image)
-        base_map = parent.memory_pages if parent else None
+        base = parent.copies.get(self.name) if parent else None
+        base_map = base.pages if base else None
         page_map, captured = capture_pages_to_memory(freeze_set, base_map=base_map)
         # Each captured frame carries the freeze's hold; the image owns it.
         held = [frozen.page for frozen in freeze_set.pages]
@@ -257,14 +248,14 @@ class MemoryBackend(Backend):
                 for pindex, page in pages.items():
                     if (oid, pindex) not in captured:
                         held.append(phys.hold(page))
-        image.memory_pages = page_map
-        image.memory_backend = self.name
-        image._held_frames = held
+        image.copies[self.name] = MemoryCopy(page_map, held)
         image.mark_durable(self.name, self.kernel.clock.now)
 
     def delete_image(self, image: CheckpointImage) -> None:
         assert self.kernel is not None
-        image.release_memory(self.kernel.phys)
+        copy = image.copies.pop(self.name, None)
+        if copy is not None:
+            copy.release(self.kernel.phys)
 
 
 class RemoteBackend(Backend):

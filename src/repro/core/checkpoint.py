@@ -2,8 +2,9 @@
 
 A :class:`CheckpointImage` "encapsulates all information required to
 recreate the application, even across reboots and machines": the
-serialized kernel-object metadata plus, per backend, either store page
-references (disk/NVDIMM/remote) or held frozen frames (memory).
+serialized kernel-object metadata plus, per backend, a copy of its
+pages: store page references in a snapshot (:class:`StoreCopy`) or
+held frozen frames (:class:`MemoryCopy`).
 Images chain to their parents; an incremental image's page map is the
 parent's map overlaid with the interval's dirty pages, so every image
 is *self-contained* for restore while sharing storage with history.
@@ -19,6 +20,7 @@ from repro.core.metrics import CheckpointMetrics
 from repro.mem.page import Page
 from repro.objstore.image import Lineage
 from repro.objstore.snapshot import Snapshot
+from repro.objstore.store import ObjectStore
 from repro.serial.memsnap import PageMap, StorePageMap
 from repro.units import PAGE_SIZE
 
@@ -54,13 +56,45 @@ class FlushInfo:
 
 
 @dataclass
-class CheckpointImage:
-    """One checkpoint of one persistence group.
+class StoreCopy:
+    """An image's copy on one object store (disk, NVDIMM, received or
+    imported): the snapshot committing it and its complete page map."""
 
-    A memory image holds only the frames its own freeze captured, and
-    an incremental reaches the rest of ``memory_pages`` through
-    ``parent``, which outlives it (pruning deletes whole segments).
+    store: ObjectStore
+    snapshot: Snapshot
+    pages: StorePageMap
+    #: the pagemap-delta records and manifests a post-reboot restore
+    #: replays: this image's own first, then its lineage's back to the
+    #: covering full checkpoint (what a child's manifest lists)
+    lineage: Lineage = Lineage()
+    #: submission accounting for the persist that wrote it
+    flush: Optional[FlushInfo] = None
+
+
+@dataclass
+class MemoryCopy:
+    """An image's copy in a memory backend: frozen frames, every slot.
+
+    It holds a reference only on the frames its own freeze captured
+    (plus, for a full image with a parent, the slots it inherited); an
+    incremental reaches the rest through its parent's copy, which
+    outlives it (pruning deletes whole segments).
     """
+
+    pages: PageMap
+    held: list[Page] = field(default_factory=list)
+
+    def release(self, phys) -> int:
+        """Drop the frame references this copy holds (deletion)."""
+        held, self.held = self.held, []
+        for page in held:
+            phys.release(page)
+        return len(held)
+
+
+@dataclass
+class CheckpointImage:
+    """One checkpoint of one persistence group."""
 
     name: str
     group_name: str
@@ -69,24 +103,8 @@ class CheckpointImage:
     meta: dict
     parent: Optional["CheckpointImage"] = None
     metrics: CheckpointMetrics = field(default_factory=CheckpointMetrics)
-    #: backend name -> store snapshot (disk-like backends)
-    snapshots: dict[str, Snapshot] = field(default_factory=dict)
-    #: backend name -> page map of PageRefs (disk-like backends)
-    page_refs: dict[str, StorePageMap] = field(default_factory=dict)
-    #: backend name -> the pagemap-delta records and manifests a
-    #: post-reboot restore replays: this image's own first, then its
-    #: lineage's back to the covering full checkpoint (what a child's
-    #: manifest lists)
-    store_lineage: dict[str, Lineage] = field(default_factory=dict)
-    #: backend name -> submission accounting for this image's flush
-    flush_info: dict[str, "FlushInfo"] = field(default_factory=dict)
-    #: memory-backend page map of frozen frames (every slot)
-    memory_pages: Optional[PageMap] = None
-    #: name of the memory backend whose freeze captured ``memory_pages``
-    memory_backend: Optional[str] = None
-    #: frames this image holds a reference on: those it captured, and a
-    #: full image's inherited slots when it has a parent
-    _held_frames: list[Page] = field(default_factory=list)
+    #: backend name -> this image's copy there: where its pages live
+    copies: dict[str, StoreCopy | MemoryCopy] = field(default_factory=dict)
     #: backends on which this image is durable (by name)
     durable_on: set = field(default_factory=set)
     #: backends whose flush failed (I/O error); image absent there
@@ -136,41 +154,21 @@ class CheckpointImage:
     # -- content accounting --------------------------------------------------
 
     def resident_pages(self) -> int:
-        page_map = self.any_page_map()
-        return sum(len(pages) for pages in page_map.values()) if page_map else 0
+        backend = self.default_backend()
+        if backend is None:
+            return 0
+        return sum(len(pages) for pages in self.copies[backend].pages.values())
 
     def logical_bytes(self) -> int:
         return self.resident_pages() * PAGE_SIZE
 
-    def any_page_map(self) -> Optional[PageMap]:
-        if self.memory_pages is not None:
-            return self.memory_pages
-        for page_map in self.page_refs.values():
-            return page_map
-        return None
-
-    def delta_pages(self) -> int:
-        """Pages newly captured by this image (vs inherited)."""
-        return self.metrics.pages_captured
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def release_memory(self, phys) -> int:
-        """Drop the frame references this memory image holds (deletion)."""
-        held, self._held_frames = self._held_frames, []
-        for page in held:
-            phys.release(page)
-        self.memory_pages = None
-        return len(held)
-
-    def lineage(self) -> list["CheckpointImage"]:
-        """This image and its ancestors, newest first."""
-        out: list[CheckpointImage] = []
-        image: Optional[CheckpointImage] = self
-        while image is not None:
-            out.append(image)
-            image = image.parent
-        return out
+    def default_backend(self) -> Optional[str]:
+        """The backend a restore or a send reads when none is named:
+        the one holding the in-memory copy, else the first store's."""
+        for backend, copy in self.copies.items():
+            if isinstance(copy, MemoryCopy):
+                return backend
+        return next(iter(self.copies), None)
 
     def __repr__(self) -> str:
         kind = "incr" if self.incremental else "full"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.backends import Backend, MemoryBackend, StoreBackend
+from repro.core.backends import Backend, StoreBackend
 from repro.core.checkpoint import CheckpointImage
 from repro.core.metrics import GroupStats
 from repro.errors import BackendError, NotPersisted
@@ -108,12 +108,6 @@ class PersistenceGroup:
 
     def store_backends(self) -> list[StoreBackend]:
         return [b for b in self.backends if isinstance(b, StoreBackend)]
-
-    def memory_backend(self) -> Optional[MemoryBackend]:
-        for backend in self.backends:
-            if isinstance(backend, MemoryBackend):
-                return backend
-        return None
 
     # -- images ------------------------------------------------------------------------
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.backends import Backend
-from repro.core.checkpoint import CheckpointImage
+from repro.core.checkpoint import CheckpointImage, MemoryCopy, StoreCopy
 from repro.core.extcons import ExternalConsistency
 from repro.core.group import DEFAULT_PERIOD_NS, PersistenceGroup
 from repro.core.metrics import CheckpointMetrics, RestoreMetrics
-from repro.core.restore import restore_from_memory, restore_from_store, store_for
+from repro.core.restore import restore_from_memory, restore_from_store
 from repro.core.scheduler import CheckpointScheduler, CheckpointTicket
 from repro.errors import (
     BackendError,
@@ -339,14 +339,15 @@ class SLS:
                         # the healthy ones; durability expectation shrinks.
                         failures.append((backend.name, exc))
                         image.metrics.backends_expected -= 1
+                doorbells = submit_stall_ns = 0
+                for copy in image.copies.values():
+                    if isinstance(copy, StoreCopy):
+                        doorbells += copy.flush.doorbells
+                        submit_stall_ns += copy.flush.submit_stall_ns
                 flush_span.set(
                     bytes=image.metrics.bytes_flushed,
-                    doorbells=sum(
-                        info.doorbells for info in image.flush_info.values()
-                    ),
-                    submit_stall_ns=sum(
-                        info.submit_stall_ns for info in image.flush_info.values()
-                    ),
+                    doorbells=doorbells,
+                    submit_stall_ns=submit_stall_ns,
                 )
             if failures and image.metrics.backends_expected == 0:
                 for frozen in freeze_set.pages:
@@ -361,11 +362,12 @@ class SLS:
                 image.mark_durable(next(iter(image.durable_on)),
                                    self.kernel.clock.now)
 
-            # The freeze pass held one reference per captured frame.  If a
-            # memory backend captured the image it now owns those holds;
+            # The freeze pass held one reference per captured frame.  If
+            # the image has a memory copy, that copy now owns those holds;
             # otherwise the content lives in store/remote copies and the
             # holds are dropped.
-            if group.memory_backend() is None:
+            if not any(isinstance(copy, MemoryCopy)
+                       for copy in image.copies.values()):
                 for frozen in freeze_set.pages:
                     self.kernel.phys.release(frozen.page)
 
@@ -457,15 +459,14 @@ class SLS:
     ) -> tuple[list[Process], RestoreMetrics]:
         """Restore ``image``; returns (processes, metrics).
 
-        ``backend_name`` picks where to read from when the image lives
-        on several backends; by default an in-memory image is
-        preferred, then the first store backend.  ``store`` overrides
-        backend lookup (received/migrated images that belong to no
-        local group).  ``lazy`` maps pages on demand instead of
-        loading them eagerly.  ``new_instance`` allocates fresh PIDs
-        (scale-out clone) instead of reclaiming the originals (crash
-        resume); ``name_suffix`` is appended to the clone's process
-        names.
+        ``backend_name`` picks which of the image's copies to read
+        (``image.copies``); by default the in-memory copy is preferred,
+        then the first store copy.  Each copy knows its store; a
+        ``store`` passed here is only checked against it.  ``lazy``
+        maps pages on demand instead of loading them eagerly.
+        ``new_instance`` allocates fresh PIDs (scale-out clone) instead
+        of reclaiming the originals (crash resume); ``name_suffix`` is
+        appended to the clone's process names.
 
         ``prefetch`` names the lazy-restore prefetch policy: ``"off"``
         (pure demand paging), ``"recorded"`` (replay ``fault_log`` as a
@@ -505,19 +506,26 @@ class SLS:
         if prefetch == "recorded" and fault_log is None:
             raise SlsError('restore: prefetch="recorded" requires a fault_log')
 
-        if backend_name is None and image.memory_pages is None:
-            backend_name = next(iter(image.page_refs), None)
+        if backend_name is None:
+            backend_name = image.default_backend()
             if backend_name is None:
                 raise RestoreError("image has no restorable backend")
-        if backend_name is None or backend_name == image.memory_backend:
+        copy = image.copies.get(backend_name)
+        if copy is None:
+            raise RestoreError(f"image not present on backend {backend_name!r}")
+        if store is not None and not (isinstance(copy, StoreCopy)
+                                      and copy.store is store):
+            raise SlsError(
+                f"restore: store is not the one holding the image's copy "
+                f"on {backend_name!r}"
+            )
+        if isinstance(copy, MemoryCopy):
             return restore_from_memory(
-                image, self.kernel,
+                image, copy, self.kernel,
                 lazy=lazy, new_instance=new_instance, name_suffix=name_suffix,
             )
-        if store is None:
-            store = store_for(self.groups.values(), image, backend_name)
         return restore_from_store(
-            image, store, backend_name, self.kernel,
+            image, copy, backend_name, self.kernel,
             lazy=lazy, new_instance=new_instance, name_suffix=name_suffix,
             prefetch=prefetch or "hot", record_faults=record_faults,
             fault_log=fault_log,

@@ -25,13 +25,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.backends import RemoteBackend
-from repro.core.checkpoint import CheckpointImage
+from repro.core.checkpoint import CheckpointImage, MemoryCopy, StoreCopy
 from repro.core.group import PersistenceGroup
 from repro.core.metrics import CheckpointMetrics, RestoreMetrics
 from repro.core.orchestrator import SLS
 from repro.errors import MigrationError
 from repro.hw.netdev import NetworkEndpoint
-from repro.mem.page import Page
 from repro.objstore.image import write_image
 from repro.objstore.record import decode, encode, shaped
 from repro.objstore.store import ObjectStore
@@ -39,33 +38,24 @@ from repro.posix.process import Process
 from repro.serial.memsnap import StorePageMap
 
 
-def collect_payloads(image: CheckpointImage, store: Optional[ObjectStore]) -> list:
-    """Materialize [oid, pindex, payload] for every page of an image."""
-    out = []
-    if image.memory_pages is not None:
-        for oid, pages in image.memory_pages.items():
-            for pindex, page in pages.items():
-                assert isinstance(page, Page)
-                out.append([oid, pindex, page.snapshot_payload()])
-        return out
-    if not image.page_refs:
-        return out
-    if store is None:
-        raise MigrationError("store required to read a disk image for send")
-    backend_name = next(iter(image.page_refs))
-    refs = image.page_refs[backend_name]
+def collect_payloads(image: CheckpointImage) -> list:
+    """Materialize [oid, pindex, payload] for every page of an image,
+    read from its default copy (:meth:`CheckpointImage.default_backend`)."""
+    copy = image.copies.get(image.default_backend())
+    if copy is None:
+        return []
     flat = [
-        (oid, pindex, ref)
-        for oid, pages in refs.items()
-        for pindex, ref in pages.items()
+        (oid, pindex, slot)
+        for oid, pages in copy.pages.items()
+        for pindex, slot in pages.items()
     ]
-    payloads = store.read_pages_coalesced([r for _, _, r in flat])
-    for oid, pindex, ref in flat:
-        out.append([oid, pindex, payloads[ref.content_hash]])
-    return out
+    if isinstance(copy, MemoryCopy):
+        return [[oid, pindex, page.snapshot_payload()] for oid, pindex, page in flat]
+    payloads = copy.store.read_pages_coalesced([ref for _, _, ref in flat])
+    return [[oid, pindex, payloads[ref.content_hash]] for oid, pindex, ref in flat]
 
 
-def export_image(image: CheckpointImage, store: Optional[ObjectStore] = None) -> bytes:
+def export_image(image: CheckpointImage) -> bytes:
     """Serialize a self-contained image ("pipe a single checkpoint to a
     file to give to another user")."""
     return encode(
@@ -75,7 +65,7 @@ def export_image(image: CheckpointImage, store: Optional[ObjectStore] = None) ->
             "name": image.name,
             "epoch": image.epoch,
             "meta": image.meta,
-            "pages": collect_payloads(image, store),
+            "pages": collect_payloads(image),
         }
     )
 
@@ -84,22 +74,23 @@ def sls_send(
     image: CheckpointImage,
     endpoint: NetworkEndpoint,
     peer: str,
-    store: Optional[ObjectStore] = None,
     *,
     verify_store: bool = True,
 ) -> int:
     """``sls send``: ship one self-contained image; returns bytes sent.
 
-    When the image's pages live in ``store``, the store must fsck
-    clean before anything leaves the machine: shipping a checkpoint
-    off a damaged store would replicate the damage to the DR site,
-    turning the copy meant to survive a disaster into a second casualty
-    (see RECOVERY.md).  A clean verdict is cached per superblock
-    generation, so only the first send after a checkpoint pays for the
-    full walk.  Pass ``verify_store=False`` only to salvage from a
-    store already known damaged.
+    When the copy sent (the one :func:`export_image` reads) lives in a
+    store, that store must fsck clean before anything leaves the
+    machine: shipping a checkpoint off a damaged store would replicate
+    the damage to the DR site, turning the copy meant to survive a
+    disaster into a second casualty (see RECOVERY.md).  A clean verdict
+    is cached per superblock generation, so only the first send after a
+    checkpoint pays for the full walk.  Pass ``verify_store=False`` only
+    to salvage from a store already known damaged.
     """
-    if store is not None and verify_store:
+    copy = image.copies.get(image.default_backend())
+    if isinstance(copy, StoreCopy) and verify_store:
+        store = copy.store
         if store._fsck_clean_generation != store.volume.generation:
             from repro.objstore.fsck import check_store
 
@@ -113,7 +104,7 @@ def sls_send(
                     f"`sls fsck --repair` first, or pass verify_store=False "
                     f"to salvage"
                 )
-    payload = export_image(image, store)
+    payload = export_image(image)
     endpoint.send(peer, payload)
     return len(payload)
 
@@ -163,7 +154,7 @@ class _GroupStream:
     def commit(self, store: ObjectStore, backend_name: str, marker: str) -> CheckpointImage:
         """Commit the assembled image to ``store``; returns it
         restorable under ``backend_name``."""
-        snapshot, _lineage = write_image(
+        snapshot, lineage = write_image(
             store,
             name=f"{backend_name}:{self.name}",
             meta={"group": self.group, marker: True},
@@ -179,11 +170,10 @@ class _GroupStream:
             meta=self.meta,
             metrics=CheckpointMetrics(group=self.group),
         )
-        image.snapshots[backend_name] = snapshot
         # the image owns its map; the stream's grows with later messages
-        image.page_refs[backend_name] = {
+        image.copies[backend_name] = StoreCopy(store, snapshot, {
             oid: dict(pages) for oid, pages in self.page_refs.items()
-        }
+        }, lineage)
         return image
 
 
@@ -253,7 +243,6 @@ class MigrationReceiver:
         return self.sls.restore(
             image,
             backend_name="recv",
-            store=self.store,
             lazy=lazy,
             new_instance=new_instance,
         )

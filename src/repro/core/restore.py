@@ -1,9 +1,9 @@
 """The restore phases (Table 4).
 
 :meth:`repro.core.orchestrator.SLS.restore` checks its keywords, picks
-the backend and calls :func:`restore_from_memory` or
-:func:`restore_from_store`.  Restores rebuild an application from a
-checkpoint image:
+one of the image's copies and, by its kind, calls
+:func:`restore_from_memory` or :func:`restore_from_store`.  Restores
+rebuild an application from a checkpoint image:
 
 1. **Object store read** (disk restores): the manifest and the metadata
    record are read and verified — the image already holds the decoded
@@ -19,10 +19,9 @@ checkpoint image:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
-from repro.core.backends import StoreBackend
-from repro.core.checkpoint import CheckpointImage
+from repro.core.checkpoint import CheckpointImage, MemoryCopy, StoreCopy
 from repro.core.metrics import CheckpointMetrics, RestoreMetrics
 from repro.errors import ImageFormatError, RestoreError
 from repro.mem.vmobject import VMObject
@@ -39,9 +38,6 @@ from repro.serial.memsnap import (
     make_store_pager,
 )
 from repro.serial.procsnap import restore_group
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.group import PersistenceGroup
 
 
 def _group_meta(name: str, meta) -> dict:
@@ -76,36 +72,8 @@ def load_image_from_store(store: ObjectStore, snapshot,
         meta=meta,
         metrics=CheckpointMetrics(),
     )
-    image.snapshots[backend_name] = snapshot
-    image.page_refs[backend_name] = page_refs
+    image.copies[backend_name] = StoreCopy(store, snapshot, page_refs)
     return image
-
-
-def store_for(groups: Iterable["PersistenceGroup"], image: CheckpointImage,
-              backend_name: str) -> ObjectStore:
-    """The store holding ``image`` on ``backend_name`` among ``groups``.
-
-    Backend names are per-group, so several groups may each have a
-    "disk0" — the right one is whichever store actually contains
-    the image's snapshot, else the first store of that name.
-    """
-    snapshot = image.snapshots.get(backend_name)
-    fallback = None
-    for group in groups:
-        for backend in group.backends:
-            if backend.name != backend_name or not isinstance(backend, StoreBackend):
-                continue
-            store = backend.store
-            if snapshot is None:
-                return store
-            held = store.directory.get(snapshot.snap_id)
-            if held is not None and held.name == snapshot.name:
-                return store
-            if fallback is None:
-                fallback = store
-    if fallback is None:
-        raise RestoreError(f"no store backend named {backend_name!r}")
-    return fallback
 
 
 # -- memory-image restore ---------------------------------------------------------
@@ -113,16 +81,15 @@ def store_for(groups: Iterable["PersistenceGroup"], image: CheckpointImage,
 
 def restore_from_memory(
     image: CheckpointImage,
+    copy: MemoryCopy,
     kernel: Kernel,
     *,
     lazy: bool,
     new_instance: bool,
     name_suffix: str,
 ) -> tuple[list[Process], RestoreMetrics]:
-    """Restore ``image`` from the pages it holds in memory, shared COW;
+    """Restore ``image`` from its in-memory ``copy``, shared COW;
     there is nothing to read, so ``lazy`` only labels the span."""
-    if image.memory_pages is None:
-        raise RestoreError("image has no in-memory pages")
     mem = kernel.mem
     cpu = mem.cpu
     tracer = kernel.obs.tracer
@@ -144,7 +111,7 @@ def restore_from_memory(
 
         with tracer.span(obs_names.SPAN_RESTORE_MEMORY) as mem_span:
             installed = 0
-            for oid, pages in image.memory_pages.items():
+            for oid, pages in copy.pages.items():
                 obj = ctx.vm_objects.get(oid)
                 if obj is None:
                     continue
@@ -166,7 +133,7 @@ def restore_from_memory(
 
 def restore_from_store(
     image: CheckpointImage,
-    store: ObjectStore,
+    copy: StoreCopy,
     backend_name: str,
     kernel: Kernel,
     *,
@@ -177,12 +144,10 @@ def restore_from_store(
     record_faults: bool,
     fault_log: Optional[FaultOrderLog],
 ) -> tuple[list[Process], RestoreMetrics]:
-    """Restore ``image`` from its snapshot in ``store`` (all three
-    phases).  ``prefetch`` is a policy name, already resolved from
-    ``None`` to ``"hot"``."""
-    page_refs = image.page_refs.get(backend_name)
-    if page_refs is None:
-        raise RestoreError(f"image not present on backend {backend_name!r}")
+    """Restore ``image`` from its ``copy`` on store backend
+    ``backend_name`` (all three phases).  ``prefetch`` is a policy
+    name, already resolved from ``None`` to ``"hot"``."""
+    store, snapshot, page_refs = copy.store, copy.snapshot, copy.pages
     mem = kernel.mem
     cpu = mem.cpu
     tracer = kernel.obs.tracer
@@ -198,13 +163,14 @@ def restore_from_store(
             # (every producer writes ``image.meta`` itself): restore
             # that, and only read and verify the snapshot's record,
             # so decay on the medium still fails the restore.
-            snapshot = image.snapshots.get(backend_name)
-            if (snapshot is not None
-                    and store.directory.get(snapshot.snap_id) == snapshot):
-                try:
-                    verify_image_record(store, snapshot)
-                except ImageFormatError as exc:
-                    raise RestoreError(str(exc)) from exc
+            if store.directory.get(snapshot.snap_id) != snapshot:
+                raise RestoreError(
+                    f"snapshot {snapshot.name!r} is no longer in its store"
+                )
+            try:
+                verify_image_record(store, snapshot)
+            except ImageFormatError as exc:
+                raise RestoreError(str(exc)) from exc
             meta = _group_meta(image.name, image.meta)
             payloads: dict[bytes, bytes] = {}
             prefetched = 0

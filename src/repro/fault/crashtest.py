@@ -360,7 +360,7 @@ def verify_recovery(state: WorkloadState, device: NvmeDevice,
     sls = SLS(restored_kernel)
     try:
         image = load_image_from_store(store, latest)
-        procs, _metrics = sls.restore(image, backend_name="disk0", store=store)
+        procs, _metrics = sls.restore(image, backend_name="disk0")
     except PowerCut:
         # an injected cut during verification is not a recovery verdict
         raise

@@ -26,8 +26,8 @@ from repro.serial.registry import RestoreContext, SerialContext
 
 #: oid -> {pindex -> PageRef} (disk image) or {pindex -> Page} (memory image)
 PageMap = dict[int, dict[int, object]]
-#: a disk image's map: every slot a PageRef (``image.page_refs[backend]``;
-#: a memory image's frames live apart, in ``image.memory_pages``)
+#: a store copy's map: every slot a PageRef (``image.copies[backend].pages``
+#: of a :class:`~repro.core.checkpoint.StoreCopy`)
 StorePageMap = dict[int, dict[int, PageRef]]
 
 

@@ -162,7 +162,7 @@ class TestDensity:
         for i in range(4):
             manager.deploy(f"fn-{i}", customize=b"v%d" % i)
         refs = [ref for fn in manager.functions.values()
-                for slots in fn.image.page_refs["disk0"].values()
+                for slots in fn.image.copies["disk0"].pages.values()
                 for ref in slots.values()]
         hashes = {ref.content_hash for ref in refs}
         assert len(refs) > 2 * len(hashes)  # the runtime dedups

@@ -51,7 +51,7 @@ class TestCommands:
         output = session.execute("restore hello0 --backend=mem0")
         assert "restored" in output and "read 0 ns" in output
         # a name that holds no copy of the image is not a memory backend
-        with pytest.raises(RestoreError, match="no store backend named 'memory'"):
+        with pytest.raises(RestoreError, match="not present on backend 'memory'"):
             session.execute("restore hello0 --backend=memory")
 
     def test_restore_without_image(self, session):

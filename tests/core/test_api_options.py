@@ -326,7 +326,7 @@ class TestKeywordOnlySurface:
         surface = list(api_surface())
         # the count pins the scan's reach: an import that silently drops
         # a module, or a filter that skips methods, fails here
-        assert len(surface) == 100
+        assert len(surface) == 99
         assert keyword_only_violations(surface) == []
 
     @pytest.mark.parametrize("cls, message", [

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.backends import (
-    DiskBackend,
     MemoryBackend,
     NvdimmBackend,
     RemoteBackend,
@@ -79,11 +78,6 @@ class TestNvdimmBackend:
 
 
 class TestMemoryBackendFrames:
-    def test_holds_frames_flag(self):
-        assert MemoryBackend("m").holds_frames
-        store = ObjectStore(NvmeDevice(Kernel().clock))
-        assert not DiskBackend("d", store).holds_frames
-
     def test_image_deletion_releases_frames(self, kernel, sls, world):
         proc, sys, entry, group = world
         group.attach(MemoryBackend("memory"))
@@ -106,10 +100,10 @@ class TestMemoryBackendFrames:
         extra = sys.mmap(PAGE_SIZE, name="extra")
         sys.poke(extra.start, b"gone")
         parent = sls.checkpoint(group)           # full, lists extra's page
-        page = parent.memory_pages[extra.obj.oid][0]
+        page = parent.copies["memory"].pages[extra.obj.oid][0]
         sys.munmap(extra.start, PAGE_SIZE)       # the image is its sole owner
         child = sls.checkpoint(group, full=True)  # inherits the slot
-        assert child.memory_pages[extra.obj.oid][0] is page
+        assert child.copies["memory"].pages[extra.obj.oid][0] is page
         memory.delete_image(parent)
         assert page.refcount > 0
         assert page.read(0, 4) == b"gone"

@@ -126,15 +126,6 @@ class TestMetricsRecords:
 
 
 class TestCheckpointImageLifecycle:
-    def test_lineage(self):
-        a = CheckpointImage(name="a", group_name="g", epoch=1,
-                            incremental=False, meta={})
-        b = CheckpointImage(name="b", group_name="g", epoch=2,
-                            incremental=True, meta={}, parent=a)
-        c = CheckpointImage(name="c", group_name="g", epoch=3,
-                            incremental=True, meta={}, parent=b)
-        assert [i.name for i in c.lineage()] == ["c", "b", "a"]
-
     def test_on_durable_after_the_fact(self):
         image = CheckpointImage(name="x", group_name="g", epoch=1,
                                 incremental=False, meta={})
@@ -152,7 +143,7 @@ class TestCheckpointImageLifecycle:
         image.mark_durable("a", when_ns=99)
         assert image.metrics.durable_at_ns == 10
 
-    def test_release_memory_drops_held_frames(self, kernel, sls):
+    def test_pruning_releases_the_memory_copy(self, kernel, sls):
         """Pruning a memory segment frees the frames only it held."""
         proc = kernel.spawn("app")
         sys = Syscalls(kernel, proc)
@@ -163,16 +154,18 @@ class TestCheckpointImageLifecycle:
         group.attach(MemoryBackend("memory"))
         group.retention = 2
         first = sls.checkpoint(group)                 # full
-        original = first.memory_pages[entry.obj.oid][0]
+        copy = first.copies["memory"]
+        original = copy.pages[entry.obj.oid][0]
         sys.poke(entry.start, b"v1")                  # COW: first is sole owner
         second = sls.checkpoint(group)                # incremental
+        second_copy = second.copies["memory"]
         before = kernel.phys.allocated_frames
         third = sls.checkpoint(group, full=True)      # prunes first + second
         assert group.images == [third]
-        assert first.memory_pages is None and second.memory_pages is None
+        assert first.copies == {} and second.copies == {}
         assert original.refcount == 0
         assert kernel.phys.allocated_frames == before - 1
-        assert first.release_memory(kernel.phys) == 0  # idempotent
-        assert second.release_memory(kernel.phys) == 0
+        assert copy.release(kernel.phys) == 0         # idempotent
+        assert second_copy.release(kernel.phys) == 0
         assert kernel.phys.allocated_frames == before - 1
         assert sys.peek(entry.start, 2) == b"v1"

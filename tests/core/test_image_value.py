@@ -44,7 +44,7 @@ def app(kernel, sls):
 
 
 def stored_value_is_held(store, image, backend_name):
-    snapshot = image.snapshots[backend_name]
+    snapshot = image.copies[backend_name].snapshot
     assert store.directory.get(snapshot.snap_id) == snapshot
     assert encode(read_image(store, snapshot)[0]) == encode(image.meta)
 
@@ -80,13 +80,13 @@ def test_imported_and_received_images_hold_the_stored_value(kernel, sls, app):
     image = sls.checkpoint(group)
     sls.barrier(group)
     store = ObjectStore(NvmeDevice(kernel.clock, name="dst"), mem=kernel.mem)
-    imported = import_image(export_image(image, backend.store), store)
+    imported = import_image(export_image(image), store)
     stored_value_is_held(store, imported, "import")
 
     link = NetworkLink(kernel.clock)
     src, dst = link.attach("src"), link.attach("dst")
     receiver = MigrationReceiver(sls, store, dst)
-    sls_send(image, src, "dst", store=backend.store)
+    sls_send(image, src, "dst")
     assert receiver.pump(wait=True) == ["app"]
     stored_value_is_held(store, receiver.build_image("app"), "recv")
 

@@ -77,7 +77,7 @@ def reachable_frames(kernel, group):
         for page in obj.pages.values():
             frames[page.pfn] = page
     for image in group.images:
-        for pages in image.memory_pages.values():
+        for pages in image.copies["memory"].pages.values():
             for page in pages.values():
                 frames[page.pfn] = page
     return frames
@@ -123,7 +123,7 @@ def test_a_consolidation_keeps_the_frames_of_slots_it_did_not_capture():
         if step.image.incremental or step.n <= UNMAP_AFTER:
             continue
         assert step.group.images == [step.image]  # its parent's segment is gone
-        pages = step.image.memory_pages[step.scratch.obj.oid]
+        pages = step.image.copies["memory"].pages[step.scratch.obj.oid]
         for pindex in range(SCRATCH_PAGES):
             assert pages[pindex].refcount > 0, step.n
             assert pages[pindex].read(0, 9) == b"scratch-%d" % pindex

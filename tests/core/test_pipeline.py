@@ -198,7 +198,7 @@ class TestFlushInfo:
         proc, sysc, heap, group, backend = make_world(kernel, sls)
         image = sls.checkpoint(group, name="full")
         sls.barrier(group)
-        info = image.flush_info["disk0"]
+        info = image.copies["disk0"].flush
         pages = 2 * MIB // PAGE_SIZE
         assert info.records > pages  # pages + serialized kernel objects
         assert info.extents < info.records

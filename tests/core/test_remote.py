@@ -68,8 +68,7 @@ class TestSendRecv:
         proc, sys, entry, group = app
         image = src_sls.checkpoint(group)
         src_sls.barrier(group)
-        store = group.store_backends()[0].store
-        sls_send(image, src_ep, "dst", store=store)
+        sls_send(image, src_ep, "dst")
         ready = receiver.pump(wait=True)
         assert ready == ["app"]
         procs, metrics = receiver.restore("app")
@@ -81,8 +80,7 @@ class TestSendRecv:
         src, dst, src_sls, *_ = hosts
         proc, sys, entry, group = app
         image = src_sls.checkpoint(group)
-        store = group.store_backends()[0].store
-        blob = export_image(image, store)
+        blob = export_image(image)
         value = decode(blob)
         assert value["kind"] == "image"
         assert value["meta"]["procs"][0]["name"] == "app"
@@ -109,9 +107,31 @@ class TestSendRecv:
         store = group.store_backends()[0].store
         store.allocator.allocate(4096)  # leak: an orphan extent
         with pytest.raises(MigrationError, match="sls fsck --repair"):
-            sls_send(image, src_ep, "dst", store=store)
-        assert sls_send(image, src_ep, "dst", store=store,
-                        verify_store=False) > 0
+            sls_send(image, src_ep, "dst")
+        assert sls_send(image, src_ep, "dst", verify_store=False) > 0
+
+    def test_send_checks_the_store_of_the_copy_it_sends(self, hosts, app):
+        """The image knows which store its sent copy lives in: damage
+        on another backend's store does not stop the send, damage on
+        that one does."""
+        from repro.errors import MigrationError
+
+        src, dst, src_sls, dst_sls, src_ep, receiver = hosts
+        proc, sys, entry, group = app
+        group.attach(make_disk_backend(
+            src, NvmeDevice(src.clock, name="nvme1"), name="disk1"))
+        image = src_sls.checkpoint(group)
+        src_sls.barrier(group)
+        sent, other = (backend.store for backend in group.store_backends())
+        assert image.default_backend() == "disk0"
+        other.allocator.allocate(4096)  # leak: an orphan extent
+        assert sls_send(image, src_ep, "dst") > 0
+        sent.allocator.allocate(4096)
+        image = src_sls.checkpoint(group)
+        src_sls.barrier(group)
+        with pytest.raises(MigrationError,
+                           match="refusing to send from a damaged store"):
+            sls_send(image, src_ep, "dst")
 
     def test_send_caches_clean_verdict_per_generation(self, hosts, app):
         # A clean fsck verdict is trusted until the next superblock
@@ -123,16 +143,16 @@ class TestSendRecv:
         src_sls.barrier(group)
         store = group.store_backends()[0].store
         assert store._fsck_clean_generation is None
-        sls_send(image, src_ep, "dst", store=store)
+        sls_send(image, src_ep, "dst")
         assert store._fsck_clean_generation == store.volume.generation
         first_walk = src.clock.now
-        sls_send(image, src_ep, "dst", store=store)
+        sls_send(image, src_ep, "dst")
         resend = src.clock.now - first_walk
         # the cached resend must not pay for a second store walk; a
         # full walk reads every extent (tens of microseconds of
         # simulated device time), the transfer alone is far cheaper
         store._fsck_clean_generation = None
-        sls_send(image, src_ep, "dst", store=store)
+        sls_send(image, src_ep, "dst")
         rewalk = src.clock.now - first_walk - resend
         assert resend < rewalk
 
@@ -145,14 +165,13 @@ class TestSendRecv:
         proc, sys, entry, group = app
         image = src_sls.checkpoint(group)
         src_sls.barrier(group)
-        blob = export_image(image, group.store_backends()[0].store)
+        blob = export_image(image)
         path = tmp_path / "app.aurora"
         path.write_bytes(blob)
 
         imported = import_image(path.read_bytes(), receiver.store)
         procs, _ = dst_sls.restore(
-            imported, backend_name="import", store=receiver.store,
-            new_instance=True,
+            imported, backend_name="import", new_instance=True,
         )
         got = Syscalls(dst, procs[0]).peek(entry.start + PAGE_SIZE, 4)
         assert got == b"pg-1"
@@ -174,7 +193,7 @@ class TestSendRecv:
             assert len(receiver.store.batch) == 0
         with pytest.raises(MigrationError):  # a message, but not a blob
             import_image(encode({**good, "kind": "checkpoint"}), receiver.store)
-        assert import_image(encode(good), receiver.store).page_refs["import"]
+        assert import_image(encode(good), receiver.store).copies["import"].pages
 
     def test_receiver_rejects_malformed_messages(self, hosts):
         """The same messages off the network: ``MigrationError`` from
@@ -223,8 +242,7 @@ class TestContinuousReplication:
 
         def restore_lazily():
             procs, _ = dst_sls.restore(
-                image, backend_name="recv", store=receiver.store,
-                lazy=True, new_instance=True, prefetch="off",
+                image, backend_name="recv", lazy=True, new_instance=True, prefetch="off",
             )
             return Syscalls(dst, procs[0])
 

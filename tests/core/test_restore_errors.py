@@ -6,7 +6,7 @@ from repro.core.backends import make_disk_backend
 from repro.core.checkpoint import CheckpointImage
 from repro.core.orchestrator import SLS
 from repro.core.restore import load_image_from_store
-from repro.errors import ChecksumError, RestoreError
+from repro.errors import ChecksumError, RestoreError, SlsError
 from repro.hw.nvme import NvmeDevice
 from repro.objstore.record import HEADER_SIZE
 from repro.posix.kernel import Kernel
@@ -91,7 +91,6 @@ class TestRestoreErrors:
         sls.barrier(group)
         sls.unpersist(group)
         procs, _ = sls.restore(image, backend_name="disk0",
-                               store=backend.store,
                                new_instance=True, name_suffix="-r")
         assert Syscalls(kernel, procs[0]).peek(entry.start, 1) == b"x"
 
@@ -145,7 +144,7 @@ class TestWrongShapedMetaRecord:
         verifies it: decay after the checkpoint restores nothing."""
         _group, backend, image, _entry = _checkpointed(kernel, sls)
         store = backend.store
-        record = store.load_manifest(image.snapshots["disk0"]).records[0]
+        record = store.load_manifest(image.copies["disk0"].snapshot).records[0]
         block, within = divmod(record.extent.offset + HEADER_SIZE, 4096)
         store.device._blocks[block][within] ^= 0xFF
         procs_before = len(kernel.procs)
@@ -159,7 +158,7 @@ class TestWrongShapedMetaRecord:
         _group, backend, image, _entry = _checkpointed(kernel, sls)
         backend.store.read_meta = lambda ref: value
         with pytest.raises(RestoreError, match="wrong shape"):
-            load_image_from_store(backend.store, image.snapshots["disk0"])
+            load_image_from_store(backend.store, image.copies["disk0"].snapshot)
 
     def test_every_truncation_and_mutation_of_a_packed_record(self, kernel, sls):
         """Whatever the codec makes of a damaged-but-checksummed record,
@@ -169,7 +168,7 @@ class TestWrongShapedMetaRecord:
         from repro.objstore.record import decode, encode
 
         _group, backend, image, _entry = _checkpointed(kernel, sls, pages=2)
-        store, snapshot = backend.store, image.snapshots["disk0"]
+        store, snapshot = backend.store, image.copies["disk0"].snapshot
         _meta, _records, pages, _lineage = store.load_manifest(snapshot)
         payload = encode({
             "meta": {"procs": [{"name": "app"}], "hot": {3: [0]}},
@@ -193,53 +192,42 @@ class TestWrongShapedMetaRecord:
                 pass
         del store.read_meta
         assert 0 < loaded < len(damaged)
-        assert load_image_from_store(store, snapshot).page_refs["disk0"]
+        assert load_image_from_store(store, snapshot).copies["disk0"].pages
 
 
 class TestStoreLookup:
     def test_the_store_holding_the_snapshot_wins_over_an_earlier_namesake(
             self, kernel, sls):
-        """Every group's backend is "disk0": the image restores from the
-        store that holds its snapshot, not the first one registered."""
+        """Every group's backend is "disk0": each image restores from
+        the store its copy lives in, not the first one registered."""
         first = _checkpointed(kernel, sls, name="first")
         second = _checkpointed(kernel, sls, name="second", pages=2)
         # same snap_id on both stores, so only the name tells them apart
-        assert (first[2].snapshots["disk0"].snap_id
-                == second[2].snapshots["disk0"].snap_id)
+        assert (first[2].copies["disk0"].snapshot.snap_id
+                == second[2].copies["disk0"].snapshot.snap_id)
         for _group, backend, image, entry in (first, second):
             procs, _ = sls.restore(image, backend_name="disk0", lazy=True,
                                    new_instance=True, name_suffix="-r")
             assert Syscalls(kernel, procs[0]).peek(entry.start, 1) == b"x"
 
-    def test_fallback_order_is_the_first_matching_backend(self, kernel, sls):
-        """An image whose snapshot no store holds restores from the first
-        "disk0" registered; a store that holds its snapshot comes first."""
-        first = _checkpointed(kernel, sls, name="first", fill=b"1")
-        second = _checkpointed(kernel, sls, name="second", fill=b"2")
-        entry = first[3]
+    def test_a_copy_whose_snapshot_is_gone_is_not_restored(self, kernel, sls):
+        """Deleting the snapshot a loaded image names leaves page refs
+        nothing verifies any more: the restore refuses them."""
+        _group, backend, image, _entry = _checkpointed(kernel, sls)
+        store = backend.store
+        loaded = load_image_from_store(store, image.copies["disk0"].snapshot)
+        store.delete_snapshot(loaded.copies["disk0"].snapshot.snap_id)
+        with pytest.raises(RestoreError, match="no longer in its store"):
+            sls.restore(loaded, backend_name="disk0",
+                        new_instance=True, name_suffix="-r")
 
-        def stranger(snapshot=None):
-            # first's pages, under a name neither store holds
-            image = CheckpointImage(name="stranger", group_name="g", epoch=1,
-                                    incremental=False, meta=first[2].meta)
-            image.page_refs["disk0"] = first[2].page_refs["disk0"]
-            if snapshot is not None:
-                image.snapshots["disk0"] = snapshot
-            return image
-
-        def reads(image):
-            procs, _ = sls.restore(image, backend_name="disk0",
-                                   new_instance=True, name_suffix="-r")
-            return Syscalls(kernel, procs[0]).peek(entry.start, 1)
-
-        assert reads(first[2]) == b"1"
-        assert reads(second[2]) == b"2"
-        assert reads(stranger()) == b"1"
-        held_by_second = stranger(second[2].snapshots["disk0"])
-        # both stores hold a page at the same extent: what the process
-        # reads names the store it was restored from
-        assert reads(held_by_second) == b"2"
-        second[1].store.delete_snapshot(second[2].snapshots["disk0"].snap_id)
-        assert reads(held_by_second) == b"1"
-        with pytest.raises(RestoreError, match="no store backend"):
-            sls.restore(stranger(), backend_name="nvdimm0")
+    def test_a_store_argument_must_be_the_copys_own(self, kernel, sls):
+        first = _checkpointed(kernel, sls, name="first")
+        second = _checkpointed(kernel, sls, name="second")
+        with pytest.raises(SlsError, match="not the one holding"):
+            sls.restore(first[2], backend_name="disk0", store=second[1].store,
+                        new_instance=True, name_suffix="-r")
+        procs, _ = sls.restore(first[2], backend_name="disk0",
+                               store=first[1].store,
+                               new_instance=True, name_suffix="-r")
+        assert Syscalls(kernel, procs[0]).peek(first[3].start, 1) == b"x"

@@ -59,9 +59,7 @@ def reboot_and_restore(old_kernel, device, snapshot_name=None):
         else snapshots[-1]
     )
     image = load_image_from_store(store, snapshot)
-    procs, metrics = sls.restore(
-        image, backend_name="disk0", store=store
-    )
+    procs, metrics = sls.restore(image, backend_name="disk0")
     return kernel, sls, procs, metrics, report
 
 

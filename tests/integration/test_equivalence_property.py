@@ -141,7 +141,7 @@ def test_state_survives_checkpoint_restore(ops):
     store = ObjectStore(device, mem=kernel2.mem)
     store.recover()
     image = load_image_from_store(store, store.snapshots()[-1])
-    procs, _ = sls2.restore(image, backend_name="disk0", store=store)
+    procs, _ = sls2.restore(image, backend_name="disk0")
     revived = procs[0]
 
     after = observe(kernel2, revived, heap, fd, pipe_fds, shm_addr)

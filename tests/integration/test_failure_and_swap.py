@@ -95,7 +95,7 @@ class TestSwapCheckpointInterplay:
         sls.barrier(group)
         # The image covers the swapped pages without faulting them in.
         assert entry.obj.resident_page(5) is None
-        refs = image.page_refs["disk0"][entry.obj.oid]
+        refs = image.copies["disk0"].pages[entry.obj.oid]
         assert {2, 5, 9} <= set(refs)
         # Restore sees their content.
         procs, _ = sls.restore(image, backend_name="disk0",
@@ -145,9 +145,9 @@ class TestRebootImageLoader:
             store, store.snapshot_by_name(image.name)
         )
         # The rebuilt page map matches the in-memory one.
-        live = image.page_refs["disk0"]
-        assert set(rebuilt.page_refs["disk0"]) == set(live)
+        live = image.copies["disk0"].pages
+        assert set(rebuilt.copies["disk0"].pages) == set(live)
         for oid in live:
-            assert set(rebuilt.page_refs["disk0"][oid]) == set(live[oid])
+            assert set(rebuilt.copies["disk0"].pages[oid]) == set(live[oid])
         # And the metadata parses to the same process set.
         assert rebuilt.meta["procs"][0]["pid"] == proc.pid

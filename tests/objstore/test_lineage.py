@@ -74,11 +74,11 @@ def one_page_incrementals(pages, incrementals=3):
         sysc.poke(heap.start + k * PAGE_SIZE + 100, b"dirty-%d" % k)
         before = counts["hold"]
         image = sls.checkpoint(group)
-        manifest = image.snapshots[backend.name].manifest_extent
+        manifest = image.copies[backend.name].snapshot.manifest_extent
         commits.append((manifest.length - HEADER_SIZE, counts["hold"] - before))
     sls.barrier(group)
     before = counts["release"]
-    store.delete_snapshot(image.snapshots[backend.name].snap_id)
+    store.delete_snapshot(image.copies[backend.name].snapshot.snap_id)
     return commits, counts["release"] - before
 
 

@@ -99,7 +99,7 @@ def assert_restores_after_reboot(store, name, backend_name, kernel, heap):
     procs, _metrics = SLS(target).restore(
         load_image_from_store(rebooted, rebooted.snapshot_by_name(name),
                               backend_name),
-        backend_name=backend_name, store=rebooted,
+        backend_name=backend_name,
     )
     restored = Syscalls(target, procs[0])
     for i in range(HEAP_PAGES):
@@ -136,7 +136,7 @@ class TestEveryProducerTakesTheOnePath:
     def test_store_backend_persist(self, world):
         kernel, sls, _proc, _sysc, heap, group, store = world
         image = sls.checkpoint(group, name="ckpt")
-        info = image.flush_info["disk0"]
+        info = image.copies["disk0"].flush
         assert (info.shards, info.doorbells) == (QUEUES, QUEUES + COMMIT_TAIL)
         assert info.records == HEAP_PAGES + 1 and info.extents == QUEUES
         before = snapshot_pages(store, "ckpt")
@@ -146,7 +146,7 @@ class TestEveryProducerTakesTheOnePath:
 
     def test_import_image(self, world):
         kernel, sls, _proc, _sysc, heap, group, store = world
-        blob = export_image(sls.checkpoint(group, name="ckpt"), store)
+        blob = export_image(sls.checkpoint(group, name="ckpt"))
         target = ObjectStore(nvme(kernel.clock, "import-nvme"))
         with commit_cost(target) as cost:
             import_image(blob, target)
@@ -164,7 +164,7 @@ class TestEveryProducerTakesTheOnePath:
         receiver = MigrationReceiver(SLS(dst), target, dst_ep)
         image = sls.checkpoint(group, name="ckpt")
         sls.barrier(group)
-        sls_send(image, src_ep, "dst", store=store)
+        sls_send(image, src_ep, "dst")
         with commit_cost(target) as cost:
             assert receiver.pump(wait=True) == ["app"]
             # the stream's pages are staged, not yet on their way
