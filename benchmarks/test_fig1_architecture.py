@@ -50,7 +50,7 @@ def test_fig1_every_component_exists_and_connects(benchmark):
         app = SimApp(kernel, "application")     # Application
         api = AuroraApi(sls, app.proc)          # libsls
         store = ObjectStore(nvme, mem=kernel.mem)   # Object store
-        fs = SlsFS(store)                       # SLS file system
+        fs = SlsFS(store, kernel.registry)      # SLS file system
         kernel.vfs.mount("/sls", fs)            # VFS integration
         group = sls.persist(app.proc, name="application")
         group.attach(make_disk_backend(kernel, NvmeDevice(kernel.clock, name="nvme1")))

@@ -44,7 +44,6 @@ from repro.obs import names as obs_names
 from repro.objstore.store import ObjectStore
 from repro.posix.kernel import Kernel
 from repro.posix.syscalls import Syscalls
-from repro.sim.hermetic import hermetic_ids
 from repro.units import GIB, PAGE_SIZE
 
 #: bump when scenario shape changes incompatibly (forces a baseline refresh)
@@ -408,25 +407,16 @@ SCENARIOS = {
 def run_suite(only: Optional[str] = None) -> dict:
     """Run every scenario (or just ``only``); deterministic result tree.
 
-    ``only`` runs a single cell grid for local iteration; the partial
-    tree it produces must not be compared against the full-suite
-    baseline (the CLI rejects ``--only`` + ``--compare``).
+    ``only`` runs a single cell grid for local iteration.  Every cell
+    builds its own world, which numbers its own objects, so that
+    subtree equals the full suite's; the partial tree still must not
+    be compared against the full-suite baseline (the CLI rejects
+    ``--only`` + ``--compare``).
     """
     if only is not None and only not in SCENARIOS:
         raise KeyError(
             f"unknown scenario {only!r} (have: {', '.join(sorted(SCENARIOS))})"
         )
-    # Hermetic ids: checkpoint metadata varint-encodes world ids, so
-    # payload sizes — and therefore flush timings — would otherwise
-    # depend on how many objects this *process* had already created.
-    # The fleet scenario burns thousands of ids per run (every lazy
-    # restore spawns a container, process, and address space), which
-    # is exactly the drift hermetic_ids() pins away.
-    with hermetic_ids():
-        return _run_scenarios(only)
-
-
-def _run_scenarios(only: Optional[str]) -> dict:
     global _last_fault_log_jsonl
     _last_fault_log_jsonl = None  # stale if this run skips restorecache
     results: dict = {

@@ -31,7 +31,6 @@ from repro.obs import names as obs_names
 from repro.objstore.store import ObjectStore
 from repro.posix.kernel import Kernel
 from repro.posix.syscalls import Syscalls
-from repro.sim.hermetic import hermetic_ids
 from repro.sim.rng import RngFactory
 from repro.units import GIB, PAGE_SIZE
 
@@ -210,16 +209,10 @@ def noisy_neighbor_cell(*, qos: bool) -> dict:
 # --- the `sls fleet` report ---------------------------------------------------
 
 def run_fleet(functions: int, *, invocations: int) -> dict:
-    """Everything ``sls fleet`` prints: one cell + the QoS comparison.
-
-    Runs under :func:`hermetic_ids` so the report is byte-identical
-    no matter how many worlds this process built before — same pinning
-    as ``bench.run_suite``.
-    """
-    with hermetic_ids():
-        cell = fleet_cell(functions, invocations=invocations)
-        baseline = noisy_neighbor_cell(qos=False)
-        protected = noisy_neighbor_cell(qos=True)
+    """Everything ``sls fleet`` prints: one cell + the QoS comparison."""
+    cell = fleet_cell(functions, invocations=invocations)
+    baseline = noisy_neighbor_cell(qos=False)
+    protected = noisy_neighbor_cell(qos=True)
     return {
         "fleet": cell,
         "noisy_neighbor": {"baseline": baseline, "qos": protected},

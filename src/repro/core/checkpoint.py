@@ -12,9 +12,8 @@ is *self-contained* for restore while sharing storage with history.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.metrics import CheckpointMetrics
 from repro.mem.page import Page
@@ -24,11 +23,8 @@ from repro.objstore.store import ObjectStore
 from repro.serial.memsnap import PageMap, StorePageMap
 from repro.units import PAGE_SIZE
 
-#: global image-id allocator.  The id is varint-encoded into snapshot
-#: manifests, so its byte width leaks into flush timings — hermetic
-#: harnesses (sls bench) pin this around a run to keep the numbers
-#: independent of how many images the process already created.
-_image_ids = itertools.count(1)
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.posix.kernel import Kernel
 
 
 @dataclass(frozen=True)
@@ -101,6 +97,10 @@ class CheckpointImage:
     epoch: int
     incremental: bool
     meta: dict
+    #: the capturing kernel's number for it, which its store records
+    #: carry; 0 for an image this kernel did not capture (read back
+    #: from a store, or received)
+    image_id: int
     parent: Optional["CheckpointImage"] = None
     metrics: CheckpointMetrics = field(default_factory=CheckpointMetrics)
     #: backend name -> this image's copy there: where its pages live
@@ -114,9 +114,11 @@ class CheckpointImage:
     #: durability: ``hook(backend_name, when_ns)`` (repro.obs flush-lag
     #: telemetry; None when the host kernel has no interest)
     backend_durable_hook: Optional[Callable[[str, int], None]] = None
-    #: process-global id; read through the module global so a hermetic
-    #: harness (sls bench) can pin and restore the counter
-    image_id: int = field(default_factory=lambda: next(_image_ids))
+    #: the kernel that captured this image, in memory only (never
+    #: serialized): a restore into it may look the image's original
+    #: ids up among its live objects.  None once read back from a
+    #: store or received — other kernels number their own objects.
+    captured_by: Optional["Kernel"] = field(default=None, repr=False)
 
     # -- durability -------------------------------------------------------
 

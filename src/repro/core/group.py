@@ -10,7 +10,6 @@ holds.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.backends import Backend, StoreBackend
@@ -31,8 +30,6 @@ DEFAULT_PERIOD_NS = 10_000_000
 class PersistenceGroup:
     """One persisted application (process tree or container)."""
 
-    _next_id = itertools.count(1)
-
     def __init__(
         self,
         kernel: Kernel,
@@ -43,7 +40,7 @@ class PersistenceGroup:
     ):
         if (root is None) == (container is None):
             raise NotPersisted("a group persists either a process tree or a container")
-        self.gid = next(PersistenceGroup._next_id)
+        self.gid = next(kernel.gids)
         self.kernel = kernel
         self.name = name
         self.root = root

@@ -308,8 +308,10 @@ class SLS:
                 epoch=freeze_set.epoch,
                 incremental=incremental,
                 meta=meta,
+                image_id=next(self.kernel.image_ids),
                 parent=parent,
                 metrics=metrics,
+                captured_by=self.kernel,
             )
 
             def _observe_backend_durable(backend_name: str, when_ns: int,

@@ -168,6 +168,7 @@ class _GroupStream:
             epoch=self.epoch,
             incremental=False,
             meta=self.meta,
+            image_id=0,
             metrics=CheckpointMetrics(group=self.group),
         )
         # the image owns its map; the stream's grows with later messages

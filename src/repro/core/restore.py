@@ -70,6 +70,7 @@ def load_image_from_store(store: ObjectStore, snapshot,
         epoch=snapshot.epoch,
         incremental=False,
         meta=meta,
+        image_id=0,
         metrics=CheckpointMetrics(),
     )
     image.copies[backend_name] = StoreCopy(store, snapshot, page_refs)
@@ -104,6 +105,7 @@ def restore_from_memory(
                 kernel,
                 preserve_pids=not new_instance,
                 name_suffix=name_suffix,
+                captured_here=image.captured_by is kernel,
             )
             mem.charge(cpu.restore_fixed_ns)
             mem.charge(ctx.objects_restored * cpu.object_restore_ns)
@@ -222,6 +224,7 @@ def restore_from_store(
                 kernel,
                 preserve_pids=not new_instance,
                 name_suffix=name_suffix,
+                captured_here=image.captured_by is kernel,
             )
             mem.charge(cpu.restore_fixed_ns * discount)
             mem.charge(ctx.objects_restored * cpu.object_restore_ns)

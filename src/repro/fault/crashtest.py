@@ -232,7 +232,7 @@ def run_workload(kernel: Kernel, device: NvmeDevice,
     store = backend.store
     _record_superblocks(state, store)
 
-    fs = SlsFS(store)
+    fs = SlsFS(store, kernel.registry)
     vfs = VfsNamespace(fs)
     log = PersistentLog(store, LOG_OWNER_OID, capacity=64 * KIB)
     state.log_region = log.region

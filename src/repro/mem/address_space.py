@@ -82,6 +82,8 @@ class MemContext:
         #: machine, so merging any set of objects' dirty lists by it
         #: yields their pages in the order they became dirty
         self._dirty_seq = itertools.count()
+        #: this machine's address-space ids
+        self.asids = itertools.count(1)
         self._charge_carry = 0.0
 
     def log_dirty(self, obj: VMObject, pindex: int, page: Page) -> None:
@@ -147,11 +149,8 @@ class VMEntry:
 class AddressSpace:
     """A process's virtual memory map plus its page table."""
 
-    _next_asid = 1
-
     def __init__(self, mem: MemContext, name: str = ""):
-        self.asid = AddressSpace._next_asid
-        AddressSpace._next_asid += 1
+        self.asid = next(mem.asids)
         self.mem = mem
         self.name = name or f"as{self.asid}"
         self.pagetable = PageTable()

@@ -24,6 +24,8 @@ class PhysicalMemory:
             raise ValueError("physical memory smaller than one page")
         self.total_frames = total_bytes // PAGE_SIZE
         self._next_pfn = itertools.count(1)
+        #: ids of the VM objects holding this machine's pages
+        self.oids = itertools.count(1)
         self._allocated = 0
         #: peak concurrently-allocated frames, for experiment reporting
         self.peak_frames = 0

@@ -47,8 +47,6 @@ Pager = Callable[[int], Optional[bytes]]
 class VMObject:
     """A container of pages, possibly shadowing another object."""
 
-    _next_id = 1
-
     def __init__(
         self,
         phys: PhysicalMemory,
@@ -61,8 +59,7 @@ class VMObject:
     ):
         if size_pages < 0:
             raise MappingError("negative VM object size")
-        self.oid = VMObject._next_id
-        VMObject._next_id += 1
+        self.oid = next(phys.oids)
         self.phys = phys
         self.size_pages = size_pages
         self.kind = kind

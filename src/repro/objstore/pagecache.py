@@ -14,16 +14,16 @@ store (snapshot delete), when in-memory truth is rebuilt wholesale
 damaged (a cached clean copy must not mask damage).
 
 On top of the cache, :class:`FaultOrderLog` records the page-fault
-sequence of a lazy restore (a compact JSONL artifact, stable under
-``hermetic_ids()``); a later restore of the same snapshot replays it
+sequence of a lazy restore (a compact JSONL artifact, byte-stable
+across runs); a later restore of the same snapshot replays it
 as a prefetch stream — coalesced batched reads fanned round-robin
 across the NVMe submission queues ahead of the faulting workload — so
 p99 fault latency collapses to a cache hit (JASS: let observed
 workload behavior drive storage policy).
 
 Determinism: the cache is a plain :class:`~collections.OrderedDict`
-LRU over virtual-clock-driven accesses — two hermetic runs of the
-same workload produce byte-identical hit/miss/eviction traces
+LRU over virtual-clock-driven accesses — two runs of the same
+workload produce byte-identical hit/miss/eviction traces
 (enable ``record_trace`` and compare :meth:`PageCache.trace_text`).
 """
 
@@ -115,7 +115,7 @@ class PageCache:
 
     def trace_text(self) -> str:
         """The operation trace as one byte-stable blob (tests compare
-        this across hermetic runs)."""
+        this across runs)."""
         return "\n".join(self.trace) + ("\n" if self.trace else "")
 
     # -- lookups -------------------------------------------------------------
@@ -220,9 +220,9 @@ class FaultOrderLog:
 
     Recorded by the store pager of an ``SLS.restore(record_faults=True)``;
     replayed by ``SLS.restore(prefetch="recorded")`` as a prefetch
-    stream.  Serializes to JSON lines keyed only by world ids
-    and content hashes, so the artifact is byte-stable under
-    ``hermetic_ids()``.
+    stream.  Serializes to JSON lines keyed only by the world's own
+    ids and content hashes, so the artifact is byte-stable across
+    runs.
     """
 
     def __init__(self):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import BadFileDescriptor, PosixError
-from repro.posix.objects import KernelObject
+from repro.posix.objects import KernelObject, ObjectRegistry
 
 O_RDONLY = 0x0
 O_WRONLY = 0x1
@@ -33,8 +33,8 @@ class OpenFile(KernelObject):
 
     otype = "openfile"
 
-    def __init__(self, flags: int = O_RDWR):
-        super().__init__()
+    def __init__(self, registry: ObjectRegistry, flags: int = O_RDWR):
+        super().__init__(registry)
         self.flags = flags
         self.offset = 0
         #: number of FdTable slots (across all processes) pointing here

@@ -11,6 +11,7 @@ connect them with a :class:`~repro.hw.netdev.NetworkLink`.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from repro.errors import NoSuchProcess, PosixError
@@ -26,7 +27,7 @@ from repro.obs import KernelObs
 from repro.posix.fd import FdTable
 from repro.posix.msgqueue import MessageQueueRegistry
 from repro.posix.objects import ObjectRegistry
-from repro.posix.process import Process, ProcessState, ProcessTable
+from repro.posix.process import CpuState, Process, ProcessState, ProcessTable, Thread
 from repro.posix.shm import SharedMemoryRegistry
 from repro.posix.socket import UnixSocketNamespace
 from repro.posix.vnode import TmpFS, VfsNamespace
@@ -38,11 +39,8 @@ from repro.units import GIB
 class Container:
     """An OS container (FreeBSD jail): a persistence-group boundary."""
 
-    _next_id = 1
-
-    def __init__(self, name: str):
-        self.cid = Container._next_id
-        Container._next_id += 1
+    def __init__(self, cid: int, name: str):
+        self.cid = cid
         self.name = name
         self.member_pids: set[int] = set()
 
@@ -71,13 +69,18 @@ class Kernel:
         self.faults = FailpointRegistry(clock=self.clock)
         self.cow = AuroraCow(self.mem)
         self.cow.attach_obs(self.obs)
+        #: numbers every kernel object and thread (koids, tids)
         self.registry = ObjectRegistry()
         self.procs = ProcessTable()
-        self.vfs = VfsNamespace(TmpFS())
-        self.unix_sockets = UnixSocketNamespace()
-        self.shm = SharedMemoryRegistry(self.phys)
-        self.msgqueues = MessageQueueRegistry()
+        self.vfs = VfsNamespace(TmpFS(self.registry))
+        self.unix_sockets = UnixSocketNamespace(self.registry)
+        self.shm = SharedMemoryRegistry(self.phys, self.registry)
+        self.msgqueues = MessageQueueRegistry(self.registry)
         self.containers: dict[int, Container] = {}
+        #: this host's container, persistence-group and image ids
+        self.cids = itertools.count(1)
+        self.gids = itertools.count(1)
+        self.image_ids = itertools.count(1)
         self.devices: list[StorageDevice] = []
         #: swap is created on demand against the first NVMe device
         self._swap: Optional[SwapSpace] = None
@@ -91,6 +94,7 @@ class Kernel:
     def _make_init(self) -> Process:
         aspace = AddressSpace(self.mem, name="init")
         proc = Process(
+            self.registry,
             pid=self.procs.allocate_pid(),
             name="init",
             aspace=aspace,
@@ -98,6 +102,7 @@ class Kernel:
         )
         self.procs.insert(proc)
         self.registry.register(proc)
+        self.registry.register(proc.main_thread)
         return proc
 
     @property
@@ -138,6 +143,7 @@ class Kernel:
         parent = parent or self._init
         aspace = AddressSpace(self.mem, name=name)
         proc = Process(
+            self.registry,
             pid=self.procs.allocate_pid(),
             name=name,
             aspace=aspace,
@@ -160,6 +166,7 @@ class Kernel:
         self.mem.charge(self.mem.cpu.proc_fork_ns)
         child_aspace = parent.aspace.fork(name=f"{parent.name}-{self.procs._next_pid}")
         child = Process(
+            self.registry,
             pid=self.procs.allocate_pid(),
             name=parent.name,
             aspace=child_aspace,
@@ -185,6 +192,13 @@ class Kernel:
         if child.container_id:
             self.containers[child.container_id].member_pids.add(child.pid)
         return child
+
+    def spawn_thread(self, proc: Process, cpu: Optional[CpuState] = None) -> Thread:
+        """Start another thread in ``proc``."""
+        thread = Thread(self.registry, proc, cpu)
+        proc.threads.append(thread)
+        self.registry.register(thread)
+        return thread
 
     def exit(self, proc: Process, status: int = 0) -> None:
         """Terminate ``proc``: close FDs, free memory, reparent children."""
@@ -227,7 +241,7 @@ class Kernel:
     # -- containers ---------------------------------------------------------------
 
     def create_container(self, name: str) -> Container:
-        container = Container(name)
+        container = Container(next(self.cids), name)
         self.containers[container.cid] = container
         return container
 

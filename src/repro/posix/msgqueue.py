@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import NoSuchFile, PosixError, WouldBlock
-from repro.posix.objects import KernelObject
+from repro.posix.objects import KernelObject, ObjectRegistry
 
 MSGMNB = 16 * 1024  # default queue capacity in bytes
 
@@ -27,8 +27,8 @@ class MessageQueue(KernelObject):
 
     otype = "msgqueue"
 
-    def __init__(self, key: int, capacity: int = MSGMNB):
-        super().__init__()
+    def __init__(self, registry: ObjectRegistry, key: int, capacity: int = MSGMNB):
+        super().__init__(registry)
         self.key = key
         self.capacity = capacity
         self.messages: deque[Message] = deque()
@@ -66,7 +66,8 @@ class MessageQueue(KernelObject):
 class MessageQueueRegistry:
     """Kernel table of SysV message queues."""
 
-    def __init__(self):
+    def __init__(self, registry: ObjectRegistry):
+        self.registry = registry
         self._by_key: dict[int, MessageQueue] = {}
 
     def msgget(self, key: int, create: bool = True) -> MessageQueue:
@@ -75,7 +76,7 @@ class MessageQueueRegistry:
             return queue
         if not create:
             raise NoSuchFile(f"no message queue with key {key}")
-        queue = MessageQueue(key=key)
+        queue = MessageQueue(self.registry, key=key)
         self._by_key[key] = queue
         return queue
 

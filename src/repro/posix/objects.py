@@ -23,27 +23,34 @@ class KernelObject:
     """Base class for everything the kernel can checkpoint.
 
     Attributes:
-        koid: kernel-wide object id, stable for the object's lifetime
-            (and recorded in checkpoints so restores can re-link the
-            object graph).
+        koid: kernel-wide object id, drawn from the kernel's registry
+            when the object is built and stable for its lifetime (and
+            recorded in checkpoints so restores can re-link the object
+            graph).
         otype: short type tag keying the serializer registry.
     """
 
     otype = "object"
-    _koid_counter = itertools.count(1)
 
-    def __init__(self):
-        self.koid = next(KernelObject._koid_counter)
+    def __init__(self, registry: "ObjectRegistry"):
+        self.koid = next(registry.koids)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} koid={self.koid}>"
 
 
 class ObjectRegistry:
-    """The kernel's identity map of live kernel objects."""
+    """The kernel's identity map of live kernel objects.
+
+    It also numbers them: every kernel object built for this kernel
+    takes its koid here, registered or not, and every thread its tid,
+    so a kernel's ids never depend on what else the process built.
+    """
 
     def __init__(self):
         self._objects: dict[int, KernelObject] = {}
+        self.koids = itertools.count(1)
+        self.tids = itertools.count(100000)
 
     def __len__(self) -> int:
         return len(self._objects)

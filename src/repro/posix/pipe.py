@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.errors import BrokenPipe, WouldBlock
 from repro.posix.fd import O_RDONLY, O_WRONLY, OpenFile
-from repro.posix.objects import KernelObject
+from repro.posix.objects import KernelObject, ObjectRegistry
 
 PIPE_BUF_CAPACITY = 64 * 1024
 
@@ -19,8 +19,8 @@ class Pipe(KernelObject):
 
     otype = "pipe"
 
-    def __init__(self, capacity: int = PIPE_BUF_CAPACITY):
-        super().__init__()
+    def __init__(self, registry: ObjectRegistry, capacity: int = PIPE_BUF_CAPACITY):
+        super().__init__(registry)
         self.capacity = capacity
         self.buffer = bytearray()
         self.read_open = True
@@ -36,8 +36,8 @@ class PipeEnd(OpenFile):
 
     otype = "pipeend"
 
-    def __init__(self, pipe: Pipe, writer: bool):
-        super().__init__(flags=O_WRONLY if writer else O_RDONLY)
+    def __init__(self, registry: ObjectRegistry, pipe: Pipe, writer: bool):
+        super().__init__(registry, flags=O_WRONLY if writer else O_RDONLY)
         self.pipe = pipe
         self.writer = writer
 
@@ -73,7 +73,7 @@ class PipeEnd(OpenFile):
             self.pipe.read_open = False
 
 
-def make_pipe() -> tuple[PipeEnd, PipeEnd]:
+def make_pipe(registry: ObjectRegistry) -> tuple[PipeEnd, PipeEnd]:
     """Create a pipe; returns (read_end, write_end)."""
-    pipe = Pipe()
-    return PipeEnd(pipe, writer=False), PipeEnd(pipe, writer=True)
+    pipe = Pipe(registry)
+    return PipeEnd(registry, pipe, writer=False), PipeEnd(registry, pipe, writer=True)

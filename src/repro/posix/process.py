@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.errors import NoSuchProcess
 from repro.mem.address_space import AddressSpace
-from repro.posix.objects import KernelObject
+from repro.posix.objects import KernelObject, ObjectRegistry
 from repro.posix.signals import SignalState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,12 +60,11 @@ class Thread(KernelObject):
     """A kernel thread; Aurora checkpoints each one independently."""
 
     otype = "thread"
-    _next_tid = 100000
 
-    def __init__(self, proc: "Process", cpu: Optional[CpuState] = None):
-        super().__init__()
-        self.tid = Thread._next_tid
-        Thread._next_tid += 1
+    def __init__(self, registry: ObjectRegistry, proc: "Process",
+                 cpu: Optional[CpuState] = None):
+        super().__init__(registry)
+        self.tid = next(registry.tids)
         self.proc = proc
         self.cpu = cpu or CpuState()
         self.state = ThreadState.RUNNING
@@ -95,6 +94,7 @@ class Process(KernelObject):
 
     def __init__(
         self,
+        registry: ObjectRegistry,
         pid: int,
         name: str,
         aspace: AddressSpace,
@@ -102,14 +102,14 @@ class Process(KernelObject):
         parent: Optional["Process"] = None,
         container_id: int = 0,
     ):
-        super().__init__()
+        super().__init__(registry)
         self.pid = pid
         self.name = name
         self.aspace = aspace
         self.fdtable = fdtable
         self.parent = parent
         self.children: list[Process] = []
-        self.threads: list[Thread] = [Thread(self)]
+        self.threads: list[Thread] = [Thread(registry, self)]
         self.signals = SignalState()
         self.state = ProcessState.ALIVE
         self.exit_status: Optional[int] = None
@@ -134,11 +134,6 @@ class Process(KernelObject):
     @property
     def main_thread(self) -> Thread:
         return self.threads[0]
-
-    def spawn_thread(self, cpu: Optional[CpuState] = None) -> Thread:
-        thread = Thread(self, cpu)
-        self.threads.append(thread)
-        return thread
 
     def stop_all_threads(self) -> int:
         """Pause every thread (the per-process half of a barrier)."""

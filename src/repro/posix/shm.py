@@ -15,7 +15,7 @@ from typing import Optional
 from repro.errors import NoSuchFile, PosixError
 from repro.mem.phys import PhysicalMemory
 from repro.mem.vmobject import VMObject
-from repro.posix.objects import KernelObject
+from repro.posix.objects import KernelObject, ObjectRegistry
 from repro.units import page_align_up, pages
 
 
@@ -24,8 +24,9 @@ class SharedMemorySegment(KernelObject):
 
     otype = "shm"
 
-    def __init__(self, key: int, size: int, vm_object: VMObject, name: str = ""):
-        super().__init__()
+    def __init__(self, registry: ObjectRegistry, key: int, size: int,
+                 vm_object: VMObject, name: str = ""):
+        super().__init__(registry)
         self.key = key
         self.size = size
         self.vm_object = vm_object
@@ -42,8 +43,9 @@ class SharedMemoryRegistry:
 
     IPC_PRIVATE = 0
 
-    def __init__(self, phys: PhysicalMemory):
+    def __init__(self, phys: PhysicalMemory, registry: ObjectRegistry):
         self.phys = phys
+        self.registry = registry
         self._by_key: dict[int, SharedMemorySegment] = {}
         self._by_name: dict[str, SharedMemorySegment] = {}
         self._next_private = -1
@@ -62,7 +64,9 @@ class SharedMemoryRegistry:
             self._next_private -= 1
         size = page_align_up(size)
         vm_object = VMObject(self.phys, size_pages=pages(size), name=f"shm:{key}")
-        segment = SharedMemorySegment(key=key, size=size, vm_object=vm_object)
+        segment = SharedMemorySegment(
+            self.registry, key=key, size=size, vm_object=vm_object
+        )
         self._by_key[key] = segment
         return segment
 

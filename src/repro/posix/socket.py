@@ -23,7 +23,7 @@ from repro.errors import (
     WouldBlock,
 )
 from repro.posix.fd import O_RDWR, OpenFile
-from repro.posix.objects import KernelObject
+from repro.posix.objects import KernelObject, ObjectRegistry
 
 SO_RCVBUF = 256 * 1024
 
@@ -85,8 +85,8 @@ class UnixSocket(KernelObject):
 
     otype = "socket"
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, registry: ObjectRegistry):
+        super().__init__(registry)
         self.recv_buffer = bytearray()
         self.peer: Optional[UnixSocket] = None
         self.listening = False
@@ -141,9 +141,9 @@ class UnixSocket(KernelObject):
             self.peer = None if self.peer.shutdown_write else self.peer
 
 
-def socketpair() -> tuple[UnixSocket, UnixSocket]:
+def socketpair(registry: ObjectRegistry) -> tuple[UnixSocket, UnixSocket]:
     """Create a connected pair (``socketpair(2)``)."""
-    a, b = UnixSocket(), UnixSocket()
+    a, b = UnixSocket(registry), UnixSocket(registry)
     a.peer, b.peer = b, a
     return a, b
 
@@ -151,13 +151,14 @@ def socketpair() -> tuple[UnixSocket, UnixSocket]:
 class UnixSocketNamespace:
     """The kernel's table of bound Unix socket names."""
 
-    def __init__(self):
+    def __init__(self, registry: ObjectRegistry):
+        self.registry = registry
         self._bound: dict[str, UnixSocket] = {}
 
     def bind_listen(self, name: str, backlog: int = 16) -> UnixSocket:
         if name in self._bound:
             raise PosixError(f"address {name!r} in use", errno="EADDRINUSE")
-        sock = UnixSocket()
+        sock = UnixSocket(self.registry)
         sock.listening = True
         sock.bound_name = name
         self._bound[name] = sock
@@ -168,7 +169,7 @@ class UnixSocketNamespace:
         listener = self._bound.get(name)
         if listener is None or not listener.listening:
             raise ConnectionRefused(f"no listener at {name!r}")
-        client, server_side = socketpair()
+        client, server_side = socketpair(self.registry)
         listener.accept_queue.append(server_side)
         return client
 
@@ -193,8 +194,8 @@ class SocketFile(OpenFile):
 
     otype = "socketfile"
 
-    def __init__(self, socket: UnixSocket):
-        super().__init__(flags=O_RDWR)
+    def __init__(self, registry: ObjectRegistry, socket: UnixSocket):
+        super().__init__(registry, flags=O_RDWR)
         self.socket = socket
 
     def read(self, nbytes: int) -> bytes:

@@ -141,7 +141,7 @@ class Syscalls:
 
     def pipe(self) -> tuple[int, int]:
         self._charge()
-        read_end, write_end = make_pipe()
+        read_end, write_end = make_pipe(self.kernel.registry)
         self.kernel.registry.register(read_end.pipe)
         self.kernel.registry.register(read_end)
         self.kernel.registry.register(write_end)
@@ -151,10 +151,11 @@ class Syscalls:
 
     def socketpair(self) -> tuple[int, int]:
         self._charge()
-        sock_a, sock_b = socketpair()
-        file_a, file_b = SocketFile(sock_a), SocketFile(sock_b)
+        registry = self.kernel.registry
+        sock_a, sock_b = socketpair(registry)
+        file_a, file_b = SocketFile(registry, sock_a), SocketFile(registry, sock_b)
         for obj in (sock_a, sock_b, file_a, file_b):
-            self.kernel.registry.register(obj)
+            registry.register(obj)
         return (
             self.proc.fdtable.install(file_a),
             self.proc.fdtable.install(file_b),
@@ -163,7 +164,7 @@ class Syscalls:
     def bind_listen(self, name: str) -> int:
         self._charge()
         listener = self.kernel.unix_sockets.bind_listen(name)
-        file = SocketFile(listener)
+        file = SocketFile(self.kernel.registry, listener)
         self.kernel.registry.register(listener)
         self.kernel.registry.register(file)
         return self.proc.fdtable.install(file)
@@ -171,7 +172,7 @@ class Syscalls:
     def connect(self, name: str) -> int:
         self._charge()
         sock = self.kernel.unix_sockets.connect(name)
-        file = SocketFile(sock)
+        file = SocketFile(self.kernel.registry, sock)
         self.kernel.registry.register(sock)
         self.kernel.registry.register(file)
         return self.proc.fdtable.install(file)
@@ -182,7 +183,7 @@ class Syscalls:
         if not isinstance(listener_file, SocketFile):
             raise PosixError("accept on non-socket", errno="ENOTSOCK")
         sock = self.kernel.unix_sockets.accept(listener_file.socket)
-        file = SocketFile(sock)
+        file = SocketFile(self.kernel.registry, sock)
         self.kernel.registry.register(sock)
         self.kernel.registry.register(file)
         return self.proc.fdtable.install(file)

@@ -23,7 +23,7 @@ from repro.errors import (
     PosixError,
 )
 from repro.posix.fd import O_APPEND, O_CREAT, O_EXCL, O_TRUNC, OpenFile
-from repro.posix.objects import KernelObject
+from repro.posix.objects import KernelObject, ObjectRegistry
 
 
 class VnodeType(enum.Enum):
@@ -43,7 +43,7 @@ class Vnode(KernelObject):
     otype = "vnode"
 
     def __init__(self, fs: "FileSystem", ino: int, vtype: VnodeType):
-        super().__init__()
+        super().__init__(fs.registry)
         self.fs = fs
         self.ino = ino
         self.vtype = vtype
@@ -73,6 +73,8 @@ class FileSystem(abc.ABC):
     """What a filesystem must provide to the VFS."""
 
     name = "fs"
+    #: the kernel registry that numbers this filesystem's vnodes
+    registry: ObjectRegistry
 
     @abc.abstractmethod
     def root(self) -> Vnode: ...
@@ -138,7 +140,8 @@ class TmpFS(FileSystem):
 
     name = "tmpfs"
 
-    def __init__(self):
+    def __init__(self, registry: ObjectRegistry):
+        self.registry = registry
         self._ino = itertools.count(2)
         self._data: dict[int, bytearray] = {}
         self._dirs: dict[int, dict[str, Vnode]] = {}
@@ -268,8 +271,9 @@ class VnodeFile(OpenFile):
 
     otype = "vnodefile"
 
-    def __init__(self, vnode: Vnode, flags: int, path: str = ""):
-        super().__init__(flags=flags)
+    def __init__(self, registry: ObjectRegistry, vnode: Vnode, flags: int,
+                 path: str = ""):
+        super().__init__(registry, flags=flags)
         self.vnode = vnode
         #: the path this description was opened by; checkpoints record
         #: it so restores can re-link (or recreate) the file.  Empty
@@ -309,6 +313,9 @@ class VfsNamespace:
     """Mount table + path walking."""
 
     def __init__(self, rootfs: FileSystem):
+        #: the root filesystem's kernel registry, which also numbers
+        #: the open files this namespace hands out
+        self.registry = rootfs.registry
         self._mounts: dict[str, FileSystem] = {"/": rootfs}
 
     def mount(self, path: str, fs: FileSystem) -> None:
@@ -422,7 +429,7 @@ class VfsNamespace:
             vnode = fs.create(parent_vnode, name, VnodeType.REGULAR)
         if flags & O_TRUNC and not vnode.is_dir:
             fs.truncate(vnode, 0)
-        return VnodeFile(vnode, flags, path=path)
+        return VnodeFile(self.registry, vnode, flags, path=path)
 
     def mkdir(self, path: str) -> Vnode:
         fs, parent_vnode, name = self.resolve(path, parent=True)

@@ -49,7 +49,7 @@ class VnodeFileSerializer(Serializer):
         vnode = ctx.vnodes.get(data["ino"])
         if vnode is None:
             raise SlsError(f"vnode ino {data['ino']} missing from image")
-        file = VnodeFile(vnode, data["flags"], path=data["path"])
+        file = VnodeFile(ctx.kernel.registry, vnode, data["flags"], path=data["path"])
         file.offset = data["offset"]
         ctx.kernel.registry.register(file)
         return file
@@ -139,14 +139,14 @@ class PipeEndSerializer(Serializer):
             state = data["pipe"]
             if state is None:
                 raise SlsError("pipe end restored before its pipe state")
-            pipe = Pipe(capacity=state["capacity"])
+            pipe = Pipe(ctx.kernel.registry, capacity=state["capacity"])
             pipe.buffer = bytearray(state["buffer"])
             pipe.read_open = state["read_open"]
             pipe.write_open = state["write_open"]
             ctx.remember(data["pipe_koid"], pipe)
             ctx.kernel.registry.register(pipe)
         assert isinstance(pipe, Pipe)
-        end = PipeEnd(pipe, writer=data["writer"])
+        end = PipeEnd(ctx.kernel.registry, pipe, writer=data["writer"])
         ctx.kernel.registry.register(end)
         return end
 
@@ -181,7 +181,7 @@ class SocketFileSerializer(Serializer):
             state = data["sock"]
             if state is None:
                 raise SlsError("socket file restored before socket state")
-            sock = UnixSocket()
+            sock = UnixSocket(ctx.kernel.registry)
             sock.recv_buffer = bytearray(state["recv_buffer"])
             sock.listening = state["listening"]
             sock.bound_name = state["bound_name"]
@@ -199,7 +199,7 @@ class SocketFileSerializer(Serializer):
 
                 def link_peer():
                     peer = ctx.resolve(peer_koid)
-                    if peer is None:
+                    if peer is None and ctx.captured_here:
                         # Rollback/in-place restore: the peer lives
                         # outside the group but still exists in this
                         # kernel — the connection survives the restore.
@@ -209,13 +209,14 @@ class SocketFileSerializer(Serializer):
                     if isinstance(peer, UnixSocket):
                         this.peer = peer
                         peer.peer = this
-                    # Otherwise the peer is gone (cross-machine restore
-                    # or it exited): the socket restores disconnected —
-                    # reads drain the buffered data, then EOF.
+                    # Otherwise the peer is gone (another kernel's
+                    # image, or it exited): the socket restores
+                    # disconnected — reads drain the buffered data,
+                    # then EOF.
 
                 ctx.defer(link_peer)
         assert isinstance(sock, UnixSocket)
-        file = SocketFile(sock)
+        file = SocketFile(ctx.kernel.registry, sock)
         ctx.kernel.registry.register(file)
         return file
 
@@ -290,6 +291,7 @@ def restore_shm(data: dict, ctx: RestoreContext) -> SharedMemorySegment:
     if vm_object is None:
         raise SlsError(f"shm segment references missing VM object {data['vm_oid']}")
     segment = SharedMemorySegment(
+        ctx.kernel.registry,
         key=data["key"],
         size=data["size"],
         vm_object=vm_object.ref(),

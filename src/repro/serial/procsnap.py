@@ -156,6 +156,8 @@ def restore_group(
     kernel: Kernel,
     preserve_pids: bool = True,
     name_suffix: str = "",
+    *,
+    captured_here: bool = False,
 ) -> tuple[list[Process], RestoreContext]:
     """Rebuild a serialized group inside ``kernel``.
 
@@ -163,9 +165,12 @@ def restore_group(
     crash resume); otherwise fresh PIDs are allocated (scale-out
     restores of many instances from one image).  Page content is NOT
     installed here — the restore engine does that according to the
-    backend and the lazy/eager policy.
+    backend and the lazy/eager policy.  Only an image ``kernel``
+    captured itself (``captured_here``) may rejoin the kernel's live
+    objects — its containers and out-of-group socket peers — by their
+    original ids.
     """
-    ctx = RestoreContext(kernel)
+    ctx = RestoreContext(kernel, captured_here=captured_here)
 
     restore_vm_objects(meta["vmobjects"], ctx)
     for vnode_data in meta["vnodes"]:
@@ -189,6 +194,7 @@ def restore_group(
         fdtable = restore_fdtable(pdata["fds"], ctx)
         parent = by_pid.get(pdata["ppid"]) or kernel.init
         proc = Process(
+            kernel.registry,
             pid=pid,
             name=pdata["name"] + name_suffix,
             aspace=aspace,
@@ -212,7 +218,7 @@ def restore_group(
         # Threads: replace the default main thread with the image's.
         proc.threads.clear()
         for tdata in pdata["threads"]:
-            thread = Thread(proc, cpu=_restore_cpu(tdata["cpu"]))
+            thread = Thread(kernel.registry, proc, cpu=_restore_cpu(tdata["cpu"]))
             thread.state = ThreadState(tdata["state"])
             thread.wait_channel = tdata["wait_channel"]
             proc.threads.append(thread)
@@ -226,7 +232,7 @@ def restore_group(
                 kernel.shm.note_attach(segment)
         kernel.procs.insert(proc)
         kernel.registry.register(proc)
-        if proc.container_id and proc.container_id in kernel.containers:
+        if captured_here and proc.container_id in kernel.containers:
             kernel.containers[proc.container_id].member_pids.add(proc.pid)
         ctx.pids[pdata["pid"]] = proc
         by_pid[pdata["pid"]] = proc

@@ -86,8 +86,12 @@ class SerialContext:
 class RestoreContext:
     """Carried through one restore: identity maps for re-linking."""
 
-    def __init__(self, kernel: Kernel):
+    def __init__(self, kernel: Kernel, *, captured_here: bool = False):
         self.kernel = kernel
+        #: the image was captured by ``kernel`` itself, so its original
+        #: ids name this kernel's objects and may be looked up in it
+        #: (an in-place rollback); any other kernel numbers its own
+        self.captured_here = captured_here
         #: original koid -> restored kernel object
         self.objects: dict[int, KernelObject] = {}
         #: original VM object oid -> restored VMObject

@@ -1,57 +1,5 @@
-"""Pin every process-global id counter for one hermetic world.
+"""A no-op kept for the e2e harness's import: every world numbers its own ids."""
 
-Checkpoint metadata varint-encodes kernel-object ids, image ids, group
-ids, container ids, VM-object ids, address-space ids, and thread ids.
-Payload sizes — and therefore every flush timing downstream — would
-otherwise depend on how many of each this *process* had already
-created: an id crossing a 7-bit varint boundary between two runs
-shifts a flush lag by a byte's transfer time.  Anything that compares
-timings across worlds built in one process (the bench suite, the
-pipeline tests) wraps each world in :func:`hermetic_ids`.
-"""
+from contextlib import nullcontext
 
-from __future__ import annotations
-
-import itertools
-from contextlib import contextmanager
-
-from repro.core import checkpoint
-from repro.core.group import PersistenceGroup
-from repro.mem.address_space import AddressSpace
-from repro.mem.vmobject import VMObject
-from repro.posix.kernel import Container
-from repro.posix.objects import KernelObject
-from repro.posix.process import Thread
-
-
-@contextmanager
-def hermetic_ids():
-    """Reset all world-id counters on entry; restore them on exit."""
-    saved = (
-        KernelObject._koid_counter,
-        checkpoint._image_ids,
-        PersistenceGroup._next_id,
-        Container._next_id,
-        VMObject._next_id,
-        AddressSpace._next_asid,
-        Thread._next_tid,
-    )
-    KernelObject._koid_counter = itertools.count(1)
-    checkpoint._image_ids = itertools.count(1)
-    PersistenceGroup._next_id = itertools.count(1)
-    Container._next_id = 1
-    VMObject._next_id = 1
-    AddressSpace._next_asid = 1
-    Thread._next_tid = 100000
-    try:
-        yield
-    finally:
-        (
-            KernelObject._koid_counter,
-            checkpoint._image_ids,
-            PersistenceGroup._next_id,
-            Container._next_id,
-            VMObject._next_id,
-            AddressSpace._next_asid,
-            Thread._next_tid,
-        ) = saved
+hermetic_ids = nullcontext

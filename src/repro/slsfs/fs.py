@@ -34,6 +34,7 @@ from repro.objstore.image import read_image, write_image
 from repro.objstore.record import shaped
 from repro.objstore.snapshot import Snapshot
 from repro.objstore.store import ObjectStore, PageRef
+from repro.posix.objects import ObjectRegistry
 from repro.posix.vnode import FileSystem, Vnode, VnodeType
 from repro.slsfs.anonfile import OrphanTable
 from repro.units import PAGE_SIZE
@@ -73,8 +74,9 @@ class SlsFS(FileSystem):
 
     name = "slsfs"
 
-    def __init__(self, store: ObjectStore):
+    def __init__(self, store: ObjectStore, registry: ObjectRegistry):
         self.store = store
+        self.registry = registry
         self._ino = itertools.count(ROOT_INO + 1)
         self._inodes: dict[int, Inode] = {}
         self._vnodes: dict[int, Vnode] = {}
@@ -374,7 +376,8 @@ class SlsFS(FileSystem):
         return snapshot
 
     @classmethod
-    def recover(cls, store: ObjectStore, snapshot: Optional[Snapshot] = None) -> "SlsFS":
+    def recover(cls, store: ObjectStore, registry: ObjectRegistry,
+                snapshot: Optional[Snapshot] = None) -> "SlsFS":
         """Rebuild the filesystem from its latest (or a given) snapshot.
 
         Files with ``nlink == 0`` but a positive persisted open
@@ -385,7 +388,7 @@ class SlsFS(FileSystem):
                 s for s in store.snapshots() if s.name.startswith("slsfs@")
             ]
             if not candidates:
-                return cls(store)
+                return cls(store, registry)
             snapshot = max(candidates, key=lambda s: s.snap_id)
         data, page_map = read_image(store, snapshot)
         # The record checksummed; that it is *this* filesystem's
@@ -398,7 +401,7 @@ class SlsFS(FileSystem):
             raise ImageFormatError(
                 f"snapshot {snapshot.name!r} does not hold SLSFS metadata"
             )
-        fs = cls(store)
+        fs = cls(store, registry)
         fs._inodes.clear()
         fs._vnodes.clear()
         for entry in data["inodes"]:

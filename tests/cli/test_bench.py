@@ -15,13 +15,19 @@ class TestDeterminism:
     def test_two_runs_are_byte_identical(self):
         # The whole point of the virtual clock: CI can diff the output.
         # Checked on the two cheapest scenarios, each run twice and
-        # compared with itself (ids restart per hermetic_ids() block, so
-        # an only= subtree need not equal the full suite's); the whole
-        # tree is pinned by the bench job's `git diff BENCH_4.json`.
+        # compared with itself; the whole tree is pinned by the bench
+        # job's `git diff BENCH_4.json`.
         for scenario in ("pipeline", "restore"):
             first = run_suite(only=scenario)
             assert len(first[scenario]) > 0
             assert to_json(run_suite(only=scenario)) == to_json(first)
+
+    @pytest.mark.parametrize("scenario", ["writeamp", "restorecache"])
+    def test_a_scenario_alone_equals_its_full_suite_subtree(self, results,
+                                                            scenario):
+        # Every world numbers its own ids, so a cell's numbers cannot
+        # depend on which cells this process ran before it.
+        assert run_suite(only=scenario)[scenario] == results[scenario]
 
     def test_rendering_is_canonical(self, results):
         rendered = to_json(results)

@@ -39,8 +39,8 @@ class TestFleetCommand:
         assert report["noisy_neighbor"]["qos"]["steady_slo_violated"] is False
 
     def test_report_is_deterministic(self, monkeypatch):
-        # Two real runs end to end — fleet cell, both noisy cells,
-        # hermetic ids — at the smallest fleet that still cold-starts
+        # Two real runs end to end — fleet cell and both noisy cells —
+        # at the smallest fleet that still cold-starts
         # and a noisy heap shrunk to match: byte-identity does not
         # depend on size, the 2048-page heap is most of the cost.
         monkeypatch.setattr("repro.cli.fleet.NOISY_PAGES", 64)

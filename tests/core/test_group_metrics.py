@@ -128,7 +128,7 @@ class TestMetricsRecords:
 class TestCheckpointImageLifecycle:
     def test_on_durable_after_the_fact(self):
         image = CheckpointImage(name="x", group_name="g", epoch=1,
-                                incremental=False, meta={})
+                                incremental=False, meta={}, image_id=1)
         image.metrics.backends_expected = 1
         fired = []
         image.mark_durable("disk0", when_ns=42)
@@ -137,7 +137,7 @@ class TestCheckpointImageLifecycle:
 
     def test_mark_durable_idempotent(self):
         image = CheckpointImage(name="x", group_name="g", epoch=1,
-                                incremental=False, meta={})
+                                incremental=False, meta={}, image_id=1)
         image.metrics.backends_expected = 1
         image.mark_durable("a", when_ns=10)
         image.mark_durable("a", when_ns=99)

@@ -9,7 +9,6 @@ from repro.obs import names as obs_names
 from repro.objstore.store import ObjectStore
 from repro.posix.kernel import Kernel
 from repro.posix.syscalls import Syscalls
-from repro.sim.hermetic import hermetic_ids
 from repro.units import GIB, MIB, PAGE_SIZE
 
 
@@ -92,13 +91,6 @@ class TestPipelining:
         assert [s.attrs["pipelined"] for s in spans] == [False, True]
 
 
-# Checkpoint metadata varint-encodes world ids, so two otherwise
-# identical worlds built at different points in one test process would
-# flush payloads differing by a byte — enough to shift durability
-# timestamps.  Same pinning as ``bench.run_suite``.
-pinned_ids = hermetic_ids
-
-
 class TestConcurrentGroups:
     """Many groups checkpointing concurrently on one machine: each
     group's superblock release barrier covers only *its own* store's
@@ -107,22 +99,20 @@ class TestConcurrentGroups:
 
     @staticmethod
     def _solo_durable_at():
-        with pinned_ids():
-            kernel = Kernel(memory_bytes=8 * GIB)
-            sls = SLS(kernel)
-            _p, _s, _h, group, _b = make_world(kernel, sls)
-            image = sls.checkpoint(group, name="a")
-            sls.barrier(group)
-            # start-relative: absolute timestamps shift with whatever
-            # else the machine did first, the flush shape must not
-            return image.metrics.durable_at_ns - image.metrics.started_at_ns
+        kernel = Kernel(memory_bytes=8 * GIB)
+        sls = SLS(kernel)
+        _p, _s, _h, group, _b = make_world(kernel, sls)
+        image = sls.checkpoint(group, name="a")
+        sls.barrier(group)
+        # start-relative: absolute timestamps shift with whatever
+        # else the machine did first, the flush shape must not
+        return image.metrics.durable_at_ns - image.metrics.started_at_ns
 
     def test_overlapping_flushes_stay_independent(self):
         solo = self._solo_durable_at()
-        with pinned_ids():
-            kernel = Kernel(memory_bytes=8 * GIB)
-            sls = SLS(kernel)
-            self._check_concurrent(kernel, sls, solo)
+        kernel = Kernel(memory_bytes=8 * GIB)
+        sls = SLS(kernel)
+        self._check_concurrent(kernel, sls, solo)
 
     @staticmethod
     def _check_concurrent(kernel, sls, solo):

@@ -27,13 +27,13 @@ def sls(kernel):
 class TestRestoreErrors:
     def test_empty_image_rejected(self, sls):
         image = CheckpointImage(name="hollow", group_name="g", epoch=1,
-                                incremental=False, meta={})
+                                incremental=False, meta={}, image_id=1)
         with pytest.raises(RestoreError):
             sls.restore(image)
 
     def test_memory_restore_without_pages_rejected(self, sls):
         image = CheckpointImage(name="hollow", group_name="g", epoch=1,
-                                incremental=False, meta={})
+                                incremental=False, meta={}, image_id=1)
         with pytest.raises(RestoreError):
             sls.restore(image, backend_name="memory")
 
@@ -58,7 +58,7 @@ class TestRestoreErrors:
         from repro.slsfs.fs import SlsFS
 
         store = ObjectStore(NvmeDevice(kernel.clock), mem=kernel.mem)
-        fs = SlsFS(store)
+        fs = SlsFS(store, kernel.registry)
         VfsNamespace(fs).open("/f", O_RDWR | O_CREAT).write(b"file")
         proc = kernel.spawn("db")
         entry = Syscalls(kernel, proc).mmap(PAGE_SIZE, name="pool")

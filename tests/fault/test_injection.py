@@ -32,6 +32,7 @@ from repro.objstore.log import PersistentLog
 from repro.objstore.scrub import Scrubber
 from repro.objstore.store import ObjectStore
 from repro.posix.kernel import Kernel
+from repro.posix.objects import ObjectRegistry
 from repro.posix.syscalls import Syscalls
 from repro.sim.clock import SimClock
 from repro.slsfs.fs import SlsFS
@@ -160,7 +161,7 @@ class TestStoreSites:
             GarbageCollector(store).collect()
 
     def test_slsfs_sync_crash(self, store):
-        fs = SlsFS(store)
+        fs = SlsFS(store, ObjectRegistry())
         store.faults.arm(names.FP_FS_SYNC, FaultAction("crash"))
         with pytest.raises(PowerCut):
             fs.sync()
@@ -239,7 +240,7 @@ GATE_SITES = {
         "power cut during fsck repair", "injected fsck repair failure",
         (("findings", 1), STORE)),
     names.FP_FS_SYNC: (
-        lambda s: SlsFS(s).sync(name="gate-fs"),
+        lambda s: SlsFS(s, ObjectRegistry()).sync(name="gate-fs"),
         "power cut during slsfs sync", "injected slsfs sync failure",
         (("fs", "slsfs"),)),
     names.FP_SCRUB_STEP: (

@@ -18,7 +18,6 @@ from repro.objstore.pagecache import (
     PageCache,
 )
 from repro.sim.clock import SimClock
-from repro.sim.hermetic import hermetic_ids
 from repro.units import KIB
 
 
@@ -170,16 +169,15 @@ class TestStoreIntegration:
 
 class TestDeterminism:
     def _trace_one_run(self) -> str:
-        with hermetic_ids():
-            _device, store, _obs = build_demo_store()
-            store.pagecache = PageCache(capacity_bytes=6 * KIB,
-                                        record_trace=True)
-            for name in ("demo-0", "demo-1", "demo-2", "demo-0"):
-                snapshot = store.snapshot_by_name(name)
-                _m, _r, pages, _lineage = store.load_manifest(snapshot)
-                store.read_pages_coalesced(pages)
-                store.read_page(pages[0])
-            return store.pagecache.trace_text()
+        _device, store, _obs = build_demo_store()
+        store.pagecache = PageCache(capacity_bytes=6 * KIB,
+                                    record_trace=True)
+        for name in ("demo-0", "demo-1", "demo-2", "demo-0"):
+            snapshot = store.snapshot_by_name(name)
+            _m, _r, pages, _lineage = store.load_manifest(snapshot)
+            store.read_pages_coalesced(pages)
+            store.read_page(pages[0])
+        return store.pagecache.trace_text()
 
     def test_hit_miss_eviction_trace_is_byte_identical(self):
         first = self._trace_one_run()

@@ -37,6 +37,7 @@ from repro.objstore.snapshot import Snapshot, encode_manifest
 from repro.objstore.store import ObjectStore
 from repro.posix.fd import O_CREAT, O_RDWR
 from repro.posix.kernel import Kernel
+from repro.posix.objects import ObjectRegistry
 from repro.posix.syscalls import Syscalls
 from repro.posix.vnode import VfsNamespace
 from repro.serial.memsnap import (
@@ -205,7 +206,7 @@ class TestEveryProducerTakesTheOnePath:
 
     def test_slsfs_sync(self):
         store = ObjectStore(nvme(SimClock()))
-        fs = SlsFS(store)
+        fs = SlsFS(store, ObjectRegistry())
         vfs = VfsNamespace(fs)
         files = sorted(b"file-%d" % i for i in range(HEAP_PAGES))
         for i, content in enumerate(files):
@@ -216,9 +217,8 @@ class TestEveryProducerTakesTheOnePath:
         assert snapshot_pages(store, "fs-0") == files
         assert after_power_cut(store, "fs-0") == files
         rebooted = reboot(store)
-        recovered = VfsNamespace(
-            SlsFS.recover(rebooted, rebooted.snapshot_by_name("fs-0"))
-        )
+        recovered = VfsNamespace(SlsFS.recover(
+            rebooted, ObjectRegistry(), rebooted.snapshot_by_name("fs-0")))
         for i, content in enumerate(files):
             assert recovered.open(f"/f{i}", O_RDWR).read(PAGE_SIZE) == content
 

@@ -4,13 +4,14 @@ import pytest
 
 from repro.errors import BadFileDescriptor, PosixError
 from repro.posix.fd import O_RDONLY, O_RDWR, O_WRONLY, FdTable, OpenFile
+from repro.posix.objects import ObjectRegistry
 
 
 class Recorder(OpenFile):
     """Test double that records its last-close."""
 
     def __init__(self, flags=O_RDWR):
-        super().__init__(flags=flags)
+        super().__init__(ObjectRegistry(), flags=flags)
         self.closed = False
 
     def on_last_close(self):
@@ -19,19 +20,21 @@ class Recorder(OpenFile):
 
 class TestOpenFile:
     def test_access_mode_flags(self):
-        assert OpenFile(O_RDONLY).readable
-        assert not OpenFile(O_RDONLY).writable
-        assert OpenFile(O_WRONLY).writable
-        assert not OpenFile(O_WRONLY).readable
-        assert OpenFile(O_RDWR).readable and OpenFile(O_RDWR).writable
+        registry = ObjectRegistry()
+        assert OpenFile(registry, O_RDONLY).readable
+        assert not OpenFile(registry, O_RDONLY).writable
+        assert OpenFile(registry, O_WRONLY).writable
+        assert not OpenFile(registry, O_WRONLY).readable
+        assert OpenFile(registry, O_RDWR).readable and OpenFile(registry, O_RDWR).writable
 
     def test_default_io_unsupported(self):
+        file = OpenFile(ObjectRegistry())
         with pytest.raises(PosixError):
-            OpenFile().read(1)
+            file.read(1)
         with pytest.raises(PosixError):
-            OpenFile().write(b"x")
+            file.write(b"x")
         with pytest.raises(PosixError):
-            OpenFile().seek(0)
+            file.seek(0)
 
     def test_over_release_asserts(self):
         file = Recorder()
@@ -92,7 +95,7 @@ class TestFdTable:
 
     def test_shared_offset_through_dup(self):
         table = FdTable()
-        file = OpenFile()
+        file = OpenFile(ObjectRegistry())
         fd = table.install(file)
         dup_fd = table.dup(fd)
         table.lookup(fd).offset = 42

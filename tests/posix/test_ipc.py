@@ -11,6 +11,7 @@ from repro.errors import (
 )
 from repro.posix.kernel import Kernel
 from repro.posix.msgqueue import MessageQueue, MessageQueueRegistry
+from repro.posix.objects import ObjectRegistry
 from repro.posix.pipe import make_pipe
 from repro.posix.shm import SharedMemoryRegistry
 from repro.posix.socket import (
@@ -23,23 +24,23 @@ from repro.units import GIB, KIB
 
 class TestPipes:
     def test_write_read(self):
-        r, w = make_pipe()
+        r, w = make_pipe(ObjectRegistry())
         w.write(b"data")
         assert r.read(4) == b"data"
 
     def test_partial_read(self):
-        r, w = make_pipe()
+        r, w = make_pipe(ObjectRegistry())
         w.write(b"abcdef")
         assert r.read(3) == b"abc"
         assert r.read(3) == b"def"
 
     def test_empty_read_blocks(self):
-        r, _w = make_pipe()
+        r, _w = make_pipe(ObjectRegistry())
         with pytest.raises(WouldBlock):
             r.read(1)
 
     def test_eof_after_writer_close(self):
-        r, w = make_pipe()
+        r, w = make_pipe(ObjectRegistry())
         w.write(b"tail")
         w.refcount = 1
         w.decref()
@@ -47,14 +48,14 @@ class TestPipes:
         assert r.read(4) == b""  # EOF
 
     def test_epipe_after_reader_close(self):
-        r, w = make_pipe()
+        r, w = make_pipe(ObjectRegistry())
         r.refcount = 1
         r.decref()
         with pytest.raises(BrokenPipe):
             w.write(b"x")
 
     def test_capacity_backpressure(self):
-        r, w = make_pipe()
+        r, w = make_pipe(ObjectRegistry())
         accepted = w.write(b"x" * (w.pipe.capacity + 100))
         assert accepted == w.pipe.capacity
         with pytest.raises(WouldBlock):
@@ -63,7 +64,7 @@ class TestPipes:
         assert w.write(b"more") == 4
 
     def test_wrong_direction(self):
-        r, w = make_pipe()
+        r, w = make_pipe(ObjectRegistry())
         with pytest.raises(BrokenPipe):
             w.read(1)
         with pytest.raises(BrokenPipe):
@@ -72,26 +73,26 @@ class TestPipes:
 
 class TestSockets:
     def test_socketpair_duplex(self):
-        a, b = socketpair()
+        a, b = socketpair(ObjectRegistry())
         a.send(b"ping")
         assert b.recv(4) == b"ping"
         b.send(b"pong")
         assert a.recv(4) == b"pong"
 
     def test_recv_empty_blocks(self):
-        a, b = socketpair()
+        a, b = socketpair(ObjectRegistry())
         with pytest.raises(WouldBlock):
             a.recv(1)
 
     def test_eof_after_peer_close(self):
-        a, b = socketpair()
+        a, b = socketpair(ObjectRegistry())
         a.send(b"last")
         a.close()
         assert b.recv(4) == b"last"
         assert b.recv(4) == b""
 
     def test_listen_connect_accept(self):
-        ns = UnixSocketNamespace()
+        ns = UnixSocketNamespace(ObjectRegistry())
         listener = ns.bind_listen("srv")
         client = ns.connect("srv")
         server_side = ns.accept(listener)
@@ -99,18 +100,18 @@ class TestSockets:
         assert server_side.recv(5) == b"hello"
 
     def test_connect_refused(self):
-        ns = UnixSocketNamespace()
+        ns = UnixSocketNamespace(ObjectRegistry())
         with pytest.raises(ConnectionRefused):
             ns.connect("nobody")
 
     def test_address_in_use(self):
-        ns = UnixSocketNamespace()
+        ns = UnixSocketNamespace(ObjectRegistry())
         ns.bind_listen("srv")
         with pytest.raises(PosixError):
             ns.bind_listen("srv")
 
     def test_accept_empty_queue(self):
-        ns = UnixSocketNamespace()
+        ns = UnixSocketNamespace(ObjectRegistry())
         listener = ns.bind_listen("srv")
         with pytest.raises(WouldBlock):
             ns.accept(listener)
@@ -118,7 +119,7 @@ class TestSockets:
 
 class TestExtConsHold:
     def test_hold_blocks_delivery_until_release(self):
-        a, b = socketpair()
+        a, b = socketpair(ObjectRegistry())
         delivered = []
         a.extcons_hold = ExtConsHold(release=delivered.append)
         a.send(b"held")
@@ -127,7 +128,7 @@ class TestExtConsHold:
         assert delivered == [b"held"]
 
     def test_mark_cuts_the_stream(self):
-        a, b = socketpair()
+        a, b = socketpair(ObjectRegistry())
         hold = ExtConsHold(release=b.recv_buffer.extend)
         a.extcons_hold = hold
         a.send(b"before")
@@ -138,7 +139,7 @@ class TestExtConsHold:
         assert hold.held_bytes == 5
 
     def test_discard_on_rollback(self):
-        a, b = socketpair()
+        a, b = socketpair(ObjectRegistry())
         hold = ExtConsHold(release=b.recv_buffer.extend)
         a.extcons_hold = hold
         a.send(b"doomed")
@@ -152,7 +153,8 @@ class TestSharedMemory:
     def registry(self):
         from repro.mem.phys import PhysicalMemory
 
-        return SharedMemoryRegistry(PhysicalMemory(total_bytes=1 * GIB))
+        return SharedMemoryRegistry(PhysicalMemory(total_bytes=1 * GIB),
+                                    ObjectRegistry())
 
     def test_shmget_same_key_same_segment(self, registry):
         a = registry.shmget(42, 64 * KIB)
@@ -190,43 +192,43 @@ class TestSharedMemory:
 
 class TestMessageQueues:
     def test_send_receive_fifo(self):
-        queue = MessageQueue(key=1)
+        queue = MessageQueue(ObjectRegistry(), key=1)
         queue.send(1, b"first")
         queue.send(2, b"second")
         assert queue.receive().body == b"first"
         assert queue.receive().body == b"second"
 
     def test_receive_by_type(self):
-        queue = MessageQueue(key=1)
+        queue = MessageQueue(ObjectRegistry(), key=1)
         queue.send(1, b"one")
         queue.send(2, b"two")
         assert queue.receive(mtype=2).body == b"two"
         assert queue.receive().body == b"one"
 
     def test_empty_blocks(self):
-        queue = MessageQueue(key=1)
+        queue = MessageQueue(ObjectRegistry(), key=1)
         with pytest.raises(WouldBlock):
             queue.receive()
 
     def test_missing_type_blocks(self):
-        queue = MessageQueue(key=1)
+        queue = MessageQueue(ObjectRegistry(), key=1)
         queue.send(1, b"x")
         with pytest.raises(WouldBlock):
             queue.receive(mtype=9)
 
     def test_capacity(self):
-        queue = MessageQueue(key=1, capacity=10)
+        queue = MessageQueue(ObjectRegistry(), key=1, capacity=10)
         queue.send(1, b"x" * 10)
         with pytest.raises(WouldBlock):
             queue.send(1, b"y")
 
     def test_invalid_type(self):
-        queue = MessageQueue(key=1)
+        queue = MessageQueue(ObjectRegistry(), key=1)
         with pytest.raises(PosixError):
             queue.send(0, b"x")
 
     def test_registry(self):
-        registry = MessageQueueRegistry()
+        registry = MessageQueueRegistry(ObjectRegistry())
         q = registry.msgget(5)
         assert registry.msgget(5) is q
         registry.msgrm(5)

@@ -16,19 +16,27 @@ class Gadget(KernelObject):
 
 class TestRegistry:
     def test_koids_unique_and_monotonic(self):
-        a, b = Widget(), Widget()
+        registry = ObjectRegistry()
+        a, b = Widget(registry), Widget(registry)
         assert b.koid > a.koid
+
+    def test_each_registry_numbers_its_own_objects(self):
+        first, second = ObjectRegistry(), ObjectRegistry()
+        Widget(first)
+        assert Widget(first).koid == 2
+        assert Widget(second).koid == 1
+        assert next(first.tids) == next(second.tids)
 
     def test_register_lookup(self):
         registry = ObjectRegistry()
-        widget = registry.register(Widget())
+        widget = registry.register(Widget(registry))
         assert registry.get(widget.koid) is widget
         assert registry.lookup(widget.koid) is widget
         assert widget.koid in registry
 
     def test_double_register_rejected(self):
         registry = ObjectRegistry()
-        widget = registry.register(Widget())
+        widget = registry.register(Widget(registry))
         with pytest.raises(PosixError):
             registry.register(widget)
 
@@ -40,16 +48,16 @@ class TestRegistry:
 
     def test_unregister(self):
         registry = ObjectRegistry()
-        widget = registry.register(Widget())
+        widget = registry.register(Widget(registry))
         registry.unregister(widget)
         assert widget.koid not in registry
         registry.unregister(widget)  # idempotent
 
     def test_by_type_filters(self):
         registry = ObjectRegistry()
-        registry.register(Widget())
-        registry.register(Widget())
-        registry.register(Gadget())
+        registry.register(Widget(registry))
+        registry.register(Widget(registry))
+        registry.register(Gadget(registry))
         assert len(list(registry.by_type("widget"))) == 2
         assert len(list(registry.by_type("gadget"))) == 1
         assert len(registry.all_objects()) == 3

@@ -25,6 +25,10 @@ class TestLifecycle:
         assert kernel.registry.get(proc.koid) is proc
         assert kernel.registry.get(proc.main_thread.koid) is proc.main_thread
 
+    def test_init_registers_its_thread(self, kernel):
+        thread = kernel.init.main_thread
+        assert kernel.registry.lookup(thread.koid) is thread
+
     def test_fork_duplicates_cpu_state(self, kernel):
         parent = kernel.spawn("app")
         parent.main_thread.cpu.rip = 0xCAFE
@@ -75,7 +79,7 @@ class TestLifecycle:
 class TestThreads:
     def test_stop_resume_all(self, kernel):
         proc = kernel.spawn("app")
-        proc.spawn_thread()
+        kernel.spawn_thread(proc)
         stopped = proc.stop_all_threads()
         assert stopped == 2
         assert all(t.state is ThreadState.STOPPED for t in proc.threads)
@@ -86,8 +90,9 @@ class TestThreads:
 
     def test_unique_tids(self, kernel):
         proc = kernel.spawn("app")
-        t2 = proc.spawn_thread()
+        t2 = kernel.spawn_thread(proc)
         assert t2.tid != proc.main_thread.tid
+        assert kernel.registry.lookup(t2.koid) is t2
 
 
 class TestSignals:
@@ -141,6 +146,12 @@ class TestContainers:
         proc = kernel.spawn("inmate", container=box)
         kernel.exit(proc)
         assert proc.pid not in box.member_pids
+
+
+    def test_each_kernel_numbers_its_own_containers(self, kernel):
+        first = kernel.create_container("jail0")
+        assert kernel.create_container("jail1").cid == first.cid + 1
+        assert Kernel().create_container("jail0").cid == first.cid
 
 
 class TestProcessTable:

@@ -7,6 +7,7 @@ from repro.hw.nvme import NvmeDevice
 from repro.objstore.store import ObjectStore
 from repro.posix.fd import O_CREAT, O_RDWR
 from repro.posix.kernel import Kernel
+from repro.posix.objects import ObjectRegistry
 from repro.posix.syscalls import Syscalls
 from repro.posix.vnode import TmpFS, VfsNamespace
 from repro.sim.clock import SimClock
@@ -64,7 +65,7 @@ class TestRename:
             sys.rename("/d", "/e")
 
     def test_cross_fs_rename_rejected(self, sys):
-        sys.kernel.vfs.mount("/mnt", TmpFS())
+        sys.kernel.vfs.mount("/mnt", TmpFS(sys.kernel.registry))
         sys.open("/plain", O_RDWR | O_CREAT)
         with pytest.raises(PosixError):
             sys.rename("/plain", "/mnt/elsewhere")
@@ -124,7 +125,7 @@ class TestSlsfsParity:
     @pytest.fixture
     def slsfs_world(self):
         store = ObjectStore(NvmeDevice(SimClock()))
-        fs = SlsFS(store)
+        fs = SlsFS(store, ObjectRegistry())
         return fs, VfsNamespace(fs), store
 
     def test_slsfs_rename(self, slsfs_world):
@@ -145,7 +146,7 @@ class TestSlsfsParity:
         store.device.crash()
         fresh_store = ObjectStore(store.device)
         fresh_store.recover()
-        fs2 = SlsFS.recover(fresh_store)
+        fs2 = SlsFS.recover(fresh_store, ObjectRegistry())
         vfs2 = VfsNamespace(fs2)
         assert vfs2.readlink("/alias") == "/real"
         assert vfs2.open("/alias", O_RDWR).read(9) == b"persisted"

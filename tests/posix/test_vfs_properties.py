@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import AuroraError, PosixError
 from repro.posix.fd import O_CREAT, O_RDWR
+from repro.posix.objects import ObjectRegistry
 from repro.posix.vnode import TmpFS, VfsNamespace
 
 names = st.text(
@@ -50,7 +51,7 @@ def test_path_normalization_is_stable(parts, noise):
 )
 def test_tmpfs_matches_model(ops):
     """TmpFS namespace + content tracks a model dict under random ops."""
-    vfs = VfsNamespace(TmpFS())
+    vfs = VfsNamespace(TmpFS(ObjectRegistry()))
     model_files: dict[str, bytes] = {}
     model_dirs: set[str] = set()
     for op in ops:
@@ -94,7 +95,7 @@ def test_pipe_preserves_byte_stream(chunks):
     from repro.errors import WouldBlock
     from repro.posix.pipe import make_pipe
 
-    r, w = make_pipe()
+    r, w = make_pipe(ObjectRegistry())
     written = bytearray()
     for chunk in chunks:
         accepted = w.write(chunk)

@@ -11,12 +11,13 @@ from repro.errors import (
     PosixError,
 )
 from repro.posix.fd import O_APPEND, O_CREAT, O_EXCL, O_RDONLY, O_RDWR, O_TRUNC
+from repro.posix.objects import ObjectRegistry
 from repro.posix.vnode import TmpFS, VfsNamespace, VnodeType
 
 
 @pytest.fixture
 def vfs():
-    return VfsNamespace(TmpFS())
+    return VfsNamespace(TmpFS(ObjectRegistry()))
 
 
 class TestPathResolution:
@@ -173,7 +174,7 @@ class TestAnonymousFiles:
 
 class TestMounts:
     def test_mount_and_route(self, vfs):
-        other = TmpFS()
+        other = TmpFS(vfs.registry)
         vfs.mount("/mnt", other)
         vfs.open("/mnt/inner", O_RDWR | O_CREAT)
         assert other.readdir(other.root()) == ["inner"]
@@ -181,7 +182,7 @@ class TestMounts:
         assert "inner" not in vfs.listdir("/")
 
     def test_longest_prefix_wins(self, vfs):
-        outer, inner = TmpFS(), TmpFS()
+        outer, inner = TmpFS(vfs.registry), TmpFS(vfs.registry)
         vfs.mount("/a", outer)
         vfs.mount("/a/b", inner)
         vfs.open("/a/b/f", O_RDWR | O_CREAT)
@@ -192,9 +193,9 @@ class TestMounts:
             vfs.unmount("/")
 
     def test_mount_busy(self, vfs):
-        vfs.mount("/m", TmpFS())
+        vfs.mount("/m", TmpFS(vfs.registry))
         with pytest.raises(FileExists):
-            vfs.mount("/m", TmpFS())
+            vfs.mount("/m", TmpFS(vfs.registry))
 
     def test_tmpfs_crash_loses_data(self, vfs):
         fs = vfs.mounts()["/"]

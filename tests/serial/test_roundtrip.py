@@ -56,7 +56,7 @@ class TestProcessState:
 
     def test_multiple_threads(self, kernel):
         proc = kernel.spawn("app")
-        extra = proc.spawn_thread()
+        extra = kernel.spawn_thread(proc)
         extra.state = ThreadState.SLEEPING
         extra.wait_channel = "select"
         restored, *_ = roundtrip(kernel, [proc])
@@ -362,7 +362,7 @@ def test_every_key_a_serializer_writes_is_read_on_restore(kernel):
     proc.env = {"HOME": "/root"}
     proc.signals.send(SIGUSR1)
     proc.signals.set_handler(SIGUSR1, "handler_fn")
-    proc.spawn_thread().state = ThreadState.SLEEPING
+    kernel.spawn_thread(proc).state = ThreadState.SLEEPING
     sysc = Syscalls(kernel, proc)
     fd = sysc.open("/data", O_RDWR | O_CREAT)
     sysc.write(fd, b"content")

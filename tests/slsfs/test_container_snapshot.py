@@ -8,6 +8,7 @@ from repro.hw.nvme import NvmeDevice
 from repro.objstore.store import ObjectStore
 from repro.posix.fd import O_CREAT, O_RDWR
 from repro.posix.kernel import Kernel
+from repro.posix.objects import ObjectRegistry
 from repro.posix.syscalls import Syscalls
 from repro.slsfs.fs import SlsFS
 from repro.slsfs.snapshot import clone_container, snapshot_container
@@ -25,7 +26,7 @@ def world(kernel):
     sls = SLS(kernel)
     device = NvmeDevice(kernel.clock)
     store = ObjectStore(device, mem=kernel.mem)
-    fs = SlsFS(store)
+    fs = SlsFS(store, kernel.registry)
     kernel.vfs.mount("/sls", fs)
     box = kernel.create_container("appbox")
     proc = kernel.spawn("worker", container=box)
@@ -79,7 +80,7 @@ class TestContainerSnapshot:
         csys.lseek(fd, 0)
         # The clone's descriptor reads through the live fs; verify via
         # the recovered fs snapshot instead (durable cut semantics).
-        recovered = SlsFS.recover(store, snapshot=snap.fs_snapshot)
+        recovered = SlsFS.recover(store, ObjectRegistry(), snapshot=snap.fs_snapshot)
         from repro.posix.vnode import VfsNamespace
 
         vfs = VfsNamespace(recovered)

@@ -14,6 +14,7 @@ from repro.errors import (
 from repro.hw.nvme import NvmeDevice
 from repro.objstore.store import ObjectStore
 from repro.posix.fd import O_CREAT, O_RDWR, FdTable
+from repro.posix.objects import ObjectRegistry
 from repro.posix.vnode import VfsNamespace, VnodeType
 from repro.sim.clock import SimClock
 from repro.slsfs.fs import SlsFS
@@ -37,7 +38,7 @@ def store(nvme):
 
 @pytest.fixture
 def fs(store):
-    return SlsFS(store)
+    return SlsFS(store, ObjectRegistry())
 
 
 @pytest.fixture
@@ -113,7 +114,7 @@ class TestPersistence:
         nvme.crash()
         store2 = ObjectStore(nvme)
         store2.recover()
-        fs2 = SlsFS.recover(store2)
+        fs2 = SlsFS.recover(store2, ObjectRegistry())
         vfs2 = VfsNamespace(fs2)
         g = vfs2.open("/survivor", O_RDWR)
         assert g.read(13) == b"durable data "
@@ -128,7 +129,7 @@ class TestPersistence:
         nvme.crash()
         store2 = ObjectStore(nvme)
         store2.recover()
-        fs2 = SlsFS.recover(store2)
+        fs2 = SlsFS.recover(store2, ObjectRegistry())
         g = VfsNamespace(fs2).open("/synced", O_RDWR)
         assert g.read(3) == b"old"
 
@@ -151,11 +152,11 @@ class TestPersistence:
         nvme.flush_barrier()
         store2 = ObjectStore(nvme)
         store2.recover()
-        fs2 = SlsFS.recover(store2)
+        fs2 = SlsFS.recover(store2, ObjectRegistry())
         assert VfsNamespace(fs2).listdir("/a/b") == ["leaf"]
 
     def test_recover_empty_store(self, store):
-        fs = SlsFS.recover(store)
+        fs = SlsFS.recover(store, ObjectRegistry())
         assert fs.root().is_dir
 
     def test_metadata_record_holds_no_second_page_table(self, vfs, fs, store):
@@ -170,8 +171,8 @@ class TestPersistence:
         _meta, records, pages, _lineage = store.load_manifest(snapshot)
         assert len(pages) == 256
         assert records[0].extent.length == 6432
-        assert VfsNamespace(SlsFS.recover(store)).open("/big", O_RDWR).read(
-            len(content)) == content
+        recovered = VfsNamespace(SlsFS.recover(store, ObjectRegistry()))
+        assert recovered.open("/big", O_RDWR).read(len(content)) == content
 
 
 class TestDamagedMetadata:
@@ -188,7 +189,7 @@ class TestDamagedMetadata:
     def test_recordless_snapshot(self, store):
         plain = store.commit_snapshot("slsfs@9", meta=None, records=[], pages=[])
         with pytest.raises(ObjectStoreError):
-            SlsFS.recover(store, plain)
+            SlsFS.recover(store, ObjectRegistry(), plain)
 
     @pytest.mark.parametrize("damage", [
         lambda record: [1, 2, 3],
@@ -213,7 +214,7 @@ class TestDamagedMetadata:
         snapshot, record = synced
         store.read_meta = lambda ref: damage(record)
         with pytest.raises(ObjectStoreError):
-            SlsFS.recover(store, snapshot)
+            SlsFS.recover(store, ObjectRegistry(), snapshot)
 
 
 class TestAnonymousFiles:
@@ -230,7 +231,7 @@ class TestAnonymousFiles:
         nvme.crash()
         store2 = ObjectStore(nvme)
         store2.recover()
-        fs2 = SlsFS.recover(store2)
+        fs2 = SlsFS.recover(store2, ObjectRegistry())
         assert fs2.orphans.orphans() == [f.vnode.ino]
         # Content readable through the recovered inode.
         inode = fs2._inodes[f.vnode.ino]
@@ -252,7 +253,7 @@ class TestAnonymousFiles:
         """Contrast: tmpfs (a POSIX fs) loses anonymous files on crash."""
         from repro.posix.vnode import TmpFS
 
-        tmp = TmpFS()
+        tmp = TmpFS(ObjectRegistry())
         vfs = VfsNamespace(tmp)
         f = vfs.open("/anon", O_RDWR | O_CREAT)
         f.write(b"doomed")
