@@ -157,7 +157,7 @@ def restore_group(
     preserve_pids: bool = True,
     name_suffix: str = "",
     *,
-    captured_here: bool = False,
+    captured_here: bool,
 ) -> tuple[list[Process], RestoreContext]:
     """Rebuild a serialized group inside ``kernel``.
 
@@ -193,6 +193,9 @@ def restore_group(
         restore_entries(aspace, pdata["entries"], ctx)
         fdtable = restore_fdtable(pdata["fds"], ctx)
         parent = by_pid.get(pdata["ppid"]) or kernel.init
+        # Another kernel's container ids name none of this kernel's
+        # containers: restored there, the process is in no container.
+        container_id = pdata["container_id"]
         proc = Process(
             kernel.registry,
             pid=pid,
@@ -200,7 +203,7 @@ def restore_group(
             aspace=aspace,
             fdtable=fdtable,
             parent=parent,
-            container_id=pdata["container_id"],
+            container_id=container_id if captured_here else 0,
         )
         proc.cwd = pdata["cwd"]
         proc.umask = pdata["umask"]
@@ -232,7 +235,7 @@ def restore_group(
                 kernel.shm.note_attach(segment)
         kernel.procs.insert(proc)
         kernel.registry.register(proc)
-        if captured_here and proc.container_id in kernel.containers:
+        if proc.container_id:
             kernel.containers[proc.container_id].member_pids.add(proc.pid)
         ctx.pids[pdata["pid"]] = proc
         by_pid[pdata["pid"]] = proc

@@ -86,7 +86,7 @@ class SerialContext:
 class RestoreContext:
     """Carried through one restore: identity maps for re-linking."""
 
-    def __init__(self, kernel: Kernel, *, captured_here: bool = False):
+    def __init__(self, kernel: Kernel, *, captured_here: bool):
         self.kernel = kernel
         #: the image was captured by ``kernel`` itself, so its original
         #: ids name this kernel's objects and may be looked up in it

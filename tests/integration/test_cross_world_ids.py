@@ -11,10 +11,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.backends import make_disk_backend
+from repro.core.backends import MemoryBackend, make_disk_backend
 from repro.core.orchestrator import SLS
 from repro.core.remote import MigrationReceiver, live_migrate
 from repro.core.restore import load_image_from_store
+from repro.core.rollback import rollback
 from repro.hw.netdev import NetworkLink
 from repro.hw.nvme import NvmeDevice
 from repro.objstore.store import ObjectStore
@@ -42,9 +43,9 @@ def build_world(hostname, clock=None):
     group = sls.persist(server, name="server")
     device = NvmeDevice(kernel.clock, name=f"{hostname}-nvme")
     group.attach(make_disk_backend(kernel, device))
-    return SimpleNamespace(kernel=kernel, sls=sls, box=box, ssys=ssys,
-                           csys=csys, sfd=sfd, cfd=cfd, group=group,
-                           device=device)
+    return SimpleNamespace(kernel=kernel, sls=sls, box=box, server=server,
+                           ssys=ssys, csys=csys, sfd=sfd, cfd=cfd,
+                           group=group, device=device)
 
 
 @pytest.fixture
@@ -93,6 +94,20 @@ def test_another_worlds_image_keeps_to_its_own_objects(worlds, restore):
     client_sock, server_sock = b.csys.socket_of(b.cfd), b.ssys.socket_of(b.sfd)
     assert client_sock.peer is server_sock
     assert server_sock.peer is client_sock
+
+
+@pytest.mark.parametrize("restore", [restore_from_store, restore_by_migration])
+def test_another_worlds_process_joins_none_of_its_containers(worlds, restore):
+    a, b = worlds
+    [proc] = restore(a, b)
     # The image's container id is A's; B's container of that number is
-    # unrelated and does not take the restored process in.
-    assert proc.pid not in b.box.member_pids
+    # unrelated.  Neither the restored process, nor its child, nor a
+    # rollback of B's own image of them joins it.
+    child = b.kernel.fork(proc)
+    group = b.sls.persist(proc, name="restored")
+    group.attach(MemoryBackend("memory"))
+    b.sls.checkpoint(group)
+    rolled_back, _ = rollback(b.sls, group)
+    assert len(rolled_back) == 2
+    assert not any(p.container_id for p in [proc, child, *rolled_back])
+    assert b.box.member_pids == {b.server.pid}

@@ -18,7 +18,8 @@ def kernel():
 def roundtrip(kernel, procs, target=None, **kwargs):
     meta, ctx = serialize_group(procs, kernel)
     target = target or Kernel(hostname="restore-host")
-    restored, rctx = restore_group(decode(encode(meta)), target, **kwargs)
+    restored, rctx = restore_group(decode(encode(meta)), target,
+                                   captured_here=target is kernel, **kwargs)
     return restored, rctx, target
 
 

@@ -24,7 +24,8 @@ def roundtrip(kernel, procs, target=None, **kwargs):
     meta, ctx = serialize_group(procs, kernel)
     blob = encode(meta)
     target = target or Kernel(hostname="restore-host")
-    restored, rctx = restore_group(decode(blob), target, **kwargs)
+    restored, rctx = restore_group(decode(blob), target,
+                                   captured_here=target is kernel, **kwargs)
     return restored, rctx, target, ctx
 
 
@@ -90,7 +91,8 @@ class TestProcessState:
         assert restored[0].pid == proc.pid
         # Restoring again into the same kernel: pid taken -> fresh pid.
         meta, _ = serialize_group([proc], kernel)
-        again, _ = restore_group(meta, target, preserve_pids=True)
+        again, _ = restore_group(meta, target, preserve_pids=True,
+                                 captured_here=False)
         assert again[0].pid != proc.pid
 
 
@@ -379,6 +381,7 @@ def test_every_key_a_serializer_writes_is_read_on_restore(kernel):
     meta, _ctx = serialize_group(list(proc.walk_tree()), kernel)
     meta = decode(encode(meta))
     reads: set = set()
-    restore_group(_recording(meta, "", reads), Kernel(hostname="restore-host"))
+    restore_group(_recording(meta, "", reads), Kernel(hostname="restore-host"),
+                  captured_here=False)
     written = _written(meta, "", set())
     assert written - reads == set(DIAGNOSTIC_ONLY)
