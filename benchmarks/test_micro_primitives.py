@@ -48,7 +48,26 @@ def test_micro_fault_path(benchmark, world):
     benchmark(fault_new_page)
 
 
-def test_micro_freeze_per_page(benchmark, world):
+def test_micro_populate(benchmark):
+    """Make a fresh 1024-page mapping resident with distinct content:
+    one run of frames allocated, inserted, logged dirty and mapped."""
+    mem = MemContext(SimClock(), PhysicalMemory(total_bytes=4 * GIB))
+    AuroraCow(mem)
+
+    def fresh_mapping():
+        aspace = AddressSpace(mem, "bench")
+        return (aspace, aspace.mmap(1024 * PAGE_SIZE, name="heap")), {}
+
+    def populate(aspace, entry):
+        return aspace.populate(entry.start, 1024 * PAGE_SIZE,
+                               fill_fn=lambda i: b"p%d" % i)
+
+    benchmark.pedantic(populate, setup=fresh_mapping, rounds=20)
+
+
+def test_micro_full_freeze(benchmark, world):
+    """A full freeze of a 1024-page object: one run, frozen, held and
+    write-protected at once."""
     mem, cow, aspace, entry = world
 
     def freeze_all():
@@ -209,6 +228,31 @@ def test_micro_warm_start(benchmark):
         return manager.invoke("fn", payload=b"micro")
 
     assert benchmark(invoke).output == b"hello, micro"
+
+
+def test_micro_deploy_invoke(benchmark):
+    """One serverless deploy (init a function runtime, checkpoint it
+    warm, exit the builder) and one lazy invoke of it, on a qd8 ×
+    4-queue store already holding the runtime's pages: the per-page
+    chain of populate, freeze, store capture, commit, restore and exit
+    that a fleet deploy storm repeats."""
+    kernel = Kernel(hostname="micro", memory_bytes=4 * GIB)
+    sls = SLS(kernel)
+    backend = make_disk_backend(
+        kernel, NvmeDevice(kernel.clock, queue_depth=8, num_queues=4)
+    )
+    manager = ServerlessManager(sls, backend=backend)
+    manager.deploy("runtime")
+    counter = [0]
+
+    def deploy_invoke():
+        counter[0] += 1
+        name = f"fn-{counter[0]}"
+        manager.deploy(name, customize=b"handler-%d" % counter[0])
+        return manager.invoke(name, payload=b"micro")
+
+    deploy_invoke()  # the store and page cache warm
+    assert benchmark(deploy_invoke).output == b"hello, micro"
 
 
 def test_micro_memory_checkpoint(benchmark):

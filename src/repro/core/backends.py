@@ -240,14 +240,14 @@ class MemoryBackend(Backend):
         base_map = base.pages if base else None
         page_map, captured = capture_pages_to_memory(freeze_set, base_map=base_map)
         # Each captured frame carries the freeze's hold; the image owns it.
-        held = [frozen.page for frozen in freeze_set.pages]
+        held = [page for run in freeze_set.runs for page in run.pages]
         if parent is not None and not image.incremental:
             # Cut from a chain pruning will delete: hold what it inherits.
-            phys = self.kernel.phys
-            for oid, pages in page_map.items():
-                for pindex, page in pages.items():
-                    if (oid, pindex) not in captured:
-                        held.append(phys.hold(page))
+            inherited = [page for oid, pages in page_map.items()
+                         for pindex, page in pages.items()
+                         if (oid, pindex) not in captured]
+            self.kernel.phys.hold_many(inherited)
+            held += inherited
         image.copies[self.name] = MemoryCopy(page_map, held)
         image.mark_durable(self.name, self.kernel.clock.now)
 
@@ -344,8 +344,8 @@ class RemoteBackend(Backend):
         # Ship only the delta: pages captured by this freeze, plus the
         # metadata.  The peer overlays onto the images it already has.
         pages_payload = [
-            [frozen.obj.oid, frozen.pindex, frozen.page.snapshot_payload()]
-            for frozen in freeze_set.pages
+            [obj.oid, pindex, page.snapshot_payload()]
+            for obj, pindex, page in freeze_set.iter_pages()
         ]
         payload = encode(
             {

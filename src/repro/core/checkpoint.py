@@ -83,8 +83,7 @@ class MemoryCopy:
     def release(self, phys) -> int:
         """Drop the frame references this copy holds (deletion)."""
         held, self.held = self.held, []
-        for page in held:
-            phys.release(page)
+        phys.release_many(held)
         return len(held)
 
 

@@ -284,8 +284,11 @@ class SLS:
                 # restore of a full image stays lazy.
                 budget = min(4096, max(64, len(freeze_set) // 10))
                 hot: dict[int, list[int]] = {}
-                for frozen in freeze_set.pages[:budget]:
-                    hot.setdefault(frozen.obj.oid, []).append(frozen.pindex)
+                for run in freeze_set.runs:
+                    if budget <= 0:
+                        break
+                    hot.setdefault(run.obj.oid, []).extend(run.pindexes[:budget])
+                    budget -= len(run.pindexes)
                 meta["hot"] = hot
 
                 # --- resume ----------------------------------------------
@@ -352,8 +355,7 @@ class SLS:
                     submit_stall_ns=submit_stall_ns,
                 )
             if failures and image.metrics.backends_expected == 0:
-                for frozen in freeze_set.pages:
-                    self.kernel.phys.release(frozen.page)
+                freeze_set.release(self.kernel.phys)
                 raise CheckpointError(
                     f"every backend failed: "
                     + "; ".join(f"{name}: {exc}" for name, exc in failures)
@@ -370,8 +372,7 @@ class SLS:
             # holds are dropped.
             if not any(isinstance(copy, MemoryCopy)
                        for copy in image.copies.values()):
-                for frozen in freeze_set.pages:
-                    self.kernel.phys.release(frozen.page)
+                freeze_set.release(self.kernel.phys)
 
             if group.extcons is not None:
                 extcons = group.extcons

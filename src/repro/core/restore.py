@@ -184,17 +184,14 @@ def restore_from_store(
                 ]
                 payloads = store.read_pages_coalesced(all_refs)
             elif prefetch == "hot":
+                # the bulk read fetches each content hash once
                 hot = meta.get("hot") or {}
-                hot_refs = []
-                seen_hashes: set[bytes] = set()
-                for oid, pindexes in hot.items():
-                    obj_refs = page_refs.get(oid, {})
-                    for p in pindexes:
-                        ref = obj_refs.get(p)
-                        if ref is None or ref.content_hash in seen_hashes:
-                            continue  # dedup'd page already fetched
-                        seen_hashes.add(ref.content_hash)
-                        hot_refs.append(ref)
+                hot_refs = [
+                    ref
+                    for oid, pindexes in hot.items()
+                    for ref in map(page_refs.get(oid, {}).get, pindexes)
+                    if ref is not None
+                ]
                 payloads = store.read_pages_coalesced(hot_refs)
             elif prefetch == "recorded":
                 # Replay a previously recorded fault order as a
@@ -234,28 +231,30 @@ def restore_from_store(
         with tracer.span(obs_names.SPAN_RESTORE_MEMORY) as mem_span:
             installed = 0
             lazy_pages = 0
+            hist = None  # the store's fault histogram, looked up once
             for oid, refs in page_refs.items():
                 obj = ctx.vm_objects.get(oid)
                 if obj is None:
                     continue
                 if lazy:
+                    if hist is None and store.obs is not None:
+                        hist = store.obs.registry.histogram(
+                            obs_names.H_RESTORE_FAULT, store=store.device.name
+                        )
                     obj.pager = make_store_pager(
-                        store, refs, mem, oid=oid,
+                        store, refs, hist, oid=oid,
                         recorder=fault_log if record_faults else None,
                     )
-                    # Prefetch whatever the hot read brought in.
-                    ready = {
-                        p: payloads[r.content_hash]
-                        for p, r in refs.items()
-                        if r.content_hash in payloads
-                    }
-                    installed += install_store_pages(obj, ready, kernel.phys, mem)
-                    lazy_pages += len(refs) - len(ready)
-                else:
-                    ready = {
-                        p: payloads[r.content_hash] for p, r in refs.items()
-                    }
-                    installed += install_store_pages(obj, ready, kernel.phys, mem)
+                # Install every slot whose content the read brought in
+                # (all of them when eager; the hot set and its dedup'd
+                # duplicates when lazy) as one run.
+                ready = {
+                    p: payloads[r.content_hash]
+                    for p, r in refs.items()
+                    if r.content_hash in payloads
+                }
+                lazy_pages += len(refs) - len(ready)
+                installed += install_store_pages(obj, ready, kernel.phys)
             mem.charge(ctx.aspaces_created * cpu.aspace_create_ns * discount)
             mem.charge(ctx.entries_restored * cpu.map_entry_restore_ns)
             mem.charge(installed * cpu.pte_share_ns)

@@ -13,7 +13,7 @@ from repro.mem.address_space import (
     VMEntry,
 )
 from repro.mem.clockalgo import ClockAlgorithm
-from repro.mem.cow import AuroraCow, CowStats, FreezeSet, FrozenPage
+from repro.mem.cow import AuroraCow, CowStats, FreezeSet, PageRun
 from repro.mem.page import ZERO_PAGE_HASH, Page
 from repro.mem.pagetable import PageTable, Pte
 from repro.mem.phys import PhysicalMemory
@@ -34,7 +34,7 @@ __all__ = [
     "AuroraCow",
     "CowStats",
     "FreezeSet",
-    "FrozenPage",
+    "PageRun",
     "ZERO_PAGE_HASH",
     "Page",
     "PageTable",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.errors import MappingError, SegmentationFault
 from repro.hw.specs import DEFAULT_CPU, CpuCostModel
@@ -81,7 +81,7 @@ class MemContext:
         #: orders dirty entries across objects: one sequence per
         #: machine, so merging any set of objects' dirty lists by it
         #: yields their pages in the order they became dirty
-        self._dirty_seq = itertools.count()
+        self._dirty_seq = 0
         #: this machine's address-space ids
         self.asids = itertools.count(1)
         self._charge_carry = 0.0
@@ -95,7 +95,19 @@ class MemContext:
         Table 3).
         """
         page.dirty_epoch = self.epoch
-        obj.dirty.append((next(self._dirty_seq), pindex, page))
+        obj.dirty.append((self._dirty_seq, pindex, page))
+        self._dirty_seq += 1
+
+    def log_dirty_run(self, obj: VMObject, pindexes: Sequence[int],
+                      pages: Sequence[Page]) -> None:
+        """:meth:`log_dirty` ``pages`` at ``pindexes``, pairwise, with
+        consecutive sequence numbers."""
+        epoch = self.epoch
+        for page in pages:
+            page.dirty_epoch = epoch
+        seq = self._dirty_seq
+        self._dirty_seq = seq + len(pages)
+        obj.dirty.extend(zip(range(seq, seq + len(pages)), pindexes, pages))
 
     def charge(self, ns: float) -> None:
         """Charge fractional nanoseconds, carrying the remainder.
@@ -106,6 +118,21 @@ class MemContext:
         total = ns + self._charge_carry
         whole = int(total)
         self._charge_carry = total - whole
+        if whole > 0:
+            self.clock.advance(whole)
+
+    def charge_each(self, costs: Iterable[float]) -> None:
+        """:meth:`charge` each of ``costs`` in turn: the same carries
+        and the same total, in one clock advance."""
+        carry = self._charge_carry
+        whole = 0
+        for ns in costs:
+            total = ns + carry
+            step = int(total)
+            carry = total - step
+            if step > 0:
+                whole += step
+        self._charge_carry = carry
         if whole > 0:
             self.clock.advance(whole)
 
@@ -409,36 +436,52 @@ class AddressSpace:
         A bulk page-allocation path used by workload setup (e.g. a
         Redis instance building its 2 GiB working set) — semantically a
         loop of write faults, charged at the same per-page cost, but
-        without the per-fault Python overhead.  ``fill_fn(i) -> bytes``
-        gives each page distinct content (defeats dedup, as a real
-        key-value heap would).
+        handled a map entry at a time: each entry's non-resident pages
+        are allocated, inserted and logged dirty as one run, and its
+        missing PTEs installed as one range.  Pages already resident
+        and PTEs already present are kept.  ``fill_fn(i) -> bytes``
+        gives the ``i``-th page of the range distinct content (defeats
+        dedup, as a real key-value heap would).  An unmapped page
+        raises :class:`SegmentationFault` with the entries before it
+        already populated; running out of frames allocates none of the
+        failing entry's pages.
         """
         if addr & PAGE_MASK:
             raise MappingError("populate address must be page aligned")
         npages = page_align_up(nbytes) >> PAGE_SHIFT
         mem = self.mem
         cpu = mem.cpu
-        done = 0
-        vpn0 = addr >> PAGE_SHIFT
-        for i in range(npages):
-            vpn = vpn0 + i
+        first_vpn = vpn = addr >> PAGE_SHIFT
+        end_vpn = vpn + npages
+        while vpn < end_vpn:
             entry = self.find_entry(vpn << PAGE_SHIFT)
             if entry is None:
                 raise SegmentationFault(vpn << PAGE_SHIFT)
-            pindex = entry.pindex_of(vpn)
-            if entry.obj.resident_page(pindex) is None:
-                payload = fill_fn(i) if fill_fn is not None else fill
-                page = mem.phys.allocate(payload=payload)
-                entry.obj.insert_page(pindex, page)
-                mem.log_dirty(entry.obj, pindex, page)
-                mem.stats.major += 1
-                mem.stats.zero_fill += 1
-            page = entry.obj.resident_page(pindex)
-            if self.pagetable.lookup(vpn) is None:
-                self.pagetable.install(vpn, page, bool(entry.prot & PROT_WRITE))
-            done += 1
+            stop = min(end_vpn, entry.end_vpn)
+            obj = entry.obj
+            # pindex + shift is the page's vpn
+            shift = entry.start_vpn - entry.offset_pages
+            pindexes = range(vpn - shift, stop - shift)
+            resident = obj.pages
+            missing = [pindex for pindex in pindexes if pindex not in resident]
+            if missing:
+                if fill_fn is None:
+                    payloads = [fill] * len(missing)
+                else:
+                    offset = shift - first_vpn
+                    payloads = [fill_fn(pindex + offset) for pindex in missing]
+                pages = mem.phys.allocate_many(payloads)
+                obj.insert_run(missing, pages)
+                mem.log_dirty_run(obj, missing, pages)
+                mem.stats.major += len(missing)
+                mem.stats.zero_fill += len(missing)
+            self.pagetable.install_range(
+                range(vpn, stop), [resident[pindex] for pindex in pindexes],
+                bool(entry.prot & PROT_WRITE),
+            )
+            vpn = stop
         mem.charge(npages * (cpu.fault_trap_ns + cpu.zero_fill_ns + cpu.pte_install_ns))
-        return done
+        return npages
 
     # -- fork ---------------------------------------------------------------------
 

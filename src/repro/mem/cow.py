@@ -28,25 +28,18 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from itertools import compress
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.mem.address_space import MemContext
 from repro.mem.page import Page
+from repro.mem.phys import PhysicalMemory
 from repro.mem.vmobject import VMObject
 from repro.obs import names as obs_names
 from repro.obs.registry import attr_reader
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import KernelObs
-
-
-@dataclass
-class FrozenPage:
-    """One page captured by a checkpoint freeze pass."""
-
-    obj: VMObject
-    pindex: int
-    page: Page
 
 
 @dataclass
@@ -59,11 +52,23 @@ class CowStats:
 
 
 @dataclass
+class PageRun:
+    """A stretch of one VM object's pages captured by a freeze, in
+    capture order: ``pages[i]`` is the frame at ``pindexes[i]``."""
+
+    obj: VMObject
+    pindexes: list[int]
+    pages: list[Page]
+
+
+@dataclass
 class FreezeSet:
-    """Result of one freeze pass: the pages a checkpoint must persist."""
+    """Result of one freeze pass: the pages a checkpoint must persist,
+    as runs in capture order (consecutive runs are of different
+    objects)."""
 
     epoch: int
-    pages: list[FrozenPage] = field(default_factory=list)
+    runs: list[PageRun] = field(default_factory=list)
     #: every VM object covered by the pass — including objects whose
     #: dirty pages were all swapped out (no resident page to freeze,
     #: but the backend must still capture their swap slots)
@@ -74,7 +79,19 @@ class FreezeSet:
     swapped_dirty: set = field(default_factory=set)
 
     def __len__(self) -> int:
-        return len(self.pages)
+        return sum(len(run.pages) for run in self.runs)
+
+    def iter_pages(self) -> Iterator[tuple[VMObject, int, Page]]:
+        """``(object, pindex, frame)`` of every captured page, in
+        capture order."""
+        for run in self.runs:
+            for pindex, page in zip(run.pindexes, run.pages):
+                yield run.obj, pindex, page
+
+    def release(self, phys: PhysicalMemory) -> None:
+        """Drop the reference the freeze took on every captured frame."""
+        for run in self.runs:
+            phys.release_many(run.pages)
 
 
 def _tagged(obj: VMObject, dirty: list[tuple[int, int, Page]]):
@@ -127,12 +144,17 @@ class AuroraCow:
         mem = self.mem
         cpu = mem.cpu
         freeze_set = FreezeSet(epoch=mem.epoch, objects=list(objects))
+        runs = freeze_set.runs
         if incremental_since is None:
+            arm_cost_ns = cpu.pte_cow_arm_ns
             for obj in objects:
                 obj.dirty = []
-                for pindex, page in obj.iter_resident():
-                    self._capture(freeze_set, obj, pindex, page, cpu.pte_cow_arm_ns)
+                if obj.pages:
+                    pindexes = sorted(obj.pages)
+                    resident = obj.pages
+                    runs.append(PageRun(obj, pindexes, [resident[p] for p in pindexes]))
         else:
+            arm_cost_ns = cpu.pte_cow_arm_incr_ns
             # Merging by sequence number (unique, so the tuples never
             # compare past it) visits the pages in the order they
             # became dirty, across objects — the capture order, and so
@@ -143,6 +165,7 @@ class AuroraCow:
                     logs.append(_tagged(obj, obj.dirty))
                     obj.dirty = []
             seen: set[tuple[int, int]] = set()
+            run: Optional[PageRun] = None
             for _, obj, pindex, page in heapq.merge(*logs):
                 if page.dirty_epoch < incremental_since:
                     continue
@@ -160,7 +183,13 @@ class AuroraCow:
                         # image's copy.
                         freeze_set.swapped_dirty.add((obj.oid, pindex))
                     continue
-                self._capture(freeze_set, obj, pindex, current, cpu.pte_cow_arm_incr_ns)
+                if run is None or run.obj is not obj:
+                    run = PageRun(obj, [], [])
+                    runs.append(run)
+                run.pindexes.append(pindex)
+                run.pages.append(current)
+        for run in runs:
+            self._arm(run, arm_cost_ns)
         mem.epoch += 1
         if self.obs is not None:
             self._g_depth.set_max(max(
@@ -168,7 +197,7 @@ class AuroraCow:
             ))
             self.obs.tracer.event(
                 obs_names.EV_COW_FREEZE,
-                pages=len(freeze_set.pages),
+                pages=len(freeze_set),
                 objects=len(objects),
                 epoch=freeze_set.epoch,
                 incremental=incremental_since is not None,
@@ -185,28 +214,30 @@ class AuroraCow:
             chain = chain.shadow
         return depth
 
-    def _capture(
-        self,
-        freeze_set: FreezeSet,
-        obj: VMObject,
-        pindex: int,
-        page: Page,
-        arm_cost_ns: float,
-    ) -> None:
+    def _arm(self, run: PageRun, arm_cost_ns: float) -> None:
+        """Freeze a run's frames, take the checkpoint's reference on
+        them and write-protect every PTE mapping them, charging each
+        page ``arm_cost_ns`` per PTE protected (at least once)."""
         mem = self.mem
-        if not page.frozen:
+        pages = run.pages
+        for page in pages:
             page.frozen = True
-        mem.phys.hold(page)  # the checkpoint's reference
-        # Write-protect the PTE in every process mapping this page.
-        protected = 0
-        for entry in obj.mappings:
-            vpn = entry.start_vpn + (pindex - entry.offset_pages)
-            if entry.start_vpn <= vpn < entry.end_vpn:
-                if entry.aspace.pagetable.write_protect(vpn):
-                    protected += 1
-        mem.charge(arm_cost_ns * max(1, protected))
-        self.stats.pages_frozen += 1
-        freeze_set.pages.append(FrozenPage(obj=obj, pindex=pindex, page=page))
+        mem.phys.hold_many(pages)  # the checkpoint's references
+        pindexes = run.pindexes
+        protected = [0] * len(pages)
+        for entry in run.obj.mappings:
+            window = range(entry.offset_pages,
+                           entry.offset_pages + entry.end_vpn - entry.start_vpn)
+            covered = [i for i, pindex in enumerate(pindexes) if pindex in window]
+            shift = entry.start_vpn - entry.offset_pages  # pindex -> vpn
+            flags = entry.aspace.pagetable.write_protect_run(
+                [pindexes[i] + shift for i in covered]
+            )
+            for i in compress(covered, flags):
+                protected[i] += 1
+        # ``count or 1``: a page no PTE maps is still armed once
+        mem.charge_each([arm_cost_ns * (count or 1) for count in protected])
+        self.stats.pages_frozen += len(pages)
 
     # -- fault resolution (application-side) ---------------------------------
 

@@ -12,7 +12,7 @@ dirty/accessed bits are modelled explicitly and costed by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.mem.page import Page
 
@@ -44,6 +44,15 @@ class PageTable:
         self._entries[vpn] = pte
         return pte
 
+    def install_range(self, vpns: Iterable[int], pages: Iterable[Page],
+                      writable: bool) -> None:
+        """:meth:`install` ``pages`` at ``vpns``, pairwise, all with the
+        same permission — except where a vpn already has a PTE, which is
+        kept."""
+        entries = self._entries
+        entries.update([(vpn, Pte(page, writable))
+                        for vpn, page in zip(vpns, pages) if vpn not in entries])
+
     def remove(self, vpn: int) -> Optional[Pte]:
         return self._entries.pop(vpn, None)
 
@@ -61,6 +70,19 @@ class PageTable:
             return False
         pte.writable = False
         return True
+
+    def write_protect_run(self, vpns: Iterable[int]) -> list[bool]:
+        """:meth:`write_protect` each of ``vpns``; one result per vpn."""
+        protected = []
+        get = self._entries.get
+        for vpn in vpns:
+            pte = get(vpn)
+            if pte is not None and pte.writable:
+                pte.writable = False
+                protected.append(True)
+            else:
+                protected.append(False)
+        return protected
 
     def update_page(self, vpn: int, new_page: Page, writable: bool) -> bool:
         """Point an existing PTE at a different frame (Aurora COW swap)."""

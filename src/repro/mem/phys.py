@@ -10,6 +10,7 @@ physical memory limit, which is what forces swapping.
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 from repro.errors import OutOfMemoryError
 from repro.mem.page import Page
@@ -23,7 +24,7 @@ class PhysicalMemory:
         if total_bytes < PAGE_SIZE:
             raise ValueError("physical memory smaller than one page")
         self.total_frames = total_bytes // PAGE_SIZE
-        self._next_pfn = itertools.count(1)
+        self._next_pfn = 1
         #: ids of the VM objects holding this machine's pages
         self.oids = itertools.count(1)
         self._allocated = 0
@@ -58,10 +59,33 @@ class PhysicalMemory:
             raise OutOfMemoryError(
                 f"physical memory exhausted ({self.total_frames} frames)"
             )
+        page = Page(pfn=self._next_pfn, payload=payload)
+        self._next_pfn += 1
         self._allocated += 1
         self.total_allocations += 1
-        self.peak_frames = max(self.peak_frames, self._allocated)
-        return Page(pfn=next(self._next_pfn), payload=payload)
+        if self._allocated > self.peak_frames:
+            self.peak_frames = self._allocated
+        return page
+
+    def allocate_many(self, payloads: Sequence[bytes]) -> list[Page]:
+        """Allocate one fresh frame per payload, with ascending pfns.
+
+        All or nothing: if the frames do not all fit (or a payload
+        exceeds a page), no frame, pfn or allocation count is used up.
+        """
+        count = len(payloads)
+        if self._allocated + count > self.total_frames:
+            raise OutOfMemoryError(
+                f"physical memory exhausted ({self.total_frames} frames)"
+            )
+        pfn = self._next_pfn
+        pages = list(map(Page, range(pfn, pfn + count), payloads))
+        self._next_pfn = pfn + count
+        self._allocated += count
+        self.total_allocations += count
+        if self._allocated > self.peak_frames:
+            self.peak_frames = self._allocated
+        return pages
 
     def copy(self, page: Page) -> Page:
         """Allocate a frame holding a copy of ``page``'s content.
@@ -78,12 +102,15 @@ class PhysicalMemory:
 
     # -- refcounting -----------------------------------------------------
 
-    def hold(self, page: Page) -> Page:
-        """Take an additional reference on a frame."""
-        if page.refcount <= 0:
-            raise AssertionError(f"hold of dead frame pfn={page.pfn}")
-        page.refcount += 1
-        return page
+    def hold_many(self, pages: Sequence[Page]) -> None:
+        """Take an additional reference on each of ``pages``; all or
+        nothing if one of them is dead."""
+        for done, page in enumerate(pages):
+            if page.refcount <= 0:
+                for undo in pages[:done]:
+                    undo.refcount -= 1
+                raise AssertionError(f"hold of dead frame pfn={page.pfn}")
+            page.refcount += 1
 
     def release(self, page: Page) -> bool:
         """Drop a reference; frees the frame at zero.  True if freed."""
@@ -94,6 +121,23 @@ class PhysicalMemory:
             self._allocated -= 1
             return True
         return False
+
+    def release_many(self, pages: Sequence[Page]) -> int:
+        """Drop one reference per entry of ``pages`` (a frame listed
+        twice loses two), freeing each frame that reaches zero; returns
+        how many were freed.  All or nothing: a release past zero
+        raises with every refcount and the frame count as they were."""
+        freed = 0
+        for done, page in enumerate(pages):
+            if page.refcount <= 0:
+                for undo in pages[:done]:
+                    undo.refcount += 1
+                raise AssertionError(f"double free of frame pfn={page.pfn}")
+            page.refcount -= 1
+            if not page.refcount:
+                freed += 1
+        self._allocated -= freed
+        return freed
 
     def __repr__(self) -> str:
         return (

@@ -21,7 +21,7 @@ the paper's §3:
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from repro.errors import MappingError
 from repro.mem.page import Page
@@ -90,8 +90,7 @@ class VMObject:
             raise AssertionError(f"unref of dead VM object {self.name}")
         self.ref_count -= 1
         if self.ref_count == 0:
-            for page in self.pages.values():
-                self.phys.release(page)
+            self.phys.release_many(list(self.pages.values()))
             self.pages.clear()
             self.dirty.clear()
             if self.shadow is not None:
@@ -126,6 +125,19 @@ class VMObject:
         if old is not None:
             self.phys.release(old)
         self.pages[pindex] = page
+
+    def insert_run(self, pindexes: Sequence[int], pages: Sequence[Page]) -> None:
+        """:meth:`insert_page` ``pages`` at ``pindexes``, pairwise."""
+        if pindexes and (min(pindexes) < 0 or max(pindexes) >= self.size_pages):
+            raise MappingError(
+                f"page run {min(pindexes)}..{max(pindexes)} outside object"
+                f" of {self.size_pages} pages"
+            )
+        resident = self.pages
+        replaced = [resident[pindex] for pindex in pindexes if pindex in resident]
+        resident.update(zip(pindexes, pages))
+        if replaced:
+            self.phys.release_many(replaced)
 
     def remove_page(self, pindex: int) -> Optional[Page]:
         """Detach and return the page at ``pindex`` (no release)."""

@@ -10,6 +10,7 @@ pages are stored once and refcounted across checkpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.objstore.alloc import Extent
 from repro.objstore.snapshot import PageRef
@@ -87,6 +88,20 @@ class DedupIndex:
         if entry.refcount > 0 and nbytes:
             self.stats.bytes_deduped += nbytes
         entry.refcount += 1
+
+    def hold_many(self, refs: Iterable[PageRef]) -> None:
+        """:meth:`hold` each ref's content, its length counting as
+        deduplicated bytes past the first hold."""
+        entries = self._entries
+        saved = 0
+        try:
+            for ref in refs:
+                entry = entries[ref.content_hash]
+                if entry.refcount > 0:
+                    saved += ref.length
+                entry.refcount += 1
+        finally:
+            self.stats.bytes_deduped += saved
 
     def release(self, content_hash: bytes) -> Extent | None:
         """Drop one reference; returns the extent to free at zero."""

@@ -22,11 +22,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import ImageFormatError, ObjectStoreError
 from repro.objstore.alloc import Extent
 from repro.objstore.record import shaped
 from repro.objstore.snapshot import PAGEMAP_ROW, MetaRef, PageRef, Snapshot, replay
+
+
+#: a page ref's content hash, for ``map``
+_content_hash = attrgetter("content_hash")
 
 
 @dataclass(frozen=True)
@@ -51,16 +56,17 @@ def write_image(store, *, name: str, meta, value, page_map: dict,
     added: list[PageRef] = []
     try:
         for obj, slots in page_map.items():
-            old = base_map.get(obj, {})
-            changed = [
-                (slot, ref) for slot, ref in slots.items()
+            old = base_map.get(obj)
+            changed = slots if not old else {
+                slot: ref for slot, ref in slots.items()
                 if slot not in old or old[slot].content_hash != ref.content_hash
-            ]
+            }
             if changed:
-                delta[obj] = b"".join([
-                    PAGEMAP_ROW.pack(slot, ref.content_hash) for slot, ref in changed
-                ])
-                added.extend([ref for _slot, ref in changed])
+                refs = list(changed.values())
+                delta[obj] = b"".join(
+                    map(PAGEMAP_ROW.pack, changed, map(_content_hash, refs))
+                )
+                added += refs
     except struct.error as exc:
         raise ObjectStoreError(f"image {name!r}: slot row does not encode: {exc}") from exc
     record = store.write_meta(
@@ -118,10 +124,12 @@ def read_image(store, snapshot: Snapshot) -> tuple[object, dict[int, dict[int, P
     wanted = {content_hash for slots in hashes.values() for content_hash in slots.values()}
     tables = [manifest.pages, *[store.read_manifest(extent).pages
                                 for extent in manifest.lineage]]
-    rows = replay([[(row[0], row) for row in table.rows() if row[0] in wanted]
+    rows = replay([[(row[0], row) for row in table.rows_with_facts() if row[0] in wanted]
                    for table in tables])
-    refs = {content_hash: PageRef(content_hash, Extent(offset, length), page_length)
-            for content_hash, (_hash, offset, length, page_length) in rows.items()}
+    refs = {content_hash: PageRef(content_hash, Extent(offset, length), page_length,
+                                  flags, depth)
+            for content_hash, (_hash, offset, length, page_length, flags, depth)
+            in rows.items()}
     try:
         return read[-1][0], {
             oid: {slot: refs[content_hash] for slot, content_hash in slots.items()}

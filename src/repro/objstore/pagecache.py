@@ -134,6 +134,22 @@ class PageCache:
         self._trace("hit", content_hash)
         return content
 
+    def get_many(self, hashes: list[bytes]) -> list[Optional[bytes]]:
+        """:meth:`get` each of ``hashes`` in turn; one result each."""
+        if not self.enabled:
+            return [None] * len(hashes)
+        entries = self._entries
+        found = list(map(entries.get, hashes))
+        hits = [h for h, content in zip(hashes, found) if content is not None]
+        for content_hash in hits:
+            entries.move_to_end(content_hash)
+        self.hits += len(hits)
+        self.misses += len(hashes) - len(hits)
+        if self.record_trace:
+            for content_hash, content in zip(hashes, found):
+                self._trace("miss" if content is None else "hit", content_hash)
+        return found
+
     def peek(self, content_hash: bytes) -> Optional[bytes]:
         """Unaccounted lookup: no hit/miss counting, no LRU refresh.
 

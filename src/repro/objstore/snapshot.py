@@ -108,6 +108,11 @@ class PageTable(Sequence):
         rows, for a consumer that wants no :class:`PageRef`."""
         return _PAGE_ROW_REF.iter_unpack(self._rows)
 
+    def rows_with_facts(self) -> Iterator[tuple[bytes, int, int, int, int, int]]:
+        """Raw rows with the codec facts: ``(content_hash, offset,
+        extent_length, page_length, flags, depth)``."""
+        return _PAGE_ROW.iter_unpack(self._rows)
+
 
 class Manifest(NamedTuple):
     """A parsed manifest.  ``pages`` are the rows its snapshot *added*;

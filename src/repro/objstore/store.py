@@ -68,6 +68,7 @@ from repro.units import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fault.registry import FailpointRegistry
+    from repro.mem.page import Page
     from repro.obs import KernelObs
     from repro.objstore.log import PersistentLog
 
@@ -365,6 +366,37 @@ class ObjectStore:
         if entry is not None:
             self.stats.pages_deduped += 1
             return entry.ref
+        return self._store_page(payload, epoch, content_hash, delta_base, dirty_extents)
+
+    def write_run(self, pages: Sequence["Page"], epoch: int) -> list[PageRef]:
+        """:meth:`write_page` each frame of a captured run, in order,
+        with its content hash and the COW layer's delta hints; returns
+        their refs.  One dedup probe per page; each miss is stored just
+        as :meth:`write_page` stores it."""
+        refs = []
+        logical = hits = 0
+        probe = self.dedup.get
+        try:
+            for page in pages:
+                payload = page.payload
+                logical += len(payload) or 1
+                content_hash = page.content_hash()
+                entry = probe(content_hash)
+                if entry is not None:
+                    hits += 1
+                    refs.append(entry.ref)
+                else:
+                    refs.append(self._store_page(
+                        payload, epoch, content_hash, page.base_hash, page.dirty_extents
+                    ))
+        finally:  # a failed miss leaves the stats a page loop would
+            self.stats.logical_page_bytes += logical
+            self.stats.pages_deduped += hits
+        return refs
+
+    def _store_page(self, payload: bytes, epoch: int, content_hash: bytes,
+                    delta_base: Optional[bytes], dirty_extents) -> PageRef:
+        """Encode, place and index content the dedup index lacks."""
         base_hash = None
         base_depth = 0
         if (self.codec.enabled and delta_base is not None
@@ -519,9 +551,10 @@ class ObjectStore:
             wanted.setdefault(ref.content_hash, ref)
         resolved: dict[bytes, bytes] = {}
         missing: list[PageRef] = []
-        for content_hash, ref in wanted.items():
-            cached = (self.pagecache.get(content_hash) if _accounted
-                      else self.pagecache.peek(content_hash))
+        cache = self.pagecache
+        found = (cache.get_many(list(wanted)) if _accounted
+                 else map(cache.peek, wanted))
+        for (content_hash, ref), cached in zip(wanted.items(), found):
             if cached is not None:
                 resolved[content_hash] = cached
             else:
@@ -707,29 +740,26 @@ class ObjectStore:
         for extent in [snapshot.manifest_extent, *[r.extent for r in records], *lineage]:
             extent, count = self._meta_refs.get(extent.offset, (extent, 0))
             self._meta_refs[extent.offset] = (extent, count + 1)
-        for ref in pages:
-            self.dedup.hold(ref.content_hash, nbytes=ref.length)
+        self.dedup.hold_many(pages)
         self.directory.add(snapshot)
 
     def _with_delta_bases(self, pages: list[PageRef]) -> list[PageRef]:
-        """The page rows a manifest listing ``pages`` holds: each with
-        its record's codec facts from the dedup index, then the
-        transitive delta bases of every listed delta record that are
-        not already listed."""
+        """The page rows a manifest listing ``pages`` holds: ``pages``
+        themselves — every ref the store hands out (a write's, a
+        parsed manifest row's) already carries its record's codec
+        facts — then the transitive delta bases of every listed delta
+        record that are not already listed.  Only delta records are
+        looked up in the dedup index."""
         dedup = self.dedup
-        out, deltas = [], []
-        for p in pages:
-            entry = dedup.get(p.content_hash)
-            if entry is not None:
-                if (p.flags, p.depth) != (entry.flags, entry.depth):
-                    p = PageRef(p.content_hash, p.extent, p.length,
-                                entry.flags, entry.depth)
-                if entry.depth:
-                    deltas.append(entry)
-            out.append(p)
+        deltas = [dedup.get(p.content_hash) for p in pages if p.depth]
+        if not deltas:
+            return pages
+        out = list(pages)
         seen = {p.content_hash for p in out}
         while deltas:
             listed = deltas.pop()
+            if listed is None:
+                continue  # not stored: taking its reference will fail
             base = listed.base_hash or self._recovered_base(listed)
             if base in seen:
                 continue

@@ -148,23 +148,13 @@ def capture_pages_to_store(
     if base_map:
         for oid, pages in base_map.items():
             page_map[oid] = dict(pages)
-    for frozen in freeze_set.pages:
-        # Delta hints: the COW-resolve path stamped each replacement
-        # frame with its ancestor's content hash and tracked the byte
-        # ranges written since, so a lightly-dirtied page can persist
-        # as a sub-page delta record instead of a full page.
-        ref = store.write_page(
-            frozen.page.snapshot_payload(),
-            epoch=freeze_set.epoch,
-            content_hash=frozen.page.content_hash(),
-            delta_base=frozen.page.base_hash,
-            dirty_extents=frozen.page.dirty_extents,
-        )
-        page_map.setdefault(frozen.obj.oid, {})[frozen.pindex] = ref
+    for run in freeze_set.runs:
+        refs = store.write_run(run.pages, freeze_set.epoch)
+        page_map.setdefault(run.obj.oid, {}).update(zip(run.pindexes, refs))
     if store.obs is not None:
         store.obs.tracer.event(
             obs_names.EV_CAPTURE_STORE,
-            pages=len(freeze_set.pages),
+            pages=len(freeze_set),
             epoch=freeze_set.epoch,
             store=store.device.name,
         )
@@ -221,9 +211,10 @@ def capture_pages_to_memory(
         for oid, pages in base_map.items():
             page_map[oid] = dict(pages)
     captured = set()
-    for frozen in freeze_set.pages:
-        page_map.setdefault(frozen.obj.oid, {})[frozen.pindex] = frozen.page
-        captured.add((frozen.obj.oid, frozen.pindex))
+    for run in freeze_set.runs:
+        oid = run.obj.oid
+        page_map.setdefault(oid, {}).update(zip(run.pindexes, run.pages))
+        captured.update([(oid, pindex) for pindex in run.pindexes])
     return page_map, captured
 
 
@@ -239,47 +230,36 @@ def install_memory_pages(
     of them COW-faults, exactly as the paper describes sharing between
     the image and the running application.
     """
-    installed = 0
-    for pindex, page in pages.items():
-        phys.hold(page)
+    frames = list(pages.values())
+    phys.hold_many(frames)
+    for page in frames:
         page.frozen = True
-        old = obj.pages.get(pindex)
-        if old is not None:
-            phys.release(old)
-        obj.pages[pindex] = page
-        installed += 1
-    return installed
+    obj.insert_run(list(pages), frames)
+    return len(frames)
 
 
-def install_store_pages(
-    obj: VMObject, payloads: dict[int, bytes], phys, mem
-) -> int:
-    """Eagerly materialize page content read from the store."""
-    installed = 0
-    for pindex, payload in payloads.items():
-        page = phys.allocate(payload=payload)
+def install_store_pages(obj: VMObject, payloads: dict[int, bytes], phys) -> int:
+    """Eagerly materialize page content read from the store, as one
+    run of fresh frames."""
+    frames = phys.allocate_many(list(payloads.values()))
+    for page in frames:
         page.frozen = True  # shared with the image; first write COWs
-        obj.insert_page(pindex, page)
-        installed += 1
-    return installed
+    obj.insert_run(list(payloads), frames)
+    return len(frames)
 
 
 def make_store_pager(
-    store: ObjectStore, refs: dict[int, PageRef], mem,
+    store: ObjectStore, refs: dict[int, PageRef], hist,
     *, oid: Optional[int] = None, recorder=None,
 ):
     """Lazy-restore pager: fault page content in from the object store.
 
     Each fault's service latency (pager entry to content in hand) is
-    observed into the per-store fault histogram; with ``recorder`` (a
+    observed into ``hist`` (the store's restore-fault histogram, or
+    None); with ``recorder`` (a
     :class:`~repro.objstore.pagecache.FaultOrderLog`) the fault order
     is also recorded for a later replay-prefetch restore.
     """
-    hist = None
-    if store.obs is not None:
-        hist = store.obs.registry.histogram(
-            obs_names.H_RESTORE_FAULT, store=store.device.name
-        )
 
     def pager(pindex: int) -> Optional[bytes]:
         ref = refs.get(pindex)

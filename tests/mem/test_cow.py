@@ -36,7 +36,7 @@ class TestFreeze:
         aspace.populate(entry.start, 64 * KIB, fill=b"x")
         freeze = cow.freeze(aspace.vm_objects())
         assert len(freeze) == 16
-        assert all(f.page.frozen for f in freeze.pages)
+        assert all(page.frozen for _obj, _pindex, page in freeze.iter_pages())
 
     def test_freeze_holds_references(self, aspace, cow, mem):
         entry = aspace.mmap(4 * PAGE_SIZE)
@@ -95,7 +95,7 @@ class TestSharedPageCow:
     def test_frozen_original_preserved_for_checkpoint(self, mem, cow):
         a, b, entry = self._shared_pair(mem)
         freeze = cow.freeze([entry.obj])
-        frozen_page = freeze.pages[0].page
+        frozen_page = freeze.runs[0].pages[0]
         a.write(entry.start, b"UPDATED!")
         # The checkpoint still owns the pre-write content.
         assert frozen_page.read(0, 8) == b"initial!"
@@ -145,7 +145,7 @@ class TestIncremental:
         aspace.write(entry.start + 5 * PAGE_SIZE, b"dirty5")
         second = cow.freeze(aspace.vm_objects(), incremental_since=first.epoch + 1)
         assert len(second) == 2
-        captured = {f.pindex for f in second.pages}
+        captured = {pindex for _obj, pindex, _page in second.iter_pages()}
         assert captured == {0, 5}
 
     def test_untouched_interval_captures_nothing(self, aspace, cow):
@@ -161,7 +161,7 @@ class TestIncremental:
         first = cow.freeze(aspace.vm_objects())
         aspace.write(entry.start + 8 * PAGE_SIZE, b"brand-new page")
         second = cow.freeze(aspace.vm_objects(), incremental_since=first.epoch + 1)
-        assert {f.pindex for f in second.pages} == {8}
+        assert {pindex for _obj, pindex, _page in second.iter_pages()} == {8}
 
     def test_dirty_page_captured_once_per_interval(self, aspace, cow):
         entry = aspace.mmap(4 * PAGE_SIZE)
@@ -214,7 +214,7 @@ class TestIncremental:
             if key not in expected:
                 expected.append(key)
         second = cow.freeze(objects, incremental_since=first.epoch + 1)
-        assert [(f.obj.oid, f.pindex) for f in second.pages] == expected
+        assert [(obj.oid, pindex) for obj, pindex, _page in second.iter_pages()] == expected
 
     def test_freeze_consumes_dirty_lists(self, mem, cow):
         a = AddressSpace(mem, "a")

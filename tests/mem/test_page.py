@@ -95,7 +95,7 @@ class TestPhysicalMemory:
     def test_release_frees_at_zero(self):
         phys = PhysicalMemory(total_bytes=1 * MIB)
         page = phys.allocate()
-        phys.hold(page)
+        phys.hold_many([page])
         assert not phys.release(page)
         assert phys.allocated_frames == 1
         assert phys.release(page)
@@ -113,7 +113,7 @@ class TestPhysicalMemory:
         page = phys.allocate()
         phys.release(page)
         with pytest.raises(AssertionError):
-            phys.hold(page)
+            phys.hold_many([page])
 
     def test_copy_duplicates_content(self):
         phys = PhysicalMemory(total_bytes=1 * MIB)

@@ -90,8 +90,8 @@ def test_frozen_pages_immutable(ops):
             since = None if last_epoch is None else last_epoch + 1
             freeze = cow.freeze([entry.obj], incremental_since=since)
             last_epoch = freeze.epoch
-            for frozen in freeze.pages:
-                captured.append((frozen.page, frozen.page.snapshot_payload()))
+            for _obj, _pindex, page in freeze.iter_pages():
+                captured.append((page, page.snapshot_payload()))
     for page, content_at_capture in captured:
         assert page.snapshot_payload() == content_at_capture
         assert page.frozen
@@ -106,7 +106,7 @@ def test_incremental_overlay_equals_live_state(ops):
     for i in range(N_PAGES):
         a.write(entry.start + i * PAGE_SIZE, b"seed%d" % i)
     full = cow.freeze([entry.obj])
-    image = {f.pindex: f.page.snapshot_payload() for f in full.pages}
+    image = {pindex: page.snapshot_payload() for _obj, pindex, page in full.iter_pages()}
     last_epoch = full.epoch
     for op in ops:
         if op[0] == "write":
@@ -115,12 +115,12 @@ def test_incremental_overlay_equals_live_state(ops):
         else:
             freeze = cow.freeze([entry.obj], incremental_since=last_epoch + 1)
             last_epoch = freeze.epoch
-            for frozen in freeze.pages:
-                image[frozen.pindex] = frozen.page.snapshot_payload()
+            for _obj, pindex, page in freeze.iter_pages():
+                image[pindex] = page.snapshot_payload()
     # Final incremental closes the last interval.
     freeze = cow.freeze([entry.obj], incremental_since=last_epoch + 1)
-    for frozen in freeze.pages:
-        image[frozen.pindex] = frozen.page.snapshot_payload()
+    for _obj, pindex, page in freeze.iter_pages():
+        image[pindex] = page.snapshot_payload()
     for pindex in range(N_PAGES):
         live = a.read(entry.start + pindex * PAGE_SIZE, PAGE_SIZE)
         reconstructed = image[pindex] + bytes(PAGE_SIZE - len(image[pindex]))

@@ -28,17 +28,23 @@ from repro.units import GIB, KIB, PAGE_SIZE
 def counted(store, counts):
     """Count the store's dedup holds and releases into ``counts``."""
     dedup = store.dedup
-    hold, release = dedup.hold, dedup.release
+    hold, hold_many, release = dedup.hold, dedup.hold_many, dedup.release
 
     def counting_hold(*args, **kwargs):
         counts["hold"] += 1
         return hold(*args, **kwargs)
 
+    def counting_hold_many(refs):
+        refs = list(refs)
+        counts["hold"] += len(refs)
+        return hold_many(refs)
+
     def counting_release(*args, **kwargs):
         counts["release"] += 1
         return release(*args, **kwargs)
 
-    dedup.hold, dedup.release = counting_hold, counting_release
+    dedup.hold, dedup.hold_many = counting_hold, counting_hold_many
+    dedup.release = counting_release
 
 
 def full_checkpoint(pages):
