@@ -139,19 +139,11 @@ class StorageDevice:
         #: per-queue completion times of commands in flight
         #: (queue-depth model bounds each queue independently)
         self._inflight: list[list[int]] = [[] for _ in range(nq)]
-        self._used = 0
         self._failed = False
         #: error injection: fail the next N operations
         self._inject_failures = 0
         #: failpoint plane (repro.fault); None = zero-cost disarmed
         self.faults: Optional["FailpointRegistry"] = None
-
-    # -- capacity --------------------------------------------------------
-
-    @property
-    def used_bytes(self) -> int:
-        """Bytes of device capacity holding written data."""
-        return self._used
 
     @property
     def capacity(self) -> int:
@@ -181,7 +173,7 @@ class StorageDevice:
             )
         return action
 
-    # -- cost model ------------------------------------------------------
+    # -- the command routine ---------------------------------------------
 
     def _check_queue(self, queue: int) -> None:
         if not 0 <= queue < self.num_queues:
@@ -190,80 +182,145 @@ class StorageDevice:
                 f"(device has {self.num_queues})"
             )
 
-    def _ring_doorbell(self, queue: int = 0) -> None:
-        """Charge the host-side submission cost for one doorbell.
+    def _submit(self, queue: int, writes: Optional[Sequence[BatchWrite]],
+                offset: int = 0, nbytes: int = 0,
+                logical_nbytes: Optional[int] = None, *, batch: bool = False,
+                release_ns: Optional[int] = None) -> list[tuple[int, int]]:
+        """The device's one command routine; returns each command's
+        ``(issued, completes)`` virtual times.
 
-        The submitting thread pays it synchronously (the clock moves),
-        which is exactly what batching amortizes: one doorbell may
-        carry many commands.
+        ``writes is None`` submits one read of ``nbytes`` at ``offset``
+        (failpoint ``device.read`` fires before its doorbell);
+        otherwise each of ``writes`` is one write command, all behind
+        one doorbell (``batch`` fires ``device.write_batch`` before it).
+        In order: queue range check, fault check, the doorbell, then
+        per command its queue-depth slot wait, channel occupancy and
+        stats — and for a write, failpoint ``device.write`` before the
+        slot wait and the media update after the occupancy.
+
+        The cost model:
+
+        - **doorbell** — the host-side submission cost, paid by the
+          submitter synchronously (the clock moves), once per doorbell:
+          what batching amortizes;
+        - **slot wait** — with ``spec.queue_depth > 0`` a queue holds
+          that many commands in flight and a full one stalls the
+          submitter until its oldest completes (each queue has its own
+          window; ``queue_depth == 0`` is unbounded and free);
+        - **occupancy** — each queue's channel serializes transfer time
+          plus the per-command overhead, while the fixed access latency
+          overlaps across the commands in flight.  Commands on
+          *different* queues overlap fully: the multi-queue parallelism
+          the sharded flush and the restore fan-out exploit.
+          ``release_ns`` is an ordering barrier: no command starts
+          before that virtual time (the superblock stays after every
+          shard's records without blocking the submitter).
         """
-        self.stats.doorbells += 1
-        self.stats.queues[queue].doorbells += 1
-        if self.spec.submit_cost_ns:
-            self.clock.advance(self.spec.submit_cost_ns)
-
-    def _wait_for_queue_slot(self, queue: int = 0) -> None:
-        """Stall the submitter until ``queue`` has a free slot.
-
-        With ``spec.queue_depth == 0`` the queue is unbounded and this
-        is free.  Otherwise commands inside the limit overlap their
-        media latencies and a full queue throttles the submitter to
-        the device's completion rate.  Each submission queue has its
-        own in-flight window.
-        """
-        qd = self.spec.queue_depth
-        if qd <= 0:
-            return
-        now = self.clock.now
-        inflight = sorted(c for c in self._inflight[queue] if c > now)
-        if len(inflight) >= qd:
-            free_at = inflight[len(inflight) - qd]
-            self.stats.submit_stall_ns += free_at - now
-            self.stats.queues[queue].submit_stall_ns += free_at - now
-            self.clock.advance_to(free_at)
-        self._inflight[queue] = [
-            c for c in self._inflight[queue] if c > self.clock.now
-        ]
-
-    def _transfer_ns(self, nbytes: int, bandwidth: float) -> int:
-        """Channel time one command of ``nbytes`` occupies."""
-        return transfer_ns(nbytes, bandwidth) + self.spec.command_overhead_ns
-
-    def _occupy(self, nbytes: int, latency_ns: int, bandwidth: float,
-                queue: int = 0, release_ns: int | None = None) -> IoTicket:
-        """Reserve channel time for one command and return its ticket.
-
-        Each queue's channel serializes transfer time plus the
-        per-command processing overhead; the fixed access latency
-        overlaps across in-flight commands (bounded per queue by the
-        queue depth, enforced by :meth:`_wait_for_queue_slot` before
-        this runs).  Commands on *different* queues overlap fully —
-        that is the multi-queue parallelism the sharded checkpoint
-        flush exploits.
-
-        ``release_ns`` is an ordering barrier: the command does not
-        start before that virtual time, modelling a flush+write pair
-        queued behind earlier completions (the superblock write uses
-        it to stay after every shard's records without blocking the
-        submitter).
-        """
-        issued = self.clock.now
-        start = max(issued, self._busy_until[queue], release_ns or 0)
-        xfer = self._transfer_ns(nbytes, bandwidth)
-        completes = start + latency_ns + xfer
-        self._busy_until[queue] = start + xfer
-        self.stats.busy_ns += xfer
-        self.stats.queues[queue].busy_ns += xfer
-        if self.spec.queue_depth > 0:
-            self._inflight[queue].append(completes)
-        return IoTicket(issued_at=issued, completes_at=completes)
-
-    def _check_fault(self) -> None:
+        self._check_queue(queue)
         if self._failed:
             raise DeviceIOError(f"{self.name}: device is failed")
         if self._inject_failures > 0:
             self._inject_failures -= 1
             raise DeviceIOError(f"{self.name}: injected I/O failure")
+        spec = self.spec
+        stats = self.stats
+        qstats = stats.queues[queue]
+        if writes is None:
+            if self.faults is not None:
+                action = self._fire(fault_names.FP_DEVICE_READ, nbytes=nbytes)
+                if action is not None and action.kind == "fail":
+                    raise DeviceIOError(
+                        f"{self.name}: {action.reason or 'injected read failure'}"
+                    )
+            if nbytes < 0 or offset < 0:
+                raise DeviceIOError("negative read extent")
+            commands: Sequence[Optional[BatchWrite]] = (None,)
+            latency, bandwidth = spec.read_latency_ns, spec.read_bandwidth
+            size = max(nbytes, logical_nbytes or 0)
+        else:
+            if batch:
+                action = self._fire(
+                    fault_names.FP_DEVICE_BATCH, commands=len(writes), queue=queue
+                )
+                if action is not None and action.kind == "fail":
+                    raise DeviceIOError(
+                        f"{self.name}: {action.reason or 'injected batch-write failure'}"
+                    )
+                if not writes:
+                    return []
+            commands = writes
+            latency, bandwidth = spec.write_latency_ns, spec.write_bandwidth
+        clock = self.clock
+        stats.doorbells += 1
+        qstats.doorbells += 1
+        if spec.submit_cost_ns:
+            clock.advance(spec.submit_cost_ns)
+        qd = spec.queue_depth
+        out = []
+        for write in commands:
+            if write is not None:
+                action = self._fire(fault_names.FP_DEVICE_WRITE, nbytes=len(write.data))
+                if action is not None and action.kind == "fail":
+                    raise DeviceIOError(
+                        f"{self.name}: {action.reason or 'injected write failure'}"
+                    )
+                offset, data = write.offset, write.data
+                if offset < 0:
+                    raise DeviceIOError("negative write offset")
+                end = offset + len(data)
+                if end > spec.capacity:
+                    raise DeviceFullError(
+                        f"{self.name}: write [{offset}, {end}) exceeds capacity {spec.capacity}"
+                    )
+                size = max(len(data), write.logical_nbytes or 0)
+            if qd > 0:
+                now = clock.now
+                inflight = [c for c in self._inflight[queue] if c > now]
+                if len(inflight) >= qd:
+                    inflight.sort()
+                    free_at = inflight[len(inflight) - qd]
+                    stats.submit_stall_ns += free_at - now
+                    qstats.submit_stall_ns += free_at - now
+                    clock.advance_to(free_at)
+                    inflight = [c for c in inflight if c > free_at]
+                self._inflight[queue] = inflight
+            issued = clock.now
+            start = max(issued, self._busy_until[queue], release_ns or 0)
+            xfer = transfer_ns(size, bandwidth) + spec.command_overhead_ns
+            completes = start + latency + xfer
+            self._busy_until[queue] = start + xfer
+            stats.busy_ns += xfer
+            qstats.busy_ns += xfer
+            if qd > 0:
+                self._inflight[queue].append(completes)
+            out.append((issued, completes))
+            if write is None:
+                stats.reads += 1
+                qstats.reads += 1
+                stats.bytes_read += nbytes
+                continue
+            if action is not None and action.kind == "torn":
+                # Only a prefix reaches the media; the caller is not told.
+                data = bytes(data)[: int(len(data) * action.fraction)]
+            if action is None or action.kind != "drop":
+                blocks = range(offset // _BLOCK, (offset + len(data) - 1) // _BLOCK + 1)
+                old = (self._load(offset, len(data))
+                       if any(block in self._blocks for block in blocks) else None)
+                self._store(offset, data)
+                # The transfer is the last stretch before completion, so a
+                # write whose transfer ended is exactly a durable one.
+                self._pending.append(_PendingWrite(
+                    offset=offset, length=len(data), old=old,
+                    durable_at=completes, transfer_at=completes - xfer,
+                ))
+            written = max(len(data), write.logical_nbytes or 0)
+            stats.writes += 1
+            qstats.writes += 1
+            stats.bytes_written += written
+            qstats.bytes_written += written
+            if batch:
+                stats.batched_writes += 1
+        return out
 
     # -- data plane ------------------------------------------------------
 
@@ -277,7 +334,6 @@ class StorageDevice:
             if block is None:
                 block = bytearray(_BLOCK)
                 self._blocks[block_no] = block
-                self._used += _BLOCK
             block[within : within + chunk] = remaining[:chunk]
             remaining = remaining[chunk:]
             pos += chunk
@@ -305,11 +361,11 @@ class StorageDevice:
         the bytes returned: the simulation stores page payloads
         compactly but their on-media size is a full page.
         """
-        ticket, data = self.read_async(
-            offset, nbytes, logical_nbytes=logical_nbytes, queue=queue
+        ((_issued, completes),) = self._submit(
+            queue, None, offset, nbytes, logical_nbytes
         )
-        self.clock.advance_to(ticket.completes_at)
-        return data
+        self.clock.advance_to(completes)
+        return self._load(offset, nbytes)
 
     def read_async(self, offset: int, nbytes: int,
                    logical_nbytes: int | None = None,
@@ -321,37 +377,19 @@ class StorageDevice:
         way: it submits every run, then advances once to the max
         completion — reads on distinct queues overlap their transfers.
         """
-        self._check_queue(queue)
-        self._check_fault()
-        action = self._fire(fault_names.FP_DEVICE_READ, nbytes=nbytes)
-        if action is not None and action.kind == "fail":
-            raise DeviceIOError(
-                f"{self.name}: {action.reason or 'injected read failure'}"
-            )
-        if nbytes < 0 or offset < 0:
-            raise DeviceIOError("negative read extent")
-        self._ring_doorbell(queue)
-        self._wait_for_queue_slot(queue)
-        ticket = self._occupy(
-            max(nbytes, logical_nbytes or 0),
-            self.spec.read_latency_ns,
-            self.spec.read_bandwidth,
-            queue=queue,
+        ((issued, completes),) = self._submit(
+            queue, None, offset, nbytes, logical_nbytes
         )
-        self.stats.reads += 1
-        self.stats.queues[queue].reads += 1
-        self.stats.bytes_read += nbytes
-        return ticket, self._load(offset, nbytes)
+        return IoTicket(issued, completes), self._load(offset, nbytes)
 
     def write(self, offset: int, data: bytes, logical_nbytes: int | None = None,
               queue: int = 0, release_ns: int | None = None) -> IoTicket:
         """Synchronous write; advances the clock to durability."""
-        ticket = self.write_async(
-            offset, data, logical_nbytes=logical_nbytes,
-            queue=queue, release_ns=release_ns,
+        ((issued, completes),) = self._submit(
+            queue, (BatchWrite(offset, data, logical_nbytes),), release_ns=release_ns
         )
-        self.clock.advance_to(ticket.completes_at)
-        return ticket
+        self.clock.advance_to(completes)
+        return IoTicket(issued, completes)
 
     def write_async(self, offset: int, data: bytes,
                     logical_nbytes: int | None = None,
@@ -375,11 +413,10 @@ class StorageDevice:
         ``torn`` lands only a prefix of the payload, and ``drop``
         acknowledges the write without touching the media at all.
         """
-        self._check_queue(queue)
-        self._check_fault()
-        self._ring_doorbell(queue)
-        return self._submit_write(offset, data, logical_nbytes,
-                                  queue=queue, release_ns=release_ns)
+        ((issued, completes),) = self._submit(
+            queue, (BatchWrite(offset, data, logical_nbytes),), release_ns=release_ns
+        )
+        return IoTicket(issued, completes)
 
     def write_batch(self, writes: Sequence[BatchWrite],
                     queue: int = 0) -> list[IoTicket]:
@@ -399,75 +436,8 @@ class StorageDevice:
         before any member command touches the media: a ``crash`` there
         is a power cut on the batch boundary.
         """
-        self._check_queue(queue)
-        self._check_fault()
-        action = self._fire(
-            fault_names.FP_DEVICE_BATCH, commands=len(writes), queue=queue
-        )
-        if action is not None and action.kind == "fail":
-            raise DeviceIOError(
-                f"{self.name}: {action.reason or 'injected batch-write failure'}"
-            )
-        if not writes:
-            return []
-        self._ring_doorbell(queue)
-        tickets = []
-        for write in writes:
-            tickets.append(
-                self._submit_write(
-                    write.offset, write.data, write.logical_nbytes, queue=queue
-                )
-            )
-            self.stats.batched_writes += 1
-        return tickets
-
-    def _submit_write(self, offset: int, data: bytes,
-                      logical_nbytes: int | None = None,
-                      queue: int = 0,
-                      release_ns: int | None = None) -> IoTicket:
-        """One write command: fault check, queue slot, occupy, buffer."""
-        action = self._fire(fault_names.FP_DEVICE_WRITE, nbytes=len(data))
-        if action is not None and action.kind == "fail":
-            raise DeviceIOError(
-                f"{self.name}: {action.reason or 'injected write failure'}"
-            )
-        if offset < 0:
-            raise DeviceIOError("negative write offset")
-        end = offset + len(data)
-        if end > self.spec.capacity:
-            raise DeviceFullError(
-                f"{self.name}: write [{offset}, {end}) exceeds capacity {self.spec.capacity}"
-            )
-        self._wait_for_queue_slot(queue)
-        nbytes = max(len(data), logical_nbytes or 0)
-        ticket = self._occupy(
-            nbytes,
-            self.spec.write_latency_ns,
-            self.spec.write_bandwidth,
-            queue=queue,
-            release_ns=release_ns,
-        )
-        if action is not None and action.kind == "torn":
-            # Only a prefix reaches the media; the caller is not told.
-            data = bytes(data)[: int(len(data) * action.fraction)]
-        if action is None or action.kind != "drop":
-            blocks = range(offset // _BLOCK, (offset + len(data) - 1) // _BLOCK + 1)
-            old = (self._load(offset, len(data))
-                   if any(block in self._blocks for block in blocks) else None)
-            self._store(offset, data)
-            # The transfer is the last stretch before completion, so a
-            # write whose transfer ended is exactly a durable one.
-            self._pending.append(_PendingWrite(
-                offset=offset, length=len(data), old=old,
-                durable_at=ticket.completes_at,
-                transfer_at=ticket.completes_at
-                - self._transfer_ns(nbytes, self.spec.write_bandwidth),
-            ))
-        self.stats.writes += 1
-        self.stats.queues[queue].writes += 1
-        self.stats.bytes_written += max(len(data), logical_nbytes or 0)
-        self.stats.queues[queue].bytes_written += max(len(data), logical_nbytes or 0)
-        return ticket
+        return [IoTicket(issued, completes)
+                for issued, completes in self._submit(queue, writes, batch=True)]
 
     def flush_barrier(self) -> int:
         """Advance the clock until every queued write is durable.
@@ -541,7 +511,6 @@ class StorageDevice:
         self._busy_until = [now] * self.num_queues
         if not self.spec.persistent:
             self._blocks.clear()
-            self._used = 0
             self._pending.clear()
             return lost
         for pending in reversed(self._pending):
@@ -575,4 +544,4 @@ class StorageDevice:
         return min(1000, self.stats.queues[queue].busy_ns * 1000 // window_ns)
 
     def __repr__(self) -> str:
-        return f"<StorageDevice {self.name!r} used={self._used}B>"
+        return f"<StorageDevice {self.name!r}>"

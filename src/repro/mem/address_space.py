@@ -418,7 +418,15 @@ class AddressSpace:
             pos += chunk
 
     def read(self, addr: int, nbytes: int) -> bytes:
-        """Load ``nbytes`` from ``addr``, faulting pages in as needed."""
+        """Load ``nbytes`` from ``addr``, faulting pages in as needed.
+
+        A read inside one page is that frame's :meth:`Page.read`, with
+        no copy: one covering the payload exactly returns the frame's
+        own (immutable) bytes.  A zero-length read faults nothing.
+        """
+        within = addr & PAGE_MASK
+        if 0 < nbytes <= PAGE_SIZE - within:
+            return self.fault(addr, for_write=False).read(within, nbytes)
         out = bytearray()
         pos = addr
         while len(out) < nbytes:

@@ -68,10 +68,12 @@ class Page:
             nbytes = PAGE_SIZE - offset
         if offset < 0 or nbytes < 0 or offset + nbytes > PAGE_SIZE:
             raise ValueError("read beyond page bounds")
-        padded_end = offset + nbytes
-        if offset >= len(self.payload):
+        payload = self.payload
+        if offset == 0 and nbytes == len(payload):
+            return payload  # immutable: the frame's own bytes, no copy
+        if offset >= len(payload):
             return bytes(nbytes)
-        chunk = self.payload[offset:padded_end]
+        chunk = payload[offset:offset + nbytes]
         return chunk + bytes(nbytes - len(chunk))
 
     def write(self, offset: int, data: bytes) -> None:

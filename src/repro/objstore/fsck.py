@@ -532,7 +532,7 @@ class Fsck:
             intervals.extend((e.offset, e.end) for e in store.garbage)
             intervals.extend(
                 (extent.offset, extent.end)
-                for extent, _record, _logical in store.batch._items.values()
+                for extent, _record, _logical in store.batch.staged.values()
             )
             intervals.extend(
                 (entry.extent.offset, entry.extent.end)

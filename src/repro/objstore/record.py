@@ -15,7 +15,7 @@ dicts, lists, ints, bytes, str, bool, None, floats — with no pickling
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ChecksumError, ObjectStoreError
 # fletcher64 is unused here; the e2e tracer's harness test reads ``record.fletcher64``
@@ -45,14 +45,16 @@ ENC_ZLIB = 1        # payload is a zlib stream of the page content
 ENC_DELTA = 2       # payload is a dirty-extent delta against a base page
 
 
-@dataclass(frozen=True)
-class RecordHeader:
+class RecordHeader(NamedTuple):
+    """A record's header fields, in their on-media order."""
+
+    magic: int
     kind: int
+    flags: int
     oid: int
     epoch: int
     length: int
     checksum: int
-    flags: int = 0
 
 
 def pack_record(kind: int, oid: int, epoch: int, payload: bytes, flags: int = 0) -> bytes:
@@ -63,22 +65,29 @@ def pack_record(kind: int, oid: int, epoch: int, payload: bytes, flags: int = 0)
 def unpack_header(raw: bytes) -> RecordHeader:
     if len(raw) < HEADER_SIZE:
         raise ObjectStoreError("short record header")
-    magic, kind, flags, oid, epoch, length, checksum = _HEADER.unpack_from(raw)
-    if magic != RECORD_MAGIC:
-        raise ChecksumError(f"bad record magic {magic:#x}")
-    return RecordHeader(
-        kind=kind, oid=oid, epoch=epoch, length=length, checksum=checksum, flags=flags
-    )
+    header = _make_header(_HEADER.unpack_from(raw))
+    if header.magic != RECORD_MAGIC:
+        raise ChecksumError(f"bad record magic {header.magic:#x}")
+    return header
 
 
 def unpack_record(raw: bytes) -> tuple[RecordHeader, bytes]:
-    header = unpack_header(raw)
+    """A record's header and payload, the checksum verified: the one
+    framing function every reader of records calls."""
+    if len(raw) < HEADER_SIZE:
+        raise ObjectStoreError("short record header")
+    header = _make_header(_HEADER.unpack_from(raw))
+    if header.magic != RECORD_MAGIC:
+        raise ChecksumError(f"bad record magic {header.magic:#x}")
     payload = raw[HEADER_SIZE : HEADER_SIZE + header.length]
     if len(payload) != header.length:
         raise ChecksumError("truncated record payload")
     if crc32_adler32(raw[:COVERED_SIZE], payload) != header.checksum:
         raise ChecksumError(f"checksum mismatch for oid {header.oid}")
     return header, payload
+
+
+_make_header = RecordHeader._make
 
 
 # --- metadata codec -----------------------------------------------------------

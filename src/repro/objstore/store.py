@@ -306,7 +306,7 @@ class ObjectStore:
     def _read_record(self, extent: Extent, expect_kind: int,
                      logical: Optional[int] = None
                      ) -> tuple[RecordHeader, bytes]:
-        if self.batch.holds(extent):
+        if extent.offset in self.batch.staged:
             self.batch.flush()  # read-your-writes
         raw = self.volume.read_data(extent.offset, extent.length, logical=logical)
         header, payload = unpack_record(raw)
@@ -445,6 +445,9 @@ class ObjectStore:
         header, stored = self._read_record(
             ref.extent, KIND_PAGE, logical=HEADER_SIZE + PAGE_SIZE
         )
+        if header.flags == ENC_RAW:
+            self.pagecache.put(ref.content_hash, stored)
+            return stored
         return self._page_content(
             ref.content_hash, {ref.content_hash: (header.flags, stored)}, {}
         )
@@ -561,7 +564,8 @@ class ObjectStore:
                 missing.append(ref)
         if not missing:
             return resolved
-        if self.batch and any(self.batch.holds(r.extent) for r in missing):
+        staged = self.batch.staged
+        if staged and any(r.extent.offset in staged for r in missing):
             self.batch.flush()  # read-your-writes
         ordered = sorted(missing, key=lambda r: r.extent.offset)
         runs: list[list[PageRef]] = [[ordered[0]]]
@@ -999,8 +1003,9 @@ class WriteBatch:
 
     def __init__(self, store: ObjectStore):
         self.store = store
-        #: staged (extent, packed record, media size) by extent offset
-        self._items: dict[int, tuple[Extent, bytes, int]] = {}
+        #: staged (extent, packed record, media size) by extent offset:
+        #: an extent whose offset is here is not on media yet
+        self.staged: dict[int, tuple[Extent, bytes, int]] = {}
         self._rr_shard = 0
         self.last_tickets: list[IoTicket] = []
 
@@ -1017,18 +1022,14 @@ class WriteBatch:
         return shard
 
     def stage(self, extent: Extent, record: bytes, size: int) -> None:
-        self._items[extent.offset] = (extent, record, size)
-
-    def holds(self, extent: Extent) -> bool:
-        """Whether ``extent``'s record is still staged (not on media)."""
-        return extent.offset in self._items
+        self.staged[extent.offset] = (extent, record, size)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.staged)
 
     @property
     def pending_bytes(self) -> int:
-        return sum(logical for _, _, logical in self._items.values())
+        return sum(logical for _, _, logical in self.staged.values())
 
     # -- flushing ---------------------------------------------------------------
 
@@ -1052,16 +1053,16 @@ class WriteBatch:
         the torn checkpoint was never named).
         """
         store = self.store
-        if not self._items:
+        if not self.staged:
             return []
         if store.faults is not None:
             store._failpoint(
                 fault_names.FP_STORE_BATCH_FLUSH,
                 "power cut at batch flush", "injected batch-flush failure",
-                store=store.device.name, records=len(self._items),
+                store=store.device.name, records=len(self.staged),
             )
-        items = [self._items[offset] for offset in sorted(self._items)]
-        self._items = {}
+        items = [self.staged[offset] for offset in sorted(self.staged)]
+        self.staged = {}
         self._rr_shard = 0
         num_queues = store.device.num_queues
         by_shard: dict[int, list[tuple[Extent, bytes, int]]] = {}
