@@ -8,7 +8,9 @@ rebuild an application from a checkpoint image:
 1. **Object store read** (disk restores): the manifest and the metadata
    record are read and verified — the image already holds the decoded
    value, so the record is not decoded again — and, for eager restores,
-   the page data are read in with large coalesced reads.
+   the page data are read in with large coalesced reads, in waves: the
+   image's page records, then the delta bases they need that the page
+   cache lacks, one wave per chain hop.
 2. **Metadata state**: every kernel object is recreated and re-linked.
 3. **Memory state**: address spaces are rebuilt and page content is
    attached: shared COW with an in-memory image (no copies), installed

@@ -36,7 +36,13 @@ from repro.obs.registry import attr_reader
 from repro.hw.specs import DEFAULT_CPU
 from repro.objstore.alloc import Extent, ExtentAllocator
 from repro.objstore.block import SUPERBLOCK_SLOT_SIZE, Volume
-from repro.objstore.codec import BrokenDeltaBase, DeltaChainTooDeep, PageCodec, delta_info
+from repro.objstore.codec import (
+    MAX_DELTA_CHAIN,
+    BrokenDeltaBase,
+    DeltaChainTooDeep,
+    PageCodec,
+    delta_info,
+)
 from repro.objstore.dedup import DedupEntry, DedupIndex
 from repro.objstore.pagecache import DEFAULT_PAGE_CACHE_BYTES, PREFETCH_BATCH_PAGES, PageCache
 from repro.objstore.record import (
@@ -543,9 +549,15 @@ class ObjectStore:
         transfers overlap the same way the sharded flush's do.
 
         Refs whose content is already cached are served without any
-        device op; only the misses build runs.  ``_accounted=False``
-        (the prefetch path) keeps the lookups out of the demand
-        hit/miss accounting.  Returns hash -> payload.
+        device op; only the misses build runs.  The delta bases those
+        records need that this read has neither fetched nor decoded and
+        the page cache lacks are read the same way, in *waves*:
+        a wave's records name the bases of the next, so at most
+        :data:`~repro.objstore.codec.MAX_DELTA_CHAIN` waves follow the
+        first and decoding makes no point read.  ``_accounted=False``
+        (the prefetch path) keeps the lookups of ``refs`` out of the
+        demand hit/miss accounting; a base's lookup counts, as a
+        point read's does.  Returns hash -> payload.
         """
         if not refs:
             return {}
@@ -564,10 +576,33 @@ class ObjectStore:
                 missing.append(ref)
         if not missing:
             return resolved
+        stash: dict[bytes, tuple[int, bytes]] = {}
+        wave = missing
+        for depth in range(MAX_DELTA_CHAIN + 1):
+            self._read_wave(wave, stash)
+            if depth == MAX_DELTA_CHAIN:
+                break  # a delta this deep fails its decode anyway
+            wave = self._uncached_bases(wave, stash, resolved)
+            if not wave:
+                break
+        # Decode pass: the waves fetched every chain the requested
+        # records name (commit expansion keeps their bases in the store
+        # even when the image maps none of them), so no point read.
+        for ref in missing:
+            self._page_content(ref.content_hash, stash, resolved)
+        return resolved
+
+    def _read_wave(self, refs: list[PageRef],
+                   stash: dict[bytes, tuple[int, bytes]]) -> None:
+        """Read the records of ``refs`` into ``stash`` as
+        ``(flags, payload)``: extents sorted and merged into runs across
+        gaps up to :data:`READ_COALESCE_GAP`, the runs fanned
+        round-robin over the submission queues, the clock advanced
+        once, to the slowest completion."""
         staged = self.batch.staged
-        if staged and any(r.extent.offset in staged for r in missing):
+        if staged and any(r.extent.offset in staged for r in refs):
             self.batch.flush()  # read-your-writes
-        ordered = sorted(missing, key=lambda r: r.extent.offset)
+        ordered = sorted(refs, key=lambda r: r.extent.offset)
         runs: list[list[PageRef]] = [[ordered[0]]]
         run_end = ordered[0].extent.end
         for ref in ordered[1:]:
@@ -577,7 +612,6 @@ class ObjectStore:
             else:
                 runs.append([ref])
                 run_end = ref.extent.end
-        stash: dict[bytes, tuple[int, bytes]] = {}
         deadline = self.device.clock.now
         nq = self.device.num_queues
         for i, run_refs in enumerate(runs):
@@ -593,14 +627,42 @@ class ObjectStore:
                 header, payload = unpack_record(raw[rel : rel + ref.extent.length])
                 stash[ref.content_hash] = (header.flags, payload)
         self.device.clock.advance_to(deadline)
-        # Decode pass: delta bases prefer the bytes already fetched in
-        # this bulk read (commit expansion lists every base in the
-        # manifest, so a restore's refs normally cover the whole chain)
-        # and only fall back to the cache or a point read for bases
-        # shared with an earlier snapshot.
-        for ref in missing:
-            self._page_content(ref.content_hash, stash, resolved)
-        return resolved
+
+    def _uncached_bases(self, refs: list[PageRef],
+                        stash: dict[bytes, tuple[int, bytes]],
+                        resolved: dict[bytes, bytes]) -> list[PageRef]:
+        """The next wave: refs of the bases the delta records of
+        ``refs`` (already in ``stash``) patch, less those ``stash`` or
+        ``resolved`` holds.  Each is looked up in the page cache as
+        :meth:`_page_content` would before a point read — a hit lands
+        in ``resolved`` — and a base the dedup index or the record
+        itself cannot name is left for the decode to report.  The
+        index names the base of a delta this store wrote; one a
+        rebuild indexed is parsed from the record."""
+        dedup = self.dedup
+        bases: dict[bytes, PageRef] = {}
+        for ref in refs:
+            flags, stored = stash[ref.content_hash]
+            if flags != ENC_DELTA:
+                continue
+            listed = dedup.get(ref.content_hash)
+            base = listed.base_hash if listed is not None else None
+            if base is None:
+                try:
+                    base = delta_info(stored)[0]
+                except ChecksumError:
+                    continue
+            if base in stash or base in resolved or base in bases:
+                continue
+            entry = dedup.get(base)
+            if entry is None:
+                continue
+            content = self.pagecache.get(base)
+            if content is not None:
+                resolved[base] = content
+            else:
+                bases[base] = entry.ref
+        return list(bases.values())
 
     def prefetch_pages(self, refs: list[PageRef],
                        batch_pages: int = PREFETCH_BATCH_PAGES) -> int:

@@ -5,7 +5,9 @@ import pytest
 from repro.core.backends import MemoryBackend, make_disk_backend
 from repro.core.orchestrator import SLS
 from repro.errors import RestoreError
+from repro.hw.device import StorageDevice
 from repro.hw.nvme import NvmeDevice
+from repro.objstore.codec import MAX_DELTA_CHAIN
 from repro.posix.kernel import Kernel
 from repro.posix.process import ProcessState
 from repro.posix.syscalls import Syscalls
@@ -147,6 +149,82 @@ class TestDiskRestore:
         rsys = Syscalls(kernel, procs[0])
         assert rsys.peek(entry.start, 8) == b"precious"
         assert procs[0].pid == proc.pid  # original PID reclaimed
+
+
+class TestEagerRestoreReadsInWaves:
+    """An eager restore of an incremental image reads the delta bases
+    its pages need as coalesced waves behind the requested records:
+    the decode makes no point read."""
+
+    PAGES = 64
+
+    @pytest.fixture
+    def chains(self, kernel, sls):
+        """Even pages patched in three incrementals (delta chains of
+        depth 3) on a qd8 x 4 device, which arms the codec; returns the
+        images, the expected final contents and the store."""
+        proc = kernel.spawn("app")
+        sys = Syscalls(kernel, proc)
+        entry = sys.mmap(self.PAGES * PAGE_SIZE, name="heap")
+        model = [(b"page-%03d " % i) * 400 for i in range(self.PAGES)]
+        sys.populate(entry.start, self.PAGES * PAGE_SIZE, fill_fn=model.__getitem__)
+        group = sls.persist(proc, name="app")
+        backend = make_disk_backend(
+            kernel, NvmeDevice(kernel.clock, queue_depth=8, num_queues=4)
+        )
+        group.attach(backend)
+        images = [sls.checkpoint(group)]
+        sls.barrier(group)
+        for rnd in range(3):
+            data, offset = b"r%d" % rnd, 64 * (rnd + 1)
+            for page in range(0, self.PAGES, 2):
+                sys.poke(entry.start + page * PAGE_SIZE + offset, data)
+                model[page] = (model[page][:offset] + data
+                               + model[page][offset + len(data):])
+            images.append(sls.checkpoint(group))
+            sls.barrier(group)
+        assert backend.store.stats.pages_delta == 3 * self.PAGES // 2
+        return entry, images, model, backend.store
+
+    def test_bases_come_in_waves_not_point_reads(self, chains, sls, kernel,
+                                                 monkeypatch):
+        entry, images, model, store = chains
+        # Warm the cache with the first incremental's pages and their
+        # bases, so some bases the eager restore needs are cache hits.
+        lazy, _ = sls.restore(images[1], backend_name="disk0", lazy=True,
+                              prefetch="off", new_instance=True, name_suffix="-l")
+        for page in range(10):
+            Syscalls(kernel, lazy[0]).peek(entry.start + page * PAGE_SIZE, PAGE_SIZE)
+        page_offsets = {e.extent.offset for e in store.dedup.entries().values()}
+        point_reads, async_reads, waves = [], [], []
+
+        def spy(log, real, key=lambda *a: a[0]):
+            def call(*args, **kwargs):
+                log.append(key(*args))
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(StorageDevice, "read", spy(
+            point_reads, StorageDevice.read, key=lambda dev, offset, *a: offset))
+        monkeypatch.setattr(StorageDevice, "read_async", spy(
+            async_reads, StorageDevice.read_async))
+        monkeypatch.setattr(store, "_read_wave", spy(waves, store._read_wave))
+        hits, misses = store.pagecache.hits, store.pagecache.misses
+
+        procs, _ = sls.restore(images[-1], backend_name="disk0",
+                               new_instance=True, name_suffix="-e")
+
+        assert not [o for o in point_reads if o in page_offsets]
+        # the requested records, then one wave per hop of the chains
+        assert len(waves) == 4
+        assert len(waves) <= MAX_DELTA_CHAIN + 1
+        assert len(async_reads) >= len(waves)
+        # the same lookups a point read per base made
+        assert (store.pagecache.hits - hits, store.pagecache.misses - misses) == (10, 145)
+        peek = Syscalls(kernel, procs[0]).peek
+        got = [peek(entry.start + page * PAGE_SIZE, PAGE_SIZE)
+               for page in range(self.PAGES)]
+        assert got == [m + bytes(PAGE_SIZE - len(m)) for m in model]
 
 
 class TestLazyRestore:
