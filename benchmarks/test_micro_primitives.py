@@ -17,7 +17,7 @@ from repro.mem.cow import AuroraCow
 from repro.mem.phys import PhysicalMemory
 from repro.obs import KernelObs
 from repro.objstore.checksum import crc32_adler32, fletcher64
-from repro.objstore.record import COVERED_SIZE, decode, encode
+from repro.objstore.record import COVERED_SIZE, ENC_ZLIB, decode, encode
 from repro.objstore.store import ObjectStore
 from repro.hw.nvme import NvmeDevice
 from repro.posix.kernel import Kernel
@@ -182,6 +182,32 @@ def test_micro_pagecache_get(benchmark):
 
     assert benchmark(store.read_page, ref) == b"cached page"
     assert store.pagecache.misses == 1
+
+
+def test_micro_device_read(benchmark):
+    """One synchronous 4 KiB read on a qd8 × 4-queue device: the
+    command routine (checks, doorbell, queue slot, channel occupancy,
+    stats) and the block load."""
+    device = NvmeDevice(SimClock(), queue_depth=8, num_queues=4)
+    device.write(0, bytes(range(256)) * (4 * KIB // 256))
+
+    assert len(benchmark(device.read, 0, 4 * KIB)) == 4 * KIB
+
+
+def test_micro_read_page_miss(benchmark):
+    """One demand read of a ZLIB page record that misses the page cache
+    (disabled, so every call misses) on a qd8 store bound to a kernel's
+    observability plane: the point read, the record's framing and
+    checksum, the inflate."""
+    clock = SimClock()
+    store = ObjectStore(NvmeDevice(clock, queue_depth=8), cache_bytes=0)
+    store.attach_obs(KernelObs(clock))
+    content = b"compressible page " * 200
+    ref = store.write_page(content)
+    store.flush_barrier()
+    assert ref.flags == ENC_ZLIB
+
+    assert benchmark(store.read_page, ref) == content
 
 
 def test_micro_recover(benchmark):

@@ -65,7 +65,7 @@ def pack_record(kind: int, oid: int, epoch: int, payload: bytes, flags: int = 0)
 def unpack_header(raw: bytes) -> RecordHeader:
     if len(raw) < HEADER_SIZE:
         raise ObjectStoreError("short record header")
-    header = _make_header(_HEADER.unpack_from(raw))
+    header = RecordHeader._make(_HEADER.unpack_from(raw))
     if header.magic != RECORD_MAGIC:
         raise ChecksumError(f"bad record magic {header.magic:#x}")
     return header
@@ -74,20 +74,13 @@ def unpack_header(raw: bytes) -> RecordHeader:
 def unpack_record(raw: bytes) -> tuple[RecordHeader, bytes]:
     """A record's header and payload, the checksum verified: the one
     framing function every reader of records calls."""
-    if len(raw) < HEADER_SIZE:
-        raise ObjectStoreError("short record header")
-    header = _make_header(_HEADER.unpack_from(raw))
-    if header.magic != RECORD_MAGIC:
-        raise ChecksumError(f"bad record magic {header.magic:#x}")
+    header = unpack_header(raw)
     payload = raw[HEADER_SIZE : HEADER_SIZE + header.length]
     if len(payload) != header.length:
         raise ChecksumError("truncated record payload")
     if crc32_adler32(raw[:COVERED_SIZE], payload) != header.checksum:
         raise ChecksumError(f"checksum mismatch for oid {header.oid}")
     return header, payload
-
-
-_make_header = RecordHeader._make
 
 
 # --- metadata codec -----------------------------------------------------------

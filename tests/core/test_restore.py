@@ -198,28 +198,27 @@ class TestEagerRestoreReadsInWaves:
         page_offsets = {e.extent.offset for e in store.dedup.entries().values()}
         point_reads, async_reads, waves = [], [], []
 
-        def spy(log, real, key=lambda *a: a[0]):
+        def spy(calls, real):
             def call(*args, **kwargs):
-                log.append(key(*args))
+                calls.append(args)
                 return real(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(StorageDevice, "read", spy(
-            point_reads, StorageDevice.read, key=lambda dev, offset, *a: offset))
-        monkeypatch.setattr(StorageDevice, "read_async", spy(
-            async_reads, StorageDevice.read_async))
+        monkeypatch.setattr(StorageDevice, "read", spy(point_reads, StorageDevice.read))
+        monkeypatch.setattr(StorageDevice, "read_async",
+                            spy(async_reads, StorageDevice.read_async))
         monkeypatch.setattr(store, "_read_wave", spy(waves, store._read_wave))
         hits, misses = store.pagecache.hits, store.pagecache.misses
 
         procs, _ = sls.restore(images[-1], backend_name="disk0",
                                new_instance=True, name_suffix="-e")
 
-        assert not [o for o in point_reads if o in page_offsets]
+        assert not [args for args in point_reads if args[1] in page_offsets]
         # the requested records, then one wave per hop of the chains
         assert len(waves) == 4
         assert len(waves) <= MAX_DELTA_CHAIN + 1
         assert len(async_reads) >= len(waves)
-        # the same lookups a point read per base made
+        # the counts of the point read per base that waves replaced
         assert (store.pagecache.hits - hits, store.pagecache.misses - misses) == (10, 145)
         peek = Syscalls(kernel, procs[0]).peek
         got = [peek(entry.start + page * PAGE_SIZE, PAGE_SIZE)

@@ -88,6 +88,41 @@ class TestMapping:
         assert aspace.read(entry.start, 1) == b"x"
 
 
+class TestZeroCopyRead:
+    """A load inside one page (``peek``) is that frame's ``Page.read``:
+    no copy, and the frame's own bytes when it covers the payload."""
+
+    PATTERN = bytes(range(256)) * (PAGE_SIZE // 256)
+
+    def test_whole_page_read_is_the_frame_payload(self, aspace):
+        entry = aspace.mmap(2 * PAGE_SIZE)
+        aspace.write(entry.start, self.PATTERN)
+        frame = aspace.pagetable.lookup(entry.start_vpn).page
+        assert aspace.read(entry.start, PAGE_SIZE) is frame.payload
+
+    def test_later_write_leaves_an_earlier_read_unchanged(self, aspace):
+        entry = aspace.mmap(PAGE_SIZE)
+        aspace.write(entry.start, self.PATTERN)
+        earlier = aspace.read(entry.start, PAGE_SIZE)
+        aspace.write(entry.start + 10, b"overwritten")
+        assert earlier == self.PATTERN
+        assert aspace.read(entry.start + 10, 11) == b"overwritten"
+
+    def test_zero_length_read_faults_nothing(self, aspace, mem):
+        entry = aspace.mmap(PAGE_SIZE)
+        before = vars(mem.stats).copy()
+        assert aspace.read(entry.start, 0) == b""
+        assert vars(mem.stats) == before
+
+    def test_cross_page_and_short_payload_reads_are_zero_padded(self, aspace):
+        entry = aspace.mmap(2 * PAGE_SIZE)
+        aspace.write(entry.start + PAGE_SIZE - 2, b"abcd")
+        assert aspace.read(entry.start + PAGE_SIZE - 4, 8) == b"\0\0abcd\0\0"
+        second = entry.start + PAGE_SIZE
+        assert aspace.read(second, PAGE_SIZE) == b"cd" + bytes(PAGE_SIZE - 2)
+        assert aspace.read(second + 1, 3) == b"d\0\0"
+
+
 class TestFaults:
     def test_unmapped_access_faults(self, aspace):
         with pytest.raises(SegmentationFault):
