@@ -577,14 +577,13 @@ class ObjectStore:
         if not missing:
             return resolved
         stash: dict[bytes, tuple[int, bytes]] = {}
+        self._read_wave(missing, stash)
         wave = missing
-        for depth in range(MAX_DELTA_CHAIN + 1):
-            self._read_wave(wave, stash)
-            if depth == MAX_DELTA_CHAIN:
-                break  # a delta this deep fails its decode anyway
+        for _ in range(MAX_DELTA_CHAIN):
             wave = self._uncached_bases(wave, stash, resolved)
             if not wave:
                 break
+            self._read_wave(wave, stash)
         # Decode pass: the waves fetched every chain the requested
         # records name (commit expansion keeps their bases in the store
         # even when the image maps none of them), so no point read.
