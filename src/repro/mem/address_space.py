@@ -420,22 +420,19 @@ class AddressSpace:
     def read(self, addr: int, nbytes: int) -> bytes:
         """Load ``nbytes`` from ``addr``, faulting pages in as needed.
 
-        A read inside one page is that frame's :meth:`Page.read`, with
-        no copy: one covering the payload exactly returns the frame's
-        own (immutable) bytes.  A zero-length read faults nothing.
+        The pages' parts are joined once; a read inside one page is
+        its :meth:`Page.read` itself, uncopied (the frame's own
+        immutable bytes when it covers the payload).  A zero-length
+        read faults nothing.
         """
-        within = addr & PAGE_MASK
-        if 0 < nbytes <= PAGE_SIZE - within:
-            return self.fault(addr, for_write=False).read(within, nbytes)
-        out = bytearray()
-        pos = addr
-        while len(out) < nbytes:
+        parts = []
+        pos, end = addr, addr + nbytes
+        while pos < end:
             within = pos & PAGE_MASK
-            chunk = min(PAGE_SIZE - within, nbytes - len(out))
-            page = self.fault(pos, for_write=False)
-            out += page.read(within, chunk)
+            chunk = min(PAGE_SIZE - within, end - pos)
+            parts.append(self.fault(pos, for_write=False).read(within, chunk))
             pos += chunk
-        return bytes(out)
+        return b"".join(parts)
 
     def populate(self, addr: int, nbytes: int, fill: bytes = b"",
                  fill_fn=None) -> int:

@@ -68,12 +68,10 @@ class Page:
             nbytes = PAGE_SIZE - offset
         if offset < 0 or nbytes < 0 or offset + nbytes > PAGE_SIZE:
             raise ValueError("read beyond page bounds")
-        payload = self.payload
-        if offset == 0 and nbytes == len(payload):
-            return payload  # immutable: the frame's own bytes, no copy
-        if offset >= len(payload):
+        padded_end = offset + nbytes
+        if offset >= len(self.payload):
             return bytes(nbytes)
-        chunk = payload[offset:offset + nbytes]
+        chunk = self.payload[offset:padded_end]
         return chunk + bytes(nbytes - len(chunk))
 
     def write(self, offset: int, data: bytes) -> None:
