@@ -86,6 +86,17 @@ READ_COALESCE_GAP = 64 * 1024
 #: never monopolizes the device channel (matches common MDTS limits)
 MAX_BATCH_EXTENT = 256 * 1024
 
+def _unpack_kind(raw: bytes, offset: int, expect_kind: int
+                 ) -> tuple[RecordHeader, bytes]:
+    """Unframe the record read at ``offset``, checking its kind."""
+    header, payload = unpack_record(raw)
+    if header.kind != expect_kind:
+        raise ObjectStoreError(
+            f"record kind {header.kind} at {offset}, expected {expect_kind}"
+        )
+    return header, payload
+
+
 @dataclass
 class StoreStats:
     meta_records_written: int = 0
@@ -315,12 +326,7 @@ class ObjectStore:
         if extent.offset in self.batch.staged:
             self.batch.flush()  # read-your-writes
         raw = self.volume.read_data(extent.offset, extent.length, logical=logical)
-        header, payload = unpack_record(raw)
-        if header.kind != expect_kind:
-            raise ObjectStoreError(
-                f"record kind {header.kind} at {extent.offset}, expected {expect_kind}"
-            )
-        return header, payload
+        return _unpack_kind(raw, extent.offset, expect_kind)
 
     # -- metadata records -----------------------------------------------------------
 
@@ -451,9 +457,6 @@ class ObjectStore:
         header, stored = self._read_record(
             ref.extent, KIND_PAGE, logical=HEADER_SIZE + PAGE_SIZE
         )
-        if header.flags == ENC_RAW:
-            self.pagecache.put(ref.content_hash, stored)
-            return stored
         return self._page_content(
             ref.content_hash, {ref.content_hash: (header.flags, stored)}, {}
         )
@@ -577,27 +580,33 @@ class ObjectStore:
         if not missing:
             return resolved
         stash: dict[bytes, tuple[int, bytes]] = {}
-        self._read_wave(missing, stash)
+        self._read_wave(missing, stash, bases=False)
         wave = missing
         for _ in range(MAX_DELTA_CHAIN):
             wave = self._uncached_bases(wave, stash, resolved)
             if not wave:
                 break
-            self._read_wave(wave, stash)
+            self._read_wave(wave, stash, bases=True)
         # Decode pass: the waves fetched every chain the requested
         # records name (commit expansion keeps their bases in the store
-        # even when the image maps none of them), so no point read.
+        # even when the image maps none of them), so no point read but
+        # of a damaged base, which then fails on its delta.
         for ref in missing:
             self._page_content(ref.content_hash, stash, resolved)
         return resolved
 
     def _read_wave(self, refs: list[PageRef],
-                   stash: dict[bytes, tuple[int, bytes]]) -> None:
-        """Read the records of ``refs`` into ``stash`` as
+                   stash: dict[bytes, tuple[int, bytes]], *,
+                   bases: bool) -> None:
+        """Read the page records of ``refs`` into ``stash`` as
         ``(flags, payload)``: extents sorted and merged into runs across
         gaps up to :data:`READ_COALESCE_GAP`, the runs fanned
         round-robin over the submission queues, the clock advanced
-        once, to the slowest completion."""
+        once, to the slowest completion.  A damaged record raises as
+        :meth:`_read_record` would — unless it is a wave of delta
+        ``bases``: it is then left out, and the decode's point read of
+        it fails on the delta as
+        :class:`~repro.objstore.codec.BrokenDeltaBase`."""
         staged = self.batch.staged
         if staged and any(r.extent.offset in staged for r in refs):
             self.batch.flush()  # read-your-writes
@@ -623,7 +632,15 @@ class ObjectStore:
             deadline = max(deadline, ticket.completes_at)
             for ref in run_refs:
                 rel = ref.extent.offset - run_start
-                header, payload = unpack_record(raw[rel : rel + ref.extent.length])
+                try:
+                    header, payload = _unpack_kind(
+                        raw[rel : rel + ref.extent.length],
+                        ref.extent.offset, KIND_PAGE,
+                    )
+                except ObjectStoreError:
+                    if not bases:
+                        raise
+                    continue
                 stash[ref.content_hash] = (header.flags, payload)
         self.device.clock.advance_to(deadline)
 
@@ -631,26 +648,22 @@ class ObjectStore:
                         stash: dict[bytes, tuple[int, bytes]],
                         resolved: dict[bytes, bytes]) -> list[PageRef]:
         """The next wave: refs of the bases the delta records of
-        ``refs`` (already in ``stash``) patch, less those ``stash`` or
-        ``resolved`` holds.  Each is looked up in the page cache as
-        :meth:`_page_content` would before a point read — a hit lands
-        in ``resolved`` — and a base the dedup index or the record
-        itself cannot name is left for the decode to report.  The
-        index names the base of a delta this store wrote; one a
-        rebuild indexed is parsed from the record."""
+        ``refs`` patch, less those ``stash`` or ``resolved`` holds.
+        Each is looked up in the page cache as :meth:`_page_content`
+        would before a point read — a hit lands in ``resolved``.  A
+        record missing from ``stash`` (damaged), or a base its record
+        or the dedup index cannot name, is left for the decode to
+        report."""
         dedup = self.dedup
         bases: dict[bytes, PageRef] = {}
         for ref in refs:
-            flags, stored = stash[ref.content_hash]
-            if flags != ENC_DELTA:
+            record = stash.get(ref.content_hash)
+            if record is None or record[0] != ENC_DELTA:
                 continue
-            listed = dedup.get(ref.content_hash)
-            base = listed.base_hash if listed is not None else None
-            if base is None:
-                try:
-                    base = delta_info(stored)[0]
-                except ChecksumError:
-                    continue
+            try:
+                base = delta_info(record[1])[0]
+            except ChecksumError:
+                continue
             if base in stash or base in resolved or base in bases:
                 continue
             entry = dedup.get(base)
