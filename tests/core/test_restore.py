@@ -4,10 +4,12 @@ import pytest
 
 from repro.core.backends import MemoryBackend, make_disk_backend
 from repro.core.orchestrator import SLS
-from repro.errors import RestoreError
+from repro.errors import ChecksumError, RestoreError
 from repro.hw.device import StorageDevice
 from repro.hw.nvme import NvmeDevice
-from repro.objstore.codec import MAX_DELTA_CHAIN
+from repro.objstore.codec import MAX_DELTA_CHAIN, BrokenDeltaBase
+from repro.objstore.record import ENC_DELTA
+from repro.objstore.store import ObjectStore
 from repro.posix.kernel import Kernel
 from repro.posix.process import ProcessState
 from repro.posix.syscalls import Syscalls
@@ -224,6 +226,23 @@ class TestEagerRestoreReadsInWaves:
         got = [peek(entry.start + page * PAGE_SIZE, PAGE_SIZE)
                for page in range(self.PAGES)]
         assert got == [m + bytes(PAGE_SIZE - len(m)) for m in model]
+
+    def test_damaged_base_fails_on_its_delta(self, chains, sls):
+        """A base record read in a wave that fails its checksum is
+        reported on the delta that needs it, as a point read did."""
+        entry, images, model, store = chains
+        # page 0 as the full checkpoint wrote it: the root of a chain
+        # the last image reaches only through three deltas
+        root = store.dedup.get(ObjectStore.page_hash((b"page-000 ") * 400))
+        assert root is not None and root.ref.flags != ENC_DELTA
+        block, within = divmod(root.extent.offset + 40, 4096)
+        store.device._blocks[block][within] ^= 0xFF
+
+        with pytest.raises(BrokenDeltaBase) as info:
+            sls.restore(images[-1], backend_name="disk0",
+                        new_instance=True, name_suffix="-e")
+        assert info.value.base_hash == root.ref.content_hash
+        assert isinstance(info.value.__cause__, ChecksumError)
 
 
 class TestLazyRestore:
