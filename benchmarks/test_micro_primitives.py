@@ -7,11 +7,15 @@ large an experiment the harness can run.  Useful when hacking on the
 substrate; no paper claims attached.
 """
 
+import random
+import tracemalloc
+
 import pytest
 
 from repro.apps.serverless import ServerlessManager
-from repro.core.backends import MemoryBackend, make_disk_backend
+from repro.core.backends import DiskBackend, MemoryBackend, make_disk_backend
 from repro.core.orchestrator import SLS
+from repro.core.restore import load_image_from_store
 from repro.mem.address_space import AddressSpace, MemContext
 from repro.mem.cow import AuroraCow
 from repro.mem.phys import PhysicalMemory
@@ -208,6 +212,51 @@ def test_micro_read_page_miss(benchmark):
     assert ref.flags == ENC_ZLIB
 
     assert benchmark(store.read_page, ref) == content
+
+
+def test_micro_eager_restore_shared(benchmark):
+    """One eager restore of a 256-page incompressible image into a new
+    kernel, through a page cache a quarter of the image, so most pages
+    miss and decode again.  ``retained_bytes_per_restore`` is the host
+    memory (traced) each restore past the first keeps while its world
+    lives: the worlds share the decoded content, so it is the worlds'
+    own structures, not another copy of the image."""
+    kernel = Kernel(hostname="micro", memory_bytes=4 * GIB)
+    sls = SLS(kernel)
+    store = ObjectStore(NvmeDevice(kernel.clock, queue_depth=8, num_queues=4),
+                        mem=kernel.mem, cache_bytes=64 * PAGE_SIZE)
+    backend = DiskBackend("disk0", store)
+    backend.bind(kernel)
+    rng = random.Random(7)
+    pages = [rng.randbytes(PAGE_SIZE) for _ in range(256)]
+    sysc = Syscalls(kernel, kernel.spawn("app"))
+    heap = sysc.mmap(256 * PAGE_SIZE, name="heap")
+    sysc.populate(heap.start, 256 * PAGE_SIZE, fill_fn=pages.__getitem__)
+    group = sls.persist(sysc.proc, name="app")
+    group.attach(backend)
+    snapshot = store.snapshot_by_name(sls.checkpoint(group).name)
+    sls.barrier(group)
+
+    def restore():
+        fresh = Kernel(hostname="micro-restore", memory_bytes=4 * GIB,
+                       clock=kernel.clock)
+        image = load_image_from_store(store, snapshot, "disk0")
+        procs, _ = SLS(fresh).restore(image, backend_name="disk0", store=store)
+        return fresh, procs
+
+    tracemalloc.start()
+    try:
+        worlds = [restore()]
+        one, _peak = tracemalloc.get_traced_memory()
+        worlds += [restore() for _ in range(3)]
+        four, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["retained_bytes_per_restore"] = (four - one) // 3
+    del worlds
+
+    _fresh, procs = benchmark(restore)
+    assert len(procs) == 1
 
 
 def test_micro_recover(benchmark):

@@ -33,14 +33,6 @@ class SSTable:
     #: parallel to keys; None is a tombstone
     values: list[Optional[bytes]] = field(default_factory=list)
 
-    @property
-    def min_key(self) -> bytes:
-        return self.keys[0]
-
-    @property
-    def max_key(self) -> bytes:
-        return self.keys[-1]
-
     def get(self, key: bytes):
         i = bisect.bisect_left(self.keys, key)
         if i < len(self.keys) and self.keys[i] == key:

@@ -87,7 +87,3 @@ class KvWorkload:
                 self.stats.writes += 1
                 self.stats.dirty_slots.add(slot)
         return self.stats
-
-    def hot_slots(self, count: int) -> list[int]:
-        """The analytically hottest slots (lowest Zipf ranks)."""
-        return list(range(min(count, self.server.nslots)))

@@ -143,13 +143,6 @@ class PageoutDaemon:
         for pindex, _page in obj.iter_resident():
             self.clock_algo.insert((obj.oid, pindex))
 
-    def note_access(self, obj: VMObject, pindex: int) -> None:
-        key = (obj.oid, pindex)
-        if key in self.clock_algo:
-            self.clock_algo.touch(key)
-        else:
-            self.clock_algo.insert(key)
-
     def balance(self) -> int:
         """Evict until below the low watermark; returns pages evicted."""
         evicted = 0

@@ -9,7 +9,7 @@ pages are stored once and refcounted across checkpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.objstore.alloc import Extent
@@ -32,6 +32,13 @@ class DedupEntry:
     #: :meth:`~repro.objstore.store.ObjectStore._recovered_base` reads
     #: the record, a delta's ``base_hash`` is None
     base_hash: bytes | None = None
+    #: the host's one decoded copy of the page, set by the first
+    #: cache-miss decode and handed out by every later one that decodes
+    #: equal, so each restored world shares it; it lives as long as the
+    #: entry (release, a rebuild) unless scrub finds the record damaged.
+    #: Page-cache residency stays the *simulated* cost; this bounds the
+    #: host's copies to one per live record
+    content: bytes | None = field(default=None, repr=False, compare=False)
 
     @property
     def extent(self) -> Extent:

@@ -13,6 +13,13 @@ store (snapshot delete), when in-memory truth is rebuilt wholesale
 (``recover()``/fsck repair), or when scrub finds the media copy
 damaged (a cached clean copy must not mask damage).
 
+The cache bounds *simulated* residency — what a hit saves on the
+virtual clock.  It does not bound host memory: a cached page is the
+same object as its dedup entry's one decoded copy
+(``DedupEntry.content``), which every cache-miss decode of that record
+hands out again, so an eviction costs the next reader sim time, not
+the host another copy.
+
 On top of the cache, :class:`FaultOrderLog` records the page-fault
 sequence of a lazy restore (a compact JSONL artifact, byte-stable
 across runs); a later restore of the same snapshot replays it

@@ -144,8 +144,13 @@ class Scrubber:
             self._c_errors.inc()
         if verdict.reference.role == PAGE:
             # A cached clean copy must not mask the media damage the
-            # scrub just found — drop it so readers see the finding.
-            self.store.pagecache.invalidate(verdict.reference.ref.content_hash)
+            # scrub just found — drop it, and the entry's shared copy,
+            # so readers see the finding.
+            content_hash = verdict.reference.ref.content_hash
+            self.store.pagecache.invalidate(content_hash)
+            entry = self.store.dedup.get(content_hash)
+            if entry is not None:
+                entry.content = None
 
     def _verify(self, item: Reference, raw: Optional[bytes]) -> None:
         """Judge one extent with the walker's checks (``raw`` is None

@@ -479,12 +479,22 @@ class ObjectStore:
         it verified itself, so anything else is a broken base (and,
         like the rest of recovery, it models no decode CPU).
 
-        ``verify=True`` (scrub, the walker) bypasses the page cache
-        entirely — a cached clean copy must never mask on-media damage
-        — and checks every decoded page, bases included, against its
-        content hash.  Any failure beneath a delta surfaces on the
-        delta as :class:`~repro.objstore.codec.BrokenDeltaBase`.  The
-        chain-depth bound is checked once, inside
+        Outside ``verify`` mode a decode that compares equal to its
+        dedup entry's host copy
+        (:attr:`~repro.objstore.dedup.DedupEntry.content`) is replaced
+        by that copy, and any other becomes it: the page cache bounds
+        *simulated* residency, the entry bounds host copies to one per
+        live record.  The device read, the record and decode checks and
+        the sim charge all come first, so the copy never stands in for
+        a read.
+
+        ``verify=True`` (scrub, the walker) bypasses the page cache and
+        the entry's copy entirely — a clean copy must never mask
+        on-media damage — and checks every decoded page, bases
+        included, against its content hash.  Any failure beneath a
+        delta surfaces on the delta as
+        :class:`~repro.objstore.codec.BrokenDeltaBase`.  The chain-depth
+        bound is checked once, inside
         :meth:`~repro.objstore.codec.PageCodec.decode_page`.
         """
         content = resolved.get(content_hash)
@@ -535,6 +545,12 @@ class ObjectStore:
             if self.page_hash(content) != content_hash:
                 raise ChecksumError("page content hash mismatch")
         else:
+            entry = self.dedup.get(content_hash)
+            if entry is not None:
+                if content == entry.content:
+                    content = entry.content
+                else:
+                    entry.content = content
             self.pagecache.put(content_hash, content)
         resolved[content_hash] = content
         return content

@@ -50,10 +50,6 @@ class OpenFile(KernelObject):
     def writable(self) -> bool:
         return (self.flags & O_ACCMODE) in (O_WRONLY, O_RDWR)
 
-    @property
-    def nonblocking(self) -> bool:
-        return bool(self.flags & O_NONBLOCK)
-
     # -- I/O; subclasses override what they support -------------------------
 
     def read(self, nbytes: int) -> bytes:

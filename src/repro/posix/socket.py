@@ -180,14 +180,6 @@ class UnixSocketNamespace:
             raise WouldBlock("no pending connections")
         return listener.accept_queue.popleft()
 
-    def unbind(self, name: str) -> None:
-        sock = self._bound.pop(name, None)
-        if sock is not None:
-            sock.listening = False
-
-    def bound_names(self) -> list[str]:
-        return sorted(self._bound)
-
 
 class SocketFile(OpenFile):
     """Descriptor-level wrapper around a socket endpoint."""

@@ -37,10 +37,6 @@ class Syscalls:
         self._charge()
         return self.proc.pid
 
-    def getppid(self) -> int:
-        self._charge()
-        return self.proc.ppid
-
     # -- memory ----------------------------------------------------------------
 
     def mmap(
