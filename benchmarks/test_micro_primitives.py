@@ -7,6 +7,7 @@ large an experiment the harness can run.  Useful when hacking on the
 substrate; no paper claims attached.
 """
 
+import gc
 import random
 import tracemalloc
 
@@ -24,6 +25,7 @@ from repro.objstore.checksum import crc32_adler32, fletcher64
 from repro.objstore.record import COVERED_SIZE, ENC_ZLIB, decode, encode
 from repro.objstore.store import ObjectStore
 from repro.hw.nvme import NvmeDevice
+from repro.posix.fd import O_CREAT, O_RDWR
 from repro.posix.kernel import Kernel
 from repro.posix.syscalls import Syscalls
 from repro.sim.clock import SimClock
@@ -257,6 +259,40 @@ def test_micro_eager_restore_shared(benchmark):
 
     _fresh, procs = benchmark(restore)
     assert len(procs) == 1
+
+
+def test_micro_process_lifecycle(benchmark):
+    """A process that opens a pipe, a socket pair and a file, then
+    exits and is reaped.  ``retained_bytes_per_cycle`` is the host
+    memory (traced) each cycle leaves behind: the kernel keeps nothing
+    of a reaped process, so it stays about 0."""
+    kernel = Kernel(hostname="micro", memory_bytes=4 * GIB)
+
+    def cycle():
+        proc = kernel.spawn("app")
+        sysc = Syscalls(kernel, proc)
+        sysc.pipe()
+        sysc.socketpair()
+        sysc.open("/scratch", O_RDWR | O_CREAT)
+        kernel.exit(proc)
+        kernel.reap(proc)
+
+    cycle()
+    tracemalloc.start()
+    try:
+        # A process and its threads point at each other: collect the
+        # cycles, so what is measured is what the kernel still holds.
+        gc.collect()
+        before, _peak = tracemalloc.get_traced_memory()
+        for _ in range(50):
+            cycle()
+        gc.collect()
+        after, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["retained_bytes_per_cycle"] = (after - before) // 50
+
+    benchmark(cycle)
 
 
 def test_micro_recover(benchmark):

@@ -114,15 +114,15 @@ class CheckpointImage:
     #: telemetry; None when the host kernel has no interest)
     backend_durable_hook: Optional[Callable[[str, int], None]] = None
     #: the kernel that captured this image, in memory only (never
-    #: serialized): a restore into it may look the image's original
-    #: ids up among its live objects.  None once read back from a
-    #: store or received — other kernels number their own objects.
+    #: serialized): a restore into it may reconnect the image's
+    #: sockets to peers that live processes still hold.  None once read
+    #: back from a store or received — other kernels number their own
+    #: objects.
     captured_by: Optional["Kernel"] = field(default=None, repr=False)
 
     # -- durability -------------------------------------------------------
 
-    def mark_durable(self, backend_name: str, when_ns: int,
-                     expected: int | None = None) -> None:
+    def mark_durable(self, backend_name: str, when_ns: int) -> None:
         """A backend finished flushing; fire callbacks once all have.
 
         The expected-backend count is read from the metrics at fire
@@ -135,8 +135,7 @@ class CheckpointImage:
         self.durable_on.add(backend_name)
         if newly_durable and self.backend_durable_hook is not None:
             self.backend_durable_hook(backend_name, when_ns)
-        needed = self.metrics.backends_expected if expected is None else expected
-        if len(self.durable_on) >= needed:
+        if len(self.durable_on) >= self.metrics.backends_expected:
             self.metrics.durable_at_ns = when_ns
             callbacks, self._on_durable = self._on_durable, []
             for callback in callbacks:

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.posix.process import Process
-from repro.posix.socket import ExtConsHold, SocketFile, UnixSocket
+from repro.posix.socket import ExtConsHold, UnixSocket, held_sockets
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.group import PersistenceGroup
@@ -38,21 +37,13 @@ class ExternalConsistency:
 
     # -- boundary detection --------------------------------------------------
 
-    def _group_sockets(self) -> dict[int, UnixSocket]:
-        sockets: dict[int, UnixSocket] = {}
-        for proc in self.group.processes():
-            for _fd, entry in proc.fdtable.items():
-                if isinstance(entry.file, SocketFile):
-                    sockets[entry.file.socket.koid] = entry.file.socket
-        return sockets
-
     def refresh(self) -> int:
         """(Re)install holds on boundary-crossing sockets.
 
         Called when the group is persisted and after membership
         changes.  Returns the number of sockets currently held.
         """
-        ours = self._group_sockets()
+        ours = held_sockets(self.group.processes())
         for koid, sock in ours.items():
             crosses = sock.peer is not None and sock.peer.koid not in ours
             disabled = koid in self.group.extcons_disabled

@@ -74,8 +74,6 @@ NVME_COMMAND_OVERHEAD_NS = 3 * USEC
 def with_queue_model(
     spec: "DeviceSpec",
     queue_depth: int,
-    submit_cost_ns: int = NVME_SUBMIT_NS,
-    command_overhead_ns: int = NVME_COMMAND_OVERHEAD_NS,
     num_queues: int = 1,
 ) -> "DeviceSpec":
     """A copy of ``spec`` with the queue-depth submission model armed.
@@ -92,8 +90,8 @@ def with_queue_model(
     return replace(
         spec,
         queue_depth=queue_depth,
-        submit_cost_ns=submit_cost_ns,
-        command_overhead_ns=command_overhead_ns,
+        submit_cost_ns=NVME_SUBMIT_NS,
+        command_overhead_ns=NVME_COMMAND_OVERHEAD_NS,
         num_queues=num_queues,
     )
 

@@ -692,8 +692,7 @@ class ObjectStore:
                 bases[base] = entry.ref
         return list(bases.values())
 
-    def prefetch_pages(self, refs: list[PageRef],
-                       batch_pages: int = PREFETCH_BATCH_PAGES) -> int:
+    def prefetch_pages(self, refs: list[PageRef]) -> int:
         """Warm the page cache with ``refs``, preserving their order.
 
         The recorded-fault-order replay path: refs are taken in the
@@ -714,9 +713,9 @@ class ObjectStore:
                     and self.pagecache.peek(ref.content_hash) is None):
                 pending[ref.content_hash] = ref
         ordered = list(pending.values())
-        for start in range(0, len(ordered), batch_pages):
+        for start in range(0, len(ordered), PREFETCH_BATCH_PAGES):
             self.read_pages_coalesced(
-                ordered[start:start + batch_pages], _accounted=False
+                ordered[start:start + PREFETCH_BATCH_PAGES], _accounted=False
             )
         return len(ordered)
 

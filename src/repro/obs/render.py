@@ -13,6 +13,9 @@ from repro.obs.registry import Counter, Gauge, Histogram, Registry
 from repro.obs.tracer import Span
 from repro.units import fmt_time
 
+#: column where a span tree's durations start
+_LABEL_WIDTH = 56
+
 #: span attributes worth showing inline, in display order
 _ATTR_ORDER = (
     "group", "backend", "backends", "incremental", "lazy", "epoch",
@@ -31,13 +34,13 @@ def _attr_text(span: Span) -> str:
     return f" [{' '.join(shown)}]" if shown else ""
 
 
-def render_span(span: Span, width: int = 56) -> list[str]:
+def render_span(span: Span) -> list[str]:
     """One root span as an indented tree with virtual durations."""
     lines: list[str] = []
 
     def emit(node: Span, prefix: str, child_prefix: str) -> None:
         label = f"{prefix}{node.name}{_attr_text(node)}"
-        lines.append(f"{label:<{width}} {fmt_time(node.duration_ns):>10}")
+        lines.append(f"{label:<{_LABEL_WIDTH}} {fmt_time(node.duration_ns):>10}")
         for event in node.events:
             offset = event.t_ns - node.start_ns
             lines.append(

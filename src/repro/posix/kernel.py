@@ -101,8 +101,6 @@ class Kernel:
             fdtable=FdTable(),
         )
         self.procs.insert(proc)
-        self.registry.register(proc)
-        self.registry.register(proc.main_thread)
         return proc
 
     @property
@@ -152,9 +150,6 @@ class Kernel:
             container_id=container.cid if container else parent.container_id,
         )
         self.procs.insert(proc)
-        self.registry.register(proc)
-        for thread in proc.threads:
-            self.registry.register(thread)
         if container is not None:
             container.member_pids.add(proc.pid)
         elif proc.container_id:
@@ -186,9 +181,6 @@ class Kernel:
             child.shm_attachments[addr] = segment
             self.shm.note_attach(segment)  # type: ignore[arg-type]
         self.procs.insert(child)
-        self.registry.register(child)
-        for thread in child.threads:
-            self.registry.register(thread)
         if child.container_id:
             self.containers[child.container_id].member_pids.add(child.pid)
         return child
@@ -197,7 +189,6 @@ class Kernel:
         """Start another thread in ``proc``."""
         thread = Thread(self.registry, proc, cpu)
         proc.threads.append(thread)
-        self.registry.register(thread)
         return thread
 
     def exit(self, proc: Process, status: int = 0) -> None:
@@ -229,9 +220,6 @@ class Kernel:
                 pass
         proc.state = ProcessState.DEAD
         self.procs.remove(proc)
-        self.registry.unregister(proc)
-        for thread in proc.threads:
-            self.registry.unregister(thread)
         assert proc.exit_status is not None
         return proc.exit_status
 

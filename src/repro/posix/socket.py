@@ -14,7 +14,7 @@ Sockets carry two pieces of SLS-relevant state:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.errors import (
     ConnectionRefused,
@@ -132,6 +132,7 @@ class UnixSocket(KernelObject):
 
     def close(self) -> None:
         self.shutdown_read = self.shutdown_write = True
+        self.listening = False
         if self.peer is not None:
             self.peer.peer_closed()
 
@@ -149,20 +150,35 @@ def socketpair(registry: ObjectRegistry) -> tuple[UnixSocket, UnixSocket]:
 
 
 class UnixSocketNamespace:
-    """The kernel's table of bound Unix socket names."""
+    """The kernel's table of bound Unix socket names.
+
+    A name is taken while an open listener holds it; a listener's
+    close frees it.
+    """
 
     def __init__(self, registry: ObjectRegistry):
         self.registry = registry
         self._bound: dict[str, UnixSocket] = {}
 
+    def _taken(self, name: str) -> bool:
+        listener = self._bound.get(name)
+        return listener is not None and listener.listening
+
     def bind_listen(self, name: str, backlog: int = 16) -> UnixSocket:
-        if name in self._bound:
+        if self._taken(name):
             raise PosixError(f"address {name!r} in use", errno="EADDRINUSE")
         sock = UnixSocket(self.registry)
         sock.listening = True
         sock.bound_name = name
         self._bound[name] = sock
         return sock
+
+    def rebind(self, listener: UnixSocket) -> None:
+        """Give a restored listener back its name, unless an open
+        listener holds it (a clone restored beside its original)."""
+        assert listener.bound_name is not None
+        if not self._taken(listener.bound_name):
+            self._bound[listener.bound_name] = listener
 
     def connect(self, name: str) -> UnixSocket:
         """Connect to a listening name; returns the client endpoint."""
@@ -198,3 +214,13 @@ class SocketFile(OpenFile):
 
     def on_last_close(self) -> None:
         self.socket.close()
+
+
+def held_sockets(procs: Iterable) -> dict[int, UnixSocket]:
+    """The sockets the descriptors of ``procs`` hold, by koid."""
+    sockets: dict[int, UnixSocket] = {}
+    for proc in procs:
+        for _fd, entry in proc.fdtable.items():
+            if isinstance(entry.file, SocketFile):
+                sockets[entry.file.socket.koid] = entry.file.socket
+    return sockets

@@ -78,16 +78,11 @@ class Syscalls:
     def open(self, path: str, flags: int = O_RDWR) -> int:
         self._charge()
         file = self.kernel.vfs.open(path, flags)
-        fd = self.proc.fdtable.install(file)
-        self.kernel.registry.register(file)
-        return fd
+        return self.proc.fdtable.install(file)
 
     def close(self, fd: int) -> None:
         self._charge()
-        file = self.proc.fdtable.lookup(fd)
         self.proc.fdtable.close(fd)
-        if file.refcount == 0:
-            self.kernel.registry.unregister(file)
 
     def read(self, fd: int, nbytes: int) -> bytes:
         self._charge()
@@ -138,9 +133,6 @@ class Syscalls:
     def pipe(self) -> tuple[int, int]:
         self._charge()
         read_end, write_end = make_pipe(self.kernel.registry)
-        self.kernel.registry.register(read_end.pipe)
-        self.kernel.registry.register(read_end)
-        self.kernel.registry.register(write_end)
         rfd = self.proc.fdtable.install(read_end)
         wfd = self.proc.fdtable.install(write_end)
         return rfd, wfd
@@ -150,8 +142,6 @@ class Syscalls:
         registry = self.kernel.registry
         sock_a, sock_b = socketpair(registry)
         file_a, file_b = SocketFile(registry, sock_a), SocketFile(registry, sock_b)
-        for obj in (sock_a, sock_b, file_a, file_b):
-            registry.register(obj)
         return (
             self.proc.fdtable.install(file_a),
             self.proc.fdtable.install(file_b),
@@ -161,16 +151,12 @@ class Syscalls:
         self._charge()
         listener = self.kernel.unix_sockets.bind_listen(name)
         file = SocketFile(self.kernel.registry, listener)
-        self.kernel.registry.register(listener)
-        self.kernel.registry.register(file)
         return self.proc.fdtable.install(file)
 
     def connect(self, name: str) -> int:
         self._charge()
         sock = self.kernel.unix_sockets.connect(name)
         file = SocketFile(self.kernel.registry, sock)
-        self.kernel.registry.register(sock)
-        self.kernel.registry.register(file)
         return self.proc.fdtable.install(file)
 
     def accept(self, listen_fd: int) -> int:
@@ -180,8 +166,6 @@ class Syscalls:
             raise PosixError("accept on non-socket", errno="ENOTSOCK")
         sock = self.kernel.unix_sockets.accept(listener_file.socket)
         file = SocketFile(self.kernel.registry, sock)
-        self.kernel.registry.register(sock)
-        self.kernel.registry.register(file)
         return self.proc.fdtable.install(file)
 
     def socket_of(self, fd: int) -> UnixSocket:
@@ -194,10 +178,7 @@ class Syscalls:
 
     def shmget(self, key: int, size: int) -> SharedMemorySegment:
         self._charge()
-        segment = self.kernel.shm.shmget(key, size)
-        if segment.koid not in self.kernel.registry:
-            self.kernel.registry.register(segment)
-        return segment
+        return self.kernel.shm.shmget(key, size)
 
     def shmat(self, segment: SharedMemorySegment) -> int:
         self._charge()
@@ -222,10 +203,7 @@ class Syscalls:
 
     def msgget(self, key: int):
         self._charge()
-        queue = self.kernel.msgqueues.msgget(key)
-        if queue.koid not in self.kernel.registry:
-            self.kernel.registry.register(queue)
-        return queue
+        return self.kernel.msgqueues.msgget(key)
 
     def msgsnd(self, key: int, mtype: int, body: bytes) -> None:
         self._charge()

@@ -13,7 +13,7 @@ from repro.posix.fd import O_CREAT, O_RDWR, FdTable
 from repro.posix.msgqueue import MessageQueue
 from repro.posix.pipe import Pipe, PipeEnd
 from repro.posix.shm import SharedMemorySegment
-from repro.posix.socket import SocketFile, UnixSocket
+from repro.posix.socket import SocketFile, UnixSocket, held_sockets
 from repro.posix.vnode import Vnode, VnodeFile, VnodeType
 from repro.serial.registry import (
     RestoreContext,
@@ -51,7 +51,6 @@ class VnodeFileSerializer(Serializer):
             raise SlsError(f"vnode ino {data['ino']} missing from image")
         file = VnodeFile(ctx.kernel.registry, vnode, data["flags"], path=data["path"])
         file.offset = data["offset"]
-        ctx.kernel.registry.register(file)
         return file
 
 
@@ -144,11 +143,8 @@ class PipeEndSerializer(Serializer):
             pipe.read_open = state["read_open"]
             pipe.write_open = state["write_open"]
             ctx.remember(data["pipe_koid"], pipe)
-            ctx.kernel.registry.register(pipe)
         assert isinstance(pipe, Pipe)
-        end = PipeEnd(ctx.kernel.registry, pipe, writer=data["writer"])
-        ctx.kernel.registry.register(end)
-        return end
+        return PipeEnd(ctx.kernel.registry, pipe, writer=data["writer"])
 
 
 @register
@@ -188,11 +184,8 @@ class SocketFileSerializer(Serializer):
             sock.shutdown_read = state["shutdown_read"]
             sock.shutdown_write = state["shutdown_write"]
             ctx.remember(data["sock_koid"], sock)
-            ctx.kernel.registry.register(sock)
             if state["bound_name"]:
-                # Re-register in the kernel's socket namespace.
-                ns = ctx.kernel.unix_sockets
-                ns._bound.setdefault(state["bound_name"], sock)
+                ctx.kernel.unix_sockets.rebind(sock)
             peer_koid = state["peer_koid"]
             if peer_koid is not None:
                 this = sock
@@ -201,24 +194,26 @@ class SocketFileSerializer(Serializer):
                     peer = ctx.resolve(peer_koid)
                     if peer is None and ctx.captured_here:
                         # Rollback/in-place restore: the peer lives
-                        # outside the group but still exists in this
-                        # kernel — the connection survives the restore.
-                        live = ctx.kernel.registry.get(peer_koid)
-                        if isinstance(live, UnixSocket):
+                        # outside the group.  The connection survives
+                        # if a live descriptor still holds the peer and
+                        # the peer has lost its own (this socket's
+                        # earlier incarnation exited).
+                        procs = ctx.kernel.procs.all_processes()
+                        live = held_sockets(procs).get(peer_koid)
+                        if live is not None and live.peer is None:
                             peer = live
                     if isinstance(peer, UnixSocket):
                         this.peer = peer
                         peer.peer = this
                     # Otherwise the peer is gone (another kernel's
-                    # image, or it exited): the socket restores
-                    # disconnected — reads drain the buffered data,
-                    # then EOF.
+                    # image, closed or exited) or taken (a clone
+                    # restored beside its original): the socket
+                    # restores disconnected — reads drain the buffered
+                    # data, then EOF.
 
                 ctx.defer(link_peer)
         assert isinstance(sock, UnixSocket)
-        file = SocketFile(ctx.kernel.registry, sock)
-        ctx.kernel.registry.register(file)
-        return file
+        return SocketFile(ctx.kernel.registry, sock)
 
 
 def serialize_openfile(obj, ctx: SerialContext) -> dict:
@@ -299,7 +294,6 @@ def restore_shm(data: dict, ctx: RestoreContext) -> SharedMemorySegment:
     )
     segment.marked_removed = data["marked_removed"]
     ctx.remember(data["koid"], segment)
-    ctx.kernel.registry.register(segment)
     registry = ctx.kernel.shm
     registry._by_key[segment.key] = segment
     if segment.name:
@@ -327,6 +321,4 @@ def restore_msgqueue(data: dict, ctx: RestoreContext) -> MessageQueue:
     for mtype, body in data["messages"]:
         queue.send(mtype, body)
     ctx.remember(data["koid"], queue)
-    if queue.koid not in ctx.kernel.registry:
-        ctx.kernel.registry.register(queue)
     return queue

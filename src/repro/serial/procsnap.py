@@ -225,7 +225,6 @@ def restore_group(
             thread.state = ThreadState(tdata["state"])
             thread.wait_channel = tdata["wait_channel"]
             proc.threads.append(thread)
-            kernel.registry.register(thread)
         if not proc.threads:
             raise RestoreError(f"process {pdata['pid']} has no threads in image")
         for addr, shm_koid in pdata["shm_attachments"]:
@@ -234,7 +233,6 @@ def restore_group(
                 proc.shm_attachments[addr] = segment
                 kernel.shm.note_attach(segment)
         kernel.procs.insert(proc)
-        kernel.registry.register(proc)
         if proc.container_id:
             kernel.containers[proc.container_id].member_pids.add(proc.pid)
         ctx.pids[pdata["pid"]] = proc

@@ -110,6 +110,19 @@ class TestSockets:
         with pytest.raises(PosixError):
             ns.bind_listen("srv")
 
+    def test_connect_to_closed_listener_refused(self):
+        ns = UnixSocketNamespace(ObjectRegistry())
+        ns.bind_listen("srv").close()
+        with pytest.raises(ConnectionRefused):
+            ns.connect("srv")
+
+    def test_closed_listener_frees_its_name(self):
+        ns = UnixSocketNamespace(ObjectRegistry())
+        ns.bind_listen("srv").close()
+        listener = ns.bind_listen("srv")
+        ns.connect("srv")
+        assert len(listener.accept_queue) == 1
+
     def test_accept_empty_queue(self):
         ns = UnixSocketNamespace(ObjectRegistry())
         listener = ns.bind_listen("srv")

@@ -20,15 +20,6 @@ class TestLifecycle:
         assert proc.parent is kernel.init
         assert proc in kernel.init.children
 
-    def test_spawn_registers_objects(self, kernel):
-        proc = kernel.spawn("worker")
-        assert kernel.registry.get(proc.koid) is proc
-        assert kernel.registry.get(proc.main_thread.koid) is proc.main_thread
-
-    def test_init_registers_its_thread(self, kernel):
-        thread = kernel.init.main_thread
-        assert kernel.registry.lookup(thread.koid) is thread
-
     def test_fork_duplicates_cpu_state(self, kernel):
         parent = kernel.spawn("app")
         parent.main_thread.cpu.rip = 0xCAFE
@@ -92,7 +83,6 @@ class TestThreads:
         proc = kernel.spawn("app")
         t2 = kernel.spawn_thread(proc)
         assert t2.tid != proc.main_thread.tid
-        assert kernel.registry.lookup(t2.koid) is t2
 
 
 class TestSignals:
