@@ -29,7 +29,7 @@ from repro.posix.fd import O_CREAT, O_RDWR
 from repro.posix.kernel import Kernel
 from repro.posix.syscalls import Syscalls
 from repro.sim.clock import SimClock
-from repro.units import GIB, KIB, PAGE_SIZE
+from repro.units import GIB, KIB, MSEC, PAGE_SIZE
 
 
 @pytest.fixture
@@ -259,6 +259,46 @@ def test_micro_eager_restore_shared(benchmark):
 
     _fresh, procs = benchmark(restore)
     assert len(procs) == 1
+
+
+def test_micro_checkpoint_stream_media(benchmark):
+    """One incremental checkpoint of a 256-page heap, 8 pages rewritten,
+    10 ms of sim time after the last, under the group's default
+    retention.  ``held_bytes_per_incremental`` is how much the device's
+    host-side media grows per incremental from the 40th to the 160th:
+    the retention window bounds the live set, and the device forgets
+    a dead extent's bytes once no durable superblock slot names it, so
+    it stays near 0 while the bytes written keep growing."""
+    kernel = Kernel(hostname="micro", memory_bytes=4 * GIB)
+    sls = SLS(kernel)
+    store = ObjectStore(NvmeDevice(kernel.clock, queue_depth=8, num_queues=4),
+                        mem=kernel.mem)
+    backend = DiskBackend("disk0", store)
+    rng = random.Random(11)
+    sysc = Syscalls(kernel, kernel.spawn("app"))
+    heap = sysc.mmap(256 * PAGE_SIZE, name="heap")
+    sysc.populate(heap.start, 256 * PAGE_SIZE,
+                  fill_fn=lambda i: rng.randbytes(PAGE_SIZE))
+    group = sls.persist(sysc.proc, name="app")
+    group.attach(backend)
+    sls.checkpoint(group)
+
+    def incremental():
+        for page in rng.sample(range(256), 8):
+            sysc.poke(heap.start + page * PAGE_SIZE, rng.randbytes(PAGE_SIZE))
+        kernel.run_for(10 * MSEC)
+        return sls.checkpoint(group)
+
+    def held_after(count: int) -> int:
+        for _ in range(count):
+            incremental()
+        return len(store.device._blocks) * 4 * KIB
+
+    at_40 = held_after(40)
+    at_160 = held_after(120)
+    benchmark.extra_info["held_bytes_per_incremental"] = (at_160 - at_40) // 120
+
+    assert benchmark(incremental) is group.latest_image
 
 
 def test_micro_process_lifecycle(benchmark):

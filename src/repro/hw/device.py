@@ -18,6 +18,11 @@ completion time has passed; :meth:`StorageDevice.crash` at time *t*
 unwinds in-flight writes to their pre-images (whole sectors of a write
 caught mid-transfer survive), which the object-store recovery tests use
 to exercise torn-checkpoint handling.
+
+:meth:`StorageDevice.discard` is the one operation outside the model:
+it lets the simulator forget bytes that are durable and dead, so host
+memory follows the live set rather than everything ever written.  It
+is not a modelled TRIM — it issues no command and costs no time.
 """
 
 from __future__ import annotations
@@ -122,6 +127,8 @@ class StorageDevice:
 
     Contents live in a sparse dict of 4 KiB blocks; unaligned extents
     are handled with read-modify-write so callers may use byte offsets.
+    :meth:`discard` drops a block once it holds nothing: simulator
+    memory, invisible to the cost model.
     """
 
     def __init__(self, spec: DeviceSpec, clock: SimClock, name: str | None = None):
@@ -337,6 +344,34 @@ class StorageDevice:
             block[within : within + chunk] = remaining[:chunk]
             remaining = remaining[chunk:]
             pos += chunk
+
+    def discard(self, offset: int, nbytes: int) -> None:
+        """Forget ``nbytes`` at ``offset``: the range reads back as never
+        written, and a block left holding nothing leaves ``_blocks``.
+
+        Simulator memory, not a modelled TRIM: no command, no virtual
+        time, no :class:`IoStats` change and no failpoint.  Only bytes
+        that are durable and dead may go, so a range that overlaps a
+        write not yet durable — one :meth:`crash` could still unwind —
+        raises :class:`DeviceIOError`.
+        """
+        end = offset + nbytes
+        self._retire_pending()
+        for pending in self._pending:
+            if pending.offset < end and offset < pending.offset + pending.length:
+                raise DeviceIOError(
+                    f"{self.name}: discard [{offset}, {end}) overlaps a write "
+                    f"that is not yet durable"
+                )
+        for block_no in range(offset // _BLOCK, (end - 1) // _BLOCK + 1):
+            block = self._blocks.get(block_no)
+            if block is None:
+                continue
+            base = block_no * _BLOCK
+            lo, hi = max(offset - base, 0), min(end - base, _BLOCK)
+            block[lo:hi] = _UNWRITTEN[: hi - lo]
+            if block == _UNWRITTEN:
+                del self._blocks[block_no]
 
     def _load(self, offset: int, nbytes: int) -> bytes:
         first, skip = divmod(offset, _BLOCK)

@@ -115,5 +115,12 @@ class Volume:
         return self.device.read_async(offset, nbytes, logical_nbytes=logical,
                                       queue=queue)
 
+    def discard_data(self, offset: int, nbytes: int) -> None:
+        """Let the device forget dead data-area bytes (host memory only;
+        see :meth:`~repro.hw.device.StorageDevice.discard`)."""
+        if offset < DATA_BASE:
+            raise ObjectStoreError("data discard in superblock area")
+        self.device.discard(offset, nbytes)
+
     def flush_barrier(self) -> int:
         return self.device.flush_barrier()

@@ -31,8 +31,9 @@ class GarbageCollector:
     def collect(self, limit: int | None = None) -> GcReport:
         """Free up to ``limit`` garbage extents (all, by default).
 
-        Bounding the batch lets the orchestrator interleave GC with
-        checkpointing instead of stalling.
+        Nothing runs GC on its own: the caller does, and bounding the
+        batch lets it interleave GC with checkpointing instead of
+        stalling.
         """
         if self.store.faults is not None:
             self.store._failpoint(
@@ -71,7 +72,7 @@ class GarbageCollector:
         budget = limit if limit is not None else len(self.store.garbage)
         while self.store.garbage and report.extents_freed < budget:
             extent = self.store.garbage.pop()
-            self.store.allocator.free(extent)
+            self.store.free_garbage(extent)
             report.extents_freed += 1
             report.bytes_freed += extent.length
         return report

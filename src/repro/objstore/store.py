@@ -194,6 +194,12 @@ class ObjectStore:
         self._meta_refs: dict[int, tuple[Extent, int]] = {}
         #: extents freed by refcount-zero, awaiting in-place GC
         self.garbage: list[Extent] = []
+        #: garbage whose bytes the device still holds, each with the
+        #: superblocks still to submit before neither A/B slot names it
+        #: (two when it dies: the next orphans it, the one after
+        #: replaces the older slot) and the completion time of the last
+        #: one submitted; :meth:`free_garbage` drops the entry
+        self._discard_at: dict[Extent, tuple[int, int]] = {}
         #: live spilled-directory record, when the snapshot directory
         #: no longer fits the superblock slot (fleet-scale stores)
         self._dir_spill = dir_spill
@@ -743,6 +749,15 @@ class ObjectStore:
         only after the new superblock is submitted — the older
         generation may still point at it, and reuse is deferred to GC
         under the usual barrier-before-collect discipline.
+
+        An extent that becomes garbage is still named by the newest
+        superblock on media, and after this superblock orphans it, by
+        the older slot until the next superblock overwrites that slot.
+        Once that next superblock is durable no generation recovery can
+        choose names the extent, even when a flip in the newest slot
+        sends recovery to the older one, so a later call first lets the
+        device forget its bytes (:meth:`_discard_dead`).  Host memory
+        only: every simulated number is unchanged.
         """
         if self.faults is not None:
             self._failpoint(
@@ -751,16 +766,42 @@ class ObjectStore:
                 "injected directory-write failure",
                 store=self.device.name, snapshots=len(self.directory.snapshots),
             )
+        self._discard_dead()
         self.batch.flush()
         payload = self.directory.payload()
         spill = None
         if HEADER_SIZE + len(payload) > SUPERBLOCK_SLOT_SIZE:
             spill = self._write_record(KIND_META, 0, payload)
             payload = encode({DIR_SPILL_KEY: [spill.offset, spill.length]})
-        self.volume.write_superblock(payload)
+        durable_at = self.volume.write_superblock(payload).completes_at
         if self._dir_spill is not None:
-            self.garbage.append(self._dir_spill)
+            self._to_garbage(self._dir_spill)
         self._dir_spill = spill
+        for extent, (left, _at) in self._discard_at.items():
+            if left:
+                self._discard_at[extent] = (left - 1, durable_at)
+
+    def _to_garbage(self, extent: Extent) -> None:
+        """Queue a dead extent for GC; the next superblock orphans it."""
+        self.garbage.append(extent)
+        self._discard_at[extent] = (2, 0)
+
+    def free_garbage(self, extent: Extent) -> None:
+        """Hand a garbage extent back to the allocator (GC's one step).
+        New records may land in it, so its bytes are no longer the
+        device's to forget."""
+        self.allocator.free(extent)
+        self._discard_at.pop(extent, None)
+
+    def _discard_dead(self) -> None:
+        """Let the device forget the garbage no durable superblock
+        slot names."""
+        now = self._now()
+        dead = [extent for extent, (left, at) in self._discard_at.items()
+                if not left and at <= now]
+        for extent in dead:
+            del self._discard_at[extent]
+            self.volume.discard_data(extent.offset, extent.length)
 
     def commit_snapshot(
         self,
@@ -912,7 +953,7 @@ class ObjectStore:
             for content_hash, _offset, _extent_length, _length in table.rows():
                 freed = self.dedup.release(content_hash)
                 if freed is not None:
-                    self.garbage.append(freed)
+                    self._to_garbage(freed)
                     # The hash just left the store; a cached copy must
                     # not outlive the media extent (GC may reuse it).
                     self.pagecache.invalidate(content_hash)
@@ -931,7 +972,7 @@ class ObjectStore:
             self._meta_refs[extent.offset] = (extent, count - 1)
             return False
         del self._meta_refs[extent.offset]
-        self.garbage.append(extent)
+        self._to_garbage(extent)
         return True
 
     def snapshots(self) -> list[Snapshot]:

@@ -1,8 +1,12 @@
 """Unit tests for the storage device model."""
 
+import copy
+
 import pytest
 
 from repro.errors import DeviceFullError, DeviceIOError
+from repro.fault import names as fault_names
+from repro.fault.registry import FailpointRegistry, FaultAction
 from repro.hw.device import StorageDevice
 from repro.hw.memdev import MemoryDevice
 from repro.hw.nvdimm import NvdimmDevice
@@ -142,6 +146,56 @@ class TestDurability:
         dev.flush_barrier()
         dev.crash()
         assert dev.read(0, 9) == b"\x00" * 9
+
+
+class TestDiscard:
+    """``discard`` is simulator memory: the range reads as never written
+    and a block left holding nothing leaves the host; no command runs."""
+
+    def test_range_reads_unwritten_and_a_neighbour_survives(self, dev):
+        dev.write(100, b"a" * 100 + b"b" * 100)
+        dev.discard(100, 100)
+        assert dev.read(100, 200) == bytes(100) + b"b" * 100
+        assert list(dev._blocks) == [0]
+
+    def test_a_block_is_dropped_once_it_holds_nothing(self, dev):
+        dev.write(4000, bytes(range(1, 251)) * 34)  # [4000, 12500): blocks 0-3
+        dev.discard(4096, 4096)  # block 1, whole
+        assert sorted(dev._blocks) == [0, 2, 3]
+        dev.discard(8192, 100)  # part of block 2
+        assert sorted(dev._blocks) == [0, 2, 3]
+        dev.discard(4000, 96)  # the rest of block 0
+        assert sorted(dev._blocks) == [2, 3]
+        dev.discard(8292, 4208)  # the rest of blocks 2 and 3
+        assert dev._blocks == {}
+        assert dev.read(4000, 8500) == bytes(8500)
+
+    def test_moves_no_clock_stats_or_failpoint(self, clock):
+        dev = NvmeDevice(clock, queue_depth=8, num_queues=4)
+        faults = FailpointRegistry(clock=clock)
+        dev.attach_faults(faults)
+        dev.write(0, b"x" * 8192)
+        for name in (fault_names.FP_DEVICE_READ, fault_names.FP_DEVICE_WRITE,
+                     fault_names.FP_DEVICE_BATCH, fault_names.FP_DEVICE_FLUSH):
+            faults.arm(name, FaultAction("fail"), count=None)
+        dev.inject_failures(1)
+        now, stats = clock.now, copy.deepcopy(dev.stats)
+        dev.discard(0, 8192)
+        assert clock.now == now
+        assert dev.stats == stats
+        assert faults.log == []
+        assert dev._blocks == {}
+
+    def test_refuses_a_write_that_is_not_yet_durable(self, dev, clock):
+        dev.write(0, b"d" * 8192)
+        ticket = dev.write_async(8192, b"y" * 100)
+        with pytest.raises(DeviceIOError, match="not yet durable"):
+            dev.discard(8100, 200)
+        assert dev.read(8100, 200) == b"d" * 92 + b"y" * 100 + bytes(8)
+        dev.discard(0, 8192)  # ends where the write begins
+        clock.advance_to(ticket.completes_at)
+        dev.discard(8192, 100)
+        assert dev._blocks == {}
 
 
 class TestFailureInjection:
