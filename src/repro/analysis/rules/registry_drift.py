@@ -4,7 +4,7 @@ Span, tracepoint, metric, and failpoint names live in exactly two
 places — :mod:`repro.obs.names` and :mod:`repro.fault.names` — and
 the docs tests pin those catalogues to OBSERVABILITY.md / FAULTS.md.
 That chain only holds if instrumented modules *import the constants*:
-an inline ``"objstore.gc"`` string would keep working today and drift
+an inline ``"sls.barrier"`` string would keep working today and drift
 silently the day the catalogue renames it.
 
 Three checks:
@@ -126,7 +126,7 @@ class RegistryDriftRule(Rule):
     def _count_references(self, mod: SourceModule, values: Dict[str, str],
                           refs: Dict[str, int]) -> None:
         """Count uses of catalogue constants: attribute accesses
-        (``obs_names.SPAN_GC``) and imported names."""
+        (``obs_names.SPAN_BARRIER``) and imported names."""
         for node in ast.walk(mod.tree):
             if isinstance(node, ast.Attribute) and node.attr in values:
                 refs[node.attr] = refs.get(node.attr, 0) + 1

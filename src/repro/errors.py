@@ -155,7 +155,7 @@ class NoSuchObject(ObjectStoreError):
 
 
 class StoreFullError(ObjectStoreError):
-    """Allocator could not find space even after garbage collection."""
+    """No free run fits the allocation, reclaimed space included."""
 
 
 class SlsError(AuroraError):

@@ -4,10 +4,10 @@ Aurora's contract is that a power cut costs at most the last
 checkpoint interval.  This harness checks the reproduction keeps that
 promise *at every instant*: it runs a fixed checkpoint/restore
 workload — SLS checkpoints, SLSFS snapshots, ``sls_ntflush`` log
-appends, snapshot deletion plus in-place GC, then an online scrub pass
-— arms one ``crash`` failpoint per run ("power-cut at hit N of site
-S"), tears the device, recovers a fresh store from the raw bytes, and
-asserts four oracles:
+appends, a snapshot deletion whose extents a later commit point
+reclaims, then an online scrub pass — arms one ``crash`` failpoint per
+run ("power-cut at hit N of site S"), tears the device, recovers a
+fresh store from the raw bytes, and asserts four oracles:
 
 1. **prefix consistency** — the recovered snapshot directory equals,
    *exactly*, the directory as it stood at the recovered superblock
@@ -17,7 +17,8 @@ asserts four oracles:
    recovery discards nothing and invents nothing.
 2. **no leaked extents** — the rebuilt allocator's ``allocated_bytes``
    equals the byte-sum of the unique extents reachable from the
-   recovered snapshots, and its free-list invariants hold.
+   recovered snapshots plus the garbage a superblock slot still names,
+   and its free-list invariants hold.
 3. **restorable latest image** — the newest recovered SLS snapshot
    restores onto a fresh kernel, and the restored heap bytes match
    what the workload wrote before that checkpoint.  The persistent
@@ -47,7 +48,6 @@ from repro.fault.registry import FailpointRegistry, FaultAction
 from repro.hw.nvme import NvmeDevice
 from repro.objstore.alloc import Extent
 from repro.objstore.fsck import check_store, repair_store
-from repro.objstore.gc import GarbageCollector
 from repro.objstore.log import PersistentLog
 from repro.objstore.scrub import Scrubber
 from repro.objstore.record import decode
@@ -73,7 +73,6 @@ SWEEP_SITES = (
     fault_names.FP_STORE_COMMIT,
     fault_names.FP_STORE_WRITE_DIRECTORY,
     fault_names.FP_LOG_APPEND,
-    fault_names.FP_GC_COLLECT,
     fault_names.FP_FS_SYNC,
     fault_names.FP_SCRUB_STEP,
 )
@@ -90,7 +89,7 @@ SCRUB_BATCH = 16
 #: ``--expect-points pinned`` and ``run_sweep`` itself fails loudly
 #: when a full sweep's width drifts from it — adding or removing a
 #: crash site means updating exactly this constant.
-EXPECTED_CRASH_POINTS = 154
+EXPECTED_CRASH_POINTS = 153
 
 
 @dataclass
@@ -215,7 +214,7 @@ def _record_superblocks(state: WorkloadState, store: ObjectStore) -> None:
 def run_workload(kernel: Kernel, device: NvmeDevice,
                  state: WorkloadState) -> WorkloadState:
     """The swept workload: checkpoints + log appends + SLSFS snapshots
-    + one deletion/GC round.  Fills ``state`` in place so the oracles
+    + one deletion.  Fills ``state`` in place so the oracles
     have ground truth even when a power cut unwinds mid-operation."""
     sls = SLS(kernel)
     proc = kernel.spawn("crashtest-app")
@@ -236,7 +235,6 @@ def run_workload(kernel: Kernel, device: NvmeDevice,
     vfs = VfsNamespace(fs)
     log = PersistentLog(store, LOG_OWNER_OID, capacity=64 * KIB)
     state.log_region = log.region
-    gc = GarbageCollector(store)
 
     expect = {i: b"seed-%d" % i for i in range(HEAP_PAGES)}
     fs_snapshots: list[int] = []
@@ -258,15 +256,10 @@ def run_workload(kernel: Kernel, device: NvmeDevice,
         fs_snapshots.append(fs.sync(name=f"fs-{i}").snap_id)
 
         if i == 2:
-            # Delete the oldest SLSFS snapshot and reclaim in place.
-            # The barrier makes the deletion durable before any later
-            # write may reuse the freed extents: reusing space whose
-            # deallocation is still in flight would let a crash roll
-            # the directory back to a generation that references
-            # since-overwritten records (deferred reuse, as in ZFS).
+            # Delete the oldest SLSFS snapshot, durably: the commit
+            # points after the next superblock reclaim its extents.
             store.delete_snapshot(fs_snapshots.pop(0))
             store.flush_barrier()
-            gc.collect()
     sls.barrier(group)
     # Online scrub over everything just written: each bounded step is
     # its own crash site (FP_SCRUB_STEP), and the golden run must come
@@ -325,11 +318,12 @@ def verify_recovery(state: WorkloadState, device: NvmeDevice,
 
     # Oracle 2: no leaked extents (audit before the log region is
     # re-reserved — logs are not snapshot-referenced by design).
-    referenced = _referenced_extents(store)
-    if store.allocator.allocated_bytes != sum(referenced.values()):
+    referenced = sum(_referenced_extents(store).values())
+    garbage = sum(extent.length for extent in store.garbage)
+    if store.allocator.allocated_bytes != referenced + garbage:
         point.failures.append(
             f"extent leak: allocator holds {store.allocator.allocated_bytes} B "
-            f"but snapshots reference {sum(referenced.values())} B"
+            f"but snapshots reference {referenced} B and garbage is {garbage} B"
         )
     try:
         store.allocator.check_invariants()
@@ -459,7 +453,7 @@ def run_sweep(seed: int = DEFAULT_SEED, stride: int = 1,
     """Sweep every site over its golden-run hit count.
 
     ``stride`` subsamples the (large) device-write site; the targeted
-    sites — commit, log append, GC, SLSFS sync — are always swept
+    sites — commit, log append, SLSFS sync — are always swept
     exhaustively, since each of their hits is a distinct
     consistency-critical instant.
     """

@@ -39,7 +39,6 @@ FP_STORE_DELETE = "objstore.delete_snapshot"
 FP_STORE_WRITE_DIRECTORY = "objstore.write_directory"
 FP_STORE_ALLOC = "objstore.alloc"
 FP_LOG_APPEND = "objstore.log.append"
-FP_GC_COLLECT = "objstore.gc.collect"
 FP_FSCK_REPAIR = "objstore.fsck.repair"
 FP_SCRUB_STEP = "objstore.scrub.step"
 

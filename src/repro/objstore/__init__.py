@@ -10,7 +10,6 @@ from repro.objstore.fsck import (
     check_store,
     repair_store,
 )
-from repro.objstore.gc import GarbageCollector, GcReport
 from repro.objstore.log import LogAppend, PersistentLog
 from repro.objstore.record import (
     KIND_FILEDATA,
@@ -48,8 +47,6 @@ __all__ = [
     "FsckReport",
     "check_store",
     "repair_store",
-    "GarbageCollector",
-    "GcReport",
     "Scrubber",
     "ScrubStats",
     "LogAppend",

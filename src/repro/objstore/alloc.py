@@ -1,10 +1,10 @@
 """Extent allocation for the object store.
 
-A first-fit extent allocator with eager coalescing.  The COW layout
-never overwrites live data: updates allocate fresh extents and the old
-ones are freed *in place* by the garbage collector once no snapshot
-references them — "in-place garbage collection without needing to
-rewrite incremental checkpoints" (paper §3).
+A next-fit extent allocator with eager coalescing.  The COW layout
+never overwrites live data: updates allocate fresh extents, and the
+store frees a dead one *in place* once no superblock slot names it —
+"in-place garbage collection without needing to rewrite incremental
+checkpoints" (paper §3).
 """
 
 from __future__ import annotations
@@ -31,14 +31,25 @@ class Extent:
 
 
 class ExtentAllocator:
-    """First-fit allocator over [base, base+size).
+    """Next-fit allocator over [base, base+size).
 
     With ``num_shards > 1`` the range is partitioned into that many
     contiguous *stripes*, one per device submission queue.  Allocations
     that name a shard are carved from that shard's stripe when possible
-    (falling back to global first-fit under pressure), so a sharded
+    (falling back to the whole range under pressure), so a sharded
     checkpoint flush produces per-queue runs that stay contiguous on
     media and coalesce into few large commands.
+
+    Each range searches from where its last allocation ended and wraps
+    to its start only when nothing after that fits, so space freed
+    behind the cursor waits for the wrap instead of being rescanned by
+    every allocation.  Until something is freed, a range passes over a
+    free run only when it is too small for the request or ``reserve``
+    left it there, so with one request length a record lands exactly
+    where first-fit would put it (``tests/objstore/test_alloc.py``
+    keeps first-fit as the oracle).  With mixed lengths a run skipped
+    as too small waits behind the cursor for the wrap, where first-fit
+    would fill it with a later, smaller request.
     """
 
     def __init__(self, base: int, size: int, num_shards: int = 1):
@@ -55,6 +66,9 @@ class ExtentAllocator:
         ]
         #: sorted, disjoint, coalesced free list of [offset, end) pairs
         self._free: list[list[int]] = [[base, base + size]]
+        #: where the last allocation in each stripe ended, then in the
+        #: whole range (key ``num_shards``): where the next search starts
+        self._cursors = [*self._shard_bounds[:-1], base]
         self.allocated_bytes = 0
         #: failpoint plane (set by ObjectStore.attach_faults)
         self.faults: Optional["FailpointRegistry"] = None
@@ -80,45 +94,53 @@ class ExtentAllocator:
                 raise StoreFullError(
                     action.reason or f"injected allocation failure ({length} bytes)"
                 )
+        extent = None
         if shard is not None and self.num_shards > 1:
-            extent = self._allocate_in_stripe(length, shard)
-            if extent is not None:
-                return extent
-            # Stripe exhausted/fragmented: fall back to global first-fit
-            # — correctness never depends on stripe placement, only the
-            # flush's queue assignment (derived back via shard_of).
-        for i, (start, end) in enumerate(self._free):
-            if end - start >= length:
-                extent = Extent(offset=start, length=length)
-                if end - start == length:
-                    self._free.pop(i)
-                else:
-                    self._free[i][0] = start + length
-                self.allocated_bytes += length
-                return extent
-        raise StoreFullError(
-            f"no free extent of {length} bytes ({self.free_bytes} free, fragmented)"
-        )
+            extent = self._next_fit(length, shard)
+        # Stripe full or fragmented: the whole range — correctness never
+        # depends on stripe placement, only the flush's queue assignment
+        # (derived back via shard_of).
+        extent = extent or self._next_fit(length, self.num_shards)
+        if extent is None:
+            raise StoreFullError(
+                f"no free extent of {length} bytes ({self.free_bytes} free, fragmented)"
+            )
+        return extent
 
-    def _allocate_in_stripe(self, length: int, shard: int) -> Optional[Extent]:
-        """First-fit restricted to ``shard``'s stripe; None if no room."""
-        lo = self._shard_bounds[shard]
-        hi = self._shard_bounds[shard + 1]
-        for i, (start, end) in enumerate(self._free):
-            if start >= hi:
-                break
-            cut = max(start, lo)
-            if min(end, hi) - cut < length:
-                continue
-            extent = Extent(offset=cut, length=length)
-            self._free.pop(i)
-            if start < cut:
-                self._free.insert(i, [start, cut])
-                i += 1
-            if cut + length < end:
-                self._free.insert(i, [cut + length, end])
-            self.allocated_bytes += length
-            return extent
+    def _next_fit(self, length: int, key: int) -> Optional[Extent]:
+        """Carve ``length`` bytes from range ``key`` (a stripe, or
+        ``num_shards`` for the whole range): the first free stretch at
+        or after the range's cursor, else the first from its start.
+        None if no free run in the range fits."""
+        if key < self.num_shards:
+            lo, hi = self._shard_bounds[key], self._shard_bounds[key + 1]
+        else:
+            lo, hi = self.base, self.base + self.size
+        cursor = self._cursors[key]
+        free = self._free
+        for begin, stop in ((cursor, hi), (lo, cursor)):
+            i = bisect.bisect_left(free, [begin])  # first run from ``begin``
+            if i and free[i - 1][1] > begin:
+                i -= 1  # the run that holds ``begin``
+            for i in range(i, len(free)):
+                run = free[i]
+                start, end = run
+                if start >= stop:
+                    break
+                cut = max(start, begin)
+                if min(end, hi) - cut < length:
+                    continue
+                if start < cut:
+                    run[1] = cut
+                    if cut + length < end:
+                        free.insert(i + 1, [cut + length, end])
+                elif cut + length < end:
+                    run[0] = cut + length
+                else:
+                    del free[i]
+                self.allocated_bytes += length
+                self._cursors[key] = cut + length
+                return Extent(offset=cut, length=length)
         return None
 
     def _runs_below(self, offset: int) -> int:
@@ -188,14 +210,6 @@ class ExtentAllocator:
         if pos < self.base + self.size:
             out.append(Extent(offset=pos, length=self.base + self.size - pos))
         return out
-
-    def fragmentation(self) -> float:
-        """1 - (largest free run / total free); 0 when unfragmented."""
-        if not self._free:
-            return 0.0
-        largest = max(end - start for start, end in self._free)
-        free = self.free_bytes
-        return 0.0 if free == 0 else 1.0 - largest / free
 
     def free_extent_count(self) -> int:
         return len(self._free)

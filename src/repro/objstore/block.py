@@ -9,7 +9,7 @@ verifies — a torn final checkpoint is thereby discarded as a unit.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import ChecksumError, ObjectStoreError
 from repro.hw.device import BatchWrite, IoTicket, StorageDevice
@@ -60,9 +60,11 @@ class Volume:
             offset, record, release_ns=self.device.pending_deadline()
         )
 
-    def read_superblock(self) -> Optional[tuple[int, bytes]]:
-        """Return (generation, payload) of the newest valid superblock."""
-        best: Optional[tuple[int, bytes]] = None
+    def read_superblocks(self) -> list[tuple[int, bytes]]:
+        """(generation, payload) of each slot holding a valid
+        superblock, newest first: recovery adopts the first, and the
+        second still names what the store may not yet reuse."""
+        found: list[tuple[int, bytes]] = []
         for slot in (0, 1):
             offset = slot * SUPERBLOCK_SLOT_SIZE
             raw = self.device.read(offset, SUPERBLOCK_SLOT_SIZE)
@@ -70,13 +72,12 @@ class Volume:
                 header, payload = unpack_record(raw)
             except (ChecksumError, ObjectStoreError):
                 continue
-            if header.kind != KIND_SUPER:
-                continue
-            if best is None or header.epoch > best[0]:
-                best = (header.epoch, payload)
-        if best is not None:
-            self.generation = max(self.generation, best[0])
-        return best
+            if header.kind == KIND_SUPER:
+                found.append((header.epoch, payload))
+        found.sort(key=lambda slot: slot[0], reverse=True)
+        if found:
+            self.generation = max(self.generation, found[0][0])
+        return found
 
     # -- data area -------------------------------------------------------------
 

@@ -137,7 +137,7 @@ class FsckReport:
     findings: list[FsckFinding] = field(default_factory=list)
     #: lost+found snapshot names created by repair
     quarantined: list[str] = field(default_factory=list)
-    #: bytes returned to the allocator (orphans + deferred garbage)
+    #: bytes returned to the allocator (what no superblock slot names)
     bytes_reclaimed: int = 0
 
     @property
@@ -521,7 +521,7 @@ class Fsck:
         """Byte ranges something legitimately accounts for.
 
         ``include_unreachable`` adds claims that are allocator-tracked
-        but not snapshot-reachable — deferred garbage, open-batch
+        but not snapshot-reachable — garbage not yet reclaimed, open-batch
         buffers, pending dedup entries — which the orphan audit must
         not flag (they are accounted for, just not yet durable or not
         yet reclaimed).
@@ -582,11 +582,11 @@ class Fsck:
         """Rebuild the store to the repaired truth and persist it.
 
         Ordering mirrors a commit: the repair failpoint fires first, a
-        durability barrier fences any in-flight writes (freed space
-        must never be reused while an older superblock could still
-        name it), quarantine manifests are written as ordinary records,
-        and the new superblock goes out behind them through the store's
-        one commit point, :meth:`ObjectStore._write_directory`.
+        durability barrier fences any in-flight writes, the rebuild
+        keeps as garbage what either superblock slot still names (the
+        one reclaim rule), quarantine manifests are written as ordinary
+        records, and the new superblock goes out behind them through
+        the store's one commit point, :meth:`ObjectStore._write_directory`.
         """
         store = self.store
         if store.faults is not None:

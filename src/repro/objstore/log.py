@@ -48,7 +48,15 @@ class PersistentLog:
             region = store.allocator.allocate(capacity)
         else:
             # Re-opening a known region (post-crash scan): claim it if
-            # the rebuilt allocator still considers it free.
+            # the rebuilt allocator still considers it free.  A slot a
+            # dropped superblock write left stale can name extents that
+            # were reclaimed and since carved into this log; the rebuild
+            # kept them as garbage, but the log's bytes are live, so its
+            # claim wins and reclaim never frees them under it.
+            for extent in [e for e in store.garbage
+                           if e.offset < region.end and region.offset < e.end]:
+                del store.garbage[extent]
+                store.allocator.free(extent)
             try:
                 store.allocator.reserve(region)
             except ValueError:

@@ -3,8 +3,8 @@
 A copy-on-write record store designed for *hundreds of snapshots per
 second* (paper §3): updates never overwrite live data, snapshots share
 unchanged records with their parents, page data is content-deduplicated
-across all checkpoints, and freed extents are reclaimed in place by the
-garbage collector without rewriting incremental history.
+across all checkpoints, and a dead extent is reclaimed in place, at a
+commit point, without rewriting incremental history.
 
 Durability model: there is one write path and one commit point.  Data
 records (pages, metadata) are staged in the store's :class:`WriteBatch`
@@ -192,14 +192,11 @@ class ObjectStore:
         self.batch = WriteBatch(self)
         #: metadata/manifest record refcounts keyed by extent offset
         self._meta_refs: dict[int, tuple[Extent, int]] = {}
-        #: extents freed by refcount-zero, awaiting in-place GC
-        self.garbage: list[Extent] = []
-        #: garbage whose bytes the device still holds, each with the
-        #: superblocks still to submit before neither A/B slot names it
-        #: (two when it dies: the next orphans it, the one after
-        #: replaces the older slot) and the completion time of the last
-        #: one submitted; :meth:`free_garbage` drops the entry
-        self._discard_at: dict[Extent, tuple[int, int]] = {}
+        #: dead extents a superblock slot may still name, each with the
+        #: superblocks to submit before neither A/B slot does (two when
+        #: it dies: the next orphans it, the one after replaces the
+        #: older slot) and the last one's completion time
+        self.garbage: dict[Extent, tuple[int, int]] = {}
         #: live spilled-directory record, when the snapshot directory
         #: no longer fits the superblock slot (fleet-scale stores)
         self._dir_spill = dir_spill
@@ -745,19 +742,13 @@ class ObjectStore:
         directory is written as an ordinary metadata record in the data
         area and the superblock stores only a stub pointing at it.
 
-        The previous spill record (if any) becomes deferred garbage
-        only after the new superblock is submitted — the older
-        generation may still point at it, and reuse is deferred to GC
-        under the usual barrier-before-collect discipline.
-
-        An extent that becomes garbage is still named by the newest
-        superblock on media, and after this superblock orphans it, by
-        the older slot until the next superblock overwrites that slot.
-        Once that next superblock is durable no generation recovery can
-        choose names the extent, even when a flip in the newest slot
-        sends recovery to the older one, so a later call first lets the
-        device forget its bytes (:meth:`_discard_dead`).  Host memory
-        only: every simulated number is unchanged.
+        Garbage (the previous spill record, once this superblock is
+        submitted) is named by the newest slot until a superblock
+        orphans it, then by the older slot until the next one replaces
+        it.  Once that one is durable no generation recovery can choose
+        names it, even after a flip in the newest slot, and the next
+        call frees it (:meth:`_reclaim_dead`): the one rule by which
+        space is reused.
         """
         if self.faults is not None:
             self._failpoint(
@@ -766,7 +757,7 @@ class ObjectStore:
                 "injected directory-write failure",
                 store=self.device.name, snapshots=len(self.directory.snapshots),
             )
-        self._discard_dead()
+        self._reclaim_dead()
         self.batch.flush()
         payload = self.directory.payload()
         spill = None
@@ -777,31 +768,31 @@ class ObjectStore:
         if self._dir_spill is not None:
             self._to_garbage(self._dir_spill)
         self._dir_spill = spill
-        for extent, (left, _at) in self._discard_at.items():
+        for extent, (left, _at) in self.garbage.items():
             if left:
-                self._discard_at[extent] = (left - 1, durable_at)
+                self.garbage[extent] = (left - 1, durable_at)
 
     def _to_garbage(self, extent: Extent) -> None:
-        """Queue a dead extent for GC; the next superblock orphans it."""
-        self.garbage.append(extent)
-        self._discard_at[extent] = (2, 0)
+        """Queue a dead extent; the next superblock orphans it."""
+        self.garbage[extent] = (2, 0)
 
-    def free_garbage(self, extent: Extent) -> None:
-        """Hand a garbage extent back to the allocator (GC's one step).
-        New records may land in it, so its bytes are no longer the
-        device's to forget."""
-        self.allocator.free(extent)
-        self._discard_at.pop(extent, None)
-
-    def _discard_dead(self) -> None:
-        """Let the device forget the garbage no durable superblock
-        slot names."""
+    def _reclaim_dead(self) -> list[Extent]:
+        """Free and return the garbage no durable superblock slot names:
+        the device forgets it and the allocator may hand it out again."""
         now = self._now()
-        dead = [extent for extent, (left, at) in self._discard_at.items()
+        dead = [extent for extent, (left, at) in self.garbage.items()
                 if not left and at <= now]
         for extent in dead:
-            del self._discard_at[extent]
+            del self.garbage[extent]
             self.volume.discard_data(extent.offset, extent.length)
+            self.allocator.free(extent)
+        if dead and self.obs is not None:
+            freed, store = sum(extent.length for extent in dead), self.device.name
+            self.obs.registry.counter(obs_names.C_GC_EXTENTS_FREED, store=store).inc(len(dead))
+            self.obs.registry.counter(obs_names.C_GC_BYTES_FREED, store=store).inc(freed)
+            self.obs.tracer.event(obs_names.EV_GC_RECLAIM, store=store,
+                                  extents=len(dead), bytes=freed)
+        return dead
 
     def commit_snapshot(
         self,
@@ -955,7 +946,7 @@ class ObjectStore:
                 if freed is not None:
                     self._to_garbage(freed)
                     # The hash just left the store; a cached copy must
-                    # not outlive the media extent (GC may reuse it).
+                    # not outlive the media extent (reclaim reuses it).
                     self.pagecache.invalidate(content_hash)
         self.directory.remove(snap_id)
         self._write_directory()
@@ -1053,10 +1044,13 @@ class ObjectStore:
         is refs fsck kept for quarantine: indexed and reserved but not
         yet held.  A page is indexed from its manifest row alone (its
         codec facts; a delta's base hash is read later, if a commit
-        needs it — :meth:`_recovered_base`).  Whatever neither lists
-        (orphans, deferred garbage, a torn checkpoint, a table no
-        survivor reads) is not reserved: that is the leak reclaim.
-        Touches only in-memory state.
+        needs it — :meth:`_recovered_base`).  What a superblock slot
+        names beyond that (a snapshot only the older slot lists, one
+        recovery discarded, the older slot's spill) is reserved as
+        garbage, reclaimed once no slot names it.  Whatever no slot
+        names (orphans, a torn checkpoint, a table no survivor reads)
+        is not reserved: that is the leak reclaim.  Touches only
+        in-memory state.
         """
         # The spilled directory record is reachable from the superblock
         # (not from any snapshot): it stays reserved until a newer
@@ -1068,16 +1062,17 @@ class ObjectStore:
         self.pagecache.clear()
         reserved: set[Extent] = set()
 
-        def reserve(extent: Optional[Extent]) -> None:
+        def reserve(extent: Optional[Extent]) -> bool:
             if extent is None or extent in reserved:
-                return  # shared with an already-adopted snapshot
+                return False  # shared with an already-adopted snapshot
             reserved.add(extent)
             try:
                 self.allocator.reserve(extent)
             except ValueError:
                 # Overlaps bytes already reserved: the first claimant
                 # keeps them (fsck's claims phase reports the overlap).
-                pass
+                return False
+            return True
 
         def index(records: list[MetaRef], pages: list[PageRef]) -> None:
             for ref in records:
@@ -1107,6 +1102,10 @@ class ObjectStore:
             self._take_references(snapshot, manifest.records, pages, manifest.lineage)
         for records, pages in salvaged:
             index(records, pages)
+        held = {snapshot.snap_id for snapshot in adopted}
+        for extent, left in walk.unadopted(held):
+            if reserve(extent):
+                self.garbage[extent] = (left, 0)
 
 
 class WriteBatch:
@@ -1119,8 +1118,8 @@ class WriteBatch:
     :data:`MAX_BATCH_EXTENT`), and submits each shard's set through one
     device doorbell (:meth:`~repro.hw.device.StorageDevice.write_batch`).
 
-    Because the allocator hands out extents first-fit, a checkpoint's
-    freshly written records are almost always adjacent — a batch of N
+    Because each allocator stripe hands out extents next-fit, a
+    checkpoint's freshly written records are almost always adjacent — a batch of N
     page records typically flushes as a handful of large extents
     instead of N tiny commands.
 

@@ -222,6 +222,10 @@ class MediaWalk:
         self.generation = 0
         #: spilled-directory record named by the media superblock
         self.dir_spill: Optional[Extent] = None
+        #: (generation, payload) of each valid superblock slot, newest
+        #: first, and the newest one's directory
+        self._slots: list[tuple[int, bytes]] = []
+        self._newest = SnapshotDirectory()
         #: bytes of records that unpacked cleanly (each extent once)
         self.bytes_verified = 0
         #: (offset, length) -> :func:`unpack_verdict`, so records shared
@@ -238,31 +242,69 @@ class MediaWalk:
         a spill stub to its data-area record; None when neither slot
         holds a valid superblock.  A payload that checksums but does
         not decode as a directory raises :class:`ObjectStoreError`."""
-        super_read = self.store.volume.read_superblock()
-        if super_read is None:
+        self._slots = self.store.volume.read_superblocks()
+        if not self._slots:
             return None
-        self.generation, payload = super_read
+        self.generation, payload = self._slots[0]
         try:
-            value = decode(payload)
-            if isinstance(value, dict) and DIR_SPILL_KEY in value:
-                offset, length = value[DIR_SPILL_KEY]
-                spill = Extent(int(offset), int(length))
-                outcome = self.record(spill)
-                if outcome[0] == "bad":
-                    raise ObjectStoreError(outcome[2])
-                if outcome[1].kind != KIND_META:
-                    raise ObjectStoreError(
-                        f"directory spill extent holds a "
-                        f"kind-{outcome[1].kind} record"
-                    )
-                self.dir_spill = spill
-                value = decode(outcome[2])
-            return SnapshotDirectory.decode(value)
+            self.dir_spill, self._newest = self._decode(payload)
         except (ObjectStoreError, KeyError, TypeError, ValueError) as exc:
             raise ObjectStoreError(
                 f"superblock generation {self.generation} payload does not "
                 f"decode as a directory: {exc}"
             ) from exc
+        return self._newest
+
+    def _decode(self, payload: bytes) -> tuple[Optional[Extent], SnapshotDirectory]:
+        """A superblock payload's spill record (if any) and directory."""
+        value = decode(payload)
+        spill = None
+        if isinstance(value, dict) and DIR_SPILL_KEY in value:
+            offset, length = value[DIR_SPILL_KEY]
+            spill = Extent(int(offset), int(length))
+            outcome = self.record(spill)
+            if outcome[0] == "bad":
+                raise ObjectStoreError(outcome[2])
+            if outcome[1].kind != KIND_META:
+                raise ObjectStoreError(
+                    f"directory spill extent holds a kind-{outcome[1].kind} record"
+                )
+            value = decode(outcome[2])
+        return spill, SnapshotDirectory.decode(value)
+
+    def unadopted(self, adopted: set[int]) -> Iterator[tuple[Extent, int]]:
+        """Each extent a superblock slot names through a snapshot not in
+        ``adopted`` (ids), or through the older slot's spill record,
+        with the superblocks still to be written before no slot names
+        it: two for the newest slot, one for the older (the next write
+        replaces it).  Beyond what the walk already read, this reads
+        only the older slot's spill record and the manifests of the
+        snapshots only it lists; an older slot that does not decode
+        names nothing."""
+        newest = self._newest.snapshots
+        yield from self._names([s for i, s in newest.items() if i not in adopted], 2)
+        if len(self._slots) < 2:
+            return
+        try:
+            spill, older = self._decode(self._slots[1][1])
+        except (ObjectStoreError, KeyError, TypeError, ValueError):
+            return
+        if spill is not None:
+            yield spill, 1
+        yield from self._names([s for i, s in older.snapshots.items()
+                                if i not in newest], 1)
+
+    def _names(self, snapshots: list[Snapshot], left: int) -> Iterator[tuple[Extent, int]]:
+        for snapshot in snapshots:
+            tables = self.view(snapshot)
+            if tables[0].manifest is not None:
+                for ref in tables[0].manifest.records:
+                    yield ref.extent, left
+            for table in tables:
+                yield table.extent, left
+                if table.manifest is not None:
+                    for ref in table.manifest.pages:
+                        yield ref.extent, left
 
     def record(self, extent: Extent) -> tuple:
         """Read + verify the record at ``extent``; memoized."""

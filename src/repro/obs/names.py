@@ -39,7 +39,6 @@ SPAN_RESTORE_MEMORY = "restore.memory"
 #: covers one batch from doorbell submit to the completion of its last
 #: coalesced extent (closed out-of-order at the completion deadline)
 SPAN_STORE_BATCH = "objstore.batch.flush"
-SPAN_GC = "objstore.gc"
 #: one bounded scrub step: a batch of extent reads fanned over idle
 #: queues plus their checksum verification
 SPAN_SCRUB = "objstore.scrub"

@@ -1,10 +1,10 @@
 """The crash-consistency sweep (repro.fault.crashtest).
 
 The acceptance bar for the fault plane: ≥ 50 distinct crash points
-across the commit, log-append, GC, scrub, and SLSFS-snapshot paths,
-every recovery prefix-consistent and leak-free with a restorable
-latest image and an fsck that comes back clean or exactly repaired,
-deterministically under a fixed seed.
+across the commit (reclaim included), log-append, scrub, and
+SLSFS-snapshot paths, every recovery prefix-consistent and leak-free
+with a restorable latest image and an fsck that comes back clean or
+exactly repaired, deterministically under a fixed seed.
 """
 
 from repro.fault import names
@@ -19,6 +19,7 @@ from repro.fault.crashtest import (
     run_sweep,
     run_workload,
 )
+from repro.obs import names as obs_names
 
 
 class TestWorkload:
@@ -36,6 +37,13 @@ class TestWorkload:
         # Every superblock generation written is in the history.
         assert sorted(state.history) == list(range(len(state.history)))
 
+    def test_golden_run_reclaims_the_deleted_snapshot_at_a_commit_point(self):
+        kernel, device = _boot(seed=1)
+        run_workload(kernel, device, WorkloadState())
+        freed = kernel.obs.registry.counter(obs_names.C_GC_EXTENTS_FREED,
+                                            store=device.name)
+        assert freed.value > 0
+
 
 class TestSweep:
     def test_full_sweep_is_clean_and_wide(self):
@@ -47,7 +55,8 @@ class TestSweep:
         fired = report.fired_by_site()
         assert fired.get(names.FP_STORE_COMMIT, 0) >= CHECKPOINTS
         assert fired.get(names.FP_LOG_APPEND, 0) >= CHECKPOINTS
-        assert fired.get(names.FP_GC_COLLECT, 0) >= 1
+        # reclaim runs at the commit point, which the sweep cuts
+        assert fired.get(names.FP_STORE_WRITE_DIRECTORY, 0) >= CHECKPOINTS
         assert fired.get(names.FP_FS_SYNC, 0) >= CHECKPOINTS
         assert fired.get(names.FP_DEVICE_WRITE, 0) >= 30
         # The sharded parallel flush contributes its own crash sites:

@@ -27,7 +27,6 @@ from repro.fault.crashtest import SWEEP_SITES
 from repro.hw.netdev import NetworkLink
 from repro.hw.nvme import NvmeDevice
 from repro.objstore import repair_store
-from repro.objstore.gc import GarbageCollector
 from repro.objstore.log import PersistentLog
 from repro.objstore.scrub import Scrubber
 from repro.objstore.store import ObjectStore
@@ -155,11 +154,6 @@ class TestStoreSites:
         # The failed append consumed no sequence number space on disk.
         assert [p for _s, p in log.scan_region()] == [b"ok"]
 
-    def test_gc_fail(self, store):
-        store.faults.arm(names.FP_GC_COLLECT, FaultAction("fail"))
-        with pytest.raises(ObjectStoreError):
-            GarbageCollector(store).collect()
-
     def test_slsfs_sync_crash(self, store):
         fs = SlsFS(store, ObjectRegistry())
         store.faults.arm(names.FP_FS_SYNC, FaultAction("crash"))
@@ -231,10 +225,6 @@ GATE_SITES = {
         lambda s: PersistentLog(s, 7777, capacity=64 * KIB).append(b"entry"),
         "power cut appending seq 1", "injected log-append failure",
         (("owner", 7777), ("seq", 1))),
-    names.FP_GC_COLLECT: (
-        lambda s: GarbageCollector(s).collect(),
-        "power cut during gc", "injected gc failure",
-        (("pending", 0), STORE)),
     names.FP_FSCK_REPAIR: (
         repair_store,
         "power cut during fsck repair", "injected fsck repair failure",

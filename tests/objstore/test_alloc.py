@@ -16,7 +16,7 @@ def alloc():
 
 
 class TestAllocate:
-    def test_first_fit_from_base(self, alloc):
+    def test_starts_from_base(self, alloc):
         extent = alloc.allocate(100)
         assert extent.offset == 1000
         assert extent.length == 100
@@ -109,17 +109,6 @@ class TestReserve:
         alloc.check_invariants()
 
 
-class TestFragmentationMetric:
-    def test_zero_when_unfragmented(self, alloc):
-        assert alloc.fragmentation() == 0.0
-
-    def test_grows_with_holes(self, alloc):
-        extents = [alloc.allocate(1000) for _ in range(10)]
-        for extent in extents[1::2]:
-            alloc.free(extent)
-        assert 0.0 < alloc.fragmentation() < 1.0
-
-
 class LinearAllocator(ExtentAllocator):
     """The oracle: ``free`` and ``reserve`` as they were before they
     bisected the free list — a fresh ``starts`` list per free, a scan
@@ -199,3 +188,108 @@ def test_bisected_free_and_reserve_match_the_linear_search(steps):
         pair[0].check_invariants()
         assert pair[0].free_extents() == pair[1].free_extents()
         assert pair[0].allocated_bytes == pair[1].allocated_bytes
+
+
+class FirstFitAllocator(ExtentAllocator):
+    """The oracle: ``allocate`` as it was before next-fit — the lowest
+    fitting position in the stripe, else in the whole range, scanning
+    from the first run every time."""
+
+    def allocate(self, length, shard=None):
+        if shard is not None and self.num_shards > 1:
+            extent = self._first_fit(length, *self._shard_bounds[shard:shard + 2])
+            if extent is not None:
+                return extent
+        extent = self._first_fit(length, self.base, self.base + self.size)
+        if extent is None:
+            raise StoreFullError(
+                f"no free extent of {length} bytes ({self.free_bytes} free, fragmented)"
+            )
+        return extent
+
+    def _first_fit(self, length, lo, hi):
+        for i, (start, end) in enumerate(self._free):
+            if start >= hi:
+                break
+            cut = max(start, lo)
+            if min(end, hi) - cut < length:
+                continue
+            self._free.pop(i)
+            if start < cut:
+                self._free.insert(i, [start, cut])
+                i += 1
+            if cut + length < end:
+                self._free.insert(i, [cut + length, end])
+            self.allocated_bytes += length
+            return Extent(offset=cut, length=length)
+        return None
+
+
+_shards = st.sampled_from([None, 0, 1, 2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(length=st.integers(1, 48), steps=st.lists(st.one_of(
+    st.tuples(st.just("allocate"), _shards),
+    st.tuples(st.just("carve"), st.integers(0, 1 << 16), st.integers(0, 4), st.integers(1, 48)),
+), max_size=60))
+def test_with_nothing_freed_next_fit_places_what_first_fit_does(length, steps):
+    # One request length: a run too small for one request is too small
+    # for every later one, so next-fit never leaves behind its cursor a
+    # run that first-fit would still fill.
+    pair = [cls(base=64, size=256, num_shards=3)
+            for cls in (ExtentAllocator, FirstFitAllocator)]
+    for step in steps:
+        if step[0] == "carve":
+            runs = pair[0].free_extents()
+            if not runs:
+                continue
+            step = ("reserve", Extent(runs[step[1] % len(runs)].offset + step[2], step[3]))
+        else:
+            step = ("allocate", length, step[1])
+        outcomes = []
+        for alloc in pair:
+            try:
+                outcomes.append(getattr(alloc, step[0])(*step[1:]))
+            except (ValueError, StoreFullError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], step
+        assert pair[0].free_extents() == pair[1].free_extents()
+
+
+def test_mixed_lengths_leave_a_skipped_run_behind_the_cursor():
+    # Where the placements part: a run too small for one request is
+    # left behind next-fit's cursor, and a later, smaller request goes
+    # after the cursor, where first-fit fills the run instead.
+    pair = [cls(base=0, size=100) for cls in (ExtentAllocator, FirstFitAllocator)]
+    for alloc in pair:
+        alloc.reserve(Extent(10, 10))
+        assert alloc.allocate(15) == Extent(20, 15)
+    assert pair[0].allocate(5) == Extent(35, 5)
+    assert pair[1].allocate(5) == Extent(0, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.one_of(
+    st.tuples(st.just("allocate"), st.integers(1, 64), _shards),
+    st.tuples(st.just("release"), st.integers(0, 1 << 16)),
+), max_size=80))
+def test_next_fit_never_overlaps_and_fills_any_run_that_fits(steps):
+    alloc = ExtentAllocator(base=64, size=256, num_shards=3)
+    live: list[Extent] = []
+    for step in steps:
+        if step[0] == "release":
+            if live:
+                alloc.free(live.pop(step[1] % len(live)))
+            continue
+        _, length, shard = step
+        try:
+            extent = alloc.allocate(length, shard=shard)
+        except StoreFullError:
+            assert all(run.length < length for run in alloc.free_extents())
+            continue
+        assert 64 <= extent.offset and extent.end <= 64 + 256
+        assert all(extent.end <= e.offset or e.end <= extent.offset for e in live)
+        live.append(extent)
+        alloc.check_invariants()
+        assert alloc.allocated_bytes == sum(e.length for e in live)

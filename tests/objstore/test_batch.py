@@ -34,7 +34,7 @@ class TestCoalescing:
         refs = [store.write_page(b"pg-%04d" % i) for i in range(32)]
         writes_before = nvme.stats.writes
         batch.flush()
-        # First-fit allocation lays the records end-to-end, so the
+        # Next-fit allocation lays the records end-to-end, so the
         # whole batch coalesces into a single multi-page extent.
         assert nvme.stats.writes - writes_before == 1
         assert nvme.stats.doorbells == 1

@@ -1,11 +1,13 @@
-"""Dedup release/refcount paths interacting with garbage collection."""
+"""Dedup release/refcount paths interacting with in-place reclaim."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.hw.nvme import NvmeDevice
+from repro.hw.specs import OPTANE_900P
 from repro.objstore.alloc import Extent
 from repro.objstore.dedup import DedupIndex
-from repro.objstore.gc import GarbageCollector
 from repro.objstore.snapshot import PageRef
 from repro.objstore.store import ObjectStore
 from repro.sim.clock import SimClock
@@ -95,6 +97,15 @@ class TestOneRefPerStoredPage:
         assert rebooted.write_page(b"survivor") is indexed
 
 
+def outlive_both_slots(store):
+    """Two durable superblocks after a delete: the first orphans its
+    extents, the second replaces the older slot; the commit point after
+    that reclaims them."""
+    for name in ("orphans", "replaces-older-slot", "reclaims"):
+        store.flush_barrier()
+        store.commit_snapshot(name, meta=None, records=[], pages=[])
+
+
 class TestReleaseFeedsGc:
     def test_last_snapshot_delete_queues_extent_for_gc(self, store):
         ref = store.write_page(b"reclaim me")
@@ -102,42 +113,33 @@ class TestReleaseFeedsGc:
         assert not store.garbage
         store.delete_snapshot(snap.snap_id)
         assert ref.extent in store.garbage
-        gc = GarbageCollector(store)
-        report = gc.collect()
-        assert report.extents_freed >= 1
-        assert not store.garbage
+        outlive_both_slots(store)
+        assert ref.extent not in store.garbage
+        assert any(run.offset <= ref.extent.offset and ref.extent.end <= run.end
+                   for run in store.allocator.free_extents())
 
     def test_shared_page_survives_partial_delete(self, store):
         ref = store.write_page(b"shared page")
         snap_a = store.commit_snapshot("a", meta=None, records=[], pages=[ref])
         store.commit_snapshot("b", meta=None, records=[], pages=[ref])
         store.delete_snapshot(snap_a.snap_id)
-        gc = GarbageCollector(store)
-        gc.collect()
+        outlive_both_slots(store)
         assert store.dedup.refcount(ref.content_hash) == 1
         assert store.read_page(ref) == b"shared page"
 
-    def test_reclaimed_extent_is_reallocated(self, store):
+    def test_reclaimed_extent_is_reallocated(self, clock):
+        # a device small enough that next-fit wraps onto reclaimed space
+        store = ObjectStore(NvmeDevice(clock, spec=replace(OPTANE_900P, capacity=1 << 20)))
         ref = store.write_page(b"recycle")
         snap = store.commit_snapshot("gone", meta=None, records=[], pages=[ref])
+        filler = store.write_meta(oid=1, value=bytes(store.allocator.free_bytes - 4096))
+        store.commit_snapshot("filler", meta=None, records=[filler], pages=[])
         store.delete_snapshot(snap.snap_id)
-        GarbageCollector(store).collect()
-        # First-fit allocation reuses the freed extent for new data.
-        fresh = store.write_page(b"fresh tenant")
-        assert fresh.extent.offset <= ref.extent.offset
-
-    def test_gc_limit_bounds_reclaim_batch(self, store):
-        refs = [store.write_page(b"bulk-%d" % i) for i in range(5)]
-        snap = store.commit_snapshot("bulk", meta=None, records=[], pages=refs)
-        store.delete_snapshot(snap.snap_id)
-        pending_before = len(store.garbage)
-        assert pending_before >= 5
-        gc = GarbageCollector(store)
-        report = gc.collect(limit=2)
-        assert report.extents_freed == 2
-        assert gc.pending() == pending_before - 2
-        gc.collect()
-        assert gc.pending() == 0
+        outlive_both_slots(store)
+        tenants = []
+        while not any(t.extent.offset <= ref.extent.offset < t.extent.end for t in tenants):
+            tenants.append(store.write_page(b"tenant %d" % len(tenants)))
+        assert store.read_page(tenants[-1]) == b"tenant %d" % (len(tenants) - 1)
 
     def test_batched_writes_release_like_unbatched(self, store):
         refs = [store.write_page(b"via-batch-%d" % i) for i in range(3)]
@@ -147,5 +149,6 @@ class TestReleaseFeedsGc:
         store.delete_snapshot(snap.snap_id)
         for ref in refs:
             assert store.dedup.refcount(ref.content_hash) == 0
-        report = GarbageCollector(store).collect()
-        assert report.extents_freed >= 3
+        assert all(ref.extent in store.garbage for ref in refs)
+        outlive_both_slots(store)
+        assert not any(ref.extent in store.garbage for ref in refs)

@@ -57,13 +57,13 @@ class TestSpillFormat:
         for i in range(3):
             commit(store, f"snap-{i}")
         assert store._dir_spill is None
-        _gen, payload = store.volume.read_superblock()
+        _gen, payload = store.volume.read_superblocks()[0]
         # Inline format: the directory itself (a LIST), not a stub.
         assert isinstance(decode(payload), list)
 
     def test_overflow_moves_directory_to_data_area(self, store):
         commit_until_spilled(store)
-        _gen, payload = store.volume.read_superblock()
+        _gen, payload = store.volume.read_superblocks()[0]
         stub = decode(payload)
         assert isinstance(stub, dict)
         offset, length = stub[DIR_SPILL_KEY]

@@ -1,17 +1,21 @@
-"""Dead media bytes leave host memory.
+"""One reclaim rule: a dead extent is freed once no superblock slot
+names it.
 
 A garbage extent is named by the newest superblock on media until the
 next one orphans it, and by the older A/B slot until the superblock
 after that overwrites the slot.  Once that second superblock is
 durable no generation recovery can choose names the extent, so the
-device forgets its bytes at the next commit point.  Never earlier: a
-cut, a dropped superblock write or a flip in the newest slot may send
-recovery to the older generation.  Never after reuse: GC hands the
-extent back to the allocator and new records land in it.  And not much
-later either: the commit point after that discards what became dead.
+next commit point frees it: the device forgets its bytes and the
+allocator may hand it out again.  Never earlier: a cut, a dropped
+superblock write or a flip in the newest slot may send recovery to the
+older generation, and a reboot keeps what either slot still names.
+And not much later either, so media space and the device's host
+memory follow the live set, not the history.
 """
 
+import functools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,8 +24,9 @@ from repro.core.orchestrator import SLS
 from repro.fault import names as fault_names
 from repro.fault.registry import FailpointRegistry, FaultAction
 from repro.hw.nvme import NvmeDevice
+from repro.hw.specs import OPTANE_900P
 from repro.objstore.block import SUPERBLOCK_SLOT_SIZE
-from repro.objstore.gc import GarbageCollector
+from repro.objstore.log import PersistentLog
 from repro.objstore.record import HEADER_SIZE
 from repro.objstore.store import ObjectStore
 from repro.posix.kernel import Kernel
@@ -32,8 +37,9 @@ from repro.units import GIB, MSEC, PAGE_SIZE
 BLOCK = 4096
 
 
-def new_store():
-    return ObjectStore(NvmeDevice(SimClock(), queue_depth=8, num_queues=4),
+def new_store(capacity=None, queues=4):
+    spec = OPTANE_900P if capacity is None else replace(OPTANE_900P, capacity=capacity)
+    return ObjectStore(NvmeDevice(SimClock(), spec=spec, queue_depth=8, num_queues=queues),
                        cache_bytes=0)
 
 
@@ -149,17 +155,27 @@ class TestNeverEarly:
             assert rebooted.read_page(ref) == payload
 
 
+def overlaps(extents, others):
+    return any(a.offset < b.end and b.offset < a.end for a in extents for b in others)
+
+
 class TestNeverAfterReuse:
     def test_pages_written_into_collected_extents_read_back(self):
-        store, rng = new_store(), random.Random(2)
+        # A 1 MiB device: the stripes' cursors wrap onto reclaimed space.
+        store, rng = new_store(capacity=1 << 20), random.Random(2)
         old, old_pages = commit_pages(store, "old", rng)
-        store.flush_barrier()
         store.delete_snapshot(old.snap_id)
-        store.flush_barrier()
-        assert GarbageCollector(store).collect().extents_freed
-        new, pages = commit_pages(store, "new", rng)
-        dead = {ref.extent.offset for ref in old_pages}
-        assert dead & {ref.extent.offset for ref in pages}  # reused
+        live = []
+        for step in range(40):
+            store.flush_barrier()
+            snap, pages = commit_pages(store, f"s{step}", rng)
+            live.append((snap, pages))
+            if len(live) > 2:
+                store.delete_snapshot(live.pop(0)[0].snap_id)
+            if overlaps([ref.extent for ref in pages], [ref.extent for ref in old_pages]):
+                break
+        else:
+            pytest.fail("no commit reused the deleted snapshot's extents")
         for name in ("later-1", "later-2"):
             store.flush_barrier()
             commit_pages(store, name, rng, count=2)
@@ -176,7 +192,7 @@ class TestDeadBytesLeave:
             store.delete_snapshot(snap.snap_id)
         earlier = list(store.garbage)
         store.delete_snapshot(snaps[3].snap_id)
-        last = store.garbage[len(earlier):]
+        last = [extent for extent in store.garbage if extent not in earlier]
         store.flush_barrier()
         assert held_dead_blocks(store.device, earlier)
         # the superblock after each earlier delete is durable; the
@@ -208,10 +224,11 @@ class TestDeadBytesLeave:
         assert store.device.read(spill.offset, spill.length) == bytes(spill.length)
 
 
-def media_blocks_after(incrementals: int) -> int:
-    """Blocks the device holds after ``incrementals`` 10 ms-spaced
-    checkpoints of a 256-page heap, 8 pages rewritten in each, under the
-    group's default retention."""
+@functools.lru_cache(maxsize=None)
+def media_after(incrementals: int) -> tuple[int, int]:
+    """Blocks the device holds and bytes the store has allocated after
+    ``incrementals`` 10 ms-spaced checkpoints of a 256-page heap, 8
+    pages rewritten in each, under the group's default retention."""
     kernel = Kernel(hostname="media", memory_bytes=1 * GIB)
     store = ObjectStore(NvmeDevice(kernel.clock, queue_depth=8, num_queues=4),
                         mem=kernel.mem)
@@ -231,7 +248,7 @@ def media_blocks_after(incrementals: int) -> int:
         kernel.run_for(10 * MSEC)
         sls.checkpoint(group)
     sls.barrier(group)
-    return len(store.device._blocks)
+    return len(store.device._blocks), store.allocator.allocated_bytes
 
 
 class TestHostMediaBytesFollowTheLiveSet:
@@ -239,4 +256,152 @@ class TestHostMediaBytesFollowTheLiveSet:
         # The retention window bounds the live set; bytes written grow
         # 2.8x from 40 to 160 incrementals, and so would the blocks
         # held if every dead byte stayed.
-        assert media_blocks_after(160) < 2 * media_blocks_after(40)
+        assert media_after(160)[0] < 2 * media_after(40)[0]
+
+    def test_media_space_stays_flat_as_history_grows(self):
+        # The same for the space the store has allocated: reclaimed
+        # extents are free again (1.28 -> 1.32 MB; a store that never
+        # reclaimed held 2.49 -> 6.76 MB).
+        assert media_after(160)[1] < 2 * media_after(40)[1]
+
+
+def cut_while_reusing(fault, cut_at, seed=7):
+    """Commit ``old`` and ``keep``, delete ``old`` behind a barrier, then
+    stream 12-page commits on a 1 MiB device (keeping the last two)
+    and cut power during commit ``cut_at``, once its records are
+    durable and before its superblock is.  ``fault`` adds one more:
+    ``flip`` the newest durable slot at the cut (at ``cut_at=0`` the
+    delete's own), ``drop`` the delete's superblock write, or
+    ``reboot`` with nothing in flight right after the delete and flip
+    the delete's slot at the cut.  Returns the recovered store, what
+    every snapshot it may list must read back, and whether the cut
+    commit's records had landed in ``old``'s extents."""
+    store, rng = new_store(capacity=1 << 20), random.Random(seed)
+    faults = FailpointRegistry(clock=store.device.clock)
+    store.attach_faults(faults)
+    expect = {}
+    old, expect["old"] = commit_pages(store, "old", rng)
+    _keep, expect["keep"] = commit_pages(store, "keep", rng)
+    store.flush_barrier()
+    if fault == "drop":
+        faults.arm(fault_names.FP_DEVICE_WRITE, FaultAction("drop"))
+    store.delete_snapshot(old.snap_id)
+    delete_generation = store.volume.generation
+    store.flush_barrier()
+    if fault == "reboot":
+        store.device.crash()
+        store, _report = reboot(store.device)
+    live = []
+    for step in range(cut_at + 1):
+        payloads = [rng.randbytes(PAGE_SIZE) for _ in range(12)]
+        refs = [store.write_page(p) for p in payloads]
+        expect[f"s{step}"] = dict(zip(refs, payloads))
+        if step == cut_at:
+            break
+        live.append(store.commit_snapshot(f"s{step}", meta=None, records=[], pages=refs))
+        if len(live) > 2:
+            store.delete_snapshot(live.pop(0).snap_id)
+        store.flush_barrier()
+    store.flush_barrier()  # the cut commit's records are durable
+    store.commit_snapshot(f"s{cut_at}", meta=None, records=[], pages=refs)
+    assert store.device.pending_writes()
+    store.device.crash()
+    if fault == "flip":
+        flip_slot(store, store.volume.generation - 1)
+    elif fault == "reboot":
+        flip_slot(store, delete_generation)
+    reused = overlaps([ref.extent for ref in refs],
+                      [ref.extent for ref in expect["old"]])
+    rebooted, report = reboot(store.device)
+    return rebooted, report, expect, reused
+
+
+class TestNoSlotNamesReusedSpace:
+    @pytest.mark.parametrize("fault", ["flip", "drop", "reboot"])
+    def test_a_second_fault_during_reuse_never_returns_a_wrong_page(self, fault):
+        # Cut at every commit from the delete's to two past the first
+        # that reuses the deleted snapshot's extents; each recovered
+        # snapshot must read back exactly what was committed.
+        first_reuse = None
+        for cut_at in range(40):
+            rebooted, report, expect, reused = cut_while_reusing(fault, cut_at)
+            assert report.snapshots_discarded == 0, (cut_at, report.errors)
+            assert rebooted.snapshot_by_name("keep") is not None, cut_at
+            for snap in rebooted.snapshots():
+                for ref in rebooted.load_manifest(snap).pages:
+                    assert rebooted.read_page(ref) == expect[snap.name][ref], \
+                        (cut_at, snap.name)
+            if reused and first_reuse is None:
+                first_reuse = cut_at
+            if first_reuse is not None and cut_at >= first_reuse + 2:
+                break
+        assert first_reuse is not None, "nothing reused the deleted snapshot's extents"
+
+    def test_a_reboot_keeps_what_the_older_slot_names(self):
+        # The delete's generation is adopted; the older slot still lists
+        # ``old``, so its extents are garbage until the next superblock
+        # replaces that slot, not free.
+        store, rng = new_store(), random.Random(8)
+        old, old_pages = commit_pages(store, "old", rng)
+        commit_pages(store, "keep", rng)
+        store.flush_barrier()
+        store.delete_snapshot(old.snap_id)
+        store.flush_barrier()
+        store.device.crash()
+        rebooted, _report = reboot(store.device)
+        assert all(rebooted.garbage.get(ref.extent) == (1, 0) for ref in old_pages)
+        assert rebooted.garbage.get(old.manifest_extent) == (1, 0)
+
+    def test_a_log_carved_from_reclaimed_space_outlives_a_stale_slot(self):
+        # A dropped write leaves the delete's slot holding a generation
+        # that lists ``old``.  The next commit point reclaims ``old``'s
+        # extents, a log is carved from them (this one-queue device's
+        # cursor wraps), and power is cut before the superblock that
+        # would replace the stale slot lands.  The reboot keeps what
+        # that slot names as garbage; the reopened log's claim wins, so
+        # no later commit lands inside it.
+        store, rng = new_store(capacity=112 << 10, queues=1), random.Random(10)
+        faults = FailpointRegistry(clock=store.device.clock)
+        store.attach_faults(faults)
+        old, _pages = commit_pages(store, "old", rng)
+        commit_pages(store, "keep", rng, count=1)
+        store.flush_barrier()
+        faults.arm(fault_names.FP_DEVICE_WRITE, FaultAction("drop"))
+        store.delete_snapshot(old.snap_id)  # its one write: the superblock
+        for name in ("replaces-the-older-slot", "reclaims"):
+            store.flush_barrier()
+            commit_pages(store, name, rng, count=1)
+        log = PersistentLog(store, owner_oid=1,
+                            capacity=store.allocator.free_extents()[0].length)
+        assert overlaps([log.region], [old.manifest_extent])
+        assert store.device.pending_writes()
+        store.device.crash()
+
+        rebooted, _report = reboot(store.device)
+        assert old.manifest_extent in rebooted.garbage  # the stale slot names it
+        reopened = PersistentLog(rebooted, owner_oid=1, region=log.region)
+        assert not overlaps([log.region], rebooted.garbage)
+        reopened.append(b"after-reboot")
+        live = []
+        for step in range(8):
+            rebooted.flush_barrier()
+            live.append(commit_pages(rebooted, f"after-{step}", rng, count=1)[0])
+            if len(live) > 2:
+                rebooted.delete_snapshot(live.pop(0).snap_id)
+        rebooted.flush_barrier()
+        assert [payload for _seq, payload in reopened.scan_region()] == [b"after-reboot"]
+
+
+def test_a_long_stream_runs_in_a_small_device():
+    # 400 commits of 12 incompressible pages, 19.7 MB in all, through a
+    # 1 MiB device: only reclaimed space makes room for them.
+    store, rng = new_store(capacity=1 << 20), random.Random(9)
+    live = []
+    for step in range(400):
+        live.append(commit_pages(store, f"s{step}", rng))
+        if len(live) > 3:
+            store.delete_snapshot(live.pop(0)[0].snap_id)
+    store.flush_barrier()
+    for _snap, pages in live:
+        for ref, payload in pages.items():
+            assert store.read_page(ref) == payload

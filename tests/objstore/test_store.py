@@ -1,10 +1,14 @@
 """Unit tests for the object store: snapshots, dedup, recovery, GC."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import NoSuchObject
 from repro.hw.nvme import NvmeDevice
-from repro.objstore.gc import GarbageCollector
+from repro.hw.specs import OPTANE_900P
+from repro.objstore.block import DATA_BASE
 from repro.objstore.store import ObjectStore
 from repro.sim.clock import SimClock
 from repro.units import PAGE_SIZE
@@ -147,41 +151,52 @@ class TestSnapshots:
         assert big.delta_bytes > small.delta_bytes
 
 
+def outlive_both_slots(store):
+    """Barrier and commit until the superblock after a delete's has
+    replaced the older slot, and one more commit point reclaims."""
+    for name in ("orphans", "replaces-older-slot", "reclaims"):
+        store.flush_barrier()
+        commit(store, name)
+
+
 class TestGc:
     def test_collect_returns_space(self, store):
         snap = commit(store, "a", values=[{"x": 1}], pages=[b"data"])
-        used_before = store.allocator.allocated_bytes
         store.delete_snapshot(snap.snap_id)
-        gc = GarbageCollector(store)
-        report = gc.collect()
-        assert report.extents_freed >= 3  # meta + page + manifest
-        assert store.allocator.allocated_bytes < used_before
-
-    def test_collect_bounded(self, store):
-        snap = commit(store, "a", values=[{"x": 1}], pages=[b"p1", b"p2"])
-        store.delete_snapshot(snap.snap_id)
-        gc = GarbageCollector(store)
-        first = gc.collect(limit=1)
-        assert first.extents_freed == 1
-        assert gc.pending() > 0
-        gc.collect()
-        assert gc.pending() == 0
+        dead = list(store.garbage)
+        assert len(dead) >= 3  # meta + page + manifest
+        outlive_both_slots(store)
+        assert not store.garbage
+        free = store.allocator.free_extents()
+        assert all(any(run.offset <= e.offset and e.end <= run.end for run in free)
+                   for e in dead)
 
     def test_gc_does_not_touch_live_data(self, store):
         keep = commit(store, "keep", values=[{"v": 1}], pages=[b"live"])
         doomed = commit(store, "doomed", pages=[b"dead"])
         store.delete_snapshot(doomed.snap_id)
-        GarbageCollector(store).collect()
+        outlive_both_slots(store)
         meta, records, pages, _lineage = store.load_manifest(keep)
         assert store.read_meta(records[0]) == {"v": 1}
         assert store.read_page(pages[0]) == b"live"
 
-    def test_freed_space_reusable(self, store):
-        snap = commit(store, "a", pages=[b"x" * 2000])
-        store.delete_snapshot(snap.snap_id)
-        GarbageCollector(store).collect()
+    def test_freed_space_reusable(self):
+        # A data area of four incompressible pages: "b" fits only in
+        # the extents "a" held.
+        store = ObjectStore(NvmeDevice(SimClock(), spec=replace(
+            OPTANE_900P, capacity=DATA_BASE + 4 * PAGE_SIZE)))
+        rng = random.Random(0)
+        a = commit(store, "a", pages=[rng.randbytes(PAGE_SIZE) for _ in range(3)])
+        held = [ref.extent for ref in store.load_manifest(a).pages]
+        store.delete_snapshot(a.snap_id)
+        outlive_both_slots(store)
         store.allocator.check_invariants()
-        commit(store, "b", pages=[b"y" * 2000])  # no StoreFullError
+        payloads = [rng.randbytes(PAGE_SIZE) for _ in range(3)]
+        b = commit(store, "b", pages=payloads)  # no StoreFullError
+        refs = store.load_manifest(b).pages
+        assert any(e.offset < h.end and h.offset < e.end
+                   for e in (ref.extent for ref in refs) for h in held)
+        assert sorted(store.read_page(ref) for ref in refs) == sorted(payloads)
 
 
 class TestRecovery:
