@@ -31,7 +31,7 @@ from repro.core.metrics import CheckpointMetrics, RestoreMetrics
 from repro.core.orchestrator import SLS
 from repro.errors import MigrationError
 from repro.hw.netdev import NetworkEndpoint
-from repro.objstore.image import write_image
+from repro.objstore.image import overlay_maps, write_image
 from repro.objstore.record import decode, encode, shaped
 from repro.objstore.store import ObjectStore
 from repro.posix.process import Process
@@ -145,10 +145,13 @@ class _GroupStream:
 
     def apply(self, store: ObjectStore, value: dict) -> None:
         """Adopt one image/checkpoint message: stage its pages, overlay
-        them on the map, keep its metadata."""
+        them on the map, keep its metadata.  The overlay is a new map,
+        so an image committed from the old one keeps it unchanged."""
         self.meta, self.name, self.epoch = value["meta"], value["name"], value["epoch"]
+        changed: dict = {}
         for oid, pindex, payload in value["pages"]:
-            self.page_refs.setdefault(oid, {})[pindex] = store.write_page(payload)
+            changed.setdefault(oid, {})[pindex] = store.write_page(payload)
+        self.page_refs = overlay_maps(self.page_refs, changed, store.slot_maps.share)
         self.checkpoints_applied += 1
 
     def commit(self, store: ObjectStore, backend_name: str, marker: str) -> CheckpointImage:
@@ -171,10 +174,8 @@ class _GroupStream:
             image_id=0,
             metrics=CheckpointMetrics(group=self.group),
         )
-        # the image owns its map; the stream's grows with later messages
-        image.copies[backend_name] = StoreCopy(store, snapshot, {
-            oid: dict(pages) for oid, pages in self.page_refs.items()
-        }, lineage)
+        # later messages replace the stream's map, never mutate it
+        image.copies[backend_name] = StoreCopy(store, snapshot, self.page_refs, lineage)
         return image
 
 

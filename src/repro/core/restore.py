@@ -28,7 +28,7 @@ from repro.core.metrics import CheckpointMetrics, RestoreMetrics
 from repro.errors import ImageFormatError, RestoreError
 from repro.mem.vmobject import VMObject
 from repro.obs import names as obs_names
-from repro.objstore.image import read_image, verify_image_record
+from repro.objstore.image import overlay_maps, read_image, verify_image_record
 from repro.objstore.pagecache import FaultOrderLog
 from repro.objstore.record import shaped
 from repro.objstore.store import ObjectStore
@@ -75,7 +75,8 @@ def load_image_from_store(store: ObjectStore, snapshot,
         image_id=0,
         metrics=CheckpointMetrics(),
     )
-    image.copies[backend_name] = StoreCopy(store, snapshot, page_refs)
+    image.copies[backend_name] = StoreCopy(
+        store, snapshot, overlay_maps(None, page_refs, store.slot_maps.share))
     return image
 
 

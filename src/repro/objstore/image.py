@@ -21,8 +21,11 @@ and verifies the snapshot's own record without decoding it
 from __future__ import annotations
 
 import struct
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import Optional
 
 from repro.errors import ImageFormatError, ObjectStoreError
 from repro.objstore.alloc import Extent
@@ -32,6 +35,68 @@ from repro.objstore.snapshot import PAGEMAP_ROW, MetaRef, PageRef, Snapshot, rep
 
 #: a page ref's content hash, for ``map``
 _content_hash = attrgetter("content_hash")
+
+
+class SlotMap(dict):
+    """One object's ``{slot: page}`` in an image's map: a value.  It is
+    immutable once built, so an image shares it with its children (an
+    object a freeze did not touch keeps its parent's map) and a store
+    shares it between images whose maps for an object are equal
+    (:class:`SlotMapTable`)."""
+
+    __slots__ = ("__weakref__",)
+
+    def _immutable(self, *_args, **_kwargs):
+        raise TypeError("a slot map is immutable once built")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    clear = pop = popitem = setdefault = update = _immutable
+
+
+def overlay(base: Optional[Mapping], slots: Mapping) -> SlotMap:
+    """A new map: ``base`` (the parent's map, or None) with ``slots``
+    set.  Slots ``base`` has keep their place; new ones follow, in
+    ``slots``' order."""
+    new = SlotMap(base or ())
+    dict.update(new, slots)
+    return new
+
+
+def overlay_maps(base_map: Optional[Mapping], changed: Mapping,
+                 share=None) -> dict:
+    """An image's map: ``base_map`` (the parent's) with each changed
+    object's slots overlaid.  An object ``changed`` does not name keeps
+    the parent's map object; each overlaid map goes through ``share``
+    (a store's :meth:`SlotMapTable.share`) when given."""
+    page_map = dict(base_map) if base_map else {}
+    for oid, slots in changed.items():
+        new = overlay(page_map.get(oid), slots)
+        page_map[oid] = share(new) if share is not None else new
+    return page_map
+
+
+class SlotMapTable:
+    """A store's live slot maps by content.  It holds them weakly: a
+    map leaves with the last image holding it.  The key is the hash of
+    the map's slots and content hashes in order, so no key keeps the
+    rows alive; on a collision the later map simply stays unshared."""
+
+    def __init__(self):
+        self._live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def share(self, slots: Mapping[int, PageRef]) -> SlotMap:
+        """The live map equal to ``slots`` (same slots in the same
+        order, equal refs), else ``slots`` itself as a :class:`SlotMap`,
+        now the one others share."""
+        order = tuple(slots)
+        key = hash((order, tuple(map(_content_hash, slots.values()))))
+        live = self._live.get(key)
+        if live is not None and live == slots and tuple(live) == order:
+            return live
+        new = slots if type(slots) is SlotMap else SlotMap(slots)
+        if live is None:
+            self._live[key] = new
+        return new
 
 
 @dataclass(frozen=True)
@@ -57,6 +122,8 @@ def write_image(store, *, name: str, meta, value, page_map: dict,
     try:
         for obj, slots in page_map.items():
             old = base_map.get(obj)
+            if old is slots:
+                continue  # the parent's map object: nothing changed
             changed = slots if not old else {
                 slot: ref for slot, ref in slots.items()
                 if slot not in old or old[slot].content_hash != ref.content_hash

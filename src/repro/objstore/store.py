@@ -44,6 +44,7 @@ from repro.objstore.codec import (
     delta_info,
 )
 from repro.objstore.dedup import DedupEntry, DedupIndex
+from repro.objstore.image import SlotMapTable
 from repro.objstore.pagecache import DEFAULT_PAGE_CACHE_BYTES, PREFETCH_BATCH_PAGES, PageCache
 from repro.objstore.record import (
     ENC_DELTA,
@@ -174,6 +175,9 @@ class ObjectStore:
         self._fsck_clean_generation: Optional[int] = None
         #: persistent logs carved out of this store, keyed by owner oid
         self._logs: dict[int, "PersistentLog"] = {}
+        #: the live images' slot maps by content: equal maps are one
+        #: object (repro.objstore.image)
+        self.slot_maps = SlotMapTable()
         self._reset_index()
 
     def _reset_index(self, next_id: int = 1,

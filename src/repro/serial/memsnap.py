@@ -21,14 +21,21 @@ from repro.mem.cow import FreezeSet
 from repro.mem.page import Page
 from repro.mem.vmobject import ObjectKind, VMObject
 from repro.obs import names as obs_names
+from repro.objstore.image import SlotMap, overlay, overlay_maps
 from repro.objstore.store import ObjectStore, PageRef
 from repro.serial.registry import RestoreContext, SerialContext
 
 #: oid -> {pindex -> PageRef} (disk image) or {pindex -> Page} (memory image)
 PageMap = dict[int, dict[int, object]]
 #: a store copy's map: every slot a PageRef (``image.copies[backend].pages``
-#: of a :class:`~repro.core.checkpoint.StoreCopy`)
-StorePageMap = dict[int, dict[int, PageRef]]
+#: of a :class:`~repro.core.checkpoint.StoreCopy`).  A slot map is
+#: immutable once an image holds it, and equal maps are one object: an
+#: object a freeze did not touch keeps its parent's :class:`~repro.
+#: objstore.image.SlotMap`, a touched one gets the parent's overlaid with
+#: the new refs, and every new map goes through the store's
+#: ``slot_maps`` table, so images whose maps for an object are equal
+#: (every function's runtime objects in a fleet) share one.
+StorePageMap = dict[int, SlotMap]
 
 
 def serialize_vm_objects(objects: list[VMObject], ctx: SerialContext) -> list[dict]:
@@ -142,15 +149,14 @@ def capture_pages_to_store(
 
     ``base_map`` is the parent checkpoint's page map; incremental
     checkpoints overlay their dirty pages onto it, so the returned map
-    is always complete.
+    is always complete.  Only the objects the freeze touched get a new
+    slot map, shared by content through ``store.slot_maps``.
     """
-    page_map: StorePageMap = {}
-    if base_map:
-        for oid, pages in base_map.items():
-            page_map[oid] = dict(pages)
+    changed: dict[int, dict[int, PageRef]] = {}
     for run in freeze_set.runs:
         refs = store.write_run(run.pages, freeze_set.epoch)
-        page_map.setdefault(run.obj.oid, {}).update(zip(run.pindexes, refs))
+        changed.setdefault(run.obj.oid, {}).update(zip(run.pindexes, refs))
+    page_map = overlay_maps(base_map, changed, store.slot_maps.share)
     if store.obs is not None:
         store.obs.tracer.event(
             obs_names.EV_CAPTURE_STORE,
@@ -174,18 +180,22 @@ def capture_swapped_to_store(
     A slot already covered by an inherited ref is skipped *unless* it
     is in ``force`` — the freeze pass flags slots that were dirtied
     this interval and then evicted, whose inherited copy is stale.
+    ``page_map`` (not yet held by an image) gets a new slot map for
+    each object with a captured page; the maps it held are not touched.
     """
     force = force or set()
     new_refs = []
     for obj in objects:
+        slots = page_map.get(obj.oid, {})
+        captured = {}
         for pindex in sorted(obj.swap_slots):
-            existing = page_map.get(obj.oid, {}).get(pindex)
-            if existing is not None and (obj.oid, pindex) not in force:
+            if pindex in slots and (obj.oid, pindex) not in force:
                 continue  # unchanged since it was last captured
             payload = swap.read_slot(obj, pindex)
-            ref = store.write_page(payload)
-            page_map.setdefault(obj.oid, {})[pindex] = ref
-            new_refs.append(ref)
+            captured[pindex] = store.write_page(payload)
+        if captured:
+            page_map[obj.oid] = store.slot_maps.share(overlay(slots, captured))
+            new_refs += captured.values()
     if new_refs and store.obs is not None:
         store.obs.registry.counter(
             obs_names.C_SWAP_CAPTURED, store=store.device.name
@@ -204,18 +214,17 @@ def capture_pages_to_memory(
     """Memory-backend capture: the image *is* the frozen frames.
 
     No bytes are copied; the freeze pass already holds a reference per
-    captured frame.  Returns the complete map and the captured slots.
+    captured frame.  Returns the complete map — an object the freeze
+    did not touch keeps its parent's slot map, as on a store — and the
+    captured slots.
     """
-    page_map: PageMap = {}
-    if base_map:
-        for oid, pages in base_map.items():
-            page_map[oid] = dict(pages)
+    changed: dict[int, dict[int, Page]] = {}
     captured = set()
     for run in freeze_set.runs:
         oid = run.obj.oid
-        page_map.setdefault(oid, {}).update(zip(run.pindexes, run.pages))
+        changed.setdefault(oid, {}).update(zip(run.pindexes, run.pages))
         captured.update([(oid, pindex) for pindex in run.pindexes])
-    return page_map, captured
+    return overlay_maps(base_map, changed), captured
 
 
 # --- page installation (restore data plane) -----------------------------------------

@@ -31,21 +31,6 @@ class OrphanTable:
             raise ValueError("orphan must have positive open refs")
         self.refs[ino] = open_refs
 
-    def adjust(self, ino: int, delta: int) -> int:
-        """Change an orphan's refcount; returns the new count.
-
-        Dropping to zero removes it from the table — the filesystem
-        reclaims the inode.
-        """
-        if ino not in self.refs:
-            raise KeyError(f"ino {ino} is not an orphan")
-        self.refs[ino] += delta
-        remaining = self.refs[ino]
-        if remaining <= 0:
-            del self.refs[ino]
-            self.reclaimed_total += 1
-        return max(0, remaining)
-
     def is_orphan(self, ino: int) -> bool:
         return ino in self.refs
 
