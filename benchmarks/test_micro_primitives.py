@@ -22,7 +22,7 @@ from repro.mem.cow import AuroraCow
 from repro.mem.phys import PhysicalMemory
 from repro.obs import KernelObs
 from repro.objstore.checksum import crc32_adler32, fletcher64
-from repro.objstore.record import COVERED_SIZE, ENC_ZLIB, decode, encode
+from repro.objstore.record import COVERED_SIZE, ENC_DELTA, ENC_ZLIB, decode, encode
 from repro.objstore.store import ObjectStore
 from repro.hw.nvme import NvmeDevice
 from repro.posix.fd import O_CREAT, O_RDWR
@@ -200,29 +200,65 @@ def test_micro_device_read(benchmark):
     assert len(benchmark(device.read, 0, 4 * KIB)) == 4 * KIB
 
 
-def test_micro_read_page_miss(benchmark):
-    """One demand read of a ZLIB page record that misses the page cache
-    (disabled, so every call misses) on a qd8 store bound to a kernel's
-    observability plane: the point read, the record's framing and
-    checksum, the inflate."""
+def _miss_store(encoding: int):
+    """A qd8 store bound to a kernel's observability plane, its page
+    cache disabled so every read misses, holding one record of
+    ``encoding`` (a DELTA record patches 16 bytes of an incompressible
+    RAW base); returns the store and the record's ref."""
     clock = SimClock()
     store = ObjectStore(NvmeDevice(clock, queue_depth=8), cache_bytes=0)
     store.attach_obs(KernelObs(clock))
-    content = b"compressible page " * 200
-    ref = store.write_page(content)
+    if encoding == ENC_ZLIB:
+        content = b"compressible page " * 200
+        ref = store.write_page(content)
+    else:
+        base = random.Random(5).randbytes(PAGE_SIZE)
+        content = b"sixteen new byte" + base[16:]
+        ref = store.write_page(content, delta_base=store.write_page(base).content_hash,
+                               dirty_extents=[(0, 16)])
     store.flush_barrier()
-    assert ref.flags == ENC_ZLIB
+    assert ref.flags == encoding
+    assert store.read_page(ref) == content
+    return store, ref
 
-    assert benchmark(store.read_page, ref) == content
+
+@pytest.mark.parametrize("encoding", [ENC_ZLIB, ENC_DELTA], ids=["zlib", "delta"])
+def test_micro_read_page_repeat_miss(benchmark, encoding):
+    """A demand read of a record whose content its dedup entry already
+    holds, missing the (disabled) page cache: the point read and the
+    record's framing and checksum, no decode.  For the DELTA record the
+    base is point-read the same way."""
+    store, ref = _miss_store(encoding)
+    content = store.dedup.get(ref.content_hash).content
+
+    assert benchmark(store.read_page, ref) is content
+
+
+@pytest.mark.parametrize("encoding", [ENC_ZLIB, ENC_DELTA], ids=["zlib", "delta"])
+def test_micro_read_page_first_decode(benchmark, encoding):
+    """A demand read that decodes: the record's dedup entry holds no
+    content, so past the point read and checksum it inflates the ZLIB
+    stream, or parses the DELTA record and patches its base (whose
+    entry keeps its content, so the base costs a repeat miss)."""
+    store, ref = _miss_store(encoding)
+    entry = store.dedup.get(ref.content_hash)
+    content = entry.content
+
+    def forget():
+        entry.content = entry.decoded_from = None
+
+    assert benchmark.pedantic(store.read_page, args=(ref,), setup=forget,
+                              rounds=2000) == content
 
 
 def test_micro_eager_restore_shared(benchmark):
     """One eager restore of a 256-page incompressible image into a new
     kernel, through a page cache a quarter of the image, so most pages
-    miss and decode again.  ``retained_bytes_per_restore`` is the host
-    memory (traced) each restore past the first keeps while its world
-    lives: the worlds share the decoded content, so it is the worlds'
-    own structures, not another copy of the image."""
+    miss and are read again (RAW records: nothing to decode).
+    ``retained_bytes_per_restore`` is the host memory (traced) each
+    restore past the first keeps while its world lives: the worlds share
+    the decoded content, so it is the worlds' own structures, not
+    another copy of the image."""
     kernel = Kernel(hostname="micro", memory_bytes=4 * GIB)
     sls = SLS(kernel)
     store = ObjectStore(NvmeDevice(kernel.clock, queue_depth=8, num_queues=4),

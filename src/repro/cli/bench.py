@@ -33,7 +33,7 @@ BENCHMARKS.md for the baseline-refresh procedure.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.backends import DiskBackend
 from repro.core.orchestrator import SLS
@@ -45,6 +45,9 @@ from repro.objstore.store import ObjectStore
 from repro.posix.kernel import Kernel
 from repro.posix.syscalls import Syscalls
 from repro.units import GIB, PAGE_SIZE
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.objstore.pagecache import FaultOrderLog
 
 #: bump when scenario shape changes incompatibly (forces a baseline refresh)
 SUITE_VERSION = 5
@@ -290,9 +293,10 @@ def _writeamp_grid() -> tuple[dict, dict]:
     return cells, derived
 
 
-def _restorecache_cell(num_queues: int) -> dict:
+def _restorecache_cell(num_queues: int) -> tuple[dict, "FaultOrderLog"]:
     """Lazy-restore fault latency, read-through vs. recorded-order
-    prefetch, at one queue count.
+    prefetch, at one queue count; returns the cell and the fault order
+    run 1 recorded.
 
     Run 1 restores lazily with the page cache *disabled* and records
     its fault order (a deterministic skewed permutation of the heap —
@@ -345,8 +349,6 @@ def _restorecache_cell(num_queues: int) -> dict:
 
     nocache = run(0, prefetch="off", record=True)
     replay = run(DEFAULT_PAGE_CACHE_BYTES, prefetch="recorded", record=False)
-    global _last_fault_log_jsonl
-    _last_fault_log_jsonl = log.to_jsonl()
     return {
         "nocache_fault_p99_ns": nocache["p99_ns"],
         "nocache_fault_mean_ns": nocache["mean_ns"],
@@ -357,20 +359,20 @@ def _restorecache_cell(num_queues: int) -> dict:
         "replay_restore_ns": replay["restore_ns"],
         "cache_hit_rate_permille": int(store.pagecache.hit_rate_permille),
         "recorded_faults": len(log),
-    }
+    }, log
 
 
-def _restorecache_grid() -> tuple[dict, dict]:
+def _restorecache_grid() -> tuple[dict, dict, "FaultOrderLog"]:
     """Recorded-order prefetch over queue counts.  Gated leaves: the
     fault-latency numbers themselves (``*_ns``) and the per-queue-count
     p99 collapse (``speedup_restorecache_nq*_x1000`` — the acceptance
     floor at nq4 is 2000, i.e. ≥2x).  The hit-rate floor (≥900
     permille on the replayed restore) is asserted by the bench tests,
-    not the tolerance-band compare."""
-    cells = {
-        f"nq{num_queues}": _restorecache_cell(num_queues)
-        for num_queues in NUM_QUEUES
-    }
+    not the tolerance-band compare.  Also returns the fault order the
+    last queue count recorded (``sls bench --fault-log``)."""
+    cells = {}
+    for num_queues in NUM_QUEUES:
+        cells[f"nq{num_queues}"], log = _restorecache_cell(num_queues)
     derived = {
         f"speedup_restorecache_nq{num_queues}_x1000": (
             cells[f"nq{num_queues}"]["nocache_fault_p99_ns"] * 1000
@@ -379,20 +381,11 @@ def _restorecache_grid() -> tuple[dict, dict]:
         )
         for num_queues in NUM_QUEUES
     }
-    return cells, derived
+    return cells, derived, log
 
 
-#: the restorecache scenario's recorded fault order (JSONL), kept for
-#: ``sls bench --fault-log`` to export as a CI artifact
-_last_fault_log_jsonl: Optional[str] = None
-
-
-def last_fault_log_jsonl() -> Optional[str]:
-    """The most recent restorecache run's fault-order artifact."""
-    return _last_fault_log_jsonl
-
-
-#: scenario name -> callable returning (cells, derived-leaves)
+#: scenario name -> callable returning (cells, derived-leaves), and
+#: for restorecache its recorded fault order as well
 SCENARIOS = {
     "checkpoint_flush": _flush_grid,
     "multiqueue_flush": _multiqueue_grid,
@@ -404,7 +397,17 @@ SCENARIOS = {
 }
 
 
-def run_suite(only: Optional[str] = None) -> dict:
+class SuiteResults(dict):
+    """The deterministic result tree :func:`run_suite` returns (what
+    :func:`to_json` renders), carrying beside it ``fault_log``: the
+    restorecache scenario's recorded fault order, which ``sls bench
+    --fault-log`` exports as a CI artifact, or None when that scenario
+    did not run."""
+
+    fault_log: Optional["FaultOrderLog"] = None
+
+
+def run_suite(only: Optional[str] = None) -> SuiteResults:
     """Run every scenario (or just ``only``); deterministic result tree.
 
     ``only`` runs a single cell grid for local iteration.  Every cell
@@ -417,21 +420,19 @@ def run_suite(only: Optional[str] = None) -> dict:
         raise KeyError(
             f"unknown scenario {only!r} (have: {', '.join(sorted(SCENARIOS))})"
         )
-    global _last_fault_log_jsonl
-    _last_fault_log_jsonl = None  # stale if this run skips restorecache
-    results: dict = {
-        "meta": {
-            "suite_version": SUITE_VERSION,
-            "pages": PAGES,
-            "queue_depths": list(QUEUE_DEPTHS),
-            "num_queues": list(NUM_QUEUES),
-        },
-    }
+    results = SuiteResults(meta={
+        "suite_version": SUITE_VERSION,
+        "pages": PAGES,
+        "queue_depths": list(QUEUE_DEPTHS),
+        "num_queues": list(NUM_QUEUES),
+    })
     derived: dict = {}
     for name, scenario in SCENARIOS.items():
         if only is not None and name != only:
             continue
-        cells, leaves = scenario()
+        cells, leaves, *fault_log = scenario()
+        if fault_log:
+            results.fault_log = fault_log[0]
         results[name] = cells
         derived.update(leaves)
     results["derived"] = derived

@@ -266,12 +266,7 @@ def cmd_scrub(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.cli.bench import (
-        compare,
-        last_fault_log_jsonl,
-        run_suite,
-        to_json,
-    )
+    from repro.cli.bench import compare, run_suite, to_json
 
     if args.only and args.compare:
         print("--only runs a partial suite; it cannot be compared against "
@@ -284,13 +279,12 @@ def cmd_bench(args) -> int:
         print(f"sls bench: {exc.args[0]}", file=sys.stderr)
         return 2
     if args.fault_log:
-        fault_log = last_fault_log_jsonl()
-        if fault_log is None:
+        if results.fault_log is None:
             print("--fault-log set but the restorecache scenario did not run",
                   file=sys.stderr)
             return 2
         with open(args.fault_log, "w") as handle:
-            handle.write(fault_log)
+            handle.write(results.fault_log.to_jsonl())
         print(f"wrote recorded fault order to {args.fault_log}")
     rendered = to_json(results)
     if args.json:

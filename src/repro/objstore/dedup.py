@@ -10,10 +10,29 @@ pages are stored once and refcounted across checkpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.objstore.alloc import Extent
 from repro.objstore.snapshot import PageRef
+
+
+class DecodedFrom(NamedTuple):
+    """The record a :attr:`DedupEntry.content` was decoded from.
+
+    A record's header checksum covers every header byte (kind, flags,
+    oid, epoch, length) and the whole payload, and a read already
+    verifies it before it trusts the record: a record read again that
+    verifies with the same checksum holds the same bytes, so for a full
+    record it decodes to the same content.  A delta's content is also a
+    function of its base's, so it names the base content object it
+    patched: the same record over the same base object decodes the
+    same."""
+
+    checksum: int
+    #: delta records only: the base hash the record's payload names
+    base_hash: bytes | None = None
+    #: delta records only: the decoded base content it patched
+    base: bytes | None = None
 
 
 @dataclass
@@ -33,12 +52,19 @@ class DedupEntry:
     #: the record, a delta's ``base_hash`` is None
     base_hash: bytes | None = None
     #: the host's one decoded copy of the page, set by the first
-    #: cache-miss decode and handed out by every later one that decodes
-    #: equal, so each restored world shares it; it lives as long as the
-    #: entry (release, a rebuild) unless scrub finds the record damaged.
-    #: Page-cache residency stays the *simulated* cost; this bounds the
-    #: host's copies to one per live record
+    #: cache-miss decode and handed out by every later cache miss that
+    #: reads the record it came from (:attr:`decoded_from`), without
+    #: decoding again, or that decodes equal, so each restored world
+    #: shares it; it lives as long as the entry (release, a rebuild)
+    #: unless scrub finds the record damaged.  Page-cache residency
+    #: stays the *simulated* cost, decode CPU included; this bounds the
+    #: host's copies to one per live record, and its decodes to one per
+    #: record it reads
     content: bytes | None = field(default=None, repr=False, compare=False)
+    #: which record :attr:`content` was decoded from: set with it by a
+    #: read outside ``verify`` mode, cleared with it by a scrub finding
+    decoded_from: DecodedFrom | None = field(default=None, repr=False,
+                                             compare=False)
 
     @property
     def extent(self) -> Extent:

@@ -14,11 +14,13 @@ store (snapshot delete), when in-memory truth is rebuilt wholesale
 damaged (a cached clean copy must not mask damage).
 
 The cache bounds *simulated* residency — what a hit saves on the
-virtual clock.  It does not bound host memory: a cached page is the
-same object as its dedup entry's one decoded copy
-(``DedupEntry.content``), which every cache-miss decode of that record
-hands out again, so an eviction costs the next reader sim time, not
-the host another copy.
+virtual clock, decode CPU included.  It does not bound host memory or
+host work: a cached page is the same object as its dedup entry's one
+decoded copy (``DedupEntry.content``), which every later cache miss
+that reads the same record (the same verified header checksum) hands
+out again without decoding, so an eviction costs the next reader sim
+time, and the host a device read and a checksum, not another decode or
+copy.
 
 On top of the cache, :class:`FaultOrderLog` records the page-fault
 sequence of a lazy restore (a compact JSONL artifact, byte-stable

@@ -144,13 +144,13 @@ class Scrubber:
             self._c_errors.inc()
         if verdict.reference.role == PAGE:
             # A cached clean copy must not mask the media damage the
-            # scrub just found — drop it, and the entry's shared copy,
-            # so readers see the finding.
+            # scrub just found — drop it, and the entry's shared copy
+            # with the record it came from, so the next read decodes.
             content_hash = verdict.reference.ref.content_hash
             self.store.pagecache.invalidate(content_hash)
             entry = self.store.dedup.get(content_hash)
             if entry is not None:
-                entry.content = None
+                entry.content = entry.decoded_from = None
 
     def _verify(self, item: Reference, raw: Optional[bytes]) -> None:
         """Judge one extent with the walker's checks (``raw`` is None
@@ -169,7 +169,8 @@ class Scrubber:
             content_hash = item.ref.content_hash
             self._verified.pop(content_hash, None)
             verdict = content_verdict(
-                self.store, item, {content_hash: (header.flags, stored)},
+                self.store, item,
+                {content_hash: (header.flags, stored, header.checksum)},
                 self._verified, fetch=True,
             )
         if not verdict.ok:

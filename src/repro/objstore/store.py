@@ -43,7 +43,7 @@ from repro.objstore.codec import (
     PageCodec,
     delta_info,
 )
-from repro.objstore.dedup import DedupEntry, DedupIndex
+from repro.objstore.dedup import DecodedFrom, DedupEntry, DedupIndex
 from repro.objstore.image import SlotMapTable
 from repro.objstore.pagecache import DEFAULT_PAGE_CACHE_BYTES, PREFETCH_BATCH_PAGES, PageCache
 from repro.objstore.record import (
@@ -465,11 +465,12 @@ class ObjectStore:
             ref.extent, KIND_PAGE, logical=HEADER_SIZE + PAGE_SIZE
         )
         return self._page_content(
-            ref.content_hash, {ref.content_hash: (header.flags, stored)}, {}
+            ref.content_hash,
+            {ref.content_hash: (header.flags, stored, header.checksum)}, {},
         )
 
     def _page_content(self, content_hash: bytes,
-                      stash: dict[bytes, tuple[int, bytes]],
+                      stash: dict[bytes, tuple[int, bytes, int]],
                       resolved: dict[bytes, bytes], *,
                       verify: bool = False, fetch: bool = True,
                       _depth: int = 0) -> bytes:
@@ -478,22 +479,32 @@ class ObjectStore:
         of every page-read path (point reads, coalesced bulk reads,
         scrub, the media walker).
 
-        ``stash`` holds ``(flags, stored payload)`` of records the
-        caller already fetched; ``resolved`` memoizes decoded content
-        across one bulk operation.  A hash in neither is served from
-        the page cache or point-read through the dedup index — unless
-        ``fetch=False``: the media walker resolves only against records
-        it verified itself, so anything else is a broken base (and,
-        like the rest of recovery, it models no decode CPU).
+        ``stash`` holds ``(flags, stored payload, header checksum)`` of
+        records the caller already fetched and verified; ``resolved`` memoizes
+        decoded content across one bulk operation.  A hash in neither
+        is served from the page cache or point-read through the dedup
+        index — unless ``fetch=False``: the media walker resolves only
+        against records it verified itself, so anything else is a
+        broken base (and, like the rest of recovery, it models no
+        decode CPU).
 
-        Outside ``verify`` mode a decode that compares equal to its
-        dedup entry's host copy
-        (:attr:`~repro.objstore.dedup.DedupEntry.content`) is replaced
-        by that copy, and any other becomes it: the page cache bounds
-        *simulated* residency, the entry bounds host copies to one per
-        live record.  The device read, the record and decode checks and
-        the sim charge all come first, so the copy never stands in for
-        a read.
+        Outside ``verify`` mode a record is decoded once per dedup
+        entry, not once per read: a record that verified with the
+        header checksum of the one the entry's host copy
+        (:attr:`~repro.objstore.dedup.DedupEntry.content`) was decoded
+        from (:attr:`~repro.objstore.dedup.DedupEntry.decoded_from`) is
+        that record, and is answered with the copy.  The checksum is
+        the key because it is the check that already makes a read
+        trusted: it covers every header byte and the payload, so any
+        other record — damaged, rewritten or misdirected — decodes as
+        before.  A delta also walks its chain as a decode would, and
+        is decoded again unless its base resolves to the very content
+        object it patched.  Everything else a decode does stays: the
+        device read, the record checks, the sim charge, the chain-depth
+        bound, the base's reads and cache traffic and the cache fill.
+        A decode that compares equal to the entry's copy is replaced by
+        it, and any other becomes it: the page cache bounds *simulated*
+        residency, the entry bounds host copies to one per live record.
 
         ``verify=True`` (scrub, the walker) bypasses the page cache and
         the entry's copy entirely — a clean copy must never mask
@@ -502,7 +513,8 @@ class ObjectStore:
         delta surfaces on the delta as
         :class:`~repro.objstore.codec.BrokenDeltaBase`.  The chain-depth
         bound is checked once, inside
-        :meth:`~repro.objstore.codec.PageCodec.decode_page`.
+        :meth:`~repro.objstore.codec.PageCodec.decode_page` (or before a
+        known delta's base is walked).
         """
         content = resolved.get(content_hash)
         if content is not None:
@@ -524,27 +536,44 @@ class ObjectStore:
             header, stored = self._read_record(
                 entry.extent, KIND_PAGE, logical=HEADER_SIZE + PAGE_SIZE
             )
-            record = header.flags, stored
-        flags, stored = record
-        if flags == ENC_RAW:
+            record = header.flags, stored, header.checksum
+        flags, stored, checksum = record
+        entry = None if verify else self.dedup.get(content_hash)
+        known = entry.decoded_from if entry is not None else None
+        if known is not None and known.checksum != checksum:
+            known = None
+        if fetch and flags == ENC_ZLIB:
+            self._charge(self.codec.cpu.page_decompress_ns)
+        elif fetch and flags == ENC_DELTA:
+            self._charge(self.codec.cpu.delta_apply_ns)
+        patched: tuple[bytes, bytes] | None = None
+
+        def resolve_base(base_hash: bytes) -> bytes:
+            nonlocal patched
+            try:
+                base = self._page_content(
+                    base_hash, stash, resolved,
+                    verify=verify, fetch=fetch, _depth=_depth + 1,
+                )
+            except (DeltaChainTooDeep, BrokenDeltaBase):
+                raise
+            except ObjectStoreError as exc:
+                raise BrokenDeltaBase(base_hash) from exc
+            patched = base_hash, base
+            return base
+
+        if known is not None and flags == ENC_DELTA:
+            if _depth >= MAX_DELTA_CHAIN:
+                raise DeltaChainTooDeep(
+                    f"delta chain deeper than {MAX_DELTA_CHAIN}"
+                )
+            if resolve_base(known.base_hash) is not known.base:
+                known = None
+        if known is not None:
+            content = entry.content
+        elif flags == ENC_RAW:
             content = stored
         else:
-            if fetch and flags == ENC_ZLIB:
-                self._charge(self.codec.cpu.page_decompress_ns)
-            elif fetch and flags == ENC_DELTA:
-                self._charge(self.codec.cpu.delta_apply_ns)
-
-            def resolve_base(base_hash: bytes) -> bytes:
-                try:
-                    return self._page_content(
-                        base_hash, stash, resolved,
-                        verify=verify, fetch=fetch, _depth=_depth + 1,
-                    )
-                except (DeltaChainTooDeep, BrokenDeltaBase):
-                    raise
-                except ObjectStoreError as exc:
-                    raise BrokenDeltaBase(base_hash) from exc
-
             content = self.codec.decode_page(
                 flags, stored, resolve_base, _depth=_depth
             )
@@ -552,12 +581,12 @@ class ObjectStore:
             if self.page_hash(content) != content_hash:
                 raise ChecksumError("page content hash mismatch")
         else:
-            entry = self.dedup.get(content_hash)
-            if entry is not None:
+            if entry is not None and known is None:
                 if content == entry.content:
                     content = entry.content
                 else:
                     entry.content = content
+                entry.decoded_from = DecodedFrom(checksum, *(patched or ()))
             self.pagecache.put(content_hash, content)
         resolved[content_hash] = content
         return content
@@ -602,7 +631,7 @@ class ObjectStore:
                 missing.append(ref)
         if not missing:
             return resolved
-        stash: dict[bytes, tuple[int, bytes]] = {}
+        stash: dict[bytes, tuple[int, bytes, int]] = {}
         self._read_wave(missing, stash, bases=False)
         wave = missing
         for _ in range(MAX_DELTA_CHAIN):
@@ -619,10 +648,10 @@ class ObjectStore:
         return resolved
 
     def _read_wave(self, refs: list[PageRef],
-                   stash: dict[bytes, tuple[int, bytes]], *,
+                   stash: dict[bytes, tuple[int, bytes, int]], *,
                    bases: bool) -> None:
         """Read the page records of ``refs`` into ``stash`` as
-        ``(flags, payload)``: extents sorted and merged into runs across
+        ``(flags, payload, checksum)``: extents sorted and merged into runs across
         gaps up to :data:`READ_COALESCE_GAP`, the runs fanned
         round-robin over the submission queues, the clock advanced
         once, to the slowest completion.  A damaged record raises as
@@ -664,29 +693,35 @@ class ObjectStore:
                     if not bases:
                         raise
                     continue
-                stash[ref.content_hash] = (header.flags, payload)
+                stash[ref.content_hash] = (header.flags, payload, header.checksum)
         self.device.clock.advance_to(deadline)
 
     def _uncached_bases(self, refs: list[PageRef],
-                        stash: dict[bytes, tuple[int, bytes]],
+                        stash: dict[bytes, tuple[int, bytes, int]],
                         resolved: dict[bytes, bytes]) -> list[PageRef]:
         """The next wave: refs of the bases the delta records of
         ``refs`` patch, less those ``stash`` or ``resolved`` holds.
-        Each is looked up in the page cache as :meth:`_page_content`
-        would before a point read — a hit lands in ``resolved``.  A
-        record missing from ``stash`` (damaged), or a base its record
-        or the dedup index cannot name, is left for the decode to
-        report."""
+        A record its dedup entry's copy was decoded from names its base
+        there; any other is parsed.  Each base is looked up in the page
+        cache as :meth:`_page_content` would before a point read — a
+        hit lands in ``resolved``.  A record missing from ``stash``
+        (damaged), or a base its record or the dedup index cannot name,
+        is left for the decode to report."""
         dedup = self.dedup
         bases: dict[bytes, PageRef] = {}
         for ref in refs:
             record = stash.get(ref.content_hash)
             if record is None or record[0] != ENC_DELTA:
                 continue
-            try:
-                base = delta_info(record[1])[0]
-            except ChecksumError:
-                continue
+            entry = dedup.get(ref.content_hash)
+            known = entry.decoded_from if entry is not None else None
+            if known is not None and known.checksum == record[2]:
+                base = known.base_hash
+            else:
+                try:
+                    base = delta_info(record[1])[0]
+                except ChecksumError:
+                    continue
             if base in stash or base in resolved or base in bases:
                 continue
             entry = dedup.get(base)

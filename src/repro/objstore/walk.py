@@ -169,7 +169,7 @@ def reference_verdict(reference: Reference, outcome: tuple) -> Verdict:
 
 
 def content_verdict(store: "ObjectStore", reference: Reference,
-                    stash: dict[bytes, tuple[int, bytes]],
+                    stash: dict[bytes, tuple[int, bytes, int]],
                     resolved: dict[bytes, bytes], *, fetch: bool) -> Verdict:
     """Verdict on a page reference whose record already verified:
     reconstruct its content (through the delta chain) and check it
@@ -390,14 +390,16 @@ class MediaWalk:
         hash) of every row whose record verified, in manifest order."""
         table.walked = True
         verdicts: list[Verdict] = []
-        pending: dict[bytes, tuple[int, bytes]] = {}
+        pending: dict[bytes, tuple[int, bytes, int]] = {}
         candidates: list[Reference] = []
         for ref in table.manifest.pages:
             reference = Reference(PAGE, ref.extent, ref, name)
             outcome = self.record(ref.extent)
             verdict = reference_verdict(reference, outcome)
             if verdict.ok:
-                pending.setdefault(ref.content_hash, (outcome[1].flags, outcome[2]))
+                _ok, header, payload = outcome
+                pending.setdefault(ref.content_hash,
+                                   (header.flags, payload, header.checksum))
                 candidates.append(reference)
             else:
                 verdicts.append(verdict)

@@ -142,13 +142,11 @@ class TestAcceptance:
         )
 
     def test_bench_fault_log_export(self):
-        from repro.cli.bench import last_fault_log_jsonl
         from repro.objstore.pagecache import FaultOrderLog
 
-        run_suite(only="restorecache")  # the last run's log is kept
-        text = last_fault_log_jsonl()
-        assert text is not None
-        log = FaultOrderLog.from_jsonl(text)
+        # the run hands its recorded fault order back with its results
+        log = FaultOrderLog.from_jsonl(
+            run_suite(only="restorecache").fault_log.to_jsonl())
         assert len(log) > 0
         assert all(len(rec.content_hash) == 20 for rec in log.entries)
 
