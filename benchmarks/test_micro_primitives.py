@@ -328,7 +328,7 @@ def test_micro_checkpoint_stream_media(benchmark):
     def held_after(count: int) -> int:
         for _ in range(count):
             incremental()
-        return len(store.device._blocks) * 4 * KIB
+        return store.device.held_bytes
 
     at_40 = held_after(40)
     at_160 = held_after(120)

@@ -69,8 +69,7 @@ def inject(device: NvmeDevice, store: ObjectStore, kind: str) -> str:
     if kind == "checksum":
         ref = _first_page_ref(store, "demo-1")
         offset = ref.extent.offset + 40  # into the payload, past the header
-        block_no, within = divmod(offset, 4096)
-        device._blocks[block_no][within] ^= 0xFF
+        device.flip(offset)
         return (f"flipped one byte at media offset {offset} inside the page "
                 f"record backing demo-1")
     if kind == "refcount":

@@ -19,14 +19,18 @@ unwinds in-flight writes to their pre-images (whole sectors of a write
 caught mid-transfer survive), which the object-store recovery tests use
 to exercise torn-checkpoint handling.
 
-:meth:`StorageDevice.discard` is the one operation outside the model:
-it lets the simulator forget bytes that are durable and dead, so host
-memory follows the live set rather than everything ever written.  It
-is not a modelled TRIM — it issues no command and costs no time.
+The media are held as the pieces written, no more: a range never
+written (or discarded) holds no host memory and reads as zeros.
+:meth:`StorageDevice.discard` and :meth:`StorageDevice.flip` are the
+operations outside the model.  ``discard`` lets the simulator forget
+bytes that are durable and dead, so host memory follows the live set
+rather than everything ever written; ``flip`` is media decay.  Neither
+issues a command or costs time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -38,11 +42,6 @@ from repro.units import transfer_ns
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fault.registry import FailpointRegistry
-
-_BLOCK = 4096
-#: what a block that was never written reads as
-_UNWRITTEN = bytes(_BLOCK)
-
 
 @dataclass
 class QueueIoStats:
@@ -93,9 +92,9 @@ SECTOR = 512
 class _PendingWrite:
     offset: int
     length: int
-    #: the bytes the write replaced (its pre-image); None when it landed
-    #: on blocks never written before, which read back as zeros
-    old: Optional[bytes]
+    #: its pre-image: the ``(start, piece)`` pairs the write overlapped,
+    #: each whole; a range none of them covers was unwritten
+    old: list[tuple[int, bytes]]
     #: its transfer onto the media runs from here to ``durable_at``
     transfer_at: int
     durable_at: int
@@ -125,10 +124,12 @@ class IoTicket:
 class StorageDevice:
     """A block/byte storage device with a latency+bandwidth cost model.
 
-    Contents live in a sparse dict of 4 KiB blocks; unaligned extents
-    are handled with read-modify-write so callers may use byte offsets.
-    :meth:`discard` drops a block once it holds nothing: simulator
-    memory, invisible to the cost model.
+    Contents live in an extent map of the pieces written: immutable
+    ``bytes`` keyed by start offset, with the starts kept sorted for
+    ``bisect``.  A write cuts whatever it overlaps and lands as one
+    piece, so callers may use any byte offsets and the host holds
+    exactly the bytes written and not yet discarded
+    (:attr:`held_bytes`): simulator memory, invisible to the cost model.
     """
 
     def __init__(self, spec: DeviceSpec, clock: SimClock, name: str | None = None):
@@ -138,7 +139,9 @@ class StorageDevice:
         nq = max(1, spec.num_queues)
         self.num_queues = nq
         self.stats = IoStats(queues=[QueueIoStats() for _ in range(nq)])
-        self._blocks: dict[int, bytearray] = {}
+        #: the written pieces, start -> bytes; disjoint, never empty
+        self._pieces: dict[int, bytes] = {}
+        self._starts: list[int] = []
         self._pending: list[_PendingWrite] = []
         #: per-queue channel serialization point (each submission
         #: queue is serviced as an independent channel)
@@ -310,10 +313,7 @@ class StorageDevice:
                 # Only a prefix reaches the media; the caller is not told.
                 data = bytes(data)[: int(len(data) * action.fraction)]
             if action is None or action.kind != "drop":
-                blocks = range(offset // _BLOCK, (offset + len(data) - 1) // _BLOCK + 1)
-                old = (self._load(offset, len(data))
-                       if any(block in self._blocks for block in blocks) else None)
-                self._store(offset, data)
+                old = self._store(offset, data)
                 # The transfer is the last stretch before completion, so a
                 # write whose transfer ended is exactly a durable one.
                 self._pending.append(_PendingWrite(
@@ -331,23 +331,40 @@ class StorageDevice:
 
     # -- data plane ------------------------------------------------------
 
-    def _store(self, offset: int, data: bytes) -> None:
-        pos = offset
-        remaining = memoryview(bytes(data))
-        while remaining.nbytes:
-            block_no, within = divmod(pos, _BLOCK)
-            chunk = min(_BLOCK - within, remaining.nbytes)
-            block = self._blocks.get(block_no)
-            if block is None:
-                block = bytearray(_BLOCK)
-                self._blocks[block_no] = block
-            block[within : within + chunk] = remaining[:chunk]
-            remaining = remaining[chunk:]
-            pos += chunk
+    def _cut(self, lo: int, hi: int) -> list[tuple[int, bytes]]:
+        """Remove ``[lo, hi)`` from the media and return the pieces that
+        overlapped it, whole; a remnant outside it is a fresh slice."""
+        starts, pieces = self._starts, self._pieces
+        i = bisect_right(starts, lo) - 1
+        if i < 0 or starts[i] + len(pieces[starts[i]]) <= lo:
+            i += 1
+        j = bisect_left(starts, hi, i)
+        if lo >= hi or i == j:
+            return []
+        cut = [(start, pieces.pop(start)) for start in starts[i:j]]
+        keep = []
+        first, piece = cut[0]
+        if first < lo:
+            keep.append((first, piece[: lo - first]))
+        last, piece = cut[-1]
+        if last + len(piece) > hi:
+            keep.append((hi, piece[hi - last :]))
+        starts[i:j] = [start for start, _ in keep]
+        pieces.update(keep)
+        return cut
+
+    def _store(self, offset: int, data: bytes) -> list[tuple[int, bytes]]:
+        """Land ``data`` at ``offset``; returns the pieces it overlapped."""
+        data = bytes(data)
+        old = self._cut(offset, offset + len(data))
+        if data:
+            insort(self._starts, offset)
+            self._pieces[offset] = data
+        return old
 
     def discard(self, offset: int, nbytes: int) -> None:
         """Forget ``nbytes`` at ``offset``: the range reads back as never
-        written, and a block left holding nothing leaves ``_blocks``.
+        written, and the host keeps none of its bytes.
 
         Simulator memory, not a modelled TRIM: no command, no virtual
         time, no :class:`IoStats` change and no failpoint.  Only bytes
@@ -363,27 +380,41 @@ class StorageDevice:
                     f"{self.name}: discard [{offset}, {end}) overlaps a write "
                     f"that is not yet durable"
                 )
-        for block_no in range(offset // _BLOCK, (end - 1) // _BLOCK + 1):
-            block = self._blocks.get(block_no)
-            if block is None:
-                continue
-            base = block_no * _BLOCK
-            lo, hi = max(offset - base, 0), min(end - base, _BLOCK)
-            block[lo:hi] = _UNWRITTEN[: hi - lo]
-            if block == _UNWRITTEN:
-                del self._blocks[block_no]
+        self._cut(offset, end)
+
+    def flip(self, offset: int, mask: int = 0xFF) -> None:
+        """XOR the media byte at ``offset`` with ``mask``: decay, outside
+        the model like :meth:`discard` (no command, no virtual time, no
+        :class:`IoStats` change, no failpoint).  A byte never written
+        reads as zero, so flipping it makes it written."""
+        self._store(offset, bytes((self._load(offset, 1)[0] ^ mask,)))
+
+    @property
+    def held_bytes(self) -> int:
+        """Host bytes the media hold: the written, undiscarded bytes."""
+        return sum(map(len, self._pieces.values()))
 
     def _load(self, offset: int, nbytes: int) -> bytes:
-        first, skip = divmod(offset, _BLOCK)
-        end = skip + nbytes
-        get = self._blocks.get
-        if end <= _BLOCK:
-            return bytes(get(first, _UNWRITTEN)[skip:end])
-        # Crosses a block: trim the first and the last, join once.
-        more, last_byte = divmod(end - 1, _BLOCK)
-        parts = [get(no, _UNWRITTEN) for no in range(first, first + more + 1)]
-        parts[0] = parts[0][skip:]
-        parts[-1] = parts[-1][: last_byte + 1]
+        end = offset + nbytes
+        starts, pieces = self._starts, self._pieces
+        i = max(bisect_right(starts, offset) - 1, 0)
+        j = bisect_left(starts, end, i)
+        if j - i == 1:
+            start = starts[i]
+            piece = pieces[start]
+            if start <= offset and end <= start + len(piece):
+                # The common case, a record read: inside one piece (a
+                # slice of all of it is the piece itself, not a copy).
+                return piece[offset - start : end - start]
+        # Across pieces and holes: join once, zeros in the gaps.
+        parts, pos = [], offset
+        for start in starts[i:j]:
+            piece = pieces[start]
+            lo, hi = max(start, pos), min(start + len(piece), end)
+            if lo < hi:
+                parts += (bytes(lo - pos), piece[lo - start : hi - start])
+                pos = hi
+        parts.append(bytes(end - pos))
         return b"".join(parts)
 
     # -- public I/O ------------------------------------------------------
@@ -545,17 +576,21 @@ class StorageDevice:
             inflight.clear()
         self._busy_until = [now] * self.num_queues
         if not self.spec.persistent:
-            self._blocks.clear()
+            self._pieces.clear()
+            self._starts.clear()
             self._pending.clear()
             return lost
         for pending in reversed(self._pending):
-            old = bytes(pending.length) if pending.old is None else pending.old
-            landed = 0
+            lo, hi = pending.offset, pending.offset + pending.length
             if now > pending.transfer_at:
-                landed = (pending.length * (now - pending.transfer_at)
-                          // (pending.durable_at - pending.transfer_at)
-                          // SECTOR * SECTOR)
-            self._store(pending.offset + landed, old[landed:])
+                lo += (pending.length * (now - pending.transfer_at)
+                       // (pending.durable_at - pending.transfer_at)
+                       // SECTOR * SECTOR)
+            self._cut(lo, hi)
+            for start, piece in pending.old:
+                piece = piece[max(lo - start, 0) : hi - start]
+                if piece:
+                    self._store(max(start, lo), piece)
         self._pending.clear()
         return lost
 

@@ -235,8 +235,7 @@ class TestEagerRestoreReadsInWaves:
         # the last image reaches only through three deltas
         root = store.dedup.get(ObjectStore.page_hash((b"page-000 ") * 400))
         assert root is not None and root.ref.flags != ENC_DELTA
-        block, within = divmod(root.extent.offset + 40, 4096)
-        store.device._blocks[block][within] ^= 0xFF
+        store.device.flip(root.extent.offset + 40)
 
         with pytest.raises(BrokenDeltaBase) as info:
             sls.restore(images[-1], backend_name="disk0",

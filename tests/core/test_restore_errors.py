@@ -145,8 +145,7 @@ class TestWrongShapedMetaRecord:
         _group, backend, image, _entry = _checkpointed(kernel, sls)
         store = backend.store
         record = store.load_manifest(image.copies["disk0"].snapshot).records[0]
-        block, within = divmod(record.extent.offset + HEADER_SIZE, 4096)
-        store.device._blocks[block][within] ^= 0xFF
+        store.device.flip(record.extent.offset + HEADER_SIZE)
         procs_before = len(kernel.procs)
         with pytest.raises(ChecksumError):
             sls.restore(image, backend_name="disk0", lazy=lazy,

@@ -1,13 +1,14 @@
 """Unit tests for the storage device model."""
 
 import copy
+import tracemalloc
 
 import pytest
 
 from repro.errors import DeviceFullError, DeviceIOError
 from repro.fault import names as fault_names
 from repro.fault.registry import FailpointRegistry, FaultAction
-from repro.hw.device import StorageDevice
+from repro.hw.device import SECTOR, StorageDevice
 from repro.hw.memdev import MemoryDevice
 from repro.hw.nvdimm import NvdimmDevice
 from repro.hw.nvme import NvmeDevice
@@ -133,6 +134,7 @@ class TestDurability:
         assert lost == 1
         assert dev.read(0, 8) == b"durable!"
         assert dev.read(4096, 8) == b"\x00" * 8
+        assert dev.held_bytes == 8  # the torn write holds nothing
 
     def test_crash_keeps_durable_writes(self, dev, clock):
         ticket = dev.write_async(0, b"data")
@@ -144,33 +146,92 @@ class TestDurability:
         dev = MemoryDevice(clock)
         dev.write(0, b"ephemeral")
         dev.flush_barrier()
+        dev.write_async(4096, b"inflight")
         dev.crash()
         assert dev.read(0, 9) == b"\x00" * 9
+        assert dev.held_bytes == 0
+
+
+def crash_mid_transfer(dev, clock, offset, data):
+    """Cut power 1 ns before an async write completes; returns how many
+    of its bytes landed (whole sectors of its prefix)."""
+    ticket = dev.write_async(offset, data)
+    clock.advance_to(ticket.completes_at - 1)
+    assert dev.crash() == 1
+    after = dev.read(offset, len(data))
+    landed = next((i for i in range(len(data)) if after[i] != data[i]), len(data))
+    assert landed % SECTOR == 0 and 0 < landed < len(data)
+    return landed
+
+
+class TestCrashLeavesNoZeroFill:
+    """An unwound range holds what it held before the write: a piece's
+    bytes, or nothing at all where the write landed on unwritten space."""
+
+    def test_unwritten_space_unwinds_to_unwritten(self, dev, clock):
+        dev.write(0, b"k" * 100)
+        landed = crash_mid_transfer(dev, clock, 8192, b"n" * (64 * KIB))
+        assert dev.read(8192, 64 * KIB) == b"n" * landed + bytes(64 * KIB - landed)
+        assert dev.held_bytes == 100 + landed
+
+    def test_discarded_space_unwinds_to_unwritten(self, dev, clock):
+        dev.write(8192, b"o" * (64 * KIB))
+        dev.discard(8192, 64 * KIB)
+        landed = crash_mid_transfer(dev, clock, 8192, b"n" * (64 * KIB))
+        assert dev.held_bytes == landed
+
+    def test_a_live_piece_is_restored_exactly(self, dev, clock):
+        old = bytes(range(1, 251)) * 400
+        dev.write(1000, old)
+        landed = crash_mid_transfer(dev, clock, 5000, b"n" * (32 * KIB))
+        expect = old[:4000] + b"n" * landed + old[4000 + landed:]
+        assert dev.read(1000, len(old)) == expect
+        assert dev.held_bytes == len(old)
 
 
 class TestDiscard:
     """``discard`` is simulator memory: the range reads as never written
-    and a block left holding nothing leaves the host; no command runs."""
+    and the host holds none of its bytes; no command runs (nor does one
+    for ``flip``, the other operation outside the model)."""
 
     def test_range_reads_unwritten_and_a_neighbour_survives(self, dev):
         dev.write(100, b"a" * 100 + b"b" * 100)
         dev.discard(100, 100)
         assert dev.read(100, 200) == bytes(100) + b"b" * 100
-        assert list(dev._blocks) == [0]
+        assert dev.held_bytes == 100
 
-    def test_a_block_is_dropped_once_it_holds_nothing(self, dev):
-        dev.write(4000, bytes(range(1, 251)) * 34)  # [4000, 12500): blocks 0-3
-        dev.discard(4096, 4096)  # block 1, whole
-        assert sorted(dev._blocks) == [0, 2, 3]
-        dev.discard(8192, 100)  # part of block 2
-        assert sorted(dev._blocks) == [0, 2, 3]
-        dev.discard(4000, 96)  # the rest of block 0
-        assert sorted(dev._blocks) == [2, 3]
-        dev.discard(8292, 4208)  # the rest of blocks 2 and 3
-        assert dev._blocks == {}
+    def test_the_host_holds_only_undiscarded_bytes(self, dev):
+        dev.write(4000, bytes(range(1, 251)) * 34)  # [4000, 12500)
+        assert dev.held_bytes == 8500
+        dev.discard(4096, 4096)
+        assert dev.held_bytes == 4404
+        dev.discard(8192, 100)
+        assert dev.held_bytes == 4304
+        dev.discard(4000, 96)
+        assert dev.held_bytes == 4208
+        dev.discard(8292, 4208)
+        assert dev.held_bytes == 0
         assert dev.read(4000, 8500) == bytes(8500)
 
-    def test_moves_no_clock_stats_or_failpoint(self, clock):
+    def test_a_remnant_keeps_only_its_own_bytes(self, dev):
+        # One coalesced write, all of it dead but 100 bytes: the host
+        # lets the rest go rather than keep the whole write alive.
+        tracemalloc.start()
+        try:
+            dev.write(0, bytes(range(1, 251)) * 4096)
+            before = tracemalloc.get_traced_memory()[0]
+            dev.discard(100, 250 * 4096 - 100)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert before - after > 250 * 4096 - 4096
+        assert dev.read(0, 100) == bytes(range(1, 101))
+
+    @pytest.mark.parametrize("outside_the_model, held", [
+        (lambda dev: dev.discard(0, 8192), 0),
+        (lambda dev: (dev.flip(4096), dev.flip(9000)), 8193),
+    ], ids=["discard", "flip"])
+    def test_moves_no_clock_stats_or_failpoint(self, clock, outside_the_model, held):
         dev = NvmeDevice(clock, queue_depth=8, num_queues=4)
         faults = FailpointRegistry(clock=clock)
         dev.attach_faults(faults)
@@ -180,11 +241,11 @@ class TestDiscard:
             faults.arm(name, FaultAction("fail"), count=None)
         dev.inject_failures(1)
         now, stats = clock.now, copy.deepcopy(dev.stats)
-        dev.discard(0, 8192)
+        outside_the_model(dev)
         assert clock.now == now
         assert dev.stats == stats
         assert faults.log == []
-        assert dev._blocks == {}
+        assert dev.held_bytes == held
 
     def test_refuses_a_write_that_is_not_yet_durable(self, dev, clock):
         dev.write(0, b"d" * 8192)
@@ -195,7 +256,24 @@ class TestDiscard:
         dev.discard(0, 8192)  # ends where the write begins
         clock.advance_to(ticket.completes_at)
         dev.discard(8192, 100)
-        assert dev._blocks == {}
+        assert dev.held_bytes == 0
+
+
+class TestFlip:
+    """``flip`` is media decay: one byte changes."""
+
+    def test_xors_one_written_byte(self, dev):
+        dev.write(100, b"abc")
+        dev.flip(101)
+        dev.flip(102, 0x01)
+        assert dev.read(100, 3) == b"a" + bytes((ord("b") ^ 0xFF, ord("c") ^ 0x01))
+        assert dev.held_bytes == 3
+
+    def test_a_never_written_byte_becomes_written(self, dev):
+        dev.write(0, b"x" * 10)
+        dev.flip(20, 0x10)
+        assert dev.read(0, 24) == b"x" * 10 + bytes(10) + b"\x10" + bytes(3)
+        assert dev.held_bytes == 11
 
 
 class TestFailureInjection:

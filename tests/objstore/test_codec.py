@@ -370,8 +370,7 @@ class TestFsckClassification:
     def test_torn_delta_record_exactly_repairs(self, clock):
         device, store, refs = self._store_with_delta(clock)
         offset = refs[1].extent.offset + HEADER_SIZE + 2
-        block_no, within = divmod(offset, 4096)
-        device._blocks[block_no][within] ^= 0xFF
+        device.flip(offset)
         report = repair_store(store)
         assert report.findings and report.repaired_all
         assert check_store(store).clean
@@ -388,8 +387,7 @@ class TestFsckClassification:
         # smash the *base* record: the base reports its own corruption,
         # the dependent delta classifies as delta-broken-base
         offset = refs[0].extent.offset + HEADER_SIZE + 2
-        block_no, within = divmod(offset, 4096)
-        device._blocks[block_no][within] ^= 0xFF
+        device.flip(offset)
         report = check_store(store)
         kinds = set(report.counts())
         assert DELTA_BROKEN_BASE in kinds
@@ -408,7 +406,6 @@ class TestFsckClassification:
             kind=KIND_PAGE, oid=0, epoch=0, payload=stored, flags=ENC_DELTA
         )
         assert len(raw) <= refs[1].extent.length
-        block_no, within = divmod(refs[1].extent.offset, 4096)
-        device._blocks[block_no][within:within + len(raw)] = raw
+        device.write(refs[1].extent.offset, raw)
         report = check_store(store)
         assert DELTA_CHAIN_TOO_DEEP in set(report.counts())

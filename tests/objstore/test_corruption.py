@@ -47,10 +47,7 @@ def test_recovery_detects_or_survives_corruption(flips):
     device, expected = build_device()
     # Flip bytes directly on the media.
     for offset, xor in flips:
-        block_no, within = divmod(offset, 4096)
-        block = device._blocks.get(block_no)
-        if block is not None:
-            block[within] ^= xor
+        device.flip(offset, xor)
     fresh = ObjectStore(device)
     report = fresh.recover()  # must not raise
     for snapshot in fresh.snapshots():
@@ -76,8 +73,7 @@ class TestTargetedCorruption:
         assert sorted(live.read_page(ref) for ref in pages) == expected["s0"]
         # Corrupt the first page record's payload on the media.
         bad = pages[0]
-        block_no, within = divmod(bad.extent.offset + 40, 4096)
-        device._blocks[block_no][within] ^= 0xFF
+        device.flip(bad.extent.offset + 40)
 
         # a reboot reads no page: the snapshot is adopted whole ...
         fresh = ObjectStore(device)
@@ -101,8 +97,7 @@ class TestTargetedCorruption:
     def test_corrupt_both_superblocks_recovers_empty(self):
         device, expected = build_device(n_snapshots=2)
         for slot_base in (0, 8 * 1024):
-            block_no = slot_base // 4096
-            device._blocks.setdefault(block_no, bytearray(4096))[0] ^= 0xFF
+            device.flip(slot_base)
         fresh = ObjectStore(device)
         report = fresh.recover()
         assert report.snapshots_recovered == 0
@@ -111,7 +106,7 @@ class TestTargetedCorruption:
     def test_corrupt_one_superblock_uses_other(self):
         device, expected = build_device(n_snapshots=2)
         # Generation 2 lives in slot 0 (gen % 2); kill it, gen 1 survives.
-        device._blocks[0][0] ^= 0xFF
+        device.flip(0)
         fresh = ObjectStore(device)
         report = fresh.recover()
         assert report.generation == 1

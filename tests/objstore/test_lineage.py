@@ -212,8 +212,7 @@ def test_a_bad_row_condemns_every_snapshot_whose_lineage_lists_it():
     # a row of the full image's table, which every incremental's
     # lineage lists
     ref = store.load_manifest(snapshots[0][0]).pages[2]
-    block_no, within = divmod(ref.extent.offset + 40, 4096)
-    store.device._blocks[block_no][within] ^= 0xFF
+    store.device.flip(ref.extent.offset + 40)
     report = check_store(store)
     damaged = {f.snapshot for f in report.findings}
     assert damaged == {"ckpt-0", "ckpt-1", "ckpt-2", "ckpt-3"}

@@ -162,8 +162,7 @@ def _populated_device():
 
 
 def _flip(device, offset: int, bit: int) -> None:
-    block_no, within = divmod(offset + bit // 8, 4096)
-    device._blocks[block_no][within] ^= 1 << (bit % 8)
+    device.flip(offset + bit // 8, 1 << (bit % 8))
 
 
 def _after_reboot(device, log_region):

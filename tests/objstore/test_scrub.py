@@ -5,7 +5,6 @@ media order, read over the idlest submission queues, never write, and
 report damage in fsck's finding vocabulary.
 """
 
-import copy
 import hashlib
 
 import pytest
@@ -16,6 +15,8 @@ from repro.fault.names import FP_SCRUB_STEP
 from repro.fault.registry import FailpointRegistry, FaultAction
 from repro.hw.nvme import NvmeDevice
 from repro.objstore import ObjectStore, Scrubber
+from repro.objstore.alloc import Extent
+from repro.objstore.block import DATA_BASE
 from repro.objstore.fsck import CHECKSUM_CORRUPT
 from repro.objstore.record import KIND_PAGE, pack_record
 from repro.objstore.snapshot import PageRef
@@ -65,10 +66,16 @@ class TestScrub:
 
     def test_scrub_never_writes(self):
         device, store, _obs = build_demo_store()
-        media_before = copy.deepcopy(device._blocks)
+        used = [Extent(0, DATA_BASE), *store.allocator.allocated_extents()]
+
+        def media():
+            return [device.read(extent.offset, extent.length) for extent in used]
+
+        media_before, held_before = media(), device.held_bytes
         allocated_before = store.allocator.allocated_bytes
         Scrubber(store, batch_extents=8).run()
-        assert device._blocks == media_before
+        assert media() == media_before
+        assert device.held_bytes == held_before
         assert store.allocator.allocated_bytes == allocated_before
 
     def test_empty_store_is_immediately_done(self):

@@ -292,8 +292,7 @@ class TestTheCopyNeverMasksMedia:
     @pytest.mark.parametrize("encoding", [ENC_RAW, ENC_ZLIB, ENC_DELTA])
     def test_a_flipped_payload_byte_still_fails(self, encoding):
         store, ref = self._held(encoding)
-        block_no, within = divmod(ref.extent.offset + 40, 4096)
-        store.device._blocks[block_no][within] ^= 0xFF
+        store.device.flip(ref.extent.offset + 40)
         with pytest.raises(ChecksumError):
             store.read_page(ref)
 
@@ -327,11 +326,10 @@ class TestTheCopyNeverMasksMedia:
         store, ref = self._held(ENC_ZLIB)
         entry = store.dedup.get(ref.content_hash)
         held = entry.content
-        block_no, within = divmod(ref.extent.offset + 40, 4096)
-        store.device._blocks[block_no][within] ^= 0xFF
+        store.device.flip(ref.extent.offset + 40)
         assert Scrubber(store, batch_extents=64).run().errors == 1
         assert entry.content is None and entry.decoded_from is None
-        store.device._blocks[block_no][within] ^= 0xFF  # the media mends
+        store.device.flip(ref.extent.offset + 40)  # the media mends
         decodes = count_decodes(store)
         content = store.read_page(ref)
         assert sum(decodes.values()) == 1
