@@ -64,7 +64,7 @@ class Backend(abc.ABC):
         per-backend handling degrades durability; ``crash`` unwinds as
         a power cut to the harness.
         """
-        if self.kernel is None or not self.kernel.faults.armed():
+        if self.kernel is None or not self.kernel.faults.active:
             return
         action = self.kernel.faults.fire(
             fault_names.FP_BACKEND_PERSIST, backend=self.name, image=image.name
@@ -302,7 +302,7 @@ class RemoteBackend(Backend):
         backoff = self.retry_backoff_ns
         for attempt in range(self.max_retries + 1):
             action = None
-            if self.kernel.faults.armed():
+            if self.kernel.faults.active:
                 action = self.kernel.faults.fire(
                     fault_names.FP_REMOTE_SEND,
                     backend=self.name, peer=self.peer,

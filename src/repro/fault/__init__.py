@@ -13,7 +13,9 @@ no leaked extents and a restorable latest image.
 
 Design rules, mirroring ``repro.obs``:
 
-- zero-cost when disarmed (sites guard on ``faults is None``; an empty
+- zero-cost when disarmed (a site fires only when its registry is
+  attached and ``registry.active`` — true while anything is armed — so
+  a disarmed plane builds no labels and makes no call; an empty
   registry's ``fire`` is one truthiness test);
 - deterministic (probability draws come from named
   :mod:`repro.sim.rng` streams; a fixed seed injects the same faults);

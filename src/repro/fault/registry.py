@@ -8,8 +8,11 @@ A *failpoint* is a named site in the tree (``device.write``,
 case, gets ``None`` and proceeds.  The design mirrors ``repro.obs``:
 
 - **zero-cost when disarmed** — a site guards with ``if faults is not
-  None`` and ``fire`` on an empty registry is a single truthiness
-  test; arming nothing changes no behaviour and no benchmark number;
+  None and faults.active``, a plain attribute that is true while any
+  point is armed, so a disarmed plane builds no labels and makes no
+  call; ``fire`` on an empty registry is a single truthiness test as
+  well, and arming nothing changes no behaviour and no benchmark
+  number;
 - **deterministic** — probabilistic failpoints draw from named
   :mod:`repro.sim.rng` streams derived from the registry seed and the
   failpoint name, so adding a new armed point never perturbs another's
@@ -107,6 +110,9 @@ class FailpointRegistry:
         self.seed = seed
         self._rng = RngFactory(seed)
         self._armed: dict[str, list[Failpoint]] = {}
+        #: true while any point is armed (``arm``/``disarm`` keep it):
+        #: the guard a site checks before it builds labels for ``fire``
+        self.active = False
         #: every fired fault, in virtual-time order
         self.log: list[FaultRecord] = []
 
@@ -137,6 +143,7 @@ class FailpointRegistry:
             probability=probability, match=dict(match),
         )
         self._armed.setdefault(name, []).append(point)
+        self.active = True
         return point
 
     def disarm(self, name: Optional[str] = None) -> int:
@@ -145,8 +152,10 @@ class FailpointRegistry:
         if name is None:
             removed = sum(len(points) for points in self._armed.values())
             self._armed.clear()
-            return removed
-        return len(self._armed.pop(name, []))
+        else:
+            removed = len(self._armed.pop(name, []))
+        self.active = bool(self._armed)
+        return removed
 
     def armed(self, name: Optional[str] = None) -> list[Failpoint]:
         if name is not None:

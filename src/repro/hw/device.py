@@ -171,11 +171,14 @@ class StorageDevice:
         """Evaluate a failpoint; translates machine-wide actions.
 
         ``crash`` unwinds as :class:`PowerCut` from any device site;
-        other actions are returned for the caller to interpret.
+        other actions are returned for the caller to interpret.  The
+        hot sites (a read, each write command) check ``faults.active``
+        themselves, so a disarmed plane makes no call there.
         """
-        if self.faults is None:
+        faults = self.faults
+        if faults is None or not faults.active:
             return None
-        action = self.faults.fire(name, device=self.name, **labels)
+        action = faults.fire(name, device=self.name, **labels)
         if action is not None and action.kind == "crash":
             raise PowerCut(
                 f"{self.name}: {action.reason or 'injected power cut'}",
@@ -236,7 +239,7 @@ class StorageDevice:
         stats = self.stats
         qstats = stats.queues[queue]
         if writes is None:
-            if self.faults is not None:
+            if self.faults is not None and self.faults.active:
                 action = self._fire(fault_names.FP_DEVICE_READ, nbytes=nbytes)
                 if action is not None and action.kind == "fail":
                     raise DeviceIOError(
@@ -266,10 +269,13 @@ class StorageDevice:
         if spec.submit_cost_ns:
             clock.advance(spec.submit_cost_ns)
         qd = spec.queue_depth
+        faults = self.faults
         out = []
         for write in commands:
             if write is not None:
-                action = self._fire(fault_names.FP_DEVICE_WRITE, nbytes=len(write.data))
+                action = None
+                if faults is not None and faults.active:
+                    action = self._fire(fault_names.FP_DEVICE_WRITE, nbytes=len(write.data))
                 if action is not None and action.kind == "fail":
                     raise DeviceIOError(
                         f"{self.name}: {action.reason or 'injected write failure'}"

@@ -60,15 +60,16 @@ class ExtentAllocator:
         self.base = base
         self.size = size
         self.num_shards = num_shards
-        #: stripe boundaries: shard i covers [bounds[i], bounds[i+1])
-        self._shard_bounds = [
+        #: stripe boundaries: shard i covers
+        #: [shard_bounds[i], shard_bounds[i+1])
+        self.shard_bounds = [
             base + (size * i) // num_shards for i in range(num_shards + 1)
         ]
         #: sorted, disjoint, coalesced free list of [offset, end) pairs
         self._free: list[list[int]] = [[base, base + size]]
         #: where the last allocation in each stripe ended, then in the
         #: whole range (key ``num_shards``): where the next search starts
-        self._cursors = [*self._shard_bounds[:-1], base]
+        self._cursors = [*self.shard_bounds[:-1], base]
         self.allocated_bytes = 0
         #: failpoint plane (set by ObjectStore.attach_faults)
         self.faults: Optional["FailpointRegistry"] = None
@@ -81,14 +82,14 @@ class ExtentAllocator:
         """Which stripe (= submission queue) ``offset`` belongs to."""
         if offset < self.base or offset >= self.base + self.size:
             raise ValueError(f"offset {offset} outside allocator range")
-        return bisect.bisect_right(self._shard_bounds, offset) - 1
+        return bisect.bisect_right(self.shard_bounds, offset) - 1
 
     def allocate(self, length: int, shard: int | None = None) -> Extent:
         if length <= 0:
             raise ValueError("allocation length must be positive")
         if shard is not None and not 0 <= shard < self.num_shards:
             raise ValueError(f"shard {shard} out of range ({self.num_shards})")
-        if self.faults is not None:
+        if self.faults is not None and self.faults.active:
             action = self.faults.fire(fault_names.FP_STORE_ALLOC, length=length)
             if action is not None and action.kind == "fail":
                 raise StoreFullError(
@@ -113,7 +114,7 @@ class ExtentAllocator:
         or after the range's cursor, else the first from its start.
         None if no free run in the range fits."""
         if key < self.num_shards:
-            lo, hi = self._shard_bounds[key], self._shard_bounds[key + 1]
+            lo, hi = self.shard_bounds[key], self.shard_bounds[key + 1]
         else:
             lo, hi = self.base, self.base + self.size
         cursor = self._cursors[key]

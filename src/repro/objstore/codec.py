@@ -31,8 +31,7 @@ restore reads, fsck, scrub) share one reconstruction routine.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.errors import ChecksumError, ObjectStoreError
 from repro.hw.specs import CpuCostModel, DeviceSpec
@@ -42,7 +41,7 @@ from repro.objstore.record import (
     ENC_ZLIB,
     HEADER_SIZE,
     decode,
-    encode,
+    encode_delta,
 )
 from repro.units import PAGE_SIZE
 
@@ -75,8 +74,7 @@ class BrokenDeltaBase(ObjectStoreError):
         super().__init__(f"unresolvable delta base {base_hash.hex()[:12]}")
 
 
-@dataclass(frozen=True)
-class EncodedPage:
+class EncodedPage(NamedTuple):
     """One classify/encode decision for one page record."""
 
     flags: int
@@ -140,17 +138,17 @@ class PageCodec:
         ``base_hash`` must already resolve in the store's dedup index
         (the caller checks); ``dirty_extents`` is the COW layer's
         ``(offset, nbytes)`` list, or None when tracking overflowed.
+        Only the plan returned is built.
         """
-        raw = EncodedPage(
+        if self.enabled:
+            plan = (self._plan_delta(payload, base_hash, base_depth, dirty_extents)
+                    or self._plan_compress(payload))
+            if plan is not None:
+                return plan
+        return EncodedPage(
             flags=ENC_RAW, stored=payload,
             media_bytes=HEADER_SIZE + PAGE_SIZE, cpu_ns=0.0,
         )
-        if not self.enabled:
-            return raw
-        delta = self._plan_delta(payload, base_hash, base_depth, dirty_extents)
-        if delta is not None:
-            return delta
-        return self._plan_compress(payload, raw)
 
     def _plan_delta(self, payload: bytes, base_hash: Optional[bytes],
                     base_depth: int, dirty_extents) -> Optional[EncodedPage]:
@@ -164,15 +162,17 @@ class PageCodec:
         extents = coalesce_extents(dirty_extents)
         if sum(nbytes for _, nbytes in extents) > DELTA_MAX_DIRTY:
             return None
-        padded = payload + bytes(PAGE_SIZE - len(payload))
-        stored = encode({
-            "base": base_hash,
-            "depth": base_depth + 1,
-            "len": len(payload),
-            "ext": [[offset, padded[offset:offset + nbytes]]
-                    for offset, nbytes in extents],
-        })
-        if HEADER_SIZE + len(stored) >= HEADER_SIZE + PAGE_SIZE:
+        # Each extent's bytes as the page reads them: what lies past the
+        # payload's end (within the page) is zero.
+        chunks = []
+        for offset, nbytes in extents:
+            data = payload[offset:offset + nbytes]
+            short = min(offset + nbytes, PAGE_SIZE) - offset - len(data)
+            if short > 0:
+                data += bytes(short)
+            chunks.append((offset, data))
+        stored = encode_delta(base_hash, base_depth + 1, len(payload), chunks)
+        if len(stored) >= PAGE_SIZE:
             return None
         return EncodedPage(
             flags=ENC_DELTA, stored=stored,
@@ -181,16 +181,17 @@ class PageCodec:
             depth=base_depth + 1, base_hash=base_hash,
         )
 
-    def _plan_compress(self, payload: bytes, raw: EncodedPage) -> EncodedPage:
+    def _plan_compress(self, payload: bytes) -> Optional[EncodedPage]:
+        """A ZLIB plan, or None to stay RAW."""
         compressed = zlib.compress(payload, COMPRESS_LEVEL)
         saved = PAGE_SIZE - len(compressed)
         if saved <= 0:
             # Incompressible (already-random) content: the stream grew.
-            return raw
+            return None
         if saved * self._device_ns_per_byte <= self.cpu.page_compress_ns:
             # The device would drain the full page faster than the CPU
             # can shrink it — below the JASS crossover, stay RAW.
-            return raw
+            return None
         return EncodedPage(
             flags=ENC_ZLIB, stored=compressed,
             media_bytes=HEADER_SIZE + len(compressed),

@@ -532,7 +532,7 @@ class Fsck:
             intervals.extend((e.offset, e.end) for e in store.garbage)
             intervals.extend(
                 (extent.offset, extent.end)
-                for extent, _record, _logical in store.batch.staged.values()
+                for extent, *_ in store.batch.staged.values()
             )
             intervals.extend(
                 (entry.extent.offset, entry.extent.end)
@@ -589,7 +589,7 @@ class Fsck:
         the store's one commit point, :meth:`ObjectStore._write_directory`.
         """
         store = self.store
-        if store.faults is not None:
+        if store.faults is not None and store.faults.active:
             store._failpoint(
                 fault_names.FP_FSCK_REPAIR,
                 "power cut during fsck repair", "injected fsck repair failure",

@@ -85,7 +85,7 @@ class PersistentLog:
         of a WAL record — but a single sequential device write, not a
         filesystem journal dance).
         """
-        if self.store.faults is not None:
+        if self.store.faults is not None and self.store.faults.active:
             self.store._failpoint(
                 fault_names.FP_LOG_APPEND,
                 f"power cut appending seq {self.next_seq}",

@@ -195,6 +195,37 @@ def encode_list_of(encoded_items: list[bytes]) -> bytes:
     return bytes(head) + b"".join(encoded_items)
 
 
+def encode_delta(base: bytes, depth: int, length: int, chunks) -> bytes:
+    """``encode({"base": base, "depth": depth, "ext": [[offset, data],
+    ...], "len": length})`` — a delta page payload — written field by
+    field in the dict's sorted key order: the same bytes, without the
+    dict, the key sort or a call per container.  ``chunks`` are
+    ``(offset, data)`` pairs; every integer is non-negative."""
+    out = bytearray(b"d\x04s\x04baseb")
+    _enc_varint(len(base), out)
+    out += base
+    out += b"s\x05depthi"
+    _enc_varint(depth, out)
+    out += b"s\x03extl"
+    _enc_varint(len(chunks), out)
+    for offset, data in chunks:
+        out += b"l\x02i"
+        while offset > 0x7F:  # _enc_varint, inline: two per extent
+            out.append(offset & 0x7F | 0x80)
+            offset >>= 7
+        out.append(offset)
+        out.append(_BYTES)
+        size = len(data)
+        while size > 0x7F:
+            out.append(size & 0x7F | 0x80)
+            size >>= 7
+        out.append(size)
+        out += data
+    out += b"s\x03leni"
+    _enc_varint(length, out)
+    return bytes(out)
+
+
 def _decode_items(data: bytes, pos: int, count: int, depth: int) -> tuple[list, int]:
     """Decode ``count`` consecutive values from ``pos``: scalars inline,
     one call per container.  Running off the end raises ``IndexError``

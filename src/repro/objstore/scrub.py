@@ -188,7 +188,7 @@ class Scrubber:
             return 0
         store = self.store
         batch = self._worklist[self._cursor:self._cursor + self.batch_extents]
-        if store.faults is not None:
+        if store.faults is not None and store.faults.active:
             store._failpoint(
                 fault_names.FP_SCRUB_STEP,
                 "power cut during scrub step", "injected scrub-step failure",

@@ -24,6 +24,7 @@ invisible to callers: reading a staged record and
 from __future__ import annotations
 
 import hashlib
+from operator import attrgetter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -168,7 +169,8 @@ class ObjectStore:
         self.obs: Optional["KernelObs"] = None
         self._g_manifest_bytes = self._g_manifest_rows = self._g_manifest_lineage = None
         self._bytes_since_commit = 0
-        #: failpoint plane (repro.fault); None = zero-cost disarmed
+        #: failpoint plane (repro.fault); zero-cost while None or while
+        #: nothing is armed (``faults.active`` is false)
         self.faults: Optional["FailpointRegistry"] = None
         #: volume generation covered by the last clean fsck verdict
         #: (set by repro.objstore.fsck; consulted by the sls_send gate)
@@ -279,10 +281,11 @@ class ObjectStore:
         ``name`` and turn an armed ``crash`` into a :class:`PowerCut`
         stamped with the current virtual time, an armed ``fail`` into an
         :class:`ObjectStoreError`; the action's own ``reason`` wins over
-        the site's default message.  Call sites keep the
-        ``faults is not None`` guard so a disarmed store builds neither
-        labels nor messages.  ``sls lint`` reads a call to this method
-        as a fire site of the constant it names."""
+        the site's default message.  Call sites guard it with
+        ``faults is not None and faults.active`` (anything armed), so a
+        disarmed store makes no call and builds neither labels nor
+        messages.  ``sls lint`` reads a call to this method as a fire
+        site of the constant it names."""
         action = self.faults.fire(name, **labels)
         if action is None:
             return
@@ -291,39 +294,44 @@ class ObjectStore:
         if action.kind == "fail":
             raise ObjectStoreError(action.reason or fail_msg)
 
-    def _place_record(self, kind: int, oid: int, epoch: int, payload: bytes, *,
-                      flags: int = 0, shard: Optional[int] = None,
-                      logical: Optional[int] = None) -> tuple[Extent, bytes, int]:
-        """Pack a record and allocate it an extent; returns the extent,
-        the record and its accounted media size."""
-        record = pack_record(kind=kind, oid=oid, epoch=epoch, payload=payload, flags=flags)
-        extent = self.allocator.allocate(len(record), shard=shard)
-        size = max(len(record), logical or 0)
-        self.stats.bytes_written += size
-        self._bytes_since_commit += size
-        return extent, record, size
-
     def _stage_record(self, kind: int, oid: int, epoch: int, payload: bytes,
                       logical: Optional[int] = None, flags: int = 0) -> Extent:
-        """A data record (page, metadata): staged in the batch, placed
-        round-robin over the allocator stripes."""
-        if self.faults is not None:
+        """A data record (page, metadata), in one step: take the next
+        allocator stripe round-robin (every flush restarts the rotation
+        at stripe 0, so each submission queue gets a similar share),
+        pack, allocate there and stage it in the batch with the stripe
+        it landed in — its flush shard."""
+        faults = self.faults
+        if faults is not None and faults.active:
             self._failpoint(fault_names.FP_STORE_WRITE_RECORD, "power cut before record write",
                             "injected record-write failure", store=self.device.name, kind=kind)
-        extent, record, size = self._place_record(
-            kind, oid, epoch, payload, flags=flags,
-            shard=self.batch.next_shard(), logical=logical,
-        )
-        self.batch.stage(extent, record, size)
+        batch = self.batch
+        shard = batch.rotation
+        batch.rotation = (shard + 1) % self.num_shards
+        record = pack_record(kind, oid, epoch, payload, flags)
+        allocator = self.allocator
+        extent = allocator.allocate(len(record), shard)
+        bounds = allocator.shard_bounds
+        if not bounds[shard] <= extent.offset < bounds[shard + 1]:
+            shard = allocator.shard_of(extent.offset)  # the stripe was full
+        size = len(record)
+        if logical is not None and logical > size:
+            size = logical
+        self.stats.bytes_written += size
+        self._bytes_since_commit += size
+        batch.staged[extent.offset] = (extent, record, size, shard)
         return extent
 
     def _write_record(self, kind: int, epoch: int, payload: bytes) -> Extent:
         """A commit-tail record (manifest, spilled directory): one
         command on queue 0, issued after the batch was flushed."""
-        if self.faults is not None:
+        if self.faults is not None and self.faults.active:
             self._failpoint(fault_names.FP_STORE_WRITE_RECORD, "power cut before record write",
                             "injected record-write failure", store=self.device.name, kind=kind)
-        extent, record, _size = self._place_record(kind, 0, epoch, payload)
+        record = pack_record(kind, 0, epoch, payload)
+        extent = self.allocator.allocate(len(record))
+        self.stats.bytes_written += len(record)
+        self._bytes_since_commit += len(record)
         self.volume.write_data(extent.offset, record)
         return extent
 
@@ -416,42 +424,45 @@ class ObjectStore:
     def _store_page(self, payload: bytes, epoch: int, content_hash: bytes,
                     delta_base: Optional[bytes], dirty_extents) -> PageRef:
         """Encode, place and index content the dedup index lacks."""
+        codec = self.codec
         base_hash = None
         base_depth = 0
-        if (self.codec.enabled and delta_base is not None
-                and delta_base != content_hash):
+        if codec.enabled and delta_base is not None and delta_base != content_hash:
             base = self.dedup.get(delta_base)
             if base is not None:
-                base_hash, base_depth = delta_base, base.depth
-        plan = self.codec.plan(
+                base_hash, base_depth = delta_base, base.ref.depth
+        plan = codec.plan(
             payload, base_hash=base_hash, base_depth=base_depth,
             dirty_extents=dirty_extents,
         )
+        flags = plan.flags
         if plan.cpu_ns:
             self._charge(plan.cpu_ns)
-        if plan.flags != ENC_RAW and self.faults is not None:
-            fp = (fault_names.FP_STORE_WRITE_DELTA if plan.flags == ENC_DELTA
+        faults = self.faults
+        if flags != ENC_RAW and faults is not None and faults.active:
+            fp = (fault_names.FP_STORE_WRITE_DELTA if flags == ENC_DELTA
                   else fault_names.FP_STORE_WRITE_COMPRESSED)
             self._failpoint(
                 fp, "power cut before encoded page write",
                 "injected encoded-page write failure",
                 store=self.device.name, saved=plan.bytes_saved,
             )
+        media_bytes = plan.media_bytes
         extent = self._stage_record(
-            KIND_PAGE, 0, epoch, plan.stored,
-            logical=plan.media_bytes, flags=plan.flags,
+            KIND_PAGE, 0, epoch, plan.stored, logical=media_bytes, flags=flags,
         )
-        ref = PageRef(content_hash, extent, len(payload), plan.flags, plan.depth)
-        self.dedup.insert(ref, media_bytes=plan.media_bytes, base_hash=plan.base_hash)
-        self.stats.pages_written += 1
-        self.stats.page_full_bytes += HEADER_SIZE + PAGE_SIZE
-        self.stats.page_media_bytes += plan.media_bytes
-        if plan.flags == ENC_ZLIB:
-            self.stats.pages_compressed += 1
-            self.stats.encoded_bytes_saved += plan.bytes_saved
-        elif plan.flags == ENC_DELTA:
-            self.stats.pages_delta += 1
-            self.stats.encoded_bytes_saved += plan.bytes_saved
+        ref = PageRef(content_hash, extent, len(payload), flags, plan.depth)
+        self.dedup.insert(ref, media_bytes=media_bytes, base_hash=plan.base_hash)
+        stats = self.stats
+        stats.pages_written += 1
+        stats.page_full_bytes += HEADER_SIZE + PAGE_SIZE
+        stats.page_media_bytes += media_bytes
+        if flags != ENC_RAW:
+            if flags == ENC_ZLIB:
+                stats.pages_compressed += 1
+            else:
+                stats.pages_delta += 1
+            stats.encoded_bytes_saved += plan.bytes_saved
         return ref
 
     def read_page(self, ref: PageRef) -> bytes:
@@ -789,7 +800,7 @@ class ObjectStore:
         call frees it (:meth:`_reclaim_dead`): the one rule by which
         space is reused.
         """
-        if self.faults is not None:
+        if self.faults is not None and self.faults.active:
             self._failpoint(
                 fault_names.FP_STORE_WRITE_DIRECTORY,
                 "power cut before directory write",
@@ -817,15 +828,26 @@ class ObjectStore:
 
     def _reclaim_dead(self) -> list[Extent]:
         """Free and return the garbage no durable superblock slot names:
-        the device forgets it and the allocator may hand it out again."""
+        the device forgets it and the allocator may hand it out again.
+        Adjacent dead extents are merged first, so each run costs one
+        discard and one free."""
         now = self._now()
-        dead = [extent for extent, (left, at) in self.garbage.items()
+        garbage = self.garbage
+        dead = [extent for extent, (left, at) in garbage.items()
                 if not left and at <= now]
-        for extent in dead:
-            del self.garbage[extent]
-            self.volume.discard_data(extent.offset, extent.length)
-            self.allocator.free(extent)
-        if dead and self.obs is not None:
+        if not dead:
+            return dead
+        runs: list[list[int]] = []
+        for extent in sorted(dead, key=attrgetter("offset")):
+            del garbage[extent]
+            if runs and runs[-1][1] == extent.offset:
+                runs[-1][1] = extent.end
+            else:
+                runs.append([extent.offset, extent.end])
+        for start, end in runs:
+            self.volume.discard_data(start, end - start)
+            self.allocator.free(Extent(start, end - start))
+        if self.obs is not None:
             freed, store = sum(extent.length for extent in dead), self.device.name
             self.obs.registry.counter(obs_names.C_GC_EXTENTS_FREED, store=store).inc(len(dead))
             self.obs.registry.counter(obs_names.C_GC_BYTES_FREED, store=store).inc(freed)
@@ -864,7 +886,7 @@ class ObjectStore:
         pages = self._with_delta_bases(pages)
         if any(extent.offset not in self._meta_refs for extent in lineage):
             raise ObjectStoreError(f"{name!r} lists a lineage manifest nothing holds")
-        if self.faults is not None:
+        if self.faults is not None and self.faults.active:
             self._failpoint(
                 fault_names.FP_STORE_COMMIT,
                 f"power cut committing {name!r}",
@@ -965,7 +987,7 @@ class ObjectStore:
         snapshot = self.directory.get(snap_id)
         if snapshot is None:
             raise NoSuchObject(f"no snapshot {snap_id}")
-        if self.faults is not None:
+        if self.faults is not None and self.faults.active:
             self._failpoint(
                 fault_names.FP_STORE_DELETE,
                 f"power cut deleting {snapshot.name!r}",
@@ -979,14 +1001,16 @@ class ObjectStore:
                 if self._release_meta(extent)]
         if self._release_meta(snapshot.manifest_extent):
             dead.append(manifest.pages)
+        release, garbage = self.dedup.release, self.garbage
+        invalidate = self.pagecache.invalidate
         for table in dead:
             for content_hash, _offset, _extent_length, _length in table.rows():
-                freed = self.dedup.release(content_hash)
+                freed = release(content_hash)
                 if freed is not None:
-                    self._to_garbage(freed)
+                    garbage[freed] = (2, 0)  # as _to_garbage
                     # The hash just left the store; a cached copy must
                     # not outlive the media extent (reclaim reuses it).
-                    self.pagecache.invalidate(content_hash)
+                    invalidate(content_hash)
         self.directory.remove(snap_id)
         self._write_directory()
         self.stats.snapshots_deleted += 1
@@ -1171,33 +1195,21 @@ class WriteBatch:
 
     def __init__(self, store: ObjectStore):
         self.store = store
-        #: staged (extent, packed record, media size) by extent offset:
+        #: staged (extent, packed record, media size, flush shard) by
+        #: extent offset (:meth:`ObjectStore._stage_record` fills it):
         #: an extent whose offset is here is not on media yet
-        self.staged: dict[int, tuple[Extent, bytes, int]] = {}
-        self._rr_shard = 0
+        self.staged: dict[int, tuple[Extent, bytes, int, int]] = {}
+        #: the allocator stripe the next staged record asks for; every
+        #: flush restarts the rotation at stripe 0
+        self.rotation = 0
         self.last_tickets: list[IoTicket] = []
-
-    def next_shard(self) -> int:
-        """Round-robin allocation shard for the next staged record
-        (every flush restarts the rotation at shard 0).
-
-        Spreading a checkpoint's records evenly over the allocator
-        stripes is what lets :meth:`flush` hand every submission queue
-        a similar amount of work.
-        """
-        shard = self._rr_shard
-        self._rr_shard = (self._rr_shard + 1) % self.store.num_shards
-        return shard
-
-    def stage(self, extent: Extent, record: bytes, size: int) -> None:
-        self.staged[extent.offset] = (extent, record, size)
 
     def __len__(self) -> int:
         return len(self.staged)
 
     @property
     def pending_bytes(self) -> int:
-        return sum(logical for _, _, logical in self.staged.values())
+        return sum(item[2] for item in self.staged.values())
 
     # -- flushing ---------------------------------------------------------------
 
@@ -1223,39 +1235,38 @@ class WriteBatch:
         store = self.store
         if not self.staged:
             return []
-        if store.faults is not None:
+        if store.faults is not None and store.faults.active:
             store._failpoint(
                 fault_names.FP_STORE_BATCH_FLUSH,
                 "power cut at batch flush", "injected batch-flush failure",
                 store=store.device.name, records=len(self.staged),
             )
-        items = [self.staged[offset] for offset in sorted(self.staged)]
+        staged = self.staged
+        items = [staged[offset] for offset in sorted(staged)]
         self.staged = {}
-        self._rr_shard = 0
-        num_queues = store.device.num_queues
-        by_shard: dict[int, list[tuple[Extent, bytes, int]]] = {}
+        self.rotation = 0
+        by_shard: dict[int, list[tuple[Extent, bytes, int, int]]] = {}
         for item in items:
-            shard = store.allocator.shard_of(item[0].offset) % num_queues
-            by_shard.setdefault(shard, []).append(item)
+            by_shard.setdefault(item[3], []).append(item)
 
-        def coalesce(shard_items: list[tuple[Extent, bytes, int]]) -> list[BatchWrite]:
-            runs = [[shard_items[0]]]
-            # The cap bounds the *on-media* (logical) size of one
-            # coalesced command, matching how MDTS limits a transfer.
-            run_bytes = shard_items[0][2]
-            for item in shard_items[1:]:
-                extent, _record, logical = item
-                if (extent.offset == runs[-1][-1][0].end
+        def coalesce(shard_items: list[tuple[Extent, bytes, int, int]]) -> list[BatchWrite]:
+            writes: list[BatchWrite] = []
+            records: list[bytes] = []
+            start = end = run_bytes = 0
+            for extent, record, logical, _shard in shard_items:
+                # The cap bounds the *on-media* (logical) size of one
+                # coalesced command, matching how MDTS limits a transfer.
+                if (records and extent.offset == end
                         and run_bytes + logical <= MAX_BATCH_EXTENT):
-                    runs[-1].append(item)
+                    records.append(record)
                     run_bytes += logical
                 else:
-                    runs.append([item])
-                    run_bytes = logical
-            return [BatchWrite(offset=run[0][0].offset,
-                               data=b"".join(record for _, record, _ in run),
-                               logical_nbytes=sum(lg for _, _, lg in run))
-                    for run in runs]
+                    if records:
+                        writes.append(BatchWrite(start, b"".join(records), run_bytes))
+                    start, records, run_bytes = extent.offset, [record], logical
+                end = extent.offset + extent.length
+            writes.append(BatchWrite(start, b"".join(records), run_bytes))
+            return writes
 
         span = None
         if store.obs is not None:
@@ -1268,7 +1279,7 @@ class WriteBatch:
         total_extents = 0
         for shard in sorted(by_shard):
             shard_items = by_shard[shard]
-            if store.faults is not None:
+            if store.faults is not None and store.faults.active:
                 store._failpoint(
                     fault_names.FP_STORE_SHARD_FLUSH,
                     f"power cut at shard {shard} flush",
@@ -1284,7 +1295,7 @@ class WriteBatch:
                     shard=shard, records=len(shard_items), extents=len(writes),
                 )
             tickets.extend(store.volume.write_data_batch(writes, queue=shard))
-        total_logical = sum(lg for _, _, lg in items)
+        total_logical = sum([item[2] for item in items])
         self.last_tickets = tickets
         stats = store.stats
         stats.batches_flushed += 1

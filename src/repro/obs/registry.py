@@ -153,7 +153,8 @@ class Histogram(Instrument):
 
     def quantile(self, q: float) -> Optional[int]:
         """Approximate quantile: the bucket upper bound covering ``q``
-        of the observations (``max`` for the overflow bucket)."""
+        of the observations, never above the largest one observed
+        (``max``, which the overflow bucket also answers)."""
         if not self.count:
             return None
         target = q * self.count
@@ -161,7 +162,7 @@ class Histogram(Instrument):
         for i, n in enumerate(self.counts):
             seen += n
             if seen >= target and n:
-                return self.bounds[i] if i < len(self.bounds) else self.max
+                return min(self.bounds[i], self.max) if i < len(self.bounds) else self.max
         return self.max
 
 

@@ -357,7 +357,7 @@ class SlsFS(FileSystem):
         process state commit together ("the object store simplifies
         synchronizing memory and file system checkpoints").
         """
-        if self.store.faults is not None:
+        if self.store.faults is not None and self.store.faults.active:
             self.store._failpoint(
                 fault_names.FP_FS_SYNC,
                 "power cut during slsfs sync", "injected slsfs sync failure",

@@ -143,7 +143,7 @@ SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
 STORE_PY = "repro/objstore/store.py"
 
 DIRECTORY_GATE = """\
-        if self.faults is not None:
+        if self.faults is not None and self.faults.active:
             self._failpoint(
                 fault_names.FP_STORE_WRITE_DIRECTORY,
                 "power cut before directory write",

@@ -197,7 +197,7 @@ class FirstFitAllocator(ExtentAllocator):
 
     def allocate(self, length, shard=None):
         if shard is not None and self.num_shards > 1:
-            extent = self._first_fit(length, *self._shard_bounds[shard:shard + 2])
+            extent = self._first_fit(length, *self.shard_bounds[shard:shard + 2])
             if extent is not None:
                 return extent
         extent = self._first_fit(length, self.base, self.base + self.size)
