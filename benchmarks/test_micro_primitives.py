@@ -177,6 +177,55 @@ def test_micro_store_write_page(benchmark):
     benchmark(write_unique_page)
 
 
+class _CapturedPage:
+    """What ``ObjectStore.write_run`` reads of a captured frame."""
+
+    def __init__(self, payload, base_hash=None, dirty_extents=None):
+        self.payload = payload
+        self.base_hash = base_hash
+        self.dirty_extents = dirty_extents
+        self._hash = ObjectStore.page_hash(payload)
+
+    def content_hash(self):
+        return self._hash
+
+
+def test_micro_store_write_run(benchmark):
+    """One 64-page ``write_run`` + commit of store misses on a 4-queue
+    NVMe store: a third RAW (incompressible), a third ZLIB, a third
+    DELTA against a stored base — the incremental write path per miss."""
+    clock = SimClock()
+    store = ObjectStore(NvmeDevice(clock, queue_depth=8, num_queues=4))
+    rng = random.Random(7)
+    bases = [b"base %d " % i * 400 for i in range(22)]
+    base_refs = store.write_run([_CapturedPage(b) for b in bases], epoch=0)
+    store.commit_snapshot("bases", {}, [], base_refs)
+    rounds = [0]
+
+    def make_pages():
+        rounds[0] += 1
+        tag = b"%08d" % rounds[0]
+        pages = []
+        for i in range(64):
+            if i % 3 == 0:
+                pages.append(_CapturedPage(rng.randbytes(PAGE_SIZE)))
+            elif i % 3 == 1:
+                pages.append(_CapturedPage(tag + b"text %d " % i * 500))
+            else:
+                base = bases[i % len(bases)]
+                payload = base[:100] + tag + base[108:]
+                pages.append(_CapturedPage(payload, ObjectStore.page_hash(base), [(100, 8)]))
+        return (pages,), {}
+
+    def write_and_commit(pages):
+        refs = store.write_run(pages, epoch=rounds[0])
+        store.commit_snapshot("r%d" % rounds[0], {}, [], refs)
+        return refs
+
+    refs = benchmark.pedantic(write_and_commit, setup=make_pages, rounds=30)
+    assert sorted({ref.flags for ref in refs}) == [0, ENC_ZLIB, ENC_DELTA]
+
+
 def test_micro_pagecache_get(benchmark):
     """One demand page read served from the page cache (a hit) on a
     store bound to a kernel's observability plane."""

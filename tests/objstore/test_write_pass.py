@@ -64,3 +64,83 @@ def test_a_disarmed_plane_makes_no_fire_call():
     assert _CountingRegistry.calls > 0
     registry.disarm()
     assert not registry.active
+
+
+def _reclaim_one_at_a_time(store):
+    """The reclaim before runs were merged: one discard and one free
+    per dead extent (the reference the merged reclaim must match)."""
+    now = store._now()
+    dead = [extent for extent, (left, at) in store.garbage.items()
+            if not left and at <= now]
+    for extent in dead:
+        del store.garbage[extent]
+        store.volume.discard_data(extent.offset, extent.length)
+        store.allocator.free(extent)
+    return dead
+
+
+def _stream_with_deletes(store, discards):
+    device_discard = store.device.discard
+
+    def counting(offset, nbytes):
+        discards.append((offset, nbytes))
+        device_discard(offset, nbytes)
+
+    store.device.discard = counting
+    snaps = []
+    for i in range(30):
+        refs = [store.write_page(b"%d-%d" % (i, j) + bytes(300)) for j in range(6)]
+        meta = store.write_meta(1, {"i": i})
+        snaps.append(store.commit_snapshot(f"s{i}", {}, [meta], refs))
+        if len(snaps) > 3:
+            store.delete_snapshot(snaps.pop(0).snap_id)
+    store.flush_barrier()
+
+
+def test_reclaim_merges_runs_and_matches_the_one_extent_reference():
+    merged_discards, reference_discards = [], []
+    stores = []
+    for reclaim, discards in ((None, merged_discards),
+                              (_reclaim_one_at_a_time, reference_discards)):
+        store = ObjectStore(NvmeDevice(SimClock(), queue_depth=8, num_queues=4))
+        if reclaim is not None:
+            store._reclaim_dead = lambda store=store: reclaim(store)
+        _stream_with_deletes(store, discards)
+        stores.append(store)
+    merged, reference = stores
+    assert reference_discards, "the stream must reclaim something"
+    assert len(merged_discards) < len(reference_discards)
+    # every merged discard covers exactly a run of adjacent reference ones
+    covered = sorted(reference_discards)
+    assert sum(n for _, n in merged_discards) == sum(n for _, n in covered)
+    assert merged.allocator.free_extents() == reference.allocator.free_extents()
+    assert merged.device.held_bytes == reference.device.held_bytes
+
+
+def test_a_recovered_delta_names_its_base_with_one_record_read():
+    clock = SimClock()
+    device = NvmeDevice(clock, queue_depth=8)
+    store = ObjectStore(device)
+    base = b"base page " * 300
+    base_ref = store.write_page(base)
+    changed = base[:100] + b"CHANGED!" + base[108:]
+    delta_ref = store.write_page(changed, delta_base=base_ref.content_hash,
+                                 dirty_extents=[(100, 8)])
+    assert delta_ref.depth == 1
+    store.commit_snapshot("s", {}, [], [delta_ref])
+    store.flush_barrier()
+    device.crash()
+    rebooted = ObjectStore(device)
+    rebooted.recover()
+    row = next(ref for ref in rebooted.load_manifest(rebooted.snapshot_by_name("s")).pages
+               if ref.content_hash == delta_ref.content_hash)
+    assert rebooted.dedup.get(row.content_hash).base_hash is None  # not read yet
+    reads = []
+    read_record = rebooted._read_record
+    rebooted._read_record = lambda *a, **k: reads.append(a) or read_record(*a, **k)
+    listed = rebooted._with_delta_bases([row])
+    assert len(reads) == 1
+    assert [ref.content_hash for ref in listed] == [row.content_hash, base_ref.content_hash]
+    assert rebooted.dedup.get(row.content_hash).base_hash == base_ref.content_hash
+    rebooted.commit_snapshot("again", {}, [], [row])
+    assert len(reads) == 1  # the hash is kept: a second commit reads nothing more
