@@ -314,9 +314,7 @@ class ObjectStore:
         bounds = allocator.shard_bounds
         if not bounds[shard] <= extent.offset < bounds[shard + 1]:
             shard = allocator.shard_of(extent.offset)  # the stripe was full
-        size = len(record)
-        if logical is not None and logical > size:
-            size = logical
+        size = max(len(record), logical or 0)
         self.stats.bytes_written += size
         self._bytes_since_commit += size
         batch.staged[extent.offset] = (extent, record, size, shard)
