@@ -45,6 +45,7 @@ from repro.core.restore import load_image_from_store
 from repro.errors import PowerCut
 from repro.fault import names as fault_names
 from repro.fault.registry import FailpointRegistry, FaultAction
+from repro.hw.device import SECTOR
 from repro.hw.nvme import NvmeDevice
 from repro.objstore.alloc import Extent
 from repro.objstore.fsck import check_store, repair_store
@@ -57,6 +58,7 @@ from repro.posix.fd import O_CREAT, O_RDWR
 from repro.posix.kernel import Kernel
 from repro.posix.syscalls import Syscalls
 from repro.posix.vnode import VfsNamespace
+from repro.sim.clock import SimClock
 from repro.slsfs.fs import SlsFS
 from repro.units import GIB, KIB, PAGE_SIZE
 
@@ -102,8 +104,9 @@ class WorkloadState:
     #: SLS checkpoint name -> {heap page index: bytes expected at page start}
     heap_expect: dict[str, dict[int, bytes]] = field(default_factory=dict)
     heap_start: int = 0
-    #: payloads whose synchronous (durable) append returned
-    log_appended: list[bytes] = field(default_factory=list)
+    #: ``(instant it returned, payload)`` of each synchronous (durable)
+    #: log append
+    log_appended: list[tuple[int, bytes]] = field(default_factory=list)
     log_region: Optional[Extent] = None
     #: checksum errors the workload's own scrub pass found (golden: 0)
     scrub_errors: int = 0
@@ -249,7 +252,7 @@ def run_workload(kernel: Kernel, device: NvmeDevice,
 
         entry = b"entry-%d" % i
         log.append(entry, sync=True)
-        state.log_appended.append(entry)
+        state.log_appended.append((kernel.clock.now, entry))
 
         handle = vfs.open(f"/file-{i}", O_RDWR | O_CREAT)
         handle.write(b"fsdata-%d" % i)
@@ -290,7 +293,7 @@ def _referenced_extents(store: ObjectStore) -> dict[int, int]:
 
 
 def verify_recovery(state: WorkloadState, device: NvmeDevice,
-                    kernel: Kernel, point: CrashPointResult) -> None:
+                    point: CrashPointResult) -> None:
     """Run the three oracles against a freshly recovered store."""
     store = ObjectStore(device)
     report = store.recover()
@@ -330,14 +333,17 @@ def verify_recovery(state: WorkloadState, device: NvmeDevice,
     except AssertionError as exc:
         point.failures.append(f"allocator invariants violated: {exc}")
 
-    # Oracle 3a: the durable prefix of the log scans back exactly.
+    # Oracle 3a: the log scans back exactly the appends acknowledged
+    # by the instant of the cut.
     if state.log_region is not None:
         reopened = PersistentLog(store, LOG_OWNER_OID, region=state.log_region)
         scanned = [payload for _seq, payload in reopened.scan_region()]
-        if scanned != state.log_appended:
+        acked = [payload for at, payload in state.log_appended
+                 if at <= point.at_ns]
+        if scanned != acked:
             point.failures.append(
                 f"log prefix mismatch: scanned {scanned}, "
-                f"durable appends were {state.log_appended}"
+                f"acknowledged appends were {acked}"
             )
 
     # Oracle 3b: the newest recovered SLS image restores and its heap
@@ -349,7 +355,7 @@ def verify_recovery(state: WorkloadState, device: NvmeDevice,
         return
     latest = group_snaps[-1]
     restored_kernel = Kernel(
-        hostname="restored", memory_bytes=1 * GIB, clock=kernel.clock
+        hostname="restored", memory_bytes=1 * GIB, clock=device.clock
     )
     sls = SLS(restored_kernel)
     try:
@@ -443,7 +449,7 @@ def run_crash_point(site: str, index: int,
         return point  # site had fewer hits than the golden run implied
     kernel.faults.disarm()
     device.crash()
-    verify_recovery(state, device, kernel, point)
+    verify_recovery(state, device, point)
     _verify_fsck(device, point)
     return point
 
@@ -474,4 +480,65 @@ def run_sweep(seed: int = DEFAULT_SEED, stride: int = 1,
             f"site was added or dropped; update the pin in one place "
             f"(repro.fault.crashtest.EXPECTED_CRASH_POINTS)"
         )
+    return report
+
+
+def _instants(trace: list) -> list[int]:
+    """Every instant a power cut changes what the trace leaves on the
+    media: each transfer's start and completion, each whole-sector
+    boundary inside a transfer, and each discard."""
+    instants = set()
+    for entry in trace:
+        if len(entry) == 3:
+            instants.add(entry[0])
+            continue
+        _offset, data, transfer_at, durable_at = entry
+        instants.update((transfer_at, durable_at))
+        span = durable_at - transfer_at
+        for sectors in range(1, -(-len(data) // SECTOR)):
+            instants.add(transfer_at - (-sectors * SECTOR * span // len(data)))
+    return sorted(instants)
+
+
+def _spans(trace: list) -> list[tuple[int, int]]:
+    """The merged byte ranges the trace writes: all a replay can hold."""
+    spans: list[tuple[int, int]] = []
+    for lo, hi in sorted((e[0], e[0] + len(e[1])) for e in trace if len(e) == 4):
+        if spans and lo <= spans[-1][1]:
+            spans[-1] = (spans[-1][0], max(spans[-1][1], hi))
+        else:
+            spans.append((lo, hi))
+    return spans
+
+
+def media_key(device: NvmeDevice, spans: list[tuple[int, int]]) -> bytes:
+    return b"".join(device._load(lo, hi - lo) for lo, hi in spans)
+
+
+def trace_states(trace: list):
+    """Each distinct media state the trace can leave, with the first
+    instant that reaches it: ``(at, replayed device, key)``."""
+    spans = _spans(trace)
+    seen: set[bytes] = set()
+    for at in _instants(trace):
+        media = NvmeDevice(SimClock(at), name="crash-nvme",
+                           queue_depth=8, num_queues=4)
+        media.replay(trace, at)
+        key = media_key(media, spans)
+        if key not in seen:
+            seen.add(key)
+            yield at, media, key
+
+
+def run_trace_sweep() -> SweepReport:
+    kernel, device = _boot(DEFAULT_SEED)
+    device.trace = trace = []
+    state = run_workload(kernel, device, WorkloadState())
+    report = SweepReport()
+    for at, media, _key in trace_states(trace):
+        point = CrashPointResult(site="trace", index=len(report.points),
+                                 fired=True, at_ns=at)
+        verify_recovery(state, media, point)
+        _verify_fsck(media, point)
+        report.points.append(point)
     return report

@@ -99,6 +99,17 @@ class _PendingWrite:
     transfer_at: int
     durable_at: int
 
+    def landed(self, at: int) -> int:
+        """How many of its bytes are on the media at ``at``: all once
+        durable, none before its transfer begins, and in between the
+        whole sectors of new bytes its elapsed transfer covers."""
+        if at >= self.durable_at:
+            return self.length
+        if at <= self.transfer_at:
+            return 0
+        return (self.length * (at - self.transfer_at)
+                // (self.durable_at - self.transfer_at) // SECTOR * SECTOR)
+
 
 @dataclass(frozen=True)
 class BatchWrite:
@@ -154,6 +165,12 @@ class StorageDevice:
         self._inject_failures = 0
         #: failpoint plane (repro.fault); None = zero-cost disarmed
         self.faults: Optional["FailpointRegistry"] = None
+        #: the write trace, once a caller sets it to a list (the crash
+        #: sweep does): each write that reaches the media appends
+        #: ``(offset, landed bytes, transfer_at, durable_at)``, each
+        #: discard ``(at, offset, nbytes)``; :meth:`replay` rebuilds
+        #: the media a power cut at any instant would leave
+        self.trace: Optional[list] = None
 
     @property
     def capacity(self) -> int:
@@ -326,6 +343,10 @@ class StorageDevice:
                     offset=offset, length=len(data), old=old,
                     durable_at=completes, transfer_at=completes - xfer,
                 ))
+                if self.trace is not None:
+                    self.trace.append(
+                        (offset, bytes(data), completes - xfer, completes)
+                    )
             written = max(len(data), write.logical_nbytes or 0)
             stats.writes += 1
             qstats.writes += 1
@@ -379,13 +400,16 @@ class StorageDevice:
         raises :class:`DeviceIOError`.
         """
         end = offset + nbytes
-        self._retire_pending()
+        now = self.clock.now
         for pending in self._pending:
-            if pending.offset < end and offset < pending.offset + pending.length:
+            if (pending.durable_at > now and pending.offset < end
+                    and offset < pending.offset + pending.length):
                 raise DeviceIOError(
                     f"{self.name}: discard [{offset}, {end}) overlaps a write "
                     f"that is not yet durable"
                 )
+        if self.trace is not None:
+            self.trace.append((now, offset, nbytes))
         self._cut(offset, end)
 
     def flip(self, offset: int, mask: int = 0xFF) -> None:
@@ -586,19 +610,42 @@ class StorageDevice:
             self._starts.clear()
             self._pending.clear()
             return lost
+        self._tear(now)
+        return lost
+
+    def replay(self, trace: list, at: int) -> None:
+        """Land another device's ``trace`` (see :attr:`trace`) on these
+        media as a power cut at ``at`` left it: every write as
+        submitted and every discard made by ``at``, then the writes not
+        yet durable torn exactly as :meth:`crash` tears them."""
+        for entry in trace:
+            if len(entry) == 3:
+                instant, offset, nbytes = entry
+                if instant <= at:
+                    self._cut(offset, offset + nbytes)
+                continue
+            offset, data, transfer_at, durable_at = entry
+            self._pending.append(_PendingWrite(
+                offset=offset, length=len(data), old=self._store(offset, data),
+                transfer_at=transfer_at, durable_at=durable_at,
+            ))
+        self._tear(at)
+
+    def _tear(self, at: int) -> None:
+        """Unwind, newest first, each pending write to its pre-image
+        beyond the bytes it had landed by ``at`` (see
+        :meth:`_PendingWrite.landed`)."""
         for pending in reversed(self._pending):
-            lo, hi = pending.offset, pending.offset + pending.length
-            if now > pending.transfer_at:
-                lo += (pending.length * (now - pending.transfer_at)
-                       // (pending.durable_at - pending.transfer_at)
-                       // SECTOR * SECTOR)
+            landed = pending.landed(at)
+            if landed == pending.length:
+                continue
+            lo, hi = pending.offset + landed, pending.offset + pending.length
             self._cut(lo, hi)
             for start, piece in pending.old:
                 piece = piece[max(lo - start, 0) : hi - start]
                 if piece:
                     self._store(max(start, lo), piece)
         self._pending.clear()
-        return lost
 
     def utilization(self, window_ns: int) -> float:
         """Fraction of aggregate channel time spent transferring.

@@ -10,14 +10,19 @@ exactly repaired, deterministically under a fixed seed.
 from repro.fault import names
 from repro.fault.crashtest import (
     CHECKPOINTS,
+    DEFAULT_SEED,
     EXPECTED_CRASH_POINTS,
     SWEEP_SITES,
     WorkloadState,
     _boot,
+    _spans,
     golden_hits,
+    media_key,
     run_crash_point,
     run_sweep,
+    run_trace_sweep,
     run_workload,
+    trace_states,
 )
 from repro.obs import names as obs_names
 
@@ -159,3 +164,35 @@ class TestCrashPointOracles:
         assert not point.failures
         # Everything before the torn final commit survived.
         assert point.snapshots_recovered > 0
+
+
+class TestTraceSweep:
+    """The sweep over one run's write trace, beside the failpoint one."""
+
+    def test_trace_sweep_is_clean(self):
+        report = run_trace_sweep()
+        assert not report.failures, "\n".join(report.failures)
+        assert len(report.points) == 69
+
+    def test_every_failpoint_cut_is_a_trace_state(self):
+        from repro.errors import PowerCut
+        from repro.fault.registry import FaultAction
+
+        kernel, device = _boot(seed=DEFAULT_SEED)
+        device.trace = trace = []
+        run_workload(kernel, device, WorkloadState())
+        spans = _spans(trace)
+        states = {key for _at, _media, key in trace_states(trace)}
+        cuts = set()
+        for site, hits in golden_hits().items():
+            for index in range(hits):
+                kernel, device = _boot(seed=DEFAULT_SEED)
+                kernel.faults.arm(site, FaultAction("crash"), after=index)
+                try:
+                    run_workload(kernel, device, WorkloadState())
+                except PowerCut:
+                    kernel.faults.disarm()
+                    device.crash()
+                    cuts.add(media_key(device, spans))
+        assert len(cuts) == 13
+        assert cuts <= states
