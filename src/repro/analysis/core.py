@@ -244,8 +244,8 @@ class AnalyzerConfig:
     )
     #: package the crash-ordering rule checks
     objstore_prefix: str = "repro/objstore/"
-    #: the device-adapter module whose raw writes are covered by the
-    #: device-level failpoints inside StorageDevice itself
+    #: the device-adapter module: the one place in the store layer
+    #: that writes the device directly
     adapter_modules: Tuple[str, ...] = ("repro/objstore/block.py",)
     #: module defining the unit helpers (exempt from unit-suffix)
     units_modules: Tuple[str, ...] = ("repro/units.py",)
@@ -257,16 +257,6 @@ class AnalyzerConfig:
         "ObjectStore.commit_snapshot",
         "ObjectStore.delete_snapshot",
         "SlsFS.sync",
-    )
-    #: the crash sweep's entry function ("relpath::qualname"); every
-    #: swept failpoint must have a fire site reachable from it
-    sweep_entry: str = "repro/fault/crashtest.py::run_sweep"
-    #: failpoint values the crash sweep power-cuts (default: the live
-    #: SWEEP_SITES tuple)
-    sweep_sites: Tuple[str, ...] = ()
-    #: exception names broad enough to catch a PowerCut (its MRO)
-    powercut_catchers: Tuple[str, ...] = (
-        "PowerCut", "AuroraError", "Exception", "BaseException",
     )
     #: documentation file the obs-coverage rule pins catalogue names
     #: against (looked up in the tree root, then its parent)
@@ -280,8 +270,7 @@ class AnalyzerConfig:
             sorted(self.fault_registry.items()),
             self.registry_modules, self.drift_exempt, self.objstore_prefix,
             self.adapter_modules, self.units_modules,
-            self.durability_roots, self.sweep_entry,
-            self.sweep_sites, self.powercut_catchers, self.obs_doc,
+            self.durability_roots, self.obs_doc,
         ))
         return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
@@ -290,7 +279,7 @@ class AnalyzerConfig:
         """Config for the real tree: registry values come from the live
         catalogue modules (the single source of truth the docs tests
         already pin)."""
-        from repro.fault import crashtest, names as fault_names
+        from repro.fault import names as fault_names
         from repro.obs import names as obs_names
 
         def constants(mod) -> Dict[str, str]:
@@ -303,7 +292,6 @@ class AnalyzerConfig:
         return cls(
             obs_registry=constants(obs_names),
             fault_registry=constants(fault_names),
-            sweep_sites=tuple(crashtest.SWEEP_SITES),
         )
 
 

@@ -1,20 +1,19 @@
 """Whole-program effect inference over the import-resolved call graph.
 
 This is the engine behind the graph rules (``durability-order``,
-``failpoint-reachability``, ``obs-coverage``, ``exception-safety``) and
-``sls lint --graph``.  It answers questions the per-function rules
-cannot: *which* externalization paths a public commit API can reach,
-whether a failpoint constant is fired anywhere the crash sweep can
-actually drive, and whether a broad ``except`` sits on a path where a
-power cut can be raised.
+``failpoint-reachability``, ``obs-coverage``) and ``sls lint --graph``.
+It answers questions the per-function rules cannot: *which*
+externalization paths a public commit API can reach, and whether a
+failpoint constant or an instrument is fired anywhere a public entry
+point can actually drive.
 
 The pipeline:
 
 1. **Extraction** (per module, cached): every function body is scanned
    once into a JSON-serializable record — its intrinsic effect atoms,
    its outgoing calls (classified ``local`` / ``module`` / ``method``),
-   a tiny type environment (constructor-call locals, parameter and
-   attribute annotations), and its ``try`` blocks with handler shapes.
+   and a tiny type environment (constructor-call locals, parameter and
+   attribute annotations).
    Records flow through :meth:`ProjectTree.facts`, so a warm cache
    never re-parses an unchanged module.
 
@@ -39,12 +38,11 @@ Effect atoms are deliberately few and physical:
 ==================  =====================================================
 ``MEDIA_WRITE``     bytes leave RAM for the device (volume/device writes)
 ``SUPERBLOCK_WRITE``the store's commit point (implies ``MEDIA_WRITE``)
-``FAILPOINT_FIRE``  a catalogued ``FP_*`` constant fires (crash sweep hook)
+``FAILPOINT_FIRE``  a catalogued ``FP_*`` constant fires
 ``BATCH_FLUSH``     the store's batch is submitted
 ``CLOCK_ADVANCE``   virtual time moves
 ``RNG_DRAW``        seeded randomness is consumed
 ``OBS_EMIT``        a catalogued instrument is emitted
-``RAISES_POWERCUT`` an explicit ``raise PowerCut`` site
 ==================  =====================================================
 
 Linking is an over-approximation (all same-named candidates are merged
@@ -68,12 +66,11 @@ FAILPOINT_FIRE = "FAILPOINT_FIRE"
 CLOCK_ADVANCE = "CLOCK_ADVANCE"
 RNG_DRAW = "RNG_DRAW"
 OBS_EMIT = "OBS_EMIT"
-RAISES_POWERCUT = "RAISES_POWERCUT"
 BATCH_FLUSH = "BATCH_FLUSH"
 
 ALL_EFFECTS = (
     MEDIA_WRITE, SUPERBLOCK_WRITE, FAILPOINT_FIRE, CLOCK_ADVANCE,
-    RNG_DRAW, OBS_EMIT, RAISES_POWERCUT, BATCH_FLUSH,
+    RNG_DRAW, OBS_EMIT, BATCH_FLUSH,
 )
 
 #: atoms the durability-order linearization keeps.  A batch flush is
@@ -87,7 +84,7 @@ ORDERED_ATOMS = frozenset(
 )
 
 #: bump when the extraction shape changes (cache key component)
-EXTRACT_VERSION = 4
+EXTRACT_VERSION = 5
 
 #: failpoint evaluators: the registry's ``fire``, the device's
 #: ``_fire`` and the store-level gate ``ObjectStore._failpoint``
@@ -220,34 +217,6 @@ def _collect_aliases(body: Sequence[ast.AST],
     return aliases
 
 
-def _handler_record(handler: ast.ExceptHandler) -> dict:
-    if handler.type is None:
-        types: List[str] = []
-    elif isinstance(handler.type, ast.Tuple):
-        types = sorted(
-            name for name in (_terminal_name(el) for el in handler.type.elts)
-            if name
-        )
-    else:
-        name = _terminal_name(handler.type)
-        types = [name] if name else []
-    reraises = False
-    for node in _own_nodes(handler.body):
-        if isinstance(node, ast.Raise):
-            if node.exc is None:
-                reraises = True  # bare ``raise``: the power cut survives
-            elif (isinstance(node.exc, ast.Name) and handler.name
-                  and node.exc.id == handler.name):
-                reraises = True  # ``raise exc`` of the caught variable
-    return {
-        "line": handler.lineno,
-        "col": handler.col_offset,
-        "types": types,
-        "bare": handler.type is None,
-        "reraises": reraises,
-    }
-
-
 def _scan_block(body: Sequence[ast.AST], aliases: Dict[str, List[str]],
                 config: AnalyzerConfig) -> Tuple[List[list], List[list]]:
     """(effects, calls) of one statement block, both source-ordered.
@@ -261,14 +230,6 @@ def _scan_block(body: Sequence[ast.AST], aliases: Dict[str, List[str]],
     effects: List[list] = []
     calls: List[list] = []
     for node in _own_nodes(body):
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc
-            if isinstance(exc, ast.Call):
-                exc = exc.func
-            if _terminal_name(exc) == "PowerCut":
-                effects.append([node.lineno, node.col_offset,
-                                RAISES_POWERCUT, "raise PowerCut"])
-            continue
         if not isinstance(node, ast.Call):
             continue
         name = _callee_name(node)
@@ -403,22 +364,6 @@ class _ModuleScan:
         aliases = _collect_aliases(node.body, self.config)
         effects, calls = _scan_block(node.body, aliases, self.config)
         types = self._type_env(node, cls)
-        tries = []
-        for child in _own_nodes(node.body):
-            if isinstance(child, ast.Try):
-                body_effects, body_calls = _scan_block(
-                    child.body, aliases, self.config
-                )
-                tries.append({
-                    "line": child.lineno,
-                    "col": child.col_offset,
-                    "effects": body_effects,
-                    "calls": body_calls,
-                    "handlers": [
-                        _handler_record(handler) for handler in child.handlers
-                    ],
-                })
-        tries.sort(key=lambda item: (item["line"], item["col"]))
         return {
             "qual": qual,
             "name": node.name,
@@ -429,7 +374,6 @@ class _ModuleScan:
             "effects": effects,
             "calls": calls,
             "types": types,
-            "tries": tries,
         }
 
     def _type_env(self, node, cls: str) -> Dict[str, str]:
@@ -849,15 +793,6 @@ class EffectAnalysis:
 
     # -- queries -----------------------------------------------------------------
 
-    def entry_ids(self, spec: str) -> List[str]:
-        """Node ids for a ``relpath::qualname`` spec (or bare qualname)."""
-        if "::" in spec:
-            return [spec] if spec in self.nodes else []
-        return sorted(
-            node_id for node_id, node in self.nodes.items()
-            if node.qual == spec
-        )
-
     def public_roots(self) -> List[str]:
         """Entry points dead-code reachability starts from: every
         non-underscore function/method plus constructors (nested defs
@@ -940,9 +875,6 @@ class EffectAnalysis:
     # -- exports -----------------------------------------------------------------
 
     def to_json(self) -> dict:
-        sweep = self.reachable_from(
-            self.entry_ids(self.config.sweep_entry)
-        )
         public = self.reachable_from(self.public_roots())
         nodes = []
         for node_id in sorted(self.nodes):
@@ -957,7 +889,6 @@ class EffectAnalysis:
                     atom for _l, _c, atom, _d in node.record["effects"]
                 }),
                 "reachable_from_public": node_id in public,
-                "reachable_from_sweep": node_id in sweep,
             })
         edges = sorted(
             [node_id, callee]
@@ -965,8 +896,7 @@ class EffectAnalysis:
             for callee in node.callees
         )
         return {
-            "schema": 1,
-            "sweep_entry": self.config.sweep_entry,
+            "schema": 2,
             "nodes": nodes,
             "edges": edges,
         }
@@ -978,7 +908,6 @@ class EffectAnalysis:
             (SUPERBLOCK_WRITE, "#c62828"),
             (MEDIA_WRITE, "#ef6c00"),
             (FAILPOINT_FIRE, "#6a1b9a"),
-            (RAISES_POWERCUT, "#283593"),
             (OBS_EMIT, "#2e7d32"),
         )
         keep = {

@@ -12,7 +12,6 @@ from typing import Dict, List
 from repro.analysis.core import Rule
 from repro.analysis.rules.crash_ordering import CrashOrderingRule
 from repro.analysis.rules.durability_order import DurabilityOrderRule
-from repro.analysis.rules.exception_safety import ExceptionSafetyRule
 from repro.analysis.rules.failpoint_reach import FailpointReachRule
 from repro.analysis.rules.obs_coverage import ObsCoverageRule
 from repro.analysis.rules.registry_drift import RegistryDriftRule
@@ -27,7 +26,6 @@ ALL_RULES = (
     DurabilityOrderRule,
     FailpointReachRule,
     ObsCoverageRule,
-    ExceptionSafetyRule,
 )
 
 

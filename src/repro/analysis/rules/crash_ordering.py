@@ -9,16 +9,12 @@ per-function effect records (:mod:`repro.analysis.effects`):
 
 1. **one commit point** — a ``write_superblock`` call site anywhere but
    :data:`COMMIT_POINT` is a finding: a second site is a second copy of
-   the write sequence, free to skip the failpoint or the flush.
-2. **failpoint coverage** — every raw volume write call site in
-   :mod:`repro.objstore` sits in a function that fires a catalogued
-   failpoint *before* it, so the crash sweep can power-cut at every
-   store-level durability boundary; a direct ``device.write`` there
-   bypasses the volume layer and is a finding outright.
+   the write sequence, free to skip the flush.
+2. **through the volume** — a direct ``device.write`` in
+   :mod:`repro.objstore` bypasses the volume layer and is a finding.
 
 The volume adapter (``block.py``) is exempt: it *defines*
-``write_superblock``, and its device calls are covered by the
-failpoints inside :class:`~repro.hw.device.StorageDevice`.
+``write_superblock`` and is the layer that writes the device.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from typing import List
 
 from repro.analysis.core import Finding, ProjectTree, Rule
 from repro.analysis.effects import (
-    FAILPOINT_FIRE,
     MEDIA_WRITE,
     SUPERBLOCK_WRITE,
     VOLUME_WRITES,
@@ -42,7 +37,7 @@ class CrashOrderingRule(Rule):
     name = "crash-ordering"
     summary = (
         "write_superblock has one call site (ObjectStore._write_directory); "
-        "every raw objstore write site sits under a registered failpoint"
+        "the object store writes the device only through the volume"
     )
 
     def check(self, tree: ProjectTree) -> List[Finding]:
@@ -64,32 +59,21 @@ class CrashOrderingRule(Rule):
                            in_store: bool) -> List[Finding]:
         """The function's own write sites, in source order: a superblock
         write outside the commit point is a second protocol; in the
-        store layer, device writes bypass the volume outright and
-        volume writes need a failpoint fired earlier in this function."""
+        store layer, a device write bypasses the volume."""
         findings: List[Finding] = []
-        fired = False
         for line, col, atom, detail in node.record["effects"]:
             if atom == SUPERBLOCK_WRITE and node.qual != COMMIT_POINT:
                 findings.append(self._finding(node, line, col, (
                     f"write_superblock() called outside {COMMIT_POINT}(); "
-                    "call that instead: the one commit point fires the "
-                    "failpoint and flushes the batch before it names"
+                    "call that instead: the one commit point flushes the "
+                    "batch before it names"
                 )))
-            if not in_store:
-                continue
-            if atom == FAILPOINT_FIRE:
-                fired = True
-            elif atom == MEDIA_WRITE and detail not in VOLUME_WRITES:
+            elif (in_store and atom == MEDIA_WRITE
+                    and detail not in VOLUME_WRITES):
                 attr = detail.rsplit(".", 1)[-1]
                 findings.append(self._finding(node, line, col, (
                     f"raw device.{attr}() bypasses the Volume layer; "
                     "go through volume.write_* so superblock ordering "
-                    "and failpoint coverage hold"
-                )))
-            elif atom in (MEDIA_WRITE, SUPERBLOCK_WRITE) and not fired:
-                findings.append(self._finding(node, line, col, (
-                    f"{detail}() call site has no registered failpoint "
-                    "fired before it in this function; fire an FP_* "
-                    "constant so the crash sweep covers this boundary"
+                    "holds"
                 )))
         return findings

@@ -1,24 +1,18 @@
-"""``durability-order``: commit paths are crash-cuttable and end at
-the superblock — proven interprocedurally.
+"""``durability-order``: commit paths end at the superblock — proven
+interprocedurally.
 
 Aurora's single-level-store claim rests on one ordering discipline:
-anything a public commit/checkpoint API externalizes is covered by a
-failpoint *before* it leaves RAM (so the crash sweep can cut power at
-the boundary) and is named by a superblock write *after* it (so the
-committed generation covers every byte it references).
-``crash-ordering`` asks two local questions of the same effect records
-(one superblock call site, a failpoint ahead of every raw store write);
-this rule checks both halves of the discipline across the whole
-program by scanning the effect linearization of every configured
-durability root (:attr:`AnalyzerConfig.durability_roots`):
-
-1. **fire-before-media** — on the linearized path from the root, the
-   first ``MEDIA_WRITE`` is preceded by a ``FAILPOINT_FIRE``.  A write
-   the sweep cannot cut in front of is an untested crash point.
-2. **superblock-last** — no ``MEDIA_WRITE`` occurs after the *last*
-   ``SUPERBLOCK_WRITE``.  Bytes written after the final superblock are
-   externalized state the committed generation does not cover (a later
-   commit may, but then *that* superblock is the last atom).
+anything a public commit/checkpoint API externalizes is named by a
+superblock write *after* it, so the committed generation covers every
+byte it references.  ``crash-ordering`` asks local questions of the
+same effect records (one superblock call site, no raw device write in
+the store); this rule checks the discipline across the whole program
+by scanning the effect linearization of every configured durability
+root (:attr:`AnalyzerConfig.durability_roots`): **superblock-last** —
+no ``MEDIA_WRITE`` occurs after the *last* ``SUPERBLOCK_WRITE``.  Bytes
+written after the final superblock are externalized state the
+committed generation does not cover (a later commit may, but then
+*that* superblock is the last atom).
 
 The linearization is an over-approximation (branches concatenate in
 source order, same-named candidates merge — see
@@ -38,18 +32,14 @@ from __future__ import annotations
 from typing import List
 
 from repro.analysis.core import Finding, ProjectTree, Rule
-from repro.analysis.effects import (
-    FAILPOINT_FIRE,
-    MEDIA_WRITE,
-    SUPERBLOCK_WRITE,
-)
+from repro.analysis.effects import MEDIA_WRITE, SUPERBLOCK_WRITE
 
 
 class DurabilityOrderRule(Rule):
     name = "durability-order"
     summary = (
-        "every public commit/checkpoint path fires a failpoint before "
-        "its first media write and reaches the superblock last"
+        "every public commit/checkpoint path reaches the superblock "
+        "after its last media write"
     )
 
     def check(self, tree: ProjectTree) -> List[Finding]:
@@ -81,29 +71,8 @@ class DurabilityOrderRule(Rule):
         node = analysis.nodes[root]
         sequence = analysis.root_sequence(root)
         findings: List[Finding] = []
-
-        # 1. fire-before-media: scan forward until the first fire
-        for line, col, atom, detail in sequence:
-            if atom == FAILPOINT_FIRE:
-                break
-            if atom in (MEDIA_WRITE, SUPERBLOCK_WRITE):
-                findings.append(Finding(
-                    rule=self.name,
-                    path=node.relpath,
-                    line=line,
-                    col=col,
-                    message=(
-                        f"{atom} ({detail}) reachable from durability "
-                        f"root {node.qual}() before any failpoint "
-                        "fires; the crash sweep cannot cut power ahead "
-                        "of this write — fire a registered FP_* first"
-                    ),
-                    symbol=node.qual,
-                ))
-                break
-
-        # 2. superblock-last: scan backward; media with no later
-        # superblock is uncovered externalized state
+        # scan backward: media with no later superblock is uncovered
+        # externalized state
         if any(atom == SUPERBLOCK_WRITE for _l, _c, atom, _d in sequence):
             seen = set()
             superblock_later = False

@@ -25,8 +25,9 @@ tracing enabled and report what every kernel it booted recorded:
 - ``sls stats [FILE]`` — the counter/gauge/histogram registries.
 
 ``sls crashtest`` runs the crash-consistency sweep (see FAULTS.md):
-power cuts at every hit of every swept failpoint, each followed by
-recovery and the prefix-consistency/leak/restore oracles.
+one run of a checkpoint workload, then every distinct media state a
+power cut could leave, each recovered and checked by the
+prefix-consistency/leak/restore/fsck oracles.
 
 ``sls bench`` runs the pinned virtual-clock benchmark suite (see
 BENCHMARKS.md): deterministic, byte-stable JSON that CI diffs against
@@ -38,7 +39,7 @@ invocation storm of lazy-restore warm starts, and the noisy-neighbor
 QoS comparison (unthrottled vs per-tenant scheduler budgets).
 
 ``sls lint`` runs the AST-based invariant checker (see ANALYSIS.md):
-eight rules over the source tree, four of them proved on the
+seven rules over the source tree, three of them proved on the
 whole-program effect call graph, with no waivers.  CI runs it as a
 blocking job.
 
@@ -177,13 +178,13 @@ def cmd_crashtest(args) -> int:
         expect = EXPECTED_CRASH_POINTS
     elif expect is not None:
         expect = int(expect, 0)
-    report = run_sweep(seed=args.seed, stride=args.stride)
+    report = run_sweep()
     print(report.summary())
-    if expect is not None and len(report.crash_points) != expect:
+    if expect is not None and len(report.points) != expect:
         print(
-            f"crash-point count {len(report.crash_points)} != expected "
-            f"{expect}: a crash site was silently added or "
-            f"dropped — re-count the sweep and update the CI pin",
+            f"crash-point count {len(report.points)} != expected "
+            f"{expect}: the workload's trace reaches a different number "
+            f"of media states — re-count the sweep and update the CI pin",
             file=sys.stderr,
         )
         return 1
@@ -191,10 +192,9 @@ def cmd_crashtest(args) -> int:
         with open(args.json, "w") as handle:
             for point in report.points:
                 handle.write(json.dumps({
-                    "site": point.site,
-                    "index": point.index,
-                    "fired": point.fired,
                     "at_ns": point.at_ns,
+                    "durable": point.durable,
+                    "torn": point.torn,
                     "generation": point.generation,
                     "snapshots_recovered": point.snapshots_recovered,
                     "fsck_findings": point.fsck_findings,
@@ -208,8 +208,7 @@ def cmd_crashtest(args) -> int:
                 if point.fsck_report is None:
                     continue
                 handle.write(json.dumps({
-                    "site": point.site,
-                    "index": point.index,
+                    "at_ns": point.at_ns,
                     "fsck": point.fsck_report,
                 }, sort_keys=True) + "\n")
         print(f"wrote fsck reports to {args.fsck_report}")
@@ -380,19 +379,15 @@ def main(argv=None) -> int:
                        help="python program or sls script (default: demo)")
     crash = sub.add_parser(
         "crashtest",
-        help="sweep power cuts across a checkpoint workload; verify recovery",
+        help="check recovery from every media state a power cut could "
+             "leave during a checkpoint workload",
     )
-    crash.add_argument("--seed", type=lambda s: int(s, 0), default=0xFA17,
-                       help="failpoint registry seed (default: 0xFA17)")
-    crash.add_argument("--stride", type=int, default=1,
-                       help="subsample the device-write sweep by this step")
     crash.add_argument("--json", metavar="PATH", default=None,
                        help="also export crash points as JSON lines")
     crash.add_argument("--expect-points", default=None, metavar="N|pinned",
-                       help="fail unless the sweep visits exactly this many "
-                            "crash points; 'pinned' uses the in-tree "
-                            "EXPECTED_CRASH_POINTS constant (CI pin against "
-                            "dropped sites)")
+                       help="fail unless the sweep checks exactly this many "
+                            "distinct media states; 'pinned' uses the in-tree "
+                            "EXPECTED_CRASH_POINTS constant (the CI pin)")
     crash.add_argument("--fsck-report", metavar="PATH", default=None,
                        help="export each crash point's post-recovery fsck "
                             "report as JSON lines")

@@ -20,7 +20,7 @@ import abc
 from typing import Optional
 
 from repro.core.checkpoint import CheckpointImage, FlushInfo, MemoryCopy, StoreCopy
-from repro.errors import BackendError, HardwareError, PowerCut
+from repro.errors import HardwareError
 from repro.fault import names as fault_names
 from repro.hw.device import StorageDevice
 from repro.hw.netdev import NetworkEndpoint
@@ -61,22 +61,14 @@ class Backend(abc.ABC):
         """Failpoint ``backend.persist``: evaluated before any capture.
 
         ``fail`` raises :class:`HardwareError` so the orchestrator's
-        per-backend handling degrades durability; ``crash`` unwinds as
-        a power cut to the harness.
+        per-backend handling degrades durability.
         """
         if self.kernel is None or not self.kernel.faults.active:
             return
         action = self.kernel.faults.fire(
             fault_names.FP_BACKEND_PERSIST, backend=self.name, image=image.name
         )
-        if action is None:
-            return
-        if action.kind == "crash":
-            raise PowerCut(
-                f"{self.name}: {action.reason or 'power cut during persist'}",
-                at_ns=self.kernel.clock.now,
-            )
-        if action.kind == "fail":
+        if action is not None and action.kind == "fail":
             raise HardwareError(
                 f"{self.name}: {action.reason or 'injected persist failure'}"
             )
@@ -309,11 +301,6 @@ class RemoteBackend(Backend):
                     image=image_name, attempt=attempt,
                 )
             if action is not None:
-                if action.kind == "crash":
-                    raise PowerCut(
-                        f"{self.name}: {action.reason or 'power cut during send'}",
-                        at_ns=self.kernel.clock.now,
-                    )
                 if action.kind == "fail":
                     raise HardwareError(
                         f"{self.name}: {action.reason or 'injected send failure'}"

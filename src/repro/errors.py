@@ -25,20 +25,6 @@ class FaultError(SimulationError):
     """Misuse of the fault-injection plane (bad action for a site)."""
 
 
-class PowerCut(AuroraError):
-    """A whole-machine power failure injected by a failpoint.
-
-    Deliberately *not* a :class:`HardwareError`: per-backend failure
-    handling (which tolerates one failed device) must never swallow a
-    power cut — it unwinds to the crash harness, which then tears the
-    device's in-flight writes and exercises recovery.
-    """
-
-    def __init__(self, message: str = "", at_ns: int = 0):
-        self.at_ns = at_ns
-        super().__init__(message or f"power cut at t={at_ns}ns")
-
-
 class HardwareError(AuroraError):
     """Base class for simulated-device failures."""
 

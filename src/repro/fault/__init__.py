@@ -4,12 +4,13 @@ Aurora's value proposition is that state survives crashes; this
 package is the machinery that checks it.  A per-machine
 :class:`~repro.fault.registry.FailpointRegistry` (``kernel.faults``)
 arms named failpoints threaded through the device, object store,
-backends, and SLSFS layers — torn and dropped writes, I/O errors,
-remote-backend timeouts, and whole-machine power cuts — and the crash
-harness in :mod:`repro.fault.crashtest` sweeps "power cut at write N"
-across a full checkpoint/restore workload, asserting after every
-crash that recovery yields a prefix-consistent snapshot history with
-no leaked extents and a restorable latest image.
+backends, and SLSFS layers — torn and dropped writes, I/O errors and
+remote-backend timeouts — and the crash harness in
+:mod:`repro.fault.crashtest` runs a full checkpoint/restore workload
+once, then asserts for every media state a power cut could leave
+(replayed from the device's write trace) that recovery yields a
+prefix-consistent snapshot history with no leaked extents and a
+restorable latest image.
 
 Design rules, mirroring ``repro.obs``:
 

@@ -2,19 +2,24 @@
 
 Aurora's contract is that a power cut costs at most the last
 checkpoint interval.  This harness checks the reproduction keeps that
-promise *at every instant*: it runs a fixed checkpoint/restore
-workload — SLS checkpoints, SLSFS snapshots, ``sls_ntflush`` log
-appends, a snapshot deletion whose extents a later commit point
-reclaims, then an online scrub pass — arms one ``crash`` failpoint per
-run ("power-cut at hit N of site S"), tears the device, recovers a
-fresh store from the raw bytes, and asserts four oracles:
+promise at every instant of a fixed checkpoint/restore workload — SLS
+checkpoints, SLSFS snapshots, ``sls_ntflush`` log appends, a snapshot
+deletion whose extents a later commit point reclaims, then an online
+scrub pass.  It runs the workload once with the device's write trace
+on (:attr:`~repro.hw.device.StorageDevice.trace`) and takes every
+instant at which a power cut would leave different media: each
+transfer's start and completion, each whole-sector boundary inside a
+transfer, and each discard.  For each instant it replays the trace on
+a fresh device, torn as :meth:`~repro.hw.device.StorageDevice.crash`
+tears it, and for each distinct media state it recovers a fresh store
+from the raw bytes and asserts four oracles:
 
 1. **prefix consistency** — the recovered snapshot directory equals,
    *exactly*, the directory as it stood at the recovered superblock
    generation (the workload records every generation as it is
-   written).  FIFO durability makes this strict: if superblock
-   generation *g* survived, every earlier write survived too, so
-   recovery discards nothing and invents nothing.
+   written).  The superblock's cross-queue barrier makes this strict:
+   if superblock generation *g* survived, every write it names
+   survived too, so recovery discards nothing and invents nothing.
 2. **no leaked extents** — the rebuilt allocator's ``allocated_bytes``
    equals the byte-sum of the unique extents reachable from the
    recovered snapshots plus the garbage a superblock slot still names,
@@ -23,15 +28,15 @@ fresh store from the raw bytes, and asserts four oracles:
    restores onto a fresh kernel, and the restored heap bytes match
    what the workload wrote before that checkpoint.  The persistent
    log, reopened on its known region, scans back exactly the records
-   whose synchronous append had returned.
+   whose synchronous append had returned by the instant of the cut.
 4. **fsck clean or exactly repaired** — ``repair_store`` on a second
    fresh store walks every snapshot with full checksum verification;
    every finding must be repaired, and a second fsck of the repaired
    store must report nothing (see RECOVERY.md).
 
-Everything is deterministic: the workload takes no wall-clock input,
-the sweep enumerates failpoint hit counts observed in a golden run,
-and a fixed registry seed reproduces the same fault log every time.
+Everything is deterministic: the workload takes no wall-clock input
+and no fault is armed, so one run's trace, its instants and its
+states are the same every time.
 """
 
 from __future__ import annotations
@@ -42,10 +47,7 @@ from typing import Optional
 from repro.core.backends import make_disk_backend
 from repro.core.orchestrator import SLS
 from repro.core.restore import load_image_from_store
-from repro.errors import PowerCut
-from repro.fault import names as fault_names
-from repro.fault.registry import FailpointRegistry, FaultAction
-from repro.hw.device import SECTOR
+from repro.hw.device import SECTOR, landed_bytes
 from repro.hw.nvme import NvmeDevice
 from repro.objstore.alloc import Extent
 from repro.objstore.fsck import check_store, repair_store
@@ -62,42 +64,24 @@ from repro.sim.clock import SimClock
 from repro.slsfs.fs import SlsFS
 from repro.units import GIB, KIB, PAGE_SIZE
 
-#: the sites the sweep power-cuts, hit by hit (the two batch sites cut
-#: power at batch boundaries: a whole coalesced batch buffered or
-#: submitted but not yet named by a superblock)
-SWEEP_SITES = (
-    fault_names.FP_DEVICE_WRITE,
-    fault_names.FP_DEVICE_BATCH,
-    fault_names.FP_STORE_WRITE_COMPRESSED,
-    fault_names.FP_STORE_WRITE_DELTA,
-    fault_names.FP_STORE_BATCH_FLUSH,
-    fault_names.FP_STORE_SHARD_FLUSH,
-    fault_names.FP_STORE_COMMIT,
-    fault_names.FP_STORE_WRITE_DIRECTORY,
-    fault_names.FP_LOG_APPEND,
-    fault_names.FP_FS_SYNC,
-    fault_names.FP_SCRUB_STEP,
-)
-
-DEFAULT_SEED = 0xFA17
 LOG_OWNER_OID = 7777
 HEAP_PAGES = 8
 CHECKPOINTS = 5
 #: extents per scrub step in the workload's post-barrier scrub pass
 SCRUB_BATCH = 16
 
-#: The crash-point count of the full-fidelity sweep (default seed,
-#: stride 1, all sites).  This is THE pin: the CI job passes
-#: ``--expect-points pinned`` and ``run_sweep`` itself fails loudly
-#: when a full sweep's width drifts from it — adding or removing a
-#: crash site means updating exactly this constant.
-EXPECTED_CRASH_POINTS = 153
+#: The number of distinct media states the sweep checks.  This is THE
+#: pin: the CI job passes ``--expect-points pinned`` and ``run_sweep``
+#: itself fails loudly when the count drifts from it — a workload or
+#: write-path change that adds or removes reachable states means
+#: updating exactly this constant.
+EXPECTED_CRASH_POINTS = 69
 
 
 @dataclass
 class WorkloadState:
     """Ground truth the oracles compare recovery against, recorded as
-    the workload runs (and therefore valid even when it is cut short)."""
+    the workload runs."""
 
     #: superblock generation -> sorted snapshot names at that generation
     history: dict[int, list[str]] = field(default_factory=lambda: {0: []})
@@ -115,12 +99,13 @@ class WorkloadState:
 
 @dataclass
 class CrashPointResult:
-    """One sweep run: crash at hit ``index`` of failpoint ``site``."""
+    """One distinct media state: what a power cut at ``at_ns`` left."""
 
-    site: str
-    index: int
-    fired: bool
-    at_ns: int = 0
+    at_ns: int
+    #: the writes durable at ``at_ns``, numbered from 0 in submission order
+    durable: list[int] = field(default_factory=list)
+    #: ``(number, bytes landed)`` of each write caught mid-transfer
+    torn: list[tuple[int, int]] = field(default_factory=list)
     generation: int = 0
     snapshots_recovered: int = 0
     #: fsck oracle: findings on the crashed medium, how many repaired
@@ -134,20 +119,19 @@ class CrashPointResult:
 @dataclass
 class SweepReport:
     points: list[CrashPointResult] = field(default_factory=list)
-    #: hits each site took in the fault-free golden run
-    golden_hits: dict[str, int] = field(default_factory=dict)
-    #: set when a full-fidelity sweep's width diverges from the
-    #: EXPECTED_CRASH_POINTS pin (counts as a failure)
+    #: the one run's trace: writes that reached the media, discards
+    writes: int = 0
+    discards: int = 0
+    #: instants at which a cut changes the media (before de-duplication)
+    instants: int = 0
+    #: set when the state count diverges from the EXPECTED_CRASH_POINTS
+    #: pin (counts as a failure)
     width_drift: Optional[str] = None
-
-    @property
-    def crash_points(self) -> list[CrashPointResult]:
-        return [p for p in self.points if p.fired]
 
     @property
     def failures(self) -> list[str]:
         out = [
-            f"{p.site}@{p.index}: {msg}"
+            f"t={p.at_ns}ns: {msg}"
             for p in self.points
             for msg in p.failures
         ]
@@ -155,24 +139,15 @@ class SweepReport:
             out.append(self.width_drift)
         return out
 
-    def fired_by_site(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for point in self.crash_points:
-            out[point.site] = out.get(point.site, 0) + 1
-        return out
-
     def summary(self) -> str:
+        torn = sum(1 for p in self.points if p.torn)
         lines = [
-            f"crash sweep: {len(self.crash_points)} crash points across "
-            f"{len(self.fired_by_site())} failpoint sites"
+            f"crash sweep: one run, {self.writes} device writes and "
+            f"{self.discards} discards",
+            f"  {self.instants} instants -> {len(self.points)} distinct "
+            f"media states ({torn} cut a write mid-transfer)",
         ]
-        for site in SWEEP_SITES:
-            fired = self.fired_by_site().get(site, 0)
-            lines.append(
-                f"  {site:<28} {fired:>4} crashes "
-                f"({self.golden_hits.get(site, 0)} hits in golden run)"
-            )
-        repaired = sum(p.fsck_findings for p in self.crash_points)
+        repaired = sum(p.fsck_findings for p in self.points)
         if self.failures:
             lines.append(f"FAILURES ({len(self.failures)}):")
             lines.extend(f"  {f}" for f in self.failures)
@@ -184,16 +159,17 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _boot(seed: int) -> tuple[Kernel, NvmeDevice]:
-    kernel = Kernel(hostname="crashtest", memory_bytes=1 * GIB)
-    kernel.faults = FailpointRegistry(clock=kernel.clock, seed=seed)
+def _device(clock: SimClock) -> NvmeDevice:
     # Multi-queue with a bounded in-flight window: the workload's
     # checkpoints flush through the sharded parallel path, so the
-    # sweep power-cuts between shard submissions and the recovery
-    # oracles prove the superblock barrier holds across queues.
-    device = NvmeDevice(kernel.clock, name="crash-nvme",
-                        queue_depth=8, num_queues=4)
-    return kernel, device
+    # trace holds cuts between shards on different queues and the
+    # recovery oracles prove the superblock barrier holds across them.
+    return NvmeDevice(clock, name="crash-nvme", queue_depth=8, num_queues=4)
+
+
+def _boot() -> tuple[Kernel, NvmeDevice]:
+    kernel = Kernel(hostname="crashtest", memory_bytes=1 * GIB)
+    return kernel, _device(kernel.clock)
 
 
 def _record_superblocks(state: WorkloadState, store: ObjectStore) -> None:
@@ -217,8 +193,8 @@ def _record_superblocks(state: WorkloadState, store: ObjectStore) -> None:
 def run_workload(kernel: Kernel, device: NvmeDevice,
                  state: WorkloadState) -> WorkloadState:
     """The swept workload: checkpoints + log appends + SLSFS snapshots
-    + one deletion.  Fills ``state`` in place so the oracles
-    have ground truth even when a power cut unwinds mid-operation."""
+    + one deletion + a scrub pass.  Fills ``state`` in place with the
+    ground truth the oracles check each crash state against."""
     sls = SLS(kernel)
     proc = kernel.spawn("crashtest-app")
     sysc = Syscalls(kernel, proc)
@@ -264,9 +240,8 @@ def run_workload(kernel: Kernel, device: NvmeDevice,
             store.delete_snapshot(fs_snapshots.pop(0))
             store.flush_barrier()
     sls.barrier(group)
-    # Online scrub over everything just written: each bounded step is
-    # its own crash site (FP_SCRUB_STEP), and the golden run must come
-    # back checksum-clean.
+    # Online scrub over everything just written: it only reads, so the
+    # states after the barrier must stay as clean as the run itself.
     scrubber = Scrubber(store, batch_extents=SCRUB_BATCH)
     scrubber.run()
     state.scrub_errors = scrubber.stats.errors
@@ -294,7 +269,7 @@ def _referenced_extents(store: ObjectStore) -> dict[int, int]:
 
 def verify_recovery(state: WorkloadState, device: NvmeDevice,
                     point: CrashPointResult) -> None:
-    """Run the three oracles against a freshly recovered store."""
+    """Run oracles 1-3 against a store freshly recovered from ``device``."""
     store = ObjectStore(device)
     report = store.recover()
     point.generation = report.generation
@@ -361,9 +336,6 @@ def verify_recovery(state: WorkloadState, device: NvmeDevice,
     try:
         image = load_image_from_store(store, latest)
         procs, _metrics = sls.restore(image, backend_name="disk0")
-    except PowerCut:
-        # an injected cut during verification is not a recovery verdict
-        raise
     except Exception as exc:  # any failure to restore is a finding
         point.failures.append(f"restore of {latest.name!r} failed: {exc}")
         return
@@ -391,10 +363,6 @@ def _verify_fsck(device: NvmeDevice, point: CrashPointResult) -> None:
     store = ObjectStore(device)
     try:
         report = repair_store(store)
-    except PowerCut:
-        # an injected cut mid-repair must fail the sweep, not read as
-        # "fsck found nothing"
-        raise
     except Exception as exc:
         point.failures.append(f"fsck repair raised: {exc}")
         return
@@ -416,77 +384,11 @@ def _verify_fsck(device: NvmeDevice, point: CrashPointResult) -> None:
         )
 
 
-def golden_hits(seed: int = DEFAULT_SEED) -> dict[str, int]:
-    """Run the workload fault-free and count hits per sweep site (each
-    site is armed far past any reachable hit so its counter runs)."""
-    kernel, device = _boot(seed)
-    points = {
-        site: kernel.faults.arm(
-            site, FaultAction("fail"), after=10 ** 9, count=1
-        )
-        for site in SWEEP_SITES
-    }
-    state = run_workload(kernel, device, WorkloadState())
-    assert state.completed, "golden run must complete fault-free"
-    assert state.scrub_errors == 0, "golden run's scrub must be clean"
-    return {site: point.seen for site, point in points.items()}
-
-
-def run_crash_point(site: str, index: int,
-                    seed: int = DEFAULT_SEED) -> CrashPointResult:
-    """One sweep run: power-cut at hit ``index`` of ``site``, then
-    tear the device, recover, and check the oracles."""
-    point = CrashPointResult(site=site, index=index, fired=False)
-    kernel, device = _boot(seed)
-    kernel.faults.arm(site, FaultAction("crash"), after=index, count=1)
-    state = WorkloadState()
-    try:
-        run_workload(kernel, device, state)
-    except PowerCut as cut:
-        point.fired = True
-        point.at_ns = cut.at_ns
-    if not point.fired:
-        return point  # site had fewer hits than the golden run implied
-    kernel.faults.disarm()
-    device.crash()
-    verify_recovery(state, device, point)
-    _verify_fsck(device, point)
-    return point
-
-
-def run_sweep(seed: int = DEFAULT_SEED, stride: int = 1,
-              sites=SWEEP_SITES) -> SweepReport:
-    """Sweep every site over its golden-run hit count.
-
-    ``stride`` subsamples the (large) device-write site; the targeted
-    sites — commit, log append, SLSFS sync — are always swept
-    exhaustively, since each of their hits is a distinct
-    consistency-critical instant.
-    """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    report = SweepReport(golden_hits=golden_hits(seed))
-    for site in sites:
-        hits = report.golden_hits.get(site, 0)
-        step = stride if site == fault_names.FP_DEVICE_WRITE else 1
-        for index in range(0, hits, step):
-            report.points.append(run_crash_point(site, index, seed=seed))
-    if (seed == DEFAULT_SEED and stride == 1 and tuple(sites) == SWEEP_SITES
-            and len(report.crash_points) != EXPECTED_CRASH_POINTS):
-        report.width_drift = (
-            f"sweep width drifted: full-fidelity sweep visited "
-            f"{len(report.crash_points)} crash points but "
-            f"EXPECTED_CRASH_POINTS pins {EXPECTED_CRASH_POINTS} — a crash "
-            f"site was added or dropped; update the pin in one place "
-            f"(repro.fault.crashtest.EXPECTED_CRASH_POINTS)"
-        )
-    return report
-
-
 def _instants(trace: list) -> list[int]:
-    """Every instant a power cut changes what the trace leaves on the
-    media: each transfer's start and completion, each whole-sector
-    boundary inside a transfer, and each discard."""
+    """Every instant at which a power cut changes what the trace leaves
+    on the media: each transfer's start and completion, each instant a
+    transfer lands one more whole sector (the inverse of
+    :func:`~repro.hw.device.landed_bytes`), and each discard."""
     instants = set()
     for entry in trace:
         if len(entry) == 3:
@@ -500,10 +402,11 @@ def _instants(trace: list) -> list[int]:
     return sorted(instants)
 
 
-def _spans(trace: list) -> list[tuple[int, int]]:
-    """The merged byte ranges the trace writes: all a replay can hold."""
+def _spans(writes: list) -> list[tuple[int, int]]:
+    """The merged byte ranges the writes cover: all a replay can hold."""
     spans: list[tuple[int, int]] = []
-    for lo, hi in sorted((e[0], e[0] + len(e[1])) for e in trace if len(e) == 4):
+    for lo, hi in sorted((offset, offset + len(data))
+                         for offset, data, _t, _d in writes):
         if spans and lo <= spans[-1][1]:
             spans[-1] = (spans[-1][0], max(spans[-1][1], hi))
         else:
@@ -511,34 +414,42 @@ def _spans(trace: list) -> list[tuple[int, int]]:
     return spans
 
 
-def media_key(device: NvmeDevice, spans: list[tuple[int, int]]) -> bytes:
-    return b"".join(device._load(lo, hi - lo) for lo, hi in spans)
-
-
-def trace_states(trace: list):
-    """Each distinct media state the trace can leave, with the first
-    instant that reaches it: ``(at, replayed device, key)``."""
-    spans = _spans(trace)
-    seen: set[bytes] = set()
-    for at in _instants(trace):
-        media = NvmeDevice(SimClock(at), name="crash-nvme",
-                           queue_depth=8, num_queues=4)
-        media.replay(trace, at)
-        key = media_key(media, spans)
-        if key not in seen:
-            seen.add(key)
-            yield at, media, key
-
-
-def run_trace_sweep() -> SweepReport:
-    kernel, device = _boot(DEFAULT_SEED)
+def run_sweep() -> SweepReport:
+    """Run the workload once, then check every distinct media state a
+    power cut at any instant of its write trace would leave."""
+    kernel, device = _boot()
     device.trace = trace = []
     state = run_workload(kernel, device, WorkloadState())
-    report = SweepReport()
-    for at, media, _key in trace_states(trace):
-        point = CrashPointResult(site="trace", index=len(report.points),
-                                 fired=True, at_ns=at)
+    assert state.scrub_errors == 0, "the workload's own scrub must be clean"
+    writes = [entry for entry in trace if len(entry) == 4]
+    instants = _instants(trace)
+    report = SweepReport(writes=len(writes), discards=len(trace) - len(writes),
+                         instants=len(instants))
+    spans = _spans(writes)
+    seen: set[bytes] = set()
+    for at in instants:
+        media = _device(SimClock(at))
+        media.replay(trace, at)
+        # the bytes themselves, read off the media without a command
+        key = b"".join(media._load(lo, hi - lo) for lo, hi in spans)
+        if key in seen:
+            continue
+        seen.add(key)
+        point = CrashPointResult(at_ns=at)
+        for number, (_offset, data, transfer_at, durable_at) in enumerate(writes):
+            if durable_at <= at:
+                point.durable.append(number)
+            elif transfer_at < at:
+                point.torn.append((number, landed_bytes(
+                    len(data), transfer_at, durable_at, at)))
         verify_recovery(state, media, point)
         _verify_fsck(media, point)
         report.points.append(point)
+    if len(report.points) != EXPECTED_CRASH_POINTS:
+        report.width_drift = (
+            f"sweep width drifted: the trace reaches {len(report.points)} "
+            f"distinct media states but EXPECTED_CRASH_POINTS pins "
+            f"{EXPECTED_CRASH_POINTS} — update the pin in one place "
+            f"(repro.fault.crashtest.EXPECTED_CRASH_POINTS)"
+        )
     return report

@@ -10,7 +10,7 @@ Naming convention: ``<subsystem>.<operation>``, matching the span
 taxonomy where a failpoint sits inside an instrumented operation
 (``objstore.commit_snapshot`` fires inside ``sls.checkpoint``'s flush
 phase).  A failpoint name identifies a *site*; which fault it injects
-(torn write, dropped flush, I/O error, timeout, power cut) is chosen
+(torn write, dropped flush, I/O error, timeout) is chosen
 when the point is armed.
 """
 

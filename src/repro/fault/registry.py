@@ -18,13 +18,13 @@ case, gets ``None`` and proceeds.  The design mirrors ``repro.obs``:
   failpoint name, so adding a new armed point never perturbs another's
   sequence, and a fixed seed always injects the same faults;
 - **keyed by the virtual clock** — every trigger is recorded with the
-  simulated time at which it fired (``registry.log``), so a crash
-  sweep's report reads like a trace.
+  simulated time at which it fired (``registry.log``), so a run's
+  fault log reads like a trace.
 
 Sites select faults by *count* (``after`` skips the first N matching
 hits, ``count`` limits how many times it fires) and by *label match*
-(``device="nvme0"`` arms only that device), which is how the crash
-harness expresses "power-cut this device at its Nth write".
+(``device="nvme0"`` arms only that device), which is how a test
+expresses "fail this device's Nth write".
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: action kinds a failpoint may inject; each site documents (FAULTS.md)
 #: which subset it honours.
-ACTION_KINDS = ("fail", "torn", "drop", "crash", "timeout")
+ACTION_KINDS = ("fail", "torn", "drop", "timeout")
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,6 @@ class FaultAction:
     ``fail``     raise the site's native error (I/O error, store error…)
     ``torn``     apply only ``fraction`` of a write, then continue
     ``drop``     acknowledge a write/flush without touching the media
-    ``crash``    raise :class:`~repro.errors.PowerCut` (whole machine)
     ``timeout``  the operation times out (remote backend retries)
     """
 
@@ -131,7 +130,7 @@ class FailpointRegistry:
 
         By default a point fires exactly once (``count=1``) on its
         first matching hit; ``after=N`` skips the first N hits, which
-        is how "crash at write N+1" is expressed.  ``match`` keywords
+        is how "fail write N+1" is expressed.  ``match`` keywords
         must be a subset of the labels the site passes to ``fire``.
         """
         if not 0.0 <= probability <= 1.0:

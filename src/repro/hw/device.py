@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.errors import DeviceFullError, DeviceIOError, PowerCut
+from repro.errors import DeviceFullError, DeviceIOError
 from repro.fault import names as fault_names
 from repro.hw.specs import DeviceSpec
 from repro.sim.clock import SimClock
@@ -88,6 +88,19 @@ class IoStats:
 SECTOR = 512
 
 
+def landed_bytes(length: int, transfer_at: int, durable_at: int,
+                 at: int) -> int:
+    """The tear rule: how many of a write's ``length`` bytes are on the
+    media at ``at`` — all once durable, none before its transfer
+    begins, and in between the whole sectors its elapsed transfer
+    covers (a power cut never leaves a partial sector)."""
+    if at >= durable_at:
+        return length
+    if at <= transfer_at:
+        return 0
+    return length * (at - transfer_at) // (durable_at - transfer_at) // SECTOR * SECTOR
+
+
 @dataclass
 class _PendingWrite:
     offset: int
@@ -98,17 +111,6 @@ class _PendingWrite:
     #: its transfer onto the media runs from here to ``durable_at``
     transfer_at: int
     durable_at: int
-
-    def landed(self, at: int) -> int:
-        """How many of its bytes are on the media at ``at``: all once
-        durable, none before its transfer begins, and in between the
-        whole sectors of new bytes its elapsed transfer covers."""
-        if at >= self.durable_at:
-            return self.length
-        if at <= self.transfer_at:
-            return 0
-        return (self.length * (at - self.transfer_at)
-                // (self.durable_at - self.transfer_at) // SECTOR * SECTOR)
 
 
 @dataclass(frozen=True)
@@ -185,23 +187,14 @@ class StorageDevice:
         self.faults = registry
 
     def _fire(self, name: str, **labels):
-        """Evaluate a failpoint; translates machine-wide actions.
-
-        ``crash`` unwinds as :class:`PowerCut` from any device site;
-        other actions are returned for the caller to interpret.  The
-        hot sites (a read, each write command) check ``faults.active``
-        themselves, so a disarmed plane makes no call there.
-        """
+        """Evaluate a failpoint; the action is returned for the caller
+        to interpret.  The hot sites (a read, each write command) check
+        ``faults.active`` themselves, so a disarmed plane makes no call
+        there."""
         faults = self.faults
         if faults is None or not faults.active:
             return None
-        action = faults.fire(name, device=self.name, **labels)
-        if action is not None and action.kind == "crash":
-            raise PowerCut(
-                f"{self.name}: {action.reason or 'injected power cut'}",
-                at_ns=self.clock.now,
-            )
-        return action
+        return faults.fire(name, device=self.name, **labels)
 
     # -- the command routine ---------------------------------------------
 
@@ -505,9 +498,9 @@ class StorageDevice:
         records submitted on *other* queues.
 
         Failpoint ``device.write`` fires before the media changes:
-        ``crash`` unwinds (the write never happened), ``fail`` raises,
-        ``torn`` lands only a prefix of the payload, and ``drop``
-        acknowledges the write without touching the media at all.
+        ``fail`` raises (the write never happened), ``torn`` lands only
+        a prefix of the payload, and ``drop`` acknowledges the write
+        without touching the media at all.
         """
         ((issued, completes),) = self._submit(
             queue, (BatchWrite(offset, data, logical_nbytes),), release_ns=release_ns
@@ -529,8 +522,8 @@ class StorageDevice:
         on every shard's completion with ``release_ns``).
 
         Failpoint ``device.write_batch`` fires once per doorbell,
-        before any member command touches the media: a ``crash`` there
-        is a power cut on the batch boundary.
+        before any member command touches the media: a ``fail`` there
+        submits none of the batch.
         """
         return [IoTicket(issued, completes)
                 for issued, completes in self._submit(queue, writes, batch=True)]
@@ -633,13 +626,13 @@ class StorageDevice:
 
     def _tear(self, at: int) -> None:
         """Unwind, newest first, each pending write to its pre-image
-        beyond the bytes it had landed by ``at`` (see
-        :meth:`_PendingWrite.landed`)."""
+        beyond the bytes it had landed by ``at`` (:func:`landed_bytes`)."""
         for pending in reversed(self._pending):
-            landed = pending.landed(at)
-            if landed == pending.length:
+            lo, hi = pending.offset, pending.offset + pending.length
+            lo += landed_bytes(pending.length, pending.transfer_at,
+                               pending.durable_at, at)
+            if lo == hi:
                 continue
-            lo, hi = pending.offset + landed, pending.offset + pending.length
             self._cut(lo, hi)
             for start, piece in pending.old:
                 piece = piece[max(lo - start, 0) : hi - start]

@@ -592,7 +592,7 @@ class Fsck:
         if store.faults is not None and store.faults.active:
             store._failpoint(
                 fault_names.FP_FSCK_REPAIR,
-                "power cut during fsck repair", "injected fsck repair failure",
+                "injected fsck repair failure",
                 store=store.device.name, findings=len(self.report.findings),
             )
         store.flush_barrier()

@@ -88,7 +88,6 @@ class PersistentLog:
         if self.store.faults is not None and self.store.faults.active:
             self.store._failpoint(
                 fault_names.FP_LOG_APPEND,
-                f"power cut appending seq {self.next_seq}",
                 "injected log-append failure",
                 owner=self.owner_oid, seq=self.next_seq,
             )

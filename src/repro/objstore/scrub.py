@@ -191,7 +191,7 @@ class Scrubber:
         if store.faults is not None and store.faults.active:
             store._failpoint(
                 fault_names.FP_SCRUB_STEP,
-                "power cut during scrub step", "injected scrub-step failure",
+                "injected scrub-step failure",
                 store=store.device.name, extents=len(batch),
             )
         span = None

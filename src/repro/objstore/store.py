@@ -28,7 +28,7 @@ from operator import attrgetter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.errors import ChecksumError, NoSuchObject, ObjectStoreError, PowerCut
+from repro.errors import ChecksumError, NoSuchObject, ObjectStoreError
 from repro.fault import names as fault_names
 from repro.hw.device import BatchWrite, IoTicket, StorageDevice
 from repro.mem.address_space import MemContext
@@ -275,11 +275,9 @@ class ObjectStore:
     def _now(self) -> int:
         return self.device.clock.now
 
-    def _failpoint(self, name: str, crash_msg: str, fail_msg: str,
-                   **labels) -> None:
+    def _failpoint(self, name: str, fail_msg: str, **labels) -> None:
         """The store layer's one failpoint gate (see FAULTS.md): fire
-        ``name`` and turn an armed ``crash`` into a :class:`PowerCut`
-        stamped with the current virtual time, an armed ``fail`` into an
+        ``name`` and turn an armed ``fail`` into an
         :class:`ObjectStoreError`; the action's own ``reason`` wins over
         the site's default message.  Call sites guard it with
         ``faults is not None and faults.active`` (anything armed), so a
@@ -287,11 +285,7 @@ class ObjectStore:
         messages.  ``sls lint`` reads a call to this method as a fire
         site of the constant it names."""
         action = self.faults.fire(name, **labels)
-        if action is None:
-            return
-        if action.kind == "crash":
-            raise PowerCut(action.reason or crash_msg, at_ns=self._now())
-        if action.kind == "fail":
+        if action is not None and action.kind == "fail":
             raise ObjectStoreError(action.reason or fail_msg)
 
     def _stage_record(self, kind: int, oid: int, epoch: int, payload: bytes,
@@ -303,8 +297,8 @@ class ObjectStore:
         it landed in — its flush shard."""
         faults = self.faults
         if faults is not None and faults.active:
-            self._failpoint(fault_names.FP_STORE_WRITE_RECORD, "power cut before record write",
-                            "injected record-write failure", store=self.device.name, kind=kind)
+            self._failpoint(fault_names.FP_STORE_WRITE_RECORD, "injected record-write failure",
+                            store=self.device.name, kind=kind)
         batch = self.batch
         shard = batch.rotation
         batch.rotation = (shard + 1) % self.num_shards
@@ -324,8 +318,8 @@ class ObjectStore:
         """A commit-tail record (manifest, spilled directory): one
         command on queue 0, issued after the batch was flushed."""
         if self.faults is not None and self.faults.active:
-            self._failpoint(fault_names.FP_STORE_WRITE_RECORD, "power cut before record write",
-                            "injected record-write failure", store=self.device.name, kind=kind)
+            self._failpoint(fault_names.FP_STORE_WRITE_RECORD, "injected record-write failure",
+                            store=self.device.name, kind=kind)
         record = pack_record(kind, 0, epoch, payload)
         extent = self.allocator.allocate(len(record))
         self.stats.bytes_written += len(record)
@@ -441,8 +435,7 @@ class ObjectStore:
             fp = (fault_names.FP_STORE_WRITE_DELTA if flags == ENC_DELTA
                   else fault_names.FP_STORE_WRITE_COMPRESSED)
             self._failpoint(
-                fp, "power cut before encoded page write",
-                "injected encoded-page write failure",
+                fp, "injected encoded-page write failure",
                 store=self.device.name, saved=plan.bytes_saved,
             )
         media_bytes = plan.media_bytes
@@ -801,7 +794,6 @@ class ObjectStore:
         if self.faults is not None and self.faults.active:
             self._failpoint(
                 fault_names.FP_STORE_WRITE_DIRECTORY,
-                "power cut before directory write",
                 "injected directory-write failure",
                 store=self.device.name, snapshots=len(self.directory.snapshots),
             )
@@ -887,7 +879,6 @@ class ObjectStore:
         if self.faults is not None and self.faults.active:
             self._failpoint(
                 fault_names.FP_STORE_COMMIT,
-                f"power cut committing {name!r}",
                 f"injected commit failure for {name!r}",
                 store=self.device.name, snapshot=name,
             )
@@ -988,7 +979,6 @@ class ObjectStore:
         if self.faults is not None and self.faults.active:
             self._failpoint(
                 fault_names.FP_STORE_DELETE,
-                f"power cut deleting {snapshot.name!r}",
                 f"injected delete failure for {snapshot.name!r}",
                 store=self.device.name, snapshot=snapshot.name,
             )
@@ -1236,7 +1226,7 @@ class WriteBatch:
         if store.faults is not None and store.faults.active:
             store._failpoint(
                 fault_names.FP_STORE_BATCH_FLUSH,
-                "power cut at batch flush", "injected batch-flush failure",
+                "injected batch-flush failure",
                 store=store.device.name, records=len(self.staged),
             )
         staged = self.staged
@@ -1280,7 +1270,6 @@ class WriteBatch:
             if store.faults is not None and store.faults.active:
                 store._failpoint(
                     fault_names.FP_STORE_SHARD_FLUSH,
-                    f"power cut at shard {shard} flush",
                     f"injected shard {shard} flush failure",
                     store=store.device.name, shard=shard,
                     records=len(shard_items),

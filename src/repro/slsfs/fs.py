@@ -360,7 +360,7 @@ class SlsFS(FileSystem):
         if self.store.faults is not None and self.store.faults.active:
             self.store._failpoint(
                 fault_names.FP_FS_SYNC,
-                "power cut during slsfs sync", "injected slsfs sync failure",
+                "injected slsfs sync failure",
                 fs=self.name,
             )
         self._flush_dirty()

@@ -1,11 +1,11 @@
-"""Four crash-ordering violations in one store."""
+"""Two crash-ordering violations in one store."""
 
 from repro.fault import names as fault_names
 
 
 class ObjectStore:
     def _write_directory(self):
-        # the commit point itself, but nothing fires before the write
+        # the commit point itself: fine
         self.batch.flush()
         self.volume.write_superblock(self.directory.payload())
 
@@ -18,7 +18,7 @@ class ObjectStore:
         self.volume.write_superblock(self.directory.payload())
 
     def write_tail(self, extent, record):
-        # volume write the crash sweep cannot cut in front of
+        # a volume write with no failpoint before it: fine
         self.volume.write_data(extent.offset, record)
 
     def compact(self):

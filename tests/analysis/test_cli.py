@@ -25,7 +25,7 @@ BAD_WALLCLOCK = "import time\n\n\ndef stamp():\n    return time.time()\n"
 def test_shipped_tree_is_clean():
     report = lint_tree(SRC)
     assert report.clean, "\n".join(f.render() for f in report.findings)
-    assert len(report.rules_run) == 8
+    assert len(report.rules_run) == 7
 
 
 def test_cli_over_shipped_tree_exits_zero(capsys):
@@ -45,7 +45,7 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     rules = ("no-wallclock", "registry-drift", "crash-ordering",
              "unit-suffix", "durability-order", "failpoint-reachability",
-             "obs-coverage", "exception-safety")
+             "obs-coverage")
     assert [line.split()[0] for line in out.splitlines()] == list(rules)
 
 
@@ -116,7 +116,7 @@ def test_clean_tree_exits_zero_with_a_clean_json_report(tmp_path, capsys):
     document = json.loads(out_path.read_text())
     assert document["clean"] is True
     assert document["findings"] == []
-    assert len(document["rules"]) == 8
+    assert len(document["rules"]) == 7
 
 
 def test_lint_cli_has_six_options():
@@ -219,7 +219,7 @@ def test_no_cache_leaves_no_file(tmp_path):
 def test_graph_json_from_the_cli(capsys):
     assert main(["lint", str(SRC), "--graph", "json"]) == 0
     document = json.loads(capsys.readouterr().out)
-    assert document["schema"] == 1
+    assert document["schema"] == 2
     assert any(
         node["qual"] == "SLS.checkpoint" and node["effects"]
         for node in document["nodes"]

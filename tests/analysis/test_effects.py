@@ -1,7 +1,7 @@
 """The effects engine itself: extraction, linking, fixpoint summaries,
 durability linearization, graph export, and the no-reparse warm path.
 
-The rule-level behavior (what the four graph rules *report*) is pinned
+The rule-level behavior (what the three graph rules *report*) is pinned
 in test_rules.py over the same ``effects`` fixture; this file pins the
 engine facts those rules consume.
 """
@@ -29,8 +29,6 @@ def fixture_config():
     return AnalyzerConfig(
         obs_registry={"C_OPS": "fx.ops_total"},
         fault_registry={"FP_COMMIT": "fx.commit"},
-        sweep_entry="repro/sweep.py::run_sweep",
-        sweep_sites=("fx.commit",),
     )
 
 
@@ -56,7 +54,8 @@ def test_typed_local_call_is_linked():
     # run_sweep's `store = Store(...)` types the receiver, so the
     # method calls resolve without any name-based guessing
     _tree, analysis = build()
-    [sweep] = analysis.entry_ids("repro/sweep.py::run_sweep")
+    [sweep] = [n for n in analysis.nodes
+               if analysis.nodes[n].qual == "run_sweep"]
     callee_quals = {
         analysis.nodes[c].qual for c in analysis.nodes[sweep].callees
     }
@@ -68,7 +67,8 @@ def test_fixpoint_propagates_effects_to_the_entry():
     # the sweep entry touches no device itself; everything below it
     # flows up through the SCC-ordered fixpoint
     _tree, analysis = build()
-    [sweep] = analysis.entry_ids("repro/sweep.py::run_sweep")
+    [sweep] = [n for n in analysis.nodes
+               if analysis.nodes[n].qual == "run_sweep"]
     summary = analysis.summaries[sweep]
     assert {MEDIA_WRITE, SUPERBLOCK_WRITE, FAILPOINT_FIRE} <= summary
 
@@ -110,18 +110,17 @@ def test_root_sequence_keeps_source_order_for_the_bad_commit():
 # -- graph export ----------------------------------------------------------------
 
 
-def test_graph_json_is_schema_one_and_marks_reachability():
+def test_graph_json_is_schema_two_and_marks_reachability():
     _tree, analysis = build()
     document = analysis.to_json()
-    assert document["schema"] == 1
+    assert document["schema"] == 2
     json.dumps(document)  # must be serializable as-is
     nodes = {node["id"]: node for node in document["nodes"]}
     [commit] = analysis.roots_matching(["Store.commit"])
-    assert nodes[commit]["reachable_from_sweep"] is True
     assert nodes[commit]["reachable_from_public"] is True
     assert MEDIA_WRITE in nodes[commit]["effects"]
     [orphan] = [n for n in nodes if nodes[n]["qual"] == "Store._orphan"]
-    assert nodes[orphan]["reachable_from_sweep"] is False
+    assert nodes[orphan]["reachable_from_public"] is False
     assert [commit, [c for c in analysis.nodes[commit].callees][0]] in (
         document["edges"]
     ) or any(edge[0] == commit for edge in document["edges"])
@@ -133,7 +132,7 @@ def test_graph_dot_renders_the_effectful_subgraph():
     assert dot.startswith("digraph sls_effects {")
     assert "Store.commit" in dot
     # effect-free helpers stay out of the picture
-    assert "good_no_cut" not in dot
+    assert "StorageDevice.__init__" not in dot
 
 
 # -- the warm path ---------------------------------------------------------------

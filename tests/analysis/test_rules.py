@@ -112,16 +112,10 @@ def test_crash_ordering_bad_fixture_fails():
     report = run_fixture("crash", "crash-ordering")
     bad = by_path(report, "repro/objstore/bad.py")
     assert sorted((f.symbol, f.message.split(";")[0]) for f in bad) == [
-        ("ObjectStore._write_directory",
-         "write_superblock() call site has no registered failpoint "
-         "fired before it in this function"),
         ("ObjectStore.commit_snapshot",
          "write_superblock() called outside ObjectStore._write_directory()"),
         ("ObjectStore.compact",
          "raw device.write() bypasses the Volume layer"),
-        ("ObjectStore.write_tail",
-         "write_data() call site has no registered failpoint "
-         "fired before it in this function"),
     ]
 
 
@@ -131,8 +125,7 @@ def test_crash_ordering_good_fixture_passes():
 
 
 def test_crash_ordering_adapter_is_exempt():
-    # block.py's raw device write is covered by the device-level
-    # failpoints inside StorageDevice, not store-level ones.
+    # block.py is the volume layer: it writes the device directly.
     report = run_fixture("crash", "crash-ordering")
     assert by_path(report, "repro/objstore/block.py") == []
 
@@ -142,15 +135,6 @@ def test_crash_ordering_adapter_is_exempt():
 SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
 STORE_PY = "repro/objstore/store.py"
 
-DIRECTORY_GATE = """\
-        if self.faults is not None and self.faults.active:
-            self._failpoint(
-                fault_names.FP_STORE_WRITE_DIRECTORY,
-                "power cut before directory write",
-                "injected directory-write failure",
-                store=self.device.name, snapshots=len(self.directory.snapshots),
-            )
-"""
 TAIL_WRITE = "        self.volume.write_data(extent.offset, record)\n"
 COMMITTED = "        self.stats.snapshots_committed += 1\n"
 
@@ -160,11 +144,6 @@ COMMITTED = "        self.stats.snapshots_committed += 1\n"
 #: barrier parameter to drop and _write_directory flushes for itself
 #: (tests/objstore/test_write_path.py pins both behaviours).
 MUTATIONS = {
-    "drop-directory-gate": (
-        [(DIRECTORY_GATE, "")],
-        [(STORE_PY, "ObjectStore._write_directory",
-          "write_superblock() call site has no registered failpoint")],
-    ),
     "raw-device-write": (
         [(TAIL_WRITE,
           "        self.device.write_async(extent.offset, record)\n")],
@@ -241,7 +220,7 @@ def test_unknown_rule_name_rejected():
         make_rules(["no-such-rule"])
 
 
-# -- the effects fixture (shared by the four whole-program rules) ----------------
+# -- the effects fixture (shared by the three whole-program rules) ---------------
 
 
 def effects_config():
@@ -264,8 +243,6 @@ def effects_config():
             "Store.commit_after_super",
             "Store.gone",
         ),
-        sweep_entry="repro/sweep.py::run_sweep",
-        sweep_sites=("fx.commit", "fx.off_sweep"),
     )
 
 
@@ -281,14 +258,6 @@ def test_durability_good_root_passes():
     assert [f for f in report.findings if f.symbol == "Store.commit"] == []
 
 
-def test_durability_media_before_fire_fails():
-    report = run_effects_fixture("durability-order")
-    [finding] = [f for f in report.findings
-                 if f.symbol == "Store.commit_media_first"]
-    assert "before any failpoint fires" in finding.message
-    assert finding.path == "repro/store.py"
-
-
 def test_durability_media_after_superblock_fails():
     report = run_effects_fixture("durability-order")
     [finding] = [f for f in report.findings
@@ -302,15 +271,16 @@ def test_durability_missing_root_is_a_finding():
     [finding] = [f for f in report.findings if f.symbol == "Store.gone"]
     assert finding.path == "<config>"
     assert "matches no function" in finding.message
-    assert len(report.findings) == 3
+    assert len(report.findings) == 2
 
 
 # -- failpoint-reachability -----------------------------------------------------
 
 
-def test_failpoint_live_swept_constant_passes():
+def test_failpoint_live_constants_pass():
     report = run_effects_fixture("failpoint-reachability")
-    assert [f for f in report.findings if f.symbol == "FP_COMMIT"] == []
+    assert [f for f in report.findings
+            if f.symbol in ("FP_COMMIT", "FP_OFF_SWEEP")] == []
 
 
 def test_failpoint_never_fired_fails():
@@ -325,16 +295,7 @@ def test_failpoint_dead_code_fire_fails():
     report = run_effects_fixture("failpoint-reachability")
     [finding] = [f for f in report.findings if f.symbol == "FP_ORPHAN"]
     assert "unreachable from any public entry point" in finding.message
-
-
-def test_failpoint_swept_but_off_sweep_fails():
-    # fired from a live public method, but the sweep never gets there
-    report = run_effects_fixture("failpoint-reachability")
-    [finding] = [f for f in report.findings if f.symbol == "FP_OFF_SWEEP"]
-    assert "no fire site reachable from repro/sweep.py::run_sweep" in (
-        finding.message
-    )
-    assert len(report.findings) == 3
+    assert len(report.findings) == 2
 
 
 # -- obs-coverage ---------------------------------------------------------------
@@ -363,32 +324,6 @@ def test_obs_undocumented_metric_fails():
     [finding] = [f for f in report.findings if f.symbol == "H_UNDOC"]
     assert "not documented in OBSERVABILITY.md" in finding.message
     assert len(report.findings) == 3
-
-
-# -- exception-safety -----------------------------------------------------------
-
-
-def test_exception_safety_broad_swallow_of_callee_cut_fails():
-    # the fire is two calls deep: proves the interprocedural summary
-    report = run_effects_fixture("exception-safety")
-    [finding] = [f for f in report.findings
-                 if f.symbol == "Worker.bad_swallow"]
-    assert "except Exception can swallow a PowerCut" in finding.message
-
-
-def test_exception_safety_bare_except_fails():
-    report = run_effects_fixture("exception-safety")
-    [finding] = [f for f in report.findings if f.symbol == "Worker.bad_bare"]
-    assert "bare except" in finding.message
-    assert len(report.findings) == 2
-
-
-def test_exception_safety_good_shapes_pass():
-    # explicit PowerCut arm, re-raising handler, cut-free body
-    report = run_effects_fixture("exception-safety")
-    good = {"Worker.good_explicit", "Worker.good_reraise",
-            "Worker.good_no_cut"}
-    assert [f for f in report.findings if f.symbol in good] == []
 
 
 def test_whole_program_rules_stay_quiet_off_repo_trees():

@@ -1,128 +1,143 @@
 """The crash-consistency sweep (repro.fault.crashtest).
 
-The acceptance bar for the fault plane: ≥ 50 distinct crash points
-across the commit (reclaim included), log-append, scrub, and
-SLSFS-snapshot paths, every recovery prefix-consistent and leak-free
-with a restorable latest image and an fsck that comes back clean or
-exactly repaired, deterministically under a fixed seed.
+The workload runs once with the device's write trace on; the sweep
+checks every distinct media state a power cut at any instant of that
+trace would leave — torn mid-transfer states included — and each must
+recover prefix-consistent and leak-free with a restorable latest image
+and an fsck that comes back clean or exactly repaired, the same way on
+every run.
 """
 
-from repro.fault import names
+import pytest
+
+from repro.fault import crashtest
 from repro.fault.crashtest import (
     CHECKPOINTS,
-    DEFAULT_SEED,
     EXPECTED_CRASH_POINTS,
-    SWEEP_SITES,
     WorkloadState,
     _boot,
-    _spans,
-    golden_hits,
-    media_key,
-    run_crash_point,
+    _instants,
     run_sweep,
-    run_trace_sweep,
     run_workload,
-    trace_states,
 )
+from repro.hw.device import SECTOR, landed_bytes
 from repro.obs import names as obs_names
 
 
-class TestWorkload:
-    def test_golden_run_completes_and_hits_every_site(self):
-        hits = golden_hits()
-        assert set(hits) == set(SWEEP_SITES)
-        assert all(count > 0 for count in hits.values())
+@pytest.fixture(scope="module")
+def report():
+    return run_sweep()
 
+
+def traced_run():
+    kernel, device = _boot()
+    device.trace = []
+    state = run_workload(kernel, device, WorkloadState())
+    return device, state
+
+
+class TestWorkload:
     def test_golden_run_records_ground_truth(self):
-        kernel, device = _boot(seed=1)
-        state = run_workload(kernel, device, WorkloadState())
+        _device, state = traced_run()
         assert state.completed
+        assert state.scrub_errors == 0
         assert len(state.heap_expect) == CHECKPOINTS
         assert len(state.log_appended) == CHECKPOINTS
         # Every superblock generation written is in the history.
         assert sorted(state.history) == list(range(len(state.history)))
 
     def test_golden_run_reclaims_the_deleted_snapshot_at_a_commit_point(self):
-        kernel, device = _boot(seed=1)
+        kernel, device = _boot()
         run_workload(kernel, device, WorkloadState())
         freed = kernel.obs.registry.counter(obs_names.C_GC_EXTENTS_FREED,
                                             store=device.name)
         assert freed.value > 0
 
+    def test_trace_holds_every_write_and_discard(self):
+        device, _state = traced_run()
+        writes = [entry for entry in device.trace if len(entry) == 4]
+        assert len(writes) == device.stats.writes
+        assert sum(len(data) for _o, data, _t, _d in writes) > 0
+        # the reclaimed snapshot's extents are discarded once dead
+        assert len(device.trace) > len(writes)
+
+
+class TestInstants:
+    def test_each_sector_instant_lands_one_more_sector(self):
+        # _instants inverts the tear rule: inside a transfer, the
+        # landed length changes exactly at the instants it lists
+        device, _state = traced_run()
+        for entry in device.trace:
+            if len(entry) == 3:
+                continue
+            _offset, data, transfer_at, durable_at = entry
+            inside = [at for at in _instants([entry])
+                      if transfer_at < at < durable_at]
+            assert len(inside) == -(-len(data) // SECTOR) - 1
+            landed = [landed_bytes(len(data), transfer_at, durable_at, t)
+                      for at in inside for t in (at - 1, at)]
+            assert landed == [sector * SECTOR
+                              for n in range(1, len(inside) + 1)
+                              for sector in (n - 1, n)]
+
 
 class TestSweep:
-    def test_full_sweep_is_clean_and_wide(self):
-        report = run_sweep()
+    def test_full_sweep_is_clean_and_wide(self, report):
         assert not report.failures, "\n".join(report.failures)
-        # The acceptance floor: ≥ 50 distinct crash points...
-        assert len(report.crash_points) >= 50
-        # ...spread across the four consistency-critical paths.
-        fired = report.fired_by_site()
-        assert fired.get(names.FP_STORE_COMMIT, 0) >= CHECKPOINTS
-        assert fired.get(names.FP_LOG_APPEND, 0) >= CHECKPOINTS
-        # reclaim runs at the commit point, which the sweep cuts
-        assert fired.get(names.FP_STORE_WRITE_DIRECTORY, 0) >= CHECKPOINTS
-        assert fired.get(names.FP_FS_SYNC, 0) >= CHECKPOINTS
-        assert fired.get(names.FP_DEVICE_WRITE, 0) >= 30
-        # The sharded parallel flush contributes its own crash sites:
-        # a power cut with some shards submitted and the rest buffered.
-        assert fired.get(names.FP_STORE_SHARD_FLUSH, 0) >= CHECKPOINTS
-        # The online scrub is swept too: a cut mid-scrub must leave
-        # nothing behind, since scrubbing only reads.
-        assert fired.get(names.FP_SCRUB_STEP, 0) >= 1
-        # Every armed point actually fired (indices came from golden).
-        assert len(report.crash_points) == len(report.points)
-        # Full fidelity matches the pin CI enforces; a mismatch would
-        # also have been flagged by the sweep itself as width drift.
-        assert len(report.crash_points) == EXPECTED_CRASH_POINTS
+        assert len(report.points) == EXPECTED_CRASH_POINTS
         assert report.width_drift is None
+        # every state is distinct and reached at its first instant
+        instants = [p.at_ns for p in report.points]
+        assert instants == sorted(set(instants))
+        # a power cut mid-transfer is most of what the trace adds
+        torn = [p for p in report.points if p.torn]
+        assert len(torn) > len(report.points) // 2
+        # every superblock generation the workload wrote is recovered
+        # from some state
+        _device, state = traced_run()
+        assert {p.generation for p in report.points} == set(state.history)
 
-    def test_sweep_is_deterministic(self):
+    def test_sweep_is_deterministic(self, report):
         def fingerprint(report):
             return [
-                (p.site, p.index, p.at_ns, p.generation,
+                (p.at_ns, p.durable, p.torn, p.generation,
                  p.snapshots_recovered)
                 for p in report.points
             ]
 
-        a = run_sweep(stride=8)
-        b = run_sweep(stride=8)
-        assert fingerprint(a) == fingerprint(b)
+        assert fingerprint(report) == fingerprint(run_sweep())
 
-    def test_summary_renders(self):
-        report = run_sweep(stride=16)
+    def test_summary_renders(self, report):
         text = report.summary()
-        assert "crash sweep" in text
-        assert names.FP_STORE_COMMIT in text
+        assert "crash sweep: one run" in text
+        assert f"{EXPECTED_CRASH_POINTS} distinct media states" in text
 
     def test_cli_pins_crash_point_count(self, capsys):
-        # The CI job pins the sweep's crash-point count so a silently
-        # dropped crash site fails the build.
+        # The CI job pins the sweep's state count so a change that
+        # silently narrows what the trace reaches fails the build.
         from repro.cli.main import main
 
-        count = len(run_sweep(stride=16).crash_points)
         assert main(
-            ["crashtest", "--stride", "16", "--expect-points", str(count)]
+            ["crashtest", "--expect-points", str(EXPECTED_CRASH_POINTS)]
         ) == 0
         capsys.readouterr()
         assert main(
-            ["crashtest", "--stride", "16", "--expect-points", str(count + 1)]
+            ["crashtest", "--expect-points", str(EXPECTED_CRASH_POINTS + 1)]
         ) == 1
         assert "crash-point count" in capsys.readouterr().err
 
-    def test_cli_pinned_keyword_resolves_to_constant(self, capsys):
+    def test_cli_pinned_keyword_resolves_to_constant(self, capsys,
+                                                     monkeypatch):
         # "--expect-points pinned" is what CI passes: the expected
-        # width lives in exactly one place (EXPECTED_CRASH_POINTS), so
-        # adding a crash site can never leave a stale number in the
-        # workflow file.  A strided sweep visits fewer points, so the
-        # pinned count must fail it — proving the keyword resolved.
+        # count lives in exactly one place (EXPECTED_CRASH_POINTS).
+        # A pin one off must fail, proving the keyword resolved to it.
         from repro.cli.main import main
 
-        assert main(
-            ["crashtest", "--stride", "16", "--expect-points", "pinned"]
-        ) == 1
+        monkeypatch.setattr(crashtest, "EXPECTED_CRASH_POINTS",
+                            EXPECTED_CRASH_POINTS + 1)
+        assert main(["crashtest", "--expect-points", "pinned"]) == 1
         err = capsys.readouterr().err
-        assert str(EXPECTED_CRASH_POINTS) in err
+        assert str(EXPECTED_CRASH_POINTS + 1) in err
 
     def test_fsck_report_export(self, capsys, tmp_path):
         import json
@@ -132,67 +147,36 @@ class TestSweep:
         points = tmp_path / "points.json"
         reports = tmp_path / "fsck.json"
         assert main([
-            "crashtest", "--stride", "16",
+            "crashtest",
             "--json", str(points), "--fsck-report", str(reports),
         ]) == 0
         capsys.readouterr()
         point_lines = [json.loads(line)
                        for line in points.read_text().splitlines()]
-        assert all("fsck_findings" in p and "fsck_repaired" in p
+        assert len(point_lines) == EXPECTED_CRASH_POINTS
+        assert all({"at_ns", "durable", "torn", "generation",
+                    "fsck_findings", "fsck_repaired"} <= set(p)
                    for p in point_lines)
         report_lines = [json.loads(line)
                         for line in reports.read_text().splitlines()]
-        assert len(report_lines) == len(point_lines)
+        assert [r["at_ns"] for r in report_lines] == [
+            p["at_ns"] for p in point_lines
+        ]
         assert all(r["fsck"]["clean"] or r["fsck"]["repaired_all"]
                    for r in report_lines)
 
 
 class TestCrashPointOracles:
-    def test_crash_before_any_write_recovers_empty(self):
-        point = run_crash_point(names.FP_DEVICE_WRITE, 0)
-        assert point.fired
-        assert point.generation == 0
-        assert point.snapshots_recovered == 0
-        assert not point.failures
+    def test_cut_before_any_write_recovers_empty(self, report):
+        first = report.points[0]
+        assert first.durable == [] and first.torn == []
+        assert first.generation == 0
+        assert first.snapshots_recovered == 0
+        assert not first.failures
 
-    def test_crash_on_last_commit_keeps_prefix(self):
-        hits = golden_hits()
-        point = run_crash_point(
-            names.FP_STORE_COMMIT, hits[names.FP_STORE_COMMIT] - 1
-        )
-        assert point.fired
-        assert not point.failures
-        # Everything before the torn final commit survived.
-        assert point.snapshots_recovered > 0
-
-
-class TestTraceSweep:
-    """The sweep over one run's write trace, beside the failpoint one."""
-
-    def test_trace_sweep_is_clean(self):
-        report = run_trace_sweep()
-        assert not report.failures, "\n".join(report.failures)
-        assert len(report.points) == 69
-
-    def test_every_failpoint_cut_is_a_trace_state(self):
-        from repro.errors import PowerCut
-        from repro.fault.registry import FaultAction
-
-        kernel, device = _boot(seed=DEFAULT_SEED)
-        device.trace = trace = []
-        run_workload(kernel, device, WorkloadState())
-        spans = _spans(trace)
-        states = {key for _at, _media, key in trace_states(trace)}
-        cuts = set()
-        for site, hits in golden_hits().items():
-            for index in range(hits):
-                kernel, device = _boot(seed=DEFAULT_SEED)
-                kernel.faults.arm(site, FaultAction("crash"), after=index)
-                try:
-                    run_workload(kernel, device, WorkloadState())
-                except PowerCut:
-                    kernel.faults.disarm()
-                    device.crash()
-                    cuts.add(media_key(device, spans))
-        assert len(cuts) == 13
-        assert cuts <= states
+    def test_cut_after_the_last_write_keeps_everything(self, report):
+        last = report.points[-1]
+        assert last.durable == list(range(report.writes))
+        _device, state = traced_run()
+        assert last.generation == max(state.history)
+        assert last.snapshots_recovered == len(state.history[last.generation])

@@ -3,7 +3,7 @@
 Each test arms one failpoint and checks the site translates the
 action into its native failure: device I/O errors, torn and dropped
 writes, allocator exhaustion, commit/log/GC/sync failures, backend
-degradation, remote retry + degrade-to-memory, and power cuts.
+degradation, and remote retry + degrade-to-memory.
 """
 
 import pytest
@@ -19,11 +19,9 @@ from repro.errors import (
     DeviceIOError,
     HardwareError,
     ObjectStoreError,
-    PowerCut,
     StoreFullError,
 )
 from repro.fault import FailpointRegistry, FaultAction, names
-from repro.fault.crashtest import SWEEP_SITES
 from repro.hw.netdev import NetworkLink
 from repro.hw.nvme import NvmeDevice
 from repro.objstore import repair_store
@@ -68,12 +66,13 @@ class TestDeviceSites:
         with pytest.raises(DeviceIOError):
             device.write(0, b"x" * 512)
 
-    def test_write_crash_leaves_media_untouched(self, device):
+    def test_cut_at_write_leaves_media_untouched(self, device):
         device.write(0, b"before")
         device.flush_barrier()
-        device.faults.arm(names.FP_DEVICE_WRITE, FaultAction("crash"))
-        with pytest.raises(PowerCut):
+        device.faults.arm(names.FP_DEVICE_WRITE, FaultAction("fail"))
+        with pytest.raises(DeviceIOError):
             device.write(0, b"after!")
+        device.crash()  # the power cut, at the write's failpoint
         assert device.read(0, 6) == b"before"
 
     def test_torn_write_lands_prefix_only(self, device):
@@ -136,14 +135,15 @@ class TestStoreSites:
             store.commit_snapshot("snap", meta={}, records=[ref], pages=[])
         assert store.snapshots() == []
 
-    def test_commit_crash_label_match_by_snapshot(self, store):
+    def test_commit_fail_label_match_by_snapshot(self, store):
         ref = store.write_meta(oid=1, value={"k": "v"})
         store.faults.arm(
-            names.FP_STORE_COMMIT, FaultAction("crash"), snapshot="s2"
+            names.FP_STORE_COMMIT, FaultAction("fail"), snapshot="s2"
         )
         store.commit_snapshot("s1", meta={}, records=[ref], pages=[])
-        with pytest.raises(PowerCut):
+        with pytest.raises(ObjectStoreError):
             store.commit_snapshot("s2", meta={}, records=[ref], pages=[])
+        assert [s.name for s in store.snapshots()] == ["s1"]
 
     def test_log_append_fail(self, store):
         log = PersistentLog(store, owner_oid=1, capacity=64 * 1024)
@@ -154,10 +154,10 @@ class TestStoreSites:
         # The failed append consumed no sequence number space on disk.
         assert [p for _s, p in log.scan_region()] == [b"ok"]
 
-    def test_slsfs_sync_crash(self, store):
+    def test_slsfs_sync_fail(self, store):
         fs = SlsFS(store, ObjectRegistry())
-        store.faults.arm(names.FP_FS_SYNC, FaultAction("crash"))
-        with pytest.raises(PowerCut):
+        store.faults.arm(names.FP_FS_SYNC, FaultAction("fail"))
+        with pytest.raises(ObjectStoreError):
             fs.sync()
 
 
@@ -183,95 +183,85 @@ def _gate_commit(store):
 
 STORE = ("store", "fsck-nvme")
 
-#: failpoint -> (driver, default crash message, default fail message,
-#: sorted fault-log labels), pinned from the twelve per-site ladders
-#: ``ObjectStore._failpoint`` replaced (demo store of ``sls fsck``)
+#: failpoint -> (driver, default fail message, sorted fault-log labels),
+#: pinned from the twelve per-site ladders ``ObjectStore._failpoint``
+#: replaced (demo store of ``sls fsck``)
 GATE_SITES = {
     names.FP_STORE_WRITE_RECORD: (
         lambda s: s.write_meta(1, {"gate": True}),
-        "power cut before record write", "injected record-write failure",
+        "injected record-write failure",
         (("kind", 1), STORE)),
     names.FP_STORE_WRITE_COMPRESSED: (
         lambda s: s.write_page(b"gate-zlib" + b"\xab" * KIB),
-        "power cut before encoded page write",
         "injected encoded-page write failure",
         (("saved", 4068), STORE)),
     names.FP_STORE_WRITE_DELTA: (
         _gate_delta,
-        "power cut before encoded page write",
         "injected encoded-page write failure",
         (("saved", 4032), STORE)),
     names.FP_STORE_BATCH_FLUSH: (
         _gate_batch,
-        "power cut at batch flush", "injected batch-flush failure",
+        "injected batch-flush failure",
         (("records", 1), STORE)),
     names.FP_STORE_SHARD_FLUSH: (
         _gate_batch,
-        "power cut at shard 0 flush", "injected shard 0 flush failure",
+        "injected shard 0 flush failure",
         (("records", 1), ("shard", 0), STORE)),
     names.FP_STORE_COMMIT: (
         _gate_commit,
-        "power cut committing 'gate'", "injected commit failure for 'gate'",
+        "injected commit failure for 'gate'",
         (("snapshot", "gate"), STORE)),
     names.FP_STORE_WRITE_DIRECTORY: (
         _gate_commit,
-        "power cut before directory write", "injected directory-write failure",
+        "injected directory-write failure",
         (("snapshots", 4), STORE)),
     names.FP_STORE_DELETE: (
         lambda s: s.delete_snapshot(s.snapshot_by_name("demo-0").snap_id),
-        "power cut deleting 'demo-0'", "injected delete failure for 'demo-0'",
+        "injected delete failure for 'demo-0'",
         (("snapshot", "demo-0"), STORE)),
     names.FP_LOG_APPEND: (
         lambda s: PersistentLog(s, 7777, capacity=64 * KIB).append(b"entry"),
-        "power cut appending seq 1", "injected log-append failure",
+        "injected log-append failure",
         (("owner", 7777), ("seq", 1))),
     names.FP_FSCK_REPAIR: (
         repair_store,
-        "power cut during fsck repair", "injected fsck repair failure",
+        "injected fsck repair failure",
         (("findings", 1), STORE)),
     names.FP_FS_SYNC: (
         lambda s: SlsFS(s, ObjectRegistry()).sync(name="gate-fs"),
-        "power cut during slsfs sync", "injected slsfs sync failure",
+        "injected slsfs sync failure",
         (("fs", "slsfs"),)),
     names.FP_SCRUB_STEP: (
         lambda s: Scrubber(s, batch_extents=4).step(),
-        "power cut during scrub step", "injected scrub-step failure",
+        "injected scrub-step failure",
         (("extents", 4), STORE)),
 }
 
 
 def test_store_gate_preserves_every_site():
-    """Every site behind ``ObjectStore._failpoint`` (all the swept
-    store-level failpoints plus write_record/delete/fsck.repair), armed
-    ``crash`` then ``fail``: same exception type, default message,
-    ``at_ns`` and fault-log labels as the per-site ladders had."""
-    assert set(SWEEP_SITES) - set(GATE_SITES) == {
-        names.FP_DEVICE_WRITE, names.FP_DEVICE_BATCH,  # device-level
-    }
-    for name, (drive, crash_msg, fail_msg, labels) in GATE_SITES.items():
-        for kind, error, message in (("crash", PowerCut, crash_msg),
-                                     ("fail", ObjectStoreError, fail_msg)):
-            device, store, _obs = build_demo_store()
-            if name == names.FP_FSCK_REPAIR:
-                inject(device, store, "orphan")
-            faults = FailpointRegistry(device.clock, seed=7)
-            store.attach_faults(faults)
-            faults.arm(name, FaultAction(kind))
-            with pytest.raises(error) as caught:
-                drive(store)
-            assert type(caught.value) is error, (name, kind)
-            assert str(caught.value) == message, (name, kind)
-            [record] = faults.log
-            assert (record.name, record.kind) == (name, kind)
-            assert record.labels == labels, (name, kind)
-            if kind == "crash":
-                assert caught.value.at_ns == record.at_ns == device.clock.now
+    """Every site behind ``ObjectStore._failpoint``, armed ``fail``:
+    same exception type, default message and fault-log labels as the
+    per-site ladders had."""
+    for name, (drive, message, labels) in GATE_SITES.items():
+        device, store, _obs = build_demo_store()
+        if name == names.FP_FSCK_REPAIR:
+            inject(device, store, "orphan")
+        faults = FailpointRegistry(device.clock, seed=7)
+        store.attach_faults(faults)
+        faults.arm(name, FaultAction("fail"))
+        with pytest.raises(ObjectStoreError) as caught:
+            drive(store)
+        assert type(caught.value) is ObjectStoreError, name
+        assert str(caught.value) == message, name
+        [record] = faults.log
+        assert (record.name, record.kind) == (name, "fail")
+        assert record.labels == labels, name
 
     # the armed action's own reason wins over the site default
     device, store, _obs = build_demo_store()
     store.attach_faults(FailpointRegistry(device.clock, seed=7))
-    store.faults.arm(names.FP_STORE_COMMIT, FaultAction("crash", reason="why"))
-    with pytest.raises(PowerCut, match="^why$"):
+    store.faults.arm(names.FP_STORE_COMMIT, FaultAction("fail", reason="why"))
+    with pytest.raises(ObjectStoreError, match="^why$"):
         _gate_commit(store)
 
 
@@ -302,16 +292,6 @@ class TestBackendSites:
         sls.barrier(group)
         assert image.durable
         assert image.durable_on == {"disk0"}
-
-    def test_persist_crash_is_not_swallowed(self, world):
-        """PowerCut is deliberately not a HardwareError: per-backend
-        failure handling must never treat a power cut as one slow
-        device."""
-        kernel, sls, group = world
-        group.attach(make_disk_backend(kernel, NvmeDevice(kernel.clock)))
-        kernel.faults.arm(names.FP_BACKEND_PERSIST, FaultAction("crash"))
-        with pytest.raises(PowerCut):
-            sls.checkpoint(group)
 
 
 class TestRemoteRetryAndDegrade:

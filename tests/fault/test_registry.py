@@ -33,10 +33,10 @@ class TestArming:
             assert reg.fire("device.write") is not None
 
     def test_after_skips_hits(self, reg):
-        reg.arm("device.write", FaultAction("crash"), after=2)
+        reg.arm("device.write", FaultAction("torn"), after=2)
         assert reg.fire("device.write") is None
         assert reg.fire("device.write") is None
-        assert reg.fire("device.write").kind == "crash"
+        assert reg.fire("device.write").kind == "torn"
 
     def test_label_match(self, reg):
         reg.arm("device.write", FaultAction("fail"), device="nvme1")
@@ -89,7 +89,7 @@ class TestValidation:
             reg.arm("a", FaultAction("fail"), after=-1)
 
     def test_action_kinds_catalogue(self):
-        assert set(ACTION_KINDS) == {"fail", "torn", "drop", "crash", "timeout"}
+        assert set(ACTION_KINDS) == {"fail", "torn", "drop", "timeout"}
 
 
 class TestDeterminism:

@@ -6,7 +6,10 @@ member), discards, flips and a power cut at a random virtual time must
 leave on a small device.  Every read must equal the model, and the
 host must hold exactly as many bytes as the model has written and not
 discarded: an unwound range goes back to what it held, unwritten
-included, never to zeros the host keeps.
+included, never to zeros the host keeps.  At each power cut the
+device's write trace, replayed on a fresh device at the same instant,
+must leave the same media too: the crash sweep's states and
+``crash()`` come from one tear rule.
 """
 
 from dataclasses import dataclass, replace
@@ -96,6 +99,14 @@ def fill(nbytes, seed):
     return (row * (nbytes // 251 + 1))[:nbytes]
 
 
+def replayed(spec, base, trace, at):
+    """What ``trace``, begun on media holding ``base``, leaves on a
+    fresh device after a power cut at ``at``."""
+    device = NvmeDevice(SimClock(), spec=spec)
+    device.replay([(0, base, 0, 0), *trace], at)
+    return device.read(0, CAPACITY)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(ops=st.lists(op, min_size=1, max_size=30))
 def test_the_data_plane_equals_the_model(ops):
@@ -104,6 +115,10 @@ def test_the_data_plane_equals_the_model(ops):
     faults = FailpointRegistry(clock=device.clock)
     device.attach_faults(faults)
     model = Model(device)
+    # the trace since the last power cut, and the media it began on; a
+    # flip is media decay outside the trace, so it ends what a replay
+    # can rebuild until the next cut
+    device.trace, base, traced = [], bytes(CAPACITY), True
     for kind, *args in ops:
         if kind in ("write", "write_async"):
             ((offset, nbytes), seed), queue = args
@@ -138,6 +153,7 @@ def test_the_data_plane_equals_the_model(ops):
         elif kind == "flip":
             offset, mask = args
             device.flip(offset, mask)
+            traced = False
             model.media[offset] ^= mask
             model.written[offset] = 1
         elif kind == "crash":
@@ -153,11 +169,17 @@ def test_the_data_plane_equals_the_model(ops):
             device.clock.advance_to(max(now, at))
             device.crash()
             model.crash()
+            if traced:
+                assert replayed(spec, base, device.trace, device.clock.now) == (
+                    device.read(0, CAPACITY)) == model.media
+            device.trace, base, traced = [], bytes(model.media), True
         else:
             (offset, nbytes), = args
             assert device.read(offset, nbytes) == model.media[offset:offset + nbytes]
         assert device.held_bytes == sum(model.written)
     device.crash()
     model.crash()
+    if traced:
+        assert replayed(spec, base, device.trace, device.clock.now) == model.media
     assert device.read(0, CAPACITY) == model.media
     assert device.held_bytes == sum(model.written)

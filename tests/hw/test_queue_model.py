@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DeviceIOError, PowerCut
+from repro.errors import DeviceIOError
 from repro.fault import names as fault_names
 from repro.fault.registry import FailpointRegistry, FaultAction
 from repro.hw.device import BatchWrite
@@ -180,13 +180,6 @@ class TestBatchFailpoint:
             dev.write_batch([BatchWrite(offset=0, data=b"never")])
         assert dev.stats.writes == 0
         assert dev.read(0, 5) == b"\x00" * 5
-
-    def test_crash_at_batch_boundary_is_power_cut(self, clock):
-        dev = qdev(clock)
-        self.arm(clock, dev, FaultAction("crash"))
-        with pytest.raises(PowerCut):
-            dev.write_batch([BatchWrite(offset=0, data=b"never")])
-        assert dev.stats.writes == 0
 
     def test_member_commands_still_fire_device_write(self, clock):
         dev = qdev(clock)

@@ -3,7 +3,7 @@ there and reaches the device when it flushes."""
 
 import pytest
 
-from repro.errors import ObjectStoreError, PowerCut
+from repro.errors import ObjectStoreError
 from repro.fault import names as fault_names
 from repro.fault.registry import FailpointRegistry, FaultAction
 from repro.hw.nvme import NvmeDevice
@@ -145,12 +145,12 @@ class TestBatchCrash:
         )
         nvme.flush_barrier()
         self.arm(clock, store, fault_names.FP_STORE_BATCH_FLUSH,
-                 FaultAction("crash"))
+                 FaultAction("fail"))
         for i in range(4):
             store.write_page(b"lost-%d" % i)
-        with pytest.raises(PowerCut):
+        with pytest.raises(ObjectStoreError):
             store.commit_snapshot("torn", meta=None, records=[], pages=[])
-        nvme.crash()
+        nvme.crash()  # the power cut, at the batch boundary
         report = store.recover()
         assert not report.errors
         names = [s.name for s in store.snapshots()]

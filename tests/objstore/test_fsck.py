@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cli.recovery import INJECTIONS, build_demo_store, inject
-from repro.errors import ObjectStoreError, PowerCut
+from repro.errors import ObjectStoreError
 from repro.fault.names import FP_FSCK_REPAIR
 from repro.fault.registry import FailpointRegistry, FaultAction
 from repro.objstore import ObjectStore, check_store, repair_store
@@ -154,10 +154,10 @@ class TestRepairCrash:
         inject(device, store, "checksum")
         faults = FailpointRegistry(device.clock, seed=7)
         store.attach_faults(faults)
-        faults.arm(FP_FSCK_REPAIR, FaultAction("crash"))
-        with pytest.raises(PowerCut):
+        faults.arm(FP_FSCK_REPAIR, FaultAction("fail"))
+        with pytest.raises(ObjectStoreError):
             repair_store(store)
-        device.crash()
+        device.crash()  # the power cut, at the repair failpoint
         # reopen cold off the media and repair again: the failpoint
         # fires before any write, so the damage is exactly as injected
         reopened = ObjectStore(device)
