@@ -4,12 +4,13 @@ Aurora's contract is that a power cut costs at most the last
 checkpoint interval.  This harness checks the reproduction keeps that
 promise at every instant of a fixed checkpoint/restore workload — SLS
 checkpoints, SLSFS snapshots, ``sls_ntflush`` log appends, a snapshot
-deletion whose extents a later commit point reclaims, then an online
-scrub pass.  It runs the workload once with the device's write trace
-on (:attr:`~repro.hw.device.StorageDevice.trace`) and takes every
-instant at which a power cut would leave different media: each
-transfer's start and completion, each whole-sector boundary inside a
-transfer, and each discard.  For each instant it replays the trace on
+deletion whose extents a later commit point reclaims, a checkpoint
+whose flush puts one long run on a queue other than the superblock's,
+then an online scrub pass.  It runs the workload once with the
+device's write trace on (:attr:`~repro.hw.device.StorageDevice.trace`)
+and takes every instant at which a power cut would leave different
+media: each transfer's start and completion, each whole-sector
+boundary inside a transfer, and each discard.  For each instant it replays the trace on
 a fresh device, torn as :meth:`~repro.hw.device.StorageDevice.crash`
 tears it, and for each distinct media state it recovers a fresh store
 from the raw bytes and asserts four oracles:
@@ -41,6 +42,7 @@ states are the same every time.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -65,7 +67,7 @@ from repro.slsfs.fs import SlsFS
 from repro.units import GIB, KIB, PAGE_SIZE
 
 LOG_OWNER_OID = 7777
-HEAP_PAGES = 8
+HEAP_PAGES = 24
 CHECKPOINTS = 5
 #: extents per scrub step in the workload's post-barrier scrub pass
 SCRUB_BATCH = 16
@@ -75,7 +77,7 @@ SCRUB_BATCH = 16
 #: itself fails loudly when the count drifts from it — a workload or
 #: write-path change that adds or removes reachable states means
 #: updating exactly this constant.
-EXPECTED_CRASH_POINTS = 69
+EXPECTED_CRASH_POINTS = 135
 
 
 @dataclass
@@ -193,8 +195,9 @@ def _record_superblocks(state: WorkloadState, store: ObjectStore) -> None:
 def run_workload(kernel: Kernel, device: NvmeDevice,
                  state: WorkloadState) -> WorkloadState:
     """The swept workload: checkpoints + log appends + SLSFS snapshots
-    + one deletion + a scrub pass.  Fills ``state`` in place with the
-    ground truth the oracles check each crash state against."""
+    + one deletion + a checkpoint of every page + a scrub pass.  Fills
+    ``state`` in place with the ground truth the oracles check each
+    crash state against."""
     sls = SLS(kernel)
     proc = kernel.spawn("crashtest-app")
     sysc = Syscalls(kernel, proc)
@@ -239,6 +242,20 @@ def run_workload(kernel: Kernel, device: NvmeDevice,
             # points after the next superblock reclaim its extents.
             store.delete_snapshot(fs_snapshots.pop(0))
             store.flush_barrier()
+    # One checkpoint that dirties every page: a whole random page on
+    # every fourth, a few bytes on the rest.  The flush's rotation puts
+    # the whole pages on queue 1 as one long run while queue 0 carries
+    # short records, so queue 0 drains first and only the superblock's
+    # cross-queue barrier keeps it from landing before the long run.
+    rng = random.Random(CHECKPOINTS)
+    for page in range(HEAP_PAGES):
+        value = (rng.randbytes(PAGE_SIZE) if page % 4 == 1
+                 else b"all-%d" % page)
+        sysc.poke(heap.start + page * PAGE_SIZE, value)
+        expect[page] = value
+    name = f"ckpt-{CHECKPOINTS}"
+    sls.checkpoint(group, name=name)
+    state.heap_expect[name] = dict(expect)
     sls.barrier(group)
     # Online scrub over everything just written: it only reads, so the
     # states after the barrier must stay as clean as the run itself.
@@ -260,7 +277,9 @@ def _referenced_extents(store: ObjectStore) -> dict[int, int]:
             if extent.offset in seen:
                 continue
             seen[extent.offset] = extent.length
-            for _hash, offset, length, _page_length in store.read_manifest(extent).pages.rows():
+            table = (manifest if extent == snapshot.manifest_extent
+                     else store.read_manifest(extent)).pages
+            for _hash, offset, length, _page_length in table.rows():
                 seen[offset] = length
         for ref in manifest.records:
             seen[ref.extent.offset] = ref.extent.length

@@ -17,10 +17,10 @@ table.  Errors are reported as :class:`~repro.objstore.fsck.FsckFinding`
 values in the same vocabulary fsck uses — a failed scrub hands its
 findings straight to ``sls fsck --repair``.
 
-Failpoint ``objstore.scrub.step`` fires at every step boundary, which
-also makes each step a crash point in the ``sls crashtest`` sweep: a
-power cut mid-scrub must leave nothing to repair, since scrubbing only
-reads.
+Failpoint ``objstore.scrub.step`` fires at every step boundary.
+Scrubbing only reads, so a power cut mid-scrub must leave nothing to
+repair: the ``sls crashtest`` sweep's last state is the media its
+workload's scrub pass ran over.
 """
 
 from __future__ import annotations

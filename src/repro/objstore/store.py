@@ -1215,10 +1215,9 @@ class WriteBatch:
 
         Failpoint ``objstore.batch.flush`` fires once before anything
         is submitted; ``objstore.batch.shard_flush`` fires before each
-        shard's doorbell — a crash there is a power cut with some
-        shards already in flight and the rest never submitted, which
-        recovery must tear as a unit (the superblock barrier guarantees
-        the torn checkpoint was never named).
+        shard's doorbell — a ``fail`` there leaves the earlier shards
+        submitted and the rest not, and no superblock names the
+        half-flushed checkpoint.
         """
         store = self.store
         if not self.staged:

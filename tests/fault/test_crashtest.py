@@ -20,7 +20,7 @@ from repro.fault.crashtest import (
     run_sweep,
     run_workload,
 )
-from repro.hw.device import SECTOR, landed_bytes
+from repro.hw.device import SECTOR, StorageDevice, landed_bytes
 from repro.obs import names as obs_names
 
 
@@ -41,7 +41,8 @@ class TestWorkload:
         _device, state = traced_run()
         assert state.completed
         assert state.scrub_errors == 0
-        assert len(state.heap_expect) == CHECKPOINTS
+        # one checkpoint per round, then the one that dirties every page
+        assert len(state.heap_expect) == CHECKPOINTS + 1
         assert len(state.log_appended) == CHECKPOINTS
         # Every superblock generation written is in the history.
         assert sorted(state.history) == list(range(len(state.history)))
@@ -97,6 +98,23 @@ class TestSweep:
         _device, state = traced_run()
         assert {p.generation for p in report.points} == set(state.history)
 
+    def test_sweep_fails_without_the_superblock_barrier(self, monkeypatch):
+        # The last checkpoint's long run drains on queue 1 after queue 0
+        # has, so only the superblock's release_ns keeps the superblock
+        # from landing before the records it names.  Drop it and some
+        # cut recovers a superblock whose image does not restore.
+        write_async = StorageDevice.write_async
+
+        def unordered(self, offset, data, logical_nbytes=None, queue=0,
+                      release_ns=None):
+            return write_async(self, offset, data, logical_nbytes, queue)
+
+        monkeypatch.setattr(StorageDevice, "write_async", unordered)
+        failing = [p for p in run_sweep().points if p.failures]
+        assert failing
+        assert all(f"restore of 'ckpt-{CHECKPOINTS}' failed" in p.failures[0]
+                   for p in failing)
+
     def test_sweep_is_deterministic(self, report):
         def fingerprint(report):
             return [
@@ -112,11 +130,12 @@ class TestSweep:
         assert "crash sweep: one run" in text
         assert f"{EXPECTED_CRASH_POINTS} distinct media states" in text
 
-    def test_cli_pins_crash_point_count(self, capsys):
+    def test_cli_pins_crash_point_count(self, report, capsys, monkeypatch):
         # The CI job pins the sweep's state count so a change that
         # silently narrows what the trace reaches fails the build.
         from repro.cli.main import main
 
+        monkeypatch.setattr(crashtest, "run_sweep", lambda: report)
         assert main(
             ["crashtest", "--expect-points", str(EXPECTED_CRASH_POINTS)]
         ) == 0
@@ -126,13 +145,14 @@ class TestSweep:
         ) == 1
         assert "crash-point count" in capsys.readouterr().err
 
-    def test_cli_pinned_keyword_resolves_to_constant(self, capsys,
+    def test_cli_pinned_keyword_resolves_to_constant(self, report, capsys,
                                                      monkeypatch):
         # "--expect-points pinned" is what CI passes: the expected
         # count lives in exactly one place (EXPECTED_CRASH_POINTS).
         # A pin one off must fail, proving the keyword resolved to it.
         from repro.cli.main import main
 
+        monkeypatch.setattr(crashtest, "run_sweep", lambda: report)
         monkeypatch.setattr(crashtest, "EXPECTED_CRASH_POINTS",
                             EXPECTED_CRASH_POINTS + 1)
         assert main(["crashtest", "--expect-points", "pinned"]) == 1
