@@ -16,12 +16,16 @@ from repro.fault.crashtest import (
     EXPECTED_CRASH_POINTS,
     WorkloadState,
     _boot,
+    _device,
     _instants,
+    _spans,
+    verify_recovery,
     run_sweep,
     run_workload,
 )
 from repro.hw.device import SECTOR, StorageDevice, landed_bytes
 from repro.obs import names as obs_names
+from repro.sim.clock import SimClock
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +101,21 @@ class TestSweep:
         # from some state
         _device, state = traced_run()
         assert {p.generation for p in report.points} == set(state.history)
+
+    def test_each_state_is_checked_once_at_its_first_instant(self, report):
+        # Replay the trace at every instant: the checked points are
+        # exactly the instants whose media no earlier instant left.
+        device, _state = traced_run()
+        spans = _spans([entry for entry in device.trace if len(entry) == 4])
+        first_of: dict[bytes, int] = {}
+        instants = _instants(device.trace)
+        for at in instants:
+            media = _device(SimClock(at))
+            media.replay(device.trace, at)
+            key = b"".join(media.read(lo, hi - lo) for lo, hi in spans)
+            first_of.setdefault(key, at)
+        assert report.instants == len(instants) > len(first_of)
+        assert [p.at_ns for p in report.points] == sorted(first_of.values())
 
     def test_sweep_fails_without_the_superblock_barrier(self, monkeypatch):
         # The last checkpoint's long run drains on queue 1 after queue 0
@@ -200,3 +219,19 @@ class TestCrashPointOracles:
         _device, state = traced_run()
         assert last.generation == max(state.history)
         assert last.snapshots_recovered == len(state.history[last.generation])
+
+    def test_log_oracle_counts_only_acknowledged_appends(self, report):
+        # Oracle 3a has teeth: at the last state every append is on the
+        # media, so a ground truth that says the last one returned only
+        # after the cut must be reported as a log prefix mismatch.
+        device, state = traced_run()
+        last = report.points[-1]
+        media = _device(SimClock(last.at_ns))
+        media.replay(device.trace, last.at_ns)
+        at, payload = state.log_appended[-1]
+        assert at <= last.at_ns
+        state.log_appended[-1] = (last.at_ns + 1, payload)
+        point = crashtest.CrashPointResult(at_ns=last.at_ns)
+        verify_recovery(state, media, point)
+        [failure] = point.failures
+        assert failure.startswith("log prefix mismatch")

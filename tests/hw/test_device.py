@@ -8,7 +8,7 @@ import pytest
 from repro.errors import DeviceFullError, DeviceIOError
 from repro.fault import names as fault_names
 from repro.fault.registry import FailpointRegistry, FaultAction
-from repro.hw.device import SECTOR, StorageDevice
+from repro.hw.device import SECTOR, StorageDevice, landed_bytes
 from repro.hw.memdev import MemoryDevice
 from repro.hw.nvdimm import NvdimmDevice
 from repro.hw.nvme import NvmeDevice
@@ -257,6 +257,89 @@ class TestDiscard:
         clock.advance_to(ticket.completes_at)
         dev.discard(8192, 100)
         assert dev.held_bytes == 0
+
+
+    def test_a_write_durable_by_now_does_not_block_it(self, dev, clock):
+        # Only a write still in flight refuses a discard; one that has
+        # completed by now is on the media even if no barrier has
+        # retired it, and the check rebuilds no pending list to see so.
+        ticket = dev.write_async(0, b"w" * 4096)
+        clock.advance_to(ticket.completes_at)
+
+        def rebuild():
+            raise AssertionError("discard rebuilt the pending list")
+
+        dev._retire_pending = rebuild
+        dev.discard(0, 4096)
+        assert dev.read(0, 4096) == bytes(4096)
+        assert dev.held_bytes == 0
+
+
+class TestTrace:
+    """``StorageDevice.trace``: off unless set to a list; once set, it
+    records each write and discard, and ``replay`` lands it on fresh
+    media as a power cut at any instant would leave it."""
+
+    def test_is_off_by_default(self, dev):
+        assert dev.trace is None
+        dev.write(0, b"untraced")
+        dev.discard(0, 8)
+        assert dev.trace is None
+
+    def test_records_each_write_and_discard_in_order(self, dev, clock):
+        dev.trace = []
+        first = dev.write_async(0, b"a" * 1000)
+        second = dev.write(4096, b"b" * 10)
+        dev.discard(0, 512)
+        assert [entry[:2] for entry in dev.trace] == [
+            (0, b"a" * 1000), (4096, b"b" * 10), (clock.now, 0)
+        ]
+        assert dev.trace[2] == (clock.now, 0, 512)
+        for (_o, _d, transfer_at, durable_at), ticket in zip(
+                dev.trace, (first, second)):
+            assert ticket.issued_at <= transfer_at < durable_at
+            assert durable_at == ticket.completes_at
+
+    def test_replay_keeps_what_a_later_discard_drops(self, clock):
+        dev = NvmeDevice(clock)
+        dev.trace = []
+        ticket = dev.write(0, b"k" * 4096)
+        clock.advance(1000)
+        dev.discard(0, 4096)
+        discarded_at = clock.now
+        for at, expect in ((discarded_at - 1, b"k" * 4096),
+                           (discarded_at, bytes(4096))):
+            media = NvmeDevice(SimClock(at))
+            media.replay(dev.trace, at)
+            assert media.read(0, 4096) == expect, at
+        assert ticket.completes_at < discarded_at
+
+    def test_replay_mid_transfer_lands_whole_sectors(self, clock):
+        dev = NvmeDevice(clock)
+        dev.trace = []
+        data = bytes(range(1, 251)) * 40  # 10 000 B, 20 sectors
+        dev.write_async(0, data)
+        [(_offset, _data, transfer_at, durable_at)] = dev.trace
+        for at in (transfer_at, (transfer_at + durable_at) // 2,
+                   durable_at - 1, durable_at):
+            landed = landed_bytes(len(data), transfer_at, durable_at, at)
+            media = NvmeDevice(SimClock(at))
+            media.replay(dev.trace, at)
+            assert media.held_bytes == landed, at
+            assert media.read(0, len(data)) == (
+                data[:landed] + bytes(len(data) - landed)
+            ), at
+
+    def test_landed_bytes_is_the_tear_rule(self):
+        # none before the transfer begins, all once durable, whole
+        # sectors (never a partial one) in between, never decreasing
+        assert landed_bytes(10_000, 100, 1100, 100) == 0
+        assert landed_bytes(10_000, 100, 1100, 1100) == 10_000
+        assert landed_bytes(10_000, 100, 1100, 5000) == 10_000
+        inside = [landed_bytes(10_000, 100, 1100, at) for at in range(101, 1100)]
+        assert all(n % SECTOR == 0 and n < 10_000 for n in inside)
+        assert inside == sorted(inside)
+        assert set(inside) == {n * SECTOR for n in range(10_000 // SECTOR + 1)}
 
 
 class TestFlip:

@@ -181,6 +181,20 @@ class TestBatchFailpoint:
         assert dev.stats.writes == 0
         assert dev.read(0, 5) == b"\x00" * 5
 
+    def test_cut_at_batch_boundary_keeps_earlier_batches_only(self, clock):
+        # A power cut at the doorbell: what was durable before stays,
+        # and no member of the refused batch reaches the media.
+        dev = qdev(clock)
+        dev.write_batch([BatchWrite(offset=0, data=b"before")])
+        dev.flush_barrier()
+        self.arm(clock, dev, FaultAction("fail"))
+        with pytest.raises(DeviceIOError):
+            dev.write_batch([BatchWrite(offset=0, data=b"after!"),
+                             BatchWrite(offset=KIB, data=b"never")])
+        assert dev.crash() == 0
+        assert dev.read(0, 6) == b"before"
+        assert dev.read(KIB, 5) == b"\x00" * 5
+
     def test_member_commands_still_fire_device_write(self, clock):
         dev = qdev(clock)
         registry = FailpointRegistry(clock=clock, seed=1)
